@@ -187,7 +187,11 @@ def _validate(values: dict, lines: dict) -> list:
     need(values["stepper"] in ("explicit", "implicit"), "stepper",
          "must be 'explicit' or 'implicit'")
     need(0 < values["cfl_safety"] <= 1, "cfl_safety", "must lie in (0, 1]")
+    need(0 < values["fluid_cfl_safety"] <= 1, "fluid_cfl_safety",
+         "must lie in (0, 1]")
+    need(values["dt_max"] > 0, "dt_max", "must be > 0")
     need(values["tol_inner"] > 0, "tol_inner", "must be > 0")
+    need(values["max_inner"] >= 1, "max_inner", "must be >= 1")
     need(values["eps_reg"] >= 0, "eps_reg", "must be >= 0")
     need(values["t_end"] > 0, "t_end", "must be > 0")
     need(values["t0"] >= 0, "t0", "must be >= 0")

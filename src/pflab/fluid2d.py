@@ -48,6 +48,10 @@ class FluidConfig:
             raise ValueError("fluid solver is 2-D; ModelParams.dim must be 2")
         if self.advection not in ("upwind", "central"):
             raise ValueError(f"unknown advection scheme {self.advection!r}")
+        if not 0 < self.cfl_safety <= 1:
+            raise ValueError("cfl_safety must lie in (0, 1]")
+        if not self.dt_max > 0:
+            raise ValueError("dt_max must be positive")
 
     def eps_for(self, grid: GridSpec) -> float:
         return min(grid.spacing) if self.eps_reg is None else self.eps_reg

@@ -10,8 +10,11 @@ diffusivities built from the full gradient magnitude):
 * ``implicit``: backward Euler realized as a proximal step, i.e. the
   minimizer of ``|v - u|^2 / (2 dt) + (mu1/p) * sum |grad v|^p`` over the
   grid, solved by damped Newton with a monotone line search (exact
-  banded solve in 1-D, Jacobi-preconditioned CG in 2-D).  No CFL limit,
-  so it is the stepper for long-horizon exponent fits.
+  banded solve on 1-D dirichlet grids, otherwise CG preconditioned by
+  Jacobi with the exact Hessian diagonal).  Each Newton iteration
+  linearizes once, into a per-face tensor that the Hessian action, the
+  diagonal and the band all read.  No CFL limit, so it is the stepper
+  for long-horizon exponent fits.
 
 With ``eps_reg = 0`` both steppers propagate exact zeros: fluxes vanish
 where the solution vanishes, and the Newton linearization decouples
@@ -73,6 +76,10 @@ class SolverConfig:
             raise ValueError("tol must be positive")
         if not 0 < self.cfl_safety <= 1:
             raise ValueError("cfl_safety must lie in (0, 1]")
+        if not self.dt_max > 0:
+            raise ValueError("dt_max must be positive")
+        if self.max_inner < 1:
+            raise ValueError("max_inner must be >= 1")
         if self.stepper not in ("explicit", "implicit"):
             raise ValueError(f"unknown stepper {self.stepper!r}")
         if self.substeps < 1:
@@ -350,21 +357,48 @@ def _face_weight(grid: GridSpec) -> float:
     return w if grid.dim == 1 else w / 2.0
 
 
+def _face_fields(v: np.ndarray, grid: GridSpec, eps: float) -> list:
+    """Per axis: the face gradients ``(gn, gt)`` and ``a2 = |face grad|^2``."""
+    faces = []
+    for axis in range(grid.dim):
+        gn, gt = _face_gradients(v, grid, axis)
+        faces.append((gn, gt, _face_a2(gn, gt, eps)))
+    return faces
+
+
+def _energy(faces: list, grid: GridSpec, cfg: SolverConfig) -> float:
+    """Discrete stored energy ``(mu1/p) * sum_faces |face grad|^p * w``."""
+    p, mu1 = cfg.params.p, cfg.params.mu1
+    total = sum(float(np.sum(a2 ** (p / 2.0))) for _, _, a2 in faces)
+    return (mu1 / p) * _face_weight(grid) * total
+
+
+def _face_gradients_adj(tn, tt, grid: GridSpec, axis: int) -> np.ndarray:
+    """Adjoint of :func:`_face_gradients`: the node array ``G^T (tn, tt)``."""
+    per = grid.is_periodic(axis)
+    out = _face_diff_adj(tn, grid.shape, axis, grid.spacing[axis], per)
+    if tt is not None:
+        other = 1 - axis
+        out += _trans_deriv_adj(_face_avg_adj(tt, grid.shape, axis, per), other,
+                                grid.spacing[other], grid.is_periodic(other))
+    return out
+
+
 def grad_energy(v_field: ScalarField, cfg: SolverConfig) -> float:
     """Discrete stored energy ``(mu1/p) * sum_faces |face grad|^p * w``."""
     grid = v_field.grid
-    p, mu1 = cfg.params.p, cfg.params.mu1
-    w = _face_weight(grid)
-    total = 0.0
-    for axis in range(grid.dim):
-        gn, gt = _face_gradients(v_field.values, grid, axis)
-        a2 = _face_a2(gn, gt, cfg.eps_reg)
-        total += float(np.sum(a2 ** (p / 2.0)))
-    return (mu1 / p) * w * total
+    return _energy(_face_fields(v_field.values, grid, cfg.eps_reg), grid, cfg)
 
 
 class _ProxProblem:
-    """Objective ``J(v) = |v - u|^2/(2 dt) + E(v)`` and its derivatives."""
+    """Objective ``J(v) = |v - u|^2/(2 dt) + E(v)`` and its derivatives.
+
+    :meth:`value_and_grad` also linearizes: per axis it stores the face
+    tensor ``K = D (I + (p-2) m m^T)``, with ``m`` the face gradient over
+    its magnitude (0 where that vanishes), as ``(k_nn, k_nt, k_tt)``.  The
+    Hessian there is ``vol/dt + w * sum_axes G^T K G``, with ``G`` the face
+    gradients of :func:`_face_gradients`.
+    """
 
     def __init__(self, u: np.ndarray, grid: GridSpec, cfg: SolverConfig, dt: float):
         self.u = u
@@ -373,130 +407,84 @@ class _ProxProblem:
         self.dt = dt
         self.vol = grid.volumes()
         self.w = _face_weight(grid)
-        self._faces = None  # per-axis (gn, gt, a2, D) at the last grad point
+        self._k = None  # per-axis (k_nn, k_nt, k_tt) at the last grad point
+
+    def _quad(self, v: np.ndarray) -> float:
+        return 0.5 / self.dt * float(np.sum((v - self.u) ** 2 * self.vol))
 
     def value(self, v: np.ndarray) -> float:
-        p, mu1 = self.cfg.params.p, self.cfg.params.mu1
-        e = 0.0
-        for axis in range(self.grid.dim):
-            gn, gt = _face_gradients(v, self.grid, axis)
-            a2 = _face_a2(gn, gt, self.cfg.eps_reg)
-            e += float(np.sum(a2 ** (p / 2.0)))
-        e *= (mu1 / p) * self.w
-        quad = 0.5 / self.dt * float(np.sum((v - self.u) ** 2 * self.vol))
-        return quad + e
+        faces = _face_fields(v, self.grid, self.cfg.eps_reg)
+        return self._quad(v) + _energy(faces, self.grid, self.cfg)
 
     def value_and_grad(self, v: np.ndarray):
         p, mu1 = self.cfg.params.p, self.cfg.params.mu1
         grid = self.grid
-        e = 0.0
-        g = self.vol * (v - self.u) / self.dt
-        faces = []
-        for axis in range(grid.dim):
-            h = grid.spacing[axis]
-            per = grid.is_periodic(axis)
-            gn, gt = _face_gradients(v, grid, axis)
-            a2 = _face_a2(gn, gt, self.cfg.eps_reg)
-            e += float(np.sum(a2 ** (p / 2.0)))
-            D = mu1 * a2 ** ((p - 2.0) / 2.0)
-            g += self.w * _face_diff_adj(D * gn, grid.shape, axis, h, per)
-            if gt is not None:
-                other = 1 - axis
-                z = _face_avg_adj(D * gt, grid.shape, axis, per)
-                g += self.w * _trans_deriv_adj(
-                    z, other, grid.spacing[other], grid.is_periodic(other))
-            faces.append((gn, gt, a2, D))
-        self._faces = faces
-        e *= (mu1 / p) * self.w
-        quad = 0.5 / self.dt * float(np.sum((v - self.u) ** 2 * self.vol))
-        return quad + e, g
+        faces = _face_fields(v, grid, self.cfg.eps_reg)
+        adj = np.zeros(grid.shape)
+        self._k = []
+        for axis, (gn, gt, a2) in enumerate(faces):
+            D = _diffusivity_of_a2(a2, p, mu1)
+            adj += _face_gradients_adj(D * gn, None if gt is None else D * gt,
+                                       grid, axis)
+            c = (p - 2.0) * D
+            sq = np.sqrt(a2)
+            mn = np.divide(gn, sq, out=np.zeros_like(gn), where=a2 > 0)
+            if gt is None:
+                self._k.append((D + c * mn * mn, None, None))
+            else:
+                mt = np.divide(gt, sq, out=np.zeros_like(gt), where=a2 > 0)
+                self._k.append((D + c * mn * mn, c * mn * mt, D + c * mt * mt))
+        g = self.vol * (v - self.u) / self.dt + self.w * adj
+        return self._quad(v) + _energy(faces, grid, self.cfg), g
 
     def hess_vec(self, dv: np.ndarray) -> np.ndarray:
         """Exact Hessian action at the last gradient point."""
-        p = self.cfg.params.p
-        grid = self.grid
-        out = self.vol * dv / self.dt
-        for axis in range(grid.dim):
-            gn, gt, a2, D = self._faces[axis]
-            h = grid.spacing[axis]
-            per = grid.is_periodic(axis)
-            sq = np.sqrt(a2)
-            mn = np.divide(gn, sq, out=np.zeros_like(gn), where=a2 > 0)
-            dgn = _face_diff(dv, axis, h, per)
-            if gt is None:
-                s = mn * dgn
-                tn = D * dgn + (p - 2.0) * D * s * mn
-                out += self.w * _face_diff_adj(tn, grid.shape, axis, h, per)
+        adj = np.zeros(self.grid.shape)
+        for axis, (knn, knt, ktt) in enumerate(self._k):
+            dgn, dgt = _face_gradients(dv, self.grid, axis)
+            if dgt is None:
+                adj += _face_gradients_adj(knn * dgn, None, self.grid, axis)
             else:
-                other = 1 - axis
-                mt = np.divide(gt, sq, out=np.zeros_like(gt), where=a2 > 0)
-                dtn = _trans_deriv(dv, other, grid.spacing[other],
-                                   grid.is_periodic(other))
-                dgt = _face_avg(dtn, axis, per)
-                s = mn * dgn + mt * dgt
-                tn = D * dgn + (p - 2.0) * D * s * mn
-                tt = D * dgt + (p - 2.0) * D * s * mt
-                out += self.w * _face_diff_adj(tn, grid.shape, axis, h, per)
-                z = _face_avg_adj(tt, grid.shape, axis, per)
-                out += self.w * _trans_deriv_adj(
-                    z, other, grid.spacing[other], grid.is_periodic(other))
-        return out
+                adj += _face_gradients_adj(knn * dgn + knt * dgt,
+                                           knt * dgn + ktt * dgt, self.grid, axis)
+        return self.vol * dv / self.dt + self.w * adj
 
     def hess_diag(self) -> np.ndarray:
-        """Approximate Hessian diagonal for Jacobi preconditioning
-        (cross terms at dirichlet transverse ends are dropped)."""
-        p = self.cfg.params.p
+        """Exact Hessian diagonal, the Jacobi preconditioner: ``K`` weighted
+        by the squared stencil coefficients of the face gradients.  The
+        cross term ``k_nt`` enters where a one-sided dirichlet end puts a
+        node in both the normal and the transverse stencil of a face.  (A
+        periodic transverse axis needs three nodes or more, so that the two
+        neighbours of its centred stencil differ.)"""
         grid = self.grid
-        diag = self.vol / self.dt
-        for axis in range(grid.dim):
-            gn, gt, a2, D = self._faces[axis]
-            h = grid.spacing[axis]
-            per = grid.is_periodic(axis)
-            qn = self.w * (D + (p - 2.0) * D * np.divide(
-                gn * gn, a2, out=np.zeros_like(gn), where=a2 > 0)) / h**2
-            add = np.zeros(grid.shape)
-            nd = add.ndim
-            if per:
-                add += qn + np.roll(qn, 1, axis)
-            else:
-                add[_sl(nd, axis, slice(None, -1))] += qn
-                add[_sl(nd, axis, slice(1, None))] += qn
-            if gt is not None:
-                other = 1 - axis
-                ho = grid.spacing[other]
-                qt = self.w * (D + (p - 2.0) * D * np.divide(
-                    gt * gt, a2, out=np.zeros_like(gt), where=a2 > 0))
-                # squared coefficients of face-average then transverse stencil
-                if per:
-                    zz = 0.25 * (qt + np.roll(qt, 1, axis))
-                else:
-                    zz = np.zeros(grid.shape)
-                    zz[_sl(nd, axis, slice(None, -1))] += 0.25 * qt
-                    zz[_sl(nd, axis, slice(1, None))] += 0.25 * qt
-                if grid.is_periodic(other):
-                    add += (np.roll(zz, 1, other) + np.roll(zz, -1, other)) / (4.0 * ho**2)
-                else:
-                    tmp = np.zeros(grid.shape)
-                    tmp[_sl(nd, other, slice(None, -2))] += zz[_sl(nd, other, slice(1, -1))] / (4.0 * ho**2)
-                    tmp[_sl(nd, other, slice(2, None))] += zz[_sl(nd, other, slice(1, -1))] / (4.0 * ho**2)
-                    tmp[_sl(nd, other, 0)] += zz[_sl(nd, other, 0)] / ho**2
-                    tmp[_sl(nd, other, 1)] += zz[_sl(nd, other, 0)] / ho**2
-                    tmp[_sl(nd, other, -2)] += zz[_sl(nd, other, -1)] / ho**2
-                    tmp[_sl(nd, other, -1)] += zz[_sl(nd, other, -1)] / ho**2
-                    add += tmp
-            diag = diag + add
-        return diag
+        nd = grid.dim
+        diag = np.zeros(grid.shape)
+        for axis, (knn, knt, ktt) in enumerate(self._k):
+            h, per = grid.spacing[axis], grid.is_periodic(axis)
+            diag += (2.0 / h**2) * _face_avg_adj(knn, grid.shape, axis, per)
+            if ktt is None:
+                continue
+            other = 1 - axis
+            ho = grid.spacing[other]
+            # k_tt / 4 at both nodes of a face, times the squared transverse
+            # coefficient of each node row: 1/(2 ho) centred, 1/ho one-sided
+            z = _face_avg_adj(ktt, grid.shape, axis, per) / (8.0 * ho**2)
+            if grid.is_periodic(other):
+                diag += np.roll(z, 1, other) + np.roll(z, -1, other)
+                continue
+            x = _face_diff_adj(knt, grid.shape, axis, h, per) / ho
+            for end, sign in ((0, -1.0), (-1, 1.0)):  # one-sided rows
+                e = _sl(nd, other, end)
+                z[e] *= 4.0
+                diag[e] += z[e] + sign * x[e]
+            diag[_sl(nd, other, slice(1, None))] += z[_sl(nd, other, slice(None, -1))]
+            diag[_sl(nd, other, slice(None, -1))] += z[_sl(nd, other, slice(1, None))]
+        return self.vol / self.dt + self.w * diag
 
     def banded_hessian(self) -> np.ndarray:
         """Tridiagonal Hessian in solve_banded layout (1-D dirichlet only)."""
-        p = self.cfg.params.p
-        grid = self.grid
-        h = grid.spacing[0]
-        gn, _, a2, D = self._faces[0]
-        coef = self.w * (D + (p - 2.0) * D * np.divide(
-            gn * gn, a2, out=np.zeros_like(gn), where=a2 > 0)) / h**2
-        n = grid.shape[0]
-        ab = np.zeros((3, n))
+        coef = self.w * self._k[0][0] / self.grid.spacing[0] ** 2
+        ab = np.zeros((3, self.grid.shape[0]))
         ab[1, :] = self.vol / self.dt
         ab[1, :-1] += coef
         ab[1, 1:] += coef
@@ -559,14 +547,17 @@ def step_implicit_proximal(u: ScalarField, cfg: SolverConfig, dt: float,
             _check_finite(v, "implicit step")
             return ScalarField(grid, v)
         if banded:
-            delta = solve_banded((1, 1), prob.banded_hessian(), -g)
+            ab = prob.banded_hessian()
+            diag = ab[1]
+            delta = solve_banded((1, 1), ab, -g)
         else:
+            diag = prob.hess_diag()
             rtol = min(0.1, np.sqrt(res / res0)) if res0 > 0 else 0.1
-            delta = _pcg(prob.hess_vec, -g, 1.0 / prob.hess_diag(),
+            delta = _pcg(prob.hess_vec, -g, 1.0 / diag,
                          rtol=max(rtol, 1e-12), maxiter=600)
         slope = float(np.sum(g * delta))
-        if slope >= 0:  # CG returned a non-descent direction; steepest descent
-            delta = -g / prob.hess_diag()
+        if slope >= 0:  # the solve returned a non-descent direction
+            delta = -g / diag
             slope = float(np.sum(g * delta))
         # Armijo with a roundoff-scale slack so terminal Newton steps are
         # accepted once genuine decreases fall below the resolution of J

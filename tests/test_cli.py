@@ -21,6 +21,26 @@ def test_exit_code_invalid_config(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_exit_code_invalid_flag_value(tmp_path, capsys):
+    # zero Newton iterations is a configuration error, not a numerical one
+    code = run_cli("barenblatt", "--max-inner", "0",
+                   "--outdir", str(tmp_path / "out"), "--svg", "false")
+    assert code == 1
+    assert "max_inner" in capsys.readouterr().err
+
+
+def test_exit_code_line_search_stall(tmp_path, capsys, monkeypatch):
+    from pflab import plaplace
+
+    # a descent direction so long that every halving still overshoots
+    monkeypatch.setattr(plaplace, "solve_banded", lambda lu, ab, b: 1e30 * b)
+    code = run_cli("barenblatt", "--cells", "256", "--bounds=-6:6",
+                   "--t-end", "2", "--outdir", str(tmp_path / "out"),
+                   "--svg", "false")
+    assert code == 2
+    assert "line search stalled" in capsys.readouterr().err
+
+
 def test_exit_code_sentinel(tmp_path, capsys):
     # a deliberately undersized box trips the boundary sentinel -> exit 2
     cfg = tmp_path / "small.cfg"

@@ -105,3 +105,14 @@ def test_schema_defaults_are_valid():
             over = {"dimension": "2", "p": "2" if kind.endswith("green") else "3.5"}
         cfg = parse_config(f"experiment = {kind}\n", over)
         assert set(SCHEMA) >= set(cfg.values)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("dt_max", "0"), ("dt_max", "-1"),  # dt = 0: time never advances
+    ("fluid_cfl_safety", "0"), ("fluid_cfl_safety", "1.5"),
+    ("max_inner", "0"),
+])
+def test_range_violations_rejected(key, value):
+    with pytest.raises(ConfigError) as exc:
+        parse_config("experiment = barenblatt-fit\n", {key: value})
+    assert any(msg.startswith(f"{key}:") for _, msg in exc.value.errors)

@@ -186,3 +186,10 @@ def test_band_initial_data_support_and_divergence():
     mag = v.magnitude()
     outside = (y < -2.4) | (y > -0.6)
     assert np.max(mag[:, outside]) == 0.0
+
+
+@pytest.mark.parametrize("field,value", [
+    ("cfl_safety", 0.0), ("cfl_safety", 1.5), ("dt_max", 0.0)])
+def test_fluid_config_rejects_values_that_hang(field, value):
+    with pytest.raises(ValueError, match=field):
+        FluidConfig(params(), **{field: value})

@@ -108,18 +108,22 @@ def test_implicit_constant_fixed_point():
 
 
 def test_implicit_energy_inequality_and_descent():
-    bp, grid, u0 = barenblatt_setup(cells=512)
-    cfg = cfg_1d(stepper="implicit")
-    dt = 0.05
-    u = u0
-    for _ in range(5):
-        v = step_implicit_proximal(u, cfg, dt)
-        e_u = grad_energy(u, cfg)
-        e_v = grad_energy(v, cfg)
-        quad = 0.5 / dt * lp_norm(ScalarField(grid, v.values - u.values), 2.0) ** 2
-        assert e_v + quad <= e_u + cfg.tol + 1e-12
-        assert e_v <= e_u + cfg.tol
-        u = v
+    grid_2d = GridSpec((-4.0, -4.0), (4.0, 4.0), (48, 48),
+                       (DIRICHLET, DIRICHLET))
+    for u0 in (barenblatt_setup(cells=512)[2],
+               barenblatt_field(BarenblattParams(3.0, 2, C=0.5), grid_2d, 1.0)):
+        grid = u0.grid
+        cfg = SolverConfig(ModelParams(3.0, 1.0, grid.dim), stepper="implicit")
+        dt = 0.05
+        u = u0
+        for _ in range(5):
+            v = step_implicit_proximal(u, cfg, dt)
+            e_u = grad_energy(u, cfg)
+            e_v = grad_energy(v, cfg)
+            quad = 0.5 / dt * lp_norm(ScalarField(grid, v.values - u.values), 2.0) ** 2
+            assert e_v + quad <= e_u + cfg.tol + 1e-12
+            assert e_v <= e_u + cfg.tol
+            u = v
 
 
 def test_implicit_iteration_cap_error():
@@ -127,6 +131,109 @@ def test_implicit_iteration_cap_error():
     cfg = cfg_1d(stepper="implicit", max_inner=1, tol=1e-14)
     with pytest.raises(NumericalError, match="residual"):
         step_implicit_proximal(u0, cfg, 0.1)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("dt_max", 0.0), ("dt_max", -1.0), ("dt_max", float("nan")),
+    ("max_inner", 0)])
+def test_solver_config_rejects_values_that_hang_or_misreport(field, value):
+    with pytest.raises(ValueError, match=field):
+        cfg_1d(**{field: value})
+
+
+# the proximal derivatives on small random fields, against finite
+# differences and the probed Hessian
+_PROX_GRIDS = {
+    "1d-dirichlet": GridSpec.line(0.0, 1.0, 9),
+    "1d-periodic": GridSpec.line(0.0, 1.0, 9, bc=PERIODIC),
+    **{f"2d-{a[:3]}-{b[:3]}": GridSpec((0.0, 0.0), (1.0, 1.3), (7, 6), (a, b))
+       for a in (DIRICHLET, PERIODIC) for b in (DIRICHLET, PERIODIC)},
+}
+
+
+def _prox_at_random_point(name, p, eps):
+    grid = _PROX_GRIDS[name]
+    rng = np.random.default_rng(7)
+    cfg = SolverConfig(ModelParams(p, 1.0, grid.dim), eps_reg=eps,
+                       stepper="implicit")
+    prob = plaplace._ProxProblem(rng.standard_normal(grid.shape), grid, cfg, 0.1)
+    return prob, rng.standard_normal(grid.shape), rng.standard_normal(grid.shape)
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.3])
+@pytest.mark.parametrize("p", [2.5, 3.0])
+@pytest.mark.parametrize("name", sorted(_PROX_GRIDS))
+def test_prox_gradient_and_hessian_against_finite_differences(name, p, eps):
+    prob, v, dv = _prox_at_random_point(name, p, eps)
+    fd = 1e-6
+    _, g = prob.value_and_grad(v)
+    g_fd = np.zeros(v.shape)
+    for i in np.ndindex(v.shape):
+        e = np.zeros(v.shape)
+        e[i] = fd
+        g_fd[i] = (prob.value(v + e) - prob.value(v - e)) / (2 * fd)
+    assert np.max(np.abs(g - g_fd)) <= 1e-6 * np.max(np.abs(g))
+    hv_fd = (prob.value_and_grad(v + fd * dv)[1]
+             - prob.value_and_grad(v - fd * dv)[1]) / (2 * fd)
+    prob.value_and_grad(v)
+    hv = prob.hess_vec(dv)
+    assert np.max(np.abs(hv - hv_fd)) <= 1e-6 * np.max(np.abs(hv))
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.3])
+@pytest.mark.parametrize("p", [2.5, 3.0])
+@pytest.mark.parametrize("name", sorted(_PROX_GRIDS))
+def test_prox_hessian_symmetric_with_exact_jacobi_diagonal(name, p, eps):
+    prob, v, _ = _prox_at_random_point(name, p, eps)
+    prob.value_and_grad(v)
+    H = np.column_stack([prob.hess_vec(e.reshape(v.shape)).ravel()
+                         for e in np.eye(v.size)])
+    assert np.max(np.abs(H - H.T)) <= 1e-13 * np.max(np.abs(H))
+    diag = prob.hess_diag().ravel()
+    assert np.max(np.abs(diag - np.diag(H)) / np.abs(np.diag(H))) <= 1e-13
+    if name == "1d-dirichlet":
+        ab = prob.banded_hessian()
+        banded = np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[2, :-1], -1)
+        assert np.max(np.abs(banded - H)) <= 1e-13 * np.max(np.abs(H))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_implicit_non_descent_solve_falls_back_to_steepest_descent(
+        monkeypatch, dim):
+    # a short step keeps the Hessian close to its diagonal, so diagonally
+    # scaled steepest descent converges within the iteration cap
+    if dim == 1:
+        u = barenblatt_setup(cells=256)[2]
+    else:
+        grid = GridSpec((-3.0, -3.0), (3.0, 3.0), (24, 24),
+                        (DIRICHLET, DIRICHLET))
+        u = barenblatt_field(BarenblattParams(3.0, 2, C=0.5), grid, 1.0)
+    cfg = SolverConfig(ModelParams(3.0, 1.0, dim), stepper="implicit")
+    dt = 1e-3
+    newton = step_implicit_proximal(u, cfg, dt)
+    calls = []
+
+    def ascent(b):  # b = -grad: the solve returns the gradient itself
+        calls.append(1)
+        return -b
+
+    if dim == 1:
+        monkeypatch.setattr(plaplace, "solve_banded", lambda lu, ab, b: ascent(b))
+    else:
+        monkeypatch.setattr(plaplace, "_pcg", lambda h, b, *a, **k: ascent(b))
+    v = step_implicit_proximal(u, cfg, dt)
+    assert calls
+    quad = 0.5 / dt * lp_norm(ScalarField(u.grid, v.values - u.values), 2.0) ** 2
+    assert grad_energy(v, cfg) + quad <= grad_energy(u, cfg) + cfg.tol
+    assert np.max(np.abs(v.values - newton.values)) <= 1e-8
+
+
+def test_implicit_line_search_stall_raises(monkeypatch):
+    # a descent direction so long that every halving still overshoots
+    monkeypatch.setattr(plaplace, "solve_banded", lambda lu, ab, b: 1e30 * b)
+    bp, grid, u0 = barenblatt_setup(cells=256)
+    with pytest.raises(NumericalError, match="line search stalled"):
+        step_implicit_proximal(u0, cfg_1d(stepper="implicit"), 0.1)
 
 
 def test_cross_scheme_agreement():
