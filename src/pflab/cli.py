@@ -4,8 +4,9 @@ Subcommands wrap the experiment kinds; flags mirror config keys and win
 over the config file.  Exit codes are part of the contract:
 
 * 0 success
-* 1 invalid configuration
-* 2 numerical failure (NaN / blow-up / boundary sentinel)
+* 1 invalid configuration or command-line usage
+* 2 numerical failure (NaN / blow-up / boundary sentinel / projection
+  residual)
 * 3 verification failure (an acceptance-style assertion did not hold)
 
 The environment variable ``PFLAB_VERBOSE`` (0/1) selects output
@@ -194,7 +195,13 @@ def main(argv=None) -> int:
                     help="comma-separated criterion numbers to run")
     _add_schema_flags(pa)
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error; here 2 means numerical failure
+        if exc.code != 2:
+            raise
+        return 1
     handlers = {
         "simulate": _cmd_simulate,
         "barenblatt": _cmd_barenblatt,

@@ -18,6 +18,7 @@ Conventions
 from __future__ import annotations
 
 import dataclasses
+import math
 from functools import cached_property
 from typing import Iterator
 
@@ -244,6 +245,34 @@ class ModelParams:
 # ---------------------------------------------------------------------------
 
 
+def _periodic_stencil(fn, axis: int, *terms) -> np.ndarray:
+    """New array ``fn(a[i + s], b[i + t], ..., out=...)`` along a periodic
+    ``axis``, for ``terms = ((a, s), (b, t), ...)`` of same-shape arrays
+    and shifts in {-1, 0, 1}.
+
+    One pass runs over the arrays flattened in C order, with each shift
+    an offset of one ``axis`` stride; that is right at every node where no
+    shift wraps.  The end slabs where one does are then written again with
+    their wrapped neighbours.  No shifted copy is made, and the values are
+    those of ``fn`` applied to ``np.roll(a, -s, axis), ...``, bit for bit.
+    """
+    shape = terms[0][0].shape
+    n = shape[axis]
+    stride = math.prod(shape[axis + 1:])
+    shifts = [shift for _, shift in terms]
+    first, last = min(shifts), max(shifts)
+    out = np.empty(shape)
+    lo, hi = max(-first, 0) * stride, out.size - max(last, 0) * stride
+    if hi > lo:
+        fn(*[arr.reshape(-1)[lo + s * stride:hi + s * stride] for arr, s in terms],
+           out=out.reshape(-1)[lo:hi])
+    lead = (slice(None),) * axis
+    for i in [i for i, wraps in ((0, first < 0), (n - 1, last > 0)) if wraps]:
+        fn(*[arr[lead + (slice((i + s) % n, (i + s) % n + 1),)] for arr, s in terms],
+           out=out[lead + (slice(i, i + 1),)])
+    return out
+
+
 def _axis_derivative(values: np.ndarray, axis: int, h: float, periodic: bool) -> np.ndarray:
     """Second-order first derivative along one axis.
 
@@ -255,7 +284,9 @@ def _axis_derivative(values: np.ndarray, axis: int, h: float, periodic: bool) ->
     if n < 2:
         raise ValueError("degenerate grid: need at least 2 nodes per axis")
     if periodic:
-        return (np.roll(values, -1, axis) - np.roll(values, 1, axis)) / (2.0 * h)
+        out = _periodic_stencil(np.subtract, axis, (values, 1), (values, -1))
+        out /= 2.0 * h
+        return out
     if n == 2:
         d = np.diff(values, axis=axis) / h
         return np.concatenate([d, d], axis=axis)

@@ -365,7 +365,7 @@ def _fluid_cfg(cfg: ExperimentConfig) -> FluidConfig:
     if cfg["eps_reg"] == 0.0 and cfg["experiment"] == "fluid2d-halfplane":
         eps = 0.0  # support studies want the unregularized flux
     return FluidConfig(_model(cfg), eps_reg=eps, advection=cfg["advection"],
-                       cfl_safety=cfg["fluid_cfl_safety"], div_tol=cfg["div_tol"])
+                       cfl_safety=cfg["fluid_cfl_safety"])
 
 
 def _run_weak_residual_study(cfg: ExperimentConfig, outdir: str) -> dict:
@@ -384,9 +384,8 @@ def _run_weak_residual_study(cfg: ExperimentConfig, outdir: str) -> dict:
         n_snap = 40 * (level + 1) + 1
         traj = simulate_fluid(v0, _fluid_cfg(cfg), t_end,
                               np.linspace(0.0, t_end, n_snap), dt_fixed=dt)
-        row = [weak_residual(traj, stream_field(grid, coeffs), _model(cfg))
-               for coeffs in coeff_sets]
-        resids.append(np.array(row))
+        phis = [stream_field(grid, coeffs) for coeffs in coeff_sets]
+        resids.append(weak_residual(traj, phis, _model(cfg)))
     orders = np.log2(resids[0] / resids[1])
     with open(os.path.join(outdir, "residuals.csv"), "w") as fh:
         fh.write("field_id,residual_base,residual_refined,order\n")
@@ -468,8 +467,8 @@ def run_fluid_halfplane(cfg: ExperimentConfig, outdir: str) -> dict:
     v0 = band_initial_data(grid, cfg["band_center"], cfg["band_halfwidth"],
                            cfg["band_amplitude"])
     fcfg = _fluid_cfg(cfg)
-    v0, _ = project(v0)
-    state = FluidState.from_velocity(v0)
+    v0 = project(v0)
+    state = FluidState(v0)
     scale = float(np.max(v0.magnitude()))
     tau = cfg["threshold_frac"] * scale
     l1_0 = lp_norm(v0, 1.0)

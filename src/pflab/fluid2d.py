@@ -2,10 +2,14 @@
 
 Operator-split step: explicit advection, explicit shear-dependent
 viscosity ``mu1 div((|Du|^2 + eps^2)^((p-2)/2) Du)`` in conservative
-face-flux form, then pressure projection.  The projection solves the
-Poisson problem of the *centered-difference* operators spectrally (via
-modified wavenumbers), so the divergence measured by
-:func:`pflab.core.divergence` vanishes to roundoff after every step.
+face-flux form, then projection onto divergence-free fields.  The
+projection solves the Poisson problem of the *centered-difference*
+operators spectrally (real FFTs, modified wavenumbers), so the
+divergence measured by :func:`pflab.core.divergence` vanishes to
+roundoff after every step.  The pressure is never formed: no result
+reads it, and the weak form tests against divergence-free fields.
+The periodic stencils are the shared face operators of
+:mod:`pflab.plaplace`, built from slices rather than shifted copies.
 
 Advection comes in two flavours:
 
@@ -22,11 +26,11 @@ import dataclasses
 
 import numpy as np
 
-from .core import (GridSpec, ModelParams, ScalarField, VectorField,
+from .core import (GridSpec, ModelParams, VectorField, _periodic_stencil,
                    deformation_tensor, divergence, lp_norm)
 from .errors import NumericalError
-from .plaplace import (Trajectory, _face_avg, _face_diff, _trans_deriv,
-                        normalize_schedule)
+from .plaplace import (Trajectory, _face_avg, _face_diff, _face_diff_adj,
+                        _trans_deriv, normalize_schedule)
 
 _TWO_PI = 2.0 * np.pi
 
@@ -40,7 +44,6 @@ class FluidConfig:
     eps_reg: float | None = None
     advection: str = "central"
     cfl_safety: float = 0.4
-    div_tol: float = 1e-10
     dt_max: float = 1.0
 
     def __post_init__(self):
@@ -60,12 +63,7 @@ class FluidConfig:
 @dataclasses.dataclass
 class FluidState:
     velocity: VectorField
-    pressure: ScalarField
     time: float = 0.0
-
-    @staticmethod
-    def from_velocity(v: VectorField, time: float = 0.0) -> "FluidState":
-        return FluidState(v, ScalarField.zeros(v.grid), time)
 
 
 def _require_periodic(grid: GridSpec):
@@ -122,8 +120,8 @@ def viscous_term(v: VectorField, params: ModelParams,
         dreg = mu1 * (mag2 + eps_reg**2) ** ((p - 2.0) / 2.0)
         flux0 = dreg * (d00 if axis == 0 else d01)
         flux1 = dreg * (d01 if axis == 0 else d11)
-        out[0] += (flux0 - np.roll(flux0, 1, axis)) / h
-        out[1] += (flux1 - np.roll(flux1, 1, axis)) / h
+        out[0] -= _face_diff_adj(flux0, grid.shape, axis, h, True)
+        out[1] -= _face_diff_adj(flux1, grid.shape, axis, h, True)
     for comp in out:
         if not np.isfinite(comp).all():
             raise NumericalError("viscous term produced non-finite values")
@@ -135,8 +133,8 @@ def viscous_term(v: VectorField, params: ModelParams,
 # ---------------------------------------------------------------------------
 
 
-def _centered(vals: np.ndarray, axis: int, h: float) -> np.ndarray:
-    return (np.roll(vals, -1, axis) - np.roll(vals, 1, axis)) / (2.0 * h)
+def _upwind_flux(ubar, q, q_next, out):
+    np.multiply(ubar, np.where(ubar >= 0.0, q, q_next), out=out)
 
 
 def _advection_tendency(v: VectorField, scheme: str) -> list[np.ndarray]:
@@ -147,18 +145,19 @@ def _advection_tendency(v: VectorField, scheme: str) -> list[np.ndarray]:
     if scheme == "central":
         # skew-symmetric: 0.5 (div(u q) + u . grad q); exactly KE-neutral
         for q in (u0, u1):
-            div_form = _centered(u0 * q, 0, hx) + _centered(u1 * q, 1, hy)
-            adv_form = u0 * _centered(q, 0, hx) + u1 * _centered(q, 1, hy)
+            div_form = (_trans_deriv(u0 * q, 0, hx, True)
+                        + _trans_deriv(u1 * q, 1, hy, True))
+            adv_form = (u0 * _trans_deriv(q, 0, hx, True)
+                        + u1 * _trans_deriv(q, 1, hy, True))
             tendency.append(-0.5 * (div_form + adv_form))
         return tendency
     # conservative upwind fluxes of u q through the faces
     for q in (u0, u1):
         out = np.zeros(grid.shape)
         for axis, (un, h) in enumerate(((u0, hx), (u1, hy))):
-            ubar = 0.5 * (un + np.roll(un, -1, axis))
-            q_up = np.where(ubar >= 0.0, q, np.roll(q, -1, axis))
-            flux = ubar * q_up
-            out -= (flux - np.roll(flux, 1, axis)) / h
+            ubar = _face_avg(un, axis, True)
+            flux = _periodic_stencil(_upwind_flux, axis, (ubar, 0), (q, 0), (q, 1))
+            out += _face_diff_adj(flux, grid.shape, axis, h, True)
         tendency.append(out)
     return tendency
 
@@ -183,39 +182,45 @@ def advect(v: VectorField, dt: float, scheme: str = "central",
 
 
 def _modified_wavenumbers(grid: GridSpec):
+    """``sin(k h) / h`` of the centered difference on the ``rfft2``
+    spectrum: every wavenumber along axis 0, the first ``n // 2 + 1``
+    along axis 1.  Those are taken from ``fftfreq``, not ``rfftfreq``: at
+    an even ``n`` the Nyquist entry keeps the negative sign it has in the
+    full spectrum.  Its sine vanishes only to roundoff, and with the other
+    sign the checkerboard mode would project differently."""
     sines = []
     for axis in range(2):
         n = grid.node_count(axis)
         h = grid.spacing[axis]
         k = _TWO_PI * np.fft.fftfreq(n, d=h)
         sines.append(np.sin(k * h) / h)
-    return sines[0][:, None], sines[1][None, :]
+    return sines[0][:, None], sines[1][None, : grid.node_count(1) // 2 + 1]
 
 
-def project(v: VectorField, dt: float = 1.0) -> tuple[VectorField, ScalarField]:
+def project(v: VectorField) -> VectorField:
     """Remove the centered-difference divergence spectrally.
 
-    Returns the projected field and ``phi/dt`` as the pressure.
-    Idempotent; the measured divergence afterwards is at roundoff.
+    Subtracts ``s (s . v_hat) / |s|^2`` from every real-FFT mode, with
+    ``s`` the modified wavenumbers, and returns the projected field;
+    idempotent.  Raises :class:`NumericalError` when the measured
+    divergence afterwards is not at roundoff.
     """
     grid = v.grid
     _require_periodic(grid)
     sx, sy = _modified_wavenumbers(grid)
-    v0_hat = np.fft.fft2(v.components[0])
-    v1_hat = np.fft.fft2(v.components[1])
-    div_hat = 1j * (sx * v0_hat + sy * v1_hat)
+    v0_hat = np.fft.rfft2(v.components[0])
+    v1_hat = np.fft.rfft2(v.components[1])
     s2 = sx**2 + sy**2
     inv = np.divide(1.0, s2, out=np.zeros_like(s2), where=s2 > 0)
-    phi_hat = -div_hat * inv
-    v0_new = np.real(np.fft.ifft2(v0_hat - 1j * sx * phi_hat))
-    v1_new = np.real(np.fft.ifft2(v1_hat - 1j * sy * phi_hat))
+    coef = (sx * v0_hat + sy * v1_hat) * inv
+    v0_new = np.fft.irfft2(v0_hat - sx * coef, s=grid.shape)
+    v1_new = np.fft.irfft2(v1_hat - sy * coef, s=grid.shape)
     out = VectorField(grid, (v0_new, v1_new))
-    phi = np.real(np.fft.ifft2(phi_hat))
     scale = max(1.0, float(np.max(np.abs(v0_new))), float(np.max(np.abs(v1_new))))
     resid = float(np.max(np.abs(divergence(out).values)))
     if resid > 1e-10 * scale:
         raise NumericalError(f"projection left divergence residual {resid:.3e}")
-    return out, ScalarField(grid, phi / dt)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +256,7 @@ def fluid_step(state: FluidState, cfg: FluidConfig, dt: float) -> FluidState:
     v = advect(state.velocity, dt, cfg.advection, cfg.cfl_safety)
     visc = viscous_term(v, cfg.params, cfg.eps_for(v.grid))
     v = VectorField(v.grid, tuple(c + dt * w for c, w in zip(v.components, visc.components)))
-    v, pressure = project(v, dt)
-    return FluidState(v, pressure, state.time + dt)
+    return FluidState(project(v), state.time + dt)
 
 
 def simulate_fluid(v0: VectorField, cfg: FluidConfig, T: float,
@@ -268,8 +272,7 @@ def simulate_fluid(v0: VectorField, cfg: FluidConfig, T: float,
         snapshot_times = np.linspace(0.0, T, 33)
     sched = normalize_schedule(snapshot_times, T)
 
-    v, _ = project(v0, 1.0)
-    state = FluidState.from_velocity(v, 0.0)
+    state = FluidState(project(v0))
     fields = [state.velocity.copy()]
     times = [0.0]
     t = 0.0
@@ -284,7 +287,7 @@ def simulate_fluid(v0: VectorField, cfg: FluidConfig, T: float,
             state = fluid_step(state, cfg, dt)
             t = state.time
         times.append(t_next)
-        state = FluidState(state.velocity, state.pressure, t_next)
+        state = FluidState(state.velocity, t_next)
         fields.append(state.velocity.copy())
         t = t_next
     return Trajectory(np.asarray(times), fields)
@@ -300,15 +303,7 @@ def _inner(a: VectorField, b: VectorField) -> float:
     return float(sum(np.sum(ca * cb * vol) for ca, cb in zip(a.components, b.components)))
 
 
-def weak_residual(traj: Trajectory, phi: VectorField, params: ModelParams) -> float:
-    """Time-integrated residual of the weak form against a fixed
-    divergence-free test field.
-
-    Computes ``| sum_t w_t ( <u_t, phi> + <(u.grad)u, phi>
-    + mu1 <|Du|^(p-2) Du, D phi> ) |`` with snapshot-centered time
-    differencing for ``u_t`` and trapezoid weights over the interior
-    snapshots.  The pressure drops because ``div phi = 0``.
-    """
+def _check_test_field(phi: VectorField):
     grid = phi.grid
     div_phi = float(np.max(np.abs(divergence(phi).values)))
     scale = max(1.0, float(np.max(phi.magnitude())))
@@ -320,38 +315,54 @@ def weak_residual(traj: Trajectory, phi: VectorField, params: ModelParams) -> fl
         ring = np.concatenate([mag[0, :], mag[-1, :], mag[:, 0], mag[:, -1]])
         if np.any(ring != 0.0):
             raise ValueError("test field must be compactly supported inside the box")
+
+
+def weak_residual(traj: Trajectory, phis, params: ModelParams) -> np.ndarray:
+    """Time-integrated residuals of the weak form, one per fixed
+    divergence-free test field in ``phis``.
+
+    Computes ``| sum_t w_t ( <u_t, phi> + <(u.grad)u, phi>
+    + mu1 <|Du|^(p-2) Du, D phi> ) |`` for each ``phi``, with
+    snapshot-centered time differencing for ``u_t`` and trapezoid weights
+    over the interior snapshots.  The pressure drops because
+    ``div phi = 0``.  One pass over the trajectory serves every field:
+    ``u_t``, the advective term and ``Du`` are formed once per snapshot.
+    """
+    phis = list(phis)
+    for phi in phis:
+        _check_test_field(phi)
     if len(traj) < 3:
         raise ValueError("need at least 3 snapshots for centered time differencing")
 
+    grid = traj.grid
     hx, hy = grid.spacing
-    dphi = deformation_tensor(phi)
+    dphis = [deformation_tensor(phi) for phi in phis]
     p, mu1 = params.p, params.mu1
     times = traj.times
-    totals = []
+    totals = [[] for _ in phis]
     for k in range(1, len(traj) - 1):
         u_prev, u_now, u_next = traj.fields[k - 1], traj.fields[k], traj.fields[k + 1]
         dt2 = times[k + 1] - times[k - 1]
         ut = VectorField(grid, tuple(
             (cn - cp) / dt2 for cn, cp in zip(u_next.components, u_prev.components)))
-        term1 = _inner(ut, phi)
         u0, u1 = u_now.components
         adv = VectorField(grid, tuple(
-            u0 * _centered(q, 0, hx) + u1 * _centered(q, 1, hy)
+            u0 * _trans_deriv(q, 0, hx, True) + u1 * _trans_deriv(q, 1, hy, True)
             for q in u_now.components))
-        term2 = _inner(adv, phi)
         du = deformation_tensor(u_now)
         mag2 = np.einsum("ij...,ij...->...", du, du)
         dreg = mu1 * mag2 ** ((p - 2.0) / 2.0) if p != 2.0 else mu1
-        pairing = np.einsum("ij...,ij...->...", du, dphi)
-        term3 = float(np.sum(dreg * pairing * grid.volumes()))
-        totals.append(term1 + term2 + term3)
+        for phi, dphi, tot in zip(phis, dphis, totals):
+            pairing = np.einsum("ij...,ij...->...", du, dphi)
+            term3 = float(np.sum(dreg * pairing * grid.volumes()))
+            tot.append(_inner(ut, phi) + _inner(adv, phi) + term3)
     ts = times[1:-1]
-    if len(totals) == 1:
-        return abs(totals[0] * (times[-1] - times[0]))
+    if len(ts) == 1:
+        return np.array([abs(tot[0] * (times[-1] - times[0])) for tot in totals])
     w = np.zeros(len(ts))
     w[1:] += 0.5 * np.diff(ts)
     w[:-1] += 0.5 * np.diff(ts)
-    return float(abs(np.dot(w, np.asarray(totals))))
+    return np.array([abs(np.dot(w, np.asarray(tot))) for tot in totals])
 
 
 def random_stream_coeffs(rng: np.random.Generator, kmax: int = 3) -> list:
@@ -386,7 +397,8 @@ def stream_field(grid: GridSpec, coeffs, amplitude: float = 1.0) -> VectorField:
         psi += a * np.cos(arg) + b * np.sin(arg)
     psi *= amplitude
     hx, hy = grid.spacing
-    return VectorField(grid, (_centered(psi, 1, hy), -_centered(psi, 0, hx)))
+    return VectorField(grid, (_trans_deriv(psi, 1, hy, True),
+                              -_trans_deriv(psi, 0, hx, True)))
 
 
 def stream_function_field(grid: GridSpec, rng: np.random.Generator,
@@ -411,4 +423,5 @@ def band_initial_data(grid: GridSpec, center_y: float, halfwidth: float,
     band[inside] = np.exp(1.0 - 1.0 / (1.0 - s2[inside]))
     psi = amplitude * band * np.sin(_TWO_PI * kx * xx / lx)
     hx, hy = grid.spacing
-    return VectorField(grid, (_centered(psi, 1, hy), -_centered(psi, 0, hx)))
+    return VectorField(grid, (_trans_deriv(psi, 1, hy, True),
+                              -_trans_deriv(psi, 0, hx, True)))

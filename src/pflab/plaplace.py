@@ -31,7 +31,8 @@ import dataclasses
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .core import GridSpec, ModelParams, ScalarField, VectorField
+from .core import (GridSpec, ModelParams, ScalarField, VectorField,
+                   _axis_derivative, _periodic_stencil)
 from .errors import BoundarySentinelError, NumericalError
 
 # Support-window stepping (see ``simulate``): the window is rescanned every
@@ -139,7 +140,9 @@ def _sl(ndim: int, axis: int, sl) -> tuple:
 
 def _face_diff(v: np.ndarray, axis: int, h: float, periodic: bool) -> np.ndarray:
     if periodic:
-        return (np.roll(v, -1, axis) - v) / h
+        out = _periodic_stencil(np.subtract, axis, (v, 1), (v, 0))
+        out /= h
+        return out
     nd = v.ndim
     return (v[_sl(nd, axis, slice(1, None))] - v[_sl(nd, axis, slice(None, -1))]) / h
 
@@ -147,7 +150,9 @@ def _face_diff(v: np.ndarray, axis: int, h: float, periodic: bool) -> np.ndarray
 def _face_diff_adj(w: np.ndarray, node_shape: tuple, axis: int, h: float,
                    periodic: bool) -> np.ndarray:
     if periodic:
-        return (np.roll(w, 1, axis) - w) / h
+        out = _periodic_stencil(np.subtract, axis, (w, -1), (w, 0))
+        out /= h
+        return out
     out = np.zeros(node_shape)
     nd = out.ndim
     out[_sl(nd, axis, slice(None, -1))] -= w / h
@@ -157,7 +162,9 @@ def _face_diff_adj(w: np.ndarray, node_shape: tuple, axis: int, h: float,
 
 def _face_avg(z: np.ndarray, axis: int, periodic: bool) -> np.ndarray:
     if periodic:
-        return 0.5 * (z + np.roll(z, -1, axis))
+        out = _periodic_stencil(np.add, axis, (z, 0), (z, 1))
+        out *= 0.5
+        return out
     nd = z.ndim
     return 0.5 * (z[_sl(nd, axis, slice(None, -1))] + z[_sl(nd, axis, slice(1, None))])
 
@@ -165,7 +172,9 @@ def _face_avg(z: np.ndarray, axis: int, periodic: bool) -> np.ndarray:
 def _face_avg_adj(w: np.ndarray, node_shape: tuple, axis: int,
                   periodic: bool) -> np.ndarray:
     if periodic:
-        return 0.5 * (w + np.roll(w, 1, axis))
+        out = _periodic_stencil(np.add, axis, (w, 0), (w, -1))
+        out *= 0.5
+        return out
     out = np.zeros(node_shape)
     nd = out.ndim
     out[_sl(nd, axis, slice(None, -1))] += 0.5 * w
@@ -178,7 +187,7 @@ def _trans_deriv(v: np.ndarray, axis: int, h: float, periodic: bool) -> np.ndarr
     one-sided at dirichlet ends (kept first order there so the exact
     adjoint stays a short slice expression)."""
     if periodic:
-        return (np.roll(v, -1, axis) - np.roll(v, 1, axis)) / (2.0 * h)
+        return _axis_derivative(v, axis, h, True)
     nd = v.ndim
     out = np.empty_like(v)
     out[_sl(nd, axis, slice(1, -1))] = (
@@ -191,7 +200,9 @@ def _trans_deriv(v: np.ndarray, axis: int, h: float, periodic: bool) -> np.ndarr
 
 def _trans_deriv_adj(w: np.ndarray, axis: int, h: float, periodic: bool) -> np.ndarray:
     if periodic:
-        return (np.roll(w, 1, axis) - np.roll(w, -1, axis)) / (2.0 * h)
+        out = _periodic_stencil(np.subtract, axis, (w, -1), (w, 1))
+        out /= 2.0 * h
+        return out
     nd = w.ndim
     out = np.zeros_like(w)
     out[_sl(nd, axis, slice(None, -2))] -= w[_sl(nd, axis, slice(1, -1))] / (2.0 * h)
@@ -266,7 +277,7 @@ def _diffusion_rhs(v: np.ndarray, grid: GridSpec, cfg: SolverConfig) -> np.ndarr
         a2 = _face_a2(gn, gt, cfg.eps_reg)
         flux = _diffusivity_of_a2(a2, p, mu1) * gn
         if grid.is_periodic(axis):
-            out += (flux - np.roll(flux, 1, axis)) / h
+            out -= _face_diff_adj(flux, v.shape, axis, h, True)
         else:
             out += np.diff(flux, axis=axis, prepend=0.0, append=0.0) / h
     return out
@@ -470,7 +481,7 @@ class _ProxProblem:
             # coefficient of each node row: 1/(2 ho) centred, 1/ho one-sided
             z = _face_avg_adj(ktt, grid.shape, axis, per) / (8.0 * ho**2)
             if grid.is_periodic(other):
-                diag += np.roll(z, 1, other) + np.roll(z, -1, other)
+                diag += _periodic_stencil(np.add, other, (z, -1), (z, 1))
                 continue
             x = _face_diff_adj(knt, grid.shape, axis, h, per) / ho
             for end, sign in ((0, -1.0), (-1, 1.0)):  # one-sided rows

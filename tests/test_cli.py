@@ -41,6 +41,40 @@ def test_exit_code_line_search_stall(tmp_path, capsys, monkeypatch):
     assert "line search stalled" in capsys.readouterr().err
 
 
+def test_exit_code_usage_error(tmp_path, capsys):
+    # argparse reads "-6:6" as a flag; a usage error is a configuration
+    # error (1), not a numerical failure (2)
+    assert run_cli("barenblatt", "--bounds", "-6:6") == 1
+    assert "expected one argument" in capsys.readouterr().err
+    assert run_cli("barenblatt", "--no-such-flag", "1") == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        run_cli("--help")
+    assert exc.value.code == 0
+
+
+def test_bounds_equals_form_runs(tmp_path):
+    out = tmp_path / "out"
+    code = run_cli("barenblatt", "--bounds=-6:6", "--cells", "128",
+                   "--t-end", "2", "--outdir", str(out), "--svg", "false")
+    assert code == 0
+    assert "bounds = -6:6" in (out / "manifest.txt").read_text()
+
+
+def test_exit_code_projection_residual(tmp_path, capsys, monkeypatch):
+    from pflab import fluid2d
+
+    # wavenumbers of zero make the projection a no-op, so the divergence
+    # the first step creates survives it
+    orig = fluid2d._modified_wavenumbers
+    monkeypatch.setattr(fluid2d, "_modified_wavenumbers",
+                        lambda grid: tuple(0.0 * s for s in orig(grid)))
+    code = run_cli("fluid2d", "--cells", "32", "--t-end", "0.05",
+                   "--outdir", str(tmp_path / "out"), "--svg", "false")
+    assert code == 2
+    assert "projection left divergence residual" in capsys.readouterr().err
+
+
 def test_exit_code_sentinel(tmp_path, capsys):
     # a deliberately undersized box trips the boundary sentinel -> exit 2
     cfg = tmp_path / "small.cfg"

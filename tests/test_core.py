@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pflab.core import (DIRICHLET, PERIODIC, GridSpec, ModelParams,
-                        ScalarField, VectorField, deformation_tensor,
-                        divergence, gradient, integral, load_field, lp_norm,
+                        ScalarField, VectorField, _axis_derivative,
+                        _periodic_stencil, deformation_tensor, divergence,
+                        gradient, integral, load_field, lp_norm,
                         restrict_integral, save_field, tail_from_profile,
                         tail_profile)
 
@@ -68,6 +69,27 @@ def test_gradient_degenerate_grid():
     f = ScalarField(g, np.zeros(g.shape))
     with pytest.raises(ValueError, match="degenerate"):
         gradient(f)
+
+
+@pytest.mark.parametrize("shape", [(2,), (3,), (7,), (8,), (2, 7), (3, 8),
+                                   (7, 2), (8, 3), (8, 8)])
+def test_periodic_derivative_matches_roll_bitwise(shape):
+    # the slice-built stencil gives the bits of the np.roll expression
+    v = np.random.default_rng(len(shape) * 10 + shape[0]).normal(size=shape)
+    h = 0.37
+    for axis in range(len(shape)):
+        ref = (np.roll(v, -1, axis) - np.roll(v, 1, axis)) / (2.0 * h)
+        assert np.array_equal(_axis_derivative(v, axis, h, True), ref)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8])
+def test_periodic_stencil_shifts(n):
+    v = np.random.default_rng(n).normal(size=(n, 5))
+    w = np.random.default_rng(n + 1).normal(size=(n, 5))
+    for s in (-1, 0, 1):
+        for t in (-1, 0, 1):
+            out = _periodic_stencil(np.subtract, 0, (v, s), (w, t))
+            assert np.array_equal(out, np.roll(v, -s, 0) - np.roll(w, -t, 0))
 
 
 def test_divergence_linear_fields():

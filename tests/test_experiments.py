@@ -120,3 +120,24 @@ def test_gate_failure_raises_with_report(tmp_path):
             stepper="implicit", exponent_tol=1e-9))
     assert getattr(exc.value, "report", None) is not None
     assert exc.value.report["passed"] is False
+
+
+@pytest.mark.parametrize("kind,overrides", [
+    ("fluid2d-taylor-green", dict(p=2.0, dimension=2, cells=(48,), t_end=0.5,
+                                  snapshot_count=26, ke_rate_tol=0.03)),
+    ("energy-ledger", dict(p=3.0, dimension=1, cells=(1024,), bounds="-7.8:7.5",
+                           t0=5e-8, t_end=3.0, stepper="explicit",
+                           snapshots_per_decade=48, s_count=25, delta_count=6,
+                           eps_iter=0.5, refine_check=False)),
+])
+def test_rerun_artifacts_byte_identical(tmp_path, kind, overrides):
+    outs = [tmp_path / "r1", tmp_path / "r2"]
+    for out in outs:
+        run_experiment(default_config(kind, outdir=str(out), **overrides))
+    names = sorted(f.name for f in outs[0].iterdir()
+                   if f.name == "report.txt" or f.suffix == ".csv")
+    assert "report.txt" in names and len(names) >= 2
+    assert names == sorted(f.name for f in outs[1].iterdir()
+                           if f.name == "report.txt" or f.suffix == ".csv")
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name

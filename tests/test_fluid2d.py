@@ -1,14 +1,19 @@
 import numpy as np
 import pytest
 
+from pflab import fluid2d
 from pflab.core import (GridSpec, ModelParams, PERIODIC, ScalarField,
-                        VectorField, divergence, integral, lp_norm)
+                        VectorField, deformation_tensor, divergence, integral,
+                        lp_norm)
 from pflab.errors import NumericalError
 from pflab.exact import taylor_green_field
-from pflab.fluid2d import (FluidConfig, FluidState, advect, band_initial_data,
+from pflab.fluid2d import (FluidConfig, FluidState, _advection_tendency,
+                           _face_deformation, advect, band_initial_data,
                            fluid_step, kinetic_energy, project,
                            random_stream_coeffs, simulate_fluid, stream_field,
                            stream_function_field, viscous_term, weak_residual)
+from pflab.plaplace import (Trajectory, _face_avg, _face_avg_adj, _face_diff,
+                            _face_diff_adj, _trans_deriv, _trans_deriv_adj)
 
 
 def tg_grid(n=64):
@@ -94,7 +99,7 @@ def test_advect_taylor_green_term_is_gradient():
     out = advect(tg, dt, "central")
     tend = VectorField(g, tuple((a - b) / dt for a, b in
                                 zip(out.components, tg.components)))
-    proj, _ = project(tend)
+    proj = project(tend)
     mag = proj.magnitude().max()
     assert mag < 5e-3  # vs O(1) tendency magnitude
 
@@ -103,26 +108,26 @@ def test_project_properties():
     g = tg_grid(64)
     rng = np.random.default_rng(0)
     v = VectorField(g, (rng.normal(size=g.shape), rng.normal(size=g.shape)))
-    v1, pressure = project(v)
+    v1 = project(v)
     assert np.max(np.abs(divergence(v1).values)) < 1e-11
-    v2, _ = project(v1)
+    v2 = project(v1)
     assert max(np.max(np.abs(a - b)) for a, b in zip(v1.components, v2.components)) < 1e-11
     # pure discrete gradient fields project to ~0
     psi = rng.normal(size=g.shape)
     h = g.spacing[0]
     gx = (np.roll(psi, -1, 0) - np.roll(psi, 1, 0)) / (2 * h)
     gy = (np.roll(psi, -1, 1) - np.roll(psi, 1, 1)) / (2 * h)
-    killed, _ = project(VectorField(g, (gx, gy)))
+    killed = project(VectorField(g, (gx, gy)))
     assert killed.magnitude().max() < 1e-11 * max(1.0, np.abs(psi).max())
     # divergence-free fields pass through
     tg = taylor_green_field(g, 1.0, 0.0)
-    same, _ = project(tg)
+    same = project(tg)
     assert max(np.max(np.abs(a - b)) for a, b in zip(tg.components, same.components)) < 1e-11
 
 
 def test_fluid_step_zero_state():
     g = tg_grid(16)
-    state = FluidState.from_velocity(VectorField.zeros(g))
+    state = FluidState(VectorField.zeros(g))
     out = fluid_step(state, FluidConfig(params()), 1e-3)
     assert all(np.all(c == 0.0) for c in out.velocity.components)
     assert out.time == pytest.approx(1e-3)
@@ -150,7 +155,7 @@ def test_weak_residual_zero_trajectory():
 
     traj = Trajectory(np.array([0.0, 0.1, 0.2]), [zero, zero.copy(), zero.copy()])
     phi = stream_function_field(g, np.random.default_rng(1))
-    assert weak_residual(traj, phi, params()) == 0.0
+    assert weak_residual(traj, [phi], params())[0] == 0.0
 
 
 def test_weak_residual_linear_in_phi():
@@ -161,8 +166,7 @@ def test_weak_residual_linear_in_phi():
     coeffs = random_stream_coeffs(np.random.default_rng(3))
     phi = stream_field(g, coeffs)
     phi2 = stream_field(g, coeffs, amplitude=2.0)
-    r1 = weak_residual(traj, phi, params())
-    r2 = weak_residual(traj, phi2, params())
+    r1, r2 = weak_residual(traj, [phi, phi2], params())
     assert r2 == pytest.approx(2.0 * r1, rel=1e-10)
 
 
@@ -175,7 +179,7 @@ def test_weak_residual_rejects_divergent_test_field():
     xx, _ = g.mesh()
     bad = VectorField(g, (np.sin(xx), np.zeros(g.shape)))
     with pytest.raises(ValueError, match="divergence-free"):
-        weak_residual(traj, bad, params())
+        weak_residual(traj, [bad], params())
 
 
 def test_band_initial_data_support_and_divergence():
@@ -193,3 +197,179 @@ def test_band_initial_data_support_and_divergence():
 def test_fluid_config_rejects_values_that_hang(field, value):
     with pytest.raises(ValueError, match=field):
         FluidConfig(params(), **{field: value})
+
+
+# ---------------------------------------------------------------------------
+# slice-built periodic stencils, the multi-field weak residual and the
+# real-FFT projection against the np.roll / one-field / complex-FFT forms
+# they replace
+# ---------------------------------------------------------------------------
+
+SIZES = (2, 3, 7, 8)
+
+
+def _roll_centered(v, axis, h):
+    return (np.roll(v, -1, axis) - np.roll(v, 1, axis)) / (2.0 * h)
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("m", SIZES)
+def test_periodic_face_stencils_match_roll_bitwise(n, m):
+    rng = np.random.default_rng(10 * n + m)
+    v = rng.normal(size=(n, m))
+    h = 0.29
+    for axis in range(2):
+        pairs = [
+            (_face_diff(v, axis, h, True), (np.roll(v, -1, axis) - v) / h),
+            (_face_diff_adj(v, v.shape, axis, h, True), (np.roll(v, 1, axis) - v) / h),
+            (_face_avg(v, axis, True), 0.5 * (v + np.roll(v, -1, axis))),
+            (_face_avg_adj(v, v.shape, axis, True), 0.5 * (v + np.roll(v, 1, axis))),
+            (_trans_deriv(v, axis, h, True), _roll_centered(v, axis, h)),
+            (_trans_deriv_adj(v, axis, h, True),
+             (np.roll(v, 1, axis) - np.roll(v, -1, axis)) / (2.0 * h)),
+        ]
+        for got, ref in pairs:
+            assert np.array_equal(got, ref)
+
+
+def _roll_viscous_term(v, p, mu1, eps):
+    out = [np.zeros(v.grid.shape), np.zeros(v.grid.shape)]
+    for axis in range(2):
+        h = v.grid.spacing[axis]
+        d00, d01, d11 = _face_deformation(v, axis)
+        mag2 = d00 * d00 + 2.0 * d01 * d01 + d11 * d11
+        dreg = mu1 * (mag2 + eps**2) ** ((p - 2.0) / 2.0)
+        flux0 = dreg * (d00 if axis == 0 else d01)
+        flux1 = dreg * (d01 if axis == 0 else d11)
+        out[0] += (flux0 - np.roll(flux0, 1, axis)) / h
+        out[1] += (flux1 - np.roll(flux1, 1, axis)) / h
+    return out
+
+
+def _roll_advection_tendency(v, scheme):
+    hx, hy = v.grid.spacing
+    u0, u1 = v.components
+    tendency = []
+    for q in (u0, u1):
+        if scheme == "central":
+            div_form = _roll_centered(u0 * q, 0, hx) + _roll_centered(u1 * q, 1, hy)
+            adv_form = u0 * _roll_centered(q, 0, hx) + u1 * _roll_centered(q, 1, hy)
+            tendency.append(-0.5 * (div_form + adv_form))
+            continue
+        out = np.zeros(v.grid.shape)
+        for axis, (un, h) in enumerate(((u0, hx), (u1, hy))):
+            ubar = 0.5 * (un + np.roll(un, -1, axis))
+            q_up = np.where(ubar >= 0.0, q, np.roll(q, -1, axis))
+            flux = ubar * q_up
+            out -= (flux - np.roll(flux, 1, axis)) / h
+        tendency.append(out)
+    return tendency
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("m", SIZES)
+def test_fluid_tendencies_match_roll_bitwise(n, m):
+    g = GridSpec.box(0.0, (2.0, 3.0), (n, m), bc=PERIODIC)
+    rng = np.random.default_rng(100 * n + m)
+    v = VectorField(g, (rng.normal(size=g.shape), rng.normal(size=g.shape)))
+    for got, ref in zip(viscous_term(v, params(3.0, 0.7), 0.1).components,
+                        _roll_viscous_term(v, 3.0, 0.7, 0.1)):
+        assert np.array_equal(got, ref)
+    for scheme in ("central", "upwind"):
+        for got, ref in zip(_advection_tendency(v, scheme),
+                            _roll_advection_tendency(v, scheme)):
+            assert np.array_equal(got, ref)
+
+
+def _one_field_weak_residual(traj, phi, params):
+    """The one-field-at-a-time loop the multi-field residual replaced."""
+    grid = phi.grid
+    hx, hy = grid.spacing
+    dphi = deformation_tensor(phi)
+    p, mu1 = params.p, params.mu1
+    times = traj.times
+    vol = grid.volumes()
+
+    def inner(a, b):
+        return float(sum(np.sum(ca * cb * vol) for ca, cb in zip(a, b)))
+
+    totals = []
+    for k in range(1, len(traj) - 1):
+        u_prev, u_now, u_next = traj.fields[k - 1], traj.fields[k], traj.fields[k + 1]
+        dt2 = times[k + 1] - times[k - 1]
+        ut = [(cn - cp) / dt2 for cn, cp in zip(u_next.components, u_prev.components)]
+        term1 = inner(ut, phi.components)
+        u0, u1 = u_now.components
+        adv = [u0 * _roll_centered(q, 0, hx) + u1 * _roll_centered(q, 1, hy)
+               for q in u_now.components]
+        term2 = inner(adv, phi.components)
+        du = deformation_tensor(u_now)
+        mag2 = np.einsum("ij...,ij...->...", du, du)
+        dreg = mu1 * mag2 ** ((p - 2.0) / 2.0) if p != 2.0 else mu1
+        pairing = np.einsum("ij...,ij...->...", du, dphi)
+        term3 = float(np.sum(dreg * pairing * vol))
+        totals.append(term1 + term2 + term3)
+    ts = times[1:-1]
+    if len(totals) == 1:
+        return abs(totals[0] * (times[-1] - times[0]))
+    w = np.zeros(len(ts))
+    w[1:] += 0.5 * np.diff(ts)
+    w[:-1] += 0.5 * np.diff(ts)
+    return float(abs(np.dot(w, np.asarray(totals))))
+
+
+@pytest.mark.parametrize("p", [2.0, 2.5, 3.0])
+def test_weak_residual_many_fields_match_one_at_a_time(p):
+    g = tg_grid(32)
+    cfg = FluidConfig(params(p), advection="central")
+    rng = np.random.default_rng(7)
+    traj = simulate_fluid(stream_function_field(g, rng), cfg, 0.05,
+                          np.linspace(0, 0.05, 7))
+    phis = [stream_function_field(g, rng) for _ in range(4)]
+    got = weak_residual(traj, phis, params(p))
+    assert got.shape == (4,)
+    for r, phi in zip(got, phis):
+        assert r == _one_field_weak_residual(traj, phi, params(p))
+    short = Trajectory(traj.times[:3], traj.fields[:3])  # one interior snapshot
+    for r, phi in zip(weak_residual(short, phis, params(p)), phis):
+        assert r == _one_field_weak_residual(short, phi, params(p))
+
+
+def _complex_fft_project(v):
+    """The full complex-spectrum projection the real-FFT one replaced."""
+    g = v.grid
+    sx, sy = (np.sin(k * h) / h for k, h in (
+        (2 * np.pi * np.fft.fftfreq(n, d=h), h)
+        for n, h in zip(g.shape, g.spacing)))
+    sx, sy = sx[:, None], sy[None, :]
+    v0_hat, v1_hat = (np.fft.fft2(c) for c in v.components)
+    s2 = sx**2 + sy**2
+    inv = np.divide(1.0, s2, out=np.zeros_like(s2), where=s2 > 0)
+    phi_hat = -1j * (sx * v0_hat + sy * v1_hat) * inv
+    return (np.real(np.fft.ifft2(v0_hat - 1j * sx * phi_hat)),
+            np.real(np.fft.ifft2(v1_hat - 1j * sy * phi_hat)))
+
+
+@pytest.mark.parametrize("shape", [(64, 64), (48, 33), (33, 40), (7, 8)])
+def test_project_matches_complex_fft(shape):
+    g = GridSpec.box(0.0, (2 * np.pi, 5.0), shape, bc=PERIODIC)
+    rng = np.random.default_rng(sum(shape))
+    v = VectorField(g, (rng.normal(size=g.shape), rng.normal(size=g.shape)))
+    scale = max(np.max(np.abs(c)) for c in v.components)
+    for got, ref in zip(project(v).components, _complex_fft_project(v)):
+        assert np.max(np.abs(got - ref)) <= 1e-13 * scale
+
+
+def _no_projection(monkeypatch):
+    orig = fluid2d._modified_wavenumbers
+    monkeypatch.setattr(fluid2d, "_modified_wavenumbers",
+                        lambda grid: tuple(0.0 * s for s in orig(grid)))
+
+
+def test_project_residual_raises(monkeypatch):
+    _no_projection(monkeypatch)
+    g = tg_grid(32)
+    rng = np.random.default_rng(4)
+    v = VectorField(g, (rng.normal(size=g.shape), rng.normal(size=g.shape)))
+    with pytest.raises(NumericalError, match="projection left divergence residual"):
+        project(v)
