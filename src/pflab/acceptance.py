@@ -1,10 +1,11 @@
 """The acceptance suite: twelve gated criteria, one pass/fail line each.
 
 Configurations are pinned in the committed files under
-``configs/accept``.  Criteria 4/5 share one half-space run and criteria
-11/12 share its tail-energy ledger, mirroring how they are phrased
-("same run", "on that run's ledger"); the shared build time is charged
-to the first criterion that needs it.
+``configs/accept``, and every criterion runs through
+:func:`~pflab.experiments.run_experiment`.  Criteria 4/5 share one
+half-space run and criteria 11/12 share its tail-energy ledger,
+mirroring how they are phrased ("same run", "on that run's ledger"); the
+shared build time is charged to the first criterion that needs it.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ from importlib import resources
 
 from .config import parse_config
 from .errors import NumericalError, VerificationError
-from .experiments import (halfspace_run, run_energy_ledger, run_experiment,
-                          run_halfspace_fsp)
+from .experiments import halfspace_run, run_experiment
 
 
 @dataclasses.dataclass
@@ -38,80 +38,81 @@ class CriterionResult:
 
 
 def _load_cfg(name: str, outdir: str):
+    """The pinned config ``name``, writing into its criterion's folder
+    under ``outdir`` (``c04`` for ``c04_*.cfg``)."""
     text = resources.files("pflab.configs.accept").joinpath(name).read_text()
-    return parse_config(text, {"outdir": outdir})
+    return parse_config(text, {"outdir": os.path.join(outdir, name[:3])})
 
 
 def _attempt(fn):
-    """Run a gated experiment; capture the report whether it passes or not."""
+    """Time a gated run; capture its report and error whether it passes
+    or not, as ``(report, error, seconds)``."""
+    start = time.time()
     try:
-        return fn(), None
+        report, error = fn(), None
     except VerificationError as exc:
-        return getattr(exc, "report", {"passed": False}), str(exc)
+        report, error = exc.report or {}, str(exc)
     except NumericalError as exc:
-        return {"passed": False}, f"numerical failure: {exc}"
+        report, error = {}, f"numerical failure: {exc}"
+    return report, error, time.time() - start
 
 
 class AcceptanceContext:
-    """Caches the shared half-space trajectory and its reports."""
+    """Builds the shared half-space trajectory once, and keeps the
+    ``(report, error, seconds)`` of each run made on it."""
 
     def __init__(self, outdir: str):
         self.outdir = outdir
         os.makedirs(outdir, exist_ok=True)
-        self._halfspace = None
-        self._halfspace_seconds = 0.0
-        self._hs_report = None
-        self._hs_error = None
-        self._energy_report = None
-        self._energy_error = None
-        self._energy_seconds = None
-
-    def sub(self, name: str) -> str:
-        path = os.path.join(self.outdir, name)
-        os.makedirs(path, exist_ok=True)
-        return path
+        self._trajectory = None
+        self._runs = {}
 
     def halfspace(self):
-        if self._halfspace is None:
-            cfg = _load_cfg("c04_halfspace_envelopes.cfg", self.sub("c04"))
-            start = time.time()
-            self._halfspace = halfspace_run(cfg)
-            self._hs_report, self._hs_error = _attempt(
-                lambda: run_halfspace_fsp(cfg, self.sub("c04"),
-                                          prebuilt=self._halfspace))
-            self._halfspace_seconds = time.time() - start
-        return self._halfspace
+        """Criterion 4's run: builds the trajectory and checks the
+        envelopes on it; its seconds count both."""
+        if "c04" not in self._runs:
+            cfg = _load_cfg("c04_halfspace_envelopes.cfg", self.outdir)
 
-    def halfspace_report(self):
-        """The half-space report, its error, and the seconds the shared
-        build and the report took together."""
-        self.halfspace()
-        return self._hs_report, self._hs_error, self._halfspace_seconds
+            def build_and_run():
+                self._trajectory = halfspace_run(cfg)
+                return run_experiment(cfg, prebuilt=self._trajectory)
 
-    def energy_report(self):
-        if self._energy_report is None:
-            prebuilt = self.halfspace()
-            cfg = _load_cfg("c11_energy_ledger.cfg", self.sub("c11"))
-            start = time.time()
-            self._energy_report, self._energy_error = _attempt(
-                lambda: run_energy_ledger(cfg, self.sub("c11"),
-                                          prebuilt=prebuilt))
-            self._energy_seconds = time.time() - start
-        return self._energy_report, self._energy_error, self._energy_seconds
+            self._runs["c04"] = _attempt(build_and_run)
+        return self._runs["c04"]
+
+    def energy(self):
+        """Criterion 11's ledger on the trajectory; when the trajectory
+        could not be built, criterion 4's failure."""
+        if "c11" not in self._runs:
+            report, error, _ = self.halfspace()
+            if self._trajectory is None:
+                self._runs["c11"] = (report, error, 0.0)
+            else:
+                cfg = _load_cfg("c11_energy_ledger.cfg", self.outdir)
+                self._runs["c11"] = _attempt(
+                    lambda: run_experiment(cfg, prebuilt=self._trajectory))
+        return self._runs["c11"]
 
 
-def _simple(ctx, number, title, budget, cfg_name, detail_fn):
-    cfg = _load_cfg(cfg_name, ctx.sub(f"c{number:02d}"))
-    start = time.time()
-    report, error = _attempt(lambda: run_experiment(cfg, ctx.sub(f"c{number:02d}")))
-    seconds = time.time() - start
-    passed = bool(report.get("passed")) and seconds <= budget
-    detail = detail_fn(report) if report.get("passed") is not None else ""
-    if error:
-        detail = f"{detail}; {error}" if detail else error
+def _result(number, title, budget, run, detail_fn, passed_fn=None):
+    """One criterion's line from a ``(report, error, seconds)`` run: it
+    passes when ``passed_fn`` (by default the report's own gate) holds
+    within the budget."""
+    report, error, seconds = run
+    passed_fn = passed_fn or (lambda r: r.get("passed"))
+    passed = bool(passed_fn(report)) and seconds <= budget
+    detail = detail_fn(report)
+    if error and not passed:
+        detail += f"; {error}"
     if seconds > budget:
         detail += f"; runtime {seconds:.0f}s exceeded budget"
     return CriterionResult(number, title, passed, detail, seconds, budget)
+
+
+def _simple(ctx, number, title, budget, cfg_name, detail_fn):
+    cfg = _load_cfg(cfg_name, ctx.outdir)
+    return _result(number, title, budget,
+                   _attempt(lambda: run_experiment(cfg)), detail_fn)
 
 
 def criterion_01(ctx):
@@ -138,37 +139,30 @@ def criterion_03(ctx):
 
 
 def criterion_04(ctx):
-    report, error, seconds = ctx.halfspace_report()
-    budget = 120.0
-    env = report.get("envelope_l2", {})
-    ok = bool(env.get("passed")) and seconds <= budget
-    detail = (f"c={env.get('c', float('nan')):.4f}, "
-              f"max front/envelope = {env.get('max_ratio', float('nan')):.4f}, "
-              f"violations {env.get('violations', '?')}")
-    if error and not env.get("passed", False):
-        detail += f"; {error}"
-    if seconds > budget:
-        detail += f"; runtime {seconds:.0f}s exceeded budget"
-    return CriterionResult(4, "half-space front under the L2-data envelope",
-                           ok, detail, seconds, budget)
+    def detail(r):
+        env = r.get("envelope_l2", {})
+        return (f"c={env.get('c', float('nan')):.4f}, "
+                f"max front/envelope = {env.get('max_ratio', float('nan')):.4f}, "
+                f"violations {env.get('violations', '?')}")
+
+    return _result(4, "half-space front under the L2-data envelope", 120.0,
+                   ctx.halfspace(), detail,
+                   lambda r: r.get("envelope_l2", {}).get("passed"))
 
 
 def criterion_05(ctx):
-    ctx.halfspace()  # charged to criterion 4
-    start = time.time()
-    report, error, _ = ctx.halfspace_report()
-    env = report.get("envelope_l1", {})
-    hyp = bool(report.get("l1_hypothesis_ok"))
-    seconds = time.time() - start
-    budget = 120.0
-    ok = hyp and bool(env.get("passed")) and seconds <= budget
-    detail = (f"L1 max ratio {report.get('l1_max_over_initial', float('nan')):.9f}, "
-              f"envelope c={env.get('c', float('nan')):.4f}, "
-              f"max front/envelope = {env.get('max_ratio', float('nan')):.4f}")
-    if error and not ok:
-        detail += f"; {error}"
-    return CriterionResult(5, "L1 hypothesis audit + L1-data envelope",
-                           ok, detail, seconds, budget)
+    report, error, _ = ctx.halfspace()  # its time is charged to criterion 4
+
+    def detail(r):
+        env = r.get("envelope_l1", {})
+        return (f"L1 max ratio {r.get('l1_max_over_initial', float('nan')):.9f}, "
+                f"envelope c={env.get('c', float('nan')):.4f}, "
+                f"max front/envelope = {env.get('max_ratio', float('nan')):.4f}")
+
+    return _result(5, "L1 hypothesis audit + L1-data envelope", 120.0,
+                   (report, error, 0.0), detail,
+                   lambda r: (r.get("l1_hypothesis_ok")
+                              and r.get("envelope_l1", {}).get("passed")))
 
 
 def criterion_06(ctx):
@@ -209,44 +203,36 @@ def criterion_10(ctx):
 
 
 def criterion_11(ctx):
-    ctx.halfspace()  # charged to criterion 4
-    report, error, seconds = ctx.energy_report()
-    budget = 180.0
-    ref = report.get("refinement", {})
-    stable = (not ref) or (ref.get("local_ratio_fine", 0.0)
-                           <= 1.5 * ref.get("local_ratio_coarse", 0.0) + 1e-300)
-    ok = (bool(report.get("local_ratio_all_finite"))
-          and report.get("tail_beyond_front_A") == 0.0
-          and report.get("tail_beyond_front_B") == 0.0
-          and stable and seconds <= budget)
-    detail = (f"max ratio {report.get('local_ratio_max', float('nan')):.3f} "
-              f"(coarse {ref.get('local_ratio_coarse', float('nan')):.3f}), "
-              f"tails beyond front A={report.get('tail_beyond_front_A')}, "
-              f"B={report.get('tail_beyond_front_B')}")
-    if error and not ok:
-        detail += f"; {error}"
-    if seconds > budget:
-        detail += f"; runtime {seconds:.0f}s exceeded budget"
-    return CriterionResult(11, "local energy estimate: finite stable constant, "
-                               "empty tails beyond the front", ok, detail,
-                           seconds, budget)
+    def finite_stable_empty(r):
+        ref = r.get("refinement", {})
+        stable = (not ref) or (ref.get("local_ratio_fine", 0.0)
+                               <= 1.5 * ref.get("local_ratio_coarse", 0.0) + 1e-300)
+        return (r.get("local_ratio_all_finite")
+                and r.get("tail_beyond_front_A") == 0.0
+                and r.get("tail_beyond_front_B") == 0.0 and stable)
+
+    def detail(r):
+        ref = r.get("refinement", {})
+        return (f"max ratio {r.get('local_ratio_max', float('nan')):.3f} "
+                f"(coarse {ref.get('local_ratio_coarse', float('nan')):.3f}), "
+                f"tails beyond front A={r.get('tail_beyond_front_A')}, "
+                f"B={r.get('tail_beyond_front_B')}")
+
+    return _result(11, "local energy estimate: finite stable constant, "
+                       "empty tails beyond the front", 180.0,
+                   ctx.energy(), detail, finite_stable_empty)
 
 
 def criterion_12(ctx):
-    ctx.energy_report()  # charged to criterion 11
-    start = time.time()
-    report, error, _ = ctx.energy_report()
-    seconds = time.time() - start
-    budget = 60.0
-    ok = (bool(report.get("iteration_covers_front"))
-          and bool(report.get("iteration_vanished_beyond")) and seconds <= budget)
-    detail = (f"predicted vanishing {report.get('iteration_predicted_vanishing')}"
-              f" >= front {report.get('front_at_T')}"
-              f" (ctilde {report.get('ctilde_calibrated', float('nan')):.3g})")
-    if error and not ok:
-        detail += f"; {error}"
-    return CriterionResult(12, "iteration mechanism covers the measured front",
-                           ok, detail, seconds, budget)
+    report, error, _ = ctx.energy()  # its time is charged to criterion 11
+    return _result(
+        12, "iteration mechanism covers the measured front", 60.0,
+        (report, error, 0.0),
+        lambda r: (f"predicted vanishing {r.get('iteration_predicted_vanishing')}"
+                   f" >= front {r.get('front_at_T')}"
+                   f" (ctilde {r.get('ctilde_calibrated', float('nan')):.3g})"),
+        lambda r: (r.get("iteration_covers_front")
+                   and r.get("iteration_vanished_beyond")))
 
 
 CRITERIA = [criterion_01, criterion_02, criterion_03, criterion_04,

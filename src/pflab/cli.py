@@ -55,21 +55,18 @@ def _load_config(args, forced: dict | None = None):
     return parse_config(text, _collect_overrides(args, forced))
 
 
-def _run(args, forced: dict | None = None) -> int:
+def _run(args, forced: dict | None = None, outdir: str | None = None) -> int:
     from .experiments import run_experiment
 
     cfg = _load_config(args, forced)
-    report = run_experiment(cfg)
+    outdir = outdir or cfg["outdir"]
+    report = run_experiment(cfg, outdir)
     if _verbose():
-        print(f"[{cfg.kind}] ok; artifacts in {cfg['outdir']}")
+        print(f"[{cfg.kind}] ok; artifacts in {outdir}")
         for key, val in report.items():
             if not isinstance(val, (dict, list)):
                 print(f"  {key} = {val}")
     return 0
-
-
-def _cmd_simulate(args) -> int:
-    return _run(args)
 
 
 def _cmd_barenblatt(args) -> int:
@@ -88,11 +85,15 @@ def _cmd_energy(args) -> int:
 
 
 def _cmd_verify_lemmas(args) -> int:
+    """Run all three suites, each in its own folder under ``--outdir``,
+    printing each failure; exit with the worst code."""
     code = 0
     for kind in ("stampacchia-suite", "interpolation-suite", "exponent-identities"):
         sub_out = os.path.join(getattr(args, "opt_outdir", None) or "out", kind)
-        forced = {"experiment": kind, "outdir": sub_out}
-        code = max(code, _run(args, forced))
+        try:
+            _run(args, {"experiment": kind}, sub_out)
+        except (NumericalError, VerificationError) as exc:
+            code = max(code, _failure_code(exc))
     return code
 
 
@@ -110,10 +111,7 @@ def _cmd_track_support(args) -> int:
         for line in fh:
             t_str, name = line.strip().split(",", 1)
             field = load_field(os.path.join(base, name))
-            tau = args.tau
-            if tau is None:
-                raise ConfigError([(None, "--tau is required")])
-            front = support_front(field, float(tau), args.mode)
+            front = support_front(field, args.tau, args.mode)
             times.append(float(t_str))
             fronts_out.append(np.nan if front is None else front)
     trace = SupportTrace(float(args.tau), np.asarray(times), np.asarray(fronts_out))
@@ -153,6 +151,15 @@ def _cmd_accept(args) -> int:
     results = run_acceptance(outdir, only=args.only)
     failed = [r for r in results if not r.passed]
     return 3 if failed else 0
+
+
+def _failure_code(exc) -> int:
+    """Print a run's failure and return its exit code."""
+    if isinstance(exc, NumericalError):
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
+    print(f"verification failure: {exc}", file=sys.stderr)
+    return 3
 
 
 def main(argv=None) -> int:
@@ -203,7 +210,7 @@ def main(argv=None) -> int:
             raise
         return 1
     handlers = {
-        "simulate": _cmd_simulate,
+        "simulate": _run,
         "barenblatt": _cmd_barenblatt,
         "fluid2d": _cmd_fluid2d,
         "energy": _cmd_energy,
@@ -220,12 +227,8 @@ def main(argv=None) -> int:
             where = f"line {line}: " if line else ""
             print(f"  {where}{msg}", file=sys.stderr)
         return 1
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
-    except VerificationError as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return 3
+    except (NumericalError, VerificationError) as exc:
+        return _failure_code(exc)
 
 
 if __name__ == "__main__":

@@ -279,10 +279,3 @@ def default_config(kind: str, **overrides) -> ExperimentConfig:
               else str(v))
           for k, v in overrides.items()}
     return parse_config(text, ov)
-
-
-def describe_schema() -> str:
-    out = []
-    for key, (typ, default, help_) in SCHEMA.items():
-        out.append(f"{key} ({typ}, default {default!r}): {help_}")
-    return "\n".join(out)

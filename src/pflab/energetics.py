@@ -22,7 +22,7 @@ import dataclasses
 import numpy as np
 
 from .core import ScalarField, VectorField, gradient, deformation_tensor, \
-    tensor_magnitude, tail_profile, tail_from_profile, lp_norm
+    tensor_magnitude, tail_profile, lp_norm
 from .errors import VerificationError
 from .inequalities import gn_theta
 from .plaplace import Trajectory

@@ -16,7 +16,12 @@ class BoundarySentinelError(NumericalError):
 
 
 class VerificationError(RuntimeError):
-    """A result violated a property the experiment was asked to verify."""
+    """A result violated a property the experiment was asked to verify;
+    ``report`` is the experiment's report when one was made."""
+
+    def __init__(self, msg: str, report: dict | None = None):
+        super().__init__(msg)
+        self.report = report
 
 
 class ConfigError(ValueError):

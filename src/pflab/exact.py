@@ -255,13 +255,6 @@ def taylor_green_field(grid: GridSpec, mu1: float, t: float) -> VectorField:
     return VectorField(grid, (u, v))
 
 
-def taylor_green_pressure(grid: GridSpec, mu1: float, t: float) -> ScalarField:
-    """Pressure field whose gradient matches the advection term."""
-    xx, yy = grid.mesh()
-    amp2 = np.exp(-2.0 * mu1 * t)
-    return ScalarField(grid, -0.25 * amp2 * (np.cos(2 * xx) + np.cos(2 * yy)))
-
-
 # ---------------------------------------------------------------------------
 # initial-data helpers shared by experiments
 # ---------------------------------------------------------------------------

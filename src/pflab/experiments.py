@@ -1,12 +1,16 @@
-"""Experiment orchestration: one runner per experiment kind.
+"""Experiment orchestration: one runner per experiment kind, one dispatcher.
 
 Each runner consumes a validated :class:`~pflab.config.ExperimentConfig`,
-writes its artifacts (CSV data, key=value report blocks, optional SVG)
-into the output directory, and returns the report as a dict.  Gate
-failures raise :class:`~pflab.errors.VerificationError`; numerical
-failures (NaN, blow-up, boundary sentinel) raise
-:class:`~pflab.errors.NumericalError`.  Runs are deterministic for a
-fixed config and seed; only the ``run_stamp`` manifest line varies.
+writes only its own data files (CSV, optional SVG) into the output
+directory, and returns ``(report, failure)``: the report as a dict, and
+``None`` or the message of the gate that failed.  :func:`run_experiment`
+dispatches on the kind and owns everything else: it writes
+``report.txt`` and ``manifest.txt`` (status ``ok`` or ``failed``) and
+raises :class:`~pflab.errors.VerificationError` carrying the report when
+a gate failed.  Numerical failures (NaN, blow-up, boundary sentinel)
+raise :class:`~pflab.errors.NumericalError` from the runner.  Runs are
+deterministic for a fixed config and seed; only the ``run_stamp``
+manifest line varies.
 """
 
 from __future__ import annotations
@@ -22,15 +26,14 @@ from .config import ExperimentConfig
 from .core import (DIRICHLET, PERIODIC, GridSpec, ModelParams, ScalarField,
                    divergence, lp_norm, save_field)
 from .errors import VerificationError
-from .exact import (BarenblattParams, barenblatt_field, barenblatt_front_radius,
-                    halfspace_initial_data, taylor_green_field)
+from .exact import (BarenblattParams, barenblatt_field, halfspace_initial_data,
+                    taylor_green_field)
 from .fluid2d import (FluidConfig, band_initial_data, fluid_step, FluidState,
                       kinetic_energy, project, random_stream_coeffs,
                       simulate_fluid, stream_field, weak_residual,
                       advective_cfl_dt, viscous_cfl_dt)
-from .inequalities import (MonotoneSamples, check_stampacchia_relation,
-                           concave_majorant_family, gn_ratio,
-                           stampacchia_vanishing_point)
+from .inequalities import (check_stampacchia_relation, concave_majorant_family,
+                           gn_ratio, stampacchia_vanishing_point)
 from .plaplace import SolverConfig, Trajectory, simulate
 from .svgplot import emit_heatmap, emit_plot
 
@@ -39,12 +42,6 @@ from .svgplot import emit_heatmap, emit_plot
 # shared plumbing
 # ---------------------------------------------------------------------------
 
-
-
-def _verification(report: dict, msg: str) -> VerificationError:
-    err = VerificationError(msg)
-    err.report = report
-    return err
 
 def _grid(cfg: ExperimentConfig, default_bc: str | None = None) -> GridSpec:
     dim = cfg["dimension"]
@@ -89,6 +86,11 @@ def _log_times(t_start: float, t_end: float, per_decade: int) -> np.ndarray:
     decades = np.log10(t_end / t_start)
     n = max(2, int(np.ceil(decades * per_decade)) + 1)
     return np.logspace(np.log10(t_start), np.log10(t_end), n)
+
+
+def _gated(report: dict, failure: str):
+    """A runner's result: its report, and ``failure`` unless it passed."""
+    return report, (None if report["passed"] else failure)
 
 
 def _write_report(path, mapping: dict) -> None:
@@ -171,7 +173,7 @@ def _study_grid(cfg: ExperimentConfig, cells: int) -> tuple:
     return cells, grid.spacing[0], err, err / lp_norm(exact, 1.0)
 
 
-def _run_barenblatt_study(cfg: ExperimentConfig, outdir: str) -> dict:
+def _barenblatt_study(cfg: ExperimentConfig, outdir: str):
     """Explicit-solver accuracy study against the closed form.
 
     The grids are independent, so they run side by side in up to two
@@ -203,16 +205,13 @@ def _run_barenblatt_study(cfg: ExperimentConfig, outdir: str) -> dict:
         "order_min_required": cfg["order_min"],
         "passed": all(o >= cfg["order_min"] for o in orders),
     }
-    _write_report(os.path.join(outdir, "report.txt"), _flatten(report))
-    if not report["passed"]:
-        raise _verification(report,
-            f"empirical order(s) {orders} below required {cfg['order_min']}")
-    return report
+    return _gated(report, f"empirical order(s) {orders} below required "
+                          f"{cfg['order_min']}")
 
 
-def run_barenblatt_fit(cfg: ExperimentConfig, outdir: str) -> dict:
+def _barenblatt_fit(cfg: ExperimentConfig, outdir: str):
     if cfg["convergence_study"]:
-        return _run_barenblatt_study(cfg, outdir)
+        return _barenblatt_study(cfg, outdir)
     p, n, mu1 = cfg["p"], cfg["dimension"], cfg["mu1"]
     bp = BarenblattParams(p, n, cfg["height_c"], mu1)
     grid = _grid(cfg)
@@ -268,14 +267,11 @@ def run_barenblatt_fit(cfg: ExperimentConfig, outdir: str) -> dict:
         "envelopes": env_reports,
         "passed": err_rel <= cfg["exponent_tol"],
     }
-    _write_report(os.path.join(outdir, "report.txt"), _flatten(report))
     if cfg["export_trajectory"]:
         export_trajectory(traj, outdir)
-    if not report["passed"]:
-        raise _verification(report,
-            f"fitted exponent {fit.slope:.5f} deviates from {expected:.5f} "
-            f"by {err_rel:.2%} > {cfg['exponent_tol']:.2%}")
-    return report
+    return _gated(report, f"fitted exponent {fit.slope:.5f} deviates from "
+                          f"{expected:.5f} by {err_rel:.2%} > "
+                          f"{cfg['exponent_tol']:.2%}")
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +296,7 @@ def halfspace_run(cfg: ExperimentConfig):
     return traj, tau, l1
 
 
-def run_halfspace_fsp(cfg: ExperimentConfig, outdir: str,
-                      prebuilt=None) -> dict:
+def _halfspace_fsp(cfg: ExperimentConfig, outdir: str, prebuilt=None):
     p, n = cfg["p"], cfg["dimension"]
     traj, tau, l1 = prebuilt if prebuilt is not None else halfspace_run(cfg)
     trace = fronts.trace_support(traj, tau, "halfspace")
@@ -314,22 +309,20 @@ def run_halfspace_fsp(cfg: ExperimentConfig, outdir: str,
         "l1_hypothesis_ok": l1_ratio <= 1.0 + 1e-6,
     }
     wanted = ("l2", "l1") if cfg["envelope"] == "both" else (cfg["envelope"],)
-    all_ok = True
     curves = []
     ok = trace.present & (trace.times > 0) & (trace.fronts > 0)
     ts = trace.times[ok]
     for env in wanted:
         if env == "l1" and not report["l1_hypothesis_ok"]:
-            raise _verification(report,
-                f"L1 norm grew by {l1_ratio - 1:.3e}: hypothesis of the "
-                "L1-data envelope violated")
+            report["passed"] = False
+            return report, (f"L1 norm grew by {l1_ratio - 1:.3e}: hypothesis "
+                            "of the L1-data envelope violated")
         rep = fronts.check_envelope(trace, env, p, n, cfg["t_ref"],
                                     cfg["tol_env"])
         report[f"envelope_{env}"] = {
             "c": rep.c, "violations": len(rep.violations),
             "max_ratio": rep.max_ratio, "passed": rep.passed,
         }
-        all_ok = all_ok and rep.passed
         fn = fronts.support_envelope_l1 if env == "l1" else fronts.support_envelope_l2
         sel = ts >= rep.t_ref
         curves.append((env, ts[sel], fn(p, n, ts[sel], rep.c)))
@@ -344,15 +337,18 @@ def run_halfspace_fsp(cfg: ExperimentConfig, outdir: str,
                   os.path.join(outdir, "envelopes.svg"), logx=True, logy=True,
                   title="half-space front vs envelopes",
                   xlabel="t", ylabel="front")
-    report["passed"] = all_ok
-    _write_report(os.path.join(outdir, "report.txt"), _flatten(report))
+    bad = {e: report[f"envelope_{e}"] for e in wanted
+           if not report[f"envelope_{e}"]["passed"]}
+    report["passed"] = not bad
     if cfg["export_trajectory"]:
         export_trajectory(traj, outdir)
-    if not all_ok:
-        bad = {e: report[f"envelope_{e}"] for e in wanted
-               if not report[f"envelope_{e}"]["passed"]}
-        raise _verification(report, f"envelope violations: {bad}")
-    return report
+    return _gated(report, f"envelope violations: {bad}")
+
+
+def run_halfspace_fsp(cfg: ExperimentConfig, outdir: str,
+                      prebuilt=None) -> dict:
+    """:func:`run_experiment` under the name the benchmark calls and traces."""
+    return run_experiment(cfg, outdir, prebuilt)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +364,7 @@ def _fluid_cfg(cfg: ExperimentConfig) -> FluidConfig:
                        cfl_safety=cfg["fluid_cfl_safety"])
 
 
-def _run_weak_residual_study(cfg: ExperimentConfig, outdir: str) -> dict:
+def _weak_residual_study(cfg: ExperimentConfig, outdir: str):
     mu1 = cfg["mu1"]
     base_cells = cfg["cells"][0]
     t_end = cfg["t_end"]
@@ -399,17 +395,14 @@ def _run_weak_residual_study(cfg: ExperimentConfig, outdir: str) -> dict:
         "all_decreased": bool(np.all(resids[1] < resids[0])),
         "passed": bool(np.median(orders) >= 1.0 and np.all(resids[1] < resids[0])),
     }
-    _write_report(os.path.join(outdir, "report.txt"), _flatten(report))
-    if not report["passed"]:
-        raise _verification(report,
-            f"weak-form residual refinement order {report['median_order']:.3f} "
-            "< 1 or residuals did not all decrease")
-    return report
+    return _gated(report, f"weak-form residual refinement order "
+                          f"{report['median_order']:.3f} < 1 or residuals did "
+                          "not all decrease")
 
 
-def run_fluid_taylor_green(cfg: ExperimentConfig, outdir: str) -> dict:
+def _fluid_taylor_green(cfg: ExperimentConfig, outdir: str):
     if cfg["weak_residual_check"]:
-        return _run_weak_residual_study(cfg, outdir)
+        return _weak_residual_study(cfg, outdir)
     mu1 = cfg["mu1"]
     cells = cfg["cells"][0]
     grid = GridSpec.box((0.0, 0.0), (2 * np.pi, 2 * np.pi), cells, PERIODIC)
@@ -451,16 +444,13 @@ def run_fluid_taylor_green(cfg: ExperimentConfig, outdir: str) -> dict:
         "passed": bool(err_rel <= cfg["ke_rate_tol"]
                        and div_max <= cfg["div_tol"] and ke_monotone),
     }
-    _write_report(os.path.join(outdir, "report.txt"), _flatten(report))
-    if not report["passed"]:
-        raise _verification(report,
-            f"Taylor-Green gates failed: rate err {err_rel:.3%} "
-            f"(tol {cfg['ke_rate_tol']:.1%}), max div {div_max:.2e} "
-            f"(tol {cfg['div_tol']:.1e}), KE monotone {ke_monotone}")
-    return report
+    return _gated(report, f"Taylor-Green gates failed: rate err {err_rel:.3%} "
+                          f"(tol {cfg['ke_rate_tol']:.1%}), max div "
+                          f"{div_max:.2e} (tol {cfg['div_tol']:.1e}), KE "
+                          f"monotone {ke_monotone}")
 
 
-def run_fluid_halfplane(cfg: ExperimentConfig, outdir: str) -> dict:
+def _fluid_halfplane(cfg: ExperimentConfig, outdir: str):
     mu1 = cfg["mu1"]
     cells = cfg["cells"][0]
     grid = GridSpec.box((0.0, -np.pi), (2 * np.pi, np.pi), cells, PERIODIC)
@@ -514,13 +504,10 @@ def run_fluid_halfplane(cfg: ExperimentConfig, outdir: str) -> dict:
         "passed": bool(worst_step_cells <= cfg["locality_cells"]
                        and background < cfg["threshold_frac"]),
     }
-    _write_report(os.path.join(outdir, "report.txt"), _flatten(report))
-    if not report["passed"]:
-        raise _verification(report,
-            f"support advanced {worst_step_cells:.2f} cells in one step "
-            f"(limit {cfg['locality_cells']}) or projection tail "
-            f"{background:.2e} reached the threshold {cfg['threshold_frac']:.0e}")
-    return report
+    return _gated(report, f"support advanced {worst_step_cells:.2f} cells in "
+                          f"one step (limit {cfg['locality_cells']}) or "
+                          f"projection tail {background:.2e} reached the "
+                          f"threshold {cfg['threshold_frac']:.0e}")
 
 
 # ---------------------------------------------------------------------------
@@ -528,8 +515,7 @@ def run_fluid_halfplane(cfg: ExperimentConfig, outdir: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def run_energy_ledger(cfg: ExperimentConfig, outdir: str,
-                      prebuilt=None) -> dict:
+def _energy_ledger(cfg: ExperimentConfig, outdir: str, prebuilt=None):
     p, n, mu1 = cfg["p"], cfg["dimension"], cfg["mu1"]
     traj, tau, l1 = prebuilt if prebuilt is not None else halfspace_run(cfg)
     grid = traj.grid
@@ -538,18 +524,17 @@ def run_energy_ledger(cfg: ExperimentConfig, outdir: str,
     tails = energetics.TrajectoryTails(traj)
     front_T = fronts.support_front(traj.fields[-1], tau, "halfspace")
     if front_T is None:
-        raise VerificationError("final snapshot has empty support")
-    # true nonzero-support edge (denormal dust counts; a thresholded
-    # front always has a skirt below it)
+        return ({"kind": "energy-ledger", "passed": False},
+                "final snapshot has empty support")
+    # true nonzero-support edge (denormal dust counts; a thresholded front
+    # has a skirt below it), never empty since |u| > tau > 0 somewhere
     from .plaplace import _support_bounds
 
     nz = _support_bounds(traj.fields[-1].values, 0.0)
-    if nz is None:
-        raise VerificationError("final snapshot is identically zero")
-    front_machine = float(grid.coords(grid.dim - 1)[nz[-1][1]])
+    front_exact = float(grid.coords(grid.dim - 1)[nz[-1][1]])
     s_max = cfg["s_max"]
     if not np.isfinite(s_max):
-        s_max = front_machine + 8 * h
+        s_max = front_exact + 8 * h
     s_grid = np.linspace(cfg["s_min"], s_max, cfg["s_count"])
     deltas = np.linspace(2 * h, max(4 * h, (s_max - cfg["s_min"]) / 3.0),
                          cfg["delta_count"])
@@ -621,7 +606,6 @@ def run_energy_ledger(cfg: ExperimentConfig, outdir: str,
     # support-zero audit beyond the *exact* numerical support edge (the
     # threshold front has a sub-threshold skirt; the explicit scheme keeps
     # exact zeros outside the true support)
-    front_exact = front_machine
     s_beyond = front_exact + 2 * h
     a_beyond = float(tails.time_integral(p, "value", s_beyond, T))
     b_beyond = float(tails.time_integral(3.0, "value", s_beyond, T))
@@ -634,14 +618,11 @@ def run_energy_ledger(cfg: ExperimentConfig, outdir: str,
     if cfg["refine_check"]:
         from .config import default_config
 
-        coarse_over = dict(cfg.values)
-        coarse_over["cells"] = tuple(max(64, c // 2) for c in cfg["cells"])
-        coarse_over.pop("experiment")
-        ccfg = default_config(cfg["experiment"], **{
-            k: v for k, v in coarse_over.items()
-            if k in ("cells", "bounds", "bc", "p", "mu1", "dimension", "t0",
-                     "t_end", "snapshots_per_decade", "stepper", "cfl_safety",
-                     "height_c", "threshold_frac", "tol_inner", "substeps")})
+        shared = ("bounds", "bc", "p", "mu1", "dimension", "t0", "t_end",
+                  "snapshots_per_decade", "stepper", "cfl_safety", "height_c",
+                  "threshold_frac", "tol_inner", "substeps")
+        ccfg = default_config(cfg.kind, **{k: cfg[k] for k in shared},
+                              cells=tuple(max(64, c // 2) for c in cfg["cells"]))
         ctraj, _, _ = halfspace_run(ccfg)
         cdecay = energetics.check_decay(ctraj, T, p, n, s_grid[s_grid > 2 * h])
         fine = energetics.check_decay(traj, T, p, n, s_grid[s_grid > 2 * h],
@@ -689,10 +670,13 @@ def run_energy_ledger(cfg: ExperimentConfig, outdir: str,
         passed = passed and refinement["local_ratio_fine"] <= max(
             1.5 * refinement["local_ratio_coarse"], 1e-300)
     report["passed"] = bool(passed)
-    _write_report(os.path.join(outdir, "report.txt"), _flatten(report))
-    if not report["passed"]:
-        raise _verification(report, "energy-ledger gates failed")
-    return report
+    return _gated(report, "energy-ledger gates failed")
+
+
+def run_energy_ledger(cfg: ExperimentConfig, outdir: str,
+                      prebuilt=None) -> dict:
+    """:func:`run_experiment` under the name the benchmark calls and traces."""
+    return run_experiment(cfg, outdir, prebuilt)
 
 
 # ---------------------------------------------------------------------------
@@ -700,11 +684,10 @@ def run_energy_ledger(cfg: ExperimentConfig, outdir: str,
 # ---------------------------------------------------------------------------
 
 
-def run_stampacchia_suite(cfg: ExperimentConfig, outdir: str) -> dict:
+def _stampacchia_suite(cfg: ExperimentConfig, outdir: str):
     rng = np.random.default_rng(cfg["seed"])
     n_cases = cfg["a1_cases"]
     rows = []
-    n_pass = 0
     for case in range(n_cases):
         eps = float(rng.uniform(0.05, 0.9))
         fam = concave_majorant_family(rng, eps)
@@ -721,18 +704,14 @@ def run_stampacchia_suite(cfg: ExperimentConfig, outdir: str) -> dict:
         except ValueError as exc:
             ok, detail = False, f"eps={eps:.3f} error={exc}"
         rows.append((case, ok, detail))
-        n_pass += ok
     with open(os.path.join(outdir, "cases.csv"), "w") as fh:
         fh.write("case_id,passed,detail\n")
         for case, ok, detail in rows:
             fh.write(f"{case},{int(ok)},{detail}\n")
+    n_pass = sum(ok for _, ok, _ in rows)
     report = {"kind": "stampacchia-suite", "cases": n_cases,
               "passed_cases": n_pass, "passed": n_pass == n_cases}
-    _write_report(os.path.join(outdir, "report.txt"), _flatten(report))
-    if not report["passed"]:
-        raise _verification(report,
-            f"{n_cases - n_pass} iteration-lemma cases failed")
-    return report
+    return _gated(report, f"{n_cases - n_pass} iteration-lemma cases failed")
 
 
 def _gaussian_field(grid: GridSpec, center, width) -> ScalarField:
@@ -743,13 +722,19 @@ def _gaussian_field(grid: GridSpec, center, width) -> ScalarField:
     return ScalarField(grid, np.exp(-0.5 * s2))
 
 
-def run_interpolation_suite(cfg: ExperimentConfig, outdir: str) -> dict:
+def _suite_grid(n: int, cells: int, lam: float = 1.0) -> GridSpec:
+    """The interpolation suite's n-D box, dilated by ``lam``."""
+    if n == 1:
+        return GridSpec.line(-10.0 * lam, 10.0 * lam, cells)
+    return GridSpec.box(-8.0 * lam, 8.0 * lam, cells)
+
+
+def _interpolation_suite(cfg: ExperimentConfig, outdir: str):
     rng = np.random.default_rng(cfg["seed"])
     p = cfg["gn_p"]
     combos = ((p, 1.0, p), (3.0, 1.0, p))
     base_cells = cfg["gn_cells"]
     rows = []
-    all_ok = True
     for n in (1, 2):
         # random bump families on base and refined grids
         centers = rng.uniform(-2.0, 2.0, size=(cfg["bump_count"], n))
@@ -757,55 +742,39 @@ def run_interpolation_suite(cfg: ExperimentConfig, outdir: str) -> dict:
         for (a, b, d) in combos:
             maxima = []
             for factor in (1, 2):
-                if n == 1:
-                    grid = GridSpec.line(-10.0, 10.0, base_cells * factor)
-                else:
-                    grid = GridSpec.box(-8.0, 8.0, base_cells * factor)
+                grid = _suite_grid(n, base_cells * factor)
                 vals = [gn_ratio(_gaussian_field(grid, c, w), a, b, d)
                         for c, w in zip(centers, widths)]
                 maxima.append(max(vals))
             change = maxima[1] / maxima[0]
             ok = 0.5 <= change <= 2.0
-            all_ok = all_ok and ok
             rows.append((f"stability_n{n}_a{a:g}", ok,
                          f"max_base={maxima[0]:.6g} max_fine={maxima[1]:.6g} "
                          f"change={change:.4f}"))
         # dilation consistency on a fixed reference bump
         for (a, b, d) in combos:
-            if n == 1:
-                ref_grid = GridSpec.line(-10.0, 10.0, base_cells)
-            else:
-                ref_grid = GridSpec.box(-8.0, 8.0, base_cells)
+            ref_grid = _suite_grid(n, base_cells)
             ref = gn_ratio(_gaussian_field(ref_grid, (0.0,) * n, 1.0), a, b, d)
             for lam in cfg["lambda_set"]:
-                if n == 1:
-                    gl = GridSpec.line(-10.0 * lam, 10.0 * lam, base_cells)
-                else:
-                    gl = GridSpec.box(-8.0 * lam, 8.0 * lam, base_cells)
+                gl = _suite_grid(n, base_cells, lam)
                 val = gn_ratio(_gaussian_field(gl, (0.0,) * n, lam), a, b, d)
                 dev = abs(val / ref - 1.0)
                 ok = dev <= 0.01
-                all_ok = all_ok and ok
                 rows.append((f"dilation_n{n}_a{a:g}_lam{lam:g}", ok,
                              f"ratio={val:.8g} ref={ref:.8g} dev={dev:.2e}"))
     with open(os.path.join(outdir, "cases.csv"), "w") as fh:
         fh.write("case_id,passed,detail\n")
         for cid, ok, detail in rows:
             fh.write(f"{cid},{int(ok)},{detail}\n")
+    bad = [r for r in rows if not r[1]]
     report = {"kind": "interpolation-suite", "cases": len(rows),
-              "passed_cases": sum(1 for _, ok, _ in rows if ok),
-              "passed": all_ok}
-    _write_report(os.path.join(outdir, "report.txt"), _flatten(report))
-    if not all_ok:
-        bad = [r for r in rows if not r[1]]
-        raise _verification(report, f"interpolation suite failures: {bad[:4]}")
-    return report
+              "passed_cases": len(rows) - len(bad), "passed": not bad}
+    return _gated(report, f"interpolation suite failures: {bad[:4]}")
 
 
-def run_exponent_identities(cfg: ExperimentConfig, outdir: str) -> dict:
+def _exponent_identities(cfg: ExperimentConfig, outdir: str):
     tol = cfg["identity_tol"]
     rows = []
-    all_ok = True
     for p in (2.1, 2.5, 3.0, 3.5, 4.0):
         for n in (1, 2):
             ex = energetics.ScalingExponents(p, n)
@@ -818,7 +787,6 @@ def run_exponent_identities(cfg: ExperimentConfig, outdir: str) -> dict:
             # the two-branch time factor is continuous across T = 1
             f_cont = abs(ex.F(1.0 + 1e-9) - ex.F(1.0 - 1e-9)) <= 1e-6
             ok = worst <= tol and order_ok and f_cont
-            all_ok = all_ok and ok
             rows.append((p, n, worst, order_ok, f_cont, ok, res))
     with open(os.path.join(outdir, "identities.csv"), "w") as fh:
         fh.write("p,N,max_residual,exponent_order_ok,F_continuous,passed\n")
@@ -826,12 +794,9 @@ def run_exponent_identities(cfg: ExperimentConfig, outdir: str) -> dict:
             fh.write(f"{p},{n},{worst:.17g},{int(order_ok)},{int(f_cont)},{int(ok)}\n")
     report = {"kind": "exponent-identities", "tolerance": tol,
               "max_residual": max(r[2] for r in rows),
-              "passed": all_ok}
-    _write_report(os.path.join(outdir, "report.txt"), _flatten(report))
-    if not all_ok:
-        raise _verification(report,
-            f"identity residual {report['max_residual']:.3e} exceeds {tol:.1e}")
-    return report
+              "passed": all(r[5] for r in rows)}
+    return _gated(report, f"identity residual {report['max_residual']:.3e} "
+                          f"exceeds {tol:.1e}")
 
 
 # ---------------------------------------------------------------------------
@@ -839,27 +804,40 @@ def run_exponent_identities(cfg: ExperimentConfig, outdir: str) -> dict:
 # ---------------------------------------------------------------------------
 
 _RUNNERS = {
-    "barenblatt-fit": run_barenblatt_fit,
-    "halfspace-fsp": run_halfspace_fsp,
-    "fluid2d-taylor-green": run_fluid_taylor_green,
-    "fluid2d-halfplane": run_fluid_halfplane,
-    "energy-ledger": run_energy_ledger,
-    "stampacchia-suite": run_stampacchia_suite,
-    "interpolation-suite": run_interpolation_suite,
-    "exponent-identities": run_exponent_identities,
+    "barenblatt-fit": _barenblatt_fit,
+    "halfspace-fsp": _halfspace_fsp,
+    "fluid2d-taylor-green": _fluid_taylor_green,
+    "fluid2d-halfplane": _fluid_halfplane,
+    "energy-ledger": _energy_ledger,
+    "stampacchia-suite": _stampacchia_suite,
+    "interpolation-suite": _interpolation_suite,
+    "exponent-identities": _exponent_identities,
 }
 
 
-def run_experiment(cfg: ExperimentConfig, outdir: str | None = None) -> dict:
-    """Run one experiment; writes artifacts and a manifest, returns the
-    report dict.  Raises on numerical or verification failure."""
+def run_experiment(cfg: ExperimentConfig, outdir: str | None = None,
+                   prebuilt=None) -> dict:
+    """Run one experiment and return its report.
+
+    Writes ``report.txt`` and ``manifest.txt`` beside the runner's data
+    files, and raises :class:`VerificationError` with the report when a
+    gate failed.  ``prebuilt`` hands the half-space kinds the
+    :func:`halfspace_run` result to run on.  A numerical failure leaves a
+    ``failed`` manifest and propagates.
+    """
     outdir = outdir or cfg["outdir"]
     os.makedirs(outdir, exist_ok=True)
+    runner = _RUNNERS[cfg.kind]
     start = time.time()
     try:
-        report = _RUNNERS[cfg.kind](cfg, outdir)
+        report, failure = (runner(cfg, outdir) if prebuilt is None
+                           else runner(cfg, outdir, prebuilt))
     except Exception:
         write_manifest(outdir, cfg, time.time() - start, status="failed")
         raise
-    write_manifest(outdir, cfg, time.time() - start, status="ok")
+    _write_report(os.path.join(outdir, "report.txt"), _flatten(report))
+    write_manifest(outdir, cfg, time.time() - start,
+                   status="ok" if failure is None else "failed")
+    if failure is not None:
+        raise VerificationError(failure, report)
     return report

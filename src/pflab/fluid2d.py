@@ -184,16 +184,18 @@ def advect(v: VectorField, dt: float, scheme: str = "central",
 def _modified_wavenumbers(grid: GridSpec):
     """``sin(k h) / h`` of the centered difference on the ``rfft2``
     spectrum: every wavenumber along axis 0, the first ``n // 2 + 1``
-    along axis 1.  Those are taken from ``fftfreq``, not ``rfftfreq``: at
-    an even ``n`` the Nyquist entry keeps the negative sign it has in the
-    full spectrum.  Its sine vanishes only to roundoff, and with the other
-    sign the checkerboard mode would project differently."""
+    along axis 1.  At an even ``n`` the Nyquist sine is exactly 0: the
+    centered difference of the checkerboard mode vanishes, so the
+    projection leaves that mode alone."""
     sines = []
     for axis in range(2):
         n = grid.node_count(axis)
         h = grid.spacing[axis]
         k = _TWO_PI * np.fft.fftfreq(n, d=h)
-        sines.append(np.sin(k * h) / h)
+        s = np.sin(k * h) / h
+        if n % 2 == 0:
+            s[n // 2] = 0.0
+        sines.append(s)
     return sines[0][:, None], sines[1][None, : grid.node_count(1) // 2 + 1]
 
 

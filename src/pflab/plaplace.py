@@ -31,8 +31,8 @@ import dataclasses
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .core import (GridSpec, ModelParams, ScalarField, VectorField,
-                   _axis_derivative, _periodic_stencil)
+from .core import (GridSpec, ModelParams, ScalarField, _axis_derivative,
+                   _periodic_stencil)
 from .errors import BoundarySentinelError, NumericalError
 
 # Support-window stepping (see ``simulate``): the window is rescanned every

@@ -5,6 +5,8 @@ criteria's own phrasing (4/5 share the half-space run; 11/12 its ledger).
 Run just this module with ``pytest tests/test_acceptance.py -s``.
 """
 
+import os
+
 import pytest
 
 from pflab import acceptance
@@ -35,6 +37,7 @@ def test_criterion_03_solver_accuracy(ctx):
 
 def test_criterion_04_l2_envelope(ctx):
     _check(acceptance.criterion_04(ctx))
+    assert os.path.exists(os.path.join(ctx.outdir, "c04", "manifest.txt"))
 
 
 def test_criterion_05_l1_audit_and_envelope(ctx):
@@ -63,6 +66,7 @@ def test_criterion_10_interpolation_suite(ctx):
 
 def test_criterion_11_local_energy(ctx):
     _check(acceptance.criterion_11(ctx))
+    assert os.path.exists(os.path.join(ctx.outdir, "c11", "manifest.txt"))
 
 
 def test_criterion_12_iteration_mechanism(ctx):

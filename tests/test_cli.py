@@ -5,6 +5,7 @@ import pytest
 
 from pflab.cli import main
 from pflab.config import default_config
+from pflab.errors import NumericalError
 from pflab.experiments import export_trajectory, run_experiment
 from pflab.svgplot import emit_plot
 
@@ -105,6 +106,33 @@ def test_identities_via_cli(tmp_path, capsys):
     code = run_cli("verify-lemmas", "--outdir", str(tmp_path / "v"),
                    "--a1-cases", "30", "--bump-count", "10", "--gn-cells", "96")
     assert code == 0
+
+
+def _failing_gate(cfg, outdir):
+    return {"kind": cfg.kind, "passed": False}, "patched gate failure"
+
+
+def _numerical_failure(cfg, outdir):
+    raise NumericalError("patched numerical failure")
+
+
+@pytest.mark.parametrize("runner,flags,code", [
+    (_failing_gate, (), 3),
+    (_numerical_failure, (), 2),
+    (_numerical_failure, ("--identity-tol=-1",), 3),  # the worst code wins
+], ids=["gate", "numerical", "numerical-and-gate"])
+def test_verify_lemmas_runs_every_suite(tmp_path, capsys, monkeypatch,
+                                        runner, flags, code):
+    from pflab import experiments
+
+    monkeypatch.setitem(experiments._RUNNERS, "stampacchia-suite", runner)
+    out = tmp_path / "v"
+    assert run_cli("verify-lemmas", "--outdir", str(out), "--bump-count", "10",
+                   "--gn-cells", "96", *flags) == code
+    assert "patched" in capsys.readouterr().err
+    for kind in ("interpolation-suite", "exponent-identities"):
+        assert (out / kind / "report.txt").exists()
+        assert (out / kind / "manifest.txt").exists()
 
 
 def test_barenblatt_smoke_and_determinism(tmp_path):

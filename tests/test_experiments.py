@@ -4,12 +4,17 @@ The acceptance module runs the full-size pinned configurations; these
 exercise the plumbing, artifact writing and gate logic quickly.
 """
 
+import os
+from importlib import resources
+
 import numpy as np
 import pytest
 
-from pflab.config import default_config
-from pflab.errors import VerificationError
-from pflab.experiments import _study_grid, run_experiment
+from pflab import acceptance
+from pflab.config import default_config, parse_config
+from pflab.errors import BoundarySentinelError, VerificationError
+from pflab.experiments import (_flatten, _study_grid, halfspace_run,
+                               run_experiment)
 
 
 def test_exponent_identities(tmp_path):
@@ -112,14 +117,88 @@ def test_fluid_halfplane_small(tmp_path):
     assert r["l1_ratio_max"] > 0  # reported, never asserted against 1
 
 
-def test_gate_failure_raises_with_report(tmp_path):
-    with pytest.raises(VerificationError) as exc:
-        run_experiment(default_config(
-            "barenblatt-fit", outdir=str(tmp_path), p=3.0, dimension=1,
-            cells=(512,), bounds="-12:12", t0=1.0, t_end=20.0,
-            stepper="implicit", exponent_tol=1e-9))
-    assert getattr(exc.value, "report", None) is not None
-    assert exc.value.report["passed"] is False
+_SMALL_HALFSPACE = dict(p=3.0, dimension=1, cells=(512,), bounds="-7.8:7.5",
+                       t0=5e-8, t_end=1.0, stepper="explicit",
+                       snapshots_per_decade=24, t_ref=0.1)
+
+
+def _grown_l1(run):
+    traj, tau, l1 = run
+    return traj, tau, l1 * np.linspace(1.0, 1.01, len(l1))
+
+
+def _empty_support(run):
+    traj, _, l1 = run
+    return traj, 1e9, l1
+
+
+@pytest.mark.parametrize("kind,overrides,prebuilt,message", [
+    ("barenblatt-fit", dict(p=3.0, dimension=1, cells=(512,), bounds="-12:12",
+                            t0=1.0, t_end=20.0, stepper="implicit",
+                            exponent_tol=1e-9), None, "fitted exponent"),
+    ("fluid2d-taylor-green", dict(p=2.0, dimension=2, cells=(32,), t_end=0.1,
+                                  ke_rate_tol=1e-9), None, "Taylor-Green"),
+    ("fluid2d-halfplane", dict(p=3.5, dimension=2, cells=(32,), t_end=0.02,
+                               threshold_frac=0.05, locality_cells=-1), None,
+     "support advanced"),
+    ("exponent-identities", dict(identity_tol=-1.0), None, "identity residual"),
+    ("halfspace-fsp", _SMALL_HALFSPACE, _grown_l1, "L1 norm grew"),
+    ("energy-ledger", _SMALL_HALFSPACE, _empty_support, "empty support"),
+], ids=["barenblatt-fit", "taylor-green", "halfplane", "identities",
+        "halfspace-l1-hypothesis", "ledger-empty-support"])
+def test_gate_failure_raises_with_report(tmp_path, kind, overrides, prebuilt,
+                                         message):
+    # the dispatcher writes the failed report and manifest, then raises
+    # with the same report; the half-space early exits get a trajectory
+    # whose L1 norm grows, or a threshold nothing reaches
+    cfg = default_config(kind, outdir=str(tmp_path), **overrides)
+    built = prebuilt(halfspace_run(cfg)) if prebuilt else None
+    with pytest.raises(VerificationError, match=message) as exc:
+        run_experiment(cfg, prebuilt=built)
+    report = exc.value.report
+    assert report["passed"] is False
+    written = (tmp_path / "report.txt").read_text().splitlines()
+    assert written == [f"{k} = {v}" for k, v in _flatten(report).items()]
+    assert "passed = False" in written
+    manifest = (tmp_path / "manifest.txt").read_text().splitlines()
+    assert "status = failed" in manifest
+
+
+def test_shared_halfspace_numerical_failure_fails_its_criteria(tmp_path,
+                                                                monkeypatch):
+    calls = []
+
+    def sentinel(cfg):
+        calls.append(cfg)
+        raise BoundarySentinelError("support within the margin of the box")
+
+    monkeypatch.setattr(acceptance, "halfspace_run", sentinel)
+    results = {r.number: r for r in acceptance.run_acceptance(
+        str(tmp_path), only="4,5,8,11,12")}
+    assert len(calls) == 1
+    assert sorted(results) == [4, 5, 8, 11, 12]
+    for number in (4, 5, 11, 12):
+        assert not results[number].passed
+        assert ("numerical failure: support within the margin"
+                in results[number].detail)
+    assert results[8].passed
+
+
+def test_shared_runs_go_through_the_dispatcher(tmp_path, monkeypatch):
+    def small(name, outdir):
+        text = resources.files("pflab.configs.accept").joinpath(name).read_text()
+        return parse_config(text, {
+            "outdir": os.path.join(outdir, name[:3]), "cells": "1024", "t_end": "3.0",
+            "snapshots_per_decade": "48", "s_count": "25", "delta_count": "6",
+            "refine_check": "false"})
+
+    monkeypatch.setattr(acceptance, "_load_cfg", small)
+    results = acceptance.run_acceptance(str(tmp_path), only="4,11")
+    assert all(r.passed for r in results)
+    for name in ("c04", "c11"):
+        assert "passed = True" in (tmp_path / name / "report.txt").read_text()
+        manifest = (tmp_path / name / "manifest.txt").read_text().splitlines()
+        assert "status = ok" in manifest
 
 
 @pytest.mark.parametrize("kind,overrides", [
