@@ -202,14 +202,21 @@ def criterion_10(ctx):
         lambda r: f"{r.get('passed_cases', 0)}/{r.get('cases', 0)} cases")
 
 
+def _ledger_hypotheses(r):
+    """The ledger's gates that criteria 11 and 12 both rest on: the L1
+    hypothesis on every run and, when refinement is checked, a decay
+    constant stable under it."""
+    return (r.get("l1_hypothesis_ok")
+            and r.get("refinement", {}).get("decay_ok", True))
+
+
 def criterion_11(ctx):
     def finite_stable_empty(r):
-        ref = r.get("refinement", {})
-        stable = (not ref) or (ref.get("local_ratio_fine", 0.0)
-                               <= 1.5 * ref.get("local_ratio_coarse", 0.0) + 1e-300)
         return (r.get("local_ratio_all_finite")
                 and r.get("tail_beyond_front_A") == 0.0
-                and r.get("tail_beyond_front_B") == 0.0 and stable)
+                and r.get("tail_beyond_front_B") == 0.0
+                and r.get("refinement", {}).get("local_ok", True)
+                and _ledger_hypotheses(r))
 
     def detail(r):
         ref = r.get("refinement", {})
@@ -232,7 +239,8 @@ def criterion_12(ctx):
                    f" >= front {r.get('front_at_T')}"
                    f" (ctilde {r.get('ctilde_calibrated', float('nan')):.3g})"),
         lambda r: (r.get("iteration_covers_front")
-                   and r.get("iteration_vanished_beyond")))
+                   and r.get("iteration_vanished_beyond")
+                   and _ledger_hypotheses(r)))
 
 
 CRITERIA = [criterion_01, criterion_02, criterion_03, criterion_04,

@@ -337,12 +337,6 @@ def deformation_tensor(v: VectorField) -> np.ndarray:
     return out
 
 
-def tensor_magnitude(t: np.ndarray) -> np.ndarray:
-    """Frobenius norm of a per-node tensor produced by
-    :func:`deformation_tensor`."""
-    return np.sqrt(np.einsum("ij...,ij...->...", t, t))
-
-
 # ---------------------------------------------------------------------------
 # norms and integrals
 # ---------------------------------------------------------------------------
@@ -409,14 +403,6 @@ def tail_profile(f, q: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     else:
         density = np.sum(mag**q * grid.quad_weights(0)[:, None], axis=0)
     return lo, hi, density
-
-
-def tail_from_profile(lo: np.ndarray, hi: np.ndarray, density: np.ndarray, s) -> np.ndarray:
-    """Evaluate tail integrals from :func:`tail_profile` at cut(s) ``s``."""
-    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    w = np.clip(hi[None, :] - np.maximum(lo[None, :], s_arr[:, None]), 0.0, None)
-    out = w @ density
-    return out if np.ndim(s) else float(out[0])
 
 
 # ---------------------------------------------------------------------------

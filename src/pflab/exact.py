@@ -126,29 +126,6 @@ def barenblatt_mass(bp: BarenblattParams) -> float:
     return 2.0 * np.pi * val
 
 
-def barenblatt_params_for_mass(p: float, dim: int, mass: float,
-                               mu1: float = 1.0, tol: float = 1e-10) -> BarenblattParams:
-    """Choose the height ``C`` so that the conserved integral equals
-    ``mass``, by bisection (the mass is strictly increasing in C)."""
-    if not mass > 0:
-        raise ValueError("mass must be positive")
-
-    def mass_of(c):
-        return barenblatt_mass(BarenblattParams(p, dim, c, mu1))
-
-    c_lo, c_hi = 1e-8, 1.0
-    while mass_of(c_hi) < mass:
-        c_hi *= 4.0
-    while mass_of(c_lo) > mass:
-        c_lo /= 4.0
-    c = optimize.brentq(lambda c: mass_of(c) - mass, c_lo, c_hi,
-                        xtol=1e-15, rtol=1e-14)
-    bp = BarenblattParams(p, dim, c, mu1)
-    if abs(barenblatt_mass(bp) - mass) > tol * max(1.0, mass):
-        raise RuntimeError("mass calibration did not reach tolerance")
-    return bp
-
-
 # ---------------------------------------------------------------------------
 # residual oracle for the profile constant
 # ---------------------------------------------------------------------------
@@ -258,22 +235,6 @@ def taylor_green_field(grid: GridSpec, mu1: float, t: float) -> VectorField:
 # ---------------------------------------------------------------------------
 # initial-data helpers shared by experiments
 # ---------------------------------------------------------------------------
-
-
-def bump_field(grid: GridSpec, center, halfwidth, height: float = 1.0) -> ScalarField:
-    """Smooth compactly supported bump exp(-1/(1 - s^2)) scaled to ``height``."""
-    mesh = grid.mesh()
-    if np.ndim(center) == 0:
-        center = (center,) * grid.dim
-    if np.ndim(halfwidth) == 0:
-        halfwidth = (halfwidth,) * grid.dim
-    s2 = np.zeros(grid.shape)
-    for ax, m in enumerate(mesh):
-        s2 = s2 + ((m - center[ax]) / halfwidth[ax]) ** 2
-    inside = s2 < 1.0
-    vals = np.zeros(grid.shape)
-    vals[inside] = np.exp(1.0 - 1.0 / (1.0 - s2[inside]))
-    return ScalarField(grid, height * vals)
 
 
 def halfspace_initial_data(bp: BarenblattParams, grid: GridSpec,

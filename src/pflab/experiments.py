@@ -296,17 +296,30 @@ def halfspace_run(cfg: ExperimentConfig):
     return traj, tau, l1
 
 
+def _l1_audit(l1: np.ndarray) -> tuple[float, bool]:
+    """A run's largest L1 norm over its initial one, and whether the
+    hypothesis of the L1-data estimates holds: the norm does not grow."""
+    ratio = float(l1.max() / l1[0]) if l1[0] > 0 else 1.0
+    return ratio, ratio <= 1.0 + 1e-6
+
+
+def _stable_under_refinement(fine: float, coarse: float) -> bool:
+    """Whether a measured constant grew by at most 1.5x when the grid was
+    halved: a constant of the continuum estimate must stay bounded."""
+    return bool(fine <= max(1.5 * coarse, 1e-300))
+
+
 def _halfspace_fsp(cfg: ExperimentConfig, outdir: str, prebuilt=None):
     p, n = cfg["p"], cfg["dimension"]
     traj, tau, l1 = prebuilt if prebuilt is not None else halfspace_run(cfg)
     trace = fronts.trace_support(traj, tau, "halfspace")
-    l1_ratio = float(l1.max() / l1[0])
+    l1_ratio, l1_ok = _l1_audit(l1)
     report = {
         "kind": "halfspace-fsp",
         "p": p, "dimension": n, "tau": tau,
         "t_ref": cfg["t_ref"], "tol_env": cfg["tol_env"],
         "l1_max_over_initial": l1_ratio,
-        "l1_hypothesis_ok": l1_ratio <= 1.0 + 1e-6,
+        "l1_hypothesis_ok": l1_ok,
     }
     wanted = ("l2", "l1") if cfg["envelope"] == "both" else (cfg["envelope"],)
     curves = []
@@ -611,8 +624,10 @@ def _energy_ledger(cfg: ExperimentConfig, outdir: str, prebuilt=None):
     b_beyond = float(tails.time_integral(3.0, "value", s_beyond, T))
 
     it_rep = energetics.check_iteration(ledger, eps_it)
-    decay = energetics.check_decay(traj, T, p, n,
-                                   s_grid[s_grid > 2 * h], tails=tails)
+    s_decay = s_grid[s_grid > 2 * h]
+    decay = energetics.check_decay(traj, T, p, n, s_decay, tails=tails)
+    l1_ratio, l1_ok = _l1_audit(l1)
+    local_max = max(finite) if finite else 0.0
 
     refinement = {}
     if cfg["refine_check"]:
@@ -623,21 +638,23 @@ def _energy_ledger(cfg: ExperimentConfig, outdir: str, prebuilt=None):
                   "threshold_frac", "tol_inner", "substeps")
         ccfg = default_config(cfg.kind, **{k: cfg[k] for k in shared},
                               cells=tuple(max(64, c // 2) for c in cfg["cells"]))
-        ctraj, _, _ = halfspace_run(ccfg)
-        cdecay = energetics.check_decay(ctraj, T, p, n, s_grid[s_grid > 2 * h])
-        fine = energetics.check_decay(traj, T, p, n, s_grid[s_grid > 2 * h],
-                                      coarse_ctilde=cdecay.ctilde, tails=tails)
-        # local-energy constant stability under the same refinement
+        ctraj, _, cl1 = halfspace_run(ccfg)
+        l1_ok = l1_ok and _l1_audit(cl1)[1]  # the coarse run rests on it too
         ctails = energetics.TrajectoryTails(ctraj)
+        cdecay = energetics.check_decay(ctraj, T, p, n, s_decay, tails=ctails)
+        # local-energy constant stability under the same refinement
         cratios = [energetics.local_energy_ratio(ctraj, float(s), float(d), T,
                                                  mu1, p, tails=ctails).ratio
                    for s in s_grid[:: max(1, len(s_grid) // 8)] for d in deltas]
         cfinite = [r for r in cratios if np.isfinite(r)]
+        local_coarse = max(cfinite) if cfinite else 0.0
         refinement = {
             "decay_ctilde_coarse": cdecay.ctilde,
-            "decay_ctilde_fine": fine.ctilde,
-            "local_ratio_coarse": max(cfinite) if cfinite else 0.0,
-            "local_ratio_fine": max(finite) if finite else 0.0,
+            "decay_ctilde_fine": decay.ctilde,
+            "local_ratio_coarse": local_coarse,
+            "local_ratio_fine": local_max,
+            "decay_ok": _stable_under_refinement(decay.ctilde, cdecay.ctilde),
+            "local_ok": _stable_under_refinement(local_max, local_coarse),
         }
 
     report = {
@@ -647,7 +664,7 @@ def _energy_ledger(cfg: ExperimentConfig, outdir: str, prebuilt=None):
         "front_exact_support": front_exact,
         "ctilde_relation": ctilde,
         "ctilde_calibrated": ctilde_iter,
-        "local_ratio_max": max(finite) if finite else 0.0,
+        "local_ratio_max": local_max,
         "local_ratio_all_finite": not any_inf,
         "tail_beyond_front_A": a_beyond,
         "tail_beyond_front_B": b_beyond,
@@ -660,17 +677,22 @@ def _energy_ledger(cfg: ExperimentConfig, outdir: str, prebuilt=None):
             it_rep.predicted_vanishing is not None
             and it_rep.predicted_vanishing >= front_T),
         "decay_ctilde": decay.ctilde,
-        "decay_l1_max_ratio": decay.l1_max_ratio,
+        "decay_l1_max_ratio": l1_ratio,
+        "l1_hypothesis_ok": l1_ok,
         "refinement": refinement,
     }
-    passed = (report["local_ratio_all_finite"]
-              and a_beyond == 0.0 and b_beyond == 0.0
-              and it_rep.passed and report["iteration_covers_front"])
-    if refinement:
-        passed = passed and refinement["local_ratio_fine"] <= max(
-            1.5 * refinement["local_ratio_coarse"], 1e-300)
-    report["passed"] = bool(passed)
-    return _gated(report, "energy-ledger gates failed")
+    failed = [gate for gate, ok in (
+        ("local-energy ratio not finite", not any_inf),
+        ("tails beyond the front not empty", a_beyond == 0.0 and b_beyond == 0.0),
+        ("iteration relation misses the front",
+         it_rep.passed and report["iteration_covers_front"]),
+        ("L1 norm grew: hypothesis of the L1-data estimates violated", l1_ok),
+        ("decay constant grew under refinement", refinement.get("decay_ok", True)),
+        ("local-energy constant grew under refinement",
+         refinement.get("local_ok", True)),
+    ) if not ok]
+    report["passed"] = not failed
+    return _gated(report, "energy-ledger gates failed: " + "; ".join(failed))
 
 
 def run_energy_ledger(cfg: ExperimentConfig, outdir: str,

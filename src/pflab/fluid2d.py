@@ -403,12 +403,6 @@ def stream_field(grid: GridSpec, coeffs, amplitude: float = 1.0) -> VectorField:
                               -_trans_deriv(psi, 0, hx, True)))
 
 
-def stream_function_field(grid: GridSpec, rng: np.random.Generator,
-                          kmax: int = 3, amplitude: float = 1.0) -> VectorField:
-    """Random divergence-free field (fresh coefficients every call)."""
-    return stream_field(grid, random_stream_coeffs(rng, kmax), amplitude)
-
-
 def band_initial_data(grid: GridSpec, center_y: float, halfwidth: float,
                       amplitude: float = 1.0, kx: int = 2) -> VectorField:
     """Divergence-free band of vorticity supported in a horizontal strip.

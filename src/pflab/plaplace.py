@@ -118,15 +118,6 @@ class Trajectory:
         return float(self.times[-1])
 
 
-def flux_diffusivity(g, cfg: SolverConfig):
-    """Nonlinear diffusivity ``mu1 (g^2 + eps^2)^((p-2)/2)`` at gradient
-    magnitude ``g >= 0``; degenerates to 0 at g = 0 when p > 2, eps = 0."""
-    p, mu1 = cfg.params.p, cfg.params.mu1
-    g = np.asarray(g, dtype=float)
-    out = mu1 * (g * g + cfg.eps_reg**2) ** ((p - 2.0) / 2.0)
-    return float(out) if out.ndim == 0 else out
-
-
 # ---------------------------------------------------------------------------
 # face geometry helpers
 # ---------------------------------------------------------------------------
@@ -283,16 +274,6 @@ def _diffusion_rhs(v: np.ndarray, grid: GridSpec, cfg: SolverConfig) -> np.ndarr
     return out
 
 
-def diffusion_operator(u: ScalarField, cfg: SolverConfig) -> ScalarField:
-    """Conservative discretization of ``mu1 div(|grad u|^(p-2) grad u)``.
-
-    Face flux = diffusivity (from the full face gradient magnitude)
-    times the normal difference; dirichlet axes close with zero boundary
-    flux (the sentinel keeps the support away from the box anyway).
-    """
-    return ScalarField(u.grid, _diffusion_rhs(u.values, u.grid, cfg))
-
-
 def _check_finite(arr: np.ndarray, what: str, win=None):
     """Raise :class:`NumericalError` naming the first NaN/Inf node;
     ``win`` is the window (a tuple of slices) that ``arr`` holds of the
@@ -393,12 +374,6 @@ def _face_gradients_adj(tn, tt, grid: GridSpec, axis: int) -> np.ndarray:
         out += _trans_deriv_adj(_face_avg_adj(tt, grid.shape, axis, per), other,
                                 grid.spacing[other], grid.is_periodic(other))
     return out
-
-
-def grad_energy(v_field: ScalarField, cfg: SolverConfig) -> float:
-    """Discrete stored energy ``(mu1/p) * sum_faces |face grad|^p * w``."""
-    grid = v_field.grid
-    return _energy(_face_fields(v_field.values, grid, cfg.eps_reg), grid, cfg)
 
 
 class _ProxProblem:
@@ -755,15 +730,3 @@ def simulate(u0: ScalarField, cfg: SolverConfig, T: float,
 
     return Trajectory(np.asarray(times), fields)
 
-
-def mass_series(traj: Trajectory) -> np.ndarray:
-    """Signed integral of every snapshot."""
-    from .core import integral
-
-    return np.array([integral(f) for f in traj.fields])
-
-
-def l2_series(traj: Trajectory) -> np.ndarray:
-    from .core import lp_norm
-
-    return np.array([lp_norm(f, 2.0) for f in traj.fields])

@@ -1,0 +1,88 @@
+"""Guards on the package's shape, read from its source with ``ast``.
+
+One dispatcher raises on a failed gate, so ``raise VerificationError``
+appears in :func:`pflab.experiments.run_experiment` and nowhere else.
+Every public top-level function and class has a caller in the package
+or the benchmark harness, or is an independent oracle that tests check
+shipped code against.
+"""
+
+import ast
+import collections
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "pflab"
+
+# public names with no caller in the package, kept as independent oracles
+ORACLES = {
+    "barenblatt_value": "pointwise closed form the sampled profile is checked against",
+    "barenblatt_mass": "quadrature mass the solvers' conserved mass is checked against",
+    "calibrate_profile_constant": "numerical solve that checks the closed-form constant",
+    "restrict_integral": "one-cut tail integral the cached tail profiles are checked against",
+    "integral": "signed mass the conservation tests measure the solvers with",
+}
+
+
+def _modules():
+    return {path.stem: ast.parse(path.read_text(), str(path))
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _enclosing_functions(tree):
+    """Map each node to the name of the top-level function holding it."""
+    owner = {}
+    for top in tree.body:
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            for node in ast.walk(top):
+                owner[node] = top.name
+    return owner
+
+
+def test_only_the_dispatcher_raises_verification_error():
+    sites = set()
+    for module, tree in _modules().items():
+        owner = _enclosing_functions(tree)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "VerificationError":
+                sites.add((module, owner.get(node)))
+    assert sites == {("experiments", "run_experiment")}
+
+
+def _names_used(tree, strings=False) -> collections.Counter:
+    """How often the tree reads each name or attribute; with ``strings``,
+    string constants count too, split at dots, for the names the
+    benchmark harness looks up by text."""
+    used = collections.Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            used[node.attr] += 1
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used.update(node.value.split("."))
+    return used
+
+
+def test_every_public_name_has_a_caller_or_is_an_oracle():
+    used = collections.Counter()
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        if not path.name.startswith("test_"):
+            used += _names_used(ast.parse(path.read_text(), str(path)), True)
+    tops = []
+    for module, tree in _modules().items():
+        used += _names_used(tree)
+        tops += [(module, top) for top in tree.body
+                 if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+                 and not top.name.startswith("_")]
+    # a name read only inside its own definition (recursion) has no caller
+    called = {top.name for _, top in tops
+              if used[top.name] > _names_used(top)[top.name]}
+    assert [f"{module}.{top.name}" for module, top in tops
+            if top.name not in called | set(ORACLES)] == []
+    # an oracle that gained a caller leaves the list
+    assert sorted(called & set(ORACLES)) == []
+    assert all(reason for reason in ORACLES.values())

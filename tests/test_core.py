@@ -6,8 +6,9 @@ from pflab.core import (DIRICHLET, PERIODIC, GridSpec, ModelParams,
                         ScalarField, VectorField, _axis_derivative,
                         _periodic_stencil, deformation_tensor, divergence,
                         gradient, integral, load_field, lp_norm,
-                        restrict_integral, save_field, tail_from_profile,
-                        tail_profile)
+                        restrict_integral, save_field)
+from pflab.energetics import TrajectoryTails
+from pflab.plaplace import Trajectory
 
 
 def periodic_line(n):
@@ -127,8 +128,6 @@ def test_deformation_bitwise_symmetric():
 
 def test_deformation_taylor_green_magnitude():
     # |Du| = sqrt(2)|cos x cos y| for the vortex; symbolic-derivative oracle
-    from pflab.core import tensor_magnitude
-
     errs = []
     for n in (48, 96):
         g = GridSpec.box(0.0, 2 * np.pi, n, bc=PERIODIC)
@@ -136,7 +135,8 @@ def test_deformation_taylor_green_magnitude():
         t = deformation_tensor(VectorField(g, (np.sin(xx) * np.cos(yy),
                                                -np.cos(xx) * np.sin(yy))))
         exact = np.sqrt(2.0) * np.abs(np.cos(xx) * np.cos(yy))
-        errs.append(np.max(np.abs(tensor_magnitude(t) - exact)))
+        magnitude = np.sqrt(np.sum(t * t, axis=(0, 1)))
+        errs.append(np.max(np.abs(magnitude - exact)))
     assert errs[1] < errs[0] / 3.0
 
 
@@ -195,13 +195,18 @@ def test_restrict_integral_nonincreasing_and_continuous():
 
 
 def test_tail_profile_matches_restrict():
+    # the cached profiles behind the ledger's tails, one cut at a time
     g = GridSpec.box(-1.0, 1.0, 24)
     rng = np.random.default_rng(5)
     f = ScalarField(g, rng.normal(size=g.shape))
-    lo, hi, dens = tail_profile(f, 3.0)
-    for s in (-1.5, -0.3, 0.0, 0.7, 2.0):
-        assert tail_from_profile(lo, hi, dens, s) == pytest.approx(
-            restrict_integral(f, 3.0, s), rel=1e-12, abs=1e-15)
+    tails = TrajectoryTails(Trajectory(np.array([0.0]), [f]))
+    cuts = (-1.5, -0.3, 0.0, 0.7, 2.0)
+    many = tails.space_tail(3.0, "value", cuts)[:, 0]
+    for s, got in zip(cuts, many):
+        want = restrict_integral(f, 3.0, s)
+        assert tails.space_tail(3.0, "value", s)[0] == pytest.approx(
+            want, rel=1e-12, abs=1e-15)
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
 def test_model_params_ranges():

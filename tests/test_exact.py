@@ -4,8 +4,7 @@ import pytest
 from pflab.core import GridSpec, PERIODIC, ScalarField, divergence, lp_norm
 from pflab.exact import (BarenblattParams, barenblatt_field,
                          barenblatt_front_radius, barenblatt_mass,
-                         barenblatt_params_for_mass, barenblatt_value,
-                         bump_field, calibrate_profile_constant,
+                         barenblatt_value, calibrate_profile_constant,
                          halfspace_initial_data, profile_constant_residual,
                          taylor_green, taylor_green_field)
 
@@ -104,13 +103,6 @@ def test_mass_time_invariant_on_grid():
         assert m == pytest.approx(ref, abs=1e-4)
 
 
-def test_mass_calibration():
-    bp = barenblatt_params_for_mass(3.0, 1, mass=2.0)
-    assert barenblatt_mass(bp) == pytest.approx(2.0, abs=1e-10)
-    bp2 = barenblatt_params_for_mass(3.0, 2, mass=0.5)
-    assert barenblatt_mass(bp2) == pytest.approx(0.5, abs=1e-10)
-
-
 def test_taylor_green_exactness():
     # t = 0 unit amplitude; decay factor e^(-mu1 t)
     u, v = taylor_green(1.0, np.pi / 2, 0.0, 0.0)
@@ -144,14 +136,6 @@ def test_taylor_green_momentum_balance():
     curl = ((np.roll(ry, -1, 0) - np.roll(ry, 1, 0))
             - (np.roll(rx, -1, 1) - np.roll(rx, 1, 1))) / (2 * h)
     assert np.max(np.abs(curl)) < 1e-12
-
-
-def test_bump_field_support():
-    g = GridSpec.line(-4.0, 4.0, 512)
-    f = bump_field(g, center=-1.0, halfwidth=1.0, height=2.0)
-    x = g.coords(0)
-    assert np.all(f.values[np.abs(x + 1.0) >= 1.0] == 0.0)
-    assert f.values.max() == pytest.approx(2.0, rel=1e-12)
 
 
 def test_halfspace_data_edge_at_zero():

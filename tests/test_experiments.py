@@ -10,11 +10,13 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from pflab import acceptance
+from pflab import acceptance, experiments
 from pflab.config import default_config, parse_config
+from pflab.core import ScalarField
 from pflab.errors import BoundarySentinelError, VerificationError
 from pflab.experiments import (_flatten, _study_grid, halfspace_run,
                                run_experiment)
+from pflab.plaplace import Trajectory
 
 
 def test_exponent_identities(tmp_path):
@@ -122,14 +124,32 @@ _SMALL_HALFSPACE = dict(p=3.0, dimension=1, cells=(512,), bounds="-7.8:7.5",
                        snapshots_per_decade=24, t_ref=0.1)
 
 
-def _grown_l1(run):
+def _grown_l1(run, monkeypatch):
     traj, tau, l1 = run
     return traj, tau, l1 * np.linspace(1.0, 1.01, len(l1))
 
 
-def _empty_support(run):
+def _empty_support(run, monkeypatch):
     traj, _, l1 = run
     return traj, 1e9, l1
+
+
+def _shrunk(run, monkeypatch):
+    """The run scaled by 0.1: its decay constant drops by 1e3 (p = 3)."""
+    traj, tau, l1 = run
+    fields = [ScalarField(f.grid, 0.1 * f.values) for f in traj.fields]
+    return Trajectory(traj.times, fields), 0.1 * tau, 0.1 * l1
+
+
+def _on_coarse_run(change):
+    """The fine run as built; the ledger's coarse refinement run comes
+    back through ``change``."""
+    def prebuilt(run, monkeypatch):
+        monkeypatch.setattr(experiments, "halfspace_run",
+                            lambda cfg: change(halfspace_run(cfg), monkeypatch))
+        return run
+
+    return prebuilt
 
 
 @pytest.mark.parametrize("kind,overrides,prebuilt,message", [
@@ -144,15 +164,22 @@ def _empty_support(run):
     ("exponent-identities", dict(identity_tol=-1.0), None, "identity residual"),
     ("halfspace-fsp", _SMALL_HALFSPACE, _grown_l1, "L1 norm grew"),
     ("energy-ledger", _SMALL_HALFSPACE, _empty_support, "empty support"),
+    ("energy-ledger", _SMALL_HALFSPACE, _grown_l1, "L1 norm grew"),
+    ("energy-ledger", dict(_SMALL_HALFSPACE, refine_check=True),
+     _on_coarse_run(_grown_l1), "L1 norm grew"),
+    ("energy-ledger", dict(_SMALL_HALFSPACE, refine_check=True),
+     _on_coarse_run(_shrunk), "decay constant grew under refinement"),
 ], ids=["barenblatt-fit", "taylor-green", "halfplane", "identities",
-        "halfspace-l1-hypothesis", "ledger-empty-support"])
-def test_gate_failure_raises_with_report(tmp_path, kind, overrides, prebuilt,
-                                         message):
+        "halfspace-l1-hypothesis", "ledger-empty-support",
+        "ledger-l1-hypothesis", "ledger-coarse-l1-hypothesis",
+        "ledger-decay-refinement"])
+def test_gate_failure_raises_with_report(tmp_path, monkeypatch, kind,
+                                         overrides, prebuilt, message):
     # the dispatcher writes the failed report and manifest, then raises
-    # with the same report; the half-space early exits get a trajectory
-    # whose L1 norm grows, or a threshold nothing reaches
+    # with the same report; the half-space runs get a trajectory whose L1
+    # norm grows, a threshold nothing reaches, or such a coarse run
     cfg = default_config(kind, outdir=str(tmp_path), **overrides)
-    built = prebuilt(halfspace_run(cfg)) if prebuilt else None
+    built = prebuilt(halfspace_run(cfg), monkeypatch) if prebuilt else None
     with pytest.raises(VerificationError, match=message) as exc:
         run_experiment(cfg, prebuilt=built)
     report = exc.value.report
@@ -199,6 +226,33 @@ def test_shared_runs_go_through_the_dispatcher(tmp_path, monkeypatch):
         assert "passed = True" in (tmp_path / name / "report.txt").read_text()
         manifest = (tmp_path / name / "manifest.txt").read_text().splitlines()
         assert "status = ok" in manifest
+
+
+def test_decay_refinement_failure_fails_criteria_11_and_12(tmp_path,
+                                                          monkeypatch):
+    # criterion 11 rests on a decay constant stable under refinement, and
+    # both criteria on the ledger's hypotheses; the ledger's own report
+    # says which gate failed
+    def small(name, outdir):
+        text = resources.files("pflab.configs.accept").joinpath(name).read_text()
+        return parse_config(text, {
+            "outdir": os.path.join(outdir, name[:3]), "cells": "512",
+            "t_end": "1.0", "snapshots_per_decade": "24", "s_count": "25",
+            "delta_count": "6", "refine_check": "true"})
+
+    monkeypatch.setattr(acceptance, "_load_cfg", small)
+    _on_coarse_run(_shrunk)(None, monkeypatch)
+    results = {r.number: r for r in acceptance.run_acceptance(
+        str(tmp_path), only="4,11,12")}
+    assert results[4].passed
+    for number in (11, 12):
+        assert not results[number].passed
+        assert "decay constant grew under refinement" in results[number].detail
+    written = (tmp_path / "c11" / "report.txt").read_text().splitlines()
+    assert "refinement.decay_ok = False" in written
+    assert "refinement.local_ok = True" in written
+    assert "l1_hypothesis_ok = True" in written
+    assert "status = failed" in (tmp_path / "c11" / "manifest.txt").read_text()
 
 
 @pytest.mark.parametrize("kind,overrides", [

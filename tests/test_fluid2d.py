@@ -11,7 +11,7 @@ from pflab.fluid2d import (FluidConfig, FluidState, _advection_tendency,
                            _face_deformation, advect, band_initial_data,
                            fluid_step, kinetic_energy, project,
                            random_stream_coeffs, simulate_fluid, stream_field,
-                           stream_function_field, viscous_term, weak_residual)
+                           viscous_term, weak_residual)
 from pflab.plaplace import (Trajectory, _face_avg, _face_avg_adj, _face_diff,
                             _face_diff_adj, _trans_deriv, _trans_deriv_adj)
 
@@ -62,7 +62,7 @@ def test_viscous_p2_half_laplacian():
 def test_viscous_momentum_exact():
     g = tg_grid(48)
     rng = np.random.default_rng(2)
-    v = stream_function_field(g, rng)
+    v = stream_field(g, random_stream_coeffs(rng))
     out = viscous_term(v, params(3.0), 0.1)
     for comp in out.components:
         assert abs(np.sum(comp)) <= 1e-12 * np.sum(np.abs(comp))
@@ -154,7 +154,7 @@ def test_weak_residual_zero_trajectory():
     from pflab.plaplace import Trajectory
 
     traj = Trajectory(np.array([0.0, 0.1, 0.2]), [zero, zero.copy(), zero.copy()])
-    phi = stream_function_field(g, np.random.default_rng(1))
+    phi = stream_field(g, random_stream_coeffs(np.random.default_rng(1)))
     assert weak_residual(traj, [phi], params())[0] == 0.0
 
 
@@ -323,9 +323,9 @@ def test_weak_residual_many_fields_match_one_at_a_time(p):
     g = tg_grid(32)
     cfg = FluidConfig(params(p), advection="central")
     rng = np.random.default_rng(7)
-    traj = simulate_fluid(stream_function_field(g, rng), cfg, 0.05,
-                          np.linspace(0, 0.05, 7))
-    phis = [stream_function_field(g, rng) for _ in range(4)]
+    v0 = stream_field(g, random_stream_coeffs(rng))
+    traj = simulate_fluid(v0, cfg, 0.05, np.linspace(0, 0.05, 7))
+    phis = [stream_field(g, random_stream_coeffs(rng)) for _ in range(4)]
     got = weak_residual(traj, phis, params(p))
     assert got.shape == (4,)
     for r, phi in zip(got, phis):

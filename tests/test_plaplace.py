@@ -4,13 +4,12 @@ import pytest
 from pflab.core import (DIRICHLET, GridSpec, ModelParams, PERIODIC, ScalarField,
                         integral, lp_norm)
 from pflab.errors import BoundarySentinelError, NumericalError
-from pflab.exact import BarenblattParams, barenblatt_field, bump_field
+from pflab.exact import BarenblattParams, barenblatt_field
 from pflab import plaplace
-from pflab.plaplace import (SolverConfig, Trajectory, _check_finite, cfl_dt,
-                            diffusion_operator, flux_diffusivity,
-                            grad_energy, l2_series, mass_series,
-                            normalize_schedule, simulate, step_explicit,
-                            step_implicit_proximal)
+from pflab.plaplace import (SolverConfig, Trajectory, _check_finite,
+                            _diffusion_rhs, _diffusivity_of_a2, _face_a2,
+                            cfl_dt, normalize_schedule, simulate,
+                            step_explicit, step_implicit_proximal)
 
 
 def cfg_1d(p=3.0, **kw):
@@ -23,18 +22,36 @@ def barenblatt_setup(cells=1024, box=7.0, t0=1.0, p=3.0):
     return bp, grid, barenblatt_field(bp, grid, t0)
 
 
+def _stored_energy(u, cfg):
+    """The proximal objective's stored energy ``E(u)``."""
+    return plaplace._energy(plaplace._face_fields(u.values, u.grid, cfg.eps_reg),
+                            u.grid, cfg)
+
+
+# the constant at p = 2, pow at p = 2.5, the sqrt path at p = 3; the
+# product with mu1 = 1 is skipped
+_DIFFUSIVITY_CASES = [(p, mu1) for p in (2.0, 2.5, 3.0) for mu1 in (1.0, 0.7)]
+
+
 def test_flux_diffusivity_degenerate():
-    cfg = cfg_1d()
-    assert flux_diffusivity(0.0, cfg) == 0.0
-    assert flux_diffusivity(2.0, cfg) == pytest.approx(2.0)  # mu1 g^(p-2)
-    g = np.linspace(0.0, 5.0, 100)
-    d = flux_diffusivity(g, cfg)
-    assert np.all(np.diff(d) >= 0)
+    # mu1 |g|^(p-2) at the face gradient (gn, gt), nondecreasing in |g|
+    gn = np.array([0.0, 2.0, -2.0, 0.0, 3.0])
+    gt = np.array([0.0, 0.0, 0.0, -4.0, 4.0])
+    for p, mu1 in _DIFFUSIVITY_CASES:
+        d = _diffusivity_of_a2(_face_a2(gn, gt, 0.0), p, mu1)
+        want = mu1 * np.hypot(gn, gt) ** (p - 2.0)
+        assert np.allclose(d, want, rtol=1e-15, atol=0.0), (p, mu1)
+        assert (d[0] == 0.0) == (p > 2.0)
+        a2 = _face_a2(np.linspace(0.0, 5.0, 100), None, 0.0)
+        assert np.all(np.diff(_diffusivity_of_a2(a2, p, mu1)) >= 0)
 
 
 def test_flux_diffusivity_regularized():
-    cfg = cfg_1d(eps_reg=0.5)
-    assert flux_diffusivity(0.0, cfg) == pytest.approx(0.5)
+    # eps lifts the degenerate zero to mu1 eps^(p-2)
+    for p, mu1 in _DIFFUSIVITY_CASES:
+        d = _diffusivity_of_a2(_face_a2(np.zeros(3), np.zeros(3), 0.5), p, mu1)
+        want = mu1 * 0.5 ** (p - 2.0)
+        assert np.allclose(d, want, rtol=1e-15, atol=0.0), (p, mu1)
 
 
 def test_step_explicit_constant_unchanged():
@@ -76,7 +93,7 @@ def test_explicit_mass_conserved_periodic():
 def test_explicit_positivity_and_max_principle():
     # monotone scheme: bounded by max u0 and nonnegative for 1e4 steps
     g = GridSpec.line(-4.0, 4.0, 256)
-    u = bump_field(g, 0.0, 1.5, 1.0)
+    u = barenblatt_field(BarenblattParams(3.0, 1, C=1.0), g, 0.5)
     cfg = cfg_1d()
     peak = u.values.max()
     dt = cfl_dt(u, cfg)
@@ -118,8 +135,8 @@ def test_implicit_energy_inequality_and_descent():
         u = u0
         for _ in range(5):
             v = step_implicit_proximal(u, cfg, dt)
-            e_u = grad_energy(u, cfg)
-            e_v = grad_energy(v, cfg)
+            e_u = _stored_energy(u, cfg)
+            e_v = _stored_energy(v, cfg)
             quad = 0.5 / dt * lp_norm(ScalarField(grid, v.values - u.values), 2.0) ** 2
             assert e_v + quad <= e_u + cfg.tol + 1e-12
             assert e_v <= e_u + cfg.tol
@@ -224,7 +241,7 @@ def test_implicit_non_descent_solve_falls_back_to_steepest_descent(
     v = step_implicit_proximal(u, cfg, dt)
     assert calls
     quad = 0.5 / dt * lp_norm(ScalarField(u.grid, v.values - u.values), 2.0) ** 2
-    assert grad_energy(v, cfg) + quad <= grad_energy(u, cfg) + cfg.tol
+    assert _stored_energy(v, cfg) + quad <= _stored_energy(u, cfg) + cfg.tol
     assert np.max(np.abs(v.values - newton.values)) <= 1e-8
 
 
@@ -266,9 +283,9 @@ def test_simulate_barenblatt_l1_accuracy():
 def test_simulate_l2_nonincreasing_and_mass():
     bp, grid, u0 = barenblatt_setup(cells=512)
     traj = simulate(u0, cfg_1d(stepper="explicit"), 1.0, np.linspace(0, 1, 9))
-    l2 = l2_series(traj)
+    l2 = np.array([lp_norm(f, 2.0) for f in traj.fields])
     assert np.all(np.diff(l2) <= 1e-12 * l2[0])
-    masses = mass_series(traj)
+    masses = np.array([integral(f) for f in traj.fields])
     assert np.max(np.abs(masses - masses[0])) <= 1e-10 * masses[0]
 
 
@@ -414,7 +431,7 @@ def test_barenblatt_residual_order_in_h():
     for cells in (1024, 2048):
         grid = GridSpec.line(-6.0, 6.0, cells)
         u = barenblatt_field(bp, grid, 1.0)
-        op = diffusion_operator(u, cfg).values
+        op = _diffusion_rhs(u.values, grid, cfg)
         ut = (barenblatt_field(bp, grid, 1 + eps_t).values
               - barenblatt_field(bp, grid, 1 - eps_t).values) / (2 * eps_t)
         x = grid.coords(0)
