@@ -186,6 +186,11 @@ class EnergyLedger:
     ctilde: float
     L: np.ndarray | None = None
 
+    def with_ctilde(self, ctilde: float) -> EnergyLedger:
+        """The same tails with J rebuilt for the constant ``ctilde``."""
+        return dataclasses.replace(
+            self, J=_jump(self.C, self.p, self.n, self.T, ctilde), ctilde=ctilde)
+
     def save_csv(self, path) -> None:
         ex = ScalingExponents(self.p, self.n)
         with open(path, "w") as fh:
@@ -219,17 +224,23 @@ def build_ledger(traj: Trajectory, p: float, T: float, s_grid,
     a = tails.time_integral(p, "value", s, T)
     b = tails.time_integral(3.0, "value", s, T)
     c = a ** (1.0 + ex.beta2) + b ** (1.0 + ex.beta1)
-    f_t = ex.F(T)
-    j1 = (2.0 * ctilde * f_t * c**ex.beta1) ** (1.0 / (p * ex.beta))
-    j2 = (2.0 * ctilde * f_t * c**ex.beta2) ** (1.0 / ex.beta)
-    j = np.maximum(j1, j2)
     ell = None
     if include_local:
         sup2 = tails.sup_space(2.0, "value", s, T)
         l2t = tails.time_integral(2.0, "value", s, T)
         dis = tails.time_integral(p, "gradient", s, T)
         ell = sup2 + l2t / T + mu1 * dis
-    return EnergyLedger(T, p, n, s, a, b, c, j, ctilde, ell)
+    return EnergyLedger(T, p, n, s, a, b, c, _jump(c, p, n, T, ctilde), ctilde,
+                        ell)
+
+
+def _jump(c: np.ndarray, p: float, n: int, T: float, ctilde: float) -> np.ndarray:
+    """The jump function J of the combined tail energy ``c``."""
+    ex = ScalingExponents(p, n)
+    f_t = ex.F(T)
+    j1 = (2.0 * ctilde * f_t * c**ex.beta1) ** (1.0 / (p * ex.beta))
+    j2 = (2.0 * ctilde * f_t * c**ex.beta2) ** (1.0 / ex.beta)
+    return np.maximum(j1, j2)
 
 
 # ---------------------------------------------------------------------------

@@ -313,6 +313,7 @@ def _halfspace_fsp(cfg: ExperimentConfig, outdir: str, prebuilt=None):
     p, n = cfg["p"], cfg["dimension"]
     traj, tau, l1 = prebuilt if prebuilt is not None else halfspace_run(cfg)
     trace = fronts.trace_support(traj, tau, "halfspace")
+    fronts.save_trace(trace, os.path.join(outdir, "trace.csv"))
     l1_ratio, l1_ok = _l1_audit(l1)
     report = {
         "kind": "halfspace-fsp",
@@ -344,7 +345,6 @@ def _halfspace_fsp(cfg: ExperimentConfig, outdir: str, prebuilt=None):
         report["fitted_slope"] = fit.slope
     except ValueError:
         pass
-    fronts.save_trace(trace, os.path.join(outdir, "trace.csv"))
     if cfg["svg"] and len(ts):
         emit_plot((ts, trace.fronts[ok]), curves,
                   os.path.join(outdir, "envelopes.svg"), logx=True, logy=True,
@@ -552,13 +552,16 @@ def _energy_ledger(cfg: ExperimentConfig, outdir: str, prebuilt=None):
     deltas = np.linspace(2 * h, max(4 * h, (s_max - cfg["s_min"]) / 3.0),
                          cfg["delta_count"])
 
+    # the tails A, B, C (and L) over the s-grid, summed once; the
+    # calibrations below only rescale J by a constant
+    ledger = energetics.build_ledger(traj, p, T, s_grid, include_local=True,
+                                     mu1=mu1, tails=tails)
+
     # calibrate the constant of the combined-energy relation; pairs with
     # C below a relative floor are edge dust (both sides vanish at
     # different polynomial orders there) and are excluded
     ex = energetics.ScalingExponents(p, n)
-    a_vals = tails.time_integral(p, "value", s_grid, T)
-    b_vals = tails.time_integral(3.0, "value", s_grid, T)
-    c_vals = a_vals ** (1.0 + ex.beta2) + b_vals ** (1.0 + ex.beta1)
+    c_vals = ledger.C
     c_interp = lambda x: np.interp(x, s_grid, c_vals)
     f_t = ex.F(T)
     c_floor = 1e-10 * float(c_vals.max())
@@ -579,8 +582,8 @@ def _energy_ledger(cfg: ExperimentConfig, outdir: str, prebuilt=None):
     eps_it = cfg["eps_iter"]
 
     def _relation_holds(ct: float) -> bool:
-        led = energetics.build_ledger(traj, p, T, s_grid, ctilde=ct, tails=tails)
-        return bool(energetics.check_iteration(led, eps_it).holds.all())
+        return bool(energetics.check_iteration(ledger.with_ctilde(ct),
+                                               eps_it).holds.all())
 
     ct_hi = max(ctilde, cfg["ctilde"])
     for _ in range(60):
@@ -598,8 +601,7 @@ def _energy_ledger(cfg: ExperimentConfig, outdir: str, prebuilt=None):
             ct_lo = mid
     ctilde_iter = ct_hi
 
-    ledger = energetics.build_ledger(traj, p, T, s_grid, ctilde=ctilde_iter,
-                                     include_local=True, mu1=mu1, tails=tails)
+    ledger = ledger.with_ctilde(ctilde_iter)
     ledger.save_csv(os.path.join(outdir, "ledger.csv"))
 
     # local energy estimate: measured constant over the (s, delta) grid

@@ -108,6 +108,20 @@ def test_ledger_definitions_and_monotonicity(halfspace_traj):
         assert np.all(np.diff(arr) <= 1e-12 * max(1.0, arr.max()))
 
 
+@pytest.mark.parametrize("ctilde", [1e-3, 0.7, 42.0])
+def test_ledger_with_ctilde_equals_a_ledger_built_with_it(halfspace_traj,
+                                                          ctilde):
+    # the bisection over the constant rescales J and sums no tails again
+    s_grid = np.linspace(0.0, 3.0, 25)
+    built = build_ledger(halfspace_traj, 3.0, 3.0, s_grid, ctilde=ctilde,
+                         include_local=True)
+    led = build_ledger(halfspace_traj, 3.0, 3.0, s_grid,
+                       include_local=True).with_ctilde(ctilde)
+    assert led.ctilde == ctilde
+    for name in ("s", "A", "B", "C", "J", "L"):
+        assert getattr(led, name).tobytes() == getattr(built, name).tobytes()
+
+
 def test_ledger_zero_trajectory():
     g = GridSpec.line(-1.0, 1.0, 64)
     zero = ScalarField.zeros(g)

@@ -189,6 +189,8 @@ def test_gate_failure_raises_with_report(tmp_path, monkeypatch, kind,
     assert "passed = False" in written
     manifest = (tmp_path / "manifest.txt").read_text().splitlines()
     assert "status = failed" in manifest
+    if kind == "halfspace-fsp":  # a failed run keeps its front trace
+        assert "t,front" in (tmp_path / "trace.csv").read_text().splitlines()
 
 
 def test_shared_halfspace_numerical_failure_fails_its_criteria(tmp_path,

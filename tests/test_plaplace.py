@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pflab.core import (DIRICHLET, GridSpec, ModelParams, PERIODIC, ScalarField,
                         integral, lp_norm)
@@ -333,15 +334,19 @@ def _assert_bit_identical(traj, ref):
 @pytest.mark.parametrize("audit", [True, False])
 def test_windowed_simulate_bit_identical_to_full_grid_1d(audit):
     bp, grid, u0 = barenblatt_setup(cells=512, box=10.0)
-    cfg = cfg_1d(stepper="explicit", audit_locality=audit)
     T = 1.0
-    traj = simulate(u0, cfg, T, [0.0, 0.05, 0.3, T])
-    # the support stays far enough inside the box that the window is a
-    # true subset of the grid up to the end
-    assert np.count_nonzero(traj.fields[-1].values) + 2 * plaplace._WINDOW_HALO \
-        < grid.shape[0]
-    _assert_bit_identical(
-        traj, _full_grid_snapshots(u0, cfg, normalize_schedule([0.05, 0.3], T)))
+    # the CFL bound is read from the step's own faces: on every step, and
+    # on every eighth (the default)
+    for cfl_stride in (1, 8):
+        cfg = cfg_1d(stepper="explicit", audit_locality=audit,
+                     cfl_stride=cfl_stride)
+        traj = simulate(u0, cfg, T, [0.0, 0.05, 0.3, T])
+        # the support stays far enough inside the box that the window is a
+        # true subset of the grid up to the end
+        assert np.count_nonzero(traj.fields[-1].values) \
+            + 2 * plaplace._WINDOW_HALO < grid.shape[0]
+        _assert_bit_identical(traj, _full_grid_snapshots(
+            u0, cfg, normalize_schedule([0.05, 0.3], T)))
 
 
 @pytest.mark.parametrize("audit", [True, False])
@@ -350,13 +355,15 @@ def test_windowed_simulate_bit_identical_to_full_grid_2d(bc0, audit):
     bp = BarenblattParams(3.0, 2, C=0.3)
     grid = GridSpec((-6.0, -6.0), (6.0, 6.0), (96, 96), (bc0, DIRICHLET))
     u0 = barenblatt_field(bp, grid, 0.05, center=(0.3, -0.2))
-    cfg = SolverConfig(ModelParams(3.0, 1.0, 2), audit_locality=audit)
     T = 2.0  # about 130 steps
-    traj = simulate(u0, cfg, T, [0.0, 0.01, 0.5, T])
-    rows = traj.fields[-1].values.any(axis=0)  # nonzero nodes along axis 1
-    assert np.count_nonzero(rows) + 2 * plaplace._WINDOW_HALO < grid.shape[1]
-    _assert_bit_identical(
-        traj, _full_grid_snapshots(u0, cfg, normalize_schedule([0.01, 0.5], T)))
+    for cfl_stride in (1, 8):  # the CFL bound from the step's faces, as in 1-D
+        cfg = SolverConfig(ModelParams(3.0, 1.0, 2), audit_locality=audit,
+                           cfl_stride=cfl_stride)
+        traj = simulate(u0, cfg, T, [0.0, 0.01, 0.5, T])
+        rows = traj.fields[-1].values.any(axis=0)  # nonzero nodes along axis 1
+        assert np.count_nonzero(rows) + 2 * plaplace._WINDOW_HALO < grid.shape[1]
+        _assert_bit_identical(traj, _full_grid_snapshots(
+            u0, cfg, normalize_schedule([0.01, 0.5], T)))
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -388,6 +395,136 @@ def test_tight_window_keeps_a_steep_front_bit_identical(monkeypatch, dim):
     traj = simulate(u0, cfg, T, [0.0, T / 3, T])
     _assert_bit_identical(
         traj, _full_grid_snapshots(u0, cfg, normalize_schedule([T / 3], T)))
+
+
+def _plant_past_the_front(values, axis, side):
+    """Set one node two cells past the support's bound on ``axis`` (side
+    -1: below lo, +1: above hi), beside a support node, so that only that
+    axis grows, by two cells."""
+    nz = np.argwhere(values != 0.0)
+    pick = np.argmin if side < 0 else np.argmax
+    node = nz[pick(nz[:, axis])].copy()
+    node[axis] += 2 * side
+    values[tuple(node)] = 1.0
+
+
+def _full_scan_audit(u0, cfg, T, plant_at, axis, side):
+    """The locality audit as a scan of every node after each step, on the
+    public whole-grid steps and ``simulate``'s step schedule, with a node
+    planted past the front after step ``plant_at``."""
+    u, t, steps = u0.copy(), 0.0, 0
+    prev = plaplace._support_bounds(u.values, 0.0)
+    while t < T - 1e-15 * max(T, 1.0):
+        if steps % cfg.cfl_stride == 0:
+            dt_cfl = cfl_dt(u, cfg)
+        dt = min(dt_cfl, T - t)
+        u = step_explicit(u, cfg, dt)
+        t += dt
+        steps += 1
+        if steps == plant_at:
+            _plant_past_the_front(u.values, axis, side)
+        new = plaplace._support_bounds(u.values, 0.0)
+        for ax, ((plo, phi), (nlo, nhi)) in enumerate(zip(prev, new)):
+            if nlo < plo - 1 or nhi > phi + 1:
+                raise NumericalError(
+                    f"support grew more than one cell on axis {ax} in one "
+                    f"step at t = {t:.6g}")
+        prev = new
+    raise AssertionError("the planted node was never audited")
+
+
+def _locality_case(dim, bc0):
+    if dim == 1:
+        u0 = barenblatt_setup(cells=512, box=10.0)[2]
+    else:
+        grid = GridSpec((-6.0, -6.0), (6.0, 6.0), (64, 64), (bc0, DIRICHLET))
+        u0 = barenblatt_field(BarenblattParams(3.0, 2, C=0.3), grid, 0.05,
+                              center=(0.3, -0.2))
+    return u0, SolverConfig(ModelParams(3.0, 1.0, dim))
+
+
+@pytest.mark.parametrize("plant_at", [3, 40])  # before and after rescans
+@pytest.mark.parametrize("dim,bc0,axis", [
+    (1, DIRICHLET, 0), (2, DIRICHLET, 0), (2, DIRICHLET, 1), (2, PERIODIC, 0),
+    (2, PERIODIC, 1)])
+@pytest.mark.parametrize("side", [-1, 1])
+def test_audit_raises_on_a_planted_two_cell_jump(monkeypatch, dim, bc0, axis,
+                                                 side, plant_at):
+    u0, cfg = _locality_case(dim, bc0)
+    T = 400 * cfl_dt(u0, cfg)
+    with pytest.raises(NumericalError) as want:
+        _full_scan_audit(u0, cfg, T, plant_at, axis, side)
+    assert f"on axis {axis} in one step" in str(want.value)
+
+    step, calls = plaplace._explicit_step, []
+
+    def planted(sub, rhs, dt, win):
+        step(sub, rhs, dt, win)
+        calls.append(win)
+        if len(calls) == plant_at:
+            _plant_past_the_front(sub, axis, side)
+
+    monkeypatch.setattr(plaplace, "_explicit_step", planted)
+    with pytest.raises(NumericalError) as got:
+        simulate(u0, cfg, T, [0.0, T])
+    assert str(got.value) == str(want.value)
+    assert len(calls) == plant_at
+    last = calls[-1][-1]  # the jump was planted in a window, not the grid
+    assert last.stop - last.start < u0.values.shape[-1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_edge_scan_equals_a_full_scan_of_the_window(data):
+    """On random sparse fields: bounds that match a scan of every node of
+    the window, or the audit's error when the support passed the seed by
+    more than a node; edge nodes at exact zero (denormal underflow), a
+    vanished field and nonzero nodes outside the window included."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    dim = data.draw(st.integers(1, 2))
+    shape = tuple(data.draw(st.integers(4, 24)) for _ in range(dim))
+    win, seed, near = [], [], []
+    for n in shape:
+        a = data.draw(st.integers(0, n - 3))
+        b = data.draw(st.integers(a + 3, n))
+        lo = data.draw(st.integers(a, b - 1))
+        hi = data.draw(st.integers(lo, b - 1))
+        win.append(slice(a, b))
+        seed.append((lo, hi))
+        near.append(slice(max(lo - 1, a), min(hi + 2, b)))
+    win, near = tuple(win), tuple(near)
+    values = rng.choice([0.0, 1.0, -2.0, 5e-324], size=shape)  # outside: noise
+    values[win] = 0.0
+    density = data.draw(st.sampled_from([0.0, 0.05, 0.3, 1.0]))
+    block = values[near]
+    block[...] = np.where(rng.random(block.shape) < density,
+                          rng.choice([1.0, -3.5, 1e-310, -5e-324], block.shape),
+                          0.0)
+    if data.draw(st.booleans()):  # plant one node anywhere in the window
+        node = tuple(int(rng.integers(s.start, s.stop)) for s in win)
+        values[node] = 2.0
+    full = plaplace._support_bounds(values[win], 0.0)
+    want = None if full is None else [
+        (lo + s.start, hi + s.start) for (lo, hi), s in zip(full, win)]
+    grown = [] if want is None else [
+        ax for ax, ((lo, hi), (plo, phi)) in enumerate(zip(want, seed))
+        if lo < plo - 1 or hi > phi + 1]
+    if grown:
+        with pytest.raises(NumericalError, match=f"on axis {grown[0]} in one"):
+            plaplace._edge_bounds(values, win, seed, 0.0)
+    else:
+        assert plaplace._edge_bounds(values, win, seed, 0.0) == want
+
+
+def test_edge_scan_steps_past_underflowed_edges_and_a_vanished_field():
+    values = np.zeros(64)
+    values[10:41] = 1.0
+    win, seed = (slice(4, 60),), [(10, 40)]
+    assert plaplace._edge_bounds(values, win, seed, 0.0) == [(10, 40)]
+    values[10:15] = values[36:41] = 0.0  # the edge nodes underflowed
+    assert plaplace._edge_bounds(values, win, seed, 0.0) == [(15, 35)]
+    values[:] = 0.0
+    assert plaplace._edge_bounds(values, win, seed, 0.0) is None
 
 
 def test_check_finite_overflowing_sum_and_bad_nodes():
