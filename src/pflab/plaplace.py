@@ -19,9 +19,11 @@ diffusivities built from the full gradient magnitude):
 With ``eps_reg = 0`` both steppers propagate exact zeros: fluxes vanish
 where the solution vanishes, and the Newton linearization decouples
 outside the support, so neither stepper contaminates the far field.
-``simulate`` uses this for the explicit stepper: with ``eps_reg = 0`` and
-``p > 2`` each explicit step acts only on the support's bounding window
-plus a halo, and the trajectory is bit-identical to full-grid stepping.
+Both use this: with ``eps_reg = 0`` and ``p > 2`` each explicit step acts
+only on the support's bounding window plus a halo, and the trajectory is
+bit-identical to full-grid stepping; each proximal step is solved on
+such a window, guarded so that it is the whole-grid solve up to the order
+of its sums (:func:`step_implicit_proximal`).
 The support's bounds, which the locality audit checks after every step
 and the window follows, come from an edge scan seeded by the previous
 bounds (:func:`_edge_bounds`), so that bookkeeping costs what the front
@@ -514,31 +516,55 @@ def _grad_residual(g: np.ndarray, vol: np.ndarray) -> float:
     return float(np.sqrt(np.sum(g * g / vol)))
 
 
-def step_implicit_proximal(u: ScalarField, cfg: SolverConfig, dt: float,
-                           v0: np.ndarray | None = None) -> ScalarField:
-    """Proximal (backward Euler) step by damped Newton.
+def _sub_grid(grid: GridSpec, win: tuple) -> GridSpec:
+    """The nodes ``win`` of ``grid`` as a grid of their own, with the
+    parent's ``spacing`` tuple (not recomputed from the bounds, so every
+    face operator does the same arithmetic) and the parent's node weights
+    in :meth:`~GridSpec.volumes` (a window edge is no trapezoid end)."""
+    if all(s.stop - s.start == n for s, n in zip(win, grid.shape)):
+        return grid
+    h = grid.spacing
+    lower = tuple(lo + s.start * ha for lo, s, ha in zip(grid.lower, win, h))
+    cells = tuple(n if grid.is_periodic(axis) else s.stop - s.start - 1
+                  for axis, (s, n) in enumerate(zip(win, grid.cells)))
+    sub = GridSpec(lower, tuple(lo + c * ha for lo, c, ha in zip(lower, cells, h)),
+                   cells, grid.bc)
+    # both are cached properties, whose values live in the instance dict
+    sub.__dict__["spacing"] = h
+    sub.__dict__["_volumes"] = np.ascontiguousarray(grid.volumes()[win])
+    return sub
 
-    Guarantees the energy inequality
-    ``E(v) + |v - u|^2/(2 dt) <= E(u) + tol`` because the line search
-    never accepts an objective increase from the start point ``u``.
-    """
-    if cfg.params.p < 2:
-        raise ValueError("proximal stepper requires p >= 2")
-    grid = u.grid
-    prob = _ProxProblem(u.values, grid, cfg, dt)
-    v = u.values.copy() if v0 is None else np.asarray(v0, dtype=float).copy()
-    j_u = prob.value(u.values)
+
+def _outer_rings(win: tuple, shape: tuple) -> list:
+    """Indices, into the window ``win`` of a node array of ``shape``, of
+    the two outermost node layers of each window side inside the array."""
+    rings = []
+    for axis, (s, n) in enumerate(zip(win, shape)):
+        if s.start > 0:
+            rings.append(_sl(len(shape), axis, slice(0, 2)))
+        if s.stop < n:
+            rings.append(_sl(len(shape), axis, slice(-2, None)))
+    return rings
+
+
+def _proximal_newton(u: np.ndarray, v: np.ndarray, grid: GridSpec,
+                     cfg: SolverConfig, dt: float, rings: list):
+    """The proximal step of ``u`` on ``grid`` by damped Newton from ``v``,
+    or None as soon as a Newton direction is nonzero on one of ``rings``
+    (the start is zero there, so the result is too when every direction
+    is)."""
+    prob = _ProxProblem(u, grid, cfg, dt)
+    j_u = prob.value(u)
     j, g = prob.value_and_grad(v)
     if j > j_u:  # extrapolated warm start went uphill; fall back
-        v = u.values.copy()
+        v = u
         j, g = prob.value_and_grad(v)
     banded = grid.dim == 1 and not grid.is_periodic(0)
     res0 = _grad_residual(g, prob.vol)
     for _ in range(cfg.max_inner):
         res = _grad_residual(g, prob.vol)
         if res <= cfg.tol:
-            _check_finite(v, "implicit step")
-            return ScalarField(grid, v)
+            return v
         if banded:
             ab = prob.banded_hessian()
             diag = ab[1]
@@ -552,6 +578,8 @@ def step_implicit_proximal(u: ScalarField, cfg: SolverConfig, dt: float,
         if slope >= 0:  # the solve returned a non-descent direction
             delta = -g / diag
             slope = float(np.sum(g * delta))
+        if any(_any_nonzero(delta[ring]) for ring in rings):
+            return None
         # Armijo with a roundoff-scale slack so terminal Newton steps are
         # accepted once genuine decreases fall below the resolution of J
         slack = 32.0 * np.finfo(float).eps * max(1.0, abs(j))
@@ -569,6 +597,51 @@ def step_implicit_proximal(u: ScalarField, cfg: SolverConfig, dt: float,
     raise NumericalError(
         f"proximal step: {cfg.max_inner} Newton iterations exhausted, "
         f"residual {_grad_residual(g, prob.vol):.3e} > tol {cfg.tol:.3e}")
+
+
+def step_implicit_proximal(u: ScalarField, cfg: SolverConfig, dt: float,
+                           v0: np.ndarray | None = None) -> ScalarField:
+    """Proximal (backward Euler) step by damped Newton from ``v0`` (or ``u``).
+
+    Guarantees the energy inequality
+    ``E(v) + |v - u|^2/(2 dt) <= E(u) + tol`` because the line search
+    never accepts an objective increase from the start point ``u``.
+
+    With ``eps_reg = 0`` and ``p > 2`` the step is solved on a window: the
+    bounding box of ``supp(u) | supp(v0)`` plus a halo of
+    ``_WINDOW_HALO`` nodes on each dirichlet axis (periodic axes stay
+    whole), as a grid of its own with the parent's spacing and node
+    weights.  Where the iterate vanishes two nodes deep, the face tensor
+    ``K`` vanishes, so the whole-grid Hessian there is ``vol/dt``, the
+    gradient is 0, and every Krylov vector, Newton direction and line
+    search point keeps those nodes exactly 0: the windowed solve is the
+    whole-grid solve, up to the order of its sums.  A guard keeps it so:
+    when a Newton direction is nonzero on the outer two nodes of a window
+    side inside the grid, the step is redone from its start with twice
+    the halo.  A window that reaches the grid edge on every side is the
+    whole grid; runs with ``eps_reg > 0`` or ``p = 2`` always solve there.
+    """
+    if cfg.params.p < 2:
+        raise ValueError("proximal stepper requires p >= 2")
+    grid = u.grid
+    v0 = u.values if v0 is None else np.asarray(v0, dtype=float)
+    whole = _whole(u.values)
+    bounds = None
+    if cfg.eps_reg == 0.0 and cfg.params.degenerate:
+        bounds = _support_bounds((u.values != 0.0) | (v0 != 0.0), 0.0)
+    halo = _WINDOW_HALO
+    while True:
+        win = _support_window(bounds, grid, whole, halo)
+        v = _proximal_newton(np.ascontiguousarray(u.values[win]),
+                             np.ascontiguousarray(v0[win]), _sub_grid(grid, win),
+                             cfg, dt, _outer_rings(win, grid.shape))
+        if v is not None:
+            break
+        halo *= 2
+    _check_finite(v, "implicit step", win)
+    out = np.zeros(grid.shape)
+    out[win] = v
+    return ScalarField(grid, out)
 
 
 # ---------------------------------------------------------------------------
@@ -686,15 +759,15 @@ def _edge_bounds(values: np.ndarray, win: tuple, seed, t: float):
     return bounds
 
 
-def _support_window(bounds, grid: GridSpec, win: tuple) -> tuple:
+def _support_window(bounds, grid: GridSpec, win: tuple, halo: int) -> tuple:
     """Window of the support ``bounds`` (whole-array indices, or None for
-    a zero field, which keeps ``win``) grown by the halo on dirichlet
+    a zero field, which keeps ``win``) grown by ``halo`` nodes on dirichlet
     axes."""
     if bounds is None:
         return win
     return tuple(
         s if grid.is_periodic(axis)
-        else slice(max(lo - _WINDOW_HALO, 0), min(hi + _WINDOW_HALO + 1, n))
+        else slice(max(lo - halo, 0), min(hi + halo + 1, n))
         for axis, ((lo, hi), s, n) in enumerate(zip(bounds, win, grid.shape)))
 
 
@@ -717,6 +790,15 @@ def simulate(u0: ScalarField, cfg: SolverConfig, T: float,
     the last step's bounds, the rescan reuses them (or, without the audit,
     scans in from the window's edges), and on CFL steps the bound is read
     from the ``|face grad|^2`` the step itself forms.
+
+    Implicit runs take one :func:`step_implicit_proximal` per substep,
+    warm-started by linear extrapolation of the last two fields.  With
+    ``eps_reg = 0`` and ``p > 2`` each is solved on the window of the
+    support of its data and warm start, and is the whole-grid step up to
+    the order of its sums: outside the support's ring the Newton system
+    decouples to ``vol/dt`` with a zero right-hand side, and the step is
+    redone on a wider window whenever a Newton direction reaches the
+    window's edge.
     """
     if not T > 0:
         raise ValueError("horizon T must be positive")
@@ -755,7 +837,7 @@ def simulate(u0: ScalarField, cfg: SolverConfig, T: float,
                 if windowed and steps_since_checks % _WINDOW_RESCAN == 0:
                     if not audit:
                         bounds = _edge_bounds(values, win, window_seed(), t)
-                    win = _support_window(bounds, grid, win)
+                    win = _support_window(bounds, grid, win, _WINDOW_HALO)
                 sub = values[win]
                 if steps_since_checks % cfg.cfl_stride == 0:
                     a2_max = []

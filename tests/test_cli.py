@@ -40,6 +40,20 @@ def test_exit_code_line_search_stall(tmp_path, capsys, monkeypatch):
                    "--svg", "false")
     assert code == 2
     assert "line search stalled" in capsys.readouterr().err
+    # the same from CG in 2-D, solved on a window of the 97^2 grid
+    shapes = []
+
+    def overlong(apply_h, b, *args, **kw):
+        shapes.append(b.shape)
+        return 1e30 * b
+
+    monkeypatch.setattr(plaplace, "_pcg", overlong)
+    code = run_cli("barenblatt", "--dimension", "2", "--cells", "96",
+                   "--bounds=-4:4", "--height-c", "0.5", "--t-end", "2",
+                   "--outdir", str(tmp_path / "out2"), "--svg", "false")
+    assert code == 2
+    assert "line search stalled" in capsys.readouterr().err
+    assert shapes and all(a < 97 for shape in shapes for a in shape)
 
 
 def test_exit_code_usage_error(tmp_path, capsys):

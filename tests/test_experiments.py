@@ -264,6 +264,11 @@ def test_decay_refinement_failure_fails_criteria_11_and_12(tmp_path,
                            t0=5e-8, t_end=3.0, stepper="explicit",
                            snapshots_per_decade=48, s_count=25, delta_count=6,
                            eps_iter=0.5, refine_check=False)),
+    # implicit 2-D: the early proximal steps are solved on a window of the grid
+    ("barenblatt-fit", dict(p=3.0, dimension=2, cells=(128,), bounds="-5.5:5.5",
+                            t0=1.0, t_end=12.0, stepper="implicit",
+                            snapshots_per_decade=16, tol_inner=1e-8,
+                            height_c=0.5, exponent_tol=0.08)),
 ])
 def test_rerun_artifacts_byte_identical(tmp_path, kind, overrides):
     outs = [tmp_path / "r1", tmp_path / "r2"]

@@ -144,11 +144,13 @@ def test_implicit_energy_inequality_and_descent():
             u = v
 
 
-def test_implicit_iteration_cap_error():
+def test_implicit_iteration_cap_error(monkeypatch):
     bp, grid, u0 = barenblatt_setup(cells=256)
     cfg = cfg_1d(stepper="implicit", max_inner=1, tol=1e-14)
+    windows = _record_windows(monkeypatch)
     with pytest.raises(NumericalError, match="residual"):
         step_implicit_proximal(u0, cfg, 0.1)
+    _assert_windowed(windows, grid)
 
 
 @pytest.mark.parametrize("field,value", [
@@ -222,8 +224,8 @@ def test_implicit_non_descent_solve_falls_back_to_steepest_descent(
     # scaled steepest descent converges within the iteration cap
     if dim == 1:
         u = barenblatt_setup(cells=256)[2]
-    else:
-        grid = GridSpec((-3.0, -3.0), (3.0, 3.0), (24, 24),
+    else:  # the spacing of 24 cells on [-3, 3], with room for a window
+        grid = GridSpec((-8.0, -8.0), (8.0, 8.0), (64, 64),
                         (DIRICHLET, DIRICHLET))
         u = barenblatt_field(BarenblattParams(3.0, 2, C=0.5), grid, 1.0)
     cfg = SolverConfig(ModelParams(3.0, 1.0, dim), stepper="implicit")
@@ -239,19 +241,188 @@ def test_implicit_non_descent_solve_falls_back_to_steepest_descent(
         monkeypatch.setattr(plaplace, "solve_banded", lambda lu, ab, b: ascent(b))
     else:
         monkeypatch.setattr(plaplace, "_pcg", lambda h, b, *a, **k: ascent(b))
+    windows = _record_windows(monkeypatch)
     v = step_implicit_proximal(u, cfg, dt)
     assert calls
+    _assert_windowed(windows, u.grid)
     quad = 0.5 / dt * lp_norm(ScalarField(u.grid, v.values - u.values), 2.0) ** 2
     assert _stored_energy(v, cfg) + quad <= _stored_energy(u, cfg) + cfg.tol
     assert np.max(np.abs(v.values - newton.values)) <= 1e-8
 
 
 def test_implicit_line_search_stall_raises(monkeypatch):
-    # a descent direction so long that every halving still overshoots
-    monkeypatch.setattr(plaplace, "solve_banded", lambda lu, ab, b: 1e30 * b)
-    bp, grid, u0 = barenblatt_setup(cells=256)
-    with pytest.raises(NumericalError, match="line search stalled"):
-        step_implicit_proximal(u0, cfg_1d(stepper="implicit"), 0.1)
+    # a descent direction so long that every halving still overshoots, in
+    # 1-D from the band solve and in 2-D from CG, both on a window; the
+    # message is the whole-grid solve's
+    grid_2d = GridSpec((-4.0, -4.0), (4.0, 4.0), (96, 96),
+                       (DIRICHLET, DIRICHLET))
+    for u0, solver, overlong in (
+            (barenblatt_setup(cells=256)[2], "solve_banded",
+             lambda lu, ab, b: 1e30 * b),
+            (barenblatt_field(BarenblattParams(3.0, 2, C=0.5), grid_2d, 1.0),
+             "_pcg", lambda h, b, *a, **k: 1e30 * b)):
+        cfg = SolverConfig(ModelParams(3.0, 1.0, u0.grid.dim), stepper="implicit")
+        with monkeypatch.context() as m:
+            m.setattr(plaplace, solver, overlong)
+            with pytest.raises(NumericalError) as want:
+                _whole_grid_proximal(u0, cfg, 0.1)
+            windows = _record_windows(m)
+            with pytest.raises(NumericalError, match="line search stalled") as got:
+                step_implicit_proximal(u0, cfg, 0.1)
+        assert str(got.value) == str(want.value)
+        _assert_windowed(windows, u0.grid)
+
+
+def _whole_grid_proximal(u, cfg, dt, v0=None):
+    """Oracle: the proximal step by damped Newton on every node of the
+    grid, as it was solved before the support window."""
+    prob = plaplace._ProxProblem(u.values, u.grid, cfg, dt)
+    v = u.values.copy() if v0 is None else np.asarray(v0, dtype=float).copy()
+    j_u = prob.value(u.values)
+    j, g = prob.value_and_grad(v)
+    if j > j_u:
+        v = u.values.copy()
+        j, g = prob.value_and_grad(v)
+    banded = u.grid.dim == 1 and not u.grid.is_periodic(0)
+    res0 = plaplace._grad_residual(g, prob.vol)
+    for _ in range(cfg.max_inner):
+        res = plaplace._grad_residual(g, prob.vol)
+        if res <= cfg.tol:
+            return v
+        if banded:
+            ab = prob.banded_hessian()
+            diag = ab[1]
+            delta = plaplace.solve_banded((1, 1), ab, -g)
+        else:
+            diag = prob.hess_diag()
+            rtol = min(0.1, np.sqrt(res / res0)) if res0 > 0 else 0.1
+            delta = plaplace._pcg(prob.hess_vec, -g, 1.0 / diag,
+                                  rtol=max(rtol, 1e-12), maxiter=600)
+        slope = float(np.sum(g * delta))
+        if slope >= 0:
+            delta = -g / diag
+            slope = float(np.sum(g * delta))
+        slack = 32.0 * np.finfo(float).eps * max(1.0, abs(j))
+        step = 1.0
+        while prob.value(v + step * delta) > j + 1e-4 * step * slope + slack:
+            step *= 0.5
+            if step < 1e-14:
+                raise NumericalError(
+                    f"proximal line search stalled at residual {res:.3e}")
+        v = v + step * delta
+        j, g = prob.value_and_grad(v)
+    raise NumericalError(
+        f"proximal step: {cfg.max_inner} Newton iterations exhausted, "
+        f"residual {plaplace._grad_residual(g, prob.vol):.3e} > tol {cfg.tol:.3e}")
+
+
+def _record_windows(monkeypatch):
+    """The window of every proximal solve attempt, in call order."""
+    windows, support_window = [], plaplace._support_window
+
+    def record(*args):
+        windows.append(support_window(*args))
+        return windows[-1]
+
+    monkeypatch.setattr(plaplace, "_support_window", record)
+    return windows
+
+
+def _assert_windowed(windows, grid):
+    assert windows
+    for win in windows:
+        assert np.prod([s.stop - s.start for s in win]) < np.prod(grid.shape)
+
+
+def _assert_matches_oracle(v, u, cfg, dt, v0, windows):
+    """The step ``v``: a minimizer on the whole grid, zero outside the last
+    window, and the oracle's result to 1e-12 relative."""
+    prob = plaplace._ProxProblem(u.values, u.grid, cfg, dt)
+    assert plaplace._grad_residual(prob.value_and_grad(v.values)[1],
+                                   prob.vol) <= cfg.tol
+    outside = np.ones(u.grid.shape, dtype=bool)
+    outside[windows[-1]] = False
+    assert not np.any(v.values[outside])
+    want = _whole_grid_proximal(u, cfg, dt, v0)
+    assert np.max(np.abs(v.values - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+# compactly supported Barenblatt data well inside the grid: (grid, C, t0,
+# dt).  Newton leaves nonzero nodes, down to denormals, some ten nodes
+# past the support in one step, so the grids leave room for that and the
+# halo.
+_WINDOW_CASES = {
+    "1d-dirichlet": (GridSpec.line(-7.0, 7.0, 512), 1.0, 1.0, 0.2),
+    "2d-dir-dir": (GridSpec((-6.0, -6.0), (6.0, 6.0), (96, 96),
+                            (DIRICHLET, DIRICHLET)), 0.3, 1.0, 0.2),
+    "2d-per-dir": (GridSpec((-4.0, -6.0), (4.0, 6.0), (64, 90),
+                            (PERIODIC, DIRICHLET)), 0.3, 1.0, 0.2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_WINDOW_CASES))
+def test_windowed_proximal_step_is_the_whole_grid_step(monkeypatch, name):
+    grid, c, t0, dt = _WINDOW_CASES[name]
+    u0 = barenblatt_field(BarenblattParams(3.0, grid.dim, C=c), grid, t0)
+    cfg = SolverConfig(ModelParams(3.0, 1.0, grid.dim), stepper="implicit")
+    windows = _record_windows(monkeypatch)
+    u1 = step_implicit_proximal(u0, cfg, dt)
+    _assert_matches_oracle(u1, u0, cfg, dt, None, windows)
+    guess = u1.values + (u1.values - u0.values)  # simulate's warm start
+    u2 = step_implicit_proximal(u1, cfg, dt, v0=guess)
+    _assert_matches_oracle(u2, u1, cfg, dt, guess, windows)
+    assert len(windows) == 2  # no redo
+    _assert_windowed(windows, grid)
+    for axis, win in enumerate(windows[-1]):
+        assert (win == slice(0, grid.shape[axis])) == grid.is_periodic(axis)
+
+
+@pytest.mark.parametrize("name", sorted(_WINDOW_CASES))
+@pytest.mark.parametrize("p,eps", [(2.0, 0.0), (3.0, 0.3)])
+def test_regularized_or_linear_proximal_step_runs_on_the_whole_grid(
+        monkeypatch, name, p, eps):
+    grid, c, t0, dt = _WINDOW_CASES[name]
+    u0 = barenblatt_field(BarenblattParams(3.0, grid.dim, C=c), grid, t0)
+    cfg = SolverConfig(ModelParams(p, 1.0, grid.dim), eps_reg=eps,
+                       stepper="implicit")
+    windows = _record_windows(monkeypatch)
+    v = step_implicit_proximal(u0, cfg, dt)
+    assert windows == [plaplace._whole(u0.values)]
+    assert v.values.tobytes() == _whole_grid_proximal(u0, cfg, dt).tobytes()
+
+
+@pytest.mark.parametrize("grid,t0,dt,redos", [
+    (GridSpec.line(-10.0, 10.0, 1000), 0.1, 0.2, 2),
+    (GridSpec((-4.0, -4.0), (4.0, 4.0), (128, 128), (DIRICHLET, DIRICHLET)),
+     0.02, 0.5, 1)])
+def test_guard_widens_the_window_when_newton_outruns_the_halo(
+        monkeypatch, grid, t0, dt, redos):
+    # a narrow support and a long step: Newton carries the support past
+    # the halo in one step; the step is redone with a doubled halo until
+    # it stays inside, and the last window is still smaller than the grid
+    u0 = barenblatt_field(BarenblattParams(3.0, grid.dim, C=1.0 / grid.dim),
+                          grid, t0)
+    cfg = SolverConfig(ModelParams(3.0, 1.0, grid.dim), stepper="implicit")
+    windows = _record_windows(monkeypatch)
+    v = step_implicit_proximal(u0, cfg, dt)
+    assert len(windows) == redos + 1
+    grown = np.flatnonzero(v.values.any(axis=0) if grid.dim == 2 else v.values)
+    first = windows[0][-1]
+    assert grown[0] < first.start + 2 or grown[-1] >= first.stop - 2
+    _assert_windowed(windows, grid)
+    _assert_matches_oracle(v, u0, cfg, dt, None, windows)
+
+
+@pytest.mark.parametrize("grid,c", [
+    (GridSpec.line(-3.0, 3.0, 128), 1.0),
+    (GridSpec((-2.5, -2.5), (2.5, 2.5), (48, 48), (DIRICHLET, DIRICHLET)), 0.5)])
+def test_support_near_the_grid_edge_runs_on_the_whole_grid(monkeypatch, grid, c):
+    u0 = barenblatt_field(BarenblattParams(3.0, grid.dim, C=c), grid, 1.0)
+    cfg = SolverConfig(ModelParams(3.0, 1.0, grid.dim), stepper="implicit")
+    windows = _record_windows(monkeypatch)
+    v = step_implicit_proximal(u0, cfg, 0.1)
+    assert windows == [plaplace._whole(u0.values)]
+    assert v.values.tobytes() == _whole_grid_proximal(u0, cfg, 0.1).tobytes()
 
 
 def test_cross_scheme_agreement():
