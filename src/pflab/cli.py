@@ -74,10 +74,7 @@ def _cmd_barenblatt(args) -> int:
 
 
 def _cmd_fluid2d(args) -> int:
-    forced = {"experiment": "fluid2d-taylor-green", "dimension": "2"}
-    if args.variant == "halfplane":
-        forced["experiment"] = "fluid2d-halfplane"
-    return _run(args, forced)
+    return _run(args, {"experiment": "fluid2d-taylor-green", "dimension": "2"})
 
 
 def _cmd_energy(args) -> int:
@@ -179,9 +176,7 @@ def main(argv=None) -> int:
                                                 "in the config"))
     with_config(sub.add_parser("barenblatt", help="self-similar front fit / "
                                                   "accuracy study"))
-    pf = with_config(sub.add_parser("fluid2d", help="2-D fluid experiments"))
-    pf.add_argument("--variant", choices=("taylor-green", "halfplane"),
-                    default="taylor-green")
+    with_config(sub.add_parser("fluid2d", help="2-D Taylor-Green fluid run"))
     with_config(sub.add_parser("energy", help="tail-energy ledger and checks"))
     with_config(sub.add_parser("verify-lemmas", help="iteration, interpolation "
                                                      "and identity suites"))

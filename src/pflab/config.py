@@ -16,7 +16,6 @@ EXPERIMENT_KINDS = (
     "barenblatt-fit",
     "halfspace-fsp",
     "fluid2d-taylor-green",
-    "fluid2d-halfplane",
     "energy-ledger",
     "stampacchia-suite",
     "interpolation-suite",
@@ -27,7 +26,6 @@ EXPERIMENT_KINDS = (
 _FINITE_SPEED_KINDS = (
     "barenblatt-fit",
     "halfspace-fsp",
-    "fluid2d-halfplane",
     "energy-ledger",
 )
 
@@ -118,10 +116,6 @@ SCHEMA: dict[str, tuple[str, object, str]] = {
     "weak_residual_check": ("bool", False, "run the weak-form refinement study"),
     "weak_fields": ("int", 20, "number of random test fields"),
     "dt_fixed": ("float", 0.0, "fixed fluid step (0 = adaptive CFL)"),
-    "band_center": ("float", -1.5, "vorticity band center (x_N)"),
-    "band_halfwidth": ("float", 0.8, "vorticity band halfwidth"),
-    "band_amplitude": ("float", 1.0, "vorticity band amplitude"),
-    "locality_cells": ("int", 3, "allowed support advance in cells per step"),
     # energetics
     "s_count": ("int", 33, "s-grid size for ledgers"),
     "s_min": ("float", 0.0, "s-grid lower end"),

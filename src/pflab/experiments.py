@@ -28,10 +28,8 @@ from .core import (DIRICHLET, PERIODIC, GridSpec, ModelParams, ScalarField,
 from .errors import VerificationError
 from .exact import (BarenblattParams, barenblatt_field, halfspace_initial_data,
                     taylor_green_field)
-from .fluid2d import (FluidConfig, band_initial_data, fluid_step, FluidState,
-                      kinetic_energy, project, random_stream_coeffs,
-                      simulate_fluid, stream_field, weak_residual,
-                      advective_cfl_dt, viscous_cfl_dt)
+from .fluid2d import (FluidConfig, kinetic_energy, random_stream_coeffs,
+                      simulate_fluid, stream_field, weak_residual)
 from .inequalities import (check_stampacchia_relation, concave_majorant_family,
                            gn_ratio, stampacchia_vanishing_point)
 from .plaplace import SolverConfig, Trajectory, simulate
@@ -371,8 +369,6 @@ def run_halfspace_fsp(cfg: ExperimentConfig, outdir: str,
 
 def _fluid_cfg(cfg: ExperimentConfig) -> FluidConfig:
     eps = cfg["eps_reg"] if cfg["eps_reg"] > 0 else None
-    if cfg["eps_reg"] == 0.0 and cfg["experiment"] == "fluid2d-halfplane":
-        eps = 0.0  # support studies want the unregularized flux
     return FluidConfig(_model(cfg), eps_reg=eps, advection=cfg["advection"],
                        cfl_safety=cfg["fluid_cfl_safety"])
 
@@ -461,66 +457,6 @@ def _fluid_taylor_green(cfg: ExperimentConfig, outdir: str):
                           f"(tol {cfg['ke_rate_tol']:.1%}), max div "
                           f"{div_max:.2e} (tol {cfg['div_tol']:.1e}), KE "
                           f"monotone {ke_monotone}")
-
-
-def _fluid_halfplane(cfg: ExperimentConfig, outdir: str):
-    mu1 = cfg["mu1"]
-    cells = cfg["cells"][0]
-    grid = GridSpec.box((0.0, -np.pi), (2 * np.pi, np.pi), cells, PERIODIC)
-    v0 = band_initial_data(grid, cfg["band_center"], cfg["band_halfwidth"],
-                           cfg["band_amplitude"])
-    fcfg = _fluid_cfg(cfg)
-    v0 = project(v0)
-    state = FluidState(v0)
-    scale = float(np.max(v0.magnitude()))
-    tau = cfg["threshold_frac"] * scale
-    l1_0 = lp_norm(v0, 1.0)
-    hy = grid.spacing[1]
-    rows = [(0.0, fronts.support_front(v0, tau, "halfspace"), 1.0)]
-    worst_step_cells = 0.0
-    background = 0.0  # pressure-tail level far above the band
-    far = grid.coords(1) > cfg["band_center"] + 4.0 * cfg["band_halfwidth"]
-    t_end = cfg["t_end"]
-    while state.time < t_end - 1e-12:
-        dt = min(advective_cfl_dt(state.velocity, fcfg),
-                 viscous_cfl_dt(state.velocity, fcfg),
-                 t_end - state.time)
-        state = fluid_step(state, fcfg, dt)
-        mag = state.velocity.magnitude()
-        if far.any():
-            background = max(background, float(mag[:, far].max()) / scale)
-        front = fronts.support_front(state.velocity, tau, "halfspace")
-        l1r = lp_norm(state.velocity, 1.0) / l1_0
-        prev = rows[-1][1]
-        if front is not None and prev is not None and len(rows) > 1:
-            worst_step_cells = max(worst_step_cells, (front - prev) / hy)
-        rows.append((state.time, front, l1r))
-    with open(os.path.join(outdir, "trace.csv"), "w") as fh:
-        fh.write("t,front,l1_ratio\n")
-        for t, f, r in rows:
-            fh.write(f"{t:.17g},{'' if f is None else format(f, '.17g')},{r:.17g}\n")
-    if cfg["svg"]:
-        emit_heatmap(state.velocity.magnitude(),
-                     os.path.join(outdir, "speed_final.svg"),
-                     title=f"|u| at t = {state.time:.3g}")
-    report = {
-        "kind": "fluid2d-halfplane",
-        "p": cfg["p"], "tau": tau,
-        "steps": len(rows) - 1,
-        "front_initial": rows[1][1],
-        "front_final": rows[-1][1],
-        "max_advance_cells_per_step": worst_step_cells,
-        "locality_limit_cells": cfg["locality_cells"],
-        "background_tail_over_max": background,
-        "l1_ratio_final": rows[-1][2],
-        "l1_ratio_max": max(r for _, _, r in rows),
-        "passed": bool(worst_step_cells <= cfg["locality_cells"]
-                       and background < cfg["threshold_frac"]),
-    }
-    return _gated(report, f"support advanced {worst_step_cells:.2f} cells in "
-                          f"one step (limit {cfg['locality_cells']}) or "
-                          f"projection tail {background:.2e} reached the "
-                          f"threshold {cfg['threshold_frac']:.0e}")
 
 
 # ---------------------------------------------------------------------------
@@ -831,7 +767,6 @@ _RUNNERS = {
     "barenblatt-fit": _barenblatt_fit,
     "halfspace-fsp": _halfspace_fsp,
     "fluid2d-taylor-green": _fluid_taylor_green,
-    "fluid2d-halfplane": _fluid_halfplane,
     "energy-ledger": _energy_ledger,
     "stampacchia-suite": _stampacchia_suite,
     "interpolation-suite": _interpolation_suite,

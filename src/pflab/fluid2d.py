@@ -33,6 +33,7 @@ from .plaplace import (Trajectory, _face_avg, _face_diff, _face_diff_adj,
                         _trans_deriv, normalize_schedule)
 
 _TWO_PI = 2.0 * np.pi
+_DT_MAX = 1.0  # the CFL bounds' cap, and the step of a field at rest
 
 
 @dataclasses.dataclass
@@ -44,7 +45,6 @@ class FluidConfig:
     eps_reg: float | None = None
     advection: str = "central"
     cfl_safety: float = 0.4
-    dt_max: float = 1.0
 
     def __post_init__(self):
         if self.params.dim != 2:
@@ -53,8 +53,6 @@ class FluidConfig:
             raise ValueError(f"unknown advection scheme {self.advection!r}")
         if not 0 < self.cfl_safety <= 1:
             raise ValueError("cfl_safety must lie in (0, 1]")
-        if not self.dt_max > 0:
-            raise ValueError("dt_max must be positive")
 
     def eps_for(self, grid: GridSpec) -> float:
         return min(grid.spacing) if self.eps_reg is None else self.eps_reg
@@ -240,17 +238,17 @@ def viscous_cfl_dt(v: VectorField, cfg: FluidConfig) -> float:
         m = float(mag2.max()) if mag2.size else 0.0
         dmax = max(dmax, mu1 * (m + eps**2) ** ((p - 2.0) / 2.0))
     if dmax == 0.0:
-        return cfg.dt_max
+        return _DT_MAX
     h_min = min(v.grid.spacing)
     p_eff = max(p - 1.0, 1.0)
-    return float(min(cfg.dt_max, cfg.cfl_safety * h_min**2 / (4.0 * dmax * p_eff)))
+    return float(min(_DT_MAX, cfg.cfl_safety * h_min**2 / (4.0 * dmax * p_eff)))
 
 
 def advective_cfl_dt(v: VectorField, cfg: FluidConfig) -> float:
     vmax = float(np.max(v.magnitude()))
     if vmax == 0.0:
-        return cfg.dt_max
-    return float(min(cfg.dt_max, cfg.cfl_safety * min(v.grid.spacing) / vmax))
+        return _DT_MAX
+    return float(min(_DT_MAX, cfg.cfl_safety * min(v.grid.spacing) / vmax))
 
 
 def fluid_step(state: FluidState, cfg: FluidConfig, dt: float) -> FluidState:
@@ -398,26 +396,6 @@ def stream_field(grid: GridSpec, coeffs, amplitude: float = 1.0) -> VectorField:
         arg = _TWO_PI * (kx * xx / lx + ky * yy / ly)
         psi += a * np.cos(arg) + b * np.sin(arg)
     psi *= amplitude
-    hx, hy = grid.spacing
-    return VectorField(grid, (_trans_deriv(psi, 1, hy, True),
-                              -_trans_deriv(psi, 0, hx, True)))
-
-
-def band_initial_data(grid: GridSpec, center_y: float, halfwidth: float,
-                      amplitude: float = 1.0, kx: int = 2) -> VectorField:
-    """Divergence-free band of vorticity supported in a horizontal strip.
-
-    Built as the discrete curl of a compactly supported stream function,
-    so the velocity support sits inside the strip exactly.
-    """
-    _require_periodic(grid)
-    xx, yy = grid.mesh()
-    lx = grid.upper[0] - grid.lower[0]
-    s2 = ((yy - center_y) / halfwidth) ** 2
-    band = np.zeros(grid.shape)
-    inside = s2 < 1.0
-    band[inside] = np.exp(1.0 - 1.0 / (1.0 - s2[inside]))
-    psi = amplitude * band * np.sin(_TWO_PI * kx * xx / lx)
     hx, hy = grid.spacing
     return VectorField(grid, (_trans_deriv(psi, 1, hy, True),
                               -_trans_deriv(psi, 0, hx, True)))

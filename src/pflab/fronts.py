@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .core import ScalarField, VectorField
+from .core import _value_magnitude
 from .plaplace import Trajectory
 
 
@@ -99,12 +99,7 @@ def support_front(f, tau: float, mode: str = "halfspace", center=None):
     """
     if not tau > 0:
         raise ValueError("threshold tau must be positive")
-    if isinstance(f, VectorField):
-        grid, mag = f.grid, f.magnitude()
-    elif isinstance(f, ScalarField):
-        grid, mag = f.grid, np.abs(f.values)
-    else:
-        raise TypeError("expected ScalarField or VectorField")
+    grid, mag = _value_magnitude(f)
 
     if mode == "halfspace":
         axis = grid.dim - 1

@@ -48,6 +48,12 @@ from .errors import BoundarySentinelError, NumericalError
 # and every face the window leaves out carries exactly zero flux.
 _WINDOW_RESCAN = 16
 _WINDOW_HALO = _WINDOW_RESCAN + 2
+# The explicit stepper recomputes its CFL bound every _CFL_STRIDE steps,
+# never below _DT_MIN, and runs the boundary sentinel every
+# _SENTINEL_STRIDE steps.
+_CFL_STRIDE = 8
+_DT_MIN = 1e-14
+_SENTINEL_STRIDE = 100
 
 
 @dataclasses.dataclass
@@ -64,7 +70,6 @@ class SolverConfig:
     eps_reg: float = 0.0
     stepper: str = "explicit"
     cfl_safety: float = 0.9
-    dt_min: float = 1e-14
     dt_max: float = 1.0
     tol: float = 1e-10
     max_inner: int = 60
@@ -72,8 +77,6 @@ class SolverConfig:
     sentinel: bool = True
     sentinel_margin: float = 0.1
     sentinel_tau_frac: float = 1e-8
-    sentinel_stride: int = 100
-    cfl_stride: int = 8
     audit_locality: bool = True
 
     def __post_init__(self):
@@ -335,7 +338,7 @@ def _cfl_dt(a2_max: list, grid: GridSpec, cfg: SolverConfig) -> float:
     h_min = min(grid.spacing)
     p_eff = max(cfg.params.p - 1.0, 1.0)
     dt = cfg.cfl_safety * h_min**2 / (2.0 * grid.dim * dmax * p_eff)
-    return float(min(max(dt, cfg.dt_min), cfg.dt_max))
+    return float(min(max(dt, _DT_MIN), cfg.dt_max))
 
 
 def cfl_dt(u: ScalarField, cfg: SolverConfig) -> float:
@@ -839,7 +842,7 @@ def simulate(u0: ScalarField, cfg: SolverConfig, T: float,
                         bounds = _edge_bounds(values, win, window_seed(), t)
                     win = _support_window(bounds, grid, win, _WINDOW_HALO)
                 sub = values[win]
-                if steps_since_checks % cfg.cfl_stride == 0:
+                if steps_since_checks % _CFL_STRIDE == 0:
                     a2_max = []
                     rhs = _diffusion_rhs(sub, grid, cfg, a2_max)
                     dt_cfl = _cfl_dt(a2_max, grid, cfg)
@@ -853,7 +856,7 @@ def simulate(u0: ScalarField, cfg: SolverConfig, T: float,
                     bounds = _edge_bounds(
                         values, win, window_seed() if bounds is None else bounds, t)
                 if (cfg.sentinel and scale > 0
-                        and steps_since_checks % cfg.sentinel_stride == 0):
+                        and steps_since_checks % _SENTINEL_STRIDE == 0):
                     _check_sentinel(values, grid, tau_sent,
                                     cfg.sentinel_margin, t)
         else:

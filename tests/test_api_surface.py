@@ -4,12 +4,15 @@ One dispatcher raises on a failed gate, so ``raise VerificationError``
 appears in :func:`pflab.experiments.run_experiment` and nowhere else.
 Every public top-level function and class has a caller in the package
 or the benchmark harness, or is an independent oracle that tests check
-shipped code against.
+shipped code against.  Every config key is read somewhere outside the
+schema that declares it.
 """
 
 import ast
 import collections
 import pathlib
+
+from pflab.config import SCHEMA
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "pflab"
@@ -86,3 +89,13 @@ def test_every_public_name_has_a_caller_or_is_an_oracle():
     # an oracle that gained a caller leaves the list
     assert sorted(called & set(ORACLES)) == []
     assert all(reason for reason in ORACLES.values())
+
+
+def test_every_config_key_is_read_outside_the_schema():
+    strings = set()
+    for module, tree in _modules().items():
+        if module != "config":
+            strings |= {node.value for node in ast.walk(tree)
+                        if isinstance(node, ast.Constant)
+                        and isinstance(node.value, str)}
+    assert sorted(set(SCHEMA) - strings) == []

@@ -110,15 +110,6 @@ def test_taylor_green_small(tmp_path):
     assert (tmp_path / "kinetic_energy.csv").exists()
 
 
-def test_fluid_halfplane_small(tmp_path):
-    r = run_experiment(default_config(
-        "fluid2d-halfplane", outdir=str(tmp_path), p=3.5, dimension=2,
-        cells=(64,), t_end=0.1, threshold_frac=0.05))
-    assert r["passed"]
-    assert r["background_tail_over_max"] < 0.05
-    assert r["l1_ratio_max"] > 0  # reported, never asserted against 1
-
-
 _SMALL_HALFSPACE = dict(p=3.0, dimension=1, cells=(512,), bounds="-7.8:7.5",
                        t0=5e-8, t_end=1.0, stepper="explicit",
                        snapshots_per_decade=24, t_ref=0.1)
@@ -158,9 +149,6 @@ def _on_coarse_run(change):
                             exponent_tol=1e-9), None, "fitted exponent"),
     ("fluid2d-taylor-green", dict(p=2.0, dimension=2, cells=(32,), t_end=0.1,
                                   ke_rate_tol=1e-9), None, "Taylor-Green"),
-    ("fluid2d-halfplane", dict(p=3.5, dimension=2, cells=(32,), t_end=0.02,
-                               threshold_frac=0.05, locality_cells=-1), None,
-     "support advanced"),
     ("exponent-identities", dict(identity_tol=-1.0), None, "identity residual"),
     ("halfspace-fsp", _SMALL_HALFSPACE, _grown_l1, "L1 norm grew"),
     ("energy-ledger", _SMALL_HALFSPACE, _empty_support, "empty support"),
@@ -169,7 +157,7 @@ def _on_coarse_run(change):
      _on_coarse_run(_grown_l1), "L1 norm grew"),
     ("energy-ledger", dict(_SMALL_HALFSPACE, refine_check=True),
      _on_coarse_run(_shrunk), "decay constant grew under refinement"),
-], ids=["barenblatt-fit", "taylor-green", "halfplane", "identities",
+], ids=["barenblatt-fit", "taylor-green", "identities",
         "halfspace-l1-hypothesis", "ledger-empty-support",
         "ledger-l1-hypothesis", "ledger-coarse-l1-hypothesis",
         "ledger-decay-refinement"])

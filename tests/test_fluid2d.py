@@ -8,12 +8,13 @@ from pflab.core import (GridSpec, ModelParams, PERIODIC, ScalarField,
 from pflab.errors import NumericalError
 from pflab.exact import taylor_green_field
 from pflab.fluid2d import (FluidConfig, FluidState, _advection_tendency,
-                           _face_deformation, advect, band_initial_data,
-                           fluid_step, kinetic_energy, project,
-                           random_stream_coeffs, simulate_fluid, stream_field,
+                           _face_deformation, advect, fluid_step,
+                           kinetic_energy, project, random_stream_coeffs,
+                           simulate_fluid, stream_field, viscous_cfl_dt,
                            viscous_term, weak_residual)
-from pflab.plaplace import (Trajectory, _face_avg, _face_avg_adj, _face_diff,
-                            _face_diff_adj, _trans_deriv, _trans_deriv_adj)
+from pflab.plaplace import (SolverConfig, Trajectory, _face_avg, _face_avg_adj,
+                            _face_diff, _face_diff_adj, _trans_deriv,
+                            _trans_deriv_adj, step_explicit)
 
 
 def tg_grid(n=64):
@@ -182,18 +183,34 @@ def test_weak_residual_rejects_divergent_test_field():
         weak_residual(traj, [bad], params())
 
 
-def test_band_initial_data_support_and_divergence():
-    g = GridSpec.box((0.0, -np.pi), (2 * np.pi, np.pi), 64, PERIODIC)
-    v = band_initial_data(g, -1.5, 0.8, 1.0)
-    assert np.max(np.abs(divergence(v).values)) < 1e-12
+@pytest.mark.parametrize("p", [3.0, 3.5])
+def test_shear_flow_is_the_scalar_equation(p):
+    # u = (f(y), 0): the advection terms and the divergence vanish, and
+    # |Du|^2 = f'^2 / 2, so the fluid steps f as the scalar p-Laplacian
+    # with mu' = mu1 2^(-p/2) on the periodic y-line
+    mu1, n, steps = 0.7, 64, 200
+    g = tg_grid(n)
+    line = GridSpec((0.0,), (2 * np.pi,), (n,), (PERIODIC,))
     y = g.coords(1)
-    mag = v.magnitude()
-    outside = (y < -2.4) | (y > -0.6)
-    assert np.max(mag[:, outside]) == 0.0
+    f = np.clip(1.0 - ((y - np.pi) / 1.2) ** 2, 0.0, None) ** 2
+    cfg = FluidConfig(params(p, mu1), eps_reg=0.0)
+    state = FluidState(VectorField(g, (np.tile(f, (n, 1)), np.zeros(g.shape))))
+    dt = 0.5 * viscous_cfl_dt(state.velocity, cfg)
+    scfg = SolverConfig(ModelParams(p, mu1 * 2.0 ** (-p / 2.0), 1), eps_reg=0.0)
+    u = ScalarField(line, f)
+    for _ in range(steps):
+        state = fluid_step(state, cfg, dt)
+        u = step_explicit(u, scfg, dt)
+    u0, u1 = state.velocity.components
+    assert np.array_equal(u0, np.broadcast_to(u0[0], u0.shape))
+    assert np.all(u1 == 0.0)
+    # the projection adds FFT roundoff, also where the scalar is exactly 0
+    assert np.max(np.abs(u0[0] - u.values)) <= 1e-12 * np.max(np.abs(u.values))
+    assert np.max(np.abs(u.values)) < np.max(f)  # the bump did diffuse
 
 
 @pytest.mark.parametrize("field,value", [
-    ("cfl_safety", 0.0), ("cfl_safety", 1.5), ("dt_max", 0.0)])
+    ("cfl_safety", 0.0), ("cfl_safety", 1.5)])
 def test_fluid_config_rejects_values_that_hang(field, value):
     with pytest.raises(ValueError, match=field):
         FluidConfig(params(), **{field: value})

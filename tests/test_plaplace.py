@@ -484,7 +484,7 @@ def _full_grid_snapshots(u0, cfg, times):
     out = [u.values.copy()]
     for t_next in times[1:]:
         while t < t_next - 1e-15 * max(t_next, 1.0):
-            if steps % cfg.cfl_stride == 0:
+            if steps % plaplace._CFL_STRIDE == 0:
                 dt_cfl = cfl_dt(u, cfg)
             dt = min(dt_cfl, t_next - t)
             u = step_explicit(u, cfg, dt)
@@ -503,14 +503,14 @@ def _assert_bit_identical(traj, ref):
 
 
 @pytest.mark.parametrize("audit", [True, False])
-def test_windowed_simulate_bit_identical_to_full_grid_1d(audit):
+def test_windowed_simulate_bit_identical_to_full_grid_1d(monkeypatch, audit):
     bp, grid, u0 = barenblatt_setup(cells=512, box=10.0)
     T = 1.0
+    cfg = cfg_1d(stepper="explicit", audit_locality=audit)
     # the CFL bound is read from the step's own faces: on every step, and
     # on every eighth (the default)
     for cfl_stride in (1, 8):
-        cfg = cfg_1d(stepper="explicit", audit_locality=audit,
-                     cfl_stride=cfl_stride)
+        monkeypatch.setattr(plaplace, "_CFL_STRIDE", cfl_stride)
         traj = simulate(u0, cfg, T, [0.0, 0.05, 0.3, T])
         # the support stays far enough inside the box that the window is a
         # true subset of the grid up to the end
@@ -522,14 +522,15 @@ def test_windowed_simulate_bit_identical_to_full_grid_1d(audit):
 
 @pytest.mark.parametrize("audit", [True, False])
 @pytest.mark.parametrize("bc0", [DIRICHLET, PERIODIC])
-def test_windowed_simulate_bit_identical_to_full_grid_2d(bc0, audit):
+def test_windowed_simulate_bit_identical_to_full_grid_2d(monkeypatch, bc0,
+                                                        audit):
     bp = BarenblattParams(3.0, 2, C=0.3)
     grid = GridSpec((-6.0, -6.0), (6.0, 6.0), (96, 96), (bc0, DIRICHLET))
     u0 = barenblatt_field(bp, grid, 0.05, center=(0.3, -0.2))
     T = 2.0  # about 130 steps
+    cfg = SolverConfig(ModelParams(3.0, 1.0, 2), audit_locality=audit)
     for cfl_stride in (1, 8):  # the CFL bound from the step's faces, as in 1-D
-        cfg = SolverConfig(ModelParams(3.0, 1.0, 2), audit_locality=audit,
-                           cfl_stride=cfl_stride)
+        monkeypatch.setattr(plaplace, "_CFL_STRIDE", cfl_stride)
         traj = simulate(u0, cfg, T, [0.0, 0.01, 0.5, T])
         rows = traj.fields[-1].values.any(axis=0)  # nonzero nodes along axis 1
         assert np.count_nonzero(rows) + 2 * plaplace._WINDOW_HALO < grid.shape[1]
@@ -586,7 +587,7 @@ def _full_scan_audit(u0, cfg, T, plant_at, axis, side):
     u, t, steps = u0.copy(), 0.0, 0
     prev = plaplace._support_bounds(u.values, 0.0)
     while t < T - 1e-15 * max(T, 1.0):
-        if steps % cfg.cfl_stride == 0:
+        if steps % plaplace._CFL_STRIDE == 0:
             dt_cfl = cfl_dt(u, cfg)
         dt = min(dt_cfl, T - t)
         u = step_explicit(u, cfg, dt)
