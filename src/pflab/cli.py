@@ -29,11 +29,17 @@ def _verbose() -> bool:
     return os.environ.get("PFLAB_VERBOSE", "1") not in ("0", "false", "")
 
 
-def _add_schema_flags(parser: argparse.ArgumentParser) -> None:
+# the scalar defaults (4096 cells to t = 100 at p = 3) would not end
+_FLUID2D_DEFAULTS = {"cells": "128", "p": "2", "t_end": "1"}
+
+
+def _add_schema_flags(parser: argparse.ArgumentParser,
+                      defaults: dict | None = None) -> None:
     for key, (_typ, default, help_) in SCHEMA.items():
+        shown = (defaults or {}).get(key, repr(default))
         parser.add_argument(f"--{key.replace('_', '-')}", dest=f"opt_{key}",
                             metavar="V", default=None,
-                            help=f"{help_} (default {default!r})")
+                            help=f"{help_} (default {shown})")
 
 
 def _collect_overrides(args, forced: dict | None = None) -> dict:
@@ -47,18 +53,24 @@ def _collect_overrides(args, forced: dict | None = None) -> dict:
     return over
 
 
-def _load_config(args, forced: dict | None = None):
+def _load_config(args, forced: dict | None = None, defaults: dict | None = None):
     text = ""
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            text = fh.read()
-    return parse_config(text, _collect_overrides(args, forced))
+        try:
+            with open(args.config) as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = getattr(exc, "strerror", None) or exc
+            raise ConfigError([(None, f"cannot read config file "
+                                      f"{args.config!r}: {reason}")]) from exc
+    return parse_config(text, _collect_overrides(args, forced), defaults)
 
 
-def _run(args, forced: dict | None = None, outdir: str | None = None) -> int:
+def _run(args, forced: dict | None = None, outdir: str | None = None,
+         defaults: dict | None = None) -> int:
     from .experiments import run_experiment
 
-    cfg = _load_config(args, forced)
+    cfg = _load_config(args, forced, defaults)
     outdir = outdir or cfg["outdir"]
     report = run_experiment(cfg, outdir)
     if _verbose():
@@ -74,7 +86,8 @@ def _cmd_barenblatt(args) -> int:
 
 
 def _cmd_fluid2d(args) -> int:
-    return _run(args, {"experiment": "fluid2d-taylor-green", "dimension": "2"})
+    return _run(args, {"experiment": "fluid2d-taylor-green", "dimension": "2"},
+                defaults=_FLUID2D_DEFAULTS)
 
 
 def _cmd_energy(args) -> int:
@@ -167,16 +180,17 @@ def main(argv=None) -> int:
                     "energy ledgers and inequality suites.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def with_config(p):
+    def with_config(p, defaults=None):
         p.add_argument("--config", help="key = value config file")
-        _add_schema_flags(p)
+        _add_schema_flags(p, defaults)
         return p
 
     with_config(sub.add_parser("simulate", help="run the experiment named "
                                                 "in the config"))
     with_config(sub.add_parser("barenblatt", help="self-similar front fit / "
                                                   "accuracy study"))
-    with_config(sub.add_parser("fluid2d", help="2-D Taylor-Green fluid run"))
+    with_config(sub.add_parser("fluid2d", help="2-D Taylor-Green fluid run"),
+                _FLUID2D_DEFAULTS)
     with_config(sub.add_parser("energy", help="tail-energy ledger and checks"))
     with_config(sub.add_parser("verify-lemmas", help="iteration, interpolation "
                                                      "and identity suites"))

@@ -210,11 +210,14 @@ def _validate(values: dict, lines: dict) -> list:
     return errs
 
 
-def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
+def parse_config(text: str, overrides: dict | None = None,
+                 defaults: dict | None = None) -> ExperimentConfig:
     """Parse config text, apply defaults and overrides, validate everything.
 
     ``overrides`` maps keys to raw string values (command-line flags win
-    over the file).  Raises :class:`ConfigError` carrying *all* problems.
+    over the file); ``defaults``, in the same form, replace the schema's
+    defaults for keys that neither sets.  Raises :class:`ConfigError`
+    carrying *all* problems.
     """
     errs: list = []
     raw: dict[str, str] = {}
@@ -243,6 +246,8 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
             continue
         raw[key] = val if isinstance(val, str) else str(val)
         lines[key] = None  # flags win; no line number
+    for key, val in (defaults or {}).items():
+        raw.setdefault(key, val)
 
     values: dict = {}
     for key, (typ, default, _help) in SCHEMA.items():

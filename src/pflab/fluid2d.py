@@ -29,8 +29,8 @@ import numpy as np
 from .core import (GridSpec, ModelParams, VectorField, _periodic_stencil,
                    deformation_tensor, divergence, lp_norm)
 from .errors import NumericalError
-from .plaplace import (Trajectory, _face_avg, _face_diff, _face_diff_adj,
-                        _trans_deriv, normalize_schedule)
+from .plaplace import (Trajectory, _diffusivity_of_a2, _face_avg, _face_diff,
+                        _face_diff_adj, _trans_deriv, normalize_schedule)
 
 _TWO_PI = 2.0 * np.pi
 _DT_MAX = 1.0  # the CFL bounds' cap, and the step of a field at rest
@@ -78,25 +78,27 @@ def kinetic_energy(v: VectorField) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _face_deformation(v: VectorField, axis: int):
-    """Deformation-tensor entries at the faces orthogonal to ``axis``."""
+def _face_deformation(v: VectorField, axis: int, both_diagonals: bool = True):
+    """Deformation-tensor entries ``(d00, d01, d11)`` at the faces
+    orthogonal to ``axis``.  Without ``both_diagonals`` the diagonal entry
+    along the other axis, which no face flux reads, is None."""
     grid = v.grid
     h = grid.spacing[axis]
     other = 1 - axis
     ho = grid.spacing[other]
     per, per_o = grid.is_periodic(axis), grid.is_periodic(other)
+
+    def tangential(u):  # d u / d x_other at the faces
+        return _face_avg(_trans_deriv(u, other, ho, per_o), axis, per)
+
     u0, u1 = v.components
     d0_n = _face_diff(u0, axis, h, per)       # d u0 / d x_axis at faces
     d1_n = _face_diff(u1, axis, h, per)
-    d0_t = _face_avg(_trans_deriv(u0, other, ho, per_o), axis, per)
-    d1_t = _face_avg(_trans_deriv(u1, other, ho, per_o), axis, per)
     if axis == 0:
-        d00, d11 = d0_n, d1_t
-        d01 = 0.5 * (d0_t + d1_n)
-    else:
-        d00, d11 = d0_t, d1_n
-        d01 = 0.5 * (d0_n + d1_t)
-    return d00, d01, d11
+        d11 = tangential(u1) if both_diagonals else None
+        return d0_n, 0.5 * (tangential(u0) + d1_n), d11
+    d00 = tangential(u0) if both_diagonals else None
+    return d00, 0.5 * (d0_n + tangential(u1)), d1_n
 
 
 def viscous_term(v: VectorField, params: ModelParams,
@@ -105,17 +107,23 @@ def viscous_term(v: VectorField, params: ModelParams,
 
     Face flux of component i through a face with normal n is
     ``D_reg (Du)_{i n}``; the divergence telescopes, so the integral of
-    the output vanishes to roundoff (momentum conservation).
+    the output vanishes to roundoff (momentum conservation).  ``D_reg``
+    is the scalar solver's diffusivity of ``|Du|^2 + eps_reg^2``; at
+    p = 2 it is the constant mu1, so ``|Du|^2`` is not formed.
     """
     grid = v.grid
     _require_periodic(grid)
     p, mu1 = params.p, params.mu1
+    linear = p == 2.0
     out = [np.zeros(grid.shape), np.zeros(grid.shape)]
     for axis in range(2):
         h = grid.spacing[axis]
-        d00, d01, d11 = _face_deformation(v, axis)
-        mag2 = d00 * d00 + 2.0 * d01 * d01 + d11 * d11
-        dreg = mu1 * (mag2 + eps_reg**2) ** ((p - 2.0) / 2.0)
+        d00, d01, d11 = _face_deformation(v, axis, both_diagonals=not linear)
+        if linear:
+            dreg = mu1
+        else:
+            mag2 = d00 * d00 + 2.0 * d01 * d01 + d11 * d11
+            dreg = _diffusivity_of_a2(mag2 + eps_reg**2, p, mu1)
         flux0 = dreg * (d00 if axis == 0 else d01)
         flux1 = dreg * (d01 if axis == 0 else d11)
         out[0] -= _face_diff_adj(flux0, grid.shape, axis, h, True)
@@ -160,11 +168,22 @@ def _advection_tendency(v: VectorField, scheme: str) -> list[np.ndarray]:
     return tendency
 
 
+def _speed_max(v: VectorField) -> float:
+    """``max |u|``, as ``sqrt(max |u|^2)``: sqrt is monotone and correctly
+    rounded, so this is ``max(sqrt(|u|^2))`` exactly, one pass fewer."""
+    if not v.grid.total_nodes:
+        return 0.0
+    u0, u1 = v.components
+    return float(np.sqrt(np.max(u0 * u0 + u1 * u1)))
+
+
 def advect(v: VectorField, dt: float, scheme: str = "central",
-           cfl_safety: float = 0.4) -> VectorField:
-    """Apply the advection tendency for ``dt``; errors on a CFL violation."""
+           cfl_safety: float = 0.4, vmax: float | None = None) -> VectorField:
+    """Apply the advection tendency for ``dt``; errors on a CFL violation.
+    ``vmax`` is the field's largest speed, measured here unless given."""
     _require_periodic(v.grid)
-    vmax = float(np.max(v.magnitude())) if v.grid.total_nodes else 0.0
+    if vmax is None:
+        vmax = _speed_max(v)
     h_min = min(v.grid.spacing)
     if vmax * dt > cfl_safety * h_min * (1.0 + 1e-12):
         raise NumericalError(
@@ -229,31 +248,44 @@ def project(v: VectorField) -> VectorField:
 
 
 def viscous_cfl_dt(v: VectorField, cfg: FluidConfig) -> float:
+    """Stable viscous step ``safety h_min^2 / (4 D_max max(p - 1, 1))``,
+    ``D_max`` the diffusivity at the largest face ``|Du|^2``; at p = 2
+    that is the constant mu1, and ``v`` is not read."""
     p, mu1 = cfg.params.p, cfg.params.mu1
-    eps = cfg.eps_for(v.grid)
-    dmax = 0.0
-    for axis in range(2):
-        d00, d01, d11 = _face_deformation(v, axis)
-        mag2 = d00 * d00 + 2.0 * d01 * d01 + d11 * d11
-        m = float(mag2.max()) if mag2.size else 0.0
-        dmax = max(dmax, mu1 * (m + eps**2) ** ((p - 2.0) / 2.0))
-    if dmax == 0.0:
-        return _DT_MAX
+    if p == 2.0:
+        dmax = mu1
+    else:
+        eps = cfg.eps_for(v.grid)
+        dmax = 0.0
+        for axis in range(2):
+            d00, d01, d11 = _face_deformation(v, axis)
+            mag2 = d00 * d00 + 2.0 * d01 * d01 + d11 * d11
+            m = float(mag2.max()) if mag2.size else 0.0
+            dmax = max(dmax, mu1 * (m + eps**2) ** ((p - 2.0) / 2.0))
+        if dmax == 0.0:
+            return _DT_MAX
     h_min = min(v.grid.spacing)
     p_eff = max(p - 1.0, 1.0)
     return float(min(_DT_MAX, cfg.cfl_safety * h_min**2 / (4.0 * dmax * p_eff)))
 
 
-def advective_cfl_dt(v: VectorField, cfg: FluidConfig) -> float:
-    vmax = float(np.max(v.magnitude()))
+def advective_cfl_dt(v: VectorField, cfg: FluidConfig,
+                     vmax: float | None = None) -> float:
+    """``safety h_min / max |u|``; ``vmax`` is ``max |u|``, measured here
+    unless given."""
+    if vmax is None:
+        vmax = _speed_max(v)
     if vmax == 0.0:
         return _DT_MAX
     return float(min(_DT_MAX, cfg.cfl_safety * min(v.grid.spacing) / vmax))
 
 
-def fluid_step(state: FluidState, cfg: FluidConfig, dt: float) -> FluidState:
-    """advect -> add dt * viscous term -> project; advances time by dt."""
-    v = advect(state.velocity, dt, cfg.advection, cfg.cfl_safety)
+def fluid_step(state: FluidState, cfg: FluidConfig, dt: float,
+               vmax: float | None = None) -> FluidState:
+    """advect -> add dt * viscous term -> project; advances time by dt.
+    ``vmax``, the largest speed of ``state``, spares :func:`advect` its
+    own pass when the caller has it."""
+    v = advect(state.velocity, dt, cfg.advection, cfg.cfl_safety, vmax)
     visc = viscous_term(v, cfg.params, cfg.eps_for(v.grid))
     v = VectorField(v.grid, tuple(c + dt * w for c, w in zip(v.components, visc.components)))
     return FluidState(project(v), state.time + dt)
@@ -279,12 +311,13 @@ def simulate_fluid(v0: VectorField, cfg: FluidConfig, T: float,
     for t_next in sched[1:]:
         while t < t_next - 1e-13 * max(1.0, t_next):
             if dt_fixed is None:
-                dt = min(advective_cfl_dt(state.velocity, cfg),
+                vmax = _speed_max(state.velocity)
+                dt = min(advective_cfl_dt(state.velocity, cfg, vmax),
                          viscous_cfl_dt(state.velocity, cfg),
                          t_next - t)
             else:
-                dt = min(dt_fixed, t_next - t)
-            state = fluid_step(state, cfg, dt)
+                vmax, dt = None, min(dt_fixed, t_next - t)
+            state = fluid_step(state, cfg, dt, vmax)
             t = state.time
         times.append(t_next)
         state = FluidState(state.velocity, t_next)

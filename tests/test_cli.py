@@ -22,6 +22,36 @@ def test_exit_code_invalid_config(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["missing.cfg", "."])
+def test_exit_code_unreadable_config(tmp_path, capsys, name):
+    # a missing file, and a directory where the file should be
+    path = str(tmp_path / name)
+    assert run_cli("simulate", "--config", path) == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert path in err
+
+
+def test_fluid2d_defaults_are_the_readme_example(tmp_path, monkeypatch):
+    # a bare `pflab fluid2d` runs the README example, not the scalar
+    # defaults (4096 cells to t = 100 at p = 3); the file and flags win
+    from pflab import experiments
+
+    seen = []
+    monkeypatch.setattr(experiments, "run_experiment",
+                        lambda cfg, outdir: seen.append(cfg) or {})
+    out = str(tmp_path / "out")
+    assert run_cli("fluid2d", "--outdir", out) == 0
+    assert (seen[-1]["cells"], seen[-1]["p"], seen[-1]["t_end"]) == ((128,), 2.0, 1.0)
+    cfg = tmp_path / "fluid.cfg"
+    cfg.write_text("experiment = fluid2d-taylor-green\ncells = 64\n")
+    assert run_cli("fluid2d", "--config", str(cfg), "--outdir", out) == 0
+    assert (seen[-1]["cells"], seen[-1]["p"], seen[-1]["t_end"]) == ((64,), 2.0, 1.0)
+    assert run_cli("fluid2d", "--config", str(cfg), "--t-end", "0.5",
+                   "--outdir", out) == 0
+    assert (seen[-1]["cells"], seen[-1]["t_end"]) == ((64,), 0.5)
+
+
 def test_exit_code_invalid_flag_value(tmp_path, capsys):
     # zero Newton iterations is a configuration error, not a numerical one
     code = run_cli("barenblatt", "--max-inner", "0",

@@ -8,10 +8,10 @@ from pflab.core import (GridSpec, ModelParams, PERIODIC, ScalarField,
 from pflab.errors import NumericalError
 from pflab.exact import taylor_green_field
 from pflab.fluid2d import (FluidConfig, FluidState, _advection_tendency,
-                           _face_deformation, advect, fluid_step,
-                           kinetic_energy, project, random_stream_coeffs,
-                           simulate_fluid, stream_field, viscous_cfl_dt,
-                           viscous_term, weak_residual)
+                           _face_deformation, advect, advective_cfl_dt,
+                           fluid_step, kinetic_energy, project,
+                           random_stream_coeffs, simulate_fluid, stream_field,
+                           viscous_cfl_dt, viscous_term, weak_residual)
 from pflab.plaplace import (SolverConfig, Trajectory, _face_avg, _face_avg_adj,
                             _face_diff, _face_diff_adj, _trans_deriv,
                             _trans_deriv_adj, step_explicit)
@@ -283,19 +283,80 @@ def _roll_advection_tendency(v, scheme):
     return tendency
 
 
+# p = 2 is the linear stress (no |Du|^2), 2.5 the general power, 3 the
+# sqrt of the shared diffusivity layer; p = 3 keeps the test's plain ids
+@pytest.mark.parametrize("p", [pytest.param(3.0, id=pytest.HIDDEN_PARAM), 2.0, 2.5])
 @pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("m", SIZES)
-def test_fluid_tendencies_match_roll_bitwise(n, m):
+def test_fluid_tendencies_match_roll_bitwise(n, m, p):
     g = GridSpec.box(0.0, (2.0, 3.0), (n, m), bc=PERIODIC)
     rng = np.random.default_rng(100 * n + m)
     v = VectorField(g, (rng.normal(size=g.shape), rng.normal(size=g.shape)))
-    for got, ref in zip(viscous_term(v, params(3.0, 0.7), 0.1).components,
-                        _roll_viscous_term(v, 3.0, 0.7, 0.1)):
+    for got, ref in zip(viscous_term(v, params(p, 0.7), 0.1).components,
+                        _roll_viscous_term(v, p, 0.7, 0.1)):
         assert np.array_equal(got, ref)
     for scheme in ("central", "upwind"):
         for got, ref in zip(_advection_tendency(v, scheme),
                             _roll_advection_tendency(v, scheme)):
             assert np.array_equal(got, ref)
+
+
+def _general_viscous_cfl_dt(v, cfg):
+    """The viscous CFL bound from the deformation at every p."""
+    p, mu1 = cfg.params.p, cfg.params.mu1
+    eps = cfg.eps_for(v.grid)
+    dmax = 0.0
+    for axis in range(2):
+        d00, d01, d11 = _face_deformation(v, axis)
+        mag2 = d00 * d00 + 2.0 * d01 * d01 + d11 * d11
+        dmax = max(dmax, mu1 * (float(mag2.max()) + eps**2) ** ((p - 2.0) / 2.0))
+    if dmax == 0.0:
+        return 1.0
+    h_min = min(v.grid.spacing)
+    return float(min(1.0, cfg.cfl_safety * h_min**2 / (4.0 * dmax * max(p - 1.0, 1.0))))
+
+
+def test_cfl_bounds_match_the_general_formulas(monkeypatch):
+    # at p = 2 the viscous bound must not read the deformation at all
+    g = GridSpec.box(0.0, (2.0, 3.0), (24, 20), bc=PERIODIC)
+    rng = np.random.default_rng(5)
+    v = VectorField(g, (rng.normal(size=g.shape), rng.normal(size=g.shape)))
+    for p in (2.0, 2.5, 3.0):
+        cfg = FluidConfig(params(p, 0.7))
+        assert viscous_cfl_dt(v, cfg) == _general_viscous_cfl_dt(v, cfg)
+        assert advective_cfl_dt(v, cfg) == min(
+            1.0, cfg.cfl_safety * min(g.spacing) / float(np.max(v.magnitude())))
+    cfg = FluidConfig(params(2.0, 0.7))
+    expected = _general_viscous_cfl_dt(v, cfg)
+
+    def no_deformation(*args, **kw):
+        raise AssertionError("the p = 2 CFL bound read the deformation")
+
+    monkeypatch.setattr(fluid2d, "_face_deformation", no_deformation)
+    assert viscous_cfl_dt(v, cfg) == expected
+
+
+def test_adaptive_taylor_green_matches_the_general_step():
+    # the hand loop steps with the general-formula viscous term, the
+    # deformation-based CFL bound and advect's own |u| max
+    g = tg_grid(32)
+    cfg = FluidConfig(params(2.0, 0.7))
+    eps = cfg.eps_for(g)
+    v0 = taylor_green_field(g, 0.7, 0.0)
+    t_end = 0.05
+    traj = simulate_fluid(v0, cfg, t_end, [0.0, t_end])
+    v, t, steps = project(v0), 0.0, 0
+    while t < t_end - 1e-13:
+        vmax = float(np.max(v.magnitude()))
+        dt = min(min(1.0, cfg.cfl_safety * min(g.spacing) / vmax),
+                 _general_viscous_cfl_dt(v, cfg), t_end - t)
+        w = advect(v, dt, cfg.advection, cfg.cfl_safety)
+        visc = _roll_viscous_term(w, 2.0, 0.7, eps)
+        v = project(VectorField(g, tuple(c + dt * d for c, d in zip(w.components, visc))))
+        t, steps = t + dt, steps + 1
+    assert steps >= 5
+    for got, ref in zip(traj.fields[-1].components, v.components):
+        assert np.array_equal(got, ref)
 
 
 def _one_field_weak_residual(traj, phi, params):
