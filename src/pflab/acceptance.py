@@ -16,7 +16,7 @@ import time
 from importlib import resources
 
 from .config import parse_config
-from .errors import NumericalError, VerificationError
+from .errors import ConfigError, NumericalError, VerificationError
 from .experiments import halfspace_run, run_experiment
 
 
@@ -249,10 +249,16 @@ CRITERIA = [criterion_01, criterion_02, criterion_03, criterion_04,
 
 
 def run_acceptance(outdir: str = "accept-out", only=None) -> list:
-    """Run all (or selected) criteria, printing one line per criterion."""
+    """Run all criteria, or those numbered in the comma-separated
+    ``only``, printing one line per criterion."""
     wanted = None
-    if only:
-        wanted = {int(tok) for tok in str(only).split(",")}
+    if only is not None:
+        toks = [tok.strip() for tok in str(only).split(",")]
+        if not all(tok.isdigit() and 1 <= int(tok) <= len(CRITERIA)
+                   for tok in toks):
+            raise ConfigError([(None, f"only: criteria are numbered "
+                                      f"1-{len(CRITERIA)}, got {only!r}")])
+        wanted = {int(tok) for tok in toks}
     ctx = AcceptanceContext(outdir)
     results = []
     for idx, criterion in enumerate(CRITERIA, start=1):

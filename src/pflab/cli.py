@@ -34,8 +34,10 @@ _FLUID2D_DEFAULTS = {"cells": "128", "p": "2", "t_end": "1"}
 
 
 def _add_schema_flags(parser: argparse.ArgumentParser,
-                      defaults: dict | None = None) -> None:
+                      defaults: dict | None = None, skip=()) -> None:
     for key, (_typ, default, help_) in SCHEMA.items():
+        if key in skip:
+            continue
         shown = (defaults or {}).get(key, repr(default))
         parser.add_argument(f"--{key.replace('_', '-')}", dest=f"opt_{key}",
                             metavar="V", default=None,
@@ -157,8 +159,7 @@ def _cmd_fit_exponent(args) -> int:
 def _cmd_accept(args) -> int:
     from .acceptance import run_acceptance
 
-    outdir = getattr(args, "opt_outdir", None) or "accept-out"
-    results = run_acceptance(outdir, only=args.only)
+    results = run_acceptance(args.outdir, only=args.only)
     failed = [r for r in results if not r.passed]
     return 3 if failed else 0
 
@@ -180,9 +181,9 @@ def main(argv=None) -> int:
                     "energy ledgers and inequality suites.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def with_config(p, defaults=None):
+    def with_config(p, defaults=None, skip=()):
         p.add_argument("--config", help="key = value config file")
-        _add_schema_flags(p, defaults)
+        _add_schema_flags(p, defaults, skip)
         return p
 
     with_config(sub.add_parser("simulate", help="run the experiment named "
@@ -190,7 +191,7 @@ def main(argv=None) -> int:
     with_config(sub.add_parser("barenblatt", help="self-similar front fit / "
                                                   "accuracy study"))
     with_config(sub.add_parser("fluid2d", help="2-D Taylor-Green fluid run"),
-                _FLUID2D_DEFAULTS)
+                _FLUID2D_DEFAULTS, skip=("dimension",))  # forced to 2
     with_config(sub.add_parser("energy", help="tail-energy ledger and checks"))
     with_config(sub.add_parser("verify-lemmas", help="iteration, interpolation "
                                                      "and identity suites"))
@@ -207,9 +208,10 @@ def main(argv=None) -> int:
     pe.add_argument("--drop-frac", default="0.1")
 
     pa = sub.add_parser("accept", help="run the full acceptance suite")
+    pa.add_argument("--outdir", default="accept-out",
+                    help="output directory (default accept-out)")
     pa.add_argument("--only", default=None,
-                    help="comma-separated criterion numbers to run")
-    _add_schema_flags(pa)
+                    help="comma-separated criterion numbers (1-12) to run")
 
     try:
         args = parser.parse_args(argv)

@@ -86,19 +86,16 @@ SCHEMA: dict[str, tuple[str, object, str]] = {
     "snapshot_count": ("int", 0, "if > 0, use this many uniform snapshots"),
     # solver
     "stepper": ("str", "implicit", "explicit or implicit"),
-    "eps_reg": ("float", 0.0, "gradient regularization (0 = exact support)"),
+    "eps_reg": ("float", 0.0, "gradient regularization (0 = exact support; "
+                              "fluid2d: 0 = the grid spacing)"),
     "cfl_safety": ("float", 0.9, "explicit CFL safety factor in (0, 1]"),
     "tol_inner": ("float", 1e-10, "proximal optimality tolerance"),
     "max_inner": ("int", 60, "proximal Newton iteration cap"),
-    "substeps": ("int", 1, "implicit substeps per snapshot interval"),
     "dt_max": ("float", 1.0, "upper bound on adaptive steps"),
     "sentinel": ("bool", True, "boundary-proximity sentinel on/off"),
-    "sentinel_margin": ("float", 0.1, "sentinel margin as a fraction of width"),
-    "sentinel_tau_frac": ("float", 1e-8, "sentinel support threshold / max|u0|"),
     "audit_locality": ("bool", True, "per-step support-locality audit"),
     # fronts
     "threshold_frac": ("float", 1e-6, "front threshold / max|u0|"),
-    "fit_drop_frac": ("float", 0.1, "fraction of samples dropped at each end"),
     "t_ref": ("float", 0.1, "envelope calibration time"),
     "tol_env": ("float", 0.02, "allowed relative envelope excess"),
     "envelope": ("str", "both", "which envelope(s) to check: l2, l1, both"),
@@ -115,11 +112,8 @@ SCHEMA: dict[str, tuple[str, object, str]] = {
     "div_tol": ("float", 1e-10, "post-projection divergence bound"),
     "weak_residual_check": ("bool", False, "run the weak-form refinement study"),
     "weak_fields": ("int", 20, "number of random test fields"),
-    "dt_fixed": ("float", 0.0, "fixed fluid step (0 = adaptive CFL)"),
     # energetics
     "s_count": ("int", 33, "s-grid size for ledgers"),
-    "s_min": ("float", 0.0, "s-grid lower end"),
-    "s_max": ("float", float("nan"), "s-grid upper end (nan = auto)"),
     "delta_count": ("int", 8, "number of delta values in local-energy scans"),
     "eps_iter": ("float", 0.5, "contraction factor of the iteration check"),
     "ctilde": ("float", 1.0, "calibration constant in the jump function"),
@@ -175,6 +169,7 @@ def _validate(values: dict, lines: dict) -> list:
     if kind in _FINITE_SPEED_KINDS:
         need(p > 2, "p", f"finite-speed experiments require p > 2, got {p}")
     if kind.startswith("fluid2d"):
+        need(p >= 2, "p", f"fluid experiments require p >= 2, got {p}")
         need(values["dimension"] == 2, "dimension", "fluid experiments are 2-D")
         need(values["advection"] in ("central", "upwind"), "advection",
              "must be 'central' or 'upwind'")
@@ -190,7 +185,6 @@ def _validate(values: dict, lines: dict) -> list:
     need(values["t_end"] > 0, "t_end", "must be > 0")
     need(values["t0"] >= 0, "t0", "must be >= 0")
     need(values["threshold_frac"] > 0, "threshold_frac", "must be > 0")
-    need(0 <= values["fit_drop_frac"] < 0.5, "fit_drop_frac", "must lie in [0, 0.5)")
     need(values["envelope"] in ("l2", "l1", "both"), "envelope",
          "must be 'l2', 'l1' or 'both'")
     need(0 < values["eps_iter"] < 1, "eps_iter", "must lie in (0, 1)")
@@ -206,7 +200,6 @@ def _validate(values: dict, lines: dict) -> list:
                      f"bounds: need 1 or {dim} entries for dimension {dim}"))
     need(values["height_c"] > 0, "height_c", "must be > 0")
     need(values["snapshots_per_decade"] > 0, "snapshots_per_decade", "must be > 0")
-    need(values["substeps"] >= 1, "substeps", "must be >= 1")
     return errs
 
 

@@ -202,8 +202,10 @@ class ModelParams:
     """Exponent and viscosity of the power-law model.
 
     ``p`` is the growth exponent of the stress, ``mu1`` the viscosity
-    coefficient.  For ``p > 2`` the diffusivity vanishes with the
-    gradient and compactly supported data stays compactly supported.
+    coefficient.  Both solvers take ``p >= 2``, the regime their CFL
+    bounds and proximal step are checked in.  For ``p > 2`` the
+    diffusivity vanishes with the gradient and compactly supported data
+    stays compactly supported.
     """
 
     p: float
@@ -215,29 +217,13 @@ class ModelParams:
             raise ValueError("mu1 must be positive")
         if self.dim not in (1, 2):
             raise ValueError("dim must be 1 or 2")
-        if not np.isfinite(self.p):
-            raise ValueError("p must be finite")
+        if not (np.isfinite(self.p) and self.p >= 2.0):
+            raise ValueError(f"p must be finite and >= 2, got p = {self.p}")
 
     @property
     def degenerate(self) -> bool:
         """True when the model has a genuine free boundary (p > 2)."""
         return self.p > 2.0
-
-    @property
-    def envelope_l2_valid(self) -> bool:
-        """Exponent range of the L2-data support envelope."""
-        n = self.dim
-        return self.p >= (3 * n + 2) / (n + 2)
-
-    @property
-    def envelope_l1_valid(self) -> bool:
-        """Exponent range of the L1-data support envelope."""
-        n = self.dim
-        return self.p >= (3 * n + 1) / (n + 1)
-
-    def require_degenerate(self):
-        if not self.degenerate:
-            raise ValueError(f"p > 2 required for finite-speed runs, got p = {self.p}")
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__, energetics, fronts
-from .config import ExperimentConfig
+from .config import ExperimentConfig, default_config
 from .core import (DIRICHLET, PERIODIC, GridSpec, ModelParams, ScalarField,
                    divergence, lp_norm, save_field)
 from .errors import VerificationError
@@ -70,11 +70,8 @@ def _solver(cfg: ExperimentConfig) -> SolverConfig:
         cfl_safety=cfg["cfl_safety"],
         tol=cfg["tol_inner"],
         max_inner=cfg["max_inner"],
-        substeps=cfg["substeps"],
         dt_max=cfg["dt_max"],
         sentinel=cfg["sentinel"],
-        sentinel_margin=cfg["sentinel_margin"],
-        sentinel_tau_frac=cfg["sentinel_tau_frac"],
         audit_locality=cfg["audit_locality"],
     )
 
@@ -220,13 +217,12 @@ def _barenblatt_fit(cfg: ExperimentConfig, outdir: str):
     scale = float(np.max(np.abs(u0.values)))
     tau = cfg["threshold_frac"] * scale
     trace = fronts.trace_support(traj, tau, "radial", t_offset=t0)
-    fit = fronts.fit_exponent(trace, drop_frac=cfg["fit_drop_frac"])
+    fit = fronts.fit_exponent(trace)
     expected = bp.beta
     sensitivity = {}
     for frac in (1e-8, 1e-4):
         tr = fronts.trace_support(traj, frac * scale, "radial", t_offset=t0)
-        sensitivity[f"slope_at_frac_{frac:g}"] = fronts.fit_exponent(
-            tr, drop_frac=cfg["fit_drop_frac"]).slope
+        sensitivity[f"slope_at_frac_{frac:g}"] = fronts.fit_exponent(tr).slope
     env_reports = {}
     for env in ("l1", "l2"):
         try:
@@ -339,7 +335,7 @@ def _halfspace_fsp(cfg: ExperimentConfig, outdir: str, prebuilt=None):
         sel = ts >= rep.t_ref
         curves.append((env, ts[sel], fn(p, n, ts[sel], rep.c)))
     try:
-        fit = fronts.fit_exponent(trace, drop_frac=cfg["fit_drop_frac"])
+        fit = fronts.fit_exponent(trace)
         report["fitted_slope"] = fit.slope
     except ValueError:
         pass
@@ -379,7 +375,7 @@ def _weak_residual_study(cfg: ExperimentConfig, outdir: str):
     t_end = cfg["t_end"]
     h_base = 2 * np.pi / base_cells
     # explicit diffusion: the step refines parabolically (dt ~ h^2)
-    dt0 = cfg["dt_fixed"] if cfg["dt_fixed"] > 0 else 0.08 * h_base**2
+    dt0 = 0.08 * h_base**2
     rng = np.random.default_rng(cfg["seed"])
     coeff_sets = [random_stream_coeffs(rng, kmax=3) for _ in range(cfg["weak_fields"])]
     resids = []
@@ -418,9 +414,8 @@ def _fluid_taylor_green(cfg: ExperimentConfig, outdir: str):
     v0 = taylor_green_field(grid, mu1, 0.0)
     n_snap = cfg["snapshot_count"] or 101
     t_end = cfg["t_end"]
-    dt_fixed = cfg["dt_fixed"] if cfg["dt_fixed"] > 0 else None
     traj = simulate_fluid(v0, _fluid_cfg(cfg), t_end,
-                          np.linspace(0.0, t_end, n_snap), dt_fixed=dt_fixed)
+                          np.linspace(0.0, t_end, n_snap))
     ke = np.array([kinetic_energy(f) for f in traj.fields])
     div_max = max(float(np.max(np.abs(divergence(f).values)))
                   for f in traj.fields)
@@ -481,12 +476,9 @@ def _energy_ledger(cfg: ExperimentConfig, outdir: str, prebuilt=None):
 
     nz = _support_bounds(traj.fields[-1].values, 0.0)
     front_exact = float(grid.coords(grid.dim - 1)[nz[-1][1]])
-    s_max = cfg["s_max"]
-    if not np.isfinite(s_max):
-        s_max = front_exact + 8 * h
-    s_grid = np.linspace(cfg["s_min"], s_max, cfg["s_count"])
-    deltas = np.linspace(2 * h, max(4 * h, (s_max - cfg["s_min"]) / 3.0),
-                         cfg["delta_count"])
+    s_max = front_exact + 8 * h
+    s_grid = np.linspace(0.0, s_max, cfg["s_count"])
+    deltas = np.linspace(2 * h, max(4 * h, s_max / 3.0), cfg["delta_count"])
 
     # the tails A, B, C (and L) over the s-grid, summed once; the
     # calibrations below only rescale J by a constant
@@ -569,13 +561,9 @@ def _energy_ledger(cfg: ExperimentConfig, outdir: str, prebuilt=None):
 
     refinement = {}
     if cfg["refine_check"]:
-        from .config import default_config
-
-        shared = ("bounds", "bc", "p", "mu1", "dimension", "t0", "t_end",
-                  "snapshots_per_decade", "stepper", "cfl_safety", "height_c",
-                  "threshold_frac", "tol_inner", "substeps")
-        ccfg = default_config(cfg.kind, **{k: cfg[k] for k in shared},
-                              cells=tuple(max(64, c // 2) for c in cfg["cells"]))
+        # the same run with only the grid halved
+        cells = tuple(max(64, c // 2) for c in cfg["cells"])
+        ccfg = default_config(cfg.kind, **{**cfg.values, "cells": cells})
         ctraj, _, cl1 = halfspace_run(ccfg)
         l1_ok = l1_ok and _l1_audit(cl1)[1]  # the coarse run rests on it too
         ctails = energetics.TrajectoryTails(ctraj)

@@ -248,9 +248,10 @@ def project(v: VectorField) -> VectorField:
 
 
 def viscous_cfl_dt(v: VectorField, cfg: FluidConfig) -> float:
-    """Stable viscous step ``safety h_min^2 / (4 D_max max(p - 1, 1))``,
-    ``D_max`` the diffusivity at the largest face ``|Du|^2``; at p = 2
-    that is the constant mu1, and ``v`` is not read."""
+    """Stable viscous step ``safety h_min^2 / (4 D_max (p - 1))``,
+    ``D_max`` the diffusivity at the largest face ``|Du|^2``, which for
+    ``p >= 2`` (all :class:`ModelParams` allows) is the largest one; at
+    p = 2 that is the constant mu1, and ``v`` is not read."""
     p, mu1 = cfg.params.p, cfg.params.mu1
     if p == 2.0:
         dmax = mu1
@@ -265,8 +266,8 @@ def viscous_cfl_dt(v: VectorField, cfg: FluidConfig) -> float:
         if dmax == 0.0:
             return _DT_MAX
     h_min = min(v.grid.spacing)
-    p_eff = max(p - 1.0, 1.0)
-    return float(min(_DT_MAX, cfg.cfl_safety * h_min**2 / (4.0 * dmax * p_eff)))
+    return float(min(_DT_MAX,
+                     cfg.cfl_safety * h_min**2 / (4.0 * dmax * (p - 1.0))))
 
 
 def advective_cfl_dt(v: VectorField, cfg: FluidConfig,

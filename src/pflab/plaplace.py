@@ -50,10 +50,14 @@ _WINDOW_RESCAN = 16
 _WINDOW_HALO = _WINDOW_RESCAN + 2
 # The explicit stepper recomputes its CFL bound every _CFL_STRIDE steps,
 # never below _DT_MIN, and runs the boundary sentinel every
-# _SENTINEL_STRIDE steps.
+# _SENTINEL_STRIDE steps.  The sentinel raises when the support, the
+# nodes above _SENTINEL_TAU_FRAC * max|u0|, comes within _SENTINEL_MARGIN
+# of the box's width of its edge.
 _CFL_STRIDE = 8
 _DT_MIN = 1e-14
 _SENTINEL_STRIDE = 100
+_SENTINEL_MARGIN = 0.1
+_SENTINEL_TAU_FRAC = 1e-8
 
 
 @dataclasses.dataclass
@@ -73,10 +77,7 @@ class SolverConfig:
     dt_max: float = 1.0
     tol: float = 1e-10
     max_inner: int = 60
-    substeps: int = 1
     sentinel: bool = True
-    sentinel_margin: float = 0.1
-    sentinel_tau_frac: float = 1e-8
     audit_locality: bool = True
 
     def __post_init__(self):
@@ -92,8 +93,6 @@ class SolverConfig:
             raise ValueError("max_inner must be >= 1")
         if self.stepper not in ("explicit", "implicit"):
             raise ValueError(f"unknown stepper {self.stepper!r}")
-        if self.substeps < 1:
-            raise ValueError("substeps must be >= 1")
 
 
 @dataclasses.dataclass
@@ -328,7 +327,9 @@ def step_explicit(u: ScalarField, cfg: SolverConfig, dt: float) -> ScalarField:
 
 
 def _cfl_dt(a2_max: list, grid: GridSpec, cfg: SolverConfig) -> float:
-    """The CFL bound from the largest ``|face grad|^2`` of each axis."""
+    """The CFL bound from the largest ``|face grad|^2`` of each axis.  For
+    ``p >= 2`` (all :class:`ModelParams` allows) the diffusivity there is
+    the largest one."""
     p, mu1 = cfg.params.p, cfg.params.mu1
     dmax = 0.0
     for m in a2_max:
@@ -336,8 +337,7 @@ def _cfl_dt(a2_max: list, grid: GridSpec, cfg: SolverConfig) -> float:
     if dmax == 0.0:
         return cfg.dt_max
     h_min = min(grid.spacing)
-    p_eff = max(cfg.params.p - 1.0, 1.0)
-    dt = cfg.cfl_safety * h_min**2 / (2.0 * grid.dim * dmax * p_eff)
+    dt = cfg.cfl_safety * h_min**2 / (2.0 * grid.dim * dmax * (p - 1.0))
     return float(min(max(dt, _DT_MIN), cfg.dt_max))
 
 
@@ -624,8 +624,6 @@ def step_implicit_proximal(u: ScalarField, cfg: SolverConfig, dt: float,
     the halo.  A window that reaches the grid edge on every side is the
     whole grid; runs with ``eps_reg > 0`` or ``p = 2`` always solve there.
     """
-    if cfg.params.p < 2:
-        raise ValueError("proximal stepper requires p >= 2")
     grid = u.grid
     v0 = u.values if v0 is None else np.asarray(v0, dtype=float)
     whole = _whole(u.values)
@@ -666,8 +664,7 @@ def _support_bounds(values: np.ndarray, tau: float):
     return bounds
 
 
-def _check_sentinel(values: np.ndarray, grid: GridSpec, tau: float,
-                    margin: float, t: float):
+def _check_sentinel(values: np.ndarray, grid: GridSpec, tau: float, t: float):
     bounds = _support_bounds(values, tau)
     if bounds is None:
         return
@@ -676,11 +673,11 @@ def _check_sentinel(values: np.ndarray, grid: GridSpec, tau: float,
         x = grid.coords(axis)
         lo_gap = x[lo_i] - grid.lower[axis]
         hi_gap = grid.upper[axis] - x[hi_i]
-        if lo_gap < margin * width or hi_gap < margin * width:
+        if min(lo_gap, hi_gap) < _SENTINEL_MARGIN * width:
             raise BoundarySentinelError(
-                f"support reached within {margin:.0%} of the box on axis "
-                f"{axis} at t = {t:.6g} (gaps {lo_gap:.3g}/{hi_gap:.3g}, "
-                f"width {width:.3g}); enlarge the box")
+                f"support reached within {_SENTINEL_MARGIN:.0%} of the box "
+                f"on axis {axis} at t = {t:.6g} (gaps {lo_gap:.3g}/"
+                f"{hi_gap:.3g}, width {width:.3g}); enlarge the box")
 
 
 def normalize_schedule(snapshot_times, T: float) -> np.ndarray:
@@ -794,14 +791,14 @@ def simulate(u0: ScalarField, cfg: SolverConfig, T: float,
     scans in from the window's edges), and on CFL steps the bound is read
     from the ``|face grad|^2`` the step itself forms.
 
-    Implicit runs take one :func:`step_implicit_proximal` per substep,
-    warm-started by linear extrapolation of the last two fields.  With
-    ``eps_reg = 0`` and ``p > 2`` each is solved on the window of the
-    support of its data and warm start, and is the whole-grid step up to
-    the order of its sums: outside the support's ring the Newton system
-    decouples to ``vol/dt`` with a zero right-hand side, and the step is
-    redone on a wider window whenever a Newton direction reaches the
-    window's edge.
+    Implicit runs take one :func:`step_implicit_proximal` per snapshot
+    interval, warm-started by linear extrapolation of the last two
+    fields.  With ``eps_reg = 0`` and ``p > 2`` each is solved on the
+    window of the support of its data and warm start, and is the
+    whole-grid step up to the order of its sums: outside the support's
+    ring the Newton system decouples to ``vol/dt`` with a zero right-hand
+    side, and the step is redone on a wider window whenever a Newton
+    direction reaches the window's edge.
     """
     if not T > 0:
         raise ValueError("horizon T must be positive")
@@ -812,7 +809,7 @@ def simulate(u0: ScalarField, cfg: SolverConfig, T: float,
 
     grid = u0.grid
     scale = float(np.max(np.abs(u0.values)))
-    tau_sent = cfg.sentinel_tau_frac * scale
+    tau_sent = _SENTINEL_TAU_FRAC * scale
     windowed = (cfg.stepper == "explicit" and cfg.eps_reg == 0.0
                 and cfg.params.degenerate)
     audit = cfg.audit_locality and windowed
@@ -822,7 +819,7 @@ def simulate(u0: ScalarField, cfg: SolverConfig, T: float,
     fields = [u.copy()]
     times = [0.0]
     if cfg.sentinel and scale > 0:
-        _check_sentinel(u.values, grid, tau_sent, cfg.sentinel_margin, t)
+        _check_sentinel(u.values, grid, tau_sent, t)
 
     values = u.values  # the explicit stepper updates it in place
     win = _whole(values)
@@ -857,20 +854,16 @@ def simulate(u0: ScalarField, cfg: SolverConfig, T: float,
                         values, win, window_seed() if bounds is None else bounds, t)
                 if (cfg.sentinel and scale > 0
                         and steps_since_checks % _SENTINEL_STRIDE == 0):
-                    _check_sentinel(values, grid, tau_sent,
-                                    cfg.sentinel_margin, t)
+                    _check_sentinel(values, grid, tau_sent, t)
         else:
-            dt_sub = (t_next - t) / cfg.substeps
-            for _ in range(cfg.substeps):
-                guess = None
-                if v_prev is not None:
-                    guess = u.values + (u.values - v_prev)
-                v_prev = u.values
-                u = step_implicit_proximal(u, cfg, dt_sub, v0=guess)
-                t += dt_sub
+            guess = None
+            if v_prev is not None:
+                guess = u.values + (u.values - v_prev)
+            v_prev = u.values
+            u = step_implicit_proximal(u, cfg, t_next - t, v0=guess)
             t = t_next
         if cfg.sentinel and scale > 0:
-            _check_sentinel(u.values, grid, tau_sent, cfg.sentinel_margin, t)
+            _check_sentinel(u.values, grid, tau_sent, t)
         times.append(t_next)
         fields.append(u.copy())
         t = t_next

@@ -5,12 +5,14 @@ appears in :func:`pflab.experiments.run_experiment` and nowhere else.
 Every public top-level function and class has a caller in the package
 or the benchmark harness, or is an independent oracle that tests check
 shipped code against.  Every config key is read somewhere outside the
-schema that declares it.
+schema that declares it, and is named by a test or a pinned acceptance
+config.
 """
 
 import ast
 import collections
 import pathlib
+import re
 
 from pflab.config import SCHEMA
 
@@ -99,3 +101,19 @@ def test_every_config_key_is_read_outside_the_schema():
                         if isinstance(node, ast.Constant)
                         and isinstance(node.value, str)}
     assert sorted(set(SCHEMA) - strings) == []
+
+
+def test_every_config_key_is_named_by_a_test_or_a_pinned_config():
+    texts = [path.read_text() for path in sorted((ROOT / "tests").glob("*.py"))]
+    pinned = set()
+    for path in sorted((PACKAGE / "configs" / "accept").glob("*.cfg")):
+        for line in path.read_text().splitlines():
+            match = re.match(r"\s*(\w+)\s*=", line.split("#", 1)[0])
+            if match:
+                pinned.add(match.group(1))
+
+    def named(key):
+        pattern = rf"\b{key}\b|--{key.replace('_', '-')}\b"
+        return any(re.search(pattern, text) for text in texts)
+
+    assert sorted(k for k in SCHEMA if k not in pinned and not named(k)) == []

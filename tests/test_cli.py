@@ -98,6 +98,30 @@ def test_exit_code_usage_error(tmp_path, capsys):
     assert exc.value.code == 0
 
 
+def test_accept_takes_only_its_own_flags(tmp_path, capsys):
+    # a schema flag is a usage error, and a criterion number outside
+    # 1-12 a configuration error; neither runs a criterion
+    out = tmp_path / "acc"
+    assert run_cli("accept", "--outdir", str(out), "--only", "9",
+                   "--p", "7", "--cells", "3") == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    for only in ("13", "x", "0", "4,,5", ""):
+        assert run_cli("accept", "--outdir", str(out), "--only", only) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "1-12" in err
+    assert not out.exists()
+
+
+def test_fluid2d_has_no_dimension_flag(capsys):
+    # the subcommand forces dimension = 2
+    with pytest.raises(SystemExit) as exc:
+        run_cli("fluid2d", "--help")
+    assert exc.value.code == 0
+    assert "--dimension" not in capsys.readouterr().out
+    assert run_cli("fluid2d", "--dimension", "2") == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_bounds_equals_form_runs(tmp_path):
     out = tmp_path / "out"
     code = run_cli("barenblatt", "--bounds=-6:6", "--cells", "128",

@@ -84,6 +84,14 @@ def test_fluid_requires_2d():
     assert any("2-D" in msg for _, msg in exc.value.errors)
 
 
+def test_fluid_requires_p_at_least_2():
+    with pytest.raises(ConfigError) as exc:
+        parse_config("experiment = fluid2d-taylor-green\ndimension = 2\n"
+                     "p = 1.5\n")
+    assert exc.value.errors == [(3, "p: fluid experiments require p >= 2, "
+                                    "got 1.5")]
+
+
 def test_bad_syntax_line_number():
     with pytest.raises(ConfigError) as exc:
         parse_config("experiment = exponent-identities\njust words\n")

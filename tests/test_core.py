@@ -8,6 +8,7 @@ from pflab.core import (DIRICHLET, PERIODIC, GridSpec, ModelParams,
                         gradient, integral, load_field, lp_norm,
                         restrict_integral, save_field)
 from pflab.energetics import TrajectoryTails
+from pflab.fronts import support_envelope_l1, support_envelope_l2
 from pflab.plaplace import Trajectory
 
 
@@ -210,15 +211,20 @@ def test_tail_profile_matches_restrict():
 
 
 def test_model_params_ranges():
-    mp = ModelParams(3.0, 1.0, 1)
-    assert mp.degenerate and mp.envelope_l2_valid and mp.envelope_l1_valid
+    assert ModelParams(3.0, 1.0, 1).degenerate
+    assert not ModelParams(2.0, 1.0, 2).degenerate
+    support_envelope_l1(3.0, 1, 1.0, 1.0)
+    support_envelope_l2(3.0, 1, 1.0, 1.0)
     # 2-D thresholds: (3N+2)/(N+2) = 2, (3N+1)/(N+1) = 7/3
-    mp2 = ModelParams(2.2, 1.0, 2)
-    assert mp2.envelope_l2_valid and not mp2.envelope_l1_valid
+    support_envelope_l2(2.2, 2, 1.0, 1.0)
+    with pytest.raises(ValueError):
+        support_envelope_l1(2.2, 2, 1.0, 1.0)
     with pytest.raises(ValueError):
         ModelParams(3.0, 0.0, 1)
-    with pytest.raises(ValueError):
-        ModelParams(1.5, 1.0, 1).require_degenerate()
+    # both solvers take p >= 2 only
+    for p in (1.5, 1.999, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="p must be"):
+            ModelParams(p)
 
 
 def test_field_csv_roundtrip(tmp_path):

@@ -102,6 +102,28 @@ def test_energy_ledger_small(tmp_path):
     assert lines[2] == "s,A,B,C,J,L"
 
 
+def test_ledger_refinement_run_differs_only_in_cells(tmp_path, monkeypatch):
+    # the coarse run of the refinement check is the fine run's config with
+    # the grid halved; t_ref places the first snapshot of both
+    seen = []
+    real = experiments.halfspace_run
+    monkeypatch.setattr(experiments, "halfspace_run",
+                        lambda cfg: seen.append(cfg) or real(cfg))
+    cfg = default_config(
+        "energy-ledger", outdir=str(tmp_path), p=3.0, dimension=1,
+        cells=(512,), bounds="-7.8:7.5", t0=5e-8, t_end=1.0,
+        stepper="explicit", snapshots_per_decade=16, s_count=9,
+        delta_count=3, t_ref=0.2, svg=False)
+    try:
+        run_experiment(cfg)
+    except VerificationError:
+        pass  # the gates' verdict at this size does not matter here
+    fine, coarse = seen
+    assert fine is cfg and coarse.kind == cfg.kind
+    assert {k for k in fine.values if coarse[k] != fine[k]} == {"cells"}
+    assert coarse["cells"] == (256,) and coarse["t_ref"] == 0.2
+
+
 def test_taylor_green_small(tmp_path):
     r = run_experiment(default_config(
         "fluid2d-taylor-green", outdir=str(tmp_path), p=2.0, dimension=2,
