@@ -50,8 +50,7 @@ def _collect_overrides(args, forced: dict | None = None) -> dict:
         val = getattr(args, f"opt_{key}", None)
         if val is not None:
             over[key] = val
-    for key, val in (forced or {}).items():
-        over.setdefault(key, val)
+    over.update(forced or {})
     return over
 
 
@@ -181,17 +180,19 @@ def main(argv=None) -> int:
                     "energy ledgers and inequality suites.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def with_config(p, defaults=None, skip=()):
+    # a subcommand that forces a key (its experiment kind, and the fluid's
+    # dimension 2) has no flag for it
+    def with_config(p, defaults=None, skip=("experiment",)):
         p.add_argument("--config", help="key = value config file")
         _add_schema_flags(p, defaults, skip)
         return p
 
     with_config(sub.add_parser("simulate", help="run the experiment named "
-                                                "in the config"))
+                                                "in the config"), skip=())
     with_config(sub.add_parser("barenblatt", help="self-similar front fit / "
                                                   "accuracy study"))
     with_config(sub.add_parser("fluid2d", help="2-D Taylor-Green fluid run"),
-                _FLUID2D_DEFAULTS, skip=("dimension",))  # forced to 2
+                _FLUID2D_DEFAULTS, skip=("experiment", "dimension"))
     with_config(sub.add_parser("energy", help="tail-energy ledger and checks"))
     with_config(sub.add_parser("verify-lemmas", help="iteration, interpolation "
                                                      "and identity suites"))

@@ -86,13 +86,10 @@ SCHEMA: dict[str, tuple[str, object, str]] = {
     "snapshot_count": ("int", 0, "if > 0, use this many uniform snapshots"),
     # solver
     "stepper": ("str", "implicit", "explicit or implicit"),
-    "eps_reg": ("float", 0.0, "gradient regularization (0 = exact support; "
-                              "fluid2d: 0 = the grid spacing)"),
     "cfl_safety": ("float", 0.9, "explicit CFL safety factor in (0, 1]"),
     "tol_inner": ("float", 1e-10, "proximal optimality tolerance"),
     "max_inner": ("int", 60, "proximal Newton iteration cap"),
     "dt_max": ("float", 1.0, "upper bound on adaptive steps"),
-    "sentinel": ("bool", True, "boundary-proximity sentinel on/off"),
     "audit_locality": ("bool", True, "per-step support-locality audit"),
     # fronts
     "threshold_frac": ("float", 1e-6, "front threshold / max|u0|"),
@@ -106,7 +103,6 @@ SCHEMA: dict[str, tuple[str, object, str]] = {
     "study_t1": ("float", 16.0, "accuracy study: compare at this absolute time"),
     "order_min": ("float", 0.8, "minimum acceptable empirical order"),
     # fluid
-    "advection": ("str", "central", "advection scheme: central or upwind"),
     "fluid_cfl_safety": ("float", 0.4, "fluid CFL safety factor"),
     "ke_rate_tol": ("float", 0.02, "relative tolerance on the KE decay rate"),
     "div_tol": ("float", 1e-10, "post-projection divergence bound"),
@@ -171,8 +167,6 @@ def _validate(values: dict, lines: dict) -> list:
     if kind.startswith("fluid2d"):
         need(p >= 2, "p", f"fluid experiments require p >= 2, got {p}")
         need(values["dimension"] == 2, "dimension", "fluid experiments are 2-D")
-        need(values["advection"] in ("central", "upwind"), "advection",
-             "must be 'central' or 'upwind'")
     need(values["stepper"] in ("explicit", "implicit"), "stepper",
          "must be 'explicit' or 'implicit'")
     need(0 < values["cfl_safety"] <= 1, "cfl_safety", "must lie in (0, 1]")
@@ -181,7 +175,6 @@ def _validate(values: dict, lines: dict) -> list:
     need(values["dt_max"] > 0, "dt_max", "must be > 0")
     need(values["tol_inner"] > 0, "tol_inner", "must be > 0")
     need(values["max_inner"] >= 1, "max_inner", "must be >= 1")
-    need(values["eps_reg"] >= 0, "eps_reg", "must be >= 0")
     need(values["t_end"] > 0, "t_end", "must be > 0")
     need(values["t0"] >= 0, "t0", "must be >= 0")
     need(values["threshold_frac"] > 0, "threshold_frac", "must be > 0")

@@ -202,10 +202,10 @@ class ModelParams:
     """Exponent and viscosity of the power-law model.
 
     ``p`` is the growth exponent of the stress, ``mu1`` the viscosity
-    coefficient.  Both solvers take ``p >= 2``, the regime their CFL
-    bounds and proximal step are checked in.  For ``p > 2`` the
-    diffusivity vanishes with the gradient and compactly supported data
-    stays compactly supported.
+    coefficient.  The fluid solver takes ``p >= 2`` and the scalar solver
+    ``p > 2``, the regimes their CFL bounds and proximal step are checked
+    in.  For ``p > 2`` the diffusivity vanishes with the gradient and
+    compactly supported data stays compactly supported.
     """
 
     p: float

@@ -65,13 +65,11 @@ def _model(cfg: ExperimentConfig) -> ModelParams:
 def _solver(cfg: ExperimentConfig) -> SolverConfig:
     return SolverConfig(
         params=_model(cfg),
-        eps_reg=cfg["eps_reg"],
         stepper=cfg["stepper"],
         cfl_safety=cfg["cfl_safety"],
         tol=cfg["tol_inner"],
         max_inner=cfg["max_inner"],
         dt_max=cfg["dt_max"],
-        sentinel=cfg["sentinel"],
         audit_locality=cfg["audit_locality"],
     )
 
@@ -364,9 +362,7 @@ def run_halfspace_fsp(cfg: ExperimentConfig, outdir: str,
 
 
 def _fluid_cfg(cfg: ExperimentConfig) -> FluidConfig:
-    eps = cfg["eps_reg"] if cfg["eps_reg"] > 0 else None
-    return FluidConfig(_model(cfg), eps_reg=eps, advection=cfg["advection"],
-                       cfl_safety=cfg["fluid_cfl_safety"])
+    return FluidConfig(_model(cfg), cfl_safety=cfg["fluid_cfl_safety"])
 
 
 def _weak_residual_study(cfg: ExperimentConfig, outdir: str):

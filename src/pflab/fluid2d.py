@@ -11,13 +11,10 @@ reads it, and the weak form tests against divergence-free fields.
 The periodic stencils are the shared face operators of
 :mod:`pflab.plaplace`, built from slices rather than shifted copies.
 
-Advection comes in two flavours:
-
-* ``upwind``: conservative finite-volume fluxes of ``u x u`` with
-  upwinded face values; first order, dissipative, momentum-exact.
-* ``central``: skew-symmetric average of the divergence and advective
-  forms with centered differences; second order, exactly energy-neutral
-  under summation by parts, momentum-exact once ``div u = 0``.
+Advection is the skew-symmetric average of the divergence and advective
+forms with centered differences: second order, exactly energy-neutral
+under summation by parts (it adds no numerical dissipation to the
+energy balance), momentum-exact once ``div u = 0``.
 """
 
 from __future__ import annotations
@@ -26,8 +23,8 @@ import dataclasses
 
 import numpy as np
 
-from .core import (GridSpec, ModelParams, VectorField, _periodic_stencil,
-                   deformation_tensor, divergence, lp_norm)
+from .core import (GridSpec, ModelParams, VectorField, deformation_tensor,
+                   divergence, lp_norm)
 from .errors import NumericalError
 from .plaplace import (Trajectory, _diffusivity_of_a2, _face_avg, _face_diff,
                         _face_diff_adj, _trans_deriv, normalize_schedule)
@@ -43,25 +40,16 @@ class FluidConfig:
 
     params: ModelParams
     eps_reg: float | None = None
-    advection: str = "central"
     cfl_safety: float = 0.4
 
     def __post_init__(self):
         if self.params.dim != 2:
             raise ValueError("fluid solver is 2-D; ModelParams.dim must be 2")
-        if self.advection not in ("upwind", "central"):
-            raise ValueError(f"unknown advection scheme {self.advection!r}")
         if not 0 < self.cfl_safety <= 1:
             raise ValueError("cfl_safety must lie in (0, 1]")
 
     def eps_for(self, grid: GridSpec) -> float:
         return min(grid.spacing) if self.eps_reg is None else self.eps_reg
-
-
-@dataclasses.dataclass
-class FluidState:
-    velocity: VectorField
-    time: float = 0.0
 
 
 def _require_periodic(grid: GridSpec):
@@ -139,32 +127,18 @@ def viscous_term(v: VectorField, params: ModelParams,
 # ---------------------------------------------------------------------------
 
 
-def _upwind_flux(ubar, q, q_next, out):
-    np.multiply(ubar, np.where(ubar >= 0.0, q, q_next), out=out)
-
-
-def _advection_tendency(v: VectorField, scheme: str) -> list[np.ndarray]:
-    grid = v.grid
-    hx, hy = grid.spacing
+def _advection_tendency(v: VectorField) -> list[np.ndarray]:
+    """Skew-symmetric ``-0.5 (div(u q) + u . grad q)`` for each component
+    ``q``; exactly KE-neutral."""
+    hx, hy = v.grid.spacing
     u0, u1 = v.components
     tendency = []
-    if scheme == "central":
-        # skew-symmetric: 0.5 (div(u q) + u . grad q); exactly KE-neutral
-        for q in (u0, u1):
-            div_form = (_trans_deriv(u0 * q, 0, hx, True)
-                        + _trans_deriv(u1 * q, 1, hy, True))
-            adv_form = (u0 * _trans_deriv(q, 0, hx, True)
-                        + u1 * _trans_deriv(q, 1, hy, True))
-            tendency.append(-0.5 * (div_form + adv_form))
-        return tendency
-    # conservative upwind fluxes of u q through the faces
     for q in (u0, u1):
-        out = np.zeros(grid.shape)
-        for axis, (un, h) in enumerate(((u0, hx), (u1, hy))):
-            ubar = _face_avg(un, axis, True)
-            flux = _periodic_stencil(_upwind_flux, axis, (ubar, 0), (q, 0), (q, 1))
-            out += _face_diff_adj(flux, grid.shape, axis, h, True)
-        tendency.append(out)
+        div_form = (_trans_deriv(u0 * q, 0, hx, True)
+                    + _trans_deriv(u1 * q, 1, hy, True))
+        adv_form = (u0 * _trans_deriv(q, 0, hx, True)
+                    + u1 * _trans_deriv(q, 1, hy, True))
+        tendency.append(-0.5 * (div_form + adv_form))
     return tendency
 
 
@@ -177,8 +151,8 @@ def _speed_max(v: VectorField) -> float:
     return float(np.sqrt(np.max(u0 * u0 + u1 * u1)))
 
 
-def advect(v: VectorField, dt: float, scheme: str = "central",
-           cfl_safety: float = 0.4, vmax: float | None = None) -> VectorField:
+def advect(v: VectorField, dt: float, cfl_safety: float = 0.4,
+           vmax: float | None = None) -> VectorField:
     """Apply the advection tendency for ``dt``; errors on a CFL violation.
     ``vmax`` is the field's largest speed, measured here unless given."""
     _require_periodic(v.grid)
@@ -189,7 +163,7 @@ def advect(v: VectorField, dt: float, scheme: str = "central",
         raise NumericalError(
             f"advective CFL violated: |u|max dt = {vmax * dt:.3e} > "
             f"{cfl_safety:.3g} h = {cfl_safety * h_min:.3e}")
-    tend = _advection_tendency(v, scheme)
+    tend = _advection_tendency(v)
     return VectorField(v.grid, tuple(c + dt * t for c, t in zip(v.components, tend)))
 
 
@@ -281,15 +255,15 @@ def advective_cfl_dt(v: VectorField, cfg: FluidConfig,
     return float(min(_DT_MAX, cfg.cfl_safety * min(v.grid.spacing) / vmax))
 
 
-def fluid_step(state: FluidState, cfg: FluidConfig, dt: float,
-               vmax: float | None = None) -> FluidState:
-    """advect -> add dt * viscous term -> project; advances time by dt.
-    ``vmax``, the largest speed of ``state``, spares :func:`advect` its
-    own pass when the caller has it."""
-    v = advect(state.velocity, dt, cfg.advection, cfg.cfl_safety, vmax)
+def fluid_step(v: VectorField, cfg: FluidConfig, dt: float,
+               vmax: float | None = None) -> VectorField:
+    """advect -> add dt * viscous term -> project.  ``vmax``, the largest
+    speed of ``v``, spares :func:`advect` its own pass when the caller
+    has it."""
+    v = advect(v, dt, cfg.cfl_safety, vmax)
     visc = viscous_term(v, cfg.params, cfg.eps_for(v.grid))
     v = VectorField(v.grid, tuple(c + dt * w for c, w in zip(v.components, visc.components)))
-    return FluidState(project(v), state.time + dt)
+    return project(v)
 
 
 def simulate_fluid(v0: VectorField, cfg: FluidConfig, T: float,
@@ -305,24 +279,23 @@ def simulate_fluid(v0: VectorField, cfg: FluidConfig, T: float,
         snapshot_times = np.linspace(0.0, T, 33)
     sched = normalize_schedule(snapshot_times, T)
 
-    state = FluidState(project(v0))
-    fields = [state.velocity.copy()]
+    v = project(v0)
+    fields = [v.copy()]
     times = [0.0]
     t = 0.0
     for t_next in sched[1:]:
         while t < t_next - 1e-13 * max(1.0, t_next):
             if dt_fixed is None:
-                vmax = _speed_max(state.velocity)
-                dt = min(advective_cfl_dt(state.velocity, cfg, vmax),
-                         viscous_cfl_dt(state.velocity, cfg),
+                vmax = _speed_max(v)
+                dt = min(advective_cfl_dt(v, cfg, vmax),
+                         viscous_cfl_dt(v, cfg),
                          t_next - t)
             else:
                 vmax, dt = None, min(dt_fixed, t_next - t)
-            state = fluid_step(state, cfg, dt, vmax)
-            t = state.time
+            v = fluid_step(v, cfg, dt, vmax)
+            t += dt
         times.append(t_next)
-        state = FluidState(state.velocity, t_next)
-        fields.append(state.velocity.copy())
+        fields.append(v.copy())
         t = t_next
     return Trajectory(np.asarray(times), fields)
 
@@ -338,17 +311,10 @@ def _inner(a: VectorField, b: VectorField) -> float:
 
 
 def _check_test_field(phi: VectorField):
-    grid = phi.grid
     div_phi = float(np.max(np.abs(divergence(phi).values)))
     scale = max(1.0, float(np.max(phi.magnitude())))
     if div_phi > 1e-10 * scale:
         raise ValueError(f"test field is not divergence-free (max div {div_phi:.3e})")
-    if not all(grid.is_periodic(a) for a in range(grid.dim)):
-        # embedded whole-space runs need interior support
-        mag = phi.magnitude()
-        ring = np.concatenate([mag[0, :], mag[-1, :], mag[:, 0], mag[:, -1]])
-        if np.any(ring != 0.0):
-            raise ValueError("test field must be compactly supported inside the box")
 
 
 def weak_residual(traj: Trajectory, phis, params: ModelParams) -> np.ndarray:
@@ -362,6 +328,7 @@ def weak_residual(traj: Trajectory, phis, params: ModelParams) -> np.ndarray:
     ``div phi = 0``.  One pass over the trajectory serves every field:
     ``u_t``, the advective term and ``Du`` are formed once per snapshot.
     """
+    _require_periodic(traj.grid)
     phis = list(phis)
     for phi in phis:
         _check_test_field(phi)

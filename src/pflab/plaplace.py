@@ -4,9 +4,9 @@ Two steppers share one spatial discretization idea (face-centered
 diffusivities built from the full gradient magnitude):
 
 * ``explicit``: conservative face-flux update.  Monotone under the CFL
-  bound, mass-exact, preserves positivity and, with ``eps_reg = 0``,
-  grows the support by at most one cell per axis per step.  The stepper
-  of choice for sharp-front studies.
+  bound, mass-exact, preserves positivity and grows the support by at
+  most one cell per axis per step.  The stepper of choice for
+  sharp-front studies.
 * ``implicit``: backward Euler realized as a proximal step, i.e. the
   minimizer of ``|v - u|^2 / (2 dt) + (mu1/p) * sum |grad v|^p`` over the
   grid, solved by damped Newton with a monotone line search (exact
@@ -16,14 +16,15 @@ diffusivities built from the full gradient magnitude):
   diagonal and the band all read.  No CFL limit, so it is the stepper
   for long-horizon exponent fits.
 
-With ``eps_reg = 0`` both steppers propagate exact zeros: fluxes vanish
-where the solution vanishes, and the Newton linearization decouples
-outside the support, so neither stepper contaminates the far field.
-Both use this: with ``eps_reg = 0`` and ``p > 2`` each explicit step acts
-only on the support's bounding window plus a halo, and the trajectory is
-bit-identical to full-grid stepping; each proximal step is solved on
-such a window, guarded so that it is the whole-grid solve up to the order
-of its sums (:func:`step_implicit_proximal`).
+The equation is degenerate (``p > 2``) and unregularized, so both
+steppers propagate exact zeros: fluxes vanish where the solution
+vanishes, and the Newton linearization decouples outside the support,
+so neither stepper contaminates the far field.  Both use this: each
+explicit step acts only on the support's bounding window plus a halo,
+and the trajectory is bit-identical to full-grid stepping; each
+proximal step is solved on such a window, guarded so that it is the
+whole-grid solve up to the order of its sums
+(:func:`step_implicit_proximal`).
 The support's bounds, which the locality audit checks after every step
 and the window follows, come from an edge scan seeded by the previous
 bounds (:func:`_edge_bounds`), so that bookkeeping costs what the front
@@ -62,27 +63,23 @@ _SENTINEL_TAU_FRAC = 1e-8
 
 @dataclasses.dataclass
 class SolverConfig:
-    """Knobs of the scalar solver.
+    """Knobs of the scalar solver of the degenerate equation, ``p > 2``.
 
-    ``eps_reg`` regularizes the gradient magnitude (0 keeps exact compact
-    support); ``tol`` is the inner first-order optimality tolerance of
-    the proximal step, measured as the grid-L2 norm of the objective
-    gradient.
+    ``tol`` is the inner first-order optimality tolerance of the proximal
+    step, measured as the grid-L2 norm of the objective gradient.
     """
 
     params: ModelParams
-    eps_reg: float = 0.0
     stepper: str = "explicit"
     cfl_safety: float = 0.9
     dt_max: float = 1.0
     tol: float = 1e-10
     max_inner: int = 60
-    sentinel: bool = True
     audit_locality: bool = True
 
     def __post_init__(self):
-        if self.eps_reg < 0:
-            raise ValueError("eps_reg must be >= 0")
+        if not self.params.degenerate:
+            raise ValueError(f"the scalar solver needs p > 2, got p = {self.params.p}")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
         if not 0 < self.cfl_safety <= 1:
@@ -226,10 +223,8 @@ def _face_gradients(v: np.ndarray, grid: GridSpec, axis: int):
     return gn, gt
 
 
-def _face_a2(gn, gt, eps: float):
+def _face_a2(gn, gt):
     a2 = gn * gn
-    if eps:
-        a2 = a2 + eps * eps
     if gt is not None:
         a2 = a2 + gt * gt
     return a2
@@ -237,8 +232,6 @@ def _face_a2(gn, gt, eps: float):
 
 def _diffusivity_of_a2(a2, p: float, mu1: float):
     e = (p - 2.0) / 2.0
-    if e == 0.0:
-        return np.full_like(a2, mu1)
     d = np.sqrt(a2) if e == 0.5 else a2**e  # p = 3: sqrt beats pow
     if mu1 != 1.0:  # a product with 1 is exact, so that pass is skipped
         d *= mu1
@@ -266,7 +259,7 @@ def _diffusion_rhs(v: np.ndarray, grid: GridSpec, cfg: SolverConfig,
         # hot path of the 1-D sharp-front studies
         h = grid.spacing[0]
         gn = (v[1:] - v[:-1]) / h
-        a2 = _face_a2(gn, None, cfg.eps_reg)
+        a2 = _face_a2(gn, None)
         if a2_max is not None:
             a2_max.append(_a2_max(a2))
         flux = _diffusivity_of_a2(a2, p, mu1)
@@ -281,7 +274,7 @@ def _diffusion_rhs(v: np.ndarray, grid: GridSpec, cfg: SolverConfig,
     for axis in range(grid.dim):
         h = grid.spacing[axis]
         gn, gt = _face_gradients(v, grid, axis)
-        a2 = _face_a2(gn, gt, cfg.eps_reg)
+        a2 = _face_a2(gn, gt)
         if a2_max is not None:
             a2_max.append(_a2_max(a2))
         flux = _diffusivity_of_a2(a2, p, mu1) * gn
@@ -345,8 +338,7 @@ def cfl_dt(u: ScalarField, cfg: SolverConfig) -> float:
     """Stable explicit step ``safety * h_min^2 / (2 N D_max (p-1))``;
     an all-zero diffusivity yields ``dt_max``."""
     _check_finite(u.values, "cfl_dt input")
-    a2_max = [_a2_max(_face_a2(*_face_gradients(u.values, u.grid, axis),
-                               cfg.eps_reg))
+    a2_max = [_a2_max(_face_a2(*_face_gradients(u.values, u.grid, axis)))
               for axis in range(u.grid.dim)]
     return _cfl_dt(a2_max, u.grid, cfg)
 
@@ -361,12 +353,12 @@ def _face_weight(grid: GridSpec) -> float:
     return w if grid.dim == 1 else w / 2.0
 
 
-def _face_fields(v: np.ndarray, grid: GridSpec, eps: float) -> list:
+def _face_fields(v: np.ndarray, grid: GridSpec) -> list:
     """Per axis: the face gradients ``(gn, gt)`` and ``a2 = |face grad|^2``."""
     faces = []
     for axis in range(grid.dim):
         gn, gt = _face_gradients(v, grid, axis)
-        faces.append((gn, gt, _face_a2(gn, gt, eps)))
+        faces.append((gn, gt, _face_a2(gn, gt)))
     return faces
 
 
@@ -411,13 +403,13 @@ class _ProxProblem:
         return 0.5 / self.dt * float(np.sum((v - self.u) ** 2 * self.vol))
 
     def value(self, v: np.ndarray) -> float:
-        faces = _face_fields(v, self.grid, self.cfg.eps_reg)
+        faces = _face_fields(v, self.grid)
         return self._quad(v) + _energy(faces, self.grid, self.cfg)
 
     def value_and_grad(self, v: np.ndarray):
         p, mu1 = self.cfg.params.p, self.cfg.params.mu1
         grid = self.grid
-        faces = _face_fields(v, grid, self.cfg.eps_reg)
+        faces = _face_fields(v, grid)
         adj = np.zeros(grid.shape)
         self._k = []
         for axis, (gn, gt, a2) in enumerate(faces):
@@ -610,26 +602,23 @@ def step_implicit_proximal(u: ScalarField, cfg: SolverConfig, dt: float,
     ``E(v) + |v - u|^2/(2 dt) <= E(u) + tol`` because the line search
     never accepts an objective increase from the start point ``u``.
 
-    With ``eps_reg = 0`` and ``p > 2`` the step is solved on a window: the
-    bounding box of ``supp(u) | supp(v0)`` plus a halo of
-    ``_WINDOW_HALO`` nodes on each dirichlet axis (periodic axes stay
-    whole), as a grid of its own with the parent's spacing and node
-    weights.  Where the iterate vanishes two nodes deep, the face tensor
+    The step is solved on a window: the bounding box of
+    ``supp(u) | supp(v0)`` plus a halo of ``_WINDOW_HALO`` nodes on each
+    dirichlet axis (periodic axes stay whole), as a grid of its own with
+    the parent's spacing and node weights.  Where the iterate vanishes two nodes deep, the face tensor
     ``K`` vanishes, so the whole-grid Hessian there is ``vol/dt``, the
     gradient is 0, and every Krylov vector, Newton direction and line
-    search point keeps those nodes exactly 0: the windowed solve is the
-    whole-grid solve, up to the order of its sums.  A guard keeps it so:
+    search point keeps those nodes exactly 0: the solve on the window is
+    the whole-grid solve, up to the order of its sums.  A guard keeps it so:
     when a Newton direction is nonzero on the outer two nodes of a window
     side inside the grid, the step is redone from its start with twice
     the halo.  A window that reaches the grid edge on every side is the
-    whole grid; runs with ``eps_reg > 0`` or ``p = 2`` always solve there.
+    whole grid.
     """
     grid = u.grid
     v0 = u.values if v0 is None else np.asarray(v0, dtype=float)
     whole = _whole(u.values)
-    bounds = None
-    if cfg.eps_reg == 0.0 and cfg.params.degenerate:
-        bounds = _support_bounds((u.values != 0.0) | (v0 != 0.0), 0.0)
+    bounds = _support_bounds((u.values != 0.0) | (v0 != 0.0), 0.0)
     halo = _WINDOW_HALO
     while True:
         win = _support_window(bounds, grid, whole, halo)
@@ -777,12 +766,12 @@ def simulate(u0: ScalarField, cfg: SolverConfig, T: float,
 
     ``snapshot_times`` is an increasing sequence of times in ``[0, T]``
     (0 and T are added when missing); defaults to 33 uniform snapshots.
-    The boundary-proximity sentinel and, for degenerate explicit runs,
-    the per-step support-locality audit run during stepping.
+    The boundary-proximity sentinel and, for explicit runs, the per-step
+    support-locality audit run during stepping.
 
-    Degenerate explicit runs (``eps_reg = 0``, ``p > 2``) step only the
-    support's bounding window plus a halo, rescanned every few steps; the
-    CFL bound, the finiteness check and the audit read the same window.
+    Explicit runs step only the support's bounding window plus a halo,
+    rescanned every few steps; the CFL bound, the finiteness check and
+    the audit read the same window.
     The nodes outside it hold exact zeros that a full-grid step would
     leave unchanged, so the trajectory is bit-identical to repeated
     :func:`cfl_dt` / :func:`step_explicit` calls.  The audit and the
@@ -793,10 +782,9 @@ def simulate(u0: ScalarField, cfg: SolverConfig, T: float,
 
     Implicit runs take one :func:`step_implicit_proximal` per snapshot
     interval, warm-started by linear extrapolation of the last two
-    fields.  With ``eps_reg = 0`` and ``p > 2`` each is solved on the
-    window of the support of its data and warm start, and is the
-    whole-grid step up to the order of its sums: outside the support's
-    ring the Newton system decouples to ``vol/dt`` with a zero right-hand
+    fields.  Each is solved on the window of the support of its data and
+    warm start, and is the whole-grid step up to the order of its sums:
+    outside the support's ring the Newton system decouples to ``vol/dt`` with a zero right-hand
     side, and the step is redone on a wider window whenever a Newton
     direction reaches the window's edge.
     """
@@ -810,15 +798,13 @@ def simulate(u0: ScalarField, cfg: SolverConfig, T: float,
     grid = u0.grid
     scale = float(np.max(np.abs(u0.values)))
     tau_sent = _SENTINEL_TAU_FRAC * scale
-    windowed = (cfg.stepper == "explicit" and cfg.eps_reg == 0.0
-                and cfg.params.degenerate)
-    audit = cfg.audit_locality and windowed
+    audit = cfg.audit_locality
 
     u = u0.copy()
     t = 0.0
     fields = [u.copy()]
     times = [0.0]
-    if cfg.sentinel and scale > 0:
+    if scale > 0:
         _check_sentinel(u.values, grid, tau_sent, t)
 
     values = u.values  # the explicit stepper updates it in place
@@ -834,7 +820,7 @@ def simulate(u0: ScalarField, cfg: SolverConfig, T: float,
         if cfg.stepper == "explicit":
             t_stop = t_next - 1e-15 * max(t_next, 1.0)
             while t < t_stop:
-                if windowed and steps_since_checks % _WINDOW_RESCAN == 0:
+                if steps_since_checks % _WINDOW_RESCAN == 0:
                     if not audit:
                         bounds = _edge_bounds(values, win, window_seed(), t)
                     win = _support_window(bounds, grid, win, _WINDOW_HALO)
@@ -852,8 +838,7 @@ def simulate(u0: ScalarField, cfg: SolverConfig, T: float,
                 if audit:
                     bounds = _edge_bounds(
                         values, win, window_seed() if bounds is None else bounds, t)
-                if (cfg.sentinel and scale > 0
-                        and steps_since_checks % _SENTINEL_STRIDE == 0):
+                if scale > 0 and steps_since_checks % _SENTINEL_STRIDE == 0:
                     _check_sentinel(values, grid, tau_sent, t)
         else:
             guess = None
@@ -862,7 +847,7 @@ def simulate(u0: ScalarField, cfg: SolverConfig, T: float,
             v_prev = u.values
             u = step_implicit_proximal(u, cfg, t_next - t, v0=guess)
             t = t_next
-        if cfg.sentinel and scale > 0:
+        if scale > 0:
             _check_sentinel(u.values, grid, tau_sent, t)
         times.append(t_next)
         fields.append(u.copy())

@@ -112,8 +112,9 @@ def test_every_config_key_is_named_by_a_test_or_a_pinned_config():
             if match:
                 pinned.add(match.group(1))
 
-    def named(key):
-        pattern = rf"\b{key}\b|--{key.replace('_', '-')}\b"
+    def named(key):  # ``key =``, ``key=``, a quoted "key" or a --key flag
+        pattern = (rf"\b{key} ?=(?!=)|[\"']{key}[\"']"
+                   rf"|--{key.replace('_', '-')}\b")
         return any(re.search(pattern, text) for text in texts)
 
     assert sorted(k for k in SCHEMA if k not in pinned and not named(k)) == []

@@ -1,12 +1,10 @@
-import os
-
 import numpy as np
 import pytest
 
 from pflab.cli import main
-from pflab.config import default_config
-from pflab.errors import NumericalError
-from pflab.experiments import export_trajectory, run_experiment
+from pflab.config import default_config, parse_config
+from pflab.errors import ConfigError, NumericalError
+from pflab.experiments import run_experiment
 from pflab.svgplot import emit_plot
 
 
@@ -122,6 +120,34 @@ def test_fluid2d_has_no_dimension_flag(capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["barenblatt", "fluid2d", "energy",
+                                     "verify-lemmas"])
+def test_a_subcommand_has_no_flag_for_its_forced_kind(tmp_path, capsys, command):
+    # the subcommand forces the experiment kind; a flag for it would win
+    # and run another experiment
+    out = tmp_path / "out"
+    assert run_cli(command, "--experiment", "exponent-identities",
+                   "--outdir", str(out)) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key,value", [
+    ("eps_reg", "0"), ("advection", "central"), ("sentinel", "true")])
+def test_deleted_solver_keys_are_rejected(tmp_path, capsys, key, value):
+    # the solvers have no regularization, one advection scheme and an
+    # always-on sentinel: the keys are unknown in a file and as flags
+    text = f"experiment = fluid2d-taylor-green\ndimension = 2\np = 2\n{key} = {value}\n"
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert exc.value.errors == [(4, f"unknown key {key!r}")]
+    out = tmp_path / "out"
+    assert run_cli("simulate", f"--{key.replace('_', '-')}", value,
+                   "--outdir", str(out)) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bounds_equals_form_runs(tmp_path):
     out = tmp_path / "out"
     code = run_cli("barenblatt", "--bounds=-6:6", "--cells", "128",
@@ -223,18 +249,14 @@ def test_barenblatt_smoke_and_determinism(tmp_path):
 
 
 def test_track_support_and_fit_pipeline(tmp_path, capsys):
-    from pflab.core import GridSpec
-    from pflab.exact import BarenblattParams, barenblatt_field
-    from pflab.plaplace import Trajectory
-
-    bp = BarenblattParams(3.0, 1)
-    g = GridSpec.line(-9.0, 9.0, 1024)
-    times = np.logspace(0, np.log10(30.0), 24)
-    traj = Trajectory(times - 1.0, [barenblatt_field(bp, g, t) for t in times])
     rundir = tmp_path / "traj"
-    os.makedirs(rundir)
-    export_trajectory(traj, str(rundir))
+    code = run_cli("barenblatt", "--p", "3", "--cells", "768", "--bounds=-12:12",
+                   "--t0", "1", "--t-end", "20", "--snapshots-per-decade", "16",
+                   "--export-trajectory", "true", "--svg", "false",
+                   "--outdir", str(rundir))
+    assert code == 0
     assert (rundir / "index.csv").exists()
+    capsys.readouterr()
     trace_path = tmp_path / "trace.csv"
     code = run_cli("track-support", "--index", str(rundir / "index.csv"),
                    "--tau", "1e-7", "--mode", "radial", "--out", str(trace_path))
@@ -245,8 +267,8 @@ def test_track_support_and_fit_pipeline(tmp_path, capsys):
     slope = float([ln for ln in out.splitlines() if ln.startswith("slope")][0]
                   .split("=")[1])
     # times in the exported trajectory are relative (start at 0), so the
-    # fitted slope against t+0 is biased above the 1/4 law; it still lands
-    # in a sane band
+    # fitted slope against t, not t + t0, is biased away from the 1/4 law
+    # (0.18 here); it still lands in a sane band
     assert 0.1 < slope < 0.45
 
 

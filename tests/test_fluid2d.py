@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from pflab import fluid2d
-from pflab.core import (GridSpec, ModelParams, PERIODIC, ScalarField,
+from pflab.core import (DIRICHLET, GridSpec, ModelParams, PERIODIC, ScalarField,
                         VectorField, deformation_tensor, divergence, integral,
                         lp_norm)
 from pflab.errors import NumericalError
 from pflab.exact import taylor_green_field
-from pflab.fluid2d import (FluidConfig, FluidState, _advection_tendency,
+from pflab.fluid2d import (FluidConfig, _advection_tendency,
                            _face_deformation, advect, advective_cfl_dt,
                            fluid_step, kinetic_energy, project,
                            random_stream_coeffs, simulate_fluid, stream_field,
@@ -72,15 +72,14 @@ def test_viscous_momentum_exact():
 def test_advect_uniform_translation_invariant():
     g = tg_grid(32)
     v = VectorField(g, (np.full(g.shape, 0.7), np.full(g.shape, -0.3)))
-    for scheme in ("central", "upwind"):
-        out = advect(v, 1e-2, scheme)
-        assert np.max(np.abs(out.components[0] - 0.7)) < 1e-14
-        assert np.max(np.abs(out.components[1] + 0.3)) < 1e-14
+    out = advect(v, 1e-2)
+    assert np.max(np.abs(out.components[0] - 0.7)) < 1e-14
+    assert np.max(np.abs(out.components[1] + 0.3)) < 1e-14
 
 
 def test_advect_zero_field():
     g = tg_grid(16)
-    out = advect(VectorField.zeros(g), 1e-2, "upwind")
+    out = advect(VectorField.zeros(g), 1e-2)
     assert all(np.all(c == 0.0) for c in out.components)
 
 
@@ -88,7 +87,7 @@ def test_advect_cfl_violation_raises():
     g = tg_grid(32)
     v = VectorField(g, (np.full(g.shape, 10.0), np.zeros(g.shape)))
     with pytest.raises(NumericalError, match="CFL"):
-        advect(v, 1.0, "central")
+        advect(v, 1.0)
 
 
 def test_advect_taylor_green_term_is_gradient():
@@ -97,7 +96,7 @@ def test_advect_taylor_green_term_is_gradient():
     g = tg_grid(64)
     tg = taylor_green_field(g, 1.0, 0.0)
     dt = 1e-3
-    out = advect(tg, dt, "central")
+    out = advect(tg, dt)
     tend = VectorField(g, tuple((a - b) / dt for a, b in
                                 zip(out.components, tg.components)))
     proj = project(tend)
@@ -128,15 +127,13 @@ def test_project_properties():
 
 def test_fluid_step_zero_state():
     g = tg_grid(16)
-    state = FluidState(VectorField.zeros(g))
-    out = fluid_step(state, FluidConfig(params()), 1e-3)
-    assert all(np.all(c == 0.0) for c in out.velocity.components)
-    assert out.time == pytest.approx(1e-3)
+    out = fluid_step(VectorField.zeros(g), FluidConfig(params()), 1e-3)
+    assert all(np.all(c == 0.0) for c in out.components)
 
 
 def test_taylor_green_energy_decay_small():
     g = tg_grid(64)
-    cfg = FluidConfig(params(2.0, 1.0), eps_reg=0.0, advection="central")
+    cfg = FluidConfig(params(2.0, 1.0), eps_reg=0.0)
     traj = simulate_fluid(taylor_green_field(g, 1.0, 0.0), cfg, 0.5,
                           np.linspace(0, 0.5, 26))
     ke = np.array([kinetic_energy(f) for f in traj.fields])
@@ -161,7 +158,7 @@ def test_weak_residual_zero_trajectory():
 
 def test_weak_residual_linear_in_phi():
     g = tg_grid(32)
-    cfg = FluidConfig(params(), advection="central")
+    cfg = FluidConfig(params())
     traj = simulate_fluid(taylor_green_field(g, 1.0, 0.0), cfg, 0.2,
                           np.linspace(0, 0.2, 11))
     coeffs = random_stream_coeffs(np.random.default_rng(3))
@@ -183,6 +180,16 @@ def test_weak_residual_rejects_divergent_test_field():
         weak_residual(traj, [bad], params())
 
 
+def test_weak_residual_rejects_a_dirichlet_trajectory():
+    # an embedded whole-space run: the residual's periodic stencils would
+    # difference across the walls
+    g = GridSpec.box(-3.0, 3.0, 32, bc=DIRICHLET)
+    zero = VectorField.zeros(g)
+    traj = Trajectory(np.array([0.0, 0.1, 0.2]), [zero, zero.copy(), zero.copy()])
+    with pytest.raises(ValueError, match="periodic"):
+        weak_residual(traj, [zero], params())
+
+
 @pytest.mark.parametrize("p", [3.0, 3.5])
 def test_shear_flow_is_the_scalar_equation(p):
     # u = (f(y), 0): the advection terms and the divergence vanish, and
@@ -194,14 +201,14 @@ def test_shear_flow_is_the_scalar_equation(p):
     y = g.coords(1)
     f = np.clip(1.0 - ((y - np.pi) / 1.2) ** 2, 0.0, None) ** 2
     cfg = FluidConfig(params(p, mu1), eps_reg=0.0)
-    state = FluidState(VectorField(g, (np.tile(f, (n, 1)), np.zeros(g.shape))))
-    dt = 0.5 * viscous_cfl_dt(state.velocity, cfg)
-    scfg = SolverConfig(ModelParams(p, mu1 * 2.0 ** (-p / 2.0), 1), eps_reg=0.0)
+    v = VectorField(g, (np.tile(f, (n, 1)), np.zeros(g.shape)))
+    dt = 0.5 * viscous_cfl_dt(v, cfg)
+    scfg = SolverConfig(ModelParams(p, mu1 * 2.0 ** (-p / 2.0), 1))
     u = ScalarField(line, f)
     for _ in range(steps):
-        state = fluid_step(state, cfg, dt)
+        v = fluid_step(v, cfg, dt)
         u = step_explicit(u, scfg, dt)
-    u0, u1 = state.velocity.components
+    u0, u1 = v.components
     assert np.array_equal(u0, np.broadcast_to(u0[0], u0.shape))
     assert np.all(u1 == 0.0)
     # the projection adds FFT roundoff, also where the scalar is exactly 0
@@ -263,23 +270,14 @@ def _roll_viscous_term(v, p, mu1, eps):
     return out
 
 
-def _roll_advection_tendency(v, scheme):
+def _roll_advection_tendency(v):
     hx, hy = v.grid.spacing
     u0, u1 = v.components
     tendency = []
     for q in (u0, u1):
-        if scheme == "central":
-            div_form = _roll_centered(u0 * q, 0, hx) + _roll_centered(u1 * q, 1, hy)
-            adv_form = u0 * _roll_centered(q, 0, hx) + u1 * _roll_centered(q, 1, hy)
-            tendency.append(-0.5 * (div_form + adv_form))
-            continue
-        out = np.zeros(v.grid.shape)
-        for axis, (un, h) in enumerate(((u0, hx), (u1, hy))):
-            ubar = 0.5 * (un + np.roll(un, -1, axis))
-            q_up = np.where(ubar >= 0.0, q, np.roll(q, -1, axis))
-            flux = ubar * q_up
-            out -= (flux - np.roll(flux, 1, axis)) / h
-        tendency.append(out)
+        div_form = _roll_centered(u0 * q, 0, hx) + _roll_centered(u1 * q, 1, hy)
+        adv_form = u0 * _roll_centered(q, 0, hx) + u1 * _roll_centered(q, 1, hy)
+        tendency.append(-0.5 * (div_form + adv_form))
     return tendency
 
 
@@ -295,10 +293,8 @@ def test_fluid_tendencies_match_roll_bitwise(n, m, p):
     for got, ref in zip(viscous_term(v, params(p, 0.7), 0.1).components,
                         _roll_viscous_term(v, p, 0.7, 0.1)):
         assert np.array_equal(got, ref)
-    for scheme in ("central", "upwind"):
-        for got, ref in zip(_advection_tendency(v, scheme),
-                            _roll_advection_tendency(v, scheme)):
-            assert np.array_equal(got, ref)
+    for got, ref in zip(_advection_tendency(v), _roll_advection_tendency(v)):
+        assert np.array_equal(got, ref)
 
 
 def _general_viscous_cfl_dt(v, cfg):
@@ -350,7 +346,7 @@ def test_adaptive_taylor_green_matches_the_general_step():
         vmax = float(np.max(v.magnitude()))
         dt = min(min(1.0, cfg.cfl_safety * min(g.spacing) / vmax),
                  _general_viscous_cfl_dt(v, cfg), t_end - t)
-        w = advect(v, dt, cfg.advection, cfg.cfl_safety)
+        w = advect(v, dt, cfg.cfl_safety)
         visc = _roll_viscous_term(w, 2.0, 0.7, eps)
         v = project(VectorField(g, tuple(c + dt * d for c, d in zip(w.components, visc))))
         t, steps = t + dt, steps + 1
@@ -399,7 +395,7 @@ def _one_field_weak_residual(traj, phi, params):
 @pytest.mark.parametrize("p", [2.0, 2.5, 3.0])
 def test_weak_residual_many_fields_match_one_at_a_time(p):
     g = tg_grid(32)
-    cfg = FluidConfig(params(p), advection="central")
+    cfg = FluidConfig(params(p))
     rng = np.random.default_rng(7)
     v0 = stream_field(g, random_stream_coeffs(rng))
     traj = simulate_fluid(v0, cfg, 0.05, np.linspace(0, 0.05, 7))

@@ -25,13 +25,12 @@ def barenblatt_setup(cells=1024, box=7.0, t0=1.0, p=3.0):
 
 def _stored_energy(u, cfg):
     """The proximal objective's stored energy ``E(u)``."""
-    return plaplace._energy(plaplace._face_fields(u.values, u.grid, cfg.eps_reg),
-                            u.grid, cfg)
+    return plaplace._energy(plaplace._face_fields(u.values, u.grid), u.grid, cfg)
 
 
-# the constant at p = 2, pow at p = 2.5, the sqrt path at p = 3; the
-# product with mu1 = 1 is skipped
-_DIFFUSIVITY_CASES = [(p, mu1) for p in (2.0, 2.5, 3.0) for mu1 in (1.0, 0.7)]
+# pow at p = 2.5, the sqrt path at p = 3; the product with mu1 = 1 is
+# skipped
+_DIFFUSIVITY_CASES = [(p, mu1) for p in (2.5, 3.0) for mu1 in (1.0, 0.7)]
 
 
 def test_flux_diffusivity_degenerate():
@@ -39,20 +38,12 @@ def test_flux_diffusivity_degenerate():
     gn = np.array([0.0, 2.0, -2.0, 0.0, 3.0])
     gt = np.array([0.0, 0.0, 0.0, -4.0, 4.0])
     for p, mu1 in _DIFFUSIVITY_CASES:
-        d = _diffusivity_of_a2(_face_a2(gn, gt, 0.0), p, mu1)
+        d = _diffusivity_of_a2(_face_a2(gn, gt), p, mu1)
         want = mu1 * np.hypot(gn, gt) ** (p - 2.0)
         assert np.allclose(d, want, rtol=1e-15, atol=0.0), (p, mu1)
-        assert (d[0] == 0.0) == (p > 2.0)
-        a2 = _face_a2(np.linspace(0.0, 5.0, 100), None, 0.0)
+        assert d[0] == 0.0
+        a2 = _face_a2(np.linspace(0.0, 5.0, 100), None)
         assert np.all(np.diff(_diffusivity_of_a2(a2, p, mu1)) >= 0)
-
-
-def test_flux_diffusivity_regularized():
-    # eps lifts the degenerate zero to mu1 eps^(p-2)
-    for p, mu1 in _DIFFUSIVITY_CASES:
-        d = _diffusivity_of_a2(_face_a2(np.zeros(3), np.zeros(3), 0.5), p, mu1)
-        want = mu1 * 0.5 ** (p - 2.0)
-        assert np.allclose(d, want, rtol=1e-15, atol=0.0), (p, mu1)
 
 
 def test_step_explicit_constant_unchanged():
@@ -161,6 +152,14 @@ def test_solver_config_rejects_values_that_hang_or_misreport(field, value):
         cfg_1d(**{field: value})
 
 
+@pytest.mark.parametrize("stepper", ["explicit", "implicit"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_solver_config_rejects_p_2(dim, stepper):
+    # the scalar solver is for the degenerate equation only
+    with pytest.raises(ValueError, match="p > 2"):
+        SolverConfig(ModelParams(2.0, 1.0, dim), stepper=stepper)
+
+
 # the proximal derivatives on small random fields, against finite
 # differences and the probed Hessian
 _PROX_GRIDS = {
@@ -171,20 +170,22 @@ _PROX_GRIDS = {
 }
 
 
-def _prox_at_random_point(name, p, eps):
+# the ids name p and the regularization eps = 0 of the energy
+_PROX_P = [pytest.param(p, id=f"{p}-0.0") for p in (2.5, 3.0)]
+
+
+def _prox_at_random_point(name, p):
     grid = _PROX_GRIDS[name]
     rng = np.random.default_rng(7)
-    cfg = SolverConfig(ModelParams(p, 1.0, grid.dim), eps_reg=eps,
-                       stepper="implicit")
+    cfg = SolverConfig(ModelParams(p, 1.0, grid.dim), stepper="implicit")
     prob = plaplace._ProxProblem(rng.standard_normal(grid.shape), grid, cfg, 0.1)
     return prob, rng.standard_normal(grid.shape), rng.standard_normal(grid.shape)
 
 
-@pytest.mark.parametrize("eps", [0.0, 0.3])
-@pytest.mark.parametrize("p", [2.5, 3.0])
+@pytest.mark.parametrize("p", _PROX_P)
 @pytest.mark.parametrize("name", sorted(_PROX_GRIDS))
-def test_prox_gradient_and_hessian_against_finite_differences(name, p, eps):
-    prob, v, dv = _prox_at_random_point(name, p, eps)
+def test_prox_gradient_and_hessian_against_finite_differences(name, p):
+    prob, v, dv = _prox_at_random_point(name, p)
     fd = 1e-6
     _, g = prob.value_and_grad(v)
     g_fd = np.zeros(v.shape)
@@ -200,11 +201,10 @@ def test_prox_gradient_and_hessian_against_finite_differences(name, p, eps):
     assert np.max(np.abs(hv - hv_fd)) <= 1e-6 * np.max(np.abs(hv))
 
 
-@pytest.mark.parametrize("eps", [0.0, 0.3])
-@pytest.mark.parametrize("p", [2.5, 3.0])
+@pytest.mark.parametrize("p", _PROX_P)
 @pytest.mark.parametrize("name", sorted(_PROX_GRIDS))
-def test_prox_hessian_symmetric_with_exact_jacobi_diagonal(name, p, eps):
-    prob, v, _ = _prox_at_random_point(name, p, eps)
+def test_prox_hessian_symmetric_with_exact_jacobi_diagonal(name, p):
+    prob, v, _ = _prox_at_random_point(name, p)
     prob.value_and_grad(v)
     H = np.column_stack([prob.hess_vec(e.reshape(v.shape)).ravel()
                          for e in np.eye(v.size)])
@@ -377,20 +377,6 @@ def test_windowed_proximal_step_is_the_whole_grid_step(monkeypatch, name):
         assert (win == slice(0, grid.shape[axis])) == grid.is_periodic(axis)
 
 
-@pytest.mark.parametrize("name", sorted(_WINDOW_CASES))
-@pytest.mark.parametrize("p,eps", [(2.0, 0.0), (3.0, 0.3)])
-def test_regularized_or_linear_proximal_step_runs_on_the_whole_grid(
-        monkeypatch, name, p, eps):
-    grid, c, t0, dt = _WINDOW_CASES[name]
-    u0 = barenblatt_field(BarenblattParams(3.0, grid.dim, C=c), grid, t0)
-    cfg = SolverConfig(ModelParams(p, 1.0, grid.dim), eps_reg=eps,
-                       stepper="implicit")
-    windows = _record_windows(monkeypatch)
-    v = step_implicit_proximal(u0, cfg, dt)
-    assert windows == [plaplace._whole(u0.values)]
-    assert v.values.tobytes() == _whole_grid_proximal(u0, cfg, dt).tobytes()
-
-
 @pytest.mark.parametrize("grid,t0,dt,redos", [
     (GridSpec.line(-10.0, 10.0, 1000), 0.1, 0.2, 2),
     (GridSpec((-4.0, -4.0), (4.0, 4.0), (128, 128), (DIRICHLET, DIRICHLET)),
@@ -470,7 +456,7 @@ def test_simulate_positivity():
 
 
 def test_support_locality_audit_runs():
-    # eps_reg = 0 explicit: the audit itself asserts <= 1 cell per step;
+    # explicit: the audit itself asserts <= 1 cell per step;
     # reaching the end without NumericalError is the test
     bp, grid, u0 = barenblatt_setup(cells=512)
     cfg = cfg_1d(stepper="explicit", audit_locality=True)
