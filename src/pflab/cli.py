@@ -54,16 +54,34 @@ def _collect_overrides(args, forced: dict | None = None) -> dict:
     return over
 
 
+def _read_text(path: str, what: str) -> str:
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError([(None, f"cannot read {what} {path!r}: "
+                                  f"{reason}")]) from exc
+
+
+def _csv_rows(path: str, lines: list, first: int, convert):
+    """``(line number, t, convert(rest))`` for each line from index
+    ``first`` on, split at its first comma; a line that does not parse is
+    a configuration error naming its number."""
+    for num, line in enumerate(lines[first:], first + 1):
+        t_str, comma, rest = line.strip().partition(",")
+        try:
+            if not comma:
+                raise ValueError("expected two comma-separated columns")
+            yield num, float(t_str), convert(rest)
+        except ValueError as exc:
+            raise ConfigError([(num, f"{path}: {exc}")]) from exc
+
+
 def _load_config(args, forced: dict | None = None, defaults: dict | None = None):
     text = ""
     if getattr(args, "config", None):
-        try:
-            with open(args.config) as fh:
-                text = fh.read()
-        except (OSError, UnicodeDecodeError) as exc:
-            reason = getattr(exc, "strerror", None) or exc
-            raise ConfigError([(None, f"cannot read config file "
-                                      f"{args.config!r}: {reason}")]) from exc
+        text = _read_text(args.config, "config file")
     return parse_config(text, _collect_overrides(args, forced), defaults)
 
 
@@ -112,21 +130,32 @@ def _cmd_track_support(args) -> int:
     from .core import load_field
     from .fronts import save_trace, support_front, SupportTrace
 
+    if not args.tau > 0:
+        raise ConfigError([(None, f"--tau must be positive, got {args.tau!r}")])
     index = args.index
+    lines = _read_text(index, "trajectory index").splitlines()
+    if not lines or not lines[0].strip().startswith("t,"):
+        raise ConfigError([(1, f"{index}: expected 't,filename' header")])
     base = os.path.dirname(os.path.abspath(index))
     times, fronts_out = [], []
-    with open(index) as fh:
-        header = fh.readline()
-        if not header.strip().startswith("t,"):
-            raise ConfigError([(1, f"{index}: expected 't,filename' header")])
-        for line in fh:
-            t_str, name = line.strip().split(",", 1)
+    for num, t, name in _csv_rows(index, lines, 1, str):
+        try:
             field = load_field(os.path.join(base, name))
-            front = support_front(field, args.tau, args.mode)
-            times.append(float(t_str))
-            fronts_out.append(np.nan if front is None else front)
-    trace = SupportTrace(float(args.tau), np.asarray(times), np.asarray(fronts_out))
-    save_trace(trace, args.out)
+        except (OSError, ValueError) as exc:
+            raise ConfigError([(num, f"{index}: cannot load {name!r}: "
+                                     f"{exc}")]) from exc
+        front = support_front(field, args.tau, args.mode)
+        times.append(t)
+        fronts_out.append(np.nan if front is None else front)
+    try:
+        trace = SupportTrace(args.tau, np.asarray(times), np.asarray(fronts_out))
+    except ValueError as exc:
+        raise ConfigError([(None, f"{index}: {exc}")]) from exc
+    try:
+        save_trace(trace, args.out)
+    except OSError as exc:
+        raise ConfigError([(None, f"cannot write trace file {args.out!r}: "
+                                  f"{exc.strerror or exc}")]) from exc
     if _verbose():
         print(f"trace with {len(times)} samples written to {args.out}")
     return 0
@@ -135,19 +164,32 @@ def _cmd_track_support(args) -> int:
 def _cmd_fit_exponent(args) -> int:
     from .fronts import SupportTrace, fit_exponent
 
-    with open(args.trace) as fh:
-        first = fh.readline()
-        tau = 0.0
-        if first.startswith("# tau="):
-            tau = float(first.split("=", 1)[1])
-            fh.readline()  # column header
-        times, fr = [], []
-        for line in fh:
-            t_str, f_str = line.strip().split(",", 1)
-            times.append(float(t_str))
-            fr.append(float(f_str) if f_str else np.nan)
-    trace = SupportTrace(tau or 1.0, np.asarray(times), np.asarray(fr))
-    fit = fit_exponent(trace, drop_frac=float(args.drop_frac))
+    try:
+        drop_frac = float(args.drop_frac)
+    except ValueError:
+        drop_frac = None
+    if drop_frac is None or not 0 <= drop_frac < 0.5:
+        raise ConfigError([(None, f"--drop-frac must be a number in [0, 0.5), "
+                                  f"got {args.drop_frac!r}")])
+    path = args.trace
+    lines = _read_text(path, "trace file").splitlines()
+    tau, first = 0.0, 1  # line 1 is the column header ...
+    if lines and lines[0].startswith("# tau="):
+        first = 2  # ... or the tau line, and the header follows it
+        try:
+            tau = float(lines[0].split("=", 1)[1])
+        except ValueError as exc:
+            raise ConfigError([(1, f"{path}: {exc}")]) from exc
+    times, fronts_in = [], []
+    for _, t, front in _csv_rows(path, lines, first,
+                                 lambda f_str: float(f_str) if f_str else np.nan):
+        times.append(t)
+        fronts_in.append(front)
+    try:
+        trace = SupportTrace(tau or 1.0, np.asarray(times), np.asarray(fronts_in))
+        fit = fit_exponent(trace, drop_frac=drop_frac)
+    except ValueError as exc:
+        raise ConfigError([(None, f"{path}: {exc}")]) from exc
     print(f"slope = {fit.slope:.17g}")
     print(f"intercept = {fit.intercept:.17g}")
     print(f"window = {fit.window[0]:.17g}..{fit.window[1]:.17g}")

@@ -429,6 +429,9 @@ def load_field(path):
         if not header.startswith("# grid:"):
             raise ValueError(f"{path}: missing grid header")
         meta = dict(tok.split("=", 1) for tok in header[len("# grid:"):].split())
+        missing = sorted({"cells", "bounds", "bc"} - meta.keys())
+        if missing:
+            raise ValueError(f"{path}: grid header lacks {', '.join(missing)}")
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
     cells = tuple(int(c) for c in meta["cells"].split(","))
     bounds = [b.split(":") for b in meta["bounds"].split(",")]

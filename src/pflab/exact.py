@@ -23,7 +23,6 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-from scipy import integrate, optimize
 
 from .core import GridSpec, ScalarField, VectorField
 
@@ -116,6 +115,8 @@ def barenblatt_field(bp: BarenblattParams, grid: GridSpec, t: float,
 
 def barenblatt_mass(bp: BarenblattParams) -> float:
     """Conserved integral of the solution (computed by quadrature)."""
+    from scipy import integrate
+
     r_star = (bp.C / bp.k) ** ((bp.p - 1.0) / bp.p)
     if bp.dim == 1:
         val, _ = integrate.quad(lambda r: barenblatt_profile(bp, r), 0.0, r_star,
@@ -198,6 +199,8 @@ def calibrate_profile_constant(p: float, dim: int, C: float = 1.0,
     brackets around a crude scale estimate and root-finds the mean signed
     residual, then verifies the max residual at the root.
     """
+    from scipy import optimize
+
     bp = BarenblattParams(p, dim, C, mu1)
     k_hint = bp.k  # only used to bracket; the root is found numerically
 

@@ -20,6 +20,7 @@ import time
 from datetime import datetime, timezone
 
 import numpy as np
+import scipy  # the bare package, for the manifest's version line
 
 from . import __version__, energetics, fronts
 from .config import ExperimentConfig, default_config
@@ -107,8 +108,6 @@ def _flatten(report: dict, prefix: str = "") -> dict:
 
 def write_manifest(outdir: str, cfg: ExperimentConfig, elapsed: float,
                    status: str = "ok") -> None:
-    import scipy
-
     lines = [f"{k} = {_fmt_value(v)}" for k, v in sorted(cfg.values.items())]
     lines.append(f"version.pflab = {__version__}")
     lines.append(f"version.numpy = {np.__version__}")

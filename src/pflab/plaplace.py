@@ -36,7 +36,6 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .core import (GridSpec, ModelParams, ScalarField, _axis_derivative,
                    _periodic_stencil)
@@ -481,6 +480,15 @@ class _ProxProblem:
         ab[0, 1:] = -coef
         ab[2, :-1] = -coef
         return ab
+
+
+def solve_banded(l_and_u, ab: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``scipy.linalg.solve_banded``, imported on the first call: only 1-D
+    dirichlet proximal steps use it, and ``scipy.linalg`` costs about a
+    third of a second to import."""
+    from scipy.linalg import solve_banded as banded
+
+    return banded(l_and_u, ab, b)
 
 
 def _pcg(apply_h, b: np.ndarray, inv_diag: np.ndarray, rtol: float,

@@ -6,13 +6,18 @@ Every public top-level function and class has a caller in the package
 or the benchmark harness, or is an independent oracle that tests check
 shipped code against.  Every config key is read somewhere outside the
 schema that declares it, and is named by a test or a pinned acceptance
-config.
+config.  Importing the package costs numpy alone: each scipy submodule
+is imported where it is called.
 """
 
 import ast
 import collections
+import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 from pflab.config import SCHEMA
 
@@ -118,3 +123,35 @@ def test_every_config_key_is_named_by_a_test_or_a_pinned_config():
         return any(re.search(pattern, text) for text in texts)
 
     assert sorted(k for k in SCHEMA if k not in pinned and not named(k)) == []
+
+
+_IMPORT_PROBE = """
+import json, sys
+import pflab.acceptance, pflab.cli, pflab.experiments
+
+def loaded():
+    return [m for m in json.loads(sys.argv[1]) if m in sys.modules]
+
+at_import = loaded()
+from pflab.core import GridSpec, ModelParams
+from pflab.exact import BarenblattParams, barenblatt_field
+from pflab.plaplace import SolverConfig, step_implicit_proximal
+
+grid = GridSpec.line(-4.0, 4.0, 64)
+u = barenblatt_field(BarenblattParams(3.0, 1), grid, 1.0)
+step_implicit_proximal(u, SolverConfig(ModelParams(p=3.0), stepper="implicit"), 0.1)
+print(json.dumps([at_import, loaded()]))
+"""
+
+
+def test_scipy_submodules_load_only_where_they_are_called():
+    # a fresh interpreter: this one has imported scipy through the tests
+    lazy = ["scipy.linalg", "scipy.optimize", "scipy.integrate", "scipy.special"]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(lazy)],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    at_import, after_step = json.loads(out.splitlines()[-1])
+    assert at_import == []
+    # a 1-D dirichlet proximal step solves through plaplace.solve_banded
+    assert "scipy.linalg" in after_step

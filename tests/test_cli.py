@@ -272,6 +272,75 @@ def test_track_support_and_fit_pipeline(tmp_path, capsys):
     assert 0.1 < slope < 0.45
 
 
+def _trace_inputs(tmp_path, index_rows=("0.5,u.csv",), trace_rows=None):
+    """A trajectory index over one snapshot ``u.csv`` and a trace file,
+    by default of 12 samples of ``t^(1/4)``."""
+    from pflab.core import DIRICHLET, GridSpec, ScalarField, save_field
+
+    grid = GridSpec((-1.0,), (1.0,), (8,), (DIRICHLET,))
+    save_field(ScalarField(grid, np.maximum(1.0 - grid.coords(0) ** 2, 0.0)),
+               tmp_path / "u.csv")
+    index = tmp_path / "index.csv"
+    index.write_text("t,filename\n" + "".join(r + "\n" for r in index_rows))
+    if trace_rows is None:
+        trace_rows = [f"{t!r},{t ** 0.25!r}" for t in range(1, 13)]
+    trace = tmp_path / "trace.csv"
+    trace.write_text("# tau=1e-06\nt,front\n"
+                     + "".join(r + "\n" for r in trace_rows))
+    return str(index), str(trace)
+
+
+def test_track_support_and_fit_accept_the_inputs(tmp_path, capsys):
+    # the good inputs the bad-input cases below are cut from
+    index, trace = _trace_inputs(tmp_path)
+    assert run_cli("track-support", "--index", index, "--tau", "0.5",
+                   "--out", str(tmp_path / "out.csv")) == 0
+    assert run_cli("fit-exponent", "--trace", trace) == 0
+    out = capsys.readouterr().out
+    slope = float([ln for ln in out.splitlines() if ln.startswith("slope")][0]
+                  .split("=")[1])
+    assert slope == pytest.approx(0.25, abs=1e-12)
+
+
+# each case overrides one flag of a good run (a later flag wins) or
+# replaces the index or trace rows
+@pytest.mark.parametrize("rows,argv,message", [
+    (None, ["--index", "{d}/missing.csv"], "missing.csv"),
+    (["0.5,u.csv", "", "1.0,u.csv"], [], "line 3:"),
+    (["0.5 u.csv"], [], "line 2:"),
+    (["0.5,trace.csv"], [], "cannot load 'trace.csv'"),
+    (None, ["--tau", "0"], "--tau must be positive"),
+    (None, ["--out", "{d}/no-dir/out.csv"], "cannot write"),
+], ids=["missing-index", "blank-line", "malformed-line", "not-a-snapshot",
+        "tau-zero", "unwritable-out"])
+def test_track_support_bad_input_is_a_configuration_error(tmp_path, capsys,
+                                                          rows, argv, message):
+    index, _ = _trace_inputs(tmp_path, index_rows=rows or ("0.5,u.csv",))
+    argv = [a.format(d=tmp_path) for a in argv]
+    code = run_cli("track-support", "--index", index, "--tau", "0.5",
+                   "--out", str(tmp_path / "out.csv"), *argv)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "configuration error:" in err and message in err
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("rows,argv,message", [
+    (None, ["--trace", "{d}/missing.csv"], "missing.csv"),
+    (["1.0,1.0", "2.0;1.2"], [], "line 4:"),
+    (None, ["--drop-frac", "abc"], "--drop-frac must be a number"),
+    (["1.0,1.0", "2.0,1.2", "3.0,1.3"], [], "need >= 8 usable samples"),
+], ids=["missing-trace", "malformed-line", "drop-frac-abc", "short-trace"])
+def test_fit_exponent_bad_input_is_a_configuration_error(tmp_path, capsys,
+                                                         rows, argv, message):
+    _, trace = _trace_inputs(tmp_path, trace_rows=rows)
+    argv = [a.format(d=tmp_path) for a in argv]
+    assert run_cli("fit-exponent", "--trace", trace, *argv) == 1
+    captured = capsys.readouterr()
+    assert "configuration error:" in captured.err and message in captured.err
+    assert "slope" not in captured.out
+
+
 def test_emit_plot_structure(tmp_path):
     t = np.linspace(1.0, 10.0, 12)
     y = 2.0 * t**0.25

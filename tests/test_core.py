@@ -242,6 +242,13 @@ def test_field_csv_roundtrip(tmp_path):
     assert all(np.array_equal(a, b) for a, b in zip(v.components, v2.components))
 
 
+def test_load_field_rejects_a_grid_header_without_its_keys(tmp_path):
+    path = tmp_path / "f.csv"
+    path.write_text("# grid: kind=scalar cells=4\n0.0,1.0\n")
+    with pytest.raises(ValueError, match="lacks bc, bounds"):
+        load_field(path)
+
+
 def test_integral_signed():
     g = GridSpec.line(0.0, 1.0, 64)
     f = ScalarField.from_function(g, lambda x: x - 0.5)
