@@ -78,7 +78,6 @@ SCHEMA: dict[str, tuple[str, object, str]] = {
     # grid
     "cells": ("ints", (4096,), "cells per axis"),
     "bounds": ("bounds", ((-8.0, 8.0),), "box per axis as lo:hi[,lo:hi]"),
-    "bc": ("str", "dirichlet-zero", "boundary kind per axis (comma separated)"),
     # time
     "t0": ("float", 1.0, "profile birth time / data shape parameter"),
     "t_end": ("float", 100.0, "final absolute time"),
@@ -86,13 +85,10 @@ SCHEMA: dict[str, tuple[str, object, str]] = {
     "snapshot_count": ("int", 0, "if > 0, use this many uniform snapshots"),
     # solver
     "stepper": ("str", "implicit", "explicit or implicit"),
-    "cfl_safety": ("float", 0.9, "explicit CFL safety factor in (0, 1]"),
     "tol_inner": ("float", 1e-10, "proximal optimality tolerance"),
     "max_inner": ("int", 60, "proximal Newton iteration cap"),
-    "dt_max": ("float", 1.0, "upper bound on adaptive steps"),
     "audit_locality": ("bool", True, "per-step support-locality audit"),
     # fronts
-    "threshold_frac": ("float", 1e-6, "front threshold / max|u0|"),
     "t_ref": ("float", 0.1, "envelope calibration time"),
     "tol_env": ("float", 0.02, "allowed relative envelope excess"),
     "envelope": ("str", "both", "which envelope(s) to check: l2, l1, both"),
@@ -103,7 +99,6 @@ SCHEMA: dict[str, tuple[str, object, str]] = {
     "study_t1": ("float", 16.0, "accuracy study: compare at this absolute time"),
     "order_min": ("float", 0.8, "minimum acceptable empirical order"),
     # fluid
-    "fluid_cfl_safety": ("float", 0.4, "fluid CFL safety factor"),
     "ke_rate_tol": ("float", 0.02, "relative tolerance on the KE decay rate"),
     "div_tol": ("float", 1e-10, "post-projection divergence bound"),
     "weak_residual_check": ("bool", False, "run the weak-form refinement study"),
@@ -112,7 +107,6 @@ SCHEMA: dict[str, tuple[str, object, str]] = {
     "s_count": ("int", 33, "s-grid size for ledgers"),
     "delta_count": ("int", 8, "number of delta values in local-energy scans"),
     "eps_iter": ("float", 0.5, "contraction factor of the iteration check"),
-    "ctilde": ("float", 1.0, "calibration constant in the jump function"),
     "refine_check": ("bool", True, "repeat on a coarser grid for stability"),
     # suites
     "export_trajectory": ("bool", False, "write one CSV per snapshot plus index"),
@@ -169,15 +163,10 @@ def _validate(values: dict, lines: dict) -> list:
         need(values["dimension"] == 2, "dimension", "fluid experiments are 2-D")
     need(values["stepper"] in ("explicit", "implicit"), "stepper",
          "must be 'explicit' or 'implicit'")
-    need(0 < values["cfl_safety"] <= 1, "cfl_safety", "must lie in (0, 1]")
-    need(0 < values["fluid_cfl_safety"] <= 1, "fluid_cfl_safety",
-         "must lie in (0, 1]")
-    need(values["dt_max"] > 0, "dt_max", "must be > 0")
     need(values["tol_inner"] > 0, "tol_inner", "must be > 0")
     need(values["max_inner"] >= 1, "max_inner", "must be >= 1")
     need(values["t_end"] > 0, "t_end", "must be > 0")
     need(values["t0"] >= 0, "t0", "must be >= 0")
-    need(values["threshold_frac"] > 0, "threshold_frac", "must be > 0")
     need(values["envelope"] in ("l2", "l1", "both"), "envelope",
          "must be 'l2', 'l1' or 'both'")
     need(0 < values["eps_iter"] < 1, "eps_iter", "must lie in (0, 1)")

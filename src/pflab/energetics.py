@@ -307,14 +307,13 @@ class IterationReport:
         return self.s0 is not None and self.vanished_beyond
 
 
-def check_iteration(ledger: EnergyLedger, eps: float,
-                    vanish_tol: float | None = None) -> IterationReport:
+def check_iteration(ledger: EnergyLedger, eps: float) -> IterationReport:
     """Test ``J(s + J(s)) <= eps J(s)`` on the ledger's s-grid.
 
     J is linearly interpolated and extended by its last value.  Where the
     relation holds from some grid point onward, the report carries the
     predicted vanishing point ``s0 + J(s0)/(1 - eps)`` and whether J
-    stays below ``vanish_tol`` beyond it.
+    stays below ``1e-12 * max(1, max J)`` beyond it.
     """
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0, 1)")
@@ -334,8 +333,7 @@ def check_iteration(ledger: EnergyLedger, eps: float,
     s0 = float(s[i0])
     predicted = s0 + float(j[i0]) / (1.0 - eps)
     tightest = float(np.min(s[i0:] + j[i0:] / (1.0 - eps)))
-    if vanish_tol is None:
-        vanish_tol = 1e-12 * max(1.0, float(j.max()))
+    vanish_tol = 1e-12 * max(1.0, float(j.max()))
     beyond = j[s >= predicted]
     max_beyond = float(beyond.max()) if len(beyond) else float(j_at(predicted))
     return IterationReport(eps, s, holds, s0, predicted,

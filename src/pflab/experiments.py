@@ -36,13 +36,19 @@ from .inequalities import (check_stampacchia_relation, concave_majorant_family,
 from .plaplace import SolverConfig, Trajectory, simulate
 from .svgplot import emit_heatmap, emit_plot
 
+# the front threshold of the scalar runs, over max|u0|
+_THRESHOLD_FRAC = 1e-6
+
 
 # ---------------------------------------------------------------------------
 # shared plumbing
 # ---------------------------------------------------------------------------
 
 
-def _grid(cfg: ExperimentConfig, default_bc: str | None = None) -> GridSpec:
+def _grid(cfg: ExperimentConfig) -> GridSpec:
+    """The scalar runs' dirichlet-zero box; the boundary sentinel stops a
+    run before its support nears an edge, so the box stands in for the
+    whole space."""
     dim = cfg["dimension"]
     cells = cfg["cells"]
     if len(cells) == 1 and dim == 2:
@@ -50,13 +56,9 @@ def _grid(cfg: ExperimentConfig, default_bc: str | None = None) -> GridSpec:
     bounds = cfg["bounds"]
     if len(bounds) == 1 and dim == 2:
         bounds = bounds * 2
-    bc_raw = cfg.get("bc", default_bc or DIRICHLET)
-    bcs = tuple(tok.strip() for tok in bc_raw.split(","))
-    if len(bcs) == 1:
-        bcs = bcs * dim
     lower = tuple(b[0] for b in bounds)
     upper = tuple(b[1] for b in bounds)
-    return GridSpec(lower, upper, tuple(cells), bcs)
+    return GridSpec(lower, upper, tuple(cells), (DIRICHLET,) * dim)
 
 
 def _model(cfg: ExperimentConfig) -> ModelParams:
@@ -67,10 +69,8 @@ def _solver(cfg: ExperimentConfig) -> SolverConfig:
     return SolverConfig(
         params=_model(cfg),
         stepper=cfg["stepper"],
-        cfl_safety=cfg["cfl_safety"],
         tol=cfg["tol_inner"],
         max_inner=cfg["max_inner"],
-        dt_max=cfg["dt_max"],
         audit_locality=cfg["audit_locality"],
     )
 
@@ -212,7 +212,7 @@ def _barenblatt_fit(cfg: ExperimentConfig, outdir: str):
     schedule = _log_times(t0, t_end, cfg["snapshots_per_decade"]) - t0
     traj = simulate(u0, _solver(cfg), t_end - t0, schedule)
     scale = float(np.max(np.abs(u0.values)))
-    tau = cfg["threshold_frac"] * scale
+    tau = _THRESHOLD_FRAC * scale
     trace = fronts.trace_support(traj, tau, "radial", t_offset=t0)
     fit = fronts.fit_exponent(trace)
     expected = bp.beta
@@ -282,7 +282,7 @@ def halfspace_run(cfg: ExperimentConfig):
     schedule = np.concatenate([[0.0], _log_times(t_first, t_end,
                                                  cfg["snapshots_per_decade"])])
     traj = simulate(u0, _solver(cfg), t_end, schedule)
-    tau = cfg["threshold_frac"] * float(np.max(np.abs(u0.values)))
+    tau = _THRESHOLD_FRAC * float(np.max(np.abs(u0.values)))
     l1 = np.array([lp_norm(f, 1.0) for f in traj.fields])
     return traj, tau, l1
 
@@ -360,10 +360,6 @@ def run_halfspace_fsp(cfg: ExperimentConfig, outdir: str,
 # ---------------------------------------------------------------------------
 
 
-def _fluid_cfg(cfg: ExperimentConfig) -> FluidConfig:
-    return FluidConfig(_model(cfg), cfl_safety=cfg["fluid_cfl_safety"])
-
-
 def _weak_residual_study(cfg: ExperimentConfig, outdir: str):
     mu1 = cfg["mu1"]
     base_cells = cfg["cells"][0]
@@ -378,7 +374,7 @@ def _weak_residual_study(cfg: ExperimentConfig, outdir: str):
         grid = GridSpec.box((0.0, 0.0), (2 * np.pi, 2 * np.pi), cells, PERIODIC)
         v0 = taylor_green_field(grid, mu1, 0.0)
         n_snap = 40 * (level + 1) + 1
-        traj = simulate_fluid(v0, _fluid_cfg(cfg), t_end,
+        traj = simulate_fluid(v0, FluidConfig(_model(cfg)), t_end,
                               np.linspace(0.0, t_end, n_snap), dt_fixed=dt)
         phis = [stream_field(grid, coeffs) for coeffs in coeff_sets]
         resids.append(weak_residual(traj, phis, _model(cfg)))
@@ -409,7 +405,7 @@ def _fluid_taylor_green(cfg: ExperimentConfig, outdir: str):
     v0 = taylor_green_field(grid, mu1, 0.0)
     n_snap = cfg["snapshot_count"] or 101
     t_end = cfg["t_end"]
-    traj = simulate_fluid(v0, _fluid_cfg(cfg), t_end,
+    traj = simulate_fluid(v0, FluidConfig(_model(cfg)), t_end,
                           np.linspace(0.0, t_end, n_snap))
     ke = np.array([kinetic_energy(f) for f in traj.fields])
     div_max = max(float(np.max(np.abs(divergence(f).values)))
@@ -454,6 +450,18 @@ def _fluid_taylor_green(cfg: ExperimentConfig, outdir: str):
 # ---------------------------------------------------------------------------
 
 
+def _local_energy_scan(traj, tails, s_grid, deltas, T, mu1, p) -> list:
+    """``(s, delta, lhs, rhs, ratio)`` of the local energy estimate at
+    every eighth ``s`` of ``s_grid`` and every ``delta``."""
+    rows = []
+    for s in s_grid[:: max(1, len(s_grid) // 8)]:
+        for delta in deltas:
+            rep = energetics.local_energy_ratio(traj, float(s), float(delta),
+                                                T, mu1, p, tails=tails)
+            rows.append((float(s), float(delta), rep.lhs, rep.rhs, rep.ratio))
+    return rows
+
+
 def _energy_ledger(cfg: ExperimentConfig, outdir: str, prebuilt=None):
     p, n, mu1 = cfg["p"], cfg["dimension"], cfg["mu1"]
     traj, tau, l1 = prebuilt if prebuilt is not None else halfspace_run(cfg)
@@ -496,7 +504,7 @@ def _energy_ledger(cfg: ExperimentConfig, outdir: str, prebuilt=None):
         mask = (den > 0) & (c_vals >= c_floor)
         if mask.any():
             ctilde_cal = max(ctilde_cal, float(np.max(num[mask] / den[mask])))
-    ctilde = ctilde_cal if ctilde_cal > 0 else cfg["ctilde"]
+    ctilde = ctilde_cal if ctilde_cal > 0 else 1.0
 
     # the iteration mechanism needs the jump function built with a large
     # enough constant; calibrate the minimal one for which the relation
@@ -508,7 +516,7 @@ def _energy_ledger(cfg: ExperimentConfig, outdir: str, prebuilt=None):
         return bool(energetics.check_iteration(ledger.with_ctilde(ct),
                                                eps_it).holds.all())
 
-    ct_hi = max(ctilde, cfg["ctilde"])
+    ct_hi = max(ctilde, 1.0)
     for _ in range(60):
         if _relation_holds(ct_hi):
             break
@@ -528,12 +536,7 @@ def _energy_ledger(cfg: ExperimentConfig, outdir: str, prebuilt=None):
     ledger.save_csv(os.path.join(outdir, "ledger.csv"))
 
     # local energy estimate: measured constant over the (s, delta) grid
-    ratios = []
-    for s in s_grid[:: max(1, len(s_grid) // 8)]:
-        for delta in deltas:
-            rep = energetics.local_energy_ratio(traj, float(s), float(delta),
-                                                T, mu1, p, tails=tails)
-            ratios.append((float(s), float(delta), rep.lhs, rep.rhs, rep.ratio))
+    ratios = _local_energy_scan(traj, tails, s_grid, deltas, T, mu1, p)
     finite = [r[4] for r in ratios if np.isfinite(r[4])]
     any_inf = any(not np.isfinite(r[4]) for r in ratios)
     with open(os.path.join(outdir, "local_energy.csv"), "w") as fh:
@@ -564,10 +567,9 @@ def _energy_ledger(cfg: ExperimentConfig, outdir: str, prebuilt=None):
         ctails = energetics.TrajectoryTails(ctraj)
         cdecay = energetics.check_decay(ctraj, T, p, n, s_decay, tails=ctails)
         # local-energy constant stability under the same refinement
-        cratios = [energetics.local_energy_ratio(ctraj, float(s), float(d), T,
-                                                 mu1, p, tails=ctails).ratio
-                   for s in s_grid[:: max(1, len(s_grid) // 8)] for d in deltas]
-        cfinite = [r for r in cratios if np.isfinite(r)]
+        cfinite = [r[4] for r in _local_energy_scan(ctraj, ctails, s_grid,
+                                                    deltas, T, mu1, p)
+                   if np.isfinite(r[4])]
         local_coarse = max(cfinite) if cfinite else 0.0
         refinement = {
             "decay_ctilde_coarse": cdecay.ctilde,

@@ -31,22 +31,21 @@ from .plaplace import (Trajectory, _diffusivity_of_a2, _face_avg, _face_diff,
 
 _TWO_PI = 2.0 * np.pi
 _DT_MAX = 1.0  # the CFL bounds' cap, and the step of a field at rest
+_CFL_SAFETY = 0.4  # both CFL bounds' safety factor
 
 
 @dataclasses.dataclass
 class FluidConfig:
     """Knobs of the fluid stepper; ``eps_reg = None`` ties the shear-rate
-    regularization to the grid spacing."""
+    regularization to the grid spacing.  The CFL safety factor is the
+    module constant ``_CFL_SAFETY``."""
 
     params: ModelParams
     eps_reg: float | None = None
-    cfl_safety: float = 0.4
 
     def __post_init__(self):
         if self.params.dim != 2:
             raise ValueError("fluid solver is 2-D; ModelParams.dim must be 2")
-        if not 0 < self.cfl_safety <= 1:
-            raise ValueError("cfl_safety must lie in (0, 1]")
 
     def eps_for(self, grid: GridSpec) -> float:
         return min(grid.spacing) if self.eps_reg is None else self.eps_reg
@@ -151,18 +150,17 @@ def _speed_max(v: VectorField) -> float:
     return float(np.sqrt(np.max(u0 * u0 + u1 * u1)))
 
 
-def advect(v: VectorField, dt: float, cfl_safety: float = 0.4,
-           vmax: float | None = None) -> VectorField:
+def advect(v: VectorField, dt: float, vmax: float | None = None) -> VectorField:
     """Apply the advection tendency for ``dt``; errors on a CFL violation.
     ``vmax`` is the field's largest speed, measured here unless given."""
     _require_periodic(v.grid)
     if vmax is None:
         vmax = _speed_max(v)
     h_min = min(v.grid.spacing)
-    if vmax * dt > cfl_safety * h_min * (1.0 + 1e-12):
+    if vmax * dt > _CFL_SAFETY * h_min * (1.0 + 1e-12):
         raise NumericalError(
             f"advective CFL violated: |u|max dt = {vmax * dt:.3e} > "
-            f"{cfl_safety:.3g} h = {cfl_safety * h_min:.3e}")
+            f"{_CFL_SAFETY:.3g} h = {_CFL_SAFETY * h_min:.3e}")
     tend = _advection_tendency(v)
     return VectorField(v.grid, tuple(c + dt * t for c, t in zip(v.components, tend)))
 
@@ -222,7 +220,7 @@ def project(v: VectorField) -> VectorField:
 
 
 def viscous_cfl_dt(v: VectorField, cfg: FluidConfig) -> float:
-    """Stable viscous step ``safety h_min^2 / (4 D_max (p - 1))``,
+    """Stable viscous step ``_CFL_SAFETY h_min^2 / (4 D_max (p - 1))``,
     ``D_max`` the diffusivity at the largest face ``|Du|^2``, which for
     ``p >= 2`` (all :class:`ModelParams` allows) is the largest one; at
     p = 2 that is the constant mu1, and ``v`` is not read."""
@@ -241,18 +239,17 @@ def viscous_cfl_dt(v: VectorField, cfg: FluidConfig) -> float:
             return _DT_MAX
     h_min = min(v.grid.spacing)
     return float(min(_DT_MAX,
-                     cfg.cfl_safety * h_min**2 / (4.0 * dmax * (p - 1.0))))
+                     _CFL_SAFETY * h_min**2 / (4.0 * dmax * (p - 1.0))))
 
 
-def advective_cfl_dt(v: VectorField, cfg: FluidConfig,
-                     vmax: float | None = None) -> float:
-    """``safety h_min / max |u|``; ``vmax`` is ``max |u|``, measured here
-    unless given."""
+def advective_cfl_dt(v: VectorField, vmax: float | None = None) -> float:
+    """``_CFL_SAFETY h_min / max |u|``; ``vmax`` is ``max |u|``, measured
+    here unless given."""
     if vmax is None:
         vmax = _speed_max(v)
     if vmax == 0.0:
         return _DT_MAX
-    return float(min(_DT_MAX, cfg.cfl_safety * min(v.grid.spacing) / vmax))
+    return float(min(_DT_MAX, _CFL_SAFETY * min(v.grid.spacing) / vmax))
 
 
 def fluid_step(v: VectorField, cfg: FluidConfig, dt: float,
@@ -260,7 +257,7 @@ def fluid_step(v: VectorField, cfg: FluidConfig, dt: float,
     """advect -> add dt * viscous term -> project.  ``vmax``, the largest
     speed of ``v``, spares :func:`advect` its own pass when the caller
     has it."""
-    v = advect(v, dt, cfg.cfl_safety, vmax)
+    v = advect(v, dt, vmax)
     visc = viscous_term(v, cfg.params, cfg.eps_for(v.grid))
     v = VectorField(v.grid, tuple(c + dt * w for c, w in zip(v.components, visc.components)))
     return project(v)
@@ -287,7 +284,7 @@ def simulate_fluid(v0: VectorField, cfg: FluidConfig, T: float,
         while t < t_next - 1e-13 * max(1.0, t_next):
             if dt_fixed is None:
                 vmax = _speed_max(v)
-                dt = min(advective_cfl_dt(v, cfg, vmax),
+                dt = min(advective_cfl_dt(v, vmax),
                          viscous_cfl_dt(v, cfg),
                          t_next - t)
             else:

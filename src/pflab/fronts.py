@@ -46,10 +46,6 @@ class SupportTrace:
     def present(self) -> np.ndarray:
         return ~np.isnan(self.fronts)
 
-    def shifted(self, dt: float) -> "SupportTrace":
-        """Same fronts against shifted times (e.g. profile birth time)."""
-        return SupportTrace(self.tau, self.times + dt, self.fronts.copy())
-
 
 @dataclasses.dataclass
 class ExponentFit:
@@ -195,21 +191,17 @@ _ENVELOPES = {"l2": support_envelope_l2, "l1": support_envelope_l1}
 # ---------------------------------------------------------------------------
 
 
-def fit_exponent(trace: SupportTrace, window: tuple | None = None,
-                 drop_frac: float = 0.1) -> ExponentFit:
+def fit_exponent(trace: SupportTrace, drop_frac: float = 0.1) -> ExponentFit:
     """Least-squares line in (log t, log front).
 
-    Default window policy drops the first and last ``drop_frac`` of the
-    usable samples (initial transients, boundary proximity); an explicit
-    ``window = (t_a, t_b)`` overrides it.  Requires >= 8 usable samples.
+    The fit window drops the first and last ``drop_frac`` of the usable
+    samples (initial transients, boundary proximity).  Requires >= 8
+    usable samples.
     """
     ok = trace.present & (trace.times > 0) & (trace.fronts > 0)
     t = trace.times[ok]
     f = trace.fronts[ok]
-    if window is not None:
-        sel = (t >= window[0]) & (t <= window[1])
-        t, f = t[sel], f[sel]
-    elif len(t) >= 8 and drop_frac > 0:
+    if len(t) >= 8 and drop_frac > 0:
         k = int(math.floor(drop_frac * len(t)))
         if k:
             t, f = t[k:-k], f[k:-k]

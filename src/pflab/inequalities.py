@@ -64,10 +64,9 @@ def check_stampacchia_relation(f: MonotoneSamples, s0: float, eps: float):
     return s, holds
 
 
-def stampacchia_vanishing_point(f: MonotoneSamples, s0: float, eps: float,
-                                vanish_tol: float | None = None) -> float:
+def stampacchia_vanishing_point(f: MonotoneSamples, s0: float, eps: float) -> float:
     """``s0 + f(s0)/(1 - eps)``, after verifying the relation on the grid
-    and confirming by direct scan that f stays below ``vanish_tol``
+    and confirming by direct scan that f stays below ``1e-12 * f(s0)``
     beyond the returned point."""
     s, holds = check_stampacchia_relation(f, s0, eps)
     if not holds.all():
@@ -77,8 +76,7 @@ def stampacchia_vanishing_point(f: MonotoneSamples, s0: float, eps: float,
             f"first at s = {bad[0]:.6g}")
     f_s0 = float(f(s0))
     point = s0 + f_s0 / (1.0 - eps)
-    if vanish_tol is None:
-        vanish_tol = 1e-12 * f_s0
+    vanish_tol = 1e-12 * f_s0
     beyond = f.f[f.s >= point]
     tail = float(f(max(point, f.s[-1])))
     worst = max(float(beyond.max()) if len(beyond) else 0.0, tail)

@@ -1,6 +1,9 @@
 """Scalar degenerate diffusion ``u_t = mu1 div(|grad u|^(p-2) grad u)``.
 
-Two steppers share one spatial discretization idea (face-centered
+The equation is posed in the whole space; a run stands in for it with a
+dirichlet-zero box, and the boundary sentinel stops the run before the
+support nears an edge.  Every entry point rejects a grid with a periodic
+axis.  Two steppers share one spatial discretization idea (face-centered
 diffusivities built from the full gradient magnitude):
 
 * ``explicit``: conservative face-flux update.  Monotone under the CFL
@@ -10,8 +13,8 @@ diffusivities built from the full gradient magnitude):
 * ``implicit``: backward Euler realized as a proximal step, i.e. the
   minimizer of ``|v - u|^2 / (2 dt) + (mu1/p) * sum |grad v|^p`` over the
   grid, solved by damped Newton with a monotone line search (exact
-  banded solve on 1-D dirichlet grids, otherwise CG preconditioned by
-  Jacobi with the exact Hessian diagonal).  Each Newton iteration
+  banded solve on 1-D grids, otherwise CG preconditioned by Jacobi with
+  the exact Hessian diagonal).  Each Newton iteration
   linearizes once, into a per-face tensor that the Hessian action, the
   diagonal and the band all read.  No CFL limit, so it is the stepper
   for long-horizon exponent fits.
@@ -43,18 +46,21 @@ from .errors import BoundarySentinelError, NumericalError
 
 # Support-window stepping (see ``simulate``): the window is rescanned every
 # _WINDOW_RESCAN steps and reaches _WINDOW_HALO nodes past the support on
-# each dirichlet axis.  The support grows by at most one cell per step, so
+# each axis.  The support grows by at most one cell per step, so
 # the field stays zero at least two nodes deep inside the window's edges,
 # and every face the window leaves out carries exactly zero flux.
 _WINDOW_RESCAN = 16
 _WINDOW_HALO = _WINDOW_RESCAN + 2
-# The explicit stepper recomputes its CFL bound every _CFL_STRIDE steps,
-# never below _DT_MIN, and runs the boundary sentinel every
+# The explicit stepper recomputes its CFL bound, _CFL_SAFETY times the
+# stable step, every _CFL_STRIDE steps and keeps it in [_DT_MIN, _DT_MAX]
+# (a field at rest steps _DT_MAX); it runs the boundary sentinel every
 # _SENTINEL_STRIDE steps.  The sentinel raises when the support, the
 # nodes above _SENTINEL_TAU_FRAC * max|u0|, comes within _SENTINEL_MARGIN
 # of the box's width of its edge.
 _CFL_STRIDE = 8
+_CFL_SAFETY = 0.9
 _DT_MIN = 1e-14
+_DT_MAX = 1.0
 _SENTINEL_STRIDE = 100
 _SENTINEL_MARGIN = 0.1
 _SENTINEL_TAU_FRAC = 1e-8
@@ -65,13 +71,14 @@ class SolverConfig:
     """Knobs of the scalar solver of the degenerate equation, ``p > 2``.
 
     ``tol`` is the inner first-order optimality tolerance of the proximal
-    step, measured as the grid-L2 norm of the objective gradient.
+    step, measured as the grid-L2 norm of the objective gradient, and
+    ``max_inner`` caps its Newton iterations.  The explicit stepper's CFL
+    safety factor and step cap are the module constants ``_CFL_SAFETY``
+    and ``_DT_MAX``.
     """
 
     params: ModelParams
     stepper: str = "explicit"
-    cfl_safety: float = 0.9
-    dt_max: float = 1.0
     tol: float = 1e-10
     max_inner: int = 60
     audit_locality: bool = True
@@ -81,10 +88,6 @@ class SolverConfig:
             raise ValueError(f"the scalar solver needs p > 2, got p = {self.params.p}")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
-        if not 0 < self.cfl_safety <= 1:
-            raise ValueError("cfl_safety must lie in (0, 1]")
-        if not self.dt_max > 0:
-            raise ValueError("dt_max must be positive")
         if self.max_inner < 1:
             raise ValueError("max_inner must be >= 1")
         if self.stepper not in ("explicit", "implicit"):
@@ -122,8 +125,13 @@ class Trajectory:
         return float(self.times[-1])
 
 
+def _require_dirichlet(grid: GridSpec):
+    if any(grid.is_periodic(a) for a in range(grid.dim)):
+        raise ValueError("the scalar solver requires a dirichlet-zero grid")
+
+
 # ---------------------------------------------------------------------------
-# face geometry helpers
+# face geometry helpers (their periodic branches serve the fluid)
 # ---------------------------------------------------------------------------
 
 
@@ -164,12 +172,7 @@ def _face_avg(z: np.ndarray, axis: int, periodic: bool) -> np.ndarray:
     return 0.5 * (z[_sl(nd, axis, slice(None, -1))] + z[_sl(nd, axis, slice(1, None))])
 
 
-def _face_avg_adj(w: np.ndarray, node_shape: tuple, axis: int,
-                  periodic: bool) -> np.ndarray:
-    if periodic:
-        out = _periodic_stencil(np.add, axis, (w, 0), (w, -1))
-        out *= 0.5
-        return out
+def _face_avg_adj(w: np.ndarray, node_shape: tuple, axis: int) -> np.ndarray:
     out = np.zeros(node_shape)
     nd = out.ndim
     out[_sl(nd, axis, slice(None, -1))] += 0.5 * w
@@ -193,11 +196,7 @@ def _trans_deriv(v: np.ndarray, axis: int, h: float, periodic: bool) -> np.ndarr
     return out
 
 
-def _trans_deriv_adj(w: np.ndarray, axis: int, h: float, periodic: bool) -> np.ndarray:
-    if periodic:
-        out = _periodic_stencil(np.subtract, axis, (w, -1), (w, 1))
-        out /= 2.0 * h
-        return out
+def _trans_deriv_adj(w: np.ndarray, axis: int, h: float) -> np.ndarray:
     nd = w.ndim
     out = np.zeros_like(w)
     out[_sl(nd, axis, slice(None, -2))] -= w[_sl(nd, axis, slice(1, -1))] / (2.0 * h)
@@ -211,14 +210,14 @@ def _trans_deriv_adj(w: np.ndarray, axis: int, h: float, periodic: bool) -> np.n
 
 def _face_gradients(v: np.ndarray, grid: GridSpec, axis: int):
     """Normal and (2-D) transverse-averaged gradient components at the
-    faces orthogonal to ``axis``."""
+    faces orthogonal to ``axis`` of a dirichlet grid."""
     h = grid.spacing[axis]
-    gn = _face_diff(v, axis, h, grid.is_periodic(axis))
+    gn = _face_diff(v, axis, h, False)
     if grid.dim == 1:
         return gn, None
     other = 1 - axis
-    dt_node = _trans_deriv(v, other, grid.spacing[other], grid.is_periodic(other))
-    gt = _face_avg(dt_node, axis, grid.is_periodic(axis))
+    dt_node = _trans_deriv(v, other, grid.spacing[other], False)
+    gt = _face_avg(dt_node, axis, False)
     return gn, gt
 
 
@@ -249,12 +248,12 @@ def _a2_max(a2: np.ndarray) -> float:
 def _diffusion_rhs(v: np.ndarray, grid: GridSpec, cfg: SolverConfig,
                    a2_max: list | None = None) -> np.ndarray:
     """Face-flux divergence on ``v``: the whole node array of ``grid``, or
-    a window of it that spans every periodic axis.  Faces past the ends
-    of ``v`` carry no flux, which at a window edge is exact where the
-    field vanishes two nodes deep.  Given a list ``a2_max``, the largest
-    ``|face grad|^2`` of each axis is appended to it for :func:`_cfl_dt`."""
+    a window of it.  Faces past the ends of ``v`` carry no flux, which at
+    a window edge is exact where the field vanishes two nodes deep.  Given
+    a list ``a2_max``, the largest ``|face grad|^2`` of each axis is
+    appended to it for :func:`_cfl_dt`."""
     p, mu1 = cfg.params.p, cfg.params.mu1
-    if v.ndim == 1 and not grid.is_periodic(0):
+    if v.ndim == 1:
         # hot path of the 1-D sharp-front studies
         h = grid.spacing[0]
         gn = (v[1:] - v[:-1]) / h
@@ -277,10 +276,7 @@ def _diffusion_rhs(v: np.ndarray, grid: GridSpec, cfg: SolverConfig,
         if a2_max is not None:
             a2_max.append(_a2_max(a2))
         flux = _diffusivity_of_a2(a2, p, mu1) * gn
-        if grid.is_periodic(axis):
-            out -= _face_diff_adj(flux, v.shape, axis, h, True)
-        else:
-            out += np.diff(flux, axis=axis, prepend=0.0, append=0.0) / h
+        out += np.diff(flux, axis=axis, prepend=0.0, append=0.0) / h
     return out
 
 
@@ -313,6 +309,7 @@ def _explicit_step(sub: np.ndarray, rhs: np.ndarray, dt: float,
 def step_explicit(u: ScalarField, cfg: SolverConfig, dt: float) -> ScalarField:
     """One conservative explicit step on the whole grid; caller is
     responsible for the CFL bound (see :func:`cfl_dt`)."""
+    _require_dirichlet(u.grid)
     values = u.values.copy()
     _explicit_step(values, _diffusion_rhs(values, u.grid, cfg), dt, None)
     return ScalarField(u.grid, values)
@@ -327,15 +324,16 @@ def _cfl_dt(a2_max: list, grid: GridSpec, cfg: SolverConfig) -> float:
     for m in a2_max:
         dmax = max(dmax, mu1 * float(m) ** ((p - 2.0) / 2.0))
     if dmax == 0.0:
-        return cfg.dt_max
+        return _DT_MAX
     h_min = min(grid.spacing)
-    dt = cfg.cfl_safety * h_min**2 / (2.0 * grid.dim * dmax * (p - 1.0))
-    return float(min(max(dt, _DT_MIN), cfg.dt_max))
+    dt = _CFL_SAFETY * h_min**2 / (2.0 * grid.dim * dmax * (p - 1.0))
+    return float(min(max(dt, _DT_MIN), _DT_MAX))
 
 
 def cfl_dt(u: ScalarField, cfg: SolverConfig) -> float:
-    """Stable explicit step ``safety * h_min^2 / (2 N D_max (p-1))``;
-    an all-zero diffusivity yields ``dt_max``."""
+    """Stable explicit step ``_CFL_SAFETY * h_min^2 / (2 N D_max (p-1))``;
+    an all-zero diffusivity yields ``_DT_MAX``."""
+    _require_dirichlet(u.grid)
     _check_finite(u.values, "cfl_dt input")
     a2_max = [_a2_max(_face_a2(*_face_gradients(u.values, u.grid, axis)))
               for axis in range(u.grid.dim)]
@@ -370,12 +368,11 @@ def _energy(faces: list, grid: GridSpec, cfg: SolverConfig) -> float:
 
 def _face_gradients_adj(tn, tt, grid: GridSpec, axis: int) -> np.ndarray:
     """Adjoint of :func:`_face_gradients`: the node array ``G^T (tn, tt)``."""
-    per = grid.is_periodic(axis)
-    out = _face_diff_adj(tn, grid.shape, axis, grid.spacing[axis], per)
+    out = _face_diff_adj(tn, grid.shape, axis, grid.spacing[axis], False)
     if tt is not None:
         other = 1 - axis
-        out += _trans_deriv_adj(_face_avg_adj(tt, grid.shape, axis, per), other,
-                                grid.spacing[other], grid.is_periodic(other))
+        out += _trans_deriv_adj(_face_avg_adj(tt, grid.shape, axis), other,
+                                grid.spacing[other])
     return out
 
 
@@ -442,26 +439,21 @@ class _ProxProblem:
         """Exact Hessian diagonal, the Jacobi preconditioner: ``K`` weighted
         by the squared stencil coefficients of the face gradients.  The
         cross term ``k_nt`` enters where a one-sided dirichlet end puts a
-        node in both the normal and the transverse stencil of a face.  (A
-        periodic transverse axis needs three nodes or more, so that the two
-        neighbours of its centred stencil differ.)"""
+        node in both the normal and the transverse stencil of a face."""
         grid = self.grid
         nd = grid.dim
         diag = np.zeros(grid.shape)
         for axis, (knn, knt, ktt) in enumerate(self._k):
-            h, per = grid.spacing[axis], grid.is_periodic(axis)
-            diag += (2.0 / h**2) * _face_avg_adj(knn, grid.shape, axis, per)
+            h = grid.spacing[axis]
+            diag += (2.0 / h**2) * _face_avg_adj(knn, grid.shape, axis)
             if ktt is None:
                 continue
             other = 1 - axis
             ho = grid.spacing[other]
             # k_tt / 4 at both nodes of a face, times the squared transverse
             # coefficient of each node row: 1/(2 ho) centred, 1/ho one-sided
-            z = _face_avg_adj(ktt, grid.shape, axis, per) / (8.0 * ho**2)
-            if grid.is_periodic(other):
-                diag += _periodic_stencil(np.add, other, (z, -1), (z, 1))
-                continue
-            x = _face_diff_adj(knt, grid.shape, axis, h, per) / ho
+            z = _face_avg_adj(ktt, grid.shape, axis) / (8.0 * ho**2)
+            x = _face_diff_adj(knt, grid.shape, axis, h, False) / ho
             for end, sign in ((0, -1.0), (-1, 1.0)):  # one-sided rows
                 e = _sl(nd, other, end)
                 z[e] *= 4.0
@@ -471,7 +463,7 @@ class _ProxProblem:
         return self.vol / self.dt + self.w * diag
 
     def banded_hessian(self) -> np.ndarray:
-        """Tridiagonal Hessian in solve_banded layout (1-D dirichlet only)."""
+        """Tridiagonal Hessian in solve_banded layout (1-D only)."""
         coef = self.w * self._k[0][0] / self.grid.spacing[0] ** 2
         ab = np.zeros((3, self.grid.shape[0]))
         ab[1, :] = self.vol / self.dt
@@ -484,8 +476,8 @@ class _ProxProblem:
 
 def solve_banded(l_and_u, ab: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``scipy.linalg.solve_banded``, imported on the first call: only 1-D
-    dirichlet proximal steps use it, and ``scipy.linalg`` costs about a
-    third of a second to import."""
+    proximal steps use it, and ``scipy.linalg`` costs about a third of a
+    second to import."""
     from scipy.linalg import solve_banded as banded
 
     return banded(l_and_u, ab, b)
@@ -528,8 +520,7 @@ def _sub_grid(grid: GridSpec, win: tuple) -> GridSpec:
         return grid
     h = grid.spacing
     lower = tuple(lo + s.start * ha for lo, s, ha in zip(grid.lower, win, h))
-    cells = tuple(n if grid.is_periodic(axis) else s.stop - s.start - 1
-                  for axis, (s, n) in enumerate(zip(win, grid.cells)))
+    cells = tuple(s.stop - s.start - 1 for s in win)
     sub = GridSpec(lower, tuple(lo + c * ha for lo, c, ha in zip(lower, cells, h)),
                    cells, grid.bc)
     # both are cached properties, whose values live in the instance dict
@@ -562,7 +553,7 @@ def _proximal_newton(u: np.ndarray, v: np.ndarray, grid: GridSpec,
     if j > j_u:  # extrapolated warm start went uphill; fall back
         v = u
         j, g = prob.value_and_grad(v)
-    banded = grid.dim == 1 and not grid.is_periodic(0)
+    banded = grid.dim == 1
     res0 = _grad_residual(g, prob.vol)
     for _ in range(cfg.max_inner):
         res = _grad_residual(g, prob.vol)
@@ -612,8 +603,8 @@ def step_implicit_proximal(u: ScalarField, cfg: SolverConfig, dt: float,
 
     The step is solved on a window: the bounding box of
     ``supp(u) | supp(v0)`` plus a halo of ``_WINDOW_HALO`` nodes on each
-    dirichlet axis (periodic axes stay whole), as a grid of its own with
-    the parent's spacing and node weights.  Where the iterate vanishes two nodes deep, the face tensor
+    axis, as a grid of its own with the parent's spacing and node
+    weights.  Where the iterate vanishes two nodes deep, the face tensor
     ``K`` vanishes, so the whole-grid Hessian there is ``vol/dt``, the
     gradient is 0, and every Krylov vector, Newton direction and line
     search point keeps those nodes exactly 0: the solve on the window is
@@ -624,6 +615,7 @@ def step_implicit_proximal(u: ScalarField, cfg: SolverConfig, dt: float,
     whole grid.
     """
     grid = u.grid
+    _require_dirichlet(grid)
     v0 = u.values if v0 is None else np.asarray(v0, dtype=float)
     whole = _whole(u.values)
     bounds = _support_bounds((u.values != 0.0) | (v0 != 0.0), 0.0)
@@ -758,14 +750,11 @@ def _edge_bounds(values: np.ndarray, win: tuple, seed, t: float):
 
 def _support_window(bounds, grid: GridSpec, win: tuple, halo: int) -> tuple:
     """Window of the support ``bounds`` (whole-array indices, or None for
-    a zero field, which keeps ``win``) grown by ``halo`` nodes on dirichlet
-    axes."""
+    a zero field, which keeps ``win``) grown by ``halo`` nodes a side."""
     if bounds is None:
         return win
-    return tuple(
-        s if grid.is_periodic(axis)
-        else slice(max(lo - halo, 0), min(hi + halo + 1, n))
-        for axis, ((lo, hi), s, n) in enumerate(zip(bounds, win, grid.shape)))
+    return tuple(slice(max(lo - halo, 0), min(hi + halo + 1, n))
+                 for (lo, hi), n in zip(bounds, grid.shape))
 
 
 def simulate(u0: ScalarField, cfg: SolverConfig, T: float,
@@ -798,6 +787,7 @@ def simulate(u0: ScalarField, cfg: SolverConfig, T: float,
     """
     if not T > 0:
         raise ValueError("horizon T must be positive")
+    _require_dirichlet(u0.grid)
     _check_finite(u0.values, "initial data")
     if snapshot_times is None:
         snapshot_times = np.linspace(0.0, T, 33)

@@ -71,3 +71,19 @@ def test_criterion_11_local_energy(ctx):
 
 def test_criterion_12_iteration_mechanism(ctx):
     _check(acceptance.criterion_12(ctx))
+
+
+# every key that halfspace_run, _grid and _solver read
+_TRAJECTORY_KEYS = ("p", "mu1", "dimension", "height_c", "cells", "bounds", "t0",
+                    "t_end", "t_ref", "snapshots_per_decade", "stepper",
+                    "tol_inner", "max_inner", "audit_locality")
+
+
+def test_criteria_11_12_run_on_the_data_their_config_describes(tmp_path):
+    # criterion 11's ledger runs on the trajectory built from criterion
+    # 4's config, while its refinement run is built from its own: the two
+    # pinned configs must describe the same trajectory
+    c04 = acceptance._load_cfg("c04_halfspace_envelopes.cfg", str(tmp_path))
+    c11 = acceptance._load_cfg("c11_energy_ledger.cfg", str(tmp_path))
+    assert ({k: c04[k] for k in _TRAJECTORY_KEYS}
+            == {k: c11[k] for k in _TRAJECTORY_KEYS})

@@ -5,9 +5,9 @@ appears in :func:`pflab.experiments.run_experiment` and nowhere else.
 Every public top-level function and class has a caller in the package
 or the benchmark harness, or is an independent oracle that tests check
 shipped code against.  Every config key is read somewhere outside the
-schema that declares it, and is named by a test or a pinned acceptance
-config.  Importing the package costs numpy alone: each scipy submodule
-is imported where it is called.
+schema that declares it, and is set by a pinned acceptance config or by
+a test that builds a config or drives the CLI.  Importing the package
+costs numpy alone: each scipy submodule is imported where it is called.
 """
 
 import ast
@@ -108,8 +108,24 @@ def test_every_config_key_is_read_outside_the_schema():
     assert sorted(set(SCHEMA) - strings) == []
 
 
+_CONFIG_ENTRY_POINTS = {"parse_config", "default_config", "main"}
+
+
+def _config_test_texts() -> list:
+    """The test files that build a config or drive the CLI: those that
+    call ``parse_config``, ``default_config`` or the CLI's ``main``."""
+    texts = []
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        text = path.read_text()
+        calls = {node.func.id for node in ast.walk(ast.parse(text, str(path)))
+                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+        if calls & _CONFIG_ENTRY_POINTS:
+            texts.append(text)
+    return texts
+
+
 def test_every_config_key_is_named_by_a_test_or_a_pinned_config():
-    texts = [path.read_text() for path in sorted((ROOT / "tests").glob("*.py"))]
+    texts = _config_test_texts()
     pinned = set()
     for path in sorted((PACKAGE / "configs" / "accept").glob("*.cfg")):
         for line in path.read_text().splitlines():
@@ -117,8 +133,8 @@ def test_every_config_key_is_named_by_a_test_or_a_pinned_config():
             if match:
                 pinned.add(match.group(1))
 
-    def named(key):  # ``key =``, ``key=``, a quoted "key" or a --key flag
-        pattern = (rf"\b{key} ?=(?!=)|[\"']{key}[\"']"
+    def named(key):  # ``key =``, ``key=``, an override "key": or a --key flag
+        pattern = (rf"\b{key} ?=(?!=)|[\"']{key}[\"'] ?:"
                    rf"|--{key.replace('_', '-')}\b")
         return any(re.search(pattern, text) for text in texts)
 

@@ -9,7 +9,6 @@ def test_minimal_config_fills_defaults():
     assert cfg.kind == "barenblatt-fit"
     assert cfg["p"] == 3.0
     assert cfg["mu1"] == 1.0
-    assert cfg["threshold_frac"] == 1e-6
     assert cfg["stepper"] == "implicit"
 
 
@@ -116,8 +115,6 @@ def test_schema_defaults_are_valid():
 
 
 @pytest.mark.parametrize("key,value", [
-    ("dt_max", "0"), ("dt_max", "-1"),  # dt = 0: time never advances
-    ("fluid_cfl_safety", "0"), ("fluid_cfl_safety", "1.5"),
     ("max_inner", "0"),
 ])
 def test_range_violations_rejected(key, value):

@@ -12,9 +12,8 @@ from pflab.fluid2d import (FluidConfig, _advection_tendency,
                            fluid_step, kinetic_energy, project,
                            random_stream_coeffs, simulate_fluid, stream_field,
                            viscous_cfl_dt, viscous_term, weak_residual)
-from pflab.plaplace import (SolverConfig, Trajectory, _face_avg, _face_avg_adj,
-                            _face_diff, _face_diff_adj, _trans_deriv,
-                            _trans_deriv_adj, step_explicit)
+from pflab.plaplace import (SolverConfig, Trajectory, _face_avg, _face_diff,
+                            _face_diff_adj, _trans_deriv, step_explicit)
 
 
 def tg_grid(n=64):
@@ -194,33 +193,29 @@ def test_weak_residual_rejects_a_dirichlet_trajectory():
 def test_shear_flow_is_the_scalar_equation(p):
     # u = (f(y), 0): the advection terms and the divergence vanish, and
     # |Du|^2 = f'^2 / 2, so the fluid steps f as the scalar p-Laplacian
-    # with mu' = mu1 2^(-p/2) on the periodic y-line
+    # with mu' = mu1 2^(-p/2).  f is compactly supported inside the period,
+    # so the scalar reference runs on the dirichlet line [0, 2 pi], whose
+    # n + 1 nodes are the periodic line's n nodes and the wrapped end node
     mu1, n, steps = 0.7, 64, 200
     g = tg_grid(n)
-    line = GridSpec((0.0,), (2 * np.pi,), (n,), (PERIODIC,))
+    line = GridSpec.line(0.0, 2 * np.pi, n)
     y = g.coords(1)
     f = np.clip(1.0 - ((y - np.pi) / 1.2) ** 2, 0.0, None) ** 2
     cfg = FluidConfig(params(p, mu1), eps_reg=0.0)
     v = VectorField(g, (np.tile(f, (n, 1)), np.zeros(g.shape)))
     dt = 0.5 * viscous_cfl_dt(v, cfg)
     scfg = SolverConfig(ModelParams(p, mu1 * 2.0 ** (-p / 2.0), 1))
-    u = ScalarField(line, f)
+    u = ScalarField(line, np.append(f, 0.0))
     for _ in range(steps):
         v = fluid_step(v, cfg, dt)
         u = step_explicit(u, scfg, dt)
     u0, u1 = v.components
     assert np.array_equal(u0, np.broadcast_to(u0[0], u0.shape))
     assert np.all(u1 == 0.0)
+    assert u.values[0] == 0.0 and u.values[-1] == 0.0
     # the projection adds FFT roundoff, also where the scalar is exactly 0
-    assert np.max(np.abs(u0[0] - u.values)) <= 1e-12 * np.max(np.abs(u.values))
+    assert np.max(np.abs(u0[0] - u.values[:-1])) <= 1e-12 * np.max(np.abs(u.values))
     assert np.max(np.abs(u.values)) < np.max(f)  # the bump did diffuse
-
-
-@pytest.mark.parametrize("field,value", [
-    ("cfl_safety", 0.0), ("cfl_safety", 1.5)])
-def test_fluid_config_rejects_values_that_hang(field, value):
-    with pytest.raises(ValueError, match=field):
-        FluidConfig(params(), **{field: value})
 
 
 # ---------------------------------------------------------------------------
@@ -247,10 +242,7 @@ def test_periodic_face_stencils_match_roll_bitwise(n, m):
             (_face_diff(v, axis, h, True), (np.roll(v, -1, axis) - v) / h),
             (_face_diff_adj(v, v.shape, axis, h, True), (np.roll(v, 1, axis) - v) / h),
             (_face_avg(v, axis, True), 0.5 * (v + np.roll(v, -1, axis))),
-            (_face_avg_adj(v, v.shape, axis, True), 0.5 * (v + np.roll(v, 1, axis))),
             (_trans_deriv(v, axis, h, True), _roll_centered(v, axis, h)),
-            (_trans_deriv_adj(v, axis, h, True),
-             (np.roll(v, 1, axis) - np.roll(v, -1, axis)) / (2.0 * h)),
         ]
         for got, ref in pairs:
             assert np.array_equal(got, ref)
@@ -309,7 +301,8 @@ def _general_viscous_cfl_dt(v, cfg):
     if dmax == 0.0:
         return 1.0
     h_min = min(v.grid.spacing)
-    return float(min(1.0, cfg.cfl_safety * h_min**2 / (4.0 * dmax * max(p - 1.0, 1.0))))
+    return float(min(1.0, fluid2d._CFL_SAFETY * h_min**2
+                     / (4.0 * dmax * max(p - 1.0, 1.0))))
 
 
 def test_cfl_bounds_match_the_general_formulas(monkeypatch):
@@ -320,8 +313,8 @@ def test_cfl_bounds_match_the_general_formulas(monkeypatch):
     for p in (2.0, 2.5, 3.0):
         cfg = FluidConfig(params(p, 0.7))
         assert viscous_cfl_dt(v, cfg) == _general_viscous_cfl_dt(v, cfg)
-        assert advective_cfl_dt(v, cfg) == min(
-            1.0, cfg.cfl_safety * min(g.spacing) / float(np.max(v.magnitude())))
+        assert advective_cfl_dt(v) == min(
+            1.0, fluid2d._CFL_SAFETY * min(g.spacing) / float(np.max(v.magnitude())))
     cfg = FluidConfig(params(2.0, 0.7))
     expected = _general_viscous_cfl_dt(v, cfg)
 
@@ -344,9 +337,9 @@ def test_adaptive_taylor_green_matches_the_general_step():
     v, t, steps = project(v0), 0.0, 0
     while t < t_end - 1e-13:
         vmax = float(np.max(v.magnitude()))
-        dt = min(min(1.0, cfg.cfl_safety * min(g.spacing) / vmax),
+        dt = min(min(1.0, fluid2d._CFL_SAFETY * min(g.spacing) / vmax),
                  _general_viscous_cfl_dt(v, cfg), t_end - t)
-        w = advect(v, dt, cfg.cfl_safety)
+        w = advect(v, dt)
         visc = _roll_viscous_term(w, 2.0, 0.7, eps)
         v = project(VectorField(g, tuple(c + dt * d for c, d in zip(w.components, visc))))
         t, steps = t + dt, steps + 1
