@@ -129,9 +129,6 @@ class ExperimentConfig:
     def __getitem__(self, key: str):
         return self.values[key]
 
-    def get(self, key: str, default=None):
-        return self.values.get(key, default)
-
 
 def _validate(values: dict, lines: dict) -> list:
     """Range checks against module preconditions; returns (line, msg) pairs."""

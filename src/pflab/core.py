@@ -210,13 +210,10 @@ class ModelParams:
 
     p: float
     mu1: float = 1.0
-    dim: int = 1
 
     def __post_init__(self):
         if not self.mu1 > 0:
             raise ValueError("mu1 must be positive")
-        if self.dim not in (1, 2):
-            raise ValueError("dim must be 1 or 2")
         if not (np.isfinite(self.p) and self.p >= 2.0):
             raise ValueError(f"p must be finite and >= 2, got p = {self.p}")
 

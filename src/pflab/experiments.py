@@ -62,7 +62,7 @@ def _grid(cfg: ExperimentConfig) -> GridSpec:
 
 
 def _model(cfg: ExperimentConfig) -> ModelParams:
-    return ModelParams(cfg["p"], cfg["mu1"], cfg["dimension"])
+    return ModelParams(cfg["p"], cfg["mu1"])
 
 
 def _solver(cfg: ExperimentConfig) -> SolverConfig:

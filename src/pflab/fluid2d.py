@@ -43,10 +43,6 @@ class FluidConfig:
     params: ModelParams
     eps_reg: float | None = None
 
-    def __post_init__(self):
-        if self.params.dim != 2:
-            raise ValueError("fluid solver is 2-D; ModelParams.dim must be 2")
-
     def eps_for(self, grid: GridSpec) -> float:
         return min(grid.spacing) if self.eps_reg is None else self.eps_reg
 
@@ -278,7 +274,6 @@ def simulate_fluid(v0: VectorField, cfg: FluidConfig, T: float,
 
     v = project(v0)
     fields = [v.copy()]
-    times = [0.0]
     t = 0.0
     for t_next in sched[1:]:
         while t < t_next - 1e-13 * max(1.0, t_next):
@@ -291,10 +286,9 @@ def simulate_fluid(v0: VectorField, cfg: FluidConfig, T: float,
                 vmax, dt = None, min(dt_fixed, t_next - t)
             v = fluid_step(v, cfg, dt, vmax)
             t += dt
-        times.append(t_next)
         fields.append(v.copy())
         t = t_next
-    return Trajectory(np.asarray(times), fields)
+    return Trajectory(sched, fields)
 
 
 # ---------------------------------------------------------------------------

@@ -85,13 +85,13 @@ def _interp_crossing(x: np.ndarray, m: np.ndarray, tau: float):
     return float(x[j] + frac * (x[j + 1] - x[j]))
 
 
-def support_front(f, tau: float, mode: str = "halfspace", center=None):
+def support_front(f, tau: float, mode: str = "halfspace"):
     """Largest coordinate where the field exceeds ``tau``; None if nowhere.
 
     ``halfspace`` measures ``sup{x_N : max_k |u_k| > tau}`` with linear
     interpolation to the first sub-threshold node.  ``radial`` measures
-    ``sup{|x - center| : |u| > tau}`` (interpolated in 1-D, node-accurate
-    in 2-D).
+    ``sup{|x| : |u| > tau}`` from the origin, where every radial run is
+    centred (interpolated in 1-D, node-accurate in 2-D).
     """
     if not tau > 0:
         raise ValueError("threshold tau must be positive")
@@ -106,16 +106,14 @@ def support_front(f, tau: float, mode: str = "halfspace", center=None):
         return _interp_crossing(grid.coords(axis), profile, tau)
 
     if mode == "radial":
-        if center is None:
-            center = (0.0,) * grid.dim
         if grid.dim == 1:
-            x = grid.coords(0) - center[0]
+            x = grid.coords(0)
             right = _interp_crossing(x, mag, tau)
             left = _interp_crossing(-x[::-1], mag[::-1], tau)
             cands = [abs(c) for c in (right, left) if c is not None]
             return max(cands) if cands else None
         xx, yy = grid.mesh()
-        r = np.sqrt((xx - center[0]) ** 2 + (yy - center[1]) ** 2)
+        r = np.sqrt(xx ** 2 + yy ** 2)
         mask = mag > tau
         if not mask.any():
             return None
@@ -125,7 +123,7 @@ def support_front(f, tau: float, mode: str = "halfspace", center=None):
 
 
 def trace_support(traj: Trajectory, tau: float, mode: str = "halfspace",
-                  center=None, t_offset: float = 0.0) -> SupportTrace:
+                  t_offset: float = 0.0) -> SupportTrace:
     """Apply :func:`support_front` to every snapshot.
 
     ``t_offset`` shifts the recorded times (useful when the data is a
@@ -133,7 +131,7 @@ def trace_support(traj: Trajectory, tau: float, mode: str = "halfspace",
     """
     if len(traj) == 0:
         raise ValueError("empty trajectory")
-    fronts = [support_front(f, tau, mode, center) for f in traj.fields]
+    fronts = [support_front(f, tau, mode) for f in traj.fields]
     fronts = np.array([np.nan if v is None else v for v in fronts])
     return SupportTrace(tau, traj.times + t_offset, fronts)
 
@@ -153,34 +151,31 @@ def envelope_exponents_l1(p: float, n: int) -> tuple[float, float]:
     return 1.0 / den, (p + n * (p - 3.0)) / den
 
 
-def support_envelope_l2(p: float, n: int, t, c: float):
-    """Two-branch envelope with the L2-data exponent pair."""
-    if p < (3 * n + 2) / (n + 2):
+def _support_envelope(k: int, exponents, p: float, n: int, t, c: float):
+    """``c * max(t^e_small, t^e_large)`` with the L^k-data exponent pair
+    ``exponents(p, n)``, valid for ``p >= (3N+k)/(N+k)``."""
+    p_min = (3 * n + k) / (n + k)
+    if p < p_min:
         raise ValueError(
-            f"L2 envelope needs p >= (3N+2)/(N+2) = {(3*n+2)/(n+2):.6g}, got p = {p}")
+            f"L{k} envelope needs p >= (3N+{k})/(N+{k}) = {p_min:.6g}, got p = {p}")
     if not c > 0:
         raise ValueError("envelope constant must be positive")
     t = np.asarray(t, dtype=float)
     if np.any(t <= 0):
         raise ValueError("envelope is defined for t > 0")
-    e_small, e_large = envelope_exponents_l2(p, n)
+    e_small, e_large = exponents(p, n)
     out = c * np.maximum(t**e_small, t**e_large)
     return float(out) if out.ndim == 0 else out
+
+
+def support_envelope_l2(p: float, n: int, t, c: float):
+    """Two-branch envelope with the L2-data exponent pair."""
+    return _support_envelope(2, envelope_exponents_l2, p, n, t, c)
 
 
 def support_envelope_l1(p: float, n: int, t, c: float):
     """Two-branch envelope with the L1-data (Barenblatt) exponent pair."""
-    if p < (3 * n + 1) / (n + 1):
-        raise ValueError(
-            f"L1 envelope needs p >= (3N+1)/(N+1) = {(3*n+1)/(n+1):.6g}, got p = {p}")
-    if not c > 0:
-        raise ValueError("envelope constant must be positive")
-    t = np.asarray(t, dtype=float)
-    if np.any(t <= 0):
-        raise ValueError("envelope is defined for t > 0")
-    e_small, e_large = envelope_exponents_l1(p, n)
-    out = c * np.maximum(t**e_small, t**e_large)
-    return float(out) if out.ndim == 0 else out
+    return _support_envelope(1, envelope_exponents_l1, p, n, t, c)
 
 
 _ENVELOPES = {"l2": support_envelope_l2, "l1": support_envelope_l1}

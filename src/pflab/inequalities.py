@@ -137,14 +137,10 @@ def gn_theta(a: float, b: float, d: float, n: int) -> float:
     return float(theta)
 
 
-def gn_ratio(v: ScalarField, a: float, b: float, d: float,
-             delta_slab: float | None = None) -> float:
-    """Empirical constant ``|v|_a / (|grad v|_d^theta |v|_b^(1-theta)
-    + slab term)`` with unit constants.
-
-    ``delta_slab`` switches on the bounded-slab correction
-    ``delta^(-N(a-b)/(ab)) |v|_b``; omitted, the unbounded-domain form
-    (no correction) is used.  Scale-invariant in v.
+def gn_ratio(v: ScalarField, a: float, b: float, d: float) -> float:
+    """Empirical constant ``|v|_a / (|grad v|_d^theta |v|_b^(1-theta))``
+    of the unbounded-domain inequality, with unit constants.
+    Scale-invariant in v.
     """
     n = v.grid.dim
     theta = gn_theta(a, b, d, n)
@@ -154,8 +150,4 @@ def gn_ratio(v: ScalarField, a: float, b: float, d: float,
     grad_norm = lp_norm(gradient(v), d)
     low_norm = lp_norm(v, b)
     den = grad_norm**theta * low_norm ** (1.0 - theta)
-    if delta_slab is not None:
-        if not delta_slab > 0:
-            raise ValueError("slab thickness must be positive")
-        den = den + delta_slab ** (-n * (a - b) / (a * b)) * low_norm
     return float(num / den)

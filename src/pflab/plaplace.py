@@ -671,24 +671,25 @@ def _check_sentinel(values: np.ndarray, grid: GridSpec, tau: float, t: float):
 
 def normalize_schedule(snapshot_times, T: float) -> np.ndarray:
     """Sorted snapshot times covering [0, T]: 0 and T added when missing,
-    near-duplicates from schedule arithmetic merged, endpoint snapped."""
+    near-duplicates from schedule arithmetic merged, endpoints snapped to
+    exactly 0 and T."""
     sched = np.asarray(sorted(set(float(t) for t in snapshot_times)))
     tiny = 1e-12 * max(T, 1.0)
     if len(sched) == 0 or sched[0] > tiny:
         sched = np.concatenate([[0.0], sched])
-    sched[0] = max(sched[0], 0.0)
+    if sched[0] < -tiny or sched[-1] > T + tiny:
+        raise ValueError("snapshot times must lie in [0, T]")
+    sched[0] = 0.0
     if abs(sched[-1] - T) <= tiny:
         sched[-1] = T
     elif sched[-1] < T:
         sched = np.concatenate([sched, [T]])
-    if sched[0] < 0.0 or sched[-1] > T + tiny:
-        raise ValueError("snapshot times must lie in [0, T]")
     keep = [0]
     for i in range(1, len(sched)):
         if sched[i] - sched[keep[-1]] > tiny:
             keep.append(i)
     sched = sched[keep]
-    sched[-1] = min(sched[-1], T)
+    sched[-1] = T  # a merge may keep an entry just short of T
     return sched
 
 
@@ -763,27 +764,10 @@ def simulate(u0: ScalarField, cfg: SolverConfig, T: float,
 
     ``snapshot_times`` is an increasing sequence of times in ``[0, T]``
     (0 and T are added when missing); defaults to 33 uniform snapshots.
-    The boundary-proximity sentinel and, for explicit runs, the per-step
-    support-locality audit run during stepping.
-
-    Explicit runs step only the support's bounding window plus a halo,
-    rescanned every few steps; the CFL bound, the finiteness check and
-    the audit read the same window.
-    The nodes outside it hold exact zeros that a full-grid step would
-    leave unchanged, so the trajectory is bit-identical to repeated
-    :func:`cfl_dt` / :func:`step_explicit` calls.  The audit and the
-    rescan cost O(front), not O(window): the audit's edge scan starts from
-    the last step's bounds, the rescan reuses them (or, without the audit,
-    scans in from the window's edges), and on CFL steps the bound is read
-    from the ``|face grad|^2`` the step itself forms.
-
-    Implicit runs take one :func:`step_implicit_proximal` per snapshot
-    interval, warm-started by linear extrapolation of the last two
-    fields.  Each is solved on the window of the support of its data and
-    warm start, and is the whole-grid step up to the order of its sums:
-    outside the support's ring the Newton system decouples to ``vol/dt`` with a zero right-hand
-    side, and the step is redone on a wider window whenever a Newton
-    direction reaches the window's edge.
+    The trajectory's times are the schedule :func:`normalize_schedule`
+    makes of it.  The boundary-proximity sentinel checks the initial data
+    and every snapshot.  ``cfg.stepper`` picks the driver:
+    :func:`_simulate_explicit` or :func:`_simulate_implicit`.
     """
     if not T > 0:
         raise ValueError("horizon T must be positive")
@@ -792,64 +776,90 @@ def simulate(u0: ScalarField, cfg: SolverConfig, T: float,
     if snapshot_times is None:
         snapshot_times = np.linspace(0.0, T, 33)
     sched = normalize_schedule(snapshot_times, T)
+    # a zero field stays zero, and a zero tau finds no support in it
+    tau = _SENTINEL_TAU_FRAC * float(np.max(np.abs(u0.values)))
+    _check_sentinel(u0.values, u0.grid, tau, 0.0)
+    drive = _simulate_explicit if cfg.stepper == "explicit" else _simulate_implicit
+    return Trajectory(sched, [u0.copy()] + drive(u0, cfg, sched, tau))
 
+
+def _simulate_explicit(u0: ScalarField, cfg: SolverConfig, sched: np.ndarray,
+                       tau: float) -> list:
+    """The snapshots at ``sched[1:]`` of the explicit stepper.
+
+    Each step acts only on the support's bounding window plus a halo of
+    ``_WINDOW_HALO`` nodes, rescanned every ``_WINDOW_RESCAN`` steps; the
+    CFL bound, the finiteness check and the locality audit read the same
+    window.  The nodes outside it hold exact zeros that a whole-grid step
+    would leave unchanged, so the trajectory is bit-identical to repeated
+    :func:`cfl_dt` / :func:`step_explicit` calls.  The audit
+    (``cfg.audit_locality``) checks after every step that the support grew
+    by at most one cell a side.  The audit and the rescan cost O(front),
+    not O(window): the audit's edge scan starts from the last step's
+    bounds, the rescan reuses them (or, without the audit, scans in from
+    the window's edges), and every ``_CFL_STRIDE`` steps the CFL bound is
+    read from the ``|face grad|^2`` the step itself forms.  The sentinel
+    also runs every ``_SENTINEL_STRIDE`` steps.
+    """
     grid = u0.grid
-    scale = float(np.max(np.abs(u0.values)))
-    tau_sent = _SENTINEL_TAU_FRAC * scale
     audit = cfg.audit_locality
-
     u = u0.copy()
-    t = 0.0
-    fields = [u.copy()]
-    times = [0.0]
-    if scale > 0:
-        _check_sentinel(u.values, grid, tau_sent, t)
-
-    values = u.values  # the explicit stepper updates it in place
+    values = u.values  # stepped in place
     win = _whole(values)
     bounds = _support_bounds(values, 0.0) if audit else None
-    steps_since_checks = 0
-    v_prev = None
+    steps = 0
+    t = 0.0
+    fields = []
 
     def window_seed():  # every node of the window may be nonzero
         return [(s.start + 1, s.stop - 2) for s in win]
 
     for t_next in sched[1:]:
-        if cfg.stepper == "explicit":
-            t_stop = t_next - 1e-15 * max(t_next, 1.0)
-            while t < t_stop:
-                if steps_since_checks % _WINDOW_RESCAN == 0:
-                    if not audit:
-                        bounds = _edge_bounds(values, win, window_seed(), t)
-                    win = _support_window(bounds, grid, win, _WINDOW_HALO)
-                sub = values[win]
-                if steps_since_checks % _CFL_STRIDE == 0:
-                    a2_max = []
-                    rhs = _diffusion_rhs(sub, grid, cfg, a2_max)
-                    dt_cfl = _cfl_dt(a2_max, grid, cfg)
-                else:
-                    rhs = _diffusion_rhs(sub, grid, cfg)
-                dt = min(dt_cfl, t_next - t)
-                _explicit_step(sub, rhs, dt, win)
-                t += dt
-                steps_since_checks += 1
-                if audit:
-                    bounds = _edge_bounds(
-                        values, win, window_seed() if bounds is None else bounds, t)
-                if scale > 0 and steps_since_checks % _SENTINEL_STRIDE == 0:
-                    _check_sentinel(values, grid, tau_sent, t)
-        else:
-            guess = None
-            if v_prev is not None:
-                guess = u.values + (u.values - v_prev)
-            v_prev = u.values
-            u = step_implicit_proximal(u, cfg, t_next - t, v0=guess)
-            t = t_next
-        if scale > 0:
-            _check_sentinel(u.values, grid, tau_sent, t)
-        times.append(t_next)
+        t_stop = t_next - 1e-15 * max(t_next, 1.0)
+        while t < t_stop:
+            if steps % _WINDOW_RESCAN == 0:
+                if not audit:
+                    bounds = _edge_bounds(values, win, window_seed(), t)
+                win = _support_window(bounds, grid, win, _WINDOW_HALO)
+            sub = values[win]
+            if steps % _CFL_STRIDE == 0:
+                a2_max = []
+                rhs = _diffusion_rhs(sub, grid, cfg, a2_max)
+                dt_cfl = _cfl_dt(a2_max, grid, cfg)
+            else:
+                rhs = _diffusion_rhs(sub, grid, cfg)
+            dt = min(dt_cfl, t_next - t)
+            _explicit_step(sub, rhs, dt, win)
+            t += dt
+            steps += 1
+            if audit:
+                bounds = _edge_bounds(
+                    values, win, window_seed() if bounds is None else bounds, t)
+            if steps % _SENTINEL_STRIDE == 0:
+                _check_sentinel(values, grid, tau, t)
+        _check_sentinel(values, grid, tau, t)
         fields.append(u.copy())
         t = t_next
+    return fields
 
-    return Trajectory(np.asarray(times), fields)
 
+def _simulate_implicit(u0: ScalarField, cfg: SolverConfig, sched: np.ndarray,
+                       tau: float) -> list:
+    """The snapshots at ``sched[1:]`` of the proximal stepper.
+
+    Each snapshot interval is one :func:`step_implicit_proximal`,
+    warm-started by linear extrapolation of the last two fields.  Each step
+    is solved on the window of the support of its data and warm start and
+    is the whole-grid step up to the order of its sums: outside the
+    support's ring the Newton system decouples to ``vol/dt`` with a zero
+    right-hand side, and the window guard redoes the step on a wider
+    window whenever a Newton direction reaches the window's edge.
+    """
+    u, v_prev, fields = u0, None, []
+    for t, t_next in zip(sched[:-1], sched[1:]):
+        guess = None if v_prev is None else u.values + (u.values - v_prev)
+        v_prev = u.values
+        u = step_implicit_proximal(u, cfg, t_next - t, v0=guess)
+        _check_sentinel(u.values, u.grid, tau, t_next)
+        fields.append(u)
+    return fields

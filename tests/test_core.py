@@ -211,8 +211,8 @@ def test_tail_profile_matches_restrict():
 
 
 def test_model_params_ranges():
-    assert ModelParams(3.0, 1.0, 1).degenerate
-    assert not ModelParams(2.0, 1.0, 2).degenerate
+    assert ModelParams(3.0, 1.0).degenerate
+    assert not ModelParams(2.0, 1.0).degenerate
     support_envelope_l1(3.0, 1, 1.0, 1.0)
     support_envelope_l2(3.0, 1, 1.0, 1.0)
     # 2-D thresholds: (3N+2)/(N+2) = 2, (3N+1)/(N+1) = 7/3
@@ -220,7 +220,7 @@ def test_model_params_ranges():
     with pytest.raises(ValueError):
         support_envelope_l1(2.2, 2, 1.0, 1.0)
     with pytest.raises(ValueError):
-        ModelParams(3.0, 0.0, 1)
+        ModelParams(3.0, 0.0)
     # both solvers take p >= 2 only
     for p in (1.5, 1.999, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="p must be"):

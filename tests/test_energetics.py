@@ -16,7 +16,7 @@ def halfspace_traj():
     bp = BarenblattParams(3.0, 1, C=1.0)
     grid = GridSpec.line(-8.0, 5.0, 1024)
     u0 = halfspace_initial_data(bp, grid, t0=0.05)
-    cfg = SolverConfig(ModelParams(3.0, 1.0, 1), stepper="explicit")
+    cfg = SolverConfig(ModelParams(3.0, 1.0), stepper="explicit")
     sched = np.concatenate([[0.0], np.logspace(-3, np.log10(3.0), 120)])
     return simulate(u0, cfg, 3.0, sched)
 
@@ -232,7 +232,7 @@ def test_check_decay_on_run_and_refinement(halfspace_traj):
     bp = BarenblattParams(3.0, 1, C=1.0)
     grid = GridSpec.line(-8.0, 5.0, 512)
     u0 = halfspace_initial_data(bp, grid, t0=0.05)
-    coarse = simulate(u0, SolverConfig(ModelParams(3.0, 1.0, 1)), 3.0,
+    coarse = simulate(u0, SolverConfig(ModelParams(3.0, 1.0)), 3.0,
                       np.concatenate([[0.0], np.logspace(-3, np.log10(3.0), 120)]))
     rep_c = check_decay(coarse, 3.0, 3.0, 1, s)
     assert _stable_under_refinement(rep.ctilde, rep_c.ctilde)

@@ -21,7 +21,7 @@ def tg_grid(n=64):
 
 
 def params(p=2.0, mu1=1.0):
-    return ModelParams(p, mu1, 2)
+    return ModelParams(p, mu1)
 
 
 def test_viscous_rigid_rotation_zero_interior():
@@ -204,7 +204,7 @@ def test_shear_flow_is_the_scalar_equation(p):
     cfg = FluidConfig(params(p, mu1), eps_reg=0.0)
     v = VectorField(g, (np.tile(f, (n, 1)), np.zeros(g.shape)))
     dt = 0.5 * viscous_cfl_dt(v, cfg)
-    scfg = SolverConfig(ModelParams(p, mu1 * 2.0 ** (-p / 2.0), 1))
+    scfg = SolverConfig(ModelParams(p, mu1 * 2.0 ** (-p / 2.0)))
     u = ScalarField(line, np.append(f, 0.0))
     for _ in range(steps):
         v = fluid_step(v, cfg, dt)

@@ -153,9 +153,3 @@ def test_gn_ratio_dilation_consistency():
         g = GridSpec.line(-8.0 * lam, 8.0 * lam, 512)
         v = gaussian(g, width=lam)
         assert gn_ratio(v, 3.0, 1.0, 3.0) == pytest.approx(ref, rel=1e-6)
-
-
-def test_gn_ratio_slab_term_lowers_ratio():
-    g = GridSpec.line(-8.0, 8.0, 256)
-    v = gaussian(g)
-    assert gn_ratio(v, 3.0, 1.0, 3.0, delta_slab=0.5) < gn_ratio(v, 3.0, 1.0, 3.0)

@@ -14,7 +14,7 @@ from pflab.plaplace import (SolverConfig, Trajectory, _check_finite,
 
 
 def cfg_1d(p=3.0, **kw):
-    return SolverConfig(ModelParams(p, 1.0, 1), **kw)
+    return SolverConfig(ModelParams(p, 1.0), **kw)
 
 
 def barenblatt_setup(cells=1024, box=7.0, t0=1.0, p=3.0):
@@ -111,7 +111,7 @@ def test_implicit_energy_inequality_and_descent():
     for u0 in (barenblatt_setup(cells=512)[2],
                barenblatt_field(BarenblattParams(3.0, 2, C=0.5), grid_2d, 1.0)):
         grid = u0.grid
-        cfg = SolverConfig(ModelParams(3.0, 1.0, grid.dim), stepper="implicit")
+        cfg = SolverConfig(ModelParams(3.0, 1.0), stepper="implicit")
         dt = 0.05
         u = u0
         for _ in range(5):
@@ -144,7 +144,7 @@ def test_solver_config_rejects_values_that_hang_or_misreport(field, value):
 def test_solver_config_rejects_p_2(dim, stepper):
     # the scalar solver is for the degenerate equation only
     with pytest.raises(ValueError, match="p > 2"):
-        SolverConfig(ModelParams(2.0, 1.0, dim), stepper=stepper)
+        SolverConfig(ModelParams(2.0, 1.0), stepper=stepper)
 
 
 _SCALAR_ENTRY_POINTS = {
@@ -165,7 +165,7 @@ def test_scalar_entry_points_reject_a_periodic_axis(entry, bc):
     dim = len(bc)
     grid = GridSpec((0.0,) * dim, (1.0,) * dim, (8,) * dim, bc)
     u = ScalarField(grid, np.ones(grid.shape))
-    cfg = SolverConfig(ModelParams(3.0, 1.0, dim))
+    cfg = SolverConfig(ModelParams(3.0, 1.0))
     with pytest.raises(ValueError, match="dirichlet-zero"):
         _SCALAR_ENTRY_POINTS[entry](u, cfg)
 
@@ -185,7 +185,7 @@ _PROX_P = [pytest.param(p, id=f"{p}-0.0") for p in (2.5, 3.0)]
 def _prox_at_random_point(name, p):
     grid = _PROX_GRIDS[name]
     rng = np.random.default_rng(7)
-    cfg = SolverConfig(ModelParams(p, 1.0, grid.dim), stepper="implicit")
+    cfg = SolverConfig(ModelParams(p, 1.0), stepper="implicit")
     prob = plaplace._ProxProblem(rng.standard_normal(grid.shape), grid, cfg, 0.1)
     return prob, rng.standard_normal(grid.shape), rng.standard_normal(grid.shape)
 
@@ -236,7 +236,7 @@ def test_implicit_non_descent_solve_falls_back_to_steepest_descent(
         grid = GridSpec((-8.0, -8.0), (8.0, 8.0), (64, 64),
                         (DIRICHLET, DIRICHLET))
         u = barenblatt_field(BarenblattParams(3.0, 2, C=0.5), grid, 1.0)
-    cfg = SolverConfig(ModelParams(3.0, 1.0, dim), stepper="implicit")
+    cfg = SolverConfig(ModelParams(3.0, 1.0), stepper="implicit")
     dt = 1e-3
     newton = step_implicit_proximal(u, cfg, dt)
     calls = []
@@ -269,7 +269,7 @@ def test_implicit_line_search_stall_raises(monkeypatch):
              lambda lu, ab, b: 1e30 * b),
             (barenblatt_field(BarenblattParams(3.0, 2, C=0.5), grid_2d, 1.0),
              "_pcg", lambda h, b, *a, **k: 1e30 * b)):
-        cfg = SolverConfig(ModelParams(3.0, 1.0, u0.grid.dim), stepper="implicit")
+        cfg = SolverConfig(ModelParams(3.0, 1.0), stepper="implicit")
         with monkeypatch.context() as m:
             m.setattr(plaplace, solver, overlong)
             with pytest.raises(NumericalError) as want:
@@ -370,7 +370,7 @@ _WINDOW_CASES = {
 def test_windowed_proximal_step_is_the_whole_grid_step(monkeypatch, name):
     grid, c, t0, dt = _WINDOW_CASES[name]
     u0 = barenblatt_field(BarenblattParams(3.0, grid.dim, C=c), grid, t0)
-    cfg = SolverConfig(ModelParams(3.0, 1.0, grid.dim), stepper="implicit")
+    cfg = SolverConfig(ModelParams(3.0, 1.0), stepper="implicit")
     windows = _record_windows(monkeypatch)
     u1 = step_implicit_proximal(u0, cfg, dt)
     _assert_matches_oracle(u1, u0, cfg, dt, None, windows)
@@ -394,7 +394,7 @@ def test_guard_widens_the_window_when_newton_outruns_the_halo(
     # it stays inside, and the last window is still smaller than the grid
     u0 = barenblatt_field(BarenblattParams(3.0, grid.dim, C=1.0 / grid.dim),
                           grid, t0)
-    cfg = SolverConfig(ModelParams(3.0, 1.0, grid.dim), stepper="implicit")
+    cfg = SolverConfig(ModelParams(3.0, 1.0), stepper="implicit")
     windows = _record_windows(monkeypatch)
     v = step_implicit_proximal(u0, cfg, dt)
     assert len(windows) == redos + 1
@@ -410,7 +410,7 @@ def test_guard_widens_the_window_when_newton_outruns_the_halo(
     (GridSpec((-2.5, -2.5), (2.5, 2.5), (48, 48), (DIRICHLET, DIRICHLET)), 0.5)])
 def test_support_near_the_grid_edge_runs_on_the_whole_grid(monkeypatch, grid, c):
     u0 = barenblatt_field(BarenblattParams(3.0, grid.dim, C=c), grid, 1.0)
-    cfg = SolverConfig(ModelParams(3.0, 1.0, grid.dim), stepper="implicit")
+    cfg = SolverConfig(ModelParams(3.0, 1.0), stepper="implicit")
     windows = _record_windows(monkeypatch)
     v = step_implicit_proximal(u0, cfg, 0.1)
     assert windows == [plaplace._whole(u0.values)]
@@ -494,6 +494,43 @@ def _assert_bit_identical(traj, ref):
         assert got.values.tobytes() == want.tobytes()
 
 
+def _implicit_chain(u0, cfg, times):
+    """Reference trajectory from one :func:`step_implicit_proximal` per
+    interval, warm-started by linear extrapolation of the last two fields."""
+    u, v_prev, out = u0, None, [u0.values.copy()]
+    for t, t_next in zip(times[:-1], times[1:]):
+        guess = None if v_prev is None else u.values + (u.values - v_prev)
+        v_prev = u.values
+        u = step_implicit_proximal(u, cfg, t_next - t, v0=guess)
+        out.append(u.values.copy())
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(_WINDOW_CASES))
+def test_implicit_simulate_bit_identical_to_a_chain_of_steps(name):
+    # the banded solve in 1-D, PCG in 2-D; unequal intervals, so that the
+    # warm start extrapolates over a step of another length
+    grid, c, t0, dt = _WINDOW_CASES[name]
+    u0 = barenblatt_field(BarenblattParams(3.0, grid.dim, C=c), grid, t0)
+    cfg = SolverConfig(ModelParams(3.0, 1.0), stepper="implicit")
+    T = 3 * dt
+    traj = simulate(u0, cfg, T, [0.0, dt, 2.5 * dt, T])
+    times = normalize_schedule([dt, 2.5 * dt], T)
+    assert traj.times.tobytes() == times.tobytes()
+    _assert_bit_identical(traj, _implicit_chain(u0, cfg, times))
+
+
+def test_schedule_starts_at_zero_and_ends_at_the_horizon():
+    # entries within roundoff of 0 and T are snapped to them, and times
+    # outside [0, T] beyond it are rejected
+    for times in ([1e-13, 0.5, 1.0 - 1e-13], [0.5, 1.0 - 5e-13, 1.0]):
+        assert normalize_schedule(times, 1.0).tolist() == [0.0, 0.5, 1.0]
+    assert normalize_schedule([0.5], 1.0).tolist() == [0.0, 0.5, 1.0]
+    for bad in ([-0.1, 0.5], [0.5, 1.1]):
+        with pytest.raises(ValueError, match=r"lie in \[0, T\]"):
+            normalize_schedule(bad, 1.0)
+
+
 @pytest.mark.parametrize("audit", [True, False])
 def test_windowed_simulate_bit_identical_to_full_grid_1d(monkeypatch, audit):
     bp, grid, u0 = barenblatt_setup(cells=512, box=10.0)
@@ -520,7 +557,7 @@ def test_windowed_simulate_bit_identical_to_full_grid_2d(monkeypatch, bc0,
     grid = GridSpec((-6.0, -6.0), (6.0, 6.0), (96, 96), (bc0, DIRICHLET))
     u0 = barenblatt_field(bp, grid, 0.05, center=(0.3, -0.2))
     T = 2.0  # about 130 steps
-    cfg = SolverConfig(ModelParams(3.0, 1.0, 2), audit_locality=audit)
+    cfg = SolverConfig(ModelParams(3.0, 1.0), audit_locality=audit)
     for cfl_stride in (1, 8):  # the CFL bound from the step's faces, as in 1-D
         monkeypatch.setattr(plaplace, "_CFL_STRIDE", cfl_stride)
         traj = simulate(u0, cfg, T, [0.0, 0.01, 0.5, T])
@@ -546,7 +583,7 @@ def test_tight_window_keeps_a_steep_front_bit_identical(monkeypatch, dim):
         u0 = ScalarField.from_function(
             grid, lambda x, y: ((np.abs(x) < 0.5)
                                 & (np.abs(y - 0.3) < 0.4)).astype(float))
-    cfg = SolverConfig(ModelParams(3.0, 1.0, dim))
+    cfg = SolverConfig(ModelParams(3.0, 1.0))
     dt = cfl_dt(u0, cfg)
     first = simulate(u0, cfg, 6 * dt, [0.0, 6 * dt])
 
@@ -604,7 +641,7 @@ def _locality_case(dim, bc0):
         grid = GridSpec((-6.0, -6.0), (6.0, 6.0), (64, 64), (bc0, DIRICHLET))
         u0 = barenblatt_field(BarenblattParams(3.0, 2, C=0.3), grid, 0.05,
                               center=(0.3, -0.2))
-    return u0, SolverConfig(ModelParams(3.0, 1.0, dim))
+    return u0, SolverConfig(ModelParams(3.0, 1.0))
 
 
 @pytest.mark.parametrize("plant_at", [3, 40])  # before and after rescans
@@ -702,12 +739,17 @@ def test_check_finite_overflowing_sum_and_bad_nodes():
             _check_finite(arr, "window", (slice(5, 8), slice(7, 11)))
 
 
-def test_boundary_sentinel_triggers():
+@pytest.mark.parametrize("stepper", ["explicit", "implicit"])
+def test_boundary_sentinel_triggers(stepper):
     bp = BarenblattParams(3.0, 1, C=1.0)
     grid = GridSpec.line(-4.2, 4.2, 512)  # too small for the spread
     u0 = barenblatt_field(bp, grid, 1.0)
+    # explicit: one interval, so the check between snapshots must fire;
+    # implicit: steps short enough for Newton to converge, so that the
+    # error is the sentinel's and not the iteration cap's
+    snapshots = [0.0, 3.0] if stepper == "explicit" else np.linspace(0.0, 3.0, 31)
     with pytest.raises(BoundarySentinelError, match="enlarge the box"):
-        simulate(u0, cfg_1d(stepper="explicit"), 3.0, [0.0, 3.0])
+        simulate(u0, cfg_1d(stepper=stepper), 3.0, snapshots)
 
 
 def test_trajectory_validation():
