@@ -16,8 +16,6 @@ from .core import (
     divergence,
     deformation_tensor,
     lp_norm,
-    integral,
-    restrict_integral,
 )
 from .errors import (
     BoundarySentinelError,
@@ -37,8 +35,6 @@ __all__ = [
     "divergence",
     "deformation_tensor",
     "lp_norm",
-    "integral",
-    "restrict_integral",
     "NumericalError",
     "BoundarySentinelError",
     "VerificationError",

@@ -51,7 +51,7 @@ def _attempt(fn):
     try:
         report, error = fn(), None
     except VerificationError as exc:
-        report, error = exc.report or {}, str(exc)
+        report, error = exc.report, str(exc)
     except NumericalError as exc:
         report, error = {}, f"numerical failure: {exc}"
     return report, error, time.time() - start

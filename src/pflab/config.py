@@ -91,7 +91,6 @@ SCHEMA: dict[str, tuple[str, object, str]] = {
     # fronts
     "t_ref": ("float", 0.1, "envelope calibration time"),
     "tol_env": ("float", 0.02, "allowed relative envelope excess"),
-    "envelope": ("str", "both", "which envelope(s) to check: l2, l1, both"),
     "height_c": ("float", 1.0, "profile height constant"),
     "exponent_tol": ("float", 0.05, "relative tolerance on the fitted exponent"),
     "convergence_study": ("bool", False, "run the explicit accuracy study"),
@@ -164,8 +163,6 @@ def _validate(values: dict, lines: dict) -> list:
     need(values["max_inner"] >= 1, "max_inner", "must be >= 1")
     need(values["t_end"] > 0, "t_end", "must be > 0")
     need(values["t0"] >= 0, "t0", "must be >= 0")
-    need(values["envelope"] in ("l2", "l1", "both"), "envelope",
-         "must be 'l2', 'l1' or 'both'")
     need(0 < values["eps_iter"] < 1, "eps_iter", "must lie in (0, 1)")
     need(all(c >= 1 for c in values["cells"]), "cells", "must be positive")
     need(all(hi > lo for lo, hi in values["bounds"]), "bounds",
@@ -179,6 +176,14 @@ def _validate(values: dict, lines: dict) -> list:
                      f"bounds: need 1 or {dim} entries for dimension {dim}"))
     need(values["height_c"] > 0, "height_c", "must be > 0")
     need(values["snapshots_per_decade"] > 0, "snapshots_per_decade", "must be > 0")
+    # below these counts a run crashes or its gate has nothing to judge
+    for key, low in (("snapshot_count", 0), ("weak_fields", 1), ("s_count", 2),
+                     ("delta_count", 1), ("a1_cases", 1), ("bump_count", 1),
+                     ("gn_cells", 2)):
+        need(values[key] >= low, key, f"must be >= {low}")
+    need(len(values["study_cells"]) >= 2
+         and all(c >= 2 for c in values["study_cells"]), "study_cells",
+         "need at least two grids, of at least 2 cells each")
     return errs
 
 

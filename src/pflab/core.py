@@ -20,7 +20,6 @@ from __future__ import annotations
 import dataclasses
 import math
 from functools import cached_property
-from typing import Iterator
 
 import numpy as np
 
@@ -59,8 +58,8 @@ class GridSpec:
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def line(lower: float, upper: float, cells: int, bc: str = DIRICHLET) -> "GridSpec":
-        return GridSpec((float(lower),), (float(upper),), (int(cells),), (bc,))
+    def line(lower: float, upper: float, cells: int) -> "GridSpec":
+        return GridSpec((float(lower),), (float(upper),), (int(cells),), (DIRICHLET,))
 
     @staticmethod
     def box(lower, upper, cells, bc=DIRICHLET) -> "GridSpec":
@@ -159,10 +158,6 @@ class ScalarField:
     def zeros(grid: GridSpec) -> "ScalarField":
         return ScalarField(grid, np.zeros(grid.shape))
 
-    @staticmethod
-    def from_function(grid: GridSpec, fn) -> "ScalarField":
-        return ScalarField(grid, np.asarray(fn(*grid.mesh()), dtype=float))
-
 
 @dataclasses.dataclass
 class VectorField:
@@ -183,18 +178,11 @@ class VectorField:
     def copy(self) -> "VectorField":
         return VectorField(self.grid, tuple(c.copy() for c in self.components))
 
-    @staticmethod
-    def zeros(grid: GridSpec) -> "VectorField":
-        return VectorField(grid, tuple(np.zeros(grid.shape) for _ in range(grid.dim)))
-
     def magnitude(self) -> np.ndarray:
         out = self.components[0] ** 2
         for c in self.components[1:]:
             out = out + c**2
         return np.sqrt(out)
-
-    def __iter__(self) -> Iterator[np.ndarray]:
-        return iter(self.components)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -345,38 +333,13 @@ def lp_norm(f, q: float) -> float:
     return float(np.sum(mag**q * grid.volumes()) ** (1.0 / q))
 
 
-def integral(f) -> float:
-    """Signed integral of a scalar field (mass)."""
-    if not isinstance(f, ScalarField):
-        raise TypeError("integral() expects a ScalarField")
-    return float(np.sum(f.values * f.grid.volumes()))
-
-
-def restrict_integral(f, q: float, s: float) -> float:
-    """Integral of ``|f|^q`` over the tail ``{x_N >= s}``.
-
-    The node cells straddling the cut plane contribute with the covered
-    fraction of their extent, which makes the result continuous and
-    nonincreasing in ``s``.  ``s`` below the box returns the full
-    integral, above it returns 0.
-    """
-    grid, mag = _value_magnitude(f)
-    axis = grid.dim - 1
-    lo, hi = grid.cell_bounds(axis)
-    w_last = np.clip(hi - np.maximum(lo, s), 0.0, None)
-    if grid.dim == 1:
-        weights = w_last
-    else:
-        weights = np.outer(grid.quad_weights(0), w_last)
-    return float(np.sum(mag**q * weights))
-
-
 def tail_profile(f, q: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-node-slab contributions to tail integrals of ``|f|^q``.
 
-    Returns ``(cell_lo, cell_hi, density)`` along the last axis such that
-    ``restrict_integral(f, q, s) == sum(density * clip(cell_hi - max(cell_lo, s), 0))``.
-    Lets callers evaluate many cut positions ``s`` cheaply.
+    Returns ``(cell_lo, cell_hi, density)`` along the last axis, with the
+    other axes integrated out, so that ``|f|^q`` over ``{x_N >= s}`` is
+    ``sum(density * clip(cell_hi - max(cell_lo, s), 0))``: a cell straddling
+    the cut counts its covered fraction, and many cuts cost one profile.
     """
     grid, mag = _value_magnitude(f)
     axis = grid.dim - 1

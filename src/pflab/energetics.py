@@ -170,9 +170,9 @@ class TrajectoryTails:
 class EnergyLedger:
     """Sampled tail energies over an s-grid at horizon T.
 
-    ``L`` (optional) is the local-energy left side at each s with unit
-    constant in front of the dissipation term (the source estimate leaves
-    that constant unnamed).
+    ``L`` is the local-energy left side at each s with unit constant in
+    front of the dissipation term (the source estimate leaves that
+    constant unnamed).
     """
 
     T: float
@@ -184,7 +184,7 @@ class EnergyLedger:
     C: np.ndarray
     J: np.ndarray
     ctilde: float
-    L: np.ndarray | None = None
+    L: np.ndarray
 
     def with_ctilde(self, ctilde: float) -> EnergyLedger:
         """The same tails with J rebuilt for the constant ``ctilde``."""
@@ -199,39 +199,29 @@ class EnergyLedger:
             fh.write(f"# alpha1={ex.alpha1:.17g} beta1={ex.beta1:.17g} "
                      f"alpha2={ex.alpha2:.17g} beta2={ex.beta2:.17g} "
                      f"beta={ex.beta:.17g}\n")
-            cols = "s,A,B,C,J" + (",L" if self.L is not None else "")
-            fh.write(cols + "\n")
+            fh.write("s,A,B,C,J,L\n")
             for i in range(len(self.s)):
-                row = [self.s[i], self.A[i], self.B[i], self.C[i], self.J[i]]
-                if self.L is not None:
-                    row.append(self.L[i])
+                row = [self.s[i], self.A[i], self.B[i], self.C[i], self.J[i],
+                       self.L[i]]
                 fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
-def build_ledger(traj: Trajectory, p: float, T: float, s_grid,
-                 ctilde: float = 1.0, include_local: bool = False,
-                 mu1: float = 1.0,
-                 tails: TrajectoryTails | None = None) -> EnergyLedger:
-    """Fill A, B, C, J (and optionally L) over ``s_grid``.
-
-    ``ctilde`` is the calibration constant entering J through the factor
-    ``2 ctilde F(T)``; reports always state the value used.
-    """
-    n = traj.fields[0].grid.dim
+def build_ledger(tails: TrajectoryTails, p: float, T: float, s_grid,
+                 mu1: float) -> EnergyLedger:
+    """Fill A, B, C, L and J over ``s_grid``, J with its constant ``ctilde``
+    in the factor ``2 ctilde F(T)`` at 1; :meth:`EnergyLedger.with_ctilde`
+    rebuilds J for another value."""
+    n = tails.traj.grid.dim
     ex = ScalingExponents(p, n)
     s = np.asarray(s_grid, dtype=float)
-    tails = tails or TrajectoryTails(traj)
     a = tails.time_integral(p, "value", s, T)
     b = tails.time_integral(3.0, "value", s, T)
     c = a ** (1.0 + ex.beta2) + b ** (1.0 + ex.beta1)
-    ell = None
-    if include_local:
-        sup2 = tails.sup_space(2.0, "value", s, T)
-        l2t = tails.time_integral(2.0, "value", s, T)
-        dis = tails.time_integral(p, "gradient", s, T)
-        ell = sup2 + l2t / T + mu1 * dis
-    return EnergyLedger(T, p, n, s, a, b, c, _jump(c, p, n, T, ctilde), ctilde,
-                        ell)
+    sup2 = tails.sup_space(2.0, "value", s, T)
+    l2t = tails.time_integral(2.0, "value", s, T)
+    dis = tails.time_integral(p, "gradient", s, T)
+    ell = sup2 + l2t / T + mu1 * dis
+    return EnergyLedger(T, p, n, s, a, b, c, _jump(c, p, n, T, 1.0), 1.0, ell)
 
 
 def _jump(c: np.ndarray, p: float, n: int, T: float, ctilde: float) -> np.ndarray:
@@ -258,9 +248,8 @@ class LocalEnergyReport:
     ratio: float
 
 
-def local_energy_ratio(traj: Trajectory, s: float, delta: float, T: float,
-                       mu1: float, p: float,
-                       tails: TrajectoryTails | None = None) -> LocalEnergyReport:
+def local_energy_ratio(tails: TrajectoryTails, s: float, delta: float, T: float,
+                       mu1: float, p: float) -> LocalEnergyReport:
     """Measured constant of the local energy estimate.
 
     lhs = sup_t tail of |u|^2 at s+delta + (1/T) space-time tail of |u|^2
@@ -272,7 +261,6 @@ def local_energy_ratio(traj: Trajectory, s: float, delta: float, T: float,
     """
     if not delta > 0:
         raise ValueError("delta must be positive")
-    tails = tails or TrajectoryTails(traj)
     sd = s + delta
     lhs = (tails.sup_space(2.0, "value", sd, T)
            + tails.time_integral(2.0, "value", sd, T) / T
@@ -345,8 +333,8 @@ def check_iteration(ledger: EnergyLedger, eps: float) -> IterationReport:
 # ---------------------------------------------------------------------------
 
 
-def decay_bound(s, T: float, p: float, n: int, ctilde: float = 1.0):
-    """Tail decay bound ``ctilde T (s^(-N(p-1)) + s^(-2N/(p+N(p-3))))``."""
+def decay_bound(s, T: float, p: float, n: int):
+    """Unit-constant tail decay bound ``T (s^(-N(p-1)) + s^(-2N/(p+N(p-3))))``."""
     if p + n * (p - 3.0) <= 0:
         raise ValueError("decay bound undefined: p + N(p-3) <= 0")
     if p < (3 * n + 1) / (n + 1):
@@ -355,7 +343,7 @@ def decay_bound(s, T: float, p: float, n: int, ctilde: float = 1.0):
     s = np.asarray(s, dtype=float)
     if np.any(s <= 0):
         raise ValueError("decay bound is stated for s > 0")
-    out = ctilde * T * (s ** (-n * (p - 1.0)) + s ** (-2.0 * n / (p + n * (p - 3.0))))
+    out = T * (s ** (-n * (p - 1.0)) + s ** (-2.0 * n / (p + n * (p - 3.0))))
     return float(out) if out.ndim == 0 else out
 
 
@@ -372,8 +360,8 @@ class DecayReport:
     ctilde: float
 
 
-def check_decay(traj: Trajectory, T: float, p: float, n: int, s_grid,
-                tails: TrajectoryTails | None = None) -> DecayReport:
+def check_decay(tails: TrajectoryTails, T: float, p: float, n: int,
+                s_grid) -> DecayReport:
     """Measure the decay-bound constant on a trajectory.
 
     The constant is the maximal ratio of the measured ``A_T + B_T`` to the
@@ -381,13 +369,12 @@ def check_decay(traj: Trajectory, T: float, p: float, n: int, s_grid,
     the estimate presumes an L1 norm that does not grow, and the caller
     audits that hypothesis and the constant's stability under refinement.
     """
-    tails = tails or TrajectoryTails(traj)
     s = np.asarray(s_grid, dtype=float)
     if np.any(s <= 0):
         raise ValueError("decay check needs s > 0")
     total = (tails.time_integral(p, "value", s, T)
              + tails.time_integral(3.0, "value", s, T))
-    unit = decay_bound(s, T, p, n, 1.0)
+    unit = decay_bound(s, T, p, n)
     ctilde = float(np.max(np.divide(total, unit, out=np.zeros_like(total),
                                     where=unit > 0)))
     return DecayReport(T, s, total, ctilde)

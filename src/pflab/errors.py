@@ -17,9 +17,9 @@ class BoundarySentinelError(NumericalError):
 
 class VerificationError(RuntimeError):
     """A result violated a property the experiment was asked to verify;
-    ``report`` is the experiment's report when one was made."""
+    ``report`` is the experiment's report."""
 
-    def __init__(self, msg: str, report: dict | None = None):
+    def __init__(self, msg: str, report: dict):
         super().__init__(msg)
         self.report = report
 

@@ -313,11 +313,10 @@ def _halfspace_fsp(cfg: ExperimentConfig, outdir: str, prebuilt=None):
         "l1_max_over_initial": l1_ratio,
         "l1_hypothesis_ok": l1_ok,
     }
-    wanted = ("l2", "l1") if cfg["envelope"] == "both" else (cfg["envelope"],)
     curves = []
     ok = trace.present & (trace.times > 0) & (trace.fronts > 0)
     ts = trace.times[ok]
-    for env in wanted:
+    for env in ("l2", "l1"):
         if env == "l1" and not report["l1_hypothesis_ok"]:
             report["passed"] = False
             return report, (f"L1 norm grew by {l1_ratio - 1:.3e}: hypothesis "
@@ -341,7 +340,7 @@ def _halfspace_fsp(cfg: ExperimentConfig, outdir: str, prebuilt=None):
                   os.path.join(outdir, "envelopes.svg"), logx=True, logy=True,
                   title="half-space front vs envelopes",
                   xlabel="t", ylabel="front")
-    bad = {e: report[f"envelope_{e}"] for e in wanted
+    bad = {e: report[f"envelope_{e}"] for e in ("l2", "l1")
            if not report[f"envelope_{e}"]["passed"]}
     report["passed"] = not bad
     if cfg["export_trajectory"]:
@@ -368,7 +367,7 @@ def _weak_residual_study(cfg: ExperimentConfig, outdir: str):
     # explicit diffusion: the step refines parabolically (dt ~ h^2)
     dt0 = 0.08 * h_base**2
     rng = np.random.default_rng(cfg["seed"])
-    coeff_sets = [random_stream_coeffs(rng, kmax=3) for _ in range(cfg["weak_fields"])]
+    coeff_sets = [random_stream_coeffs(rng) for _ in range(cfg["weak_fields"])]
     resids = []
     for level, (cells, dt) in enumerate(((base_cells, dt0), (2 * base_cells, dt0 / 4))):
         grid = GridSpec.box((0.0, 0.0), (2 * np.pi, 2 * np.pi), cells, PERIODIC)
@@ -450,14 +449,14 @@ def _fluid_taylor_green(cfg: ExperimentConfig, outdir: str):
 # ---------------------------------------------------------------------------
 
 
-def _local_energy_scan(traj, tails, s_grid, deltas, T, mu1, p) -> list:
+def _local_energy_scan(tails, s_grid, deltas, T, mu1, p) -> list:
     """``(s, delta, lhs, rhs, ratio)`` of the local energy estimate at
     every eighth ``s`` of ``s_grid`` and every ``delta``."""
     rows = []
     for s in s_grid[:: max(1, len(s_grid) // 8)]:
         for delta in deltas:
-            rep = energetics.local_energy_ratio(traj, float(s), float(delta),
-                                                T, mu1, p, tails=tails)
+            rep = energetics.local_energy_ratio(tails, float(s), float(delta),
+                                                T, mu1, p)
             rows.append((float(s), float(delta), rep.lhs, rep.rhs, rep.ratio))
     return rows
 
@@ -483,10 +482,9 @@ def _energy_ledger(cfg: ExperimentConfig, outdir: str, prebuilt=None):
     s_grid = np.linspace(0.0, s_max, cfg["s_count"])
     deltas = np.linspace(2 * h, max(4 * h, s_max / 3.0), cfg["delta_count"])
 
-    # the tails A, B, C (and L) over the s-grid, summed once; the
+    # the tails A, B, C and L over the s-grid, summed once; the
     # calibrations below only rescale J by a constant
-    ledger = energetics.build_ledger(traj, p, T, s_grid, include_local=True,
-                                     mu1=mu1, tails=tails)
+    ledger = energetics.build_ledger(tails, p, T, s_grid, mu1)
 
     # calibrate the constant of the combined-energy relation; pairs with
     # C below a relative floor are edge dust (both sides vanish at
@@ -536,7 +534,7 @@ def _energy_ledger(cfg: ExperimentConfig, outdir: str, prebuilt=None):
     ledger.save_csv(os.path.join(outdir, "ledger.csv"))
 
     # local energy estimate: measured constant over the (s, delta) grid
-    ratios = _local_energy_scan(traj, tails, s_grid, deltas, T, mu1, p)
+    ratios = _local_energy_scan(tails, s_grid, deltas, T, mu1, p)
     finite = [r[4] for r in ratios if np.isfinite(r[4])]
     any_inf = any(not np.isfinite(r[4]) for r in ratios)
     with open(os.path.join(outdir, "local_energy.csv"), "w") as fh:
@@ -553,7 +551,7 @@ def _energy_ledger(cfg: ExperimentConfig, outdir: str, prebuilt=None):
 
     it_rep = energetics.check_iteration(ledger, eps_it)
     s_decay = s_grid[s_grid > 2 * h]
-    decay = energetics.check_decay(traj, T, p, n, s_decay, tails=tails)
+    decay = energetics.check_decay(tails, T, p, n, s_decay)
     l1_ratio, l1_ok = _l1_audit(l1)
     local_max = max(finite) if finite else 0.0
 
@@ -565,10 +563,10 @@ def _energy_ledger(cfg: ExperimentConfig, outdir: str, prebuilt=None):
         ctraj, _, cl1 = halfspace_run(ccfg)
         l1_ok = l1_ok and _l1_audit(cl1)[1]  # the coarse run rests on it too
         ctails = energetics.TrajectoryTails(ctraj)
-        cdecay = energetics.check_decay(ctraj, T, p, n, s_decay, tails=ctails)
+        cdecay = energetics.check_decay(ctails, T, p, n, s_decay)
         # local-energy constant stability under the same refinement
-        cfinite = [r[4] for r in _local_energy_scan(ctraj, ctails, s_grid,
-                                                    deltas, T, mu1, p)
+        cfinite = [r[4] for r in _local_energy_scan(ctails, s_grid, deltas,
+                                                    T, mu1, p)
                    if np.isfinite(r[4])]
         local_coarse = max(cfinite) if cfinite else 0.0
         refinement = {

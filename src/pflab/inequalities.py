@@ -87,10 +87,9 @@ def stampacchia_vanishing_point(f: MonotoneSamples, s0: float, eps: float) -> fl
     return float(point)
 
 
-def concave_majorant_family(rng: np.random.Generator, eps: float,
-                            n_samples: int = 200) -> MonotoneSamples:
-    """Random piecewise-linear nonincreasing function built to satisfy the
-    iteration relation by construction.
+def concave_majorant_family(rng: np.random.Generator, eps: float) -> MonotoneSamples:
+    """Random piecewise-linear nonincreasing function on 200 knots, built
+    to satisfy the iteration relation by construction.
 
     Every interval inside the positive region drops by at least
     ``(1-eps) ds``, so the interpolant declines at rate >= (1-eps) along
@@ -100,6 +99,7 @@ def concave_majorant_family(rng: np.random.Generator, eps: float,
     """
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0, 1)")
+    n_samples = 200
     f0 = float(rng.uniform(0.1, 5.0))
     s_start = float(rng.uniform(-2.0, 2.0))
     span = 1.2 * f0 / (1.0 - eps) + 1.0

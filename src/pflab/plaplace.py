@@ -759,11 +759,11 @@ def _support_window(bounds, grid: GridSpec, win: tuple, halo: int) -> tuple:
 
 
 def simulate(u0: ScalarField, cfg: SolverConfig, T: float,
-             snapshot_times=None) -> Trajectory:
+             snapshot_times) -> Trajectory:
     """Advance ``u0`` to time ``T`` recording snapshots.
 
     ``snapshot_times`` is an increasing sequence of times in ``[0, T]``
-    (0 and T are added when missing); defaults to 33 uniform snapshots.
+    (0 and T are added when missing).
     The trajectory's times are the schedule :func:`normalize_schedule`
     makes of it.  The boundary-proximity sentinel checks the initial data
     and every snapshot.  ``cfg.stepper`` picks the driver:
@@ -773,8 +773,6 @@ def simulate(u0: ScalarField, cfg: SolverConfig, T: float,
         raise ValueError("horizon T must be positive")
     _require_dirichlet(u0.grid)
     _check_finite(u0.values, "initial data")
-    if snapshot_times is None:
-        snapshot_times = np.linspace(0.0, T, 33)
     sched = normalize_schedule(snapshot_times, T)
     # a zero field stays zero, and a zero tau finds no support in it
     tau = _SENTINEL_TAU_FRAC * float(np.max(np.abs(u0.values)))

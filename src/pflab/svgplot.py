@@ -10,6 +10,7 @@ import numpy as np
 
 _W, _H = 640, 440
 _ML, _MR, _MT, _MB = 70, 20, 30, 50
+_HEAT_CELLS = 96
 
 
 def _transform(vals: np.ndarray, lo: float, hi: float, log: bool,
@@ -141,15 +142,14 @@ def emit_plot(series, envelopes, path, logx: bool = False, logy: bool = False,
         fh.write("\n".join(parts) + "\n")
 
 
-def emit_heatmap(values: np.ndarray, path, title: str = "",
-                 max_cells: int = 96) -> None:
+def emit_heatmap(values: np.ndarray, path, title: str = "") -> None:
     """Standalone SVG heat map of a 2-D array (block-averaged down to at
-    most ``max_cells`` per axis)."""
+    most ``_HEAT_CELLS`` per axis)."""
     vals = np.asarray(values, dtype=float)
     if vals.ndim != 2:
         raise ValueError("heat map needs a 2-D array")
-    sx = max(1, vals.shape[0] // max_cells)
-    sy = max(1, vals.shape[1] // max_cells)
+    sx = max(1, vals.shape[0] // _HEAT_CELLS)
+    sy = max(1, vals.shape[1] // _HEAT_CELLS)
     nx, ny = vals.shape[0] // sx, vals.shape[1] // sy
     block = vals[: nx * sx, : ny * sy].reshape(nx, sx, ny, sy).mean(axis=(1, 3))
     lo, hi = float(block.min()), float(block.max())

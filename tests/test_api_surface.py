@@ -1,13 +1,17 @@
 """Guards on the package's shape, read from its source with ``ast``.
 
-One dispatcher raises on a failed gate, so ``raise VerificationError``
-appears in :func:`pflab.experiments.run_experiment` and nowhere else.
-Every public top-level function and class has a caller in the package
-or the benchmark harness, or is an independent oracle that tests check
-shipped code against.  Every config key is read somewhere outside the
-schema that declares it, and is set by a pinned acceptance config or by
-a test that builds a config or drives the CLI.  Importing the package
-costs numpy alone: each scipy submodule is imported where it is called.
+``src/`` holds what a run executes; the independent oracles the tests
+check it against live in ``tests/oracles.py``.  One dispatcher raises on
+a failed gate, so ``raise VerificationError`` appears in
+:func:`pflab.experiments.run_experiment` and nowhere else.  Every public
+top-level function and class has a caller in the package or the
+benchmark harness, and every keyword default of a public function or
+method is overridden by one of those callers, save the console entry
+point's.  Every config key is read somewhere outside the schema that
+declares it, and is set by a pinned acceptance config or by a test that
+builds a config or drives the CLI.  Importing the package costs numpy
+alone: each scipy submodule is imported where it is called, and no
+module names ``scipy.integrate`` or ``scipy.optimize`` at all.
 """
 
 import ast
@@ -23,15 +27,6 @@ from pflab.config import SCHEMA
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "pflab"
-
-# public names with no caller in the package, kept as independent oracles
-ORACLES = {
-    "barenblatt_value": "pointwise closed form the sampled profile is checked against",
-    "barenblatt_mass": "quadrature mass the solvers' conserved mass is checked against",
-    "calibrate_profile_constant": "numerical solve that checks the closed-form constant",
-    "restrict_integral": "one-cut tail integral the cached tail profiles are checked against",
-    "integral": "signed mass the conservation tests measure the solvers with",
-}
 
 
 def _modules():
@@ -77,11 +72,17 @@ def _names_used(tree, strings=False) -> collections.Counter:
     return used
 
 
-def test_every_public_name_has_a_caller_or_is_an_oracle():
+def _harness_trees() -> list:
+    """The benchmark harness's modules, its tests left out."""
+    return [ast.parse(path.read_text(), str(path))
+            for path in sorted((ROOT / "perfbench").glob("*.py"))
+            if not path.name.startswith("test_")]
+
+
+def test_every_public_name_has_a_caller():
     used = collections.Counter()
-    for path in sorted((ROOT / "perfbench").glob("*.py")):
-        if not path.name.startswith("test_"):
-            used += _names_used(ast.parse(path.read_text(), str(path)), True)
+    for tree in _harness_trees():
+        used += _names_used(tree, True)
     tops = []
     for module, tree in _modules().items():
         used += _names_used(tree)
@@ -89,13 +90,81 @@ def test_every_public_name_has_a_caller_or_is_an_oracle():
                  if isinstance(top, (ast.FunctionDef, ast.ClassDef))
                  and not top.name.startswith("_")]
     # a name read only inside its own definition (recursion) has no caller
-    called = {top.name for _, top in tops
-              if used[top.name] > _names_used(top)[top.name]}
     assert [f"{module}.{top.name}" for module, top in tops
-            if top.name not in called | set(ORACLES)] == []
-    # an oracle that gained a caller leaves the list
-    assert sorted(called & set(ORACLES)) == []
-    assert all(reason for reason in ORACLES.values())
+            if used[top.name] <= _names_used(top)[top.name]] == []
+
+
+def _defaulted(fn: ast.FunctionDef, bound: int) -> list:
+    """``(name, index)`` of each parameter of ``fn`` that has a default:
+    ``index`` is the parameter's place among the positional arguments a
+    call passes (``bound`` of them are bound already), None when it can
+    only be passed by keyword."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    out = [(arg.arg, i - bound) for i, arg in enumerate(positional) if i >= first]
+    out += [(arg.arg, None) for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+            if default is not None]
+    return out
+
+
+def _public_callables():
+    """``(qualified name, called name, function, bound)`` of every public
+    function and public method in the package; a class's ``__init__`` is
+    called through the class name."""
+    for module, tree in _modules().items():
+        for top in tree.body:
+            if isinstance(top, ast.FunctionDef) and not top.name.startswith("_"):
+                yield f"{module}.{top.name}", top.name, top, 0
+            if not isinstance(top, ast.ClassDef) or top.name.startswith("_"):
+                continue
+            for fn in top.body:
+                if not isinstance(fn, ast.FunctionDef):
+                    continue
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in fn.decorator_list)
+                if fn.name == "__init__":
+                    yield f"{module}.{top.name}.__init__", top.name, fn, 1
+                elif not fn.name.startswith("_"):
+                    yield (f"{module}.{top.name}.{fn.name}", fn.name, fn,
+                           0 if static else 1)
+
+
+def _console_entry_points() -> set:
+    """``module.function`` of each ``[project.scripts]`` entry of
+    ``pyproject.toml``."""
+    text = (ROOT / "pyproject.toml").read_text()
+    section = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", text,
+                        re.M | re.S).group(1)
+    return {f"{module.split('.')[-1]}.{fn}" for module, fn in
+            re.findall(r'^\s*[\w-]+\s*=\s*"([\w.]+):(\w+)"', section, re.M)}
+
+
+def test_every_keyword_default_is_overridden_by_a_caller():
+    # a default that no caller in the package or the harness overrides is
+    # a setting only tests change: it belongs in the code, not the signature
+    calls = collections.defaultdict(list)
+    for tree in list(_modules().values()) + _harness_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", getattr(func, "attr", None))
+                calls[name].append(node)
+
+    def overridden(call, name, index):
+        if any(kw.arg in (name, None) for kw in call.keywords):
+            return True
+        if any(isinstance(arg, ast.Starred) for arg in call.args):
+            return True
+        return index is not None and len(call.args) > index
+
+    entry = _console_entry_points()
+    assert entry  # the exemption is read from pyproject.toml, not listed
+    unset = [f"{qual}({name}=)"
+             for qual, called, fn, bound in _public_callables() if qual not in entry
+             for name, index in _defaulted(fn, bound)
+             if not any(overridden(call, name, index) for call in calls[called])]
+    assert unset == []
 
 
 def test_every_config_key_is_read_outside_the_schema():
@@ -171,3 +240,17 @@ def test_scipy_submodules_load_only_where_they_are_called():
     assert at_import == []
     # a 1-D dirichlet proximal step solves through plaplace.solve_banded
     assert "scipy.linalg" in after_step
+    # quadrature and root finding serve the test oracles only
+    named = []
+    for module, tree in _modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            named += [(module, name) for name in names
+                      if name in ("scipy.integrate", "scipy.optimize")
+                      or name.startswith(("scipy.integrate.", "scipy.optimize."))]
+    assert named == []

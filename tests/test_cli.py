@@ -135,12 +135,14 @@ def test_a_subcommand_has_no_flag_for_its_forced_kind(tmp_path, capsys, command)
 @pytest.mark.parametrize("key,value", [
     ("eps_reg", "0"), ("advection", "central"), ("sentinel", "true"),
     ("bc", "periodic"), ("cfl_safety", "0.5"), ("dt_max", "0.1"),
-    ("threshold_frac", "1e-4"), ("fluid_cfl_safety", "0.2"), ("ctilde", "2")])
+    ("threshold_frac", "1e-4"), ("fluid_cfl_safety", "0.2"), ("ctilde", "2"),
+    ("envelope", "both")])
 def test_deleted_solver_keys_are_rejected(tmp_path, capsys, key, value):
     # the solvers have no regularization, one advection scheme, an
-    # always-on sentinel and dirichlet-zero scalar boxes, and the CFL
+    # always-on sentinel and dirichlet-zero scalar boxes, the CFL
     # factors, step cap, front threshold and ledger constant are module
-    # constants: the keys are unknown in a file and as flags
+    # constants, and the half-space run checks both envelopes: the keys
+    # are unknown in a file and as flags
     text = f"experiment = fluid2d-taylor-green\ndimension = 2\np = 2\n{key} = {value}\n"
     with pytest.raises(ConfigError) as exc:
         parse_config(text)

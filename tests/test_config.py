@@ -116,6 +116,15 @@ def test_schema_defaults_are_valid():
 
 @pytest.mark.parametrize("key,value", [
     ("max_inner", "0"),
+    ("snapshot_count", "-1"),
+    ("study_cells", "2048"),
+    ("study_cells", "1,2048"),
+    ("weak_fields", "0"),
+    ("s_count", "1"),
+    ("delta_count", "0"),
+    ("a1_cases", "0"),
+    ("bump_count", "0"),
+    ("gn_cells", "1"),
 ])
 def test_range_violations_rejected(key, value):
     with pytest.raises(ConfigError) as exc:

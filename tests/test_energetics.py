@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from pflab.core import GridSpec, ModelParams, ScalarField, lp_norm, restrict_integral
+from pflab.core import GridSpec, ModelParams, ScalarField, lp_norm
 from pflab.energetics import (EnergyLedger, ScalingExponents, TrajectoryTails,
-                              build_ledger, check_decay, check_iteration,
-                              decay_bound, local_energy_ratio)
+                              _jump, build_ledger, check_decay,
+                              check_iteration, decay_bound, local_energy_ratio)
 from pflab.exact import BarenblattParams, barenblatt_field, halfspace_initial_data
 from pflab.experiments import _l1_audit, _stable_under_refinement
 from pflab.plaplace import SolverConfig, Trajectory, simulate
+
+from oracles import restrict_integral
 
 
 @pytest.fixture(scope="module")
@@ -64,7 +66,7 @@ def test_tail_energy_zero_trajectory():
 def test_tail_energy_time_constant_field():
     # separable integrand: the (exact) trapezoid gives T * space integral
     g = GridSpec.line(-2.0, 2.0, 256)
-    f = ScalarField.from_function(g, lambda x: np.exp(-x**2))
+    f = ScalarField(g, np.exp(-g.coords(0)**2))
     traj = Trajectory(np.linspace(0, 2, 9), [f.copy() for _ in range(9)])
     tails = TrajectoryTails(traj)
     cuts = np.array([-1.0, 0.0, 0.5])
@@ -98,7 +100,7 @@ def test_tails_monotone_in_s_and_T(halfspace_traj):
 def test_ledger_definitions_and_monotonicity(halfspace_traj):
     traj = halfspace_traj
     s_grid = np.linspace(0.0, 3.0, 25)
-    led = build_ledger(traj, 3.0, 3.0, s_grid, ctilde=1.0, include_local=True)
+    led = build_ledger(TrajectoryTails(traj), 3.0, 3.0, s_grid, 1.0)
     ex = ScalingExponents(3.0, 1)
     # C is its definition, recomputed independently
     c2 = led.A ** (1 + ex.beta2) + led.B ** (1 + ex.beta1)
@@ -113,26 +115,28 @@ def test_ledger_with_ctilde_equals_a_ledger_built_with_it(halfspace_traj,
                                                           ctilde):
     # the bisection over the constant rescales J and sums no tails again
     s_grid = np.linspace(0.0, 3.0, 25)
-    built = build_ledger(halfspace_traj, 3.0, 3.0, s_grid, ctilde=ctilde,
-                         include_local=True)
-    led = build_ledger(halfspace_traj, 3.0, 3.0, s_grid,
-                       include_local=True).with_ctilde(ctilde)
-    assert led.ctilde == ctilde
-    for name in ("s", "A", "B", "C", "J", "L"):
-        assert getattr(led, name).tobytes() == getattr(built, name).tobytes()
+    led = build_ledger(TrajectoryTails(halfspace_traj), 3.0, 3.0, s_grid, 1.0)
+    assert led.ctilde == 1.0
+    assert led.J.tobytes() == _jump(led.C, 3.0, 1, 3.0, 1.0).tobytes()
+    scaled = led.with_ctilde(ctilde)
+    assert scaled.ctilde == ctilde
+    for name in ("s", "A", "B", "C", "L"):
+        assert getattr(scaled, name).tobytes() == getattr(led, name).tobytes()
+    assert scaled.J.tobytes() == _jump(led.C, 3.0, 1, 3.0, ctilde).tobytes()
 
 
 def test_ledger_zero_trajectory():
     g = GridSpec.line(-1.0, 1.0, 64)
     zero = ScalarField.zeros(g)
     traj = Trajectory(np.array([0.0, 1.0]), [zero, zero.copy()])
-    led = build_ledger(traj, 3.0, 1.0, np.linspace(-1, 1, 9))
+    led = build_ledger(TrajectoryTails(traj), 3.0, 1.0, np.linspace(-1, 1, 9), 1.0)
     assert np.all(led.A == 0) and np.all(led.B == 0) and np.all(led.J == 0)
+    assert np.all(led.L == 0)
 
 
 def test_ledger_csv(tmp_path, halfspace_traj):
-    led = build_ledger(halfspace_traj, 3.0, 3.0, np.linspace(0, 3, 9),
-                       include_local=True)
+    led = build_ledger(TrajectoryTails(halfspace_traj), 3.0, 3.0,
+                       np.linspace(0, 3, 9), 1.0)
     path = tmp_path / "ledger.csv"
     led.save_csv(path)
     text = path.read_text().splitlines()
@@ -144,15 +148,17 @@ def test_local_energy_zero_and_beyond_front(halfspace_traj):
     g = GridSpec.line(-1.0, 1.0, 64)
     zero = ScalarField.zeros(g)
     ztraj = Trajectory(np.array([0.0, 1.0]), [zero, zero.copy()])
-    rep = local_energy_ratio(ztraj, 0.0, 0.1, 1.0, 1.0, 3.0)
+    rep = local_energy_ratio(TrajectoryTails(ztraj), 0.0, 0.1, 1.0, 1.0, 3.0)
     assert rep.lhs == rep.rhs == rep.ratio == 0.0
     # beyond the support everything is empty: both sides zero
-    rep2 = local_energy_ratio(halfspace_traj, 4.2, 0.1, 3.0, 1.0, 3.0)
+    rep2 = local_energy_ratio(TrajectoryTails(halfspace_traj), 4.2, 0.1, 3.0,
+                              1.0, 3.0)
     assert rep2.rhs == 0.0 and rep2.lhs == 0.0 and rep2.ratio == 0.0
 
 
 def test_local_energy_finite_and_translation_invariant(halfspace_traj):
-    rep = local_energy_ratio(halfspace_traj, 0.3, 0.4, 3.0, 1.0, 3.0)
+    rep = local_energy_ratio(TrajectoryTails(halfspace_traj), 0.3, 0.4, 3.0,
+                             1.0, 3.0)
     assert np.isfinite(rep.ratio) and rep.ratio > 0
     # translating the whole experiment in x moves s along with it
     traj = halfspace_traj
@@ -162,18 +168,20 @@ def test_local_energy_finite_and_translation_invariant(halfspace_traj):
                        grid.cells[0])
     traj2 = Trajectory(traj.times.copy(),
                        [ScalarField(g2, f.values.copy()) for f in traj.fields])
-    rep2 = local_energy_ratio(traj2, 0.3 + shift, 0.4, 3.0, 1.0, 3.0)
+    rep2 = local_energy_ratio(TrajectoryTails(traj2), 0.3 + shift, 0.4, 3.0,
+                              1.0, 3.0)
     assert rep2.ratio == pytest.approx(rep.ratio, rel=1e-12)
 
 
 def test_local_energy_delta_validation(halfspace_traj):
     with pytest.raises(ValueError):
-        local_energy_ratio(halfspace_traj, 0.0, 0.0, 1.0, 1.0, 3.0)
+        local_energy_ratio(TrajectoryTails(halfspace_traj), 0.0, 0.0, 1.0,
+                           1.0, 3.0)
 
 
 def test_check_iteration_zero_ledger():
     led = EnergyLedger(1.0, 3.0, 1, np.linspace(0, 1, 9), np.zeros(9),
-                       np.zeros(9), np.zeros(9), np.zeros(9), 1.0)
+                       np.zeros(9), np.zeros(9), np.zeros(9), 1.0, np.zeros(9))
     rep = check_iteration(led, 0.5)
     assert rep.s0 == 0.0
     assert rep.predicted_vanishing == 0.0
@@ -183,7 +191,7 @@ def test_check_iteration_zero_ledger():
 def test_check_iteration_synthetic_hat():
     s = np.linspace(0.0, 3.0, 301)
     j = np.clip(1.0 - s, 0.0, None)
-    led = EnergyLedger(1.0, 3.0, 1, s, j, j, j, j, 1.0)
+    led = EnergyLedger(1.0, 3.0, 1, s, j, j, j, j, 1.0, j)
     rep = check_iteration(led, 0.5)
     assert rep.s0 == 0.0
     assert rep.predicted_vanishing == pytest.approx(2.0, abs=1e-12)
@@ -192,7 +200,7 @@ def test_check_iteration_synthetic_hat():
 
 def test_check_iteration_eps_validation():
     led = EnergyLedger(1.0, 3.0, 1, np.linspace(0, 1, 4), np.zeros(4),
-                       np.zeros(4), np.zeros(4), np.zeros(4), 1.0)
+                       np.zeros(4), np.zeros(4), np.zeros(4), 1.0, np.zeros(4))
     with pytest.raises(ValueError):
         check_iteration(led, 1.5)
 
@@ -220,13 +228,13 @@ def test_check_decay_zero_trajectory():
     g = GridSpec.line(-1.0, 1.0, 64)
     zero = ScalarField.zeros(g)
     traj = Trajectory(np.array([0.0, 1.0]), [zero, zero.copy()])
-    rep = check_decay(traj, 1.0, 3.0, 1, np.linspace(0.1, 1.0, 5))
+    rep = check_decay(TrajectoryTails(traj), 1.0, 3.0, 1, np.linspace(0.1, 1.0, 5))
     assert rep.ctilde == 0.0
 
 
 def test_check_decay_on_run_and_refinement(halfspace_traj):
     s = np.linspace(0.2, 3.5, 12)
-    rep = check_decay(halfspace_traj, 3.0, 3.0, 1, s)
+    rep = check_decay(TrajectoryTails(halfspace_traj), 3.0, 3.0, 1, s)
     assert np.isfinite(rep.ctilde) and rep.ctilde > 0
     # a same-physics coarser run gives a nearby constant
     bp = BarenblattParams(3.0, 1, C=1.0)
@@ -234,7 +242,7 @@ def test_check_decay_on_run_and_refinement(halfspace_traj):
     u0 = halfspace_initial_data(bp, grid, t0=0.05)
     coarse = simulate(u0, SolverConfig(ModelParams(3.0, 1.0)), 3.0,
                       np.concatenate([[0.0], np.logspace(-3, np.log10(3.0), 120)]))
-    rep_c = check_decay(coarse, 3.0, 3.0, 1, s)
+    rep_c = check_decay(TrajectoryTails(coarse), 3.0, 3.0, 1, s)
     assert _stable_under_refinement(rep.ctilde, rep_c.ctilde)
     assert not _stable_under_refinement(rep.ctilde, 0.1 * rep_c.ctilde)
 
@@ -244,7 +252,7 @@ def test_l1_audit_flags_growth_that_check_decay_only_measures():
     a = ScalarField(g, np.ones(g.shape))
     b = ScalarField(g, 1.1 * np.ones(g.shape))
     traj = Trajectory(np.array([0.0, 1.0]), [a, b])
-    rep = check_decay(traj, 1.0, 3.0, 1, np.linspace(0.1, 1, 5))
+    rep = check_decay(TrajectoryTails(traj), 1.0, 3.0, 1, np.linspace(0.1, 1, 5))
     assert np.isfinite(rep.ctilde) and rep.ctilde > 0
     ratio, ok = _l1_audit(np.array([lp_norm(f, 1.0) for f in traj.fields]))
     assert ratio == pytest.approx(1.1, rel=1e-14) and not ok

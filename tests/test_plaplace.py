@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pflab.core import (DIRICHLET, GridSpec, ModelParams, PERIODIC, ScalarField,
-                        integral, lp_norm)
+                        lp_norm)
 from pflab.errors import BoundarySentinelError, NumericalError
 from pflab.exact import BarenblattParams, barenblatt_field
 from pflab import plaplace
@@ -11,6 +11,8 @@ from pflab.plaplace import (SolverConfig, Trajectory, _check_finite,
                             _diffusion_rhs, _diffusivity_of_a2, _face_a2,
                             cfl_dt, normalize_schedule, simulate,
                             step_explicit, step_implicit_proximal)
+
+from oracles import integral
 
 
 def cfg_1d(p=3.0, **kw):
@@ -90,9 +92,9 @@ def test_cfl_dt_zero_field_and_scaling():
     cfg = cfg_1d()
     g = GridSpec.line(0.0, 1.0, 128)
     assert cfl_dt(ScalarField.zeros(g), cfg) == plaplace._DT_MAX
-    u = ScalarField.from_function(g, lambda x: np.sin(2 * np.pi * x))
+    u = ScalarField(g, np.sin(2 * np.pi * g.coords(0)))
     g2 = GridSpec.line(0.0, 1.0, 256)
-    u2 = ScalarField.from_function(g2, lambda x: np.sin(2 * np.pi * x))
+    u2 = ScalarField(g2, np.sin(2 * np.pi * g2.coords(0)))
     ratio = cfl_dt(u, cfg) / cfl_dt(u2, cfg)
     assert ratio == pytest.approx(4.0, rel=0.05)
 
@@ -575,13 +577,12 @@ def test_tight_window_keeps_a_steep_front_bit_identical(monkeypatch, dim):
     monkeypatch.setattr(plaplace, "_WINDOW_HALO", 4)
     if dim == 1:
         grid = GridSpec.line(-4.0, 4.0, 400)
-        u0 = ScalarField.from_function(
-            grid, lambda x: (np.abs(x) < 0.5).astype(float))
+        u0 = ScalarField(grid, (np.abs(grid.coords(0)) < 0.5).astype(float))
     else:
         grid = GridSpec((-3.0, -3.0), (3.0, 3.0), (96, 96),
                         (DIRICHLET, DIRICHLET))
-        u0 = ScalarField.from_function(
-            grid, lambda x, y: ((np.abs(x) < 0.5)
+        x, y = grid.mesh()
+        u0 = ScalarField(grid, ((np.abs(x) < 0.5)
                                 & (np.abs(y - 0.3) < 0.4)).astype(float))
     cfg = SolverConfig(ModelParams(3.0, 1.0))
     dt = cfl_dt(u0, cfg)
