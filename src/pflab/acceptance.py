@@ -248,7 +248,7 @@ CRITERIA = [criterion_01, criterion_02, criterion_03, criterion_04,
             criterion_09, criterion_10, criterion_11, criterion_12]
 
 
-def run_acceptance(outdir: str = "accept-out", only=None) -> list:
+def run_acceptance(outdir: str, only: str | None) -> list:
     """Run all criteria, or those numbered in the comma-separated
     ``only``, printing one line per criterion."""
     wanted = None

@@ -38,6 +38,8 @@ from .svgplot import emit_heatmap, emit_plot
 
 # the front threshold of the scalar runs, over max|u0|
 _THRESHOLD_FRAC = 1e-6
+# the relative excess of a front over its calibrated envelope allowed
+_TOL_ENV = 0.02
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +72,6 @@ def _solver(cfg: ExperimentConfig) -> SolverConfig:
         params=_model(cfg),
         stepper=cfg["stepper"],
         tol=cfg["tol_inner"],
-        max_inner=cfg["max_inner"],
         audit_locality=cfg["audit_locality"],
     )
 
@@ -107,7 +108,7 @@ def _flatten(report: dict, prefix: str = "") -> dict:
 
 
 def write_manifest(outdir: str, cfg: ExperimentConfig, elapsed: float,
-                   status: str = "ok") -> None:
+                   status: str) -> None:
     lines = [f"{k} = {_fmt_value(v)}" for k, v in sorted(cfg.values.items())]
     lines.append(f"version.pflab = {__version__}")
     lines.append(f"version.numpy = {np.__version__}")
@@ -165,6 +166,10 @@ def _study_grid(cfg: ExperimentConfig, cells: int) -> tuple:
     return cells, grid.spacing[0], err, err / lp_norm(exact, 1.0)
 
 
+# the least empirical L1-error order between successive grids of the study
+_ORDER_MIN = 0.8
+
+
 def _barenblatt_study(cfg: ExperimentConfig, outdir: str):
     """Explicit-solver accuracy study against the closed form.
 
@@ -194,11 +199,11 @@ def _barenblatt_study(cfg: ExperimentConfig, outdir: str):
         "t1": t1,
         "rel_l1_errors": [e[3] for e in errs],
         "orders": orders,
-        "order_min_required": cfg["order_min"],
-        "passed": all(o >= cfg["order_min"] for o in orders),
+        "order_min_required": _ORDER_MIN,
+        "passed": all(o >= _ORDER_MIN for o in orders),
     }
     return _gated(report, f"empirical order(s) {orders} below required "
-                          f"{cfg['order_min']}")
+                          f"{_ORDER_MIN}")
 
 
 def _barenblatt_fit(cfg: ExperimentConfig, outdir: str):
@@ -224,7 +229,7 @@ def _barenblatt_fit(cfg: ExperimentConfig, outdir: str):
     for env in ("l1", "l2"):
         try:
             rep = fronts.check_envelope(trace, env, p, n, t_ref=t0,
-                                        tol_env=cfg["tol_env"])
+                                        tol_env=_TOL_ENV)
             env_reports[env] = {"c": rep.c, "violations": len(rep.violations),
                                 "max_ratio": rep.max_ratio}
         except ValueError as exc:  # outside the envelope's validity range
@@ -309,7 +314,7 @@ def _halfspace_fsp(cfg: ExperimentConfig, outdir: str, prebuilt=None):
     report = {
         "kind": "halfspace-fsp",
         "p": p, "dimension": n, "tau": tau,
-        "t_ref": cfg["t_ref"], "tol_env": cfg["tol_env"],
+        "t_ref": cfg["t_ref"], "tol_env": _TOL_ENV,
         "l1_max_over_initial": l1_ratio,
         "l1_hypothesis_ok": l1_ok,
     }
@@ -321,8 +326,7 @@ def _halfspace_fsp(cfg: ExperimentConfig, outdir: str, prebuilt=None):
             report["passed"] = False
             return report, (f"L1 norm grew by {l1_ratio - 1:.3e}: hypothesis "
                             "of the L1-data envelope violated")
-        rep = fronts.check_envelope(trace, env, p, n, cfg["t_ref"],
-                                    cfg["tol_env"])
+        rep = fronts.check_envelope(trace, env, p, n, cfg["t_ref"], _TOL_ENV)
         report[f"envelope_{env}"] = {
             "c": rep.c, "violations": len(rep.violations),
             "max_ratio": rep.max_ratio, "passed": rep.passed,
@@ -348,8 +352,7 @@ def _halfspace_fsp(cfg: ExperimentConfig, outdir: str, prebuilt=None):
     return _gated(report, f"envelope violations: {bad}")
 
 
-def run_halfspace_fsp(cfg: ExperimentConfig, outdir: str,
-                      prebuilt=None) -> dict:
+def run_halfspace_fsp(cfg: ExperimentConfig, outdir: str, prebuilt) -> dict:
     """:func:`run_experiment` under the name the benchmark calls and traces."""
     return run_experiment(cfg, outdir, prebuilt)
 
@@ -357,6 +360,10 @@ def run_halfspace_fsp(cfg: ExperimentConfig, outdir: str,
 # ---------------------------------------------------------------------------
 # fluid experiments
 # ---------------------------------------------------------------------------
+
+
+# the number of random divergence-free test fields of the weak-form study
+_WEAK_FIELDS = 20
 
 
 def _weak_residual_study(cfg: ExperimentConfig, outdir: str):
@@ -367,7 +374,7 @@ def _weak_residual_study(cfg: ExperimentConfig, outdir: str):
     # explicit diffusion: the step refines parabolically (dt ~ h^2)
     dt0 = 0.08 * h_base**2
     rng = np.random.default_rng(cfg["seed"])
-    coeff_sets = [random_stream_coeffs(rng) for _ in range(cfg["weak_fields"])]
+    coeff_sets = [random_stream_coeffs(rng) for _ in range(_WEAK_FIELDS)]
     resids = []
     for level, (cells, dt) in enumerate(((base_cells, dt0), (2 * base_cells, dt0 / 4))):
         grid = GridSpec.box((0.0, 0.0), (2 * np.pi, 2 * np.pi), cells, PERIODIC)
@@ -384,7 +391,7 @@ def _weak_residual_study(cfg: ExperimentConfig, outdir: str):
             fh.write(f"{i},{rb:.17g},{rf:.17g},{o:.17g}\n")
     report = {
         "kind": "weak-residual-study",
-        "fields": cfg["weak_fields"],
+        "fields": _WEAK_FIELDS,
         "median_order": float(np.median(orders)),
         "min_order": float(np.min(orders)),
         "all_decreased": bool(np.all(resids[1] < resids[0])),
@@ -393,6 +400,12 @@ def _weak_residual_study(cfg: ExperimentConfig, outdir: str):
     return _gated(report, f"weak-form residual refinement order "
                           f"{report['median_order']:.3f} < 1 or residuals did "
                           "not all decrease")
+
+
+# the Taylor-Green gates: the relative error of the fitted kinetic-energy
+# decay rate, and the largest divergence of a snapshot
+_KE_RATE_TOL = 0.02
+_DIV_TOL = 1e-10
 
 
 def _fluid_taylor_green(cfg: ExperimentConfig, outdir: str):
@@ -431,16 +444,16 @@ def _fluid_taylor_green(cfg: ExperimentConfig, outdir: str):
         "ke_decay_rate": rate,
         "expected_rate": expected,
         "relative_error": err_rel,
-        "rate_tolerance": cfg["ke_rate_tol"],
+        "rate_tolerance": _KE_RATE_TOL,
         "max_divergence": div_max,
-        "div_tolerance": cfg["div_tol"],
+        "div_tolerance": _DIV_TOL,
         "ke_monotone": ke_monotone,
-        "passed": bool(err_rel <= cfg["ke_rate_tol"]
-                       and div_max <= cfg["div_tol"] and ke_monotone),
+        "passed": bool(err_rel <= _KE_RATE_TOL
+                       and div_max <= _DIV_TOL and ke_monotone),
     }
     return _gated(report, f"Taylor-Green gates failed: rate err {err_rel:.3%} "
-                          f"(tol {cfg['ke_rate_tol']:.1%}), max div "
-                          f"{div_max:.2e} (tol {cfg['div_tol']:.1e}), KE "
+                          f"(tol {_KE_RATE_TOL:.1%}), max div "
+                          f"{div_max:.2e} (tol {_DIV_TOL:.1e}), KE "
                           f"monotone {ke_monotone}")
 
 
@@ -461,6 +474,13 @@ def _local_energy_scan(tails, s_grid, deltas, T, mu1, p) -> list:
     return rows
 
 
+# the ledger's s-grid size, its number of local-energy deltas, and the
+# contraction factor eps of the iteration relation J(s + J(s)) <= eps J(s)
+_S_COUNT = 33
+_DELTA_COUNT = 8
+_EPS_ITER = 0.5
+
+
 def _energy_ledger(cfg: ExperimentConfig, outdir: str, prebuilt=None):
     p, n, mu1 = cfg["p"], cfg["dimension"], cfg["mu1"]
     traj, tau, l1 = prebuilt if prebuilt is not None else halfspace_run(cfg)
@@ -479,8 +499,8 @@ def _energy_ledger(cfg: ExperimentConfig, outdir: str, prebuilt=None):
     nz = _support_bounds(traj.fields[-1].values, 0.0)
     front_exact = float(grid.coords(grid.dim - 1)[nz[-1][1]])
     s_max = front_exact + 8 * h
-    s_grid = np.linspace(0.0, s_max, cfg["s_count"])
-    deltas = np.linspace(2 * h, max(4 * h, s_max / 3.0), cfg["delta_count"])
+    s_grid = np.linspace(0.0, s_max, _S_COUNT)
+    deltas = np.linspace(2 * h, max(4 * h, s_max / 3.0), _DELTA_COUNT)
 
     # the tails A, B, C and L over the s-grid, summed once; the
     # calibrations below only rescale J by a constant
@@ -508,11 +528,9 @@ def _energy_ledger(cfg: ExperimentConfig, outdir: str, prebuilt=None):
     # enough constant; calibrate the minimal one for which the relation
     # J(s + J(s)) <= eps J(s) holds across the whole s-grid (the relation
     # is monotone in the constant, so bisection applies)
-    eps_it = cfg["eps_iter"]
-
     def _relation_holds(ct: float) -> bool:
         return bool(energetics.check_iteration(ledger.with_ctilde(ct),
-                                               eps_it).holds.all())
+                                               _EPS_ITER).holds.all())
 
     ct_hi = max(ctilde, 1.0)
     for _ in range(60):
@@ -549,7 +567,7 @@ def _energy_ledger(cfg: ExperimentConfig, outdir: str, prebuilt=None):
     a_beyond = float(tails.time_integral(p, "value", s_beyond, T))
     b_beyond = float(tails.time_integral(3.0, "value", s_beyond, T))
 
-    it_rep = energetics.check_iteration(ledger, eps_it)
+    it_rep = energetics.check_iteration(ledger, _EPS_ITER)
     s_decay = s_grid[s_grid > 2 * h]
     decay = energetics.check_decay(tails, T, p, n, s_decay)
     l1_ratio, l1_ok = _l1_audit(l1)
@@ -589,7 +607,7 @@ def _energy_ledger(cfg: ExperimentConfig, outdir: str, prebuilt=None):
         "local_ratio_all_finite": not any_inf,
         "tail_beyond_front_A": a_beyond,
         "tail_beyond_front_B": b_beyond,
-        "iteration_eps": cfg["eps_iter"],
+        "iteration_eps": _EPS_ITER,
         "iteration_s0": it_rep.s0,
         "iteration_predicted_vanishing": it_rep.predicted_vanishing,
         "iteration_tightest_point": it_rep.tightest_point,
@@ -616,8 +634,7 @@ def _energy_ledger(cfg: ExperimentConfig, outdir: str, prebuilt=None):
     return _gated(report, "energy-ledger gates failed: " + "; ".join(failed))
 
 
-def run_energy_ledger(cfg: ExperimentConfig, outdir: str,
-                      prebuilt=None) -> dict:
+def run_energy_ledger(cfg: ExperimentConfig, outdir: str, prebuilt) -> dict:
     """:func:`run_experiment` under the name the benchmark calls and traces."""
     return run_experiment(cfg, outdir, prebuilt)
 
@@ -627,11 +644,14 @@ def run_energy_ledger(cfg: ExperimentConfig, outdir: str,
 # ---------------------------------------------------------------------------
 
 
+# the number of seeded iteration-lemma cases
+_A1_CASES = 200
+
+
 def _stampacchia_suite(cfg: ExperimentConfig, outdir: str):
     rng = np.random.default_rng(cfg["seed"])
-    n_cases = cfg["a1_cases"]
     rows = []
-    for case in range(n_cases):
+    for case in range(_A1_CASES):
         eps = float(rng.uniform(0.05, 0.9))
         fam = concave_majorant_family(rng, eps)
         s0 = float(fam.s[0])
@@ -652,9 +672,9 @@ def _stampacchia_suite(cfg: ExperimentConfig, outdir: str):
         for case, ok, detail in rows:
             fh.write(f"{case},{int(ok)},{detail}\n")
     n_pass = sum(ok for _, ok, _ in rows)
-    report = {"kind": "stampacchia-suite", "cases": n_cases,
-              "passed_cases": n_pass, "passed": n_pass == n_cases}
-    return _gated(report, f"{n_cases - n_pass} iteration-lemma cases failed")
+    report = {"kind": "stampacchia-suite", "cases": _A1_CASES,
+              "passed_cases": n_pass, "passed": n_pass == _A1_CASES}
+    return _gated(report, f"{_A1_CASES - n_pass} iteration-lemma cases failed")
 
 
 def _gaussian_field(grid: GridSpec, center, width) -> ScalarField:
@@ -672,39 +692,43 @@ def _suite_grid(n: int, cells: int, lam: float = 1.0) -> GridSpec:
     return GridSpec.box(-8.0 * lam, 8.0 * lam, cells)
 
 
+# the interpolation suite's exponents (a, b, d) = (p, 1, p), its random
+# bumps per dimension, its base grid and its dilation factors
+_GN_P = 3.0
+_BUMP_COUNT = 100
+_GN_CELLS = 192
+_LAMBDA_SET = (0.25, 4.0)
+
+
 def _interpolation_suite(cfg: ExperimentConfig, outdir: str):
     rng = np.random.default_rng(cfg["seed"])
-    p = cfg["gn_p"]
-    combos = ((p, 1.0, p), (3.0, 1.0, p))
-    base_cells = cfg["gn_cells"]
+    a, b, d = _GN_P, 1.0, _GN_P
     rows = []
     for n in (1, 2):
         # random bump families on base and refined grids
-        centers = rng.uniform(-2.0, 2.0, size=(cfg["bump_count"], n))
-        widths = rng.uniform(0.3, 1.5, size=cfg["bump_count"])
-        for (a, b, d) in combos:
-            maxima = []
-            for factor in (1, 2):
-                grid = _suite_grid(n, base_cells * factor)
-                vals = [gn_ratio(_gaussian_field(grid, c, w), a, b, d)
-                        for c, w in zip(centers, widths)]
-                maxima.append(max(vals))
-            change = maxima[1] / maxima[0]
-            ok = 0.5 <= change <= 2.0
-            rows.append((f"stability_n{n}_a{a:g}", ok,
-                         f"max_base={maxima[0]:.6g} max_fine={maxima[1]:.6g} "
-                         f"change={change:.4f}"))
+        centers = rng.uniform(-2.0, 2.0, size=(_BUMP_COUNT, n))
+        widths = rng.uniform(0.3, 1.5, size=_BUMP_COUNT)
+        maxima = []
+        for factor in (1, 2):
+            grid = _suite_grid(n, _GN_CELLS * factor)
+            vals = [gn_ratio(_gaussian_field(grid, c, w), a, b, d)
+                    for c, w in zip(centers, widths)]
+            maxima.append(max(vals))
+        change = maxima[1] / maxima[0]
+        ok = 0.5 <= change <= 2.0
+        rows.append((f"stability_n{n}_a{a:g}", ok,
+                     f"max_base={maxima[0]:.6g} max_fine={maxima[1]:.6g} "
+                     f"change={change:.4f}"))
         # dilation consistency on a fixed reference bump
-        for (a, b, d) in combos:
-            ref_grid = _suite_grid(n, base_cells)
-            ref = gn_ratio(_gaussian_field(ref_grid, (0.0,) * n, 1.0), a, b, d)
-            for lam in cfg["lambda_set"]:
-                gl = _suite_grid(n, base_cells, lam)
-                val = gn_ratio(_gaussian_field(gl, (0.0,) * n, lam), a, b, d)
-                dev = abs(val / ref - 1.0)
-                ok = dev <= 0.01
-                rows.append((f"dilation_n{n}_a{a:g}_lam{lam:g}", ok,
-                             f"ratio={val:.8g} ref={ref:.8g} dev={dev:.2e}"))
+        ref_grid = _suite_grid(n, _GN_CELLS)
+        ref = gn_ratio(_gaussian_field(ref_grid, (0.0,) * n, 1.0), a, b, d)
+        for lam in _LAMBDA_SET:
+            gl = _suite_grid(n, _GN_CELLS, lam)
+            val = gn_ratio(_gaussian_field(gl, (0.0,) * n, lam), a, b, d)
+            dev = abs(val / ref - 1.0)
+            ok = dev <= 0.01
+            rows.append((f"dilation_n{n}_a{a:g}_lam{lam:g}", ok,
+                         f"ratio={val:.8g} ref={ref:.8g} dev={dev:.2e}"))
     with open(os.path.join(outdir, "cases.csv"), "w") as fh:
         fh.write("case_id,passed,detail\n")
         for cid, ok, detail in rows:
@@ -715,8 +739,11 @@ def _interpolation_suite(cfg: ExperimentConfig, outdir: str):
     return _gated(report, f"interpolation suite failures: {bad[:4]}")
 
 
+# the largest residual of an exponent identity the identity suite accepts
+_IDENTITY_TOL = 1e-12
+
+
 def _exponent_identities(cfg: ExperimentConfig, outdir: str):
-    tol = cfg["identity_tol"]
     rows = []
     for p in (2.1, 2.5, 3.0, 3.5, 4.0):
         for n in (1, 2):
@@ -729,17 +756,17 @@ def _exponent_identities(cfg: ExperimentConfig, outdir: str):
             order_ok = e2 > e1
             # the two-branch time factor is continuous across T = 1
             f_cont = abs(ex.F(1.0 + 1e-9) - ex.F(1.0 - 1e-9)) <= 1e-6
-            ok = worst <= tol and order_ok and f_cont
+            ok = worst <= _IDENTITY_TOL and order_ok and f_cont
             rows.append((p, n, worst, order_ok, f_cont, ok, res))
     with open(os.path.join(outdir, "identities.csv"), "w") as fh:
         fh.write("p,N,max_residual,exponent_order_ok,F_continuous,passed\n")
         for p, n, worst, order_ok, f_cont, ok, _ in rows:
             fh.write(f"{p},{n},{worst:.17g},{int(order_ok)},{int(f_cont)},{int(ok)}\n")
-    report = {"kind": "exponent-identities", "tolerance": tol,
+    report = {"kind": "exponent-identities", "tolerance": _IDENTITY_TOL,
               "max_residual": max(r[2] for r in rows),
               "passed": all(r[5] for r in rows)}
     return _gated(report, f"identity residual {report['max_residual']:.3e} "
-                          f"exceeds {tol:.1e}")
+                          f"exceeds {_IDENTITY_TOL:.1e}")
 
 
 # ---------------------------------------------------------------------------

@@ -85,7 +85,7 @@ def _face_deformation(v: VectorField, axis: int, both_diagonals: bool = True):
 
 
 def viscous_term(v: VectorField, params: ModelParams,
-                 eps_reg: float = 0.0) -> VectorField:
+                 eps_reg: float) -> VectorField:
     """``mu1 div(D_reg Du)`` with face-centered tensor fluxes.
 
     Face flux of component i through a face with normal n is
@@ -146,9 +146,9 @@ def _speed_max(v: VectorField) -> float:
     return float(np.sqrt(np.max(u0 * u0 + u1 * u1)))
 
 
-def advect(v: VectorField, dt: float, vmax: float | None = None) -> VectorField:
+def advect(v: VectorField, dt: float, vmax: float | None) -> VectorField:
     """Apply the advection tendency for ``dt``; errors on a CFL violation.
-    ``vmax`` is the field's largest speed, measured here unless given."""
+    ``vmax`` is the field's largest speed, or None to measure it here."""
     _require_periodic(v.grid)
     if vmax is None:
         vmax = _speed_max(v)
@@ -238,18 +238,15 @@ def viscous_cfl_dt(v: VectorField, cfg: FluidConfig) -> float:
                      _CFL_SAFETY * h_min**2 / (4.0 * dmax * (p - 1.0))))
 
 
-def advective_cfl_dt(v: VectorField, vmax: float | None = None) -> float:
-    """``_CFL_SAFETY h_min / max |u|``; ``vmax`` is ``max |u|``, measured
-    here unless given."""
-    if vmax is None:
-        vmax = _speed_max(v)
+def advective_cfl_dt(v: VectorField, vmax: float) -> float:
+    """``_CFL_SAFETY h_min / vmax``, where ``vmax`` is ``max |u|``."""
     if vmax == 0.0:
         return _DT_MAX
     return float(min(_DT_MAX, _CFL_SAFETY * min(v.grid.spacing) / vmax))
 
 
 def fluid_step(v: VectorField, cfg: FluidConfig, dt: float,
-               vmax: float | None = None) -> VectorField:
+               vmax: float | None) -> VectorField:
     """advect -> add dt * viscous term -> project.  ``vmax``, the largest
     speed of ``v``, spares :func:`advect` its own pass when the caller
     has it."""

@@ -85,7 +85,7 @@ def _interp_crossing(x: np.ndarray, m: np.ndarray, tau: float):
     return float(x[j] + frac * (x[j + 1] - x[j]))
 
 
-def support_front(f, tau: float, mode: str = "halfspace"):
+def support_front(f, tau: float, mode: str):
     """Largest coordinate where the field exceeds ``tau``; None if nowhere.
 
     ``halfspace`` measures ``sup{x_N : max_k |u_k| > tau}`` with linear
@@ -122,7 +122,7 @@ def support_front(f, tau: float, mode: str = "halfspace"):
     raise ValueError(f"unknown front mode {mode!r}")
 
 
-def trace_support(traj: Trajectory, tau: float, mode: str = "halfspace",
+def trace_support(traj: Trajectory, tau: float, mode: str,
                   t_offset: float = 0.0) -> SupportTrace:
     """Apply :func:`support_front` to every snapshot.
 
@@ -211,7 +211,7 @@ def fit_exponent(trace: SupportTrace, drop_frac: float = 0.1) -> ExponentFit:
 
 
 def check_envelope(trace: SupportTrace, envelope: str, p: float, n: int,
-                   t_ref: float, tol_env: float = 0.02) -> EnvelopeReport:
+                   t_ref: float, tol_env: float) -> EnvelopeReport:
     """Calibrate the envelope constant at ``t_ref`` and verify
     ``front(t) <= envelope(t) * (1 + tol_env)`` for all ``t >= t_ref``.
 

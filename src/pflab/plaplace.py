@@ -56,9 +56,11 @@ _WINDOW_HALO = _WINDOW_RESCAN + 2
 # (a field at rest steps _DT_MAX); it runs the boundary sentinel every
 # _SENTINEL_STRIDE steps.  The sentinel raises when the support, the
 # nodes above _SENTINEL_TAU_FRAC * max|u0|, comes within _SENTINEL_MARGIN
-# of the box's width of its edge.
+# of the box's width of its edge.  The proximal stepper's damped Newton
+# iteration gives up after _MAX_INNER iterations.
 _CFL_STRIDE = 8
 _CFL_SAFETY = 0.9
+_MAX_INNER = 60
 _DT_MIN = 1e-14
 _DT_MAX = 1.0
 _SENTINEL_STRIDE = 100
@@ -71,16 +73,15 @@ class SolverConfig:
     """Knobs of the scalar solver of the degenerate equation, ``p > 2``.
 
     ``tol`` is the inner first-order optimality tolerance of the proximal
-    step, measured as the grid-L2 norm of the objective gradient, and
-    ``max_inner`` caps its Newton iterations.  The explicit stepper's CFL
-    safety factor and step cap are the module constants ``_CFL_SAFETY``
-    and ``_DT_MAX``.
+    step, measured as the grid-L2 norm of the objective gradient.  Its
+    Newton iteration cap, and the explicit stepper's CFL safety factor
+    and step cap, are the module constants ``_MAX_INNER``,
+    ``_CFL_SAFETY`` and ``_DT_MAX``.
     """
 
     params: ModelParams
     stepper: str = "explicit"
     tol: float = 1e-10
-    max_inner: int = 60
     audit_locality: bool = True
 
     def __post_init__(self):
@@ -88,8 +89,6 @@ class SolverConfig:
             raise ValueError(f"the scalar solver needs p > 2, got p = {self.params.p}")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
-        if self.max_inner < 1:
-            raise ValueError("max_inner must be >= 1")
         if self.stepper not in ("explicit", "implicit"):
             raise ValueError(f"unknown stepper {self.stepper!r}")
 
@@ -555,7 +554,7 @@ def _proximal_newton(u: np.ndarray, v: np.ndarray, grid: GridSpec,
         j, g = prob.value_and_grad(v)
     banded = grid.dim == 1
     res0 = _grad_residual(g, prob.vol)
-    for _ in range(cfg.max_inner):
+    for _ in range(_MAX_INNER):
         res = _grad_residual(g, prob.vol)
         if res <= cfg.tol:
             return v
@@ -589,12 +588,12 @@ def _proximal_newton(u: np.ndarray, v: np.ndarray, grid: GridSpec,
         v = v + step * delta
         j, g = prob.value_and_grad(v)
     raise NumericalError(
-        f"proximal step: {cfg.max_inner} Newton iterations exhausted, "
+        f"proximal step: {_MAX_INNER} Newton iterations exhausted, "
         f"residual {_grad_residual(g, prob.vol):.3e} > tol {cfg.tol:.3e}")
 
 
 def step_implicit_proximal(u: ScalarField, cfg: SolverConfig, dt: float,
-                           v0: np.ndarray | None = None) -> ScalarField:
+                           v0: np.ndarray | None) -> ScalarField:
     """Proximal (backward Euler) step by damped Newton from ``v0`` (or ``u``).
 
     Guarantees the energy inequality

@@ -38,9 +38,8 @@ def _check_positive(name: str, vals: np.ndarray):
             f"is {np.asarray(vals)[i]!r}")
 
 
-def emit_plot(series, envelopes, path, logx: bool = False, logy: bool = False,
-              fit=None, title: str = "", xlabel: str = "t",
-              ylabel: str = "value") -> None:
+def emit_plot(series, envelopes, path, *, logy: bool, title: str,
+              xlabel: str, ylabel: str, logx: bool = False, fit=None) -> None:
     """Write a standalone SVG.
 
     ``series``: (t, y) arrays drawn as circle markers.
@@ -142,7 +141,7 @@ def emit_plot(series, envelopes, path, logx: bool = False, logy: bool = False,
         fh.write("\n".join(parts) + "\n")
 
 
-def emit_heatmap(values: np.ndarray, path, title: str = "") -> None:
+def emit_heatmap(values: np.ndarray, path, title: str) -> None:
     """Standalone SVG heat map of a 2-D array (block-averaged down to at
     most ``_HEAT_CELLS`` per axis)."""
     vals = np.asarray(values, dtype=float)

@@ -6,10 +6,10 @@ a failed gate, so ``raise VerificationError`` appears in
 :func:`pflab.experiments.run_experiment` and nowhere else.  Every public
 top-level function and class has a caller in the package or the
 benchmark harness, and every keyword default of a public function or
-method is overridden by one of those callers, save the console entry
-point's.  Every config key is read somewhere outside the schema that
-declares it, and is set by a pinned acceptance config or by a test that
-builds a config or drives the CLI.  Importing the package costs numpy
+method is overridden by one of those callers and left unset by another,
+save the console entry point's.  Every config key is read somewhere
+outside the schema that declares it, and is set by a pinned acceptance
+config or by a test that builds a config or drives the CLI.  Importing the package costs numpy
 alone: each scipy submodule is imported where it is called, and no
 module names ``scipy.integrate`` or ``scipy.optimize`` at all.
 """
@@ -140,9 +140,10 @@ def _console_entry_points() -> set:
             re.findall(r'^\s*[\w-]+\s*=\s*"([\w.]+):(\w+)"', section, re.M)}
 
 
-def test_every_keyword_default_is_overridden_by_a_caller():
-    # a default that no caller in the package or the harness overrides is
-    # a setting only tests change: it belongs in the code, not the signature
+def _defaults_and_their_calls():
+    """``(qualified name, parameter, whether each package or harness call
+    of the callable passes it)`` for each keyword default of a public
+    callable, the console entry point's left out."""
     calls = collections.defaultdict(list)
     for tree in list(_modules().values()) + _harness_trees():
         for node in ast.walk(tree):
@@ -160,11 +161,25 @@ def test_every_keyword_default_is_overridden_by_a_caller():
 
     entry = _console_entry_points()
     assert entry  # the exemption is read from pyproject.toml, not listed
-    unset = [f"{qual}({name}=)"
-             for qual, called, fn, bound in _public_callables() if qual not in entry
-             for name, index in _defaulted(fn, bound)
-             if not any(overridden(call, name, index) for call in calls[called])]
-    assert unset == []
+    for qual, called, fn, bound in _public_callables():
+        if qual not in entry:
+            for name, index in _defaulted(fn, bound):
+                yield qual, name, [overridden(call, name, index)
+                                   for call in calls[called]]
+
+
+def test_every_keyword_default_is_overridden_by_a_caller():
+    # a default that no caller in the package or the harness overrides is
+    # a setting only tests change: it belongs in the code, not the signature
+    assert [f"{qual}({name}=)" for qual, name, passed
+            in _defaults_and_their_calls() if not any(passed)] == []
+
+
+def test_every_keyword_default_is_left_unset_by_a_caller():
+    # a default that every caller in the package or the harness overrides
+    # is a default only tests use: the parameter should be required
+    assert [f"{qual}({name}=)" for qual, name, passed
+            in _defaults_and_their_calls() if all(passed)] == []
 
 
 def test_every_config_key_is_read_outside_the_schema():
@@ -224,7 +239,8 @@ from pflab.plaplace import SolverConfig, step_implicit_proximal
 
 grid = GridSpec.line(-4.0, 4.0, 64)
 u = barenblatt_field(BarenblattParams(3.0, 1), grid, 1.0)
-step_implicit_proximal(u, SolverConfig(ModelParams(p=3.0), stepper="implicit"), 0.1)
+step_implicit_proximal(u, SolverConfig(ModelParams(p=3.0), stepper="implicit"), 0.1,
+                       None)
 print(json.dumps([at_import, loaded()]))
 """
 

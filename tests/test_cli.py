@@ -51,11 +51,11 @@ def test_fluid2d_defaults_are_the_readme_example(tmp_path, monkeypatch):
 
 
 def test_exit_code_invalid_flag_value(tmp_path, capsys):
-    # zero Newton iterations is a configuration error, not a numerical one
-    code = run_cli("barenblatt", "--max-inner", "0",
+    # a zero Newton tolerance is a configuration error, not a numerical one
+    code = run_cli("barenblatt", "--tol-inner", "0",
                    "--outdir", str(tmp_path / "out"), "--svg", "false")
     assert code == 1
-    assert "max_inner" in capsys.readouterr().err
+    assert "tol_inner" in capsys.readouterr().err
 
 
 def test_exit_code_line_search_stall(tmp_path, capsys, monkeypatch):
@@ -136,16 +136,22 @@ def test_a_subcommand_has_no_flag_for_its_forced_kind(tmp_path, capsys, command)
     ("eps_reg", "0"), ("advection", "central"), ("sentinel", "true"),
     ("bc", "periodic"), ("cfl_safety", "0.5"), ("dt_max", "0.1"),
     ("threshold_frac", "1e-4"), ("fluid_cfl_safety", "0.2"), ("ctilde", "2"),
-    ("envelope", "both")])
+    ("envelope", "both"), ("max_inner", "0"), ("tol_env", "0.02"),
+    ("order_min", "0.8"), ("ke_rate_tol", "0.02"), ("div_tol", "1e-10"),
+    ("identity_tol", "1e-12"), ("eps_iter", "0.5"), ("weak_fields", "0"),
+    ("s_count", "1"), ("delta_count", "0"), ("a1_cases", "0"),
+    ("bump_count", "0"), ("gn_cells", "1"), ("gn_p", "3"),
+    ("lambda_set", "0.25,4")])
 def test_deleted_solver_keys_are_rejected(tmp_path, capsys, key, value):
     # the solvers have no regularization, one advection scheme, an
     # always-on sentinel and dirichlet-zero scalar boxes, the CFL
-    # factors, step cap, front threshold and ledger constant are module
-    # constants, and the half-space run checks both envelopes: the keys
-    # are unknown in a file and as flags
+    # factors, step cap, Newton cap, front threshold and ledger constant
+    # are module constants, the half-space run checks both envelopes, and
+    # every gate tolerance and check sample count is a constant beside
+    # its gate: the keys are unknown in a file and as flags
     text = f"experiment = fluid2d-taylor-green\ndimension = 2\np = 2\n{key} = {value}\n"
     with pytest.raises(ConfigError) as exc:
-        parse_config(text)
+        parse_config(text, {})
     assert exc.value.errors == [(4, f"unknown key {key!r}")]
     out = tmp_path / "out"
     assert run_cli("simulate", f"--{key.replace('_', '-')}", value,
@@ -202,9 +208,19 @@ def test_exit_code_verification_failure(tmp_path, capsys):
     assert "verification failure" in capsys.readouterr().err
 
 
-def test_identities_via_cli(tmp_path, capsys):
-    code = run_cli("verify-lemmas", "--outdir", str(tmp_path / "v"),
-                   "--a1-cases", "30", "--bump-count", "10", "--gn-cells", "96")
+def _small_suites(monkeypatch, **constants):
+    """Shrink the lemma suites' sample counts, and set ``constants`` of
+    :mod:`pflab.experiments`."""
+    from pflab import experiments
+
+    small = dict(_A1_CASES=30, _BUMP_COUNT=10, _GN_CELLS=96, **constants)
+    for name, value in small.items():
+        monkeypatch.setattr(experiments, name, value)
+
+
+def test_identities_via_cli(tmp_path, capsys, monkeypatch):
+    _small_suites(monkeypatch)
+    code = run_cli("verify-lemmas", "--outdir", str(tmp_path / "v"))
     assert code == 0
 
 
@@ -216,19 +232,19 @@ def _numerical_failure(cfg, outdir):
     raise NumericalError("patched numerical failure")
 
 
-@pytest.mark.parametrize("runner,flags,code", [
-    (_failing_gate, (), 3),
-    (_numerical_failure, (), 2),
-    (_numerical_failure, ("--identity-tol=-1",), 3),  # the worst code wins
+@pytest.mark.parametrize("runner,constants,code", [
+    (_failing_gate, {}, 3),
+    (_numerical_failure, {}, 2),
+    (_numerical_failure, {"_IDENTITY_TOL": -1.0}, 3),  # the worst code wins
 ], ids=["gate", "numerical", "numerical-and-gate"])
 def test_verify_lemmas_runs_every_suite(tmp_path, capsys, monkeypatch,
-                                        runner, flags, code):
+                                        runner, constants, code):
     from pflab import experiments
 
     monkeypatch.setitem(experiments._RUNNERS, "stampacchia-suite", runner)
+    _small_suites(monkeypatch, **constants)
     out = tmp_path / "v"
-    assert run_cli("verify-lemmas", "--outdir", str(out), "--bump-count", "10",
-                   "--gn-cells", "96", *flags) == code
+    assert run_cli("verify-lemmas", "--outdir", str(out)) == code
     assert "patched" in capsys.readouterr().err
     for kind in ("interpolation-suite", "exponent-identities"):
         assert (out / kind / "report.txt").exists()
@@ -347,12 +363,15 @@ def test_fit_exponent_bad_input_is_a_configuration_error(tmp_path, capsys,
     assert "slope" not in captured.out
 
 
+_LABELS = dict(title="", xlabel="t", ylabel="value")
+
+
 def test_emit_plot_structure(tmp_path):
     t = np.linspace(1.0, 10.0, 12)
     y = 2.0 * t**0.25
     path = tmp_path / "plot.svg"
     emit_plot((t, y), [("bound", t, 3.0 * t**0.25)], path, logx=True,
-              logy=True, fit=(t, y))
+              logy=True, fit=(t, y), **_LABELS)
     text = path.read_text()
     assert text.count('class="fit"') == 1
     assert text.count('class="envelope"') == 1
@@ -362,16 +381,18 @@ def test_emit_plot_structure(tmp_path):
 
 def test_emit_plot_single_point_linear(tmp_path):
     path = tmp_path / "one.svg"
-    emit_plot((np.array([1.0]), np.array([2.0])), [], path)
+    emit_plot((np.array([1.0]), np.array([2.0])), [], path, logy=False,
+              **_LABELS)
     assert path.read_text().count('class="data"') == 1
 
 
 def test_emit_plot_log_rejects_nonpositive(tmp_path):
     with pytest.raises(ValueError, match="sample 1"):
         emit_plot((np.array([1.0, -2.0]), np.array([1.0, 1.0])), [],
-                  tmp_path / "x.svg", logx=True)
+                  tmp_path / "x.svg", logx=True, logy=False, **_LABELS)
 
 
 def test_emit_plot_empty_series(tmp_path):
     with pytest.raises(ValueError, match="empty"):
-        emit_plot((np.array([]), np.array([])), [], tmp_path / "x.svg")
+        emit_plot((np.array([]), np.array([])), [], tmp_path / "x.svg",
+                  logy=False, **_LABELS)

@@ -5,7 +5,7 @@ from pflab.errors import ConfigError
 
 
 def test_minimal_config_fills_defaults():
-    cfg = parse_config("experiment = barenblatt-fit\n")
+    cfg = parse_config("experiment = barenblatt-fit\n", {})
     assert cfg.kind == "barenblatt-fit"
     assert cfg["p"] == 3.0
     assert cfg["mu1"] == 1.0
@@ -17,19 +17,19 @@ def test_comments_and_blank_lines():
         "# a comment\n"
         "experiment = halfspace-fsp\n"
         "\n"
-        "p = 3.5  # trailing comment\n")
+        "p = 3.5  # trailing comment\n", {})
     assert cfg["p"] == 3.5
 
 
 def test_unknown_key_rejected_with_line():
     with pytest.raises(ConfigError) as exc:
-        parse_config("experiment = barenblatt-fit\nnot_a_key = 3\n")
+        parse_config("experiment = barenblatt-fit\nnot_a_key = 3\n", {})
     assert any(line == 2 and "not_a_key" in msg for line, msg in exc.value.errors)
 
 
 def test_duplicate_key_names_both_lines():
     with pytest.raises(ConfigError) as exc:
-        parse_config("experiment = barenblatt-fit\np = 3\np = 4\n")
+        parse_config("experiment = barenblatt-fit\np = 3\np = 4\n", {})
     (entry,) = [e for e in exc.value.errors if "duplicate" in e[1]]
     assert entry[0] == 3
     assert "line 2" in entry[1]
@@ -37,7 +37,7 @@ def test_duplicate_key_names_both_lines():
 
 def test_degenerate_range_error_cites_p():
     with pytest.raises(ConfigError) as exc:
-        parse_config("experiment = halfspace-fsp\np = 1.5\n")
+        parse_config("experiment = halfspace-fsp\np = 1.5\n", {})
     assert any("p > 2" in msg for _, msg in exc.value.errors)
 
 
@@ -47,7 +47,7 @@ def test_all_errors_collected():
             "mystery = 1\n"
             "cells = 0\n")
     with pytest.raises(ConfigError) as exc:
-        parse_config(text)
+        parse_config(text, {})
     assert len(exc.value.errors) >= 2
 
 
@@ -58,12 +58,10 @@ def test_type_coercions():
         "p = 2\n"
         "cells = 64,32\n"
         "bounds = 0:6.28,0:3.14\n"
-        "svg = false\n"
-        "lambda_set = 0.25,4\n")
+        "svg = false\n", {})
     assert cfg["cells"] == (64, 32)
     assert cfg["bounds"] == ((0.0, 6.28), (0.0, 3.14))
     assert cfg["svg"] is False
-    assert cfg["lambda_set"] == (0.25, 4.0)
 
 
 def test_flag_overrides_win():
@@ -74,32 +72,32 @@ def test_flag_overrides_win():
 
 def test_missing_experiment():
     with pytest.raises(ConfigError, match="experiment"):
-        parse_config("p = 3\n")
+        parse_config("p = 3\n", {})
 
 
 def test_fluid_requires_2d():
     with pytest.raises(ConfigError) as exc:
-        parse_config("experiment = fluid2d-taylor-green\ndimension = 1\np = 2\n")
+        parse_config("experiment = fluid2d-taylor-green\ndimension = 1\np = 2\n", {})
     assert any("2-D" in msg for _, msg in exc.value.errors)
 
 
 def test_fluid_requires_p_at_least_2():
     with pytest.raises(ConfigError) as exc:
         parse_config("experiment = fluid2d-taylor-green\ndimension = 2\n"
-                     "p = 1.5\n")
+                     "p = 1.5\n", {})
     assert exc.value.errors == [(3, "p: fluid experiments require p >= 2, "
                                     "got 1.5")]
 
 
 def test_bad_syntax_line_number():
     with pytest.raises(ConfigError) as exc:
-        parse_config("experiment = exponent-identities\njust words\n")
+        parse_config("experiment = exponent-identities\njust words\n", {})
     assert any(line == 2 for line, _ in exc.value.errors)
 
 
 def test_default_config_helper():
-    cfg = default_config("stampacchia-suite", a1_cases=7, seed=3)
-    assert cfg["a1_cases"] == 7 and cfg["seed"] == 3
+    cfg = default_config("stampacchia-suite", snapshot_count=7, seed=3)
+    assert cfg["snapshot_count"] == 7 and cfg["seed"] == 3
 
 
 def test_schema_defaults_are_valid():
@@ -115,16 +113,9 @@ def test_schema_defaults_are_valid():
 
 
 @pytest.mark.parametrize("key,value", [
-    ("max_inner", "0"),
     ("snapshot_count", "-1"),
     ("study_cells", "2048"),
     ("study_cells", "1,2048"),
-    ("weak_fields", "0"),
-    ("s_count", "1"),
-    ("delta_count", "0"),
-    ("a1_cases", "0"),
-    ("bump_count", "0"),
-    ("gn_cells", "1"),
 ])
 def test_range_violations_rejected(key, value):
     with pytest.raises(ConfigError) as exc:

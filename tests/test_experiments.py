@@ -27,28 +27,41 @@ def test_exponent_identities(tmp_path):
     assert (tmp_path / "manifest.txt").exists()
 
 
-def test_stampacchia_suite_small(tmp_path):
-    r = run_experiment(default_config("stampacchia-suite", a1_cases=25,
-                                      seed=5, outdir=str(tmp_path)))
+def _small_ledger(monkeypatch):
+    """A coarser s-grid and fewer local-energy deltas for small ledgers."""
+    monkeypatch.setattr(experiments, "_S_COUNT", 25)
+    monkeypatch.setattr(experiments, "_DELTA_COUNT", 6)
+
+
+def test_stampacchia_suite_small(tmp_path, monkeypatch):
+    monkeypatch.setattr(experiments, "_A1_CASES", 25)
+    r = run_experiment(default_config("stampacchia-suite", seed=5,
+                                      outdir=str(tmp_path)))
     assert r["passed_cases"] == 25
     header = (tmp_path / "cases.csv").read_text().splitlines()[0]
     assert header == "case_id,passed,detail"
 
 
-def test_interpolation_suite_small(tmp_path):
-    r = run_experiment(default_config("interpolation-suite", bump_count=12,
-                                      gn_cells=96, outdir=str(tmp_path)))
+def test_interpolation_suite_small(tmp_path, monkeypatch):
+    monkeypatch.setattr(experiments, "_BUMP_COUNT", 12)
+    monkeypatch.setattr(experiments, "_GN_CELLS", 96)
+    r = run_experiment(default_config("interpolation-suite",
+                                      outdir=str(tmp_path)))
     assert r["passed"]
+    # each (dimension, exponents, dilation) case is run once
+    ids = [row.split(",")[0] for row in
+           (tmp_path / "cases.csv").read_text().splitlines()[1:]]
+    assert len(ids) == r["cases"] == len(set(ids))
 
 
-def test_accuracy_study_rows_in_grid_order(tmp_path):
+def test_accuracy_study_rows_in_grid_order(tmp_path, monkeypatch):
     # the grids run in a worker pool, finest first; study.csv keeps the
     # configured order and the same numbers as one grid at a time
     cfg = default_config("barenblatt-fit", outdir=str(tmp_path),
                          convergence_study="true", p=3.0, dimension=1,
                          bounds="-8.6:8.6", t0=1.0, study_t1=1.5,
-                         study_cells=(256, 128, 512), audit_locality="false",
-                         order_min=-10.0)
+                         study_cells=(256, 128, 512), audit_locality="false")
+    monkeypatch.setattr(experiments, "_ORDER_MIN", -10.0)
     r = run_experiment(cfg)
     rows = (tmp_path / "study.csv").read_text().splitlines()
     expected = [f"{c},{h:.17g},{e:.17g},{q:.17g}"
@@ -89,12 +102,12 @@ def test_halfspace_small(tmp_path):
     assert r["l1_max_over_initial"] <= 1 + 1e-6
 
 
-def test_energy_ledger_small(tmp_path):
+def test_energy_ledger_small(tmp_path, monkeypatch):
+    _small_ledger(monkeypatch)
     r = run_experiment(default_config(
         "energy-ledger", outdir=str(tmp_path), p=3.0, dimension=1,
         cells=(1024,), bounds="-7.8:7.5", t0=5e-8, t_end=3.0,
-        stepper="explicit", snapshots_per_decade=48, s_count=25,
-        delta_count=6, eps_iter=0.5, refine_check=False))
+        stepper="explicit", snapshots_per_decade=48, refine_check=False))
     assert r["passed"]
     assert r["tail_beyond_front_A"] == 0.0
     assert r["iteration_covers_front"]
@@ -109,11 +122,12 @@ def test_ledger_refinement_run_differs_only_in_cells(tmp_path, monkeypatch):
     real = experiments.halfspace_run
     monkeypatch.setattr(experiments, "halfspace_run",
                         lambda cfg: seen.append(cfg) or real(cfg))
+    monkeypatch.setattr(experiments, "_S_COUNT", 9)
+    monkeypatch.setattr(experiments, "_DELTA_COUNT", 3)
     cfg = default_config(
         "energy-ledger", outdir=str(tmp_path), p=3.0, dimension=1,
         cells=(512,), bounds="-7.8:7.5", t0=5e-8, t_end=1.0,
-        stepper="explicit", snapshots_per_decade=16, s_count=9,
-        delta_count=3, t_ref=0.2, svg=False)
+        stepper="explicit", snapshots_per_decade=16, t_ref=0.2, svg=False)
     try:
         run_experiment(cfg)
     except VerificationError:
@@ -124,10 +138,11 @@ def test_ledger_refinement_run_differs_only_in_cells(tmp_path, monkeypatch):
     assert coarse["cells"] == (256,) and coarse["t_ref"] == 0.2
 
 
-def test_taylor_green_small(tmp_path):
+def test_taylor_green_small(tmp_path, monkeypatch):
+    monkeypatch.setattr(experiments, "_KE_RATE_TOL", 0.03)
     r = run_experiment(default_config(
         "fluid2d-taylor-green", outdir=str(tmp_path), p=2.0, dimension=2,
-        cells=(48,), t_end=0.5, snapshot_count=26, ke_rate_tol=0.03))
+        cells=(48,), t_end=0.5, snapshot_count=26))
     assert r["passed"]
     assert (tmp_path / "kinetic_energy.csv").exists()
 
@@ -165,29 +180,32 @@ def _on_coarse_run(change):
     return prebuilt
 
 
-@pytest.mark.parametrize("kind,overrides,prebuilt,message", [
+@pytest.mark.parametrize("kind,overrides,constants,prebuilt,message", [
     ("barenblatt-fit", dict(p=3.0, dimension=1, cells=(512,), bounds="-12:12",
                             t0=1.0, t_end=20.0, stepper="implicit",
-                            exponent_tol=1e-9), None, "fitted exponent"),
-    ("fluid2d-taylor-green", dict(p=2.0, dimension=2, cells=(32,), t_end=0.1,
-                                  ke_rate_tol=1e-9), None, "Taylor-Green"),
-    ("exponent-identities", dict(identity_tol=-1.0), None, "identity residual"),
-    ("halfspace-fsp", _SMALL_HALFSPACE, _grown_l1, "L1 norm grew"),
-    ("energy-ledger", _SMALL_HALFSPACE, _empty_support, "empty support"),
-    ("energy-ledger", _SMALL_HALFSPACE, _grown_l1, "L1 norm grew"),
-    ("energy-ledger", dict(_SMALL_HALFSPACE, refine_check=True),
+                            exponent_tol=1e-9), {}, None, "fitted exponent"),
+    ("fluid2d-taylor-green", dict(p=2.0, dimension=2, cells=(32,), t_end=0.1),
+     {"_KE_RATE_TOL": 1e-9}, None, "Taylor-Green"),
+    ("exponent-identities", {}, {"_IDENTITY_TOL": -1.0}, None,
+     "identity residual"),
+    ("halfspace-fsp", _SMALL_HALFSPACE, {}, _grown_l1, "L1 norm grew"),
+    ("energy-ledger", _SMALL_HALFSPACE, {}, _empty_support, "empty support"),
+    ("energy-ledger", _SMALL_HALFSPACE, {}, _grown_l1, "L1 norm grew"),
+    ("energy-ledger", dict(_SMALL_HALFSPACE, refine_check=True), {},
      _on_coarse_run(_grown_l1), "L1 norm grew"),
-    ("energy-ledger", dict(_SMALL_HALFSPACE, refine_check=True),
+    ("energy-ledger", dict(_SMALL_HALFSPACE, refine_check=True), {},
      _on_coarse_run(_shrunk), "decay constant grew under refinement"),
 ], ids=["barenblatt-fit", "taylor-green", "identities",
         "halfspace-l1-hypothesis", "ledger-empty-support",
         "ledger-l1-hypothesis", "ledger-coarse-l1-hypothesis",
         "ledger-decay-refinement"])
-def test_gate_failure_raises_with_report(tmp_path, monkeypatch, kind,
-                                         overrides, prebuilt, message):
+def test_gate_failure_raises_with_report(tmp_path, monkeypatch, kind, overrides,
+                                         constants, prebuilt, message):
     # the dispatcher writes the failed report and manifest, then raises
     # with the same report; the half-space runs get a trajectory whose L1
     # norm grows, a threshold nothing reaches, or such a coarse run
+    for name, value in constants.items():
+        monkeypatch.setattr(experiments, name, value)
     cfg = default_config(kind, outdir=str(tmp_path), **overrides)
     built = prebuilt(halfspace_run(cfg), monkeypatch) if prebuilt else None
     with pytest.raises(VerificationError, match=message) as exc:
@@ -228,10 +246,10 @@ def test_shared_runs_go_through_the_dispatcher(tmp_path, monkeypatch):
         text = resources.files("pflab.configs.accept").joinpath(name).read_text()
         return parse_config(text, {
             "outdir": os.path.join(outdir, name[:3]), "cells": "1024", "t_end": "3.0",
-            "snapshots_per_decade": "48", "s_count": "25", "delta_count": "6",
-            "refine_check": "false"})
+            "snapshots_per_decade": "48", "refine_check": "false"})
 
     monkeypatch.setattr(acceptance, "_load_cfg", small)
+    _small_ledger(monkeypatch)
     results = acceptance.run_acceptance(str(tmp_path), only="4,11")
     assert all(r.passed for r in results)
     for name in ("c04", "c11"):
@@ -249,10 +267,11 @@ def test_decay_refinement_failure_fails_criteria_11_and_12(tmp_path,
         text = resources.files("pflab.configs.accept").joinpath(name).read_text()
         return parse_config(text, {
             "outdir": os.path.join(outdir, name[:3]), "cells": "512",
-            "t_end": "1.0", "snapshots_per_decade": "24", "s_count": "25",
-            "delta_count": "6", "refine_check": "true"})
+            "t_end": "1.0", "snapshots_per_decade": "24",
+            "refine_check": "true"})
 
     monkeypatch.setattr(acceptance, "_load_cfg", small)
+    _small_ledger(monkeypatch)
     _on_coarse_run(_shrunk)(None, monkeypatch)
     results = {r.number: r for r in acceptance.run_acceptance(
         str(tmp_path), only="4,11,12")}
@@ -269,18 +288,20 @@ def test_decay_refinement_failure_fails_criteria_11_and_12(tmp_path,
 
 @pytest.mark.parametrize("kind,overrides", [
     ("fluid2d-taylor-green", dict(p=2.0, dimension=2, cells=(48,), t_end=0.5,
-                                  snapshot_count=26, ke_rate_tol=0.03)),
+                                  snapshot_count=26)),
     ("energy-ledger", dict(p=3.0, dimension=1, cells=(1024,), bounds="-7.8:7.5",
                            t0=5e-8, t_end=3.0, stepper="explicit",
-                           snapshots_per_decade=48, s_count=25, delta_count=6,
-                           eps_iter=0.5, refine_check=False)),
+                           snapshots_per_decade=48, refine_check=False)),
     # implicit 2-D: the early proximal steps are solved on a window of the grid
     ("barenblatt-fit", dict(p=3.0, dimension=2, cells=(128,), bounds="-5.5:5.5",
                             t0=1.0, t_end=12.0, stepper="implicit",
                             snapshots_per_decade=16, tol_inner=1e-8,
                             height_c=0.5, exponent_tol=0.08)),
 ])
-def test_rerun_artifacts_byte_identical(tmp_path, kind, overrides):
+def test_rerun_artifacts_byte_identical(tmp_path, monkeypatch, kind, overrides):
+    # the small runs' rate tolerance and ledger size, as in the tests above
+    monkeypatch.setattr(experiments, "_KE_RATE_TOL", 0.03)
+    _small_ledger(monkeypatch)
     outs = [tmp_path / "r1", tmp_path / "r2"]
     for out in outs:
         run_experiment(default_config(kind, outdir=str(out), **overrides))

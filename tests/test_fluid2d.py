@@ -76,14 +76,14 @@ def test_viscous_momentum_exact():
 def test_advect_uniform_translation_invariant():
     g = tg_grid(32)
     v = VectorField(g, (np.full(g.shape, 0.7), np.full(g.shape, -0.3)))
-    out = advect(v, 1e-2)
+    out = advect(v, 1e-2, None)
     assert np.max(np.abs(out.components[0] - 0.7)) < 1e-14
     assert np.max(np.abs(out.components[1] + 0.3)) < 1e-14
 
 
 def test_advect_zero_field():
     g = tg_grid(16)
-    out = advect(zero_field(g), 1e-2)
+    out = advect(zero_field(g), 1e-2, None)
     assert all(np.all(c == 0.0) for c in out.components)
 
 
@@ -91,7 +91,7 @@ def test_advect_cfl_violation_raises():
     g = tg_grid(32)
     v = VectorField(g, (np.full(g.shape, 10.0), np.zeros(g.shape)))
     with pytest.raises(NumericalError, match="CFL"):
-        advect(v, 1.0)
+        advect(v, 1.0, None)
 
 
 def test_advect_taylor_green_term_is_gradient():
@@ -100,7 +100,7 @@ def test_advect_taylor_green_term_is_gradient():
     g = tg_grid(64)
     tg = taylor_green_field(g, 1.0, 0.0)
     dt = 1e-3
-    out = advect(tg, dt)
+    out = advect(tg, dt, None)
     tend = VectorField(g, tuple((a - b) / dt for a, b in
                                 zip(out.components, tg.components)))
     proj = project(tend)
@@ -131,7 +131,7 @@ def test_project_properties():
 
 def test_fluid_step_zero_state():
     g = tg_grid(16)
-    out = fluid_step(zero_field(g), FluidConfig(params()), 1e-3)
+    out = fluid_step(zero_field(g), FluidConfig(params()), 1e-3, None)
     assert all(np.all(c == 0.0) for c in out.components)
 
 
@@ -212,7 +212,7 @@ def test_shear_flow_is_the_scalar_equation(p):
     scfg = SolverConfig(ModelParams(p, mu1 * 2.0 ** (-p / 2.0)))
     u = ScalarField(line, np.append(f, 0.0))
     for _ in range(steps):
-        v = fluid_step(v, cfg, dt)
+        v = fluid_step(v, cfg, dt, None)
         u = step_explicit(u, scfg, dt)
     u0, u1 = v.components
     assert np.array_equal(u0, np.broadcast_to(u0[0], u0.shape))
@@ -318,8 +318,9 @@ def test_cfl_bounds_match_the_general_formulas(monkeypatch):
     for p in (2.0, 2.5, 3.0):
         cfg = FluidConfig(params(p, 0.7))
         assert viscous_cfl_dt(v, cfg) == _general_viscous_cfl_dt(v, cfg)
-        assert advective_cfl_dt(v) == min(
-            1.0, fluid2d._CFL_SAFETY * min(g.spacing) / float(np.max(v.magnitude())))
+        vmax = float(np.max(v.magnitude()))
+        assert advective_cfl_dt(v, vmax) == min(
+            1.0, fluid2d._CFL_SAFETY * min(g.spacing) / vmax)
     cfg = FluidConfig(params(2.0, 0.7))
     expected = _general_viscous_cfl_dt(v, cfg)
 
@@ -344,7 +345,7 @@ def test_adaptive_taylor_green_matches_the_general_step():
         vmax = float(np.max(v.magnitude()))
         dt = min(min(1.0, fluid2d._CFL_SAFETY * min(g.spacing) / vmax),
                  _general_viscous_cfl_dt(v, cfg), t_end - t)
-        w = advect(v, dt)
+        w = advect(v, dt, None)
         visc = _roll_viscous_term(w, 2.0, 0.7, eps)
         v = project(VectorField(g, tuple(c + dt * d for c, d in zip(w.components, visc))))
         t, steps = t + dt, steps + 1

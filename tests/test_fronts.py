@@ -17,7 +17,7 @@ def synthetic_trace(fn, times):
 
 def test_support_front_zero_field_none():
     g = GridSpec.line(-1.0, 1.0, 64)
-    assert support_front(ScalarField.zeros(g), 1e-6) is None
+    assert support_front(ScalarField.zeros(g), 1e-6, "halfspace") is None
 
 
 def test_support_front_halfspace_indicator():
@@ -65,7 +65,7 @@ def test_trace_support_zero_and_exact_fields():
     g = GridSpec.line(-8.0, 8.0, 1024)
     zero = ScalarField.zeros(g)
     traj = Trajectory(np.array([0.0, 1.0]), [zero, zero.copy()])
-    tr = trace_support(traj, 1e-6)
+    tr = trace_support(traj, 1e-6, "halfspace")
     assert np.all(np.isnan(tr.fronts))
     # exact-solution snapshots give strictly increasing radial fronts
     bp = BarenblattParams(3.0, 1)
@@ -163,7 +163,7 @@ def test_check_envelope_self_consistent():
     times = np.linspace(0.1, 10.0, 60)
     c_true = 1.7
     tr = synthetic_trace(lambda t: support_envelope_l1(3.0, 1, t, c_true), times)
-    rep = check_envelope(tr, "l1", 3.0, 1, t_ref=0.1)
+    rep = check_envelope(tr, "l1", 3.0, 1, t_ref=0.1, tol_env=0.02)
     assert rep.passed
     assert rep.c == pytest.approx(c_true, rel=1e-12)
     assert rep.max_ratio <= 1.0 + 1e-12
@@ -186,6 +186,6 @@ def test_check_envelope_exact_solution_under_both():
 def test_check_envelope_detects_violation():
     times = np.linspace(0.1, 10.0, 50)
     tr = synthetic_trace(lambda t: t**0.9, times)  # grows faster than both branches
-    rep = check_envelope(tr, "l1", 3.0, 1, t_ref=0.1)
+    rep = check_envelope(tr, "l1", 3.0, 1, t_ref=0.1, tol_env=0.02)
     assert not rep.passed
     assert rep.max_ratio > 1.02

@@ -103,7 +103,7 @@ def test_implicit_constant_fixed_point():
     g = GridSpec.line(0.0, 1.0, 64)
     u = ScalarField(g, np.full(g.shape, 1.3))
     cfg = cfg_1d(stepper="implicit")
-    v = step_implicit_proximal(u, cfg, 0.1)
+    v = step_implicit_proximal(u, cfg, 0.1, None)
     assert np.max(np.abs(v.values - 1.3)) < 1e-10
 
 
@@ -117,7 +117,7 @@ def test_implicit_energy_inequality_and_descent():
         dt = 0.05
         u = u0
         for _ in range(5):
-            v = step_implicit_proximal(u, cfg, dt)
+            v = step_implicit_proximal(u, cfg, dt, None)
             e_u = _stored_energy(u, cfg)
             e_v = _stored_energy(v, cfg)
             quad = 0.5 / dt * lp_norm(ScalarField(grid, v.values - u.values), 2.0) ** 2
@@ -128,17 +128,12 @@ def test_implicit_energy_inequality_and_descent():
 
 def test_implicit_iteration_cap_error(monkeypatch):
     bp, grid, u0 = barenblatt_setup(cells=256)
-    cfg = cfg_1d(stepper="implicit", max_inner=1, tol=1e-14)
+    monkeypatch.setattr(plaplace, "_MAX_INNER", 1)
+    cfg = cfg_1d(stepper="implicit", tol=1e-14)
     windows = _record_windows(monkeypatch)
     with pytest.raises(NumericalError, match="residual"):
-        step_implicit_proximal(u0, cfg, 0.1)
+        step_implicit_proximal(u0, cfg, 0.1, None)
     _assert_windowed(windows, grid)
-
-
-@pytest.mark.parametrize("field,value", [("max_inner", 0)])
-def test_solver_config_rejects_values_that_hang_or_misreport(field, value):
-    with pytest.raises(ValueError, match=field):
-        cfg_1d(**{field: value})
 
 
 @pytest.mark.parametrize("stepper", ["explicit", "implicit"])
@@ -153,7 +148,7 @@ _SCALAR_ENTRY_POINTS = {
     "simulate": lambda u, cfg: simulate(u, cfg, 0.1, [0.0, 0.1]),
     "step_explicit": lambda u, cfg: step_explicit(u, cfg, 1e-3),
     "cfl_dt": cfl_dt,
-    "step_implicit_proximal": lambda u, cfg: step_implicit_proximal(u, cfg, 0.1),
+    "step_implicit_proximal": lambda u, cfg: step_implicit_proximal(u, cfg, 0.1, None),
 }
 
 
@@ -240,7 +235,7 @@ def test_implicit_non_descent_solve_falls_back_to_steepest_descent(
         u = barenblatt_field(BarenblattParams(3.0, 2, C=0.5), grid, 1.0)
     cfg = SolverConfig(ModelParams(3.0, 1.0), stepper="implicit")
     dt = 1e-3
-    newton = step_implicit_proximal(u, cfg, dt)
+    newton = step_implicit_proximal(u, cfg, dt, None)
     calls = []
 
     def ascent(b):  # b = -grad: the solve returns the gradient itself
@@ -252,7 +247,7 @@ def test_implicit_non_descent_solve_falls_back_to_steepest_descent(
     else:
         monkeypatch.setattr(plaplace, "_pcg", lambda h, b, *a, **k: ascent(b))
     windows = _record_windows(monkeypatch)
-    v = step_implicit_proximal(u, cfg, dt)
+    v = step_implicit_proximal(u, cfg, dt, None)
     assert calls
     _assert_windowed(windows, u.grid)
     quad = 0.5 / dt * lp_norm(ScalarField(u.grid, v.values - u.values), 2.0) ** 2
@@ -278,7 +273,7 @@ def test_implicit_line_search_stall_raises(monkeypatch):
                 _whole_grid_proximal(u0, cfg, 0.1)
             windows = _record_windows(m)
             with pytest.raises(NumericalError, match="line search stalled") as got:
-                step_implicit_proximal(u0, cfg, 0.1)
+                step_implicit_proximal(u0, cfg, 0.1, None)
         assert str(got.value) == str(want.value)
         _assert_windowed(windows, u0.grid)
 
@@ -295,7 +290,7 @@ def _whole_grid_proximal(u, cfg, dt, v0=None):
         j, g = prob.value_and_grad(v)
     banded = u.grid.dim == 1
     res0 = plaplace._grad_residual(g, prob.vol)
-    for _ in range(cfg.max_inner):
+    for _ in range(plaplace._MAX_INNER):
         res = plaplace._grad_residual(g, prob.vol)
         if res <= cfg.tol:
             return v
@@ -322,7 +317,7 @@ def _whole_grid_proximal(u, cfg, dt, v0=None):
         v = v + step * delta
         j, g = prob.value_and_grad(v)
     raise NumericalError(
-        f"proximal step: {cfg.max_inner} Newton iterations exhausted, "
+        f"proximal step: {plaplace._MAX_INNER} Newton iterations exhausted, "
         f"residual {plaplace._grad_residual(g, prob.vol):.3e} > tol {cfg.tol:.3e}")
 
 
@@ -374,7 +369,7 @@ def test_windowed_proximal_step_is_the_whole_grid_step(monkeypatch, name):
     u0 = barenblatt_field(BarenblattParams(3.0, grid.dim, C=c), grid, t0)
     cfg = SolverConfig(ModelParams(3.0, 1.0), stepper="implicit")
     windows = _record_windows(monkeypatch)
-    u1 = step_implicit_proximal(u0, cfg, dt)
+    u1 = step_implicit_proximal(u0, cfg, dt, None)
     _assert_matches_oracle(u1, u0, cfg, dt, None, windows)
     guess = u1.values + (u1.values - u0.values)  # simulate's warm start
     u2 = step_implicit_proximal(u1, cfg, dt, v0=guess)
@@ -398,7 +393,7 @@ def test_guard_widens_the_window_when_newton_outruns_the_halo(
                           grid, t0)
     cfg = SolverConfig(ModelParams(3.0, 1.0), stepper="implicit")
     windows = _record_windows(monkeypatch)
-    v = step_implicit_proximal(u0, cfg, dt)
+    v = step_implicit_proximal(u0, cfg, dt, None)
     assert len(windows) == redos + 1
     grown = np.flatnonzero(v.values.any(axis=0) if grid.dim == 2 else v.values)
     first = windows[0][-1]
@@ -414,7 +409,7 @@ def test_support_near_the_grid_edge_runs_on_the_whole_grid(monkeypatch, grid, c)
     u0 = barenblatt_field(BarenblattParams(3.0, grid.dim, C=c), grid, 1.0)
     cfg = SolverConfig(ModelParams(3.0, 1.0), stepper="implicit")
     windows = _record_windows(monkeypatch)
-    v = step_implicit_proximal(u0, cfg, 0.1)
+    v = step_implicit_proximal(u0, cfg, 0.1, None)
     assert windows == [plaplace._whole(u0.values)]
     assert v.values.tobytes() == _whole_grid_proximal(u0, cfg, 0.1).tobytes()
 
