@@ -227,9 +227,10 @@ def _face_a2(gn, gt):
     return a2
 
 
-def _diffusivity_of_a2(a2, p: float, mu1: float):
+def _diffusivity_of_a2(a2, p: float, mu1: float, out=None):
     e = (p - 2.0) / 2.0
-    d = np.sqrt(a2) if e == 0.5 else a2**e  # p = 3: sqrt beats pow
+    # p = 3: sqrt beats pow
+    d = np.sqrt(a2, out=out) if e == 0.5 else np.power(a2, e, out=out)
     if mu1 != 1.0:  # a product with 1 is exact, so that pass is skipped
         d *= mu1
     return d
@@ -244,24 +245,37 @@ def _a2_max(a2: np.ndarray) -> float:
     return a2.max() if a2.size else 0.0
 
 
+def _rhs_work(v: np.ndarray, grid: GridSpec):
+    """Fresh work buffers ``(gn, a2, out)`` of the 1-D
+    :func:`_diffusion_rhs` on ``v`` of ``grid``, and the spacing ``h`` as
+    a 0-d array (numpy divides by one faster than by a Python float, to
+    the same bits); None for a 2-D ``v``, whose branch allocates its own."""
+    if v.ndim != 1:
+        return None
+    n = v.shape[0]
+    return np.empty(n - 1), np.empty(n - 1), np.empty(n), np.array(grid.spacing[0])
+
+
 def _diffusion_rhs(v: np.ndarray, grid: GridSpec, cfg: SolverConfig,
-                   a2_max: list | None = None) -> np.ndarray:
+                   a2_max: list | None = None, work=None) -> np.ndarray:
     """Face-flux divergence on ``v``: the whole node array of ``grid``, or
     a window of it.  Faces past the ends of ``v`` carry no flux, which at
     a window edge is exact where the field vanishes two nodes deep.  Given
     a list ``a2_max``, the largest ``|face grad|^2`` of each axis is
-    appended to it for :func:`_cfl_dt`."""
+    appended to it for :func:`_cfl_dt`.  A 1-D ``v`` writes every pass
+    into ``work``, the :func:`_rhs_work` of its length (fresh when None),
+    and returns its ``out``."""
     p, mu1 = cfg.params.p, cfg.params.mu1
     if v.ndim == 1:
-        # hot path of the 1-D sharp-front studies
-        h = grid.spacing[0]
-        gn = (v[1:] - v[:-1]) / h
-        a2 = _face_a2(gn, None)
+        # hot path of the 1-D sharp-front studies: no temporaries
+        gn, a2, out, h = _rhs_work(v, grid) if work is None else work
+        np.subtract(v[1:], v[:-1], out=gn)
+        gn /= h
+        np.multiply(gn, gn, out=a2)
         if a2_max is not None:
             a2_max.append(_a2_max(a2))
-        flux = _diffusivity_of_a2(a2, p, mu1)
+        flux = _diffusivity_of_a2(a2, p, mu1, out=a2)
         flux *= gn
-        out = np.empty_like(v)
         out[0] = flux[0]
         out[-1] = -flux[-1]
         np.subtract(flux[1:], flux[:-1], out=out[1:-1])
@@ -298,11 +312,12 @@ def _whole(values: np.ndarray) -> tuple:
 
 def _explicit_step(sub: np.ndarray, rhs: np.ndarray, dt: float,
                    win: tuple | None) -> None:
-    """Advance ``sub``, the window ``win`` of the field, in place by one
-    explicit step of ``dt``; ``rhs`` is its :func:`_diffusion_rhs`."""
+    """Advance ``sub``, the window ``win`` of the field (None: the whole
+    field), in place by one explicit step of ``dt``; ``rhs`` is its
+    :func:`_diffusion_rhs`, and is overwritten.  The caller checks the
+    result for NaN/Inf."""
     rhs *= dt
     np.add(rhs, sub, out=sub)
-    _check_finite(sub, "explicit step", win)
 
 
 def step_explicit(u: ScalarField, cfg: SolverConfig, dt: float) -> ScalarField:
@@ -311,12 +326,13 @@ def step_explicit(u: ScalarField, cfg: SolverConfig, dt: float) -> ScalarField:
     _require_dirichlet(u.grid)
     values = u.values.copy()
     _explicit_step(values, _diffusion_rhs(values, u.grid, cfg), dt, None)
+    _check_finite(values, "explicit step")
     return ScalarField(u.grid, values)
 
 
 def _cfl_dt(a2_max: list, grid: GridSpec, cfg: SolverConfig) -> float:
     """The CFL bound from the largest ``|face grad|^2`` of each axis.  For
-    ``p >= 2`` (all :class:`ModelParams` allows) the diffusivity there is
+    ``p > 2`` (all :class:`SolverConfig` allows) the diffusivity there is
     the largest one."""
     p, mu1 = cfg.params.p, cfg.params.mu1
     dmax = 0.0
@@ -693,13 +709,16 @@ def normalize_schedule(snapshot_times, T: float) -> np.ndarray:
 
 
 def _any_nonzero(nodes: np.ndarray) -> bool:
-    """Whether a node, a line or a block of nodes holds a nonzero value,
-    by the cheapest numpy test for each."""
-    if nodes.ndim == 0:
-        return nodes != 0.0
+    """Whether a line or a block of nodes holds a nonzero value, by the
+    cheaper numpy test for each."""
     if nodes.ndim == 1:
         return np.count_nonzero(nodes) > 0
     return nodes.any()
+
+
+def _grew_error(axis: int, t: float) -> NumericalError:
+    return NumericalError(f"support grew more than one cell on axis {axis} "
+                          f"in one step at t = {t:.6g}")
 
 
 def _edge_bounds(values: np.ndarray, win: tuple, seed, t: float):
@@ -716,12 +735,25 @@ def _edge_bounds(values: np.ndarray, win: tuple, seed, t: float):
     exact zero.  Later axes read only the support's extent on the axes
     before them.
     """
+    if values.ndim == 1:  # the 1-D audit: one count per band, scalar reads
+        (lo, hi), s = seed[0], win[0]
+        lo = lo - 1 if lo > s.start else s.start  # cheaper than max(), min()
+        hi = hi + 1 if hi < s.stop - 1 else s.stop - 1
+        if (np.count_nonzero(values[s.start:lo])
+                or np.count_nonzero(values[hi + 1:s.stop])):
+            raise _grew_error(0, t)
+        while lo <= hi and values[lo] == 0.0:
+            lo += 1
+        if lo > hi:
+            return None
+        while values[hi] == 0.0:
+            hi -= 1
+        return [(lo, hi)]
     bounds = []
     for axis, (lo, hi) in enumerate(seed):
         s, head, tail = win[axis], win[:axis], win[axis + 1:]
         # slabs[i]: the window's nodes at index i on ``axis``
-        slabs = (values[head + (slice(None),) + tail].swapaxes(0, axis)
-                 if values.ndim > 1 else values)
+        slabs = values[head + (slice(None),) + tail].swapaxes(0, axis)
         lo, hi = max(lo - 1, s.start), min(hi + 1, s.stop - 1)
         # each band is read together with the slab at lo (hi): all zero
         # unless the support grew there, and then the band alone must be
@@ -730,9 +762,7 @@ def _edge_bounds(values: np.ndarray, win: tuple, seed, t: float):
         hi_hit = _any_nonzero(slabs[hi:s.stop])
         if ((lo_hit and _any_nonzero(slabs[s.start:lo]))
                 or (hi_hit and _any_nonzero(slabs[hi + 1:s.stop]))):
-            raise NumericalError(
-                f"support grew more than one cell on axis {axis} in one "
-                f"step at t = {t:.6g}")
+            raise _grew_error(axis, t)
         if not lo_hit:
             lo += 1
             while lo <= hi and not _any_nonzero(slabs[lo]):
@@ -796,7 +826,18 @@ def _simulate_explicit(u0: ScalarField, cfg: SolverConfig, sched: np.ndarray,
     bounds, the rescan reuses them (or, without the audit, scans in from
     the window's edges), and every ``_CFL_STRIDE`` steps the CFL bound is
     read from the ``|face grad|^2`` the step itself forms.  The sentinel
-    also runs every ``_SENTINEL_STRIDE`` steps.
+    also runs every ``_SENTINEL_STRIDE`` steps.  A 1-D step writes into
+    work buffers that live as long as the window's length, so it
+    allocates nothing.
+
+    The window is checked for NaN/Inf every ``_CFL_STRIDE`` steps (before
+    the CFL bound, which a NaN would silently turn into a jump to the
+    next snapshot), before each snapshot and sentinel call, and before
+    an edge scan's growth error is raised.  Each check that passes saves
+    the window and the stepping state.  A check that fails restores that
+    state and replays from it with a check after every step, so the run
+    raises the :class:`NumericalError` of a per-step check: the same node
+    after the same step.
     """
     grid = u0.grid
     audit = cfg.audit_locality
@@ -804,39 +845,81 @@ def _simulate_explicit(u0: ScalarField, cfg: SolverConfig, sched: np.ndarray,
     values = u.values  # stepped in place
     win = _whole(values)
     bounds = _support_bounds(values, 0.0) if audit else None
+    work = _rhs_work(values, grid)
     steps = 0
     t = 0.0
+    dt_cfl = saved = None
+    every = _CFL_STRIDE  # steps between finiteness checks; 1 in a replay
     fields = []
 
     def window_seed():  # every node of the window may be nonzero
         return [(s.start + 1, s.stop - 2) for s in win]
 
+    def save():
+        nonlocal saved
+        saved = values[win].copy(), t, steps, dt_cfl, bounds, win, work
+
+    def finite():
+        """Whether the window is finite (then saved); else restore the
+        last saved state and replay from it, or raise in a replay."""
+        nonlocal t, steps, dt_cfl, bounds, win, work, every
+        try:
+            _check_finite(values[win], "explicit step", win)
+        except NumericalError:
+            if every == 1:
+                raise
+            block, t, steps, dt_cfl, bounds, win, work = saved
+            values[...] = 0.0  # as it was outside the saved window
+            values[win] = block
+            every = 1
+            return False
+        save()
+        return True
+
     for t_next in sched[1:]:
         t_stop = t_next - 1e-15 * max(t_next, 1.0)
-        while t < t_stop:
+        while True:
+            at_snapshot = not t < t_stop
+            if (at_snapshot or steps % every == 0) and not finite():
+                continue
+            if at_snapshot:
+                break
             if steps % _WINDOW_RESCAN == 0:
-                if not audit:
+                if not audit:  # a seed that spans the window: no band to fail
                     bounds = _edge_bounds(values, win, window_seed(), t)
                 win = _support_window(bounds, grid, win, _WINDOW_HALO)
+                n = win[0].stop - win[0].start
+                if work is not None and len(work[2]) != n:
+                    work = _rhs_work(values[win], grid)
             sub = values[win]
             if steps % _CFL_STRIDE == 0:
                 a2_max = []
-                rhs = _diffusion_rhs(sub, grid, cfg, a2_max)
+                rhs = _diffusion_rhs(sub, grid, cfg, a2_max, work)
                 dt_cfl = _cfl_dt(a2_max, grid, cfg)
             else:
-                rhs = _diffusion_rhs(sub, grid, cfg)
-            dt = min(dt_cfl, t_next - t)
+                rhs = _diffusion_rhs(sub, grid, cfg, None, work)
+            dt = t_next - t  # min(dt_cfl, dt), without the builtin's call
+            if dt_cfl < dt:
+                dt = dt_cfl
             _explicit_step(sub, rhs, dt, win)
             t += dt
             steps += 1
             if audit:
-                bounds = _edge_bounds(
-                    values, win, window_seed() if bounds is None else bounds, t)
+                try:
+                    bounds = _edge_bounds(
+                        values, win, window_seed() if bounds is None else bounds, t)
+                except NumericalError:  # a NaN/Inf in the window is named first
+                    if finite():
+                        raise
+                    continue
             if steps % _SENTINEL_STRIDE == 0:
+                if not finite():
+                    continue
                 _check_sentinel(values, grid, tau, t)
         _check_sentinel(values, grid, tau, t)
         fields.append(u.copy())
         t = t_next
+        save()  # a replay never goes back past a snapshot
     return fields
 
 

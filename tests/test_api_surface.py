@@ -11,7 +11,9 @@ save the console entry point's.  Every config key is read somewhere
 outside the schema that declares it, and is set by a pinned acceptance
 config or by a test that builds a config or drives the CLI.  Importing the package costs numpy
 alone: each scipy submodule is imported where it is called, and no
-module names ``scipy.integrate`` or ``scipy.optimize`` at all.
+module names ``scipy.integrate`` or ``scipy.optimize`` at all.  Only
+the CLI reads the environment, and no module imports ``numba``,
+``ctypes`` or ``cffi``.
 """
 
 import ast
@@ -243,6 +245,38 @@ step_implicit_proximal(u, SolverConfig(ModelParams(p=3.0), stepper="implicit"), 
                        None)
 print(json.dumps([at_import, loaded()]))
 """
+
+
+def _imported_modules(tree) -> set:
+    """Top-level names of the modules a tree imports, relative imports
+    left out."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_only_the_cli_reads_the_environment_and_no_module_leaves_python():
+    # the environment sets only the CLI's progress printing, so no setting
+    # outside a config can change the numerics; and the arithmetic has no
+    # second implementation in compiled or foreign code
+    readers, foreign = [], []
+    for module, tree in _modules().items():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name) and node.value.id == "os"
+                    and node.attr in ("environ", "getenv")):
+                readers.append(module)
+            elif (isinstance(node, ast.ImportFrom) and node.module == "os"
+                  and {a.name for a in node.names} & {"environ", "getenv"}):
+                readers.append(module)
+        foreign += [(module, name) for name in
+                    _imported_modules(tree) & {"numba", "ctypes", "cffi"}]
+    assert set(readers) <= {"cli"}
+    assert foreign == []
 
 
 def test_scipy_submodules_load_only_where_they_are_called():

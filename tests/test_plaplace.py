@@ -533,9 +533,11 @@ def test_windowed_simulate_bit_identical_to_full_grid_1d(monkeypatch, audit):
     bp, grid, u0 = barenblatt_setup(cells=512, box=10.0)
     T = 1.0
     cfg = cfg_1d(stepper="explicit", audit_locality=audit)
-    # the CFL bound is read from the step's own faces: on every step, and
-    # on every eighth (the default)
-    for cfl_stride in (1, 8):
+    # the CFL bound is read from the step's own faces: on every step, on
+    # every eighth (the default), and on every third, where the CFL and
+    # finiteness checks fall out of line with the rescans (every 16th
+    # step) and the sentinel (every 100th)
+    for cfl_stride in (1, 3, 8):
         monkeypatch.setattr(plaplace, "_CFL_STRIDE", cfl_stride)
         traj = simulate(u0, cfg, T, [0.0, 0.05, 0.3, T])
         # the support stays far enough inside the box that the window is a
@@ -667,6 +669,81 @@ def test_audit_raises_on_a_planted_two_cell_jump(monkeypatch, dim, bc0, axis,
     assert len(calls) == plant_at
     last = calls[-1][-1]  # the jump was planted in a window, not the grid
     assert last.stop - last.start < u0.values.shape[-1]
+
+
+def _plant_through_the_seam(monkeypatch, plant_at, node, value):
+    """Patch ``_explicit_step`` to set the whole-array ``node`` to ``value``
+    after the step whose input is that of its ``plant_at``-th call: the
+    planted fault is a function of the state, so a rerun of that step
+    from the same state plants it again."""
+    step, calls, key = plaplace._explicit_step, [0], []
+
+    def planted(sub, rhs, dt, win):
+        before = sub.tobytes()
+        step(sub, rhs, dt, win)
+        calls[0] += 1
+        if calls[0] == plant_at:
+            key.append(before)
+        if key and before == key[0]:
+            sub[node - (0 if win is None else win[0].start)] = value
+
+    monkeypatch.setattr(plaplace, "_explicit_step", planted)
+
+
+def _per_step_reference(u0, cfg, times):
+    """``simulate``'s step schedule on the public whole-grid steps, each
+    of which checks its output for NaN/Inf."""
+    u, t, steps = u0.copy(), 0.0, 0
+    for t_next in times[1:]:
+        while t < t_next - 1e-15 * max(t_next, 1.0):
+            if steps % plaplace._CFL_STRIDE == 0:
+                dt_cfl = cfl_dt(u, cfg)
+            dt = min(dt_cfl, t_next - t)
+            u = step_explicit(u, cfg, dt)
+            t += dt
+            steps += 1
+        t = t_next
+    raise AssertionError("the planted value was never checked")
+
+
+# A node inside the support, after step 11 (between finiteness checks),
+# 68 (the last before the snapshot at 0.01), 99 or 100 (before and at a
+# sentinel call).  And node 470, which lies in the window and in the
+# sentinel's margin (from node 461; the support spans nodes 53-459 by
+# step 68), after step 67 or 99: a value planted there spreads over the
+# next step, and a sentinel that read the Inf before the finiteness check
+# would raise BoundarySentinelError.  That node is planted without the
+# audit, which would see a node so far past the front first.
+@pytest.mark.parametrize("audit,node,plant_at", [
+    (audit, 256, step) for audit in (True, False) for step in (11, 68, 99, 100)]
+    + [(False, 470, 67), (False, 470, 99)])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_a_planted_nan_or_inf_raises_as_a_per_step_check_would(
+        monkeypatch, audit, node, plant_at, value):
+    bp, grid, u0 = barenblatt_setup(cells=512, box=4.3)
+    cfg = cfg_1d(stepper="explicit", audit_locality=audit)
+    times = [0.0, 0.01, 0.02]
+    _plant_through_the_seam(monkeypatch, plant_at, node, value)
+    with pytest.raises(NumericalError) as want:
+        _per_step_reference(u0, cfg, times)
+    assert "non-finite value at node" in str(want.value)
+    monkeypatch.undo()  # a fresh plant for the windowed run
+    _plant_through_the_seam(monkeypatch, plant_at, node, value)
+    with pytest.raises(NumericalError) as got:
+        simulate(u0, cfg, times[-1], times)
+    assert str(got.value) == str(want.value)
+
+
+def test_a_non_finite_node_past_the_front_is_named_before_the_audit_sees_it(
+        monkeypatch):
+    # a NaN far past the front, between finiteness checks: the audit would
+    # report a jump, but the step's NaN is named first, as a per-step
+    # check names it
+    bp, grid, u0 = barenblatt_setup(cells=512, box=4.3)
+    _plant_through_the_seam(monkeypatch, 11, 470, np.nan)
+    with pytest.raises(NumericalError,
+                       match=r"^explicit step: non-finite value at node \(470,\)$"):
+        simulate(u0, cfg_1d(stepper="explicit"), 0.01, [0.0, 0.01])
 
 
 @settings(max_examples=300, deadline=None)
