@@ -85,12 +85,12 @@ def _load_config(args, forced: dict | None = None, defaults: dict | None = None)
     return parse_config(text, _collect_overrides(args, forced), defaults)
 
 
-def _run(args, forced: dict | None = None, outdir: str | None = None,
+def _run(args, forced: dict | None = None, subdir: str | None = None,
          defaults: dict | None = None) -> int:
     from .experiments import run_experiment
 
     cfg = _load_config(args, forced, defaults)
-    outdir = outdir or cfg["outdir"]
+    outdir = os.path.join(cfg["outdir"], subdir) if subdir else cfg["outdir"]
     report = run_experiment(cfg, outdir)
     if _verbose():
         print(f"[{cfg.kind}] ok; artifacts in {outdir}")
@@ -114,13 +114,12 @@ def _cmd_energy(args) -> int:
 
 
 def _cmd_verify_lemmas(args) -> int:
-    """Run all three suites, each in its own folder under ``--outdir``,
-    printing each failure; exit with the worst code."""
+    """Run all three suites, each in its own folder under the configured
+    outdir, printing each failure; exit with the worst code."""
     code = 0
     for kind in ("stampacchia-suite", "interpolation-suite", "exponent-identities"):
-        sub_out = os.path.join(getattr(args, "opt_outdir", None) or "out", kind)
         try:
-            _run(args, {"experiment": kind}, sub_out)
+            _run(args, {"experiment": kind}, kind)
         except (NumericalError, VerificationError) as exc:
             code = max(code, _failure_code(exc))
     return code

@@ -77,7 +77,6 @@ SCHEMA: dict[str, tuple[str, object, str]] = {
     "t0": ("float", 1.0, "profile birth time / data shape parameter"),
     "t_end": ("float", 100.0, "final absolute time"),
     "snapshots_per_decade": ("int", 32, "log-schedule snapshot density"),
-    "snapshot_count": ("int", 0, "if > 0, use this many uniform snapshots"),
     # solver
     "stepper": ("str", "implicit", "explicit or implicit"),
     "tol_inner": ("float", 1e-10, "proximal optimality tolerance"),
@@ -141,7 +140,12 @@ def _validate(values: dict, lines: dict) -> list:
          "must be 'explicit' or 'implicit'")
     need(values["tol_inner"] > 0, "tol_inner", "must be > 0")
     need(values["t_end"] > 0, "t_end", "must be > 0")
-    need(values["t0"] >= 0, "t0", "must be >= 0")
+    need(values["t0"] > 0, "t0", "must be > 0")
+    if kind == "barenblatt-fit":
+        # the run starts from the closed form at t0
+        horizon = "study_t1" if values["convergence_study"] else "t_end"
+        need(values[horizon] > values["t0"], horizon,
+             f"must exceed t0 = {values['t0']}")
     need(all(c >= 1 for c in values["cells"]), "cells", "must be positive")
     need(all(hi > lo for lo, hi in values["bounds"]), "bounds",
          "upper must exceed lower")
@@ -154,7 +158,6 @@ def _validate(values: dict, lines: dict) -> list:
                      f"bounds: need 1 or {dim} entries for dimension {dim}"))
     need(values["height_c"] > 0, "height_c", "must be > 0")
     need(values["snapshots_per_decade"] > 0, "snapshots_per_decade", "must be > 0")
-    need(values["snapshot_count"] >= 0, "snapshot_count", "must be >= 0")
     need(len(values["study_cells"]) >= 2
          and all(c >= 2 for c in values["study_cells"]), "study_cells",
          "need at least two grids, of at least 2 cells each")

@@ -17,11 +17,13 @@ class BoundarySentinelError(NumericalError):
 
 class VerificationError(RuntimeError):
     """A result violated a property the experiment was asked to verify;
-    ``report`` is the experiment's report."""
+    ``report`` is the experiment's report and ``failed`` names the gates
+    that failed."""
 
-    def __init__(self, msg: str, report: dict):
+    def __init__(self, msg: str, report: dict, failed: tuple):
         super().__init__(msg)
         self.report = report
+        self.failed = tuple(failed)
 
 
 class ConfigError(ValueError):

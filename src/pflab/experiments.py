@@ -2,13 +2,15 @@
 
 Each runner consumes a validated :class:`~pflab.config.ExperimentConfig`,
 writes only its own data files (CSV, optional SVG) into the output
-directory, and returns ``(report, failure)``: the report as a dict, and
-``None`` or the message of the gate that failed.  :func:`run_experiment`
-dispatches on the kind and owns everything else: it writes
-``report.txt`` and ``manifest.txt`` (status ``ok`` or ``failed``) and
-raises :class:`~pflab.errors.VerificationError` carrying the report when
-a gate failed.  Numerical failures (NaN, blow-up, boundary sentinel)
-raise :class:`~pflab.errors.NumericalError` from the runner.  Runs are
+directory, and returns ``(report, gates)``: the report as a dict, and
+each gate's name mapped to ``(ok, message)``.  :func:`run_experiment`
+dispatches on the kind and owns everything else: it judges the gates,
+appends the verdict ``passed`` to the report, writes ``report.txt`` and
+``manifest.txt`` (status ``ok`` or ``failed``) and raises
+:class:`~pflab.errors.VerificationError` carrying the report and the
+failed gates' names when a gate failed.  Numerical failures (NaN,
+blow-up, boundary sentinel) raise
+:class:`~pflab.errors.NumericalError` from the runner.  Runs are
 deterministic for a fixed config and seed; only the ``run_stamp``
 manifest line varies.
 """
@@ -81,11 +83,6 @@ def _log_times(t_start: float, t_end: float, per_decade: int) -> np.ndarray:
     decades = np.log10(t_end / t_start)
     n = max(2, int(np.ceil(decades * per_decade)) + 1)
     return np.logspace(np.log10(t_start), np.log10(t_end), n)
-
-
-def _gated(report: dict, failure: str):
-    """A runner's result: its report, and ``failure`` unless it passed."""
-    return report, (None if report["passed"] else failure)
 
 
 def _write_report(path, mapping: dict) -> None:
@@ -200,10 +197,10 @@ def _barenblatt_study(cfg: ExperimentConfig, outdir: str):
         "rel_l1_errors": [e[3] for e in errs],
         "orders": orders,
         "order_min_required": _ORDER_MIN,
-        "passed": all(o >= _ORDER_MIN for o in orders),
     }
-    return _gated(report, f"empirical order(s) {orders} below required "
-                          f"{_ORDER_MIN}")
+    return report, {"order": (all(o >= _ORDER_MIN for o in orders),
+                              f"empirical order(s) {orders} below required "
+                              f"{_ORDER_MIN}")}
 
 
 def _barenblatt_fit(cfg: ExperimentConfig, outdir: str):
@@ -261,13 +258,13 @@ def _barenblatt_fit(cfg: ExperimentConfig, outdir: str):
         "fit_residual_rms": fit.residual_rms,
         "threshold_sensitivity": sensitivity,
         "envelopes": env_reports,
-        "passed": err_rel <= cfg["exponent_tol"],
     }
     if cfg["export_trajectory"]:
         export_trajectory(traj, outdir)
-    return _gated(report, f"fitted exponent {fit.slope:.5f} deviates from "
-                          f"{expected:.5f} by {err_rel:.2%} > "
-                          f"{cfg['exponent_tol']:.2%}")
+    return report, {"exponent": (err_rel <= cfg["exponent_tol"],
+                                 f"fitted exponent {fit.slope:.5f} deviates "
+                                 f"from {expected:.5f} by {err_rel:.2%} > "
+                                 f"{cfg['exponent_tol']:.2%}")}
 
 
 # ---------------------------------------------------------------------------
@@ -318,19 +315,21 @@ def _halfspace_fsp(cfg: ExperimentConfig, outdir: str, prebuilt=None):
         "l1_max_over_initial": l1_ratio,
         "l1_hypothesis_ok": l1_ok,
     }
+    gates = {"l1_hypothesis": (l1_ok, f"L1 norm grew by {l1_ratio - 1:.3e}: "
+                                      "hypothesis of the L1-data envelope "
+                                      "violated")}
     curves = []
     ok = trace.present & (trace.times > 0) & (trace.fronts > 0)
     ts = trace.times[ok]
     for env in ("l2", "l1"):
-        if env == "l1" and not report["l1_hypothesis_ok"]:
-            report["passed"] = False
-            return report, (f"L1 norm grew by {l1_ratio - 1:.3e}: hypothesis "
-                            "of the L1-data envelope violated")
+        if env == "l1" and not l1_ok:
+            return report, gates
         rep = fronts.check_envelope(trace, env, p, n, cfg["t_ref"], _TOL_ENV)
-        report[f"envelope_{env}"] = {
-            "c": rep.c, "violations": len(rep.violations),
-            "max_ratio": rep.max_ratio, "passed": rep.passed,
-        }
+        summary = {"c": rep.c, "violations": len(rep.violations),
+                   "max_ratio": rep.max_ratio, "passed": rep.passed}
+        report[f"envelope_{env}"] = summary
+        gates[f"envelope_{env}"] = (rep.passed,
+                                    f"envelope violations: {({env: summary})}")
         fn = fronts.support_envelope_l1 if env == "l1" else fronts.support_envelope_l2
         sel = ts >= rep.t_ref
         curves.append((env, ts[sel], fn(p, n, ts[sel], rep.c)))
@@ -344,12 +343,9 @@ def _halfspace_fsp(cfg: ExperimentConfig, outdir: str, prebuilt=None):
                   os.path.join(outdir, "envelopes.svg"), logx=True, logy=True,
                   title="half-space front vs envelopes",
                   xlabel="t", ylabel="front")
-    bad = {e: report[f"envelope_{e}"] for e in ("l2", "l1")
-           if not report[f"envelope_{e}"]["passed"]}
-    report["passed"] = not bad
     if cfg["export_trajectory"]:
         export_trajectory(traj, outdir)
-    return _gated(report, f"envelope violations: {bad}")
+    return report, gates
 
 
 def run_halfspace_fsp(cfg: ExperimentConfig, outdir: str, prebuilt) -> dict:
@@ -395,17 +391,19 @@ def _weak_residual_study(cfg: ExperimentConfig, outdir: str):
         "median_order": float(np.median(orders)),
         "min_order": float(np.min(orders)),
         "all_decreased": bool(np.all(resids[1] < resids[0])),
-        "passed": bool(np.median(orders) >= 1.0 and np.all(resids[1] < resids[0])),
     }
-    return _gated(report, f"weak-form residual refinement order "
-                          f"{report['median_order']:.3f} < 1 or residuals did "
-                          "not all decrease")
+    return report, {"order": (
+        report["median_order"] >= 1.0 and report["all_decreased"],
+        f"weak-form residual refinement order {report['median_order']:.3f} < 1 "
+        "or residuals did not all decrease")}
 
 
 # the Taylor-Green gates: the relative error of the fitted kinetic-energy
-# decay rate, and the largest divergence of a snapshot
+# decay rate, and the largest divergence of a snapshot; and its number of
+# uniformly spaced snapshots
 _KE_RATE_TOL = 0.02
 _DIV_TOL = 1e-10
+_TG_SNAPSHOTS = 101
 
 
 def _fluid_taylor_green(cfg: ExperimentConfig, outdir: str):
@@ -415,10 +413,9 @@ def _fluid_taylor_green(cfg: ExperimentConfig, outdir: str):
     cells = cfg["cells"][0]
     grid = GridSpec.box((0.0, 0.0), (2 * np.pi, 2 * np.pi), cells, PERIODIC)
     v0 = taylor_green_field(grid, mu1, 0.0)
-    n_snap = cfg["snapshot_count"] or 101
     t_end = cfg["t_end"]
     traj = simulate_fluid(v0, FluidConfig(_model(cfg)), t_end,
-                          np.linspace(0.0, t_end, n_snap))
+                          np.linspace(0.0, t_end, _TG_SNAPSHOTS))
     ke = np.array([kinetic_energy(f) for f in traj.fields])
     div_max = max(float(np.max(np.abs(divergence(f).values)))
                   for f in traj.fields)
@@ -448,13 +445,16 @@ def _fluid_taylor_green(cfg: ExperimentConfig, outdir: str):
         "max_divergence": div_max,
         "div_tolerance": _DIV_TOL,
         "ke_monotone": ke_monotone,
-        "passed": bool(err_rel <= _KE_RATE_TOL
-                       and div_max <= _DIV_TOL and ke_monotone),
     }
-    return _gated(report, f"Taylor-Green gates failed: rate err {err_rel:.3%} "
-                          f"(tol {_KE_RATE_TOL:.1%}), max div "
-                          f"{div_max:.2e} (tol {_DIV_TOL:.1e}), KE "
-                          f"monotone {ke_monotone}")
+    return report, {
+        "decay_rate": (err_rel <= _KE_RATE_TOL,
+                       f"Taylor-Green rate err {err_rel:.3%} "
+                       f"(tol {_KE_RATE_TOL:.1%})"),
+        "divergence": (div_max <= _DIV_TOL,
+                       f"Taylor-Green max div {div_max:.2e} "
+                       f"(tol {_DIV_TOL:.1e})"),
+        "ke_monotone": (ke_monotone, "Taylor-Green KE not monotone"),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -489,9 +489,10 @@ def _energy_ledger(cfg: ExperimentConfig, outdir: str, prebuilt=None):
     T = float(traj.end_time)
     tails = energetics.TrajectoryTails(traj)
     front_T = fronts.support_front(traj.fields[-1], tau, "halfspace")
+    gates = {"support": (front_T is not None,
+                         "final snapshot has empty support")}
     if front_T is None:
-        return ({"kind": "energy-ledger", "passed": False},
-                "final snapshot has empty support")
+        return {"kind": "energy-ledger"}, gates
     # true nonzero-support edge (denormal dust counts; a thresholded front
     # has a skirt below it), never empty since |u| > tau > 0 somewhere
     from .plaplace import _support_bounds
@@ -620,18 +621,20 @@ def _energy_ledger(cfg: ExperimentConfig, outdir: str, prebuilt=None):
         "l1_hypothesis_ok": l1_ok,
         "refinement": refinement,
     }
-    failed = [gate for gate, ok in (
-        ("local-energy ratio not finite", not any_inf),
-        ("tails beyond the front not empty", a_beyond == 0.0 and b_beyond == 0.0),
-        ("iteration relation misses the front",
-         it_rep.passed and report["iteration_covers_front"]),
-        ("L1 norm grew: hypothesis of the L1-data estimates violated", l1_ok),
-        ("decay constant grew under refinement", refinement.get("decay_ok", True)),
-        ("local-energy constant grew under refinement",
-         refinement.get("local_ok", True)),
-    ) if not ok]
-    report["passed"] = not failed
-    return _gated(report, "energy-ledger gates failed: " + "; ".join(failed))
+    gates.update({
+        "local_energy_finite": (not any_inf, "local-energy ratio not finite"),
+        "tails_empty": (a_beyond == 0.0 and b_beyond == 0.0,
+                        "tails beyond the front not empty"),
+        "iteration": (it_rep.passed and report["iteration_covers_front"],
+                      "iteration relation misses the front"),
+        "l1_hypothesis": (l1_ok, "L1 norm grew: hypothesis of the L1-data "
+                                 "estimates violated"),
+        "decay_stable": (refinement.get("decay_ok", True),
+                         "decay constant grew under refinement"),
+        "local_energy_stable": (refinement.get("local_ok", True),
+                                "local-energy constant grew under refinement"),
+    })
+    return report, gates
 
 
 def run_energy_ledger(cfg: ExperimentConfig, outdir: str, prebuilt) -> dict:
@@ -673,8 +676,10 @@ def _stampacchia_suite(cfg: ExperimentConfig, outdir: str):
             fh.write(f"{case},{int(ok)},{detail}\n")
     n_pass = sum(ok for _, ok, _ in rows)
     report = {"kind": "stampacchia-suite", "cases": _A1_CASES,
-              "passed_cases": n_pass, "passed": n_pass == _A1_CASES}
-    return _gated(report, f"{_A1_CASES - n_pass} iteration-lemma cases failed")
+              "passed_cases": n_pass}
+    return report, {"cases": (n_pass == _A1_CASES,
+                              f"{_A1_CASES - n_pass} iteration-lemma cases "
+                              "failed")}
 
 
 def _gaussian_field(grid: GridSpec, center, width) -> ScalarField:
@@ -735,8 +740,9 @@ def _interpolation_suite(cfg: ExperimentConfig, outdir: str):
             fh.write(f"{cid},{int(ok)},{detail}\n")
     bad = [r for r in rows if not r[1]]
     report = {"kind": "interpolation-suite", "cases": len(rows),
-              "passed_cases": len(rows) - len(bad), "passed": not bad}
-    return _gated(report, f"interpolation suite failures: {bad[:4]}")
+              "passed_cases": len(rows) - len(bad)}
+    return report, {"cases": (not bad,
+                              f"interpolation suite failures: {bad[:4]}")}
 
 
 # the largest residual of an exponent identity the identity suite accepts
@@ -763,10 +769,11 @@ def _exponent_identities(cfg: ExperimentConfig, outdir: str):
         for p, n, worst, order_ok, f_cont, ok, _ in rows:
             fh.write(f"{p},{n},{worst:.17g},{int(order_ok)},{int(f_cont)},{int(ok)}\n")
     report = {"kind": "exponent-identities", "tolerance": _IDENTITY_TOL,
-              "max_residual": max(r[2] for r in rows),
-              "passed": all(r[5] for r in rows)}
-    return _gated(report, f"identity residual {report['max_residual']:.3e} "
-                          f"exceeds {_IDENTITY_TOL:.1e}")
+              "max_residual": max(r[2] for r in rows)}
+    return report, {"identities": (all(r[5] for r in rows),
+                                   f"identity residual "
+                                   f"{report['max_residual']:.3e} exceeds "
+                                   f"{_IDENTITY_TOL:.1e}")}
 
 
 # ---------------------------------------------------------------------------
@@ -788,9 +795,12 @@ def run_experiment(cfg: ExperimentConfig, outdir: str | None = None,
                    prebuilt=None) -> dict:
     """Run one experiment and return its report.
 
-    Writes ``report.txt`` and ``manifest.txt`` beside the runner's data
-    files, and raises :class:`VerificationError` with the report when a
-    gate failed.  ``prebuilt`` hands the half-space kinds the
+    Judges the runner's gates once: the report gains ``passed`` as its
+    last key, true when no gate failed.  Writes ``report.txt`` and
+    ``manifest.txt`` beside the runner's data files, and raises
+    :class:`VerificationError` with the report and the failed gates'
+    names, its message their messages joined by ``; ``, when a gate
+    failed.  ``prebuilt`` hands the half-space kinds the
     :func:`halfspace_run` result to run on.  A numerical failure leaves a
     ``failed`` manifest and propagates.
     """
@@ -799,14 +809,17 @@ def run_experiment(cfg: ExperimentConfig, outdir: str | None = None,
     runner = _RUNNERS[cfg.kind]
     start = time.time()
     try:
-        report, failure = (runner(cfg, outdir) if prebuilt is None
-                           else runner(cfg, outdir, prebuilt))
+        report, gates = (runner(cfg, outdir) if prebuilt is None
+                         else runner(cfg, outdir, prebuilt))
     except Exception:
         write_manifest(outdir, cfg, time.time() - start, status="failed")
         raise
+    failed = tuple(name for name, (ok, _) in gates.items() if not ok)
+    report["passed"] = not failed
     _write_report(os.path.join(outdir, "report.txt"), _flatten(report))
     write_manifest(outdir, cfg, time.time() - start,
-                   status="ok" if failure is None else "failed")
-    if failure is not None:
-        raise VerificationError(failure, report)
+                   status="failed" if failed else "ok")
+    if failed:
+        raise VerificationError("; ".join(gates[name][1] for name in failed),
+                                report, failed)
     return report

@@ -24,53 +24,53 @@ def _check(result):
 
 
 def test_criterion_01_front_exponent_1d(ctx):
-    _check(acceptance.criterion_01(ctx))
+    _check(acceptance.criterion(ctx, 1))
 
 
 def test_criterion_02_front_exponent_2d(ctx):
-    _check(acceptance.criterion_02(ctx))
+    _check(acceptance.criterion(ctx, 2))
 
 
 def test_criterion_03_solver_accuracy(ctx):
-    _check(acceptance.criterion_03(ctx))
+    _check(acceptance.criterion(ctx, 3))
 
 
 def test_criterion_04_l2_envelope(ctx):
-    _check(acceptance.criterion_04(ctx))
+    _check(acceptance.criterion(ctx, 4))
     assert os.path.exists(os.path.join(ctx.outdir, "c04", "manifest.txt"))
 
 
 def test_criterion_05_l1_audit_and_envelope(ctx):
-    _check(acceptance.criterion_05(ctx))
+    _check(acceptance.criterion(ctx, 5))
 
 
 def test_criterion_06_taylor_green_decay(ctx):
-    _check(acceptance.criterion_06(ctx))
+    _check(acceptance.criterion(ctx, 6))
 
 
 def test_criterion_07_weak_residual(ctx):
-    _check(acceptance.criterion_07(ctx))
+    _check(acceptance.criterion(ctx, 7))
 
 
 def test_criterion_08_exponent_identities(ctx):
-    _check(acceptance.criterion_08(ctx))
+    _check(acceptance.criterion(ctx, 8))
 
 
 def test_criterion_09_iteration_lemma_suite(ctx):
-    _check(acceptance.criterion_09(ctx))
+    _check(acceptance.criterion(ctx, 9))
 
 
 def test_criterion_10_interpolation_suite(ctx):
-    _check(acceptance.criterion_10(ctx))
+    _check(acceptance.criterion(ctx, 10))
 
 
 def test_criterion_11_local_energy(ctx):
-    _check(acceptance.criterion_11(ctx))
+    _check(acceptance.criterion(ctx, 11))
     assert os.path.exists(os.path.join(ctx.outdir, "c11", "manifest.txt"))
 
 
 def test_criterion_12_iteration_mechanism(ctx):
-    _check(acceptance.criterion_12(ctx))
+    _check(acceptance.criterion(ctx, 12))
 
 
 # every key that halfspace_run, _grid and _solver read
@@ -80,9 +80,10 @@ _TRAJECTORY_KEYS = ("p", "mu1", "dimension", "height_c", "cells", "bounds", "t0"
 
 
 def test_criteria_11_12_run_on_the_data_their_config_describes(tmp_path):
-    # criterion 11's ledger runs on the trajectory built from criterion
-    # 4's config, while its refinement run is built from its own: the two
-    # pinned configs must describe the same trajectory
+    # the half-space kinds share the trajectory built from the config of
+    # whichever runs first (criterion 4's in a full run), while the
+    # ledger's refinement run is built from its own: the two pinned
+    # configs must describe the same trajectory
     c04 = acceptance._load_cfg("c04_halfspace_envelopes.cfg", str(tmp_path))
     c11 = acceptance._load_cfg("c11_energy_ledger.cfg", str(tmp_path))
     assert ({k: c04[k] for k in _TRAJECTORY_KEYS}

@@ -3,7 +3,8 @@
 ``src/`` holds what a run executes; the independent oracles the tests
 check it against live in ``tests/oracles.py``.  One dispatcher raises on
 a failed gate, so ``raise VerificationError`` appears in
-:func:`pflab.experiments.run_experiment` and nowhere else.  Every public
+:func:`pflab.experiments.run_experiment` and nowhere else, and it alone
+writes a report's verdict ``passed``.  Every public
 top-level function and class has a caller in the package or the
 benchmark harness, and every keyword default of a public function or
 method is overridden by one of those callers and left unset by another,
@@ -55,6 +56,33 @@ def test_only_the_dispatcher_raises_verification_error():
                 continue
             exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
             if isinstance(exc, ast.Name) and exc.id == "VerificationError":
+                sites.add((module, owner.get(node)))
+    assert sites == {("experiments", "run_experiment")}
+
+
+def _is_passed(node) -> bool:
+    return isinstance(node, ast.Constant) and node.value == "passed"
+
+
+def test_only_the_dispatcher_writes_a_reports_verdict():
+    # a runner returns named gates and run_experiment judges them once;
+    # a report is a dict literal with a "kind" key, and a nested summary
+    # (an envelope's own "passed") is data, not the report's verdict
+    sites = set()
+    for module, tree in _modules().items():
+        owner = _enclosing_functions(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Dict):
+                keys = [key for key in node.keys if isinstance(key, ast.Constant)]
+                written = (any(k.value == "kind" for k in keys)
+                           and any(_is_passed(k) for k in keys))
+            elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = getattr(node, "targets", None) or [node.target]
+                written = any(isinstance(t, ast.Subscript) and _is_passed(t.slice)
+                              for t in targets)
+            else:
+                continue
+            if written:
                 sites.add((module, owner.get(node)))
     assert sites == {("experiments", "run_experiment")}
 

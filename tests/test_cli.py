@@ -141,7 +141,7 @@ def test_a_subcommand_has_no_flag_for_its_forced_kind(tmp_path, capsys, command)
     ("identity_tol", "1e-12"), ("eps_iter", "0.5"), ("weak_fields", "0"),
     ("s_count", "1"), ("delta_count", "0"), ("a1_cases", "0"),
     ("bump_count", "0"), ("gn_cells", "1"), ("gn_p", "3"),
-    ("lambda_set", "0.25,4")])
+    ("lambda_set", "0.25,4"), ("snapshot_count", "101")])
 def test_deleted_solver_keys_are_rejected(tmp_path, capsys, key, value):
     # the solvers have no regularization, one advection scheme, an
     # always-on sentinel and dirichlet-zero scalar boxes, the CFL
@@ -225,7 +225,7 @@ def test_identities_via_cli(tmp_path, capsys, monkeypatch):
 
 
 def _failing_gate(cfg, outdir):
-    return {"kind": cfg.kind, "passed": False}, "patched gate failure"
+    return {"kind": cfg.kind}, {"patched": (False, "patched gate failure")}
 
 
 def _numerical_failure(cfg, outdir):
@@ -249,6 +249,40 @@ def test_verify_lemmas_runs_every_suite(tmp_path, capsys, monkeypatch,
     for kind in ("interpolation-suite", "exponent-identities"):
         assert (out / kind / "report.txt").exists()
         assert (out / kind / "manifest.txt").exists()
+
+
+def test_verify_lemmas_writes_under_the_configured_outdir(tmp_path, monkeypatch):
+    # the outdir of a config file places the suites, as for every other
+    # subcommand; the flag still wins over the file
+    _small_suites(monkeypatch)
+    cfg = tmp_path / "lemmas.cfg"
+    cfg.write_text(f"experiment = exponent-identities\n"
+                   f"outdir = {tmp_path / 'results'}\n")
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("verify-lemmas", "--config", str(cfg)) == 0
+    for kind in ("stampacchia-suite", "interpolation-suite", "exponent-identities"):
+        assert (tmp_path / "results" / kind / "report.txt").exists()
+    assert not (tmp_path / "out").exists()
+    assert run_cli("verify-lemmas", "--config", str(cfg),
+                   "--outdir", str(tmp_path / "flag")) == 0
+    assert (tmp_path / "flag" / "exponent-identities" / "report.txt").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("barenblatt", "--t0", "0", "--cells", "64", "--t-end", "1"),
+    ("energy", "--t0", "0", "--cells", "64", "--t-end", "1"),
+    ("barenblatt", "--t0", "2", "--t-end", "1"),
+    ("barenblatt", "--convergence-study", "true", "--study-t1", "0.5"),
+], ids=["barenblatt-t0", "energy-t0", "fit-horizon", "study-horizon"])
+def test_unusable_times_are_a_configuration_error(tmp_path, capsys, argv):
+    # the scalar kinds start from a closed form at t0 > 0 and run to a
+    # later time; anything else is caught before a run, with its key
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--outdir", str(out)) == 1
+    err = capsys.readouterr().err
+    assert "configuration error:" in err
+    assert "must" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_barenblatt_smoke_and_determinism(tmp_path):

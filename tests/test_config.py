@@ -96,8 +96,8 @@ def test_bad_syntax_line_number():
 
 
 def test_default_config_helper():
-    cfg = default_config("stampacchia-suite", snapshot_count=7, seed=3)
-    assert cfg["snapshot_count"] == 7 and cfg["seed"] == 3
+    cfg = default_config("stampacchia-suite", t_ref=0.5, seed=3)
+    assert cfg["t_ref"] == 0.5 and cfg["seed"] == 3
 
 
 def test_schema_defaults_are_valid():
@@ -112,12 +112,21 @@ def test_schema_defaults_are_valid():
         assert set(SCHEMA) >= set(cfg.values)
 
 
+# the other keys a row's violation depends on: the study's horizon is
+# checked only when the study runs
+_RANGE_CONTEXT = {"study_t1": {"convergence_study": "true"}}
+
+
 @pytest.mark.parametrize("key,value", [
-    ("snapshot_count", "-1"),
     ("study_cells", "2048"),
     ("study_cells", "1,2048"),
+    ("t0", "0"),
+    ("t0", "-1"),
+    ("t_end", "0.5"),  # before the default t0 = 1
+    ("study_t1", "1.0"),
 ])
 def test_range_violations_rejected(key, value):
     with pytest.raises(ConfigError) as exc:
-        parse_config("experiment = barenblatt-fit\n", {key: value})
+        parse_config("experiment = barenblatt-fit\n",
+                     {**_RANGE_CONTEXT.get(key, {}), key: value})
     assert any(msg.startswith(f"{key}:") for _, msg in exc.value.errors)

@@ -140,9 +140,10 @@ def test_ledger_refinement_run_differs_only_in_cells(tmp_path, monkeypatch):
 
 def test_taylor_green_small(tmp_path, monkeypatch):
     monkeypatch.setattr(experiments, "_KE_RATE_TOL", 0.03)
+    monkeypatch.setattr(experiments, "_TG_SNAPSHOTS", 26)
     r = run_experiment(default_config(
         "fluid2d-taylor-green", outdir=str(tmp_path), p=2.0, dimension=2,
-        cells=(48,), t_end=0.5, snapshot_count=26))
+        cells=(48,), t_end=0.5))
     assert r["passed"]
     assert (tmp_path / "kinetic_energy.csv").exists()
 
@@ -180,38 +181,46 @@ def _on_coarse_run(change):
     return prebuilt
 
 
-@pytest.mark.parametrize("kind,overrides,constants,prebuilt,message", [
+@pytest.mark.parametrize("kind,overrides,constants,prebuilt,message,gate", [
     ("barenblatt-fit", dict(p=3.0, dimension=1, cells=(512,), bounds="-12:12",
                             t0=1.0, t_end=20.0, stepper="implicit",
-                            exponent_tol=1e-9), {}, None, "fitted exponent"),
+                            exponent_tol=1e-9), {}, None, "fitted exponent",
+     "exponent"),
     ("fluid2d-taylor-green", dict(p=2.0, dimension=2, cells=(32,), t_end=0.1),
-     {"_KE_RATE_TOL": 1e-9}, None, "Taylor-Green"),
+     {"_KE_RATE_TOL": 1e-9}, None, "Taylor-Green", "decay_rate"),
     ("exponent-identities", {}, {"_IDENTITY_TOL": -1.0}, None,
-     "identity residual"),
-    ("halfspace-fsp", _SMALL_HALFSPACE, {}, _grown_l1, "L1 norm grew"),
-    ("energy-ledger", _SMALL_HALFSPACE, {}, _empty_support, "empty support"),
-    ("energy-ledger", _SMALL_HALFSPACE, {}, _grown_l1, "L1 norm grew"),
+     "identity residual", "identities"),
+    ("halfspace-fsp", _SMALL_HALFSPACE, {}, _grown_l1, "L1 norm grew",
+     "l1_hypothesis"),
+    ("energy-ledger", _SMALL_HALFSPACE, {}, _empty_support, "empty support",
+     "support"),
+    ("energy-ledger", _SMALL_HALFSPACE, {}, _grown_l1, "L1 norm grew",
+     "l1_hypothesis"),
     ("energy-ledger", dict(_SMALL_HALFSPACE, refine_check=True), {},
-     _on_coarse_run(_grown_l1), "L1 norm grew"),
+     _on_coarse_run(_grown_l1), "L1 norm grew", "l1_hypothesis"),
     ("energy-ledger", dict(_SMALL_HALFSPACE, refine_check=True), {},
-     _on_coarse_run(_shrunk), "decay constant grew under refinement"),
+     _on_coarse_run(_shrunk), "decay constant grew under refinement",
+     "decay_stable"),
 ], ids=["barenblatt-fit", "taylor-green", "identities",
         "halfspace-l1-hypothesis", "ledger-empty-support",
         "ledger-l1-hypothesis", "ledger-coarse-l1-hypothesis",
         "ledger-decay-refinement"])
 def test_gate_failure_raises_with_report(tmp_path, monkeypatch, kind, overrides,
-                                         constants, prebuilt, message):
+                                         constants, prebuilt, message, gate):
     # the dispatcher writes the failed report and manifest, then raises
-    # with the same report; the half-space runs get a trajectory whose L1
-    # norm grows, a threshold nothing reaches, or such a coarse run
+    # with the same report and the failed gates' names; the half-space
+    # runs get a trajectory whose L1 norm grows, a threshold nothing
+    # reaches, or such a coarse run
     for name, value in constants.items():
         monkeypatch.setattr(experiments, name, value)
     cfg = default_config(kind, outdir=str(tmp_path), **overrides)
     built = prebuilt(halfspace_run(cfg), monkeypatch) if prebuilt else None
     with pytest.raises(VerificationError, match=message) as exc:
         run_experiment(cfg, prebuilt=built)
+    assert gate in exc.value.failed
     report = exc.value.report
     assert report["passed"] is False
+    assert list(report)[-1] == "passed"
     written = (tmp_path / "report.txt").read_text().splitlines()
     assert written == [f"{k} = {v}" for k, v in _flatten(report).items()]
     assert "passed = False" in written
@@ -219,6 +228,21 @@ def test_gate_failure_raises_with_report(tmp_path, monkeypatch, kind, overrides,
     assert "status = failed" in manifest
     if kind == "halfspace-fsp":  # a failed run keeps its front trace
         assert "t,front" in (tmp_path / "trace.csv").read_text().splitlines()
+
+
+def _small_pinned(**overrides):
+    """A stand-in for ``acceptance._load_cfg``: the pinned config with
+    ``overrides`` (raw strings) set."""
+    def load(name, outdir):
+        text = resources.files("pflab.configs.accept").joinpath(name).read_text()
+        return parse_config(text, {"outdir": os.path.join(outdir, name[:3]),
+                                   **overrides})
+
+    return load
+
+
+# the c04/c11 trajectory at 512 cells to t = 1
+_SMALL_PINNED = dict(cells="512", t_end="1.0", snapshots_per_decade="24")
 
 
 def test_shared_halfspace_numerical_failure_fails_its_criteria(tmp_path,
@@ -242,13 +266,9 @@ def test_shared_halfspace_numerical_failure_fails_its_criteria(tmp_path,
 
 
 def test_shared_runs_go_through_the_dispatcher(tmp_path, monkeypatch):
-    def small(name, outdir):
-        text = resources.files("pflab.configs.accept").joinpath(name).read_text()
-        return parse_config(text, {
-            "outdir": os.path.join(outdir, name[:3]), "cells": "1024", "t_end": "3.0",
-            "snapshots_per_decade": "48", "refine_check": "false"})
-
-    monkeypatch.setattr(acceptance, "_load_cfg", small)
+    monkeypatch.setattr(acceptance, "_load_cfg", _small_pinned(
+        cells="1024", t_end="3.0", snapshots_per_decade="48",
+        refine_check="false"))
     _small_ledger(monkeypatch)
     results = acceptance.run_acceptance(str(tmp_path), only="4,11")
     assert all(r.passed for r in results)
@@ -263,14 +283,8 @@ def test_decay_refinement_failure_fails_criteria_11_and_12(tmp_path,
     # criterion 11 rests on a decay constant stable under refinement, and
     # both criteria on the ledger's hypotheses; the ledger's own report
     # says which gate failed
-    def small(name, outdir):
-        text = resources.files("pflab.configs.accept").joinpath(name).read_text()
-        return parse_config(text, {
-            "outdir": os.path.join(outdir, name[:3]), "cells": "512",
-            "t_end": "1.0", "snapshots_per_decade": "24",
-            "refine_check": "true"})
-
-    monkeypatch.setattr(acceptance, "_load_cfg", small)
+    monkeypatch.setattr(acceptance, "_load_cfg",
+                        _small_pinned(refine_check="true", **_SMALL_PINNED))
     _small_ledger(monkeypatch)
     _on_coarse_run(_shrunk)(None, monkeypatch)
     results = {r.number: r for r in acceptance.run_acceptance(
@@ -286,9 +300,58 @@ def test_decay_refinement_failure_fails_criteria_11_and_12(tmp_path,
     assert "status = failed" in (tmp_path / "c11" / "manifest.txt").read_text()
 
 
+def test_a_planted_failure_fails_exactly_the_criteria_owning_its_gate(
+        tmp_path, monkeypatch):
+    # a growing L1 norm breaks the L1 hypothesis alone: criterion 4 does
+    # not rest on it and passes, while 5 (the L1 envelope) and 11 and 12
+    # (the ledger) do and fail on the same half-space run
+    monkeypatch.setattr(acceptance, "_load_cfg",
+                        _small_pinned(refine_check="false", **_SMALL_PINNED))
+    monkeypatch.setattr(acceptance, "halfspace_run",
+                        lambda cfg: _grown_l1(halfspace_run(cfg), monkeypatch))
+    _small_ledger(monkeypatch)
+    ctx = acceptance.AcceptanceContext(str(tmp_path))
+    results = {n: acceptance.criterion(ctx, n) for n in (4, 5, 11, 12)}
+    assert results[4].passed, results[4].line
+    for number in (5, 11, 12):
+        assert not results[number].passed
+        assert "L1 norm grew" in results[number].detail
+    assert ctx.run("c04_halfspace_envelopes.cfg")[1] == ("l1_hypothesis",)
+    assert "l1_hypothesis" in ctx.run("c11_energy_ledger.cfg")[1]
+    lines = acceptance.run_acceptance(str(tmp_path / "cli"), only="4,5,11,12")
+    assert [r.passed for r in lines] == [True, False, False, False]
+
+
+def test_every_owned_gate_is_a_gate_its_runner_returns(tmp_path, monkeypatch):
+    # a misspelt gate in the criteria table would leave a criterion that
+    # can never fail: run each owning criterion small, recording the
+    # gates its runner returns
+    returned = {}
+
+    def recording(runner):
+        def run(cfg, outdir, *prebuilt):
+            report, gates = runner(cfg, outdir, *prebuilt)
+            returned.setdefault(cfg.kind, set()).update(gates)
+            return report, gates
+
+        return run
+
+    for kind, runner in list(experiments._RUNNERS.items()):
+        monkeypatch.setitem(experiments._RUNNERS, kind, recording(runner))
+    monkeypatch.setattr(acceptance, "_load_cfg",
+                        _small_pinned(refine_check="true", **_SMALL_PINNED))
+    _small_ledger(monkeypatch)
+    owners = {n: row for n, row in acceptance.CRITERIA.items()
+              if row[3] is not None}
+    assert sorted(owners) == [4, 5, 11, 12]
+    acceptance.run_acceptance(str(tmp_path), only=",".join(map(str, owners)))
+    for number, (_, _, name, owned, _) in owners.items():
+        kind = acceptance._load_cfg(name, str(tmp_path)).kind
+        assert owned <= returned[kind], (number, owned - returned[kind])
+
+
 @pytest.mark.parametrize("kind,overrides", [
-    ("fluid2d-taylor-green", dict(p=2.0, dimension=2, cells=(48,), t_end=0.5,
-                                  snapshot_count=26)),
+    ("fluid2d-taylor-green", dict(p=2.0, dimension=2, cells=(48,), t_end=0.5)),
     ("energy-ledger", dict(p=3.0, dimension=1, cells=(1024,), bounds="-7.8:7.5",
                            t0=5e-8, t_end=3.0, stepper="explicit",
                            snapshots_per_decade=48, refine_check=False)),
@@ -299,8 +362,10 @@ def test_decay_refinement_failure_fails_criteria_11_and_12(tmp_path,
                             height_c=0.5, exponent_tol=0.08)),
 ])
 def test_rerun_artifacts_byte_identical(tmp_path, monkeypatch, kind, overrides):
-    # the small runs' rate tolerance and ledger size, as in the tests above
+    # the small runs' rate tolerance, snapshots and ledger size, as in the
+    # tests above
     monkeypatch.setattr(experiments, "_KE_RATE_TOL", 0.03)
+    monkeypatch.setattr(experiments, "_TG_SNAPSHOTS", 26)
     _small_ledger(monkeypatch)
     outs = [tmp_path / "r1", tmp_path / "r2"]
     for out in outs:
