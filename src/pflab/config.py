@@ -136,6 +136,8 @@ def _validate(values: dict, lines: dict) -> list:
     if kind.startswith("fluid2d"):
         need(p >= 2, "p", f"fluid experiments require p >= 2, got {p}")
         need(values["dimension"] == 2, "dimension", "fluid experiments are 2-D")
+        need(len(set(values["cells"])) == 1, "cells",
+             "fluid experiments run a square grid: entries must be equal")
     need(values["stepper"] in ("explicit", "implicit"), "stepper",
          "must be 'explicit' or 'implicit'")
     need(values["tol_inner"] > 0, "tol_inner", "must be > 0")

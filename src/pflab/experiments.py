@@ -31,8 +31,8 @@ from .core import (DIRICHLET, PERIODIC, GridSpec, ModelParams, ScalarField,
 from .errors import VerificationError
 from .exact import (BarenblattParams, barenblatt_field, halfspace_initial_data,
                     taylor_green_field)
-from .fluid2d import (FluidConfig, kinetic_energy, random_stream_coeffs,
-                      simulate_fluid, stream_field, weak_residual)
+from .fluid2d import (kinetic_energy, random_stream_coeffs, simulate_fluid,
+                      stream_field, weak_residual)
 from .inequalities import (check_stampacchia_relation, concave_majorant_family,
                            gn_ratio, stampacchia_vanishing_point)
 from .plaplace import SolverConfig, Trajectory, simulate
@@ -376,7 +376,7 @@ def _weak_residual_study(cfg: ExperimentConfig, outdir: str):
         grid = GridSpec.box((0.0, 0.0), (2 * np.pi, 2 * np.pi), cells, PERIODIC)
         v0 = taylor_green_field(grid, mu1, 0.0)
         n_snap = 40 * (level + 1) + 1
-        traj = simulate_fluid(v0, FluidConfig(_model(cfg)), t_end,
+        traj = simulate_fluid(v0, _model(cfg), t_end,
                               np.linspace(0.0, t_end, n_snap), dt_fixed=dt)
         phis = [stream_field(grid, coeffs) for coeffs in coeff_sets]
         resids.append(weak_residual(traj, phis, _model(cfg)))
@@ -414,7 +414,7 @@ def _fluid_taylor_green(cfg: ExperimentConfig, outdir: str):
     grid = GridSpec.box((0.0, 0.0), (2 * np.pi, 2 * np.pi), cells, PERIODIC)
     v0 = taylor_green_field(grid, mu1, 0.0)
     t_end = cfg["t_end"]
-    traj = simulate_fluid(v0, FluidConfig(_model(cfg)), t_end,
+    traj = simulate_fluid(v0, _model(cfg), t_end,
                           np.linspace(0.0, t_end, _TG_SNAPSHOTS))
     ke = np.array([kinetic_energy(f) for f in traj.fields])
     div_max = max(float(np.max(np.abs(divergence(f).values)))

@@ -1,15 +1,18 @@
 """2-D incompressible power-law fluid on a periodic box.
 
 Operator-split step: explicit advection, explicit shear-dependent
-viscosity ``mu1 div((|Du|^2 + eps^2)^((p-2)/2) Du)`` in conservative
-face-flux form, then projection onto divergence-free fields.  The
-projection solves the Poisson problem of the *centered-difference*
-operators spectrally (real FFTs, modified wavenumbers), so the
-divergence measured by :func:`pflab.core.divergence` vanishes to
-roundoff after every step.  The pressure is never formed: no result
-reads it, and the weak form tests against divergence-free fields.
-The periodic stencils are the shared face operators of
-:mod:`pflab.plaplace`, built from slices rather than shifted copies.
+viscosity ``mu1 div(|Du|^(p-2) Du)`` in conservative face-flux form, then
+projection onto divergence-free fields.  The stress is the paper's,
+unregularized: for ``p >= 2`` its diffusivity is bounded and continuous
+at ``Du = 0``, and for ``p > 2`` it vanishes there, the degeneracy that
+finite speed of propagation comes from.  The projection solves the
+Poisson problem of the *centered-difference* operators spectrally (real
+FFTs, modified wavenumbers), so the divergence measured by
+:func:`pflab.core.divergence` vanishes to roundoff after every step.
+The pressure is never formed: no result reads it, and the weak form
+tests against divergence-free fields.  The periodic stencils are the
+shared face operators of :mod:`pflab.plaplace`, built from slices
+rather than shifted copies.
 
 Advection is the skew-symmetric average of the divergence and advective
 forms with centered differences: second order, exactly energy-neutral
@@ -18,8 +21,6 @@ energy balance), momentum-exact once ``div u = 0``.
 """
 
 from __future__ import annotations
-
-import dataclasses
 
 import numpy as np
 
@@ -32,19 +33,6 @@ from .plaplace import (Trajectory, _diffusivity_of_a2, _face_avg, _face_diff,
 _TWO_PI = 2.0 * np.pi
 _DT_MAX = 1.0  # the CFL bounds' cap, and the step of a field at rest
 _CFL_SAFETY = 0.4  # both CFL bounds' safety factor
-
-
-@dataclasses.dataclass
-class FluidConfig:
-    """Knobs of the fluid stepper; ``eps_reg = None`` ties the shear-rate
-    regularization to the grid spacing.  The CFL safety factor is the
-    module constant ``_CFL_SAFETY``."""
-
-    params: ModelParams
-    eps_reg: float | None = None
-
-    def eps_for(self, grid: GridSpec) -> float:
-        return min(grid.spacing) if self.eps_reg is None else self.eps_reg
 
 
 def _require_periodic(grid: GridSpec):
@@ -84,15 +72,14 @@ def _face_deformation(v: VectorField, axis: int, both_diagonals: bool = True):
     return d00, 0.5 * (d0_n + tangential(u1)), d1_n
 
 
-def viscous_term(v: VectorField, params: ModelParams,
-                 eps_reg: float) -> VectorField:
-    """``mu1 div(D_reg Du)`` with face-centered tensor fluxes.
+def viscous_term(v: VectorField, params: ModelParams) -> VectorField:
+    """``mu1 div(|Du|^(p-2) Du)`` with face-centered tensor fluxes.
 
     Face flux of component i through a face with normal n is
-    ``D_reg (Du)_{i n}``; the divergence telescopes, so the integral of
-    the output vanishes to roundoff (momentum conservation).  ``D_reg``
-    is the scalar solver's diffusivity of ``|Du|^2 + eps_reg^2``; at
-    p = 2 it is the constant mu1, so ``|Du|^2`` is not formed.
+    ``D (Du)_{i n}``; the divergence telescopes, so the integral of the
+    output vanishes to roundoff (momentum conservation).  ``D`` is the
+    scalar solver's diffusivity of the face ``|Du|^2``; at p = 2 it is
+    the constant mu1, so ``|Du|^2`` is not formed.
     """
     grid = v.grid
     _require_periodic(grid)
@@ -103,12 +90,12 @@ def viscous_term(v: VectorField, params: ModelParams,
         h = grid.spacing[axis]
         d00, d01, d11 = _face_deformation(v, axis, both_diagonals=not linear)
         if linear:
-            dreg = mu1
+            diffusivity = mu1
         else:
             mag2 = d00 * d00 + 2.0 * d01 * d01 + d11 * d11
-            dreg = _diffusivity_of_a2(mag2 + eps_reg**2, p, mu1)
-        flux0 = dreg * (d00 if axis == 0 else d01)
-        flux1 = dreg * (d01 if axis == 0 else d11)
+            diffusivity = _diffusivity_of_a2(mag2, p, mu1)
+        flux0 = diffusivity * (d00 if axis == 0 else d01)
+        flux1 = diffusivity * (d01 if axis == 0 else d11)
         out[0] -= _face_diff_adj(flux0, grid.shape, axis, h, True)
         out[1] -= _face_diff_adj(flux1, grid.shape, axis, h, True)
     for comp in out:
@@ -215,22 +202,22 @@ def project(v: VectorField) -> VectorField:
 # ---------------------------------------------------------------------------
 
 
-def viscous_cfl_dt(v: VectorField, cfg: FluidConfig) -> float:
+def viscous_cfl_dt(v: VectorField, params: ModelParams) -> float:
     """Stable viscous step ``_CFL_SAFETY h_min^2 / (4 D_max (p - 1))``,
     ``D_max`` the diffusivity at the largest face ``|Du|^2``, which for
     ``p >= 2`` (all :class:`ModelParams` allows) is the largest one; at
-    p = 2 that is the constant mu1, and ``v`` is not read."""
-    p, mu1 = cfg.params.p, cfg.params.mu1
+    p = 2 that is the constant mu1, and ``v`` is not read.  A field at
+    rest, whose diffusivity vanishes at p > 2, steps ``_DT_MAX``."""
+    p, mu1 = params.p, params.mu1
     if p == 2.0:
         dmax = mu1
     else:
-        eps = cfg.eps_for(v.grid)
         dmax = 0.0
         for axis in range(2):
             d00, d01, d11 = _face_deformation(v, axis)
             mag2 = d00 * d00 + 2.0 * d01 * d01 + d11 * d11
             m = float(mag2.max()) if mag2.size else 0.0
-            dmax = max(dmax, mu1 * (m + eps**2) ** ((p - 2.0) / 2.0))
+            dmax = max(dmax, mu1 * m ** ((p - 2.0) / 2.0))
         if dmax == 0.0:
             return _DT_MAX
     h_min = min(v.grid.spacing)
@@ -245,18 +232,18 @@ def advective_cfl_dt(v: VectorField, vmax: float) -> float:
     return float(min(_DT_MAX, _CFL_SAFETY * min(v.grid.spacing) / vmax))
 
 
-def fluid_step(v: VectorField, cfg: FluidConfig, dt: float,
+def fluid_step(v: VectorField, params: ModelParams, dt: float,
                vmax: float | None) -> VectorField:
     """advect -> add dt * viscous term -> project.  ``vmax``, the largest
     speed of ``v``, spares :func:`advect` its own pass when the caller
     has it."""
     v = advect(v, dt, vmax)
-    visc = viscous_term(v, cfg.params, cfg.eps_for(v.grid))
+    visc = viscous_term(v, params)
     v = VectorField(v.grid, tuple(c + dt * w for c, w in zip(v.components, visc.components)))
     return project(v)
 
 
-def simulate_fluid(v0: VectorField, cfg: FluidConfig, T: float,
+def simulate_fluid(v0: VectorField, params: ModelParams, T: float,
                    snapshot_times, dt_fixed: float | None = None) -> Trajectory:
     """Run the fluid from ``v0`` (projected first) to horizon ``T``.
 
@@ -275,11 +262,11 @@ def simulate_fluid(v0: VectorField, cfg: FluidConfig, T: float,
             if dt_fixed is None:
                 vmax = _speed_max(v)
                 dt = min(advective_cfl_dt(v, vmax),
-                         viscous_cfl_dt(v, cfg),
+                         viscous_cfl_dt(v, params),
                          t_next - t)
             else:
                 vmax, dt = None, min(dt_fixed, t_next - t)
-            v = fluid_step(v, cfg, dt, vmax)
+            v = fluid_step(v, params, dt, vmax)
             t += dt
         fields.append(v.copy())
         t = t_next
@@ -312,7 +299,8 @@ def weak_residual(traj: Trajectory, phis, params: ModelParams) -> np.ndarray:
     snapshot-centered time differencing for ``u_t`` and trapezoid weights
     over the interior snapshots.  The pressure drops because
     ``div phi = 0``.  One pass over the trajectory serves every field:
-    ``u_t``, the advective term and ``Du`` are formed once per snapshot.
+    ``u_t``, the advective term and ``Du`` are formed once per snapshot,
+    and the diffusivity of ``|Du|^2`` is the one the step reads.
     """
     _require_periodic(traj.grid)
     phis = list(phis)
@@ -338,10 +326,10 @@ def weak_residual(traj: Trajectory, phis, params: ModelParams) -> np.ndarray:
             for q in u_now.components))
         du = deformation_tensor(u_now)
         mag2 = np.einsum("ij...,ij...->...", du, du)
-        dreg = mu1 * mag2 ** ((p - 2.0) / 2.0) if p != 2.0 else mu1
+        diffusivity = _diffusivity_of_a2(mag2, p, mu1) if p != 2.0 else mu1
         for phi, dphi, tot in zip(phis, dphis, totals):
             pairing = np.einsum("ij...,ij...->...", du, dphi)
-            term3 = float(np.sum(dreg * pairing * grid.volumes()))
+            term3 = float(np.sum(diffusivity * pairing * grid.volumes()))
             tot.append(_inner(ut, phi) + _inner(adv, phi) + term3)
     ts = times[1:-1]
     if len(ts) == 1:

@@ -8,13 +8,14 @@ writes a report's verdict ``passed``.  Every public
 top-level function and class has a caller in the package or the
 benchmark harness, and every keyword default of a public function or
 method is overridden by one of those callers and left unset by another,
-save the console entry point's.  Every config key is read somewhere
-outside the schema that declares it, and is set by a pinned acceptance
-config or by a test that builds a config or drives the CLI.  Importing the package costs numpy
-alone: each scipy submodule is imported where it is called, and no
-module names ``scipy.integrate`` or ``scipy.optimize`` at all.  Only
-the CLI reads the environment, and no module imports ``numba``,
-``ctypes`` or ``cffi``.
+save the console entry point's; every defaulted field of a public
+dataclass is overridden by one of them.  Every config key is read
+somewhere outside the schema that declares it, and is set by a pinned
+acceptance config or by a test that builds a config or drives the CLI.
+Importing the package costs numpy alone: each scipy submodule is
+imported where it is called, and no module names ``scipy.integrate`` or
+``scipy.optimize`` at all.  Only the CLI reads the environment, and no
+module imports ``numba``, ``ctypes`` or ``cffi``.
 """
 
 import ast
@@ -138,26 +139,49 @@ def _defaulted(fn: ast.FunctionDef, bound: int) -> list:
     return out
 
 
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    for dec in cls.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _defaulted_fields(cls: ast.ClassDef) -> list:
+    """``(name, index)`` of each field of a dataclass that has a default:
+    ``index`` is the field's place among the arguments of the generated
+    ``__init__``."""
+    fields = [stmt for stmt in cls.body
+              if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+    return [(stmt.target.id, i) for i, stmt in enumerate(fields)
+            if stmt.value is not None]
+
+
 def _public_callables():
-    """``(qualified name, called name, function, bound)`` of every public
-    function and public method in the package; a class's ``__init__`` is
-    called through the class name."""
+    """``(qualified name, called name, defaulted parameters, whether they
+    are dataclass fields)`` of every public function and public method in
+    the package, and of every public dataclass; a class's ``__init__``
+    and a dataclass's fields are called through the class name."""
     for module, tree in _modules().items():
         for top in tree.body:
             if isinstance(top, ast.FunctionDef) and not top.name.startswith("_"):
-                yield f"{module}.{top.name}", top.name, top, 0
+                yield f"{module}.{top.name}", top.name, _defaulted(top, 0), False
             if not isinstance(top, ast.ClassDef) or top.name.startswith("_"):
                 continue
+            if _is_dataclass(top):
+                yield (f"{module}.{top.name}", top.name, _defaulted_fields(top),
+                       True)
             for fn in top.body:
                 if not isinstance(fn, ast.FunctionDef):
                     continue
                 static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
                              for d in fn.decorator_list)
                 if fn.name == "__init__":
-                    yield f"{module}.{top.name}.__init__", top.name, fn, 1
+                    yield (f"{module}.{top.name}.__init__", top.name,
+                           _defaulted(fn, 1), False)
                 elif not fn.name.startswith("_"):
-                    yield (f"{module}.{top.name}.{fn.name}", fn.name, fn,
-                           0 if static else 1)
+                    yield (f"{module}.{top.name}.{fn.name}", fn.name,
+                           _defaulted(fn, 0 if static else 1), False)
 
 
 def _console_entry_points() -> set:
@@ -170,10 +194,11 @@ def _console_entry_points() -> set:
             re.findall(r'^\s*[\w-]+\s*=\s*"([\w.]+):(\w+)"', section, re.M)}
 
 
-def _defaults_and_their_calls():
+def _defaults_and_their_calls(fields: bool):
     """``(qualified name, parameter, whether each package or harness call
     of the callable passes it)`` for each keyword default of a public
-    callable, the console entry point's left out."""
+    callable, the console entry point's left out; with ``fields``, the
+    defaulted fields of public dataclasses too."""
     calls = collections.defaultdict(list)
     for tree in list(_modules().values()) + _harness_trees():
         for node in ast.walk(tree):
@@ -191,25 +216,26 @@ def _defaults_and_their_calls():
 
     entry = _console_entry_points()
     assert entry  # the exemption is read from pyproject.toml, not listed
-    for qual, called, fn, bound in _public_callables():
-        if qual not in entry:
-            for name, index in _defaulted(fn, bound):
+    for qual, called, defaulted, is_field in _public_callables():
+        if qual not in entry and (fields or not is_field):
+            for name, index in defaulted:
                 yield qual, name, [overridden(call, name, index)
                                    for call in calls[called]]
 
 
 def test_every_keyword_default_is_overridden_by_a_caller():
     # a default that no caller in the package or the harness overrides is
-    # a setting only tests change: it belongs in the code, not the signature
+    # a setting only tests change: it belongs in the code, not the
+    # signature, and a dataclass field's default is one of its signature's
     assert [f"{qual}({name}=)" for qual, name, passed
-            in _defaults_and_their_calls() if not any(passed)] == []
+            in _defaults_and_their_calls(fields=True) if not any(passed)] == []
 
 
 def test_every_keyword_default_is_left_unset_by_a_caller():
     # a default that every caller in the package or the harness overrides
     # is a default only tests use: the parameter should be required
     assert [f"{qual}({name}=)" for qual, name, passed
-            in _defaults_and_their_calls() if all(passed)] == []
+            in _defaults_and_their_calls(fields=False) if all(passed)] == []
 
 
 def test_every_config_key_is_read_outside_the_schema():

@@ -50,6 +50,22 @@ def test_fluid2d_defaults_are_the_readme_example(tmp_path, monkeypatch):
     assert (seen[-1]["cells"], seen[-1]["t_end"]) == ((64,), 0.5)
 
 
+def test_a_fluid_grid_of_unequal_cell_counts_is_a_configuration_error(tmp_path,
+                                                                     capsys):
+    # the fluid runs a square grid; a second count would be echoed by the
+    # manifest and never run
+    out = tmp_path / "out"
+    cfg = tmp_path / "fluid.cfg"
+    cfg.write_text("experiment = fluid2d-taylor-green\ncells = 16,32\n")
+    assert run_cli("fluid2d", "--config", str(cfg), "--t-end", "0.01",
+                   "--outdir", str(out)) == 1
+    assert "line 2: cells:" in capsys.readouterr().err
+    assert run_cli("fluid2d", "--cells", "16,32", "--t-end", "0.01",
+                   "--outdir", str(out)) == 1
+    assert "cells: fluid experiments run a square grid" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_exit_code_invalid_flag_value(tmp_path, capsys):
     # a zero Newton tolerance is a configuration error, not a numerical one
     code = run_cli("barenblatt", "--tol-inner", "0",

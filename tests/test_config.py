@@ -53,9 +53,9 @@ def test_all_errors_collected():
 
 def test_type_coercions():
     cfg = parse_config(
-        "experiment = fluid2d-taylor-green\n"
+        "experiment = barenblatt-fit\n"
         "dimension = 2\n"
-        "p = 2\n"
+        "p = 3\n"
         "cells = 64,32\n"
         "bounds = 0:6.28,0:3.14\n"
         "svg = false\n", {})
@@ -113,8 +113,11 @@ def test_schema_defaults_are_valid():
 
 
 # the other keys a row's violation depends on: the study's horizon is
-# checked only when the study runs
-_RANGE_CONTEXT = {"study_t1": {"convergence_study": "true"}}
+# checked only when the study runs, and a fluid grid must be square
+_RANGE_CONTEXT = {
+    "study_t1": {"convergence_study": "true"},
+    "cells": {"experiment": "fluid2d-taylor-green", "dimension": "2", "p": "2"},
+}
 
 
 @pytest.mark.parametrize("key,value", [
@@ -124,6 +127,7 @@ _RANGE_CONTEXT = {"study_t1": {"convergence_study": "true"}}
     ("t0", "-1"),
     ("t_end", "0.5"),  # before the default t0 = 1
     ("study_t1", "1.0"),
+    ("cells", "16,32"),
 ])
 def test_range_violations_rejected(key, value):
     with pytest.raises(ConfigError) as exc:

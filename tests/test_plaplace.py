@@ -674,12 +674,13 @@ def test_audit_raises_on_a_planted_two_cell_jump(monkeypatch, dim, bc0, axis,
 def _plant_through_the_seam(monkeypatch, plant_at, node, value):
     """Patch ``_explicit_step`` to set the whole-array ``node`` to ``value``
     after the step whose input is that of its ``plant_at``-th call: the
-    planted fault is a function of the state, so a rerun of that step
-    from the same state plants it again."""
+    planted fault is a function of the step's input, its state and its
+    dt, as a real step's NaN is, so a rerun of that step from the same
+    state with the same dt plants it again."""
     step, calls, key = plaplace._explicit_step, [0], []
 
     def planted(sub, rhs, dt, win):
-        before = sub.tobytes()
+        before = sub.tobytes(), dt
         step(sub, rhs, dt, win)
         calls[0] += 1
         if calls[0] == plant_at:
@@ -706,23 +707,10 @@ def _per_step_reference(u0, cfg, times):
     raise AssertionError("the planted value was never checked")
 
 
-# A node inside the support, after step 11 (between finiteness checks),
-# 68 (the last before the snapshot at 0.01), 99 or 100 (before and at a
-# sentinel call).  And node 470, which lies in the window and in the
-# sentinel's margin (from node 461; the support spans nodes 53-459 by
-# step 68), after step 67 or 99: a value planted there spreads over the
-# next step, and a sentinel that read the Inf before the finiteness check
-# would raise BoundarySentinelError.  That node is planted without the
-# audit, which would see a node so far past the front first.
-@pytest.mark.parametrize("audit,node,plant_at", [
-    (audit, 256, step) for audit in (True, False) for step in (11, 68, 99, 100)]
-    + [(False, 470, 67), (False, 470, 99)])
-@pytest.mark.parametrize("value", [np.nan, np.inf])
-def test_a_planted_nan_or_inf_raises_as_a_per_step_check_would(
-        monkeypatch, audit, node, plant_at, value):
+def _assert_raises_as_a_per_step_check_would(monkeypatch, times, audit, node,
+                                              plant_at, value):
     bp, grid, u0 = barenblatt_setup(cells=512, box=4.3)
     cfg = cfg_1d(stepper="explicit", audit_locality=audit)
-    times = [0.0, 0.01, 0.02]
     _plant_through_the_seam(monkeypatch, plant_at, node, value)
     with pytest.raises(NumericalError) as want:
         _per_step_reference(u0, cfg, times)
@@ -732,6 +720,45 @@ def test_a_planted_nan_or_inf_raises_as_a_per_step_check_would(
     with pytest.raises(NumericalError) as got:
         simulate(u0, cfg, times[-1], times)
     assert str(got.value) == str(want.value)
+
+
+# A node inside the support, after step 11 (between finiteness checks),
+# 68 (the last before the snapshot at 0.01), 99 or 100 (before and at a
+# sentinel call).  And node 470, which lies in the window and in the
+# sentinel's margin (from node 461; the support spans nodes 53-459 by
+# step 68), after step 67 or 99: a value planted there spreads over the
+# next step, and a sentinel that read the Inf before the finiteness check
+# would raise BoundarySentinelError.  That node is planted without the
+# audit, which would see a node so far past the front first.  And node
+# 475 or 37 after step 18 or 23: the rescan at step 16 widens the window
+# from nodes 42-470 to 35-477 (the check before it saved the narrower
+# one), so the check at step 24 restores a window that leaves the planted
+# node out.  A restore that left the node as it was, not zero, would step
+# it into the replay's widened window and name another node.
+@pytest.mark.parametrize("audit,node,plant_at", [
+    (audit, 256, step) for audit in (True, False) for step in (11, 68, 99, 100)]
+    + [(False, 470, 67), (False, 470, 99)]
+    + [(audit, node, step) for audit in (True, False)
+       for node, step in ((475, 18), (37, 23))])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_a_planted_nan_or_inf_raises_as_a_per_step_check_would(
+        monkeypatch, audit, node, plant_at, value):
+    _assert_raises_as_a_per_step_check_would(monkeypatch, [0.0, 0.01, 0.02],
+                                              audit, node, plant_at, value)
+
+
+@pytest.mark.parametrize("audit", [True, False])
+def test_a_replay_resumes_from_the_snapshot_time(monkeypatch, audit):
+    # one step a snapshot interval (dt_cfl is 1.48e-4).  The step ending
+    # at 1.1e-4 sums to 4e-5 + (1.1e-4 - 4e-5), 1 ulp short of it, and the
+    # check at 2.1e-4 replays the planted step after it.  A replay that
+    # resumed from that sum, not from the snapshot's time, would take a dt
+    # 1 ulp longer: not the planted step, so the run would not raise.
+    assert 4e-5 + (1.1e-4 - 4e-5) != 1.1e-4
+    assert 2.1e-4 - (4e-5 + (1.1e-4 - 4e-5)) != 2.1e-4 - 1.1e-4
+    assert 1.1e-4 < cfl_dt(barenblatt_setup(cells=512, box=4.3)[2], cfg_1d())
+    _assert_raises_as_a_per_step_check_would(
+        monkeypatch, [0.0, 4e-5, 1.1e-4, 2.1e-4], audit, 256, 3, np.nan)
 
 
 def test_a_non_finite_node_past_the_front_is_named_before_the_audit_sees_it(
