@@ -230,8 +230,7 @@ def main(argv=None) -> int:
 
     with_config(sub.add_parser("simulate", help="run the experiment named "
                                                 "in the config"), skip=())
-    with_config(sub.add_parser("barenblatt", help="self-similar front fit / "
-                                                  "accuracy study"))
+    with_config(sub.add_parser("barenblatt", help="self-similar front fit"))
     with_config(sub.add_parser("fluid2d", help="2-D Taylor-Green fluid run"),
                 _FLUID2D_DEFAULTS, skip=("experiment", "dimension"))
     with_config(sub.add_parser("energy", help="tail-energy ledger and checks"))

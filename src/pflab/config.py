@@ -12,22 +12,14 @@ import dataclasses
 
 from .errors import ConfigError
 
-EXPERIMENT_KINDS = (
-    "barenblatt-fit",
-    "halfspace-fsp",
-    "fluid2d-taylor-green",
-    "energy-ledger",
-    "stampacchia-suite",
-    "interpolation-suite",
-    "exponent-identities",
-)
-
+# kinds that start from the Barenblatt closed form at t0
+_BARENBLATT_KINDS = ("barenblatt-fit", "barenblatt-accuracy-study")
 # kinds that exercise the degenerate free boundary and hence need p > 2
-_FINITE_SPEED_KINDS = (
-    "barenblatt-fit",
-    "halfspace-fsp",
-    "energy-ledger",
-)
+_FINITE_SPEED_KINDS = _BARENBLATT_KINDS + ("halfspace-fsp", "energy-ledger")
+# kinds that run the fluid on the 2*pi-periodic box
+_FLUID_KINDS = ("fluid2d-taylor-green", "weak-residual-study")
+EXPERIMENT_KINDS = _FINITE_SPEED_KINDS + _FLUID_KINDS + (
+    "stampacchia-suite", "interpolation-suite", "exponent-identities")
 
 
 def _parse_bool(s: str) -> bool:
@@ -71,7 +63,7 @@ SCHEMA: dict[str, tuple[str, object, str]] = {
     "mu1": ("float", 1.0, "viscosity coefficient, > 0"),
     "dimension": ("int", 1, "spatial dimension, 1 or 2"),
     # grid
-    "cells": ("ints", (4096,), "cells per axis"),
+    "cells": ("ints", (4096,), "cells per axis; the accuracy study's grids"),
     "bounds": ("bounds", ((-8.0, 8.0),), "box per axis as lo:hi[,lo:hi]"),
     # time
     "t0": ("float", 1.0, "profile birth time / data shape parameter"),
@@ -80,16 +72,10 @@ SCHEMA: dict[str, tuple[str, object, str]] = {
     # solver
     "stepper": ("str", "implicit", "explicit or implicit"),
     "tol_inner": ("float", 1e-10, "proximal optimality tolerance"),
-    "audit_locality": ("bool", True, "per-step support-locality audit"),
     # fronts
     "t_ref": ("float", 0.1, "envelope calibration time"),
     "height_c": ("float", 1.0, "profile height constant"),
     "exponent_tol": ("float", 0.05, "relative tolerance on the fitted exponent"),
-    "convergence_study": ("bool", False, "run the explicit accuracy study"),
-    "study_cells": ("ints", (2048, 4096, 8192), "grids of the accuracy study"),
-    "study_t1": ("float", 16.0, "accuracy study: compare at this absolute time"),
-    # fluid
-    "weak_residual_check": ("bool", False, "run the weak-form refinement study"),
     # energetics
     "refine_check": ("bool", True, "repeat on a coarser grid for stability"),
     # suites
@@ -133,36 +119,47 @@ def _validate(values: dict, lines: dict) -> list:
     need(values["dimension"] in (1, 2), "dimension", "must be 1 or 2")
     if kind in _FINITE_SPEED_KINDS:
         need(p > 2, "p", f"finite-speed experiments require p > 2, got {p}")
-    if kind.startswith("fluid2d"):
+    if kind == "fluid2d-taylor-green":
+        need(p == 2, "p", "Taylor-Green decays at rate 2*mu1 only at p = 2, "
+                          f"got {p}")
+    elif kind == "weak-residual-study":
         need(p >= 2, "p", f"fluid experiments require p >= 2, got {p}")
+    if kind in _FLUID_KINDS:
         need(values["dimension"] == 2, "dimension", "fluid experiments are 2-D")
         need(len(set(values["cells"])) == 1, "cells",
              "fluid experiments run a square grid: entries must be equal")
+        need("bounds" not in lines, "bounds", "fluid experiments run on the "
+                                              "2*pi-periodic box [0, 2*pi]^2")
     need(values["stepper"] in ("explicit", "implicit"), "stepper",
          "must be 'explicit' or 'implicit'")
     need(values["tol_inner"] > 0, "tol_inner", "must be > 0")
     need(values["t_end"] > 0, "t_end", "must be > 0")
     need(values["t0"] > 0, "t0", "must be > 0")
-    if kind == "barenblatt-fit":
+    if kind in _BARENBLATT_KINDS:
         # the run starts from the closed form at t0
-        horizon = "study_t1" if values["convergence_study"] else "t_end"
-        need(values[horizon] > values["t0"], horizon,
+        need(values["t_end"] > values["t0"], "t_end",
              f"must exceed t0 = {values['t0']}")
-    need(all(c >= 1 for c in values["cells"]), "cells", "must be positive")
     need(all(hi > lo for lo, hi in values["bounds"]), "bounds",
          "upper must exceed lower")
-    dim = values["dimension"]
-    if len(values["cells"]) not in (1, dim):
-        errs.append((line_of("cells"),
-                     f"cells: need 1 or {dim} entries for dimension {dim}"))
+    cells, dim = values["cells"], values["dimension"]
+    if kind == "barenblatt-accuracy-study":
+        # the study's 1-D grids are its cells list
+        need(dim == 1, "dimension", "the accuracy study runs 1-D grids")
+        need(values["stepper"] == "explicit" or "stepper" not in lines,
+             "stepper", "the accuracy study runs the explicit stepper")
+        need(len(cells) >= 2 and all(c >= 2 for c in cells), "cells",
+             "the accuracy study needs at least two grids, of at least 2 "
+             "cells each")
+    else:
+        need(all(c >= 1 for c in cells), "cells", "must be positive")
+        if len(cells) not in (1, dim):
+            errs.append((line_of("cells"),
+                         f"cells: need 1 or {dim} entries for dimension {dim}"))
     if len(values["bounds"]) not in (1, dim):
         errs.append((line_of("bounds"),
                      f"bounds: need 1 or {dim} entries for dimension {dim}"))
     need(values["height_c"] > 0, "height_c", "must be > 0")
     need(values["snapshots_per_decade"] > 0, "snapshots_per_decade", "must be > 0")
-    need(len(values["study_cells"]) >= 2
-         and all(c >= 2 for c in values["study_cells"]), "study_cells",
-         "need at least two grids, of at least 2 cells each")
     return errs
 
 

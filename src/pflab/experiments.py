@@ -1,12 +1,16 @@
 """Experiment orchestration: one runner per experiment kind, one dispatcher.
 
-Each runner consumes a validated :class:`~pflab.config.ExperimentConfig`,
-writes only its own data files (CSV, optional SVG) into the output
-directory, and returns ``(report, gates)``: the report as a dict, and
-each gate's name mapped to ``(ok, message)``.  :func:`run_experiment`
-dispatches on the kind and owns everything else: it judges the gates,
-appends the verdict ``passed`` to the report, writes ``report.txt`` and
-``manifest.txt`` (status ``ok`` or ``failed``) and raises
+The config's ``experiment`` names the kind, and the kind alone decides
+what a run does: each kind has one runner in ``_RUNNERS``, no runner
+hands its run to another, and every report's ``kind`` is its config's
+``experiment``.  Each runner consumes a validated
+:class:`~pflab.config.ExperimentConfig`, writes only its own data files
+(CSV, optional SVG) into the output directory, and returns
+``(report, gates)``: the report as a dict, and each gate's name mapped
+to ``(ok, message)``.  :func:`run_experiment` dispatches on the kind
+and owns everything else: it judges the gates, appends the verdict
+``passed`` to the report, writes ``report.txt`` and ``manifest.txt``
+(status ``ok`` or ``failed``) and raises
 :class:`~pflab.errors.VerificationError` carrying the report and the
 failed gates' names when a gate failed.  Numerical failures (NaN,
 blow-up, boundary sentinel) raise
@@ -70,12 +74,7 @@ def _model(cfg: ExperimentConfig) -> ModelParams:
 
 
 def _solver(cfg: ExperimentConfig) -> SolverConfig:
-    return SolverConfig(
-        params=_model(cfg),
-        stepper=cfg["stepper"],
-        tol=cfg["tol_inner"],
-        audit_locality=cfg["audit_locality"],
-    )
+    return SolverConfig(_model(cfg), stepper=cfg["stepper"], tol=cfg["tol_inner"])
 
 
 def _log_times(t_start: float, t_end: float, per_decade: int) -> np.ndarray:
@@ -141,21 +140,21 @@ def export_trajectory(traj: Trajectory, outdir: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# barenblatt-fit
+# barenblatt-fit and barenblatt-accuracy-study
 # ---------------------------------------------------------------------------
 
 
 def _study_grid(cfg: ExperimentConfig, cells: int) -> tuple:
     """One grid of the accuracy study: ``(cells, h, L1 error, relative
-    L1 error)`` of the explicit solution at ``study_t1``."""
+    L1 error)`` of the explicit solution at ``t_end``.  The verdict is
+    the closed-form error, so the grid runs without the locality audit."""
     bp = BarenblattParams(cfg["p"], cfg["dimension"], cfg["height_c"],
                           cfg["mu1"])
-    t0, t1 = cfg["t0"], cfg["study_t1"]
+    t0, t1 = cfg["t0"], cfg["t_end"]
     bounds = cfg["bounds"][0]
     grid = GridSpec.line(bounds[0], bounds[1], cells)
     u0 = barenblatt_field(bp, grid, t0)
-    scfg = _solver(cfg)
-    scfg.stepper = "explicit"
+    scfg = SolverConfig(_model(cfg), stepper="explicit", audit_locality=False)
     traj = simulate(u0, scfg, t1 - t0, [0.0, t1 - t0])
     exact = barenblatt_field(bp, grid, t1)
     err = float(np.sum(np.abs(traj.fields[-1].values - exact.values))
@@ -167,8 +166,9 @@ def _study_grid(cfg: ExperimentConfig, cells: int) -> tuple:
 _ORDER_MIN = 0.8
 
 
-def _barenblatt_study(cfg: ExperimentConfig, outdir: str):
-    """Explicit-solver accuracy study against the closed form.
+def _barenblatt_accuracy_study(cfg: ExperimentConfig, outdir: str):
+    """Explicit-solver accuracy study against the closed form, on the 1-D
+    grids of ``cells`` from ``t0`` to ``t_end``.
 
     The grids are independent, so they run side by side in up to two
     worker processes, the finest first; results are read in grid order.
@@ -177,8 +177,8 @@ def _barenblatt_study(cfg: ExperimentConfig, outdir: str):
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    t0, t1 = cfg["t0"], cfg["study_t1"]
-    cells_list = cfg["study_cells"]
+    t0, t1 = cfg["t0"], cfg["t_end"]
+    cells_list = cfg["cells"]
     spawn = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(min(2, os.cpu_count() or 1), mp_context=spawn) as pool:
         futures = {cells: pool.submit(_study_grid, cfg, cells)
@@ -204,8 +204,6 @@ def _barenblatt_study(cfg: ExperimentConfig, outdir: str):
 
 
 def _barenblatt_fit(cfg: ExperimentConfig, outdir: str):
-    if cfg["convergence_study"]:
-        return _barenblatt_study(cfg, outdir)
     p, n, mu1 = cfg["p"], cfg["dimension"], cfg["mu1"]
     bp = BarenblattParams(p, n, cfg["height_c"], mu1)
     grid = _grid(cfg)
@@ -407,8 +405,6 @@ _TG_SNAPSHOTS = 101
 
 
 def _fluid_taylor_green(cfg: ExperimentConfig, outdir: str):
-    if cfg["weak_residual_check"]:
-        return _weak_residual_study(cfg, outdir)
     mu1 = cfg["mu1"]
     cells = cfg["cells"][0]
     grid = GridSpec.box((0.0, 0.0), (2 * np.pi, 2 * np.pi), cells, PERIODIC)
@@ -782,8 +778,10 @@ def _exponent_identities(cfg: ExperimentConfig, outdir: str):
 
 _RUNNERS = {
     "barenblatt-fit": _barenblatt_fit,
+    "barenblatt-accuracy-study": _barenblatt_accuracy_study,
     "halfspace-fsp": _halfspace_fsp,
     "fluid2d-taylor-green": _fluid_taylor_green,
+    "weak-residual-study": _weak_residual_study,
     "energy-ledger": _energy_ledger,
     "stampacchia-suite": _stampacchia_suite,
     "interpolation-suite": _interpolation_suite,

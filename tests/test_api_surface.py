@@ -15,7 +15,9 @@ acceptance config or by a test that builds a config or drives the CLI.
 Importing the package costs numpy alone: each scipy submodule is
 imported where it is called, and no module names ``scipy.integrate`` or
 ``scipy.optimize`` at all.  Only the CLI reads the environment, and no
-module imports ``numba``, ``ctypes`` or ``cffi``.
+module imports ``numba``, ``ctypes`` or ``cffi``.  Each experiment
+kind has one runner, the function that builds its report, and no runner
+hands its run to another.
 """
 
 import ast
@@ -27,7 +29,8 @@ import re
 import subprocess
 import sys
 
-from pflab.config import SCHEMA
+from pflab import experiments
+from pflab.config import EXPERIMENT_KINDS, SCHEMA
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "pflab"
@@ -59,6 +62,36 @@ def test_only_the_dispatcher_raises_verification_error():
             if isinstance(exc, ast.Name) and exc.id == "VerificationError":
                 sites.add((module, owner.get(node)))
     assert sites == {("experiments", "run_experiment")}
+
+
+def _report_kinds(fn) -> set:
+    """The ``kind`` values of the report dict literals ``fn`` builds."""
+    return {value.value for node in ast.walk(fn) if isinstance(node, ast.Dict)
+            for key, value in zip(node.keys, node.values)
+            if isinstance(key, ast.Constant) and key.value == "kind"
+            and isinstance(value, ast.Constant)}
+
+
+def test_each_kind_has_one_runner_that_runs_it_alone():
+    # a runner that branched on a config key to run another experiment
+    # would hide a kind behind a switch: each kind's runner builds the
+    # reports of that kind and of no other, no other function builds
+    # them, and no runner calls another runner
+    assert set(experiments._RUNNERS) == set(EXPERIMENT_KINDS)
+    runners = {fn.__name__ for fn in experiments._RUNNERS.values()}
+    tree = _modules()["experiments"]
+    builders = {}
+    for top in tree.body:
+        if isinstance(top, ast.FunctionDef):
+            for kind in _report_kinds(top):
+                builders.setdefault(kind, set()).add(top.name)
+    assert builders == {kind: {fn.__name__}
+                        for kind, fn in experiments._RUNNERS.items()}
+    calls = {(top.name, node.func.id) for top in tree.body
+             if isinstance(top, ast.FunctionDef) and top.name in runners
+             for node in ast.walk(top) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id in runners}
+    assert calls == set()
 
 
 def _is_passed(node) -> bool:

@@ -66,6 +66,30 @@ def test_a_fluid_grid_of_unequal_cell_counts_is_a_configuration_error(tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("fluid2d", "--bounds", "0:1", "--cells", "16", "--t-end", "0.01"),
+     "bounds: fluid experiments run on the 2*pi-periodic box"),
+    (("fluid2d", "--p", "3", "--cells", "16", "--t-end", "0.01"),
+     "p: Taylor-Green decays at rate 2*mu1 only at p = 2"),
+    (("simulate", "--experiment", "barenblatt-accuracy-study", "--dimension",
+      "2", "--cells", "64,128", "--t-end", "1.5"),
+     "dimension: the accuracy study runs 1-D grids"),
+    (("simulate", "--experiment", "barenblatt-accuracy-study", "--stepper",
+      "implicit", "--cells", "64,128", "--t-end", "1.5"),
+     "stepper: the accuracy study runs the explicit stepper"),
+], ids=["fluid-bounds", "taylor-green-p3", "study-2d", "study-implicit"])
+def test_a_key_the_kind_cannot_run_is_a_configuration_error(tmp_path, capsys,
+                                                            argv, message):
+    # the fluid's box is [0, 2*pi]^2, Taylor-Green's closed-form rate holds
+    # at p = 2 alone, and the accuracy study steps explicitly in 1-D
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--outdir", str(out)) == 1
+    err = capsys.readouterr().err
+    assert "configuration error:" in err and message in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_exit_code_invalid_flag_value(tmp_path, capsys):
     # a zero Newton tolerance is a configuration error, not a numerical one
     code = run_cli("barenblatt", "--tol-inner", "0",
@@ -288,7 +312,8 @@ def test_verify_lemmas_writes_under_the_configured_outdir(tmp_path, monkeypatch)
     ("barenblatt", "--t0", "0", "--cells", "64", "--t-end", "1"),
     ("energy", "--t0", "0", "--cells", "64", "--t-end", "1"),
     ("barenblatt", "--t0", "2", "--t-end", "1"),
-    ("barenblatt", "--convergence-study", "true", "--study-t1", "0.5"),
+    ("simulate", "--experiment", "barenblatt-accuracy-study", "--cells",
+     "64,128", "--t-end", "0.5"),
 ], ids=["barenblatt-t0", "energy-t0", "fit-horizon", "study-horizon"])
 def test_unusable_times_are_a_configuration_error(tmp_path, capsys, argv):
     # the scalar kinds start from a closed form at t0 > 0 and run to a

@@ -83,7 +83,7 @@ def test_fluid_requires_2d():
 
 def test_fluid_requires_p_at_least_2():
     with pytest.raises(ConfigError) as exc:
-        parse_config("experiment = fluid2d-taylor-green\ndimension = 2\n"
+        parse_config("experiment = weak-residual-study\ndimension = 2\n"
                      "p = 1.5\n", {})
     assert exc.value.errors == [(3, "p: fluid experiments require p >= 2, "
                                     "got 1.5")]
@@ -101,36 +101,45 @@ def test_default_config_helper():
 
 
 def test_schema_defaults_are_valid():
-    # every kind parses with pure defaults (plus dimension fix for fluids)
+    # every kind parses with pure defaults, save the fluids' dimension
+    # and the accuracy study's grids
     from pflab.config import EXPERIMENT_KINDS
 
+    fixes = {"fluid2d-taylor-green": {"dimension": "2", "p": "2"},
+             "weak-residual-study": {"dimension": "2", "p": "3.5"},
+             "barenblatt-accuracy-study": {"cells": "2048,4096"}}
     for kind in EXPERIMENT_KINDS:
-        over = {}
-        if kind.startswith("fluid2d"):
-            over = {"dimension": "2", "p": "2" if kind.endswith("green") else "3.5"}
-        cfg = parse_config(f"experiment = {kind}\n", over)
+        cfg = parse_config(f"experiment = {kind}\n", fixes.get(kind, {}))
         assert set(SCHEMA) >= set(cfg.values)
 
 
-# the other keys a row's violation depends on: the study's horizon is
-# checked only when the study runs, and a fluid grid must be square
+_STUDY = {"experiment": "barenblatt-accuracy-study", "cells": "64,128"}
+_FLUID = {"experiment": "fluid2d-taylor-green", "dimension": "2", "p": "2"}
+
+# the other keys a row's violation depends on: the accuracy study's
+# grids and horizon are its own, and a fluid grid is square and fixed
 _RANGE_CONTEXT = {
-    "study_t1": {"convergence_study": "true"},
-    "cells": {"experiment": "fluid2d-taylor-green", "dimension": "2", "p": "2"},
+    ("cells", "2048"): _STUDY,
+    ("cells", "1,2048"): _STUDY,
+    ("t_end", "1.0"): _STUDY,
+    ("cells", "16,32"): _FLUID,
+    ("bounds", "0:1"): _FLUID,  # the fluid's box is [0, 2*pi]^2
 }
 
 
 @pytest.mark.parametrize("key,value", [
-    ("study_cells", "2048"),
-    ("study_cells", "1,2048"),
+    ("cells", "2048"),
+    ("cells", "1,2048"),
     ("t0", "0"),
     ("t0", "-1"),
     ("t_end", "0.5"),  # before the default t0 = 1
-    ("study_t1", "1.0"),
+    ("t_end", "1.0"),
     ("cells", "16,32"),
+    ("bounds", "0:1"),
 ])
 def test_range_violations_rejected(key, value):
     with pytest.raises(ConfigError) as exc:
         parse_config("experiment = barenblatt-fit\n",
-                     {**_RANGE_CONTEXT.get(key, {}), key: value})
+                     {**_RANGE_CONTEXT.get((key, value), {}), key: value})
     assert any(msg.startswith(f"{key}:") for _, msg in exc.value.errors)
+

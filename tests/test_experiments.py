@@ -57,10 +57,9 @@ def test_interpolation_suite_small(tmp_path, monkeypatch):
 def test_accuracy_study_rows_in_grid_order(tmp_path, monkeypatch):
     # the grids run in a worker pool, finest first; study.csv keeps the
     # configured order and the same numbers as one grid at a time
-    cfg = default_config("barenblatt-fit", outdir=str(tmp_path),
-                         convergence_study="true", p=3.0, dimension=1,
-                         bounds="-8.6:8.6", t0=1.0, study_t1=1.5,
-                         study_cells=(256, 128, 512), audit_locality="false")
+    cfg = default_config("barenblatt-accuracy-study", outdir=str(tmp_path),
+                         p=3.0, dimension=1, bounds="-8.6:8.6", t0=1.0,
+                         t_end=1.5, cells=(256, 128, 512))
     monkeypatch.setattr(experiments, "_ORDER_MIN", -10.0)
     r = run_experiment(cfg)
     rows = (tmp_path / "study.csv").read_text().splitlines()
@@ -360,6 +359,9 @@ def test_every_owned_gate_is_a_gate_its_runner_returns(tmp_path, monkeypatch):
                             t0=1.0, t_end=12.0, stepper="implicit",
                             snapshots_per_decade=16, tol_inner=1e-8,
                             height_c=0.5, exponent_tol=0.08)),
+    ("barenblatt-accuracy-study", dict(bounds="-8.6:8.6", t0=1.0, t_end=1.5,
+                                       cells=(128, 256))),
+    ("weak-residual-study", dict(p=2.0, dimension=2, cells=(16,), t_end=0.05)),
 ])
 def test_rerun_artifacts_byte_identical(tmp_path, monkeypatch, kind, overrides):
     # the small runs' rate tolerance, snapshots and ledger size, as in the
@@ -369,7 +371,8 @@ def test_rerun_artifacts_byte_identical(tmp_path, monkeypatch, kind, overrides):
     _small_ledger(monkeypatch)
     outs = [tmp_path / "r1", tmp_path / "r2"]
     for out in outs:
-        run_experiment(default_config(kind, outdir=str(out), **overrides))
+        cfg = default_config(kind, outdir=str(out), **overrides)
+        assert run_experiment(cfg)["kind"] == cfg.kind
     names = sorted(f.name for f in outs[0].iterdir()
                    if f.name == "report.txt" or f.suffix == ".csv")
     assert "report.txt" in names and len(names) >= 2
