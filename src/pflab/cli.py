@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Subcommands wrap the experiment kinds; flags mirror config keys and win
+Subcommands wrap the experiment kinds; a subcommand's flags are the
+config keys of the kinds it runs (``simulate`` has every key) and win
 over the config file.  Exit codes are part of the contract:
 
 * 0 success
@@ -21,7 +22,7 @@ import sys
 
 import numpy as np
 
-from .config import SCHEMA, parse_config
+from .config import KIND_DEFAULTS, KIND_KEYS, SCHEMA, parse_config
 from .errors import ConfigError, NumericalError, VerificationError
 
 
@@ -29,29 +30,36 @@ def _verbose() -> bool:
     return os.environ.get("PFLAB_VERBOSE", "1") not in ("0", "false", "")
 
 
-# the scalar defaults (4096 cells to t = 100 at p = 3) would not end
-_FLUID2D_DEFAULTS = {"cells": "128", "p": "2", "t_end": "1"}
+# subcommand -> (help, the experiment kinds it runs); one that runs
+# several writes each into its own folder under the outdir
+_KIND_COMMANDS = {
+    "barenblatt": ("self-similar front fit", ("barenblatt-fit",)),
+    "fluid2d": ("2-D Taylor-Green fluid run", ("fluid2d-taylor-green",)),
+    "energy": ("tail-energy ledger and checks", ("energy-ledger",)),
+    "verify-lemmas": ("iteration, interpolation and identity suites",
+                      ("stampacchia-suite", "interpolation-suite",
+                       "exponent-identities")),
+}
 
 
-def _add_schema_flags(parser: argparse.ArgumentParser,
-                      defaults: dict | None = None, skip=()) -> None:
-    for key, (_typ, default, help_) in SCHEMA.items():
-        if key in skip:
-            continue
-        shown = (defaults or {}).get(key, repr(default))
+def _add_config_flags(parser: argparse.ArgumentParser, kinds: tuple) -> None:
+    """``--config`` and a flag for each key every kind of ``kinds`` reads,
+    or for every key when ``kinds`` is empty; the help shows the default
+    of a lone kind."""
+    parser.add_argument("--config", help="key = value config file")
+    keys = [key for key in SCHEMA if all(key in KIND_KEYS[k] for k in kinds)]
+    defaults = KIND_DEFAULTS.get(kinds[0], {}) if len(kinds) == 1 else {}
+    for key in keys:
+        _typ, default, help_ = SCHEMA[key]
         parser.add_argument(f"--{key.replace('_', '-')}", dest=f"opt_{key}",
                             metavar="V", default=None,
-                            help=f"{help_} (default {shown})")
+                            help=f"{help_} (default "
+                                 f"{defaults.get(key, default)!r})")
 
 
-def _collect_overrides(args, forced: dict | None = None) -> dict:
-    over = {}
-    for key in SCHEMA:
-        val = getattr(args, f"opt_{key}", None)
-        if val is not None:
-            over[key] = val
-    over.update(forced or {})
-    return over
+def _collect_overrides(args, forced: dict) -> dict:
+    over = {key: getattr(args, f"opt_{key}", None) for key in SCHEMA}
+    return {**{k: v for k, v in over.items() if v is not None}, **forced}
 
 
 def _read_text(path: str, what: str) -> str:
@@ -78,18 +86,11 @@ def _csv_rows(path: str, lines: list, first: int, convert):
             raise ConfigError([(num, f"{path}: {exc}")]) from exc
 
 
-def _load_config(args, forced: dict | None = None, defaults: dict | None = None):
-    text = ""
-    if getattr(args, "config", None):
-        text = _read_text(args.config, "config file")
-    return parse_config(text, _collect_overrides(args, forced), defaults)
-
-
-def _run(args, forced: dict | None = None, subdir: str | None = None,
-         defaults: dict | None = None) -> int:
+def _run(args, forced: dict | None = None, subdir: str | None = None) -> int:
     from .experiments import run_experiment
 
-    cfg = _load_config(args, forced, defaults)
+    text = _read_text(args.config, "config file") if args.config else ""
+    cfg = parse_config(text, _collect_overrides(args, forced or {}))
     outdir = os.path.join(cfg["outdir"], subdir) if subdir else cfg["outdir"]
     report = run_experiment(cfg, outdir)
     if _verbose():
@@ -100,24 +101,15 @@ def _run(args, forced: dict | None = None, subdir: str | None = None,
     return 0
 
 
-def _cmd_barenblatt(args) -> int:
-    return _run(args, {"experiment": "barenblatt-fit"})
-
-
-def _cmd_fluid2d(args) -> int:
-    return _run(args, {"experiment": "fluid2d-taylor-green", "dimension": "2"},
-                defaults=_FLUID2D_DEFAULTS)
-
-
-def _cmd_energy(args) -> int:
-    return _run(args, {"experiment": "energy-ledger"})
-
-
-def _cmd_verify_lemmas(args) -> int:
-    """Run all three suites, each in its own folder under the configured
-    outdir, printing each failure; exit with the worst code."""
+def _cmd_kinds(args) -> int:
+    """Run the subcommand's kind; or run each of its kinds in its own
+    folder under the configured outdir, printing each failure, and exit
+    with the worst code."""
+    kinds = _KIND_COMMANDS[args.command][1]
+    if len(kinds) == 1:
+        return _run(args, {"experiment": kinds[0]})
     code = 0
-    for kind in ("stampacchia-suite", "interpolation-suite", "exponent-identities"):
+    for kind in kinds:
         try:
             _run(args, {"experiment": kind}, kind)
         except (NumericalError, VerificationError) as exc:
@@ -221,21 +213,11 @@ def main(argv=None) -> int:
                     "energy ledgers and inequality suites.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # a subcommand that forces a key (its experiment kind, and the fluid's
-    # dimension 2) has no flag for it
-    def with_config(p, defaults=None, skip=("experiment",)):
-        p.add_argument("--config", help="key = value config file")
-        _add_schema_flags(p, defaults, skip)
-        return p
-
-    with_config(sub.add_parser("simulate", help="run the experiment named "
-                                                "in the config"), skip=())
-    with_config(sub.add_parser("barenblatt", help="self-similar front fit"))
-    with_config(sub.add_parser("fluid2d", help="2-D Taylor-Green fluid run"),
-                _FLUID2D_DEFAULTS, skip=("experiment", "dimension"))
-    with_config(sub.add_parser("energy", help="tail-energy ledger and checks"))
-    with_config(sub.add_parser("verify-lemmas", help="iteration, interpolation "
-                                                     "and identity suites"))
+    _add_config_flags(sub.add_parser("simulate", help="run the experiment "
+                                                      "named in the config"), ())
+    # a subcommand that forces the experiment kind has no flag for it
+    for command, (help_, kinds) in _KIND_COMMANDS.items():
+        _add_config_flags(sub.add_parser(command, help=help_), kinds)
 
     pt = sub.add_parser("track-support", help="extract a front trace from an "
                                               "exported trajectory")
@@ -263,10 +245,7 @@ def main(argv=None) -> int:
         return 1
     handlers = {
         "simulate": _run,
-        "barenblatt": _cmd_barenblatt,
-        "fluid2d": _cmd_fluid2d,
-        "energy": _cmd_energy,
-        "verify-lemmas": _cmd_verify_lemmas,
+        **dict.fromkeys(_KIND_COMMANDS, _cmd_kinds),
         "track-support": _cmd_track_support,
         "fit-exponent": _cmd_fit_exponent,
         "accept": _cmd_accept,

@@ -1,25 +1,53 @@
 """Line-based ``key = value`` experiment configuration.
 
 Grammar: one ``key = value`` pair per line, ``#`` starts a comment,
-blank lines ignored.  Unknown keys, duplicate keys, type mismatches and
-range violations are all collected (with line numbers) and reported
-together, not one at a time.
+blank lines ignored.  ``experiment`` names the kind, which takes only
+the keys its run reads, listed in ``KIND_KEYS``.  Unknown keys, keys the
+kind does not read, duplicates, type mismatches (non-finite floats
+included) and range violations are all collected (with line numbers)
+and reported together, not one at a time.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 
 from .errors import ConfigError
 
+# the keys a front run reads to build its trajectory: the model, the box,
+# the closed-form data, the snapshot schedule and the stepper
+_FRONT_RUN = ("p", "mu1", "dimension", "cells", "bounds", "t0", "t_end",
+              "snapshots_per_decade", "stepper", "tol_inner", "height_c")
+# ... and the half-space run's, whose first snapshot follows t_ref
+HALFSPACE_KEYS = _FRONT_RUN + ("t_ref",)
+
+# kind -> the keys its run reads besides ``experiment``; the accuracy
+# study runs explicit 1-D grids, the fluids the 2-D periodic box, and
+# Taylor-Green the linear stress p = 2
+KIND_KEYS = {
+    "barenblatt-fit": ("outdir",) + _FRONT_RUN + ("exponent_tol", "svg",
+                                                  "export_trajectory"),
+    "barenblatt-accuracy-study": ("outdir", "p", "mu1", "height_c", "cells",
+                                  "bounds", "t0", "t_end"),
+    "halfspace-fsp": ("outdir",) + HALFSPACE_KEYS + ("svg", "export_trajectory"),
+    "energy-ledger": ("outdir",) + HALFSPACE_KEYS + ("refine_check",),
+    "fluid2d-taylor-green": ("outdir", "mu1", "cells", "t_end", "svg"),
+    "weak-residual-study": ("outdir", "p", "mu1", "cells", "t_end", "seed"),
+    "stampacchia-suite": ("outdir", "seed"),
+    "interpolation-suite": ("outdir", "seed"),
+    "exponent-identities": ("outdir",),
+}
+# a kind's defaults where the schema's would not end: 4096^2 cells to
+# t = 100 for a fluid
+KIND_DEFAULTS = {"fluid2d-taylor-green": {"cells": (128,), "t_end": 1.0}}
+EXPERIMENT_KINDS = tuple(KIND_KEYS)
 # kinds that start from the Barenblatt closed form at t0
 _BARENBLATT_KINDS = ("barenblatt-fit", "barenblatt-accuracy-study")
 # kinds that exercise the degenerate free boundary and hence need p > 2
 _FINITE_SPEED_KINDS = _BARENBLATT_KINDS + ("halfspace-fsp", "energy-ledger")
 # kinds that run the fluid on the 2*pi-periodic box
 _FLUID_KINDS = ("fluid2d-taylor-green", "weak-residual-study")
-EXPERIMENT_KINDS = _FINITE_SPEED_KINDS + _FLUID_KINDS + (
-    "stampacchia-suite", "interpolation-suite", "exponent-identities")
 
 
 def _parse_bool(s: str) -> bool:
@@ -35,17 +63,23 @@ def _parse_ints(s: str) -> tuple[int, ...]:
     return tuple(int(tok.strip()) for tok in s.split(","))
 
 
+def _parse_float(s: str) -> float:
+    if not math.isfinite(val := float(s)):
+        raise ValueError(f"not finite: {s!r}")
+    return val
+
+
 def _parse_bounds(s: str) -> tuple[tuple[float, float], ...]:
     out = []
     for tok in s.split(","):
         lo, hi = tok.split(":")
-        out.append((float(lo), float(hi)))
+        out.append((_parse_float(lo), _parse_float(hi)))
     return tuple(out)
 
 
 _COERCE = {
     "str": lambda s: s.strip(),
-    "float": float,
+    "float": _parse_float,
     "int": int,
     "bool": _parse_bool,
     "ints": _parse_ints,
@@ -85,7 +119,8 @@ SCHEMA: dict[str, tuple[str, object, str]] = {
 
 @dataclasses.dataclass
 class ExperimentConfig:
-    """Validated configuration: ``kind`` plus resolved values per key."""
+    """Validated configuration: ``kind`` plus the value of ``experiment``
+    and of each key the kind reads; reading another is a ``KeyError``."""
 
     kind: str
     values: dict
@@ -94,82 +129,57 @@ class ExperimentConfig:
         return self.values[key]
 
 
-def _validate(values: dict, lines: dict) -> list:
-    """Range checks against module preconditions; returns (line, msg) pairs."""
+def _validate(kind: str, values: dict, lines: dict) -> list:
+    """Range checks against module preconditions, on the keys the kind
+    reads; returns (line, msg) pairs."""
     errs = []
 
-    def line_of(key):
-        return lines.get(key)
+    def need(holds, key, msg):
+        if key in values and not holds(values[key]):
+            errs.append((lines.get(key), f"{key}: {msg}"))
 
-    kind = values.get("experiment")
-    if kind is None:
-        errs.append((None, "missing required key 'experiment'"))
-        return errs
-    if kind not in EXPERIMENT_KINDS:
-        errs.append((line_of("experiment"),
-                     f"unknown experiment {kind!r}; valid: {', '.join(EXPERIMENT_KINDS)}"))
-        return errs
-
-    def need(cond, key, msg):
-        if not cond:
-            errs.append((line_of(key), f"{key}: {msg}"))
-
-    p = values["p"]
-    need(values["mu1"] > 0, "mu1", "must be > 0")
-    need(values["dimension"] in (1, 2), "dimension", "must be 1 or 2")
-    if kind in _FINITE_SPEED_KINDS:
-        need(p > 2, "p", f"finite-speed experiments require p > 2, got {p}")
-    if kind == "fluid2d-taylor-green":
-        need(p == 2, "p", "Taylor-Green decays at rate 2*mu1 only at p = 2, "
-                          f"got {p}")
-    elif kind == "weak-residual-study":
-        need(p >= 2, "p", f"fluid experiments require p >= 2, got {p}")
-    if kind in _FLUID_KINDS:
-        need(values["dimension"] == 2, "dimension", "fluid experiments are 2-D")
-        need(len(set(values["cells"])) == 1, "cells",
-             "fluid experiments run a square grid: entries must be equal")
-        need("bounds" not in lines, "bounds", "fluid experiments run on the "
-                                              "2*pi-periodic box [0, 2*pi]^2")
-    need(values["stepper"] in ("explicit", "implicit"), "stepper",
+    for key in ("mu1", "tol_inner", "t_end", "t0", "height_c",
+                "snapshots_per_decade"):
+        need(lambda v: v > 0, key, "must be > 0")
+    need(lambda v: v in (1, 2), "dimension", "must be 1 or 2")
+    need(lambda v: v in ("explicit", "implicit"), "stepper",
          "must be 'explicit' or 'implicit'")
-    need(values["tol_inner"] > 0, "tol_inner", "must be > 0")
-    need(values["t_end"] > 0, "t_end", "must be > 0")
-    need(values["t0"] > 0, "t0", "must be > 0")
+    need(lambda v: all(hi > lo for lo, hi in v), "bounds",
+         "upper must exceed lower")
+    p = values.get("p")
+    if kind in _FINITE_SPEED_KINDS:
+        need(lambda v: v > 2, "p", f"finite-speed experiments require p > 2, got {p}")
+    elif kind == "weak-residual-study":
+        need(lambda v: v >= 2, "p", f"fluid experiments require p >= 2, got {p}")
     if kind in _BARENBLATT_KINDS:
         # the run starts from the closed form at t0
-        need(values["t_end"] > values["t0"], "t_end",
-             f"must exceed t0 = {values['t0']}")
-    need(all(hi > lo for lo, hi in values["bounds"]), "bounds",
-         "upper must exceed lower")
-    cells, dim = values["cells"], values["dimension"]
+        need(lambda v: v > values["t0"], "t_end", f"must exceed t0 = {values['t0']}")
+    # the accuracy study runs 1-D grids and the fluids 2-D ones
+    dim = values.get("dimension", 2 if kind in _FLUID_KINDS else 1)
     if kind == "barenblatt-accuracy-study":
-        # the study's 1-D grids are its cells list
-        need(dim == 1, "dimension", "the accuracy study runs 1-D grids")
-        need(values["stepper"] == "explicit" or "stepper" not in lines,
-             "stepper", "the accuracy study runs the explicit stepper")
-        need(len(cells) >= 2 and all(c >= 2 for c in cells), "cells",
+        # the study's grids are its cells list
+        need(lambda c: len(c) >= 2 and all(n >= 2 for n in c), "cells",
              "the accuracy study needs at least two grids, of at least 2 "
              "cells each")
     else:
-        need(all(c >= 1 for c in cells), "cells", "must be positive")
-        if len(cells) not in (1, dim):
-            errs.append((line_of("cells"),
-                         f"cells: need 1 or {dim} entries for dimension {dim}"))
-    if len(values["bounds"]) not in (1, dim):
-        errs.append((line_of("bounds"),
-                     f"bounds: need 1 or {dim} entries for dimension {dim}"))
-    need(values["height_c"] > 0, "height_c", "must be > 0")
-    need(values["snapshots_per_decade"] > 0, "snapshots_per_decade", "must be > 0")
+        need(lambda c: all(n >= 1 for n in c), "cells", "must be positive")
+        need(lambda c: len(c) in (1, dim), "cells",
+             f"need 1 or {dim} entries for dimension {dim}")
+    if kind in _FLUID_KINDS:
+        need(lambda c: len(set(c)) == 1, "cells",
+             "fluid experiments run a square grid: entries must be equal")
+    need(lambda b: len(b) in (1, dim), "bounds",
+         f"need 1 or {dim} entries for dimension {dim}")
     return errs
 
 
-def parse_config(text: str, overrides: dict,
-                 defaults: dict | None = None) -> ExperimentConfig:
-    """Parse config text, apply defaults and overrides, validate everything.
+def parse_config(text: str, overrides: dict) -> ExperimentConfig:
+    """Parse config text, apply overrides and the kind's defaults, and
+    validate everything.
 
     ``overrides`` maps keys to raw string values (command-line flags win
-    over the file); ``defaults``, in the same form, replace the schema's
-    defaults for keys that neither sets.  Raises :class:`ConfigError`
+    over the file).  A key neither sets takes the kind's default in
+    ``KIND_DEFAULTS``, else the schema's.  Raises :class:`ConfigError`
     carrying *all* problems.
     """
     errs: list = []
@@ -199,28 +209,35 @@ def parse_config(text: str, overrides: dict,
             continue
         raw[key] = val if isinstance(val, str) else str(val)
         lines[key] = None  # flags win; no line number
-    for key, val in (defaults or {}).items():
-        raw.setdefault(key, val)
 
     values: dict = {}
-    for key, (typ, default, _help) in SCHEMA.items():
-        if key in raw:
-            try:
-                values[key] = _COERCE[typ](raw[key])
-            except (ValueError, TypeError):
-                errs.append((lines.get(key),
-                             f"{key}: cannot parse {raw[key]!r} as {typ}"))
-        elif default is not None:
-            values[key] = default
+    for key, val in raw.items():
+        typ = SCHEMA[key][0]
+        try:
+            values[key] = _COERCE[typ](val)
+        except (ValueError, TypeError):
+            errs.append((lines[key], f"{key}: cannot parse {val!r} as {typ}"))
 
-    if "experiment" not in values and not any("experiment" in str(e) for e in errs):
+    kind = values.get("experiment")
+    if kind in KIND_KEYS:
+        keys = KIND_KEYS[kind]
+        errs += [(lines[key], f"{key}: not a key of experiment {kind!r}, "
+                              f"which reads {', '.join(keys)}")
+                 for key in raw if key not in keys and key != "experiment"]
+        defaults = KIND_DEFAULTS.get(kind, {})
+        for key in keys:
+            values.setdefault(key, defaults.get(key, SCHEMA[key][1]))
+    elif kind is not None:
+        errs.append((lines["experiment"], f"unknown experiment {kind!r}; "
+                                          f"valid: {', '.join(EXPERIMENT_KINDS)}"))
+    elif "experiment" not in raw:
         errs.append((None, "missing required key 'experiment'"))
 
     if not errs:
-        errs.extend(_validate(values, lines))
+        errs.extend(_validate(kind, values, lines))
     if errs:
         raise ConfigError(errs)
-    return ExperimentConfig(values["experiment"], values)
+    return ExperimentConfig(kind, values)
 
 
 def default_config(kind: str, **overrides) -> ExperimentConfig:

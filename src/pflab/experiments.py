@@ -3,9 +3,11 @@
 The config's ``experiment`` names the kind, and the kind alone decides
 what a run does: each kind has one runner in ``_RUNNERS``, no runner
 hands its run to another, and every report's ``kind`` is its config's
-``experiment``.  Each runner consumes a validated
-:class:`~pflab.config.ExperimentConfig`, writes only its own data files
-(CSV, optional SVG) into the output directory, and returns
+``experiment``.  Each runner reads a validated
+:class:`~pflab.config.ExperimentConfig` holding the keys its kind reads
+and no other (``config.KIND_KEYS``), so that ``manifest.txt`` echoes
+just those; writes only its own data files (CSV, optional SVG) into the
+output directory; and returns
 ``(report, gates)``: the report as a dict, and each gate's name mapped
 to ``(ok, message)``.  :func:`run_experiment` dispatches on the kind
 and owns everything else: it judges the gates, appends the verdict
@@ -148,8 +150,7 @@ def _study_grid(cfg: ExperimentConfig, cells: int) -> tuple:
     """One grid of the accuracy study: ``(cells, h, L1 error, relative
     L1 error)`` of the explicit solution at ``t_end``.  The verdict is
     the closed-form error, so the grid runs without the locality audit."""
-    bp = BarenblattParams(cfg["p"], cfg["dimension"], cfg["height_c"],
-                          cfg["mu1"])
+    bp = BarenblattParams(cfg["p"], 1, cfg["height_c"], cfg["mu1"])
     t0, t1 = cfg["t0"], cfg["t_end"]
     bounds = cfg["bounds"][0]
     grid = GridSpec.line(bounds[0], bounds[1], cells)
@@ -406,11 +407,13 @@ _TG_SNAPSHOTS = 101
 
 def _fluid_taylor_green(cfg: ExperimentConfig, outdir: str):
     mu1 = cfg["mu1"]
+    # the linear stress: the closed-form decay rate 2*mu1 holds at p = 2 alone
+    model = ModelParams(2.0, mu1)
     cells = cfg["cells"][0]
     grid = GridSpec.box((0.0, 0.0), (2 * np.pi, 2 * np.pi), cells, PERIODIC)
     v0 = taylor_green_field(grid, mu1, 0.0)
     t_end = cfg["t_end"]
-    traj = simulate_fluid(v0, _model(cfg), t_end,
+    traj = simulate_fluid(v0, model, t_end,
                           np.linspace(0.0, t_end, _TG_SNAPSHOTS))
     ke = np.array([kinetic_energy(f) for f in traj.fields])
     div_max = max(float(np.max(np.abs(divergence(f).values)))
@@ -433,7 +436,7 @@ def _fluid_taylor_green(cfg: ExperimentConfig, outdir: str):
                      title=f"|u| at t = {traj.times[-1]:.3g}")
     report = {
         "kind": "fluid2d-taylor-green",
-        "cells": cells, "mu1": mu1, "p": cfg["p"],
+        "cells": cells, "mu1": mu1, "p": model.p,
         "ke_decay_rate": rate,
         "expected_rate": expected,
         "relative_error": err_rel,

@@ -10,6 +10,7 @@ import os
 import pytest
 
 from pflab import acceptance
+from pflab.config import HALFSPACE_KEYS
 
 
 @pytest.fixture(scope="session")
@@ -74,9 +75,7 @@ def test_criterion_12_iteration_mechanism(ctx):
 
 
 # every key that halfspace_run, _grid and _solver read
-_TRAJECTORY_KEYS = ("p", "mu1", "dimension", "height_c", "cells", "bounds", "t0",
-                    "t_end", "t_ref", "snapshots_per_decade", "stepper",
-                    "tol_inner")
+_TRAJECTORY_KEYS = HALFSPACE_KEYS
 
 
 def test_criteria_11_12_run_on_the_data_their_config_describes(tmp_path):

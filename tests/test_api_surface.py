@@ -9,9 +9,10 @@ top-level function and class has a caller in the package or the
 benchmark harness, and every keyword default of a public function or
 method is overridden by one of those callers and left unset by another,
 save the console entry point's; every defaulted field of a public
-dataclass is overridden by one of them.  Every config key is read
-somewhere outside the schema that declares it, and is set by a pinned
-acceptance config or by a test that builds a config or drives the CLI.
+dataclass is overridden by one of them.  Each experiment kind's run
+reads exactly the config keys ``KIND_KEYS`` lists for it, every key is
+read by some kind, and every key is set by a pinned acceptance config
+or by a test that builds a config or drives the CLI.
 Importing the package costs numpy alone: each scipy submodule is
 imported where it is called, and no module names ``scipy.integrate`` or
 ``scipy.optimize`` at all.  Only the CLI reads the environment, and no
@@ -30,7 +31,8 @@ import subprocess
 import sys
 
 from pflab import experiments
-from pflab.config import EXPERIMENT_KINDS, SCHEMA
+from pflab.config import (EXPERIMENT_KINDS, KIND_KEYS, SCHEMA, ExperimentConfig,
+                          default_config)
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "pflab"
@@ -271,14 +273,30 @@ def test_every_keyword_default_is_left_unset_by_a_caller():
             in _defaults_and_their_calls(fields=False) if all(passed)] == []
 
 
-def test_every_config_key_is_read_outside_the_schema():
-    strings = set()
-    for module, tree in _modules().items():
-        if module != "config":
-            strings |= {node.value for node in ast.walk(tree)
-                        if isinstance(node, ast.Constant)
-                        and isinstance(node.value, str)}
-    assert sorted(set(SCHEMA) - strings) == []
+def test_each_kind_reads_exactly_its_keys(tmp_path, monkeypatch):
+    # run every kind small, recording the keys read from its config; the
+    # accuracy study reads in spawned workers too, so one of its grids
+    # also runs here.  With the union of the table being the schema, no
+    # key is left that no run reads
+    from test_experiments import SMALL_RUNS, small_constants
+
+    read = collections.defaultdict(set)
+    get = ExperimentConfig.__getitem__
+
+    def recording(cfg, key):
+        read[cfg.kind].add(key)
+        return get(cfg, key)
+
+    monkeypatch.setattr(ExperimentConfig, "__getitem__", recording)
+    small_constants(monkeypatch)
+    for number, (kind, overrides) in enumerate(SMALL_RUNS):
+        cfg = default_config(kind, outdir=str(tmp_path / str(number)),
+                             **overrides)
+        experiments.run_experiment(cfg)
+        if kind == "barenblatt-accuracy-study":
+            experiments._study_grid(cfg, 64)
+    assert read == {kind: set(keys) for kind, keys in KIND_KEYS.items()}
+    assert set().union(*KIND_KEYS.values()) | {"experiment"} == set(SCHEMA)
 
 
 _CONFIG_ENTRY_POINTS = {"parse_config", "default_config", "main"}

@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from pflab.cli import main
-from pflab.config import default_config, parse_config
+from pflab.config import KIND_KEYS, SCHEMA, default_config, parse_config
 from pflab.errors import ConfigError, NumericalError
 from pflab.experiments import run_experiment
 from pflab.svgplot import emit_plot
@@ -32,7 +34,8 @@ def test_exit_code_unreadable_config(tmp_path, capsys, name):
 
 def test_fluid2d_defaults_are_the_readme_example(tmp_path, monkeypatch):
     # a bare `pflab fluid2d` runs the README example, not the scalar
-    # defaults (4096 cells to t = 100 at p = 3); the file and flags win
+    # defaults (4096 cells to t = 100), and so does the kind under
+    # `simulate`; the file and flags win
     from pflab import experiments
 
     seen = []
@@ -40,11 +43,14 @@ def test_fluid2d_defaults_are_the_readme_example(tmp_path, monkeypatch):
                         lambda cfg, outdir: seen.append(cfg) or {})
     out = str(tmp_path / "out")
     assert run_cli("fluid2d", "--outdir", out) == 0
-    assert (seen[-1]["cells"], seen[-1]["p"], seen[-1]["t_end"]) == ((128,), 2.0, 1.0)
+    assert (seen[-1]["cells"], seen[-1]["t_end"]) == ((128,), 1.0)
+    assert run_cli("simulate", "--experiment", "fluid2d-taylor-green",
+                   "--outdir", out) == 0
+    assert seen[-1].values == seen[-2].values
     cfg = tmp_path / "fluid.cfg"
     cfg.write_text("experiment = fluid2d-taylor-green\ncells = 64\n")
     assert run_cli("fluid2d", "--config", str(cfg), "--outdir", out) == 0
-    assert (seen[-1]["cells"], seen[-1]["p"], seen[-1]["t_end"]) == ((64,), 2.0, 1.0)
+    assert (seen[-1]["cells"], seen[-1]["t_end"]) == ((64,), 1.0)
     assert run_cli("fluid2d", "--config", str(cfg), "--t-end", "0.5",
                    "--outdir", out) == 0
     assert (seen[-1]["cells"], seen[-1]["t_end"]) == ((64,), 0.5)
@@ -66,22 +72,26 @@ def test_a_fluid_grid_of_unequal_cell_counts_is_a_configuration_error(tmp_path,
     assert not out.exists()
 
 
+_TG = ("simulate", "--experiment", "fluid2d-taylor-green", "--cells", "16",
+       "--t-end", "0.01")
+_STUDY = ("simulate", "--experiment", "barenblatt-accuracy-study", "--cells",
+          "64,128", "--t-end", "1.5")
+
+
 @pytest.mark.parametrize("argv,message", [
-    (("fluid2d", "--bounds", "0:1", "--cells", "16", "--t-end", "0.01"),
-     "bounds: fluid experiments run on the 2*pi-periodic box"),
-    (("fluid2d", "--p", "3", "--cells", "16", "--t-end", "0.01"),
-     "p: Taylor-Green decays at rate 2*mu1 only at p = 2"),
-    (("simulate", "--experiment", "barenblatt-accuracy-study", "--dimension",
-      "2", "--cells", "64,128", "--t-end", "1.5"),
-     "dimension: the accuracy study runs 1-D grids"),
-    (("simulate", "--experiment", "barenblatt-accuracy-study", "--stepper",
-      "implicit", "--cells", "64,128", "--t-end", "1.5"),
-     "stepper: the accuracy study runs the explicit stepper"),
+    (_TG + ("--bounds", "0:1"), "bounds: not a key of experiment "
+                                "'fluid2d-taylor-green'"),
+    (_TG + ("--p", "3"), "p: not a key of experiment 'fluid2d-taylor-green'"),
+    (_STUDY + ("--dimension", "2"),
+     "dimension: not a key of experiment 'barenblatt-accuracy-study'"),
+    (_STUDY + ("--stepper", "implicit"),
+     "stepper: not a key of experiment 'barenblatt-accuracy-study'"),
 ], ids=["fluid-bounds", "taylor-green-p3", "study-2d", "study-implicit"])
 def test_a_key_the_kind_cannot_run_is_a_configuration_error(tmp_path, capsys,
                                                             argv, message):
     # the fluid's box is [0, 2*pi]^2, Taylor-Green's closed-form rate holds
-    # at p = 2 alone, and the accuracy study steps explicitly in 1-D
+    # at p = 2 alone, and the accuracy study steps explicitly in 1-D: the
+    # kinds take no key for them
     out = tmp_path / "out"
     assert run_cli(*argv, "--outdir", str(out)) == 1
     err = capsys.readouterr().err
@@ -160,6 +170,49 @@ def test_fluid2d_has_no_dimension_flag(capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,kinds", [
+    ("simulate", ()),
+    ("barenblatt", ("barenblatt-fit",)),
+    ("fluid2d", ("fluid2d-taylor-green",)),
+    ("energy", ("energy-ledger",)),
+    ("verify-lemmas", ("stampacchia-suite", "interpolation-suite",
+                       "exponent-identities")),
+])
+def test_a_subcommands_flags_are_its_kinds_keys(capsys, command, kinds):
+    # simulate takes every key; a subcommand that forces its kinds takes
+    # the keys all of them read, and verify-lemmas' suites share outdir
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, "--help")
+    assert exc.value.code == 0
+    flags = set(re.findall(r"--[a-z][a-z0-9-]*", capsys.readouterr().out))
+    keys = set(SCHEMA).intersection(*(KIND_KEYS[k] for k in kinds))
+    assert flags - {"--help", "--config"} == {f"--{k.replace('_', '-')}"
+                                              for k in keys}
+    if command == "simulate":
+        assert len(keys) == 19
+    if command == "verify-lemmas":
+        assert keys == {"outdir"}
+
+
+_FLOAT_KEYS = [k for k, (typ, _, _) in SCHEMA.items() if typ in ("float", "bounds")]
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("key", _FLOAT_KEYS)
+def test_a_non_finite_value_is_a_configuration_error(tmp_path, capsys, key,
+                                                     value):
+    # on the first kind that reads the key
+    kind = next(k for k, keys in KIND_KEYS.items() if key in keys)
+    raw = f"0:{value}" if key == "bounds" else value
+    out = tmp_path / "out"
+    assert run_cli("simulate", "--experiment", kind,
+                   f"--{key.replace('_', '-')}={raw}", "--outdir", str(out)) == 1
+    err = capsys.readouterr().err
+    assert "configuration error:" in err and f"{key}: cannot parse" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["barenblatt", "fluid2d", "energy",
                                      "verify-lemmas"])
 def test_a_subcommand_has_no_flag_for_its_forced_kind(tmp_path, capsys, command):
@@ -189,10 +242,10 @@ def test_deleted_solver_keys_are_rejected(tmp_path, capsys, key, value):
     # are module constants, the half-space run checks both envelopes, and
     # every gate tolerance and check sample count is a constant beside
     # its gate: the keys are unknown in a file and as flags
-    text = f"experiment = fluid2d-taylor-green\ndimension = 2\np = 2\n{key} = {value}\n"
+    text = f"experiment = fluid2d-taylor-green\n{key} = {value}\n"
     with pytest.raises(ConfigError) as exc:
         parse_config(text, {})
-    assert exc.value.errors == [(4, f"unknown key {key!r}")]
+    assert exc.value.errors == [(2, f"unknown key {key!r}")]
     out = tmp_path / "out"
     assert run_cli("simulate", f"--{key.replace('_', '-')}", value,
                    "--outdir", str(out)) == 1

@@ -1,6 +1,7 @@
 import pytest
 
-from pflab.config import SCHEMA, default_config, parse_config
+from pflab.config import (EXPERIMENT_KINDS, KIND_KEYS, SCHEMA, default_config,
+                          parse_config)
 from pflab.errors import ConfigError
 
 
@@ -76,16 +77,18 @@ def test_missing_experiment():
 
 
 def test_fluid_requires_2d():
+    # the fluids run the 2-D periodic box: they take no dimension at all
     with pytest.raises(ConfigError) as exc:
-        parse_config("experiment = fluid2d-taylor-green\ndimension = 1\np = 2\n", {})
-    assert any("2-D" in msg for _, msg in exc.value.errors)
+        parse_config("experiment = fluid2d-taylor-green\ndimension = 1\n", {})
+    ((line, msg),) = exc.value.errors
+    assert line == 2 and msg.startswith("dimension: not a key of experiment "
+                                        "'fluid2d-taylor-green'")
 
 
 def test_fluid_requires_p_at_least_2():
     with pytest.raises(ConfigError) as exc:
-        parse_config("experiment = weak-residual-study\ndimension = 2\n"
-                     "p = 1.5\n", {})
-    assert exc.value.errors == [(3, "p: fluid experiments require p >= 2, "
+        parse_config("experiment = weak-residual-study\np = 1.5\n", {})
+    assert exc.value.errors == [(2, "p: fluid experiments require p >= 2, "
                                     "got 1.5")]
 
 
@@ -96,25 +99,47 @@ def test_bad_syntax_line_number():
 
 
 def test_default_config_helper():
-    cfg = default_config("stampacchia-suite", t_ref=0.5, seed=3)
-    assert cfg["t_ref"] == 0.5 and cfg["seed"] == 3
+    cfg = default_config("halfspace-fsp", t_ref=0.5, bounds=((-2.0, 3.0),))
+    assert cfg["t_ref"] == 0.5 and cfg["bounds"] == ((-2.0, 3.0),)
+    assert default_config("stampacchia-suite", seed=3)["seed"] == 3
 
 
 def test_schema_defaults_are_valid():
-    # every kind parses with pure defaults, save the fluids' dimension
-    # and the accuracy study's grids
-    from pflab.config import EXPERIMENT_KINDS
-
-    fixes = {"fluid2d-taylor-green": {"dimension": "2", "p": "2"},
-             "weak-residual-study": {"dimension": "2", "p": "3.5"},
-             "barenblatt-accuracy-study": {"cells": "2048,4096"}}
+    # every kind parses with pure defaults, save the accuracy study's
+    # grids, and holds exactly the keys it reads; Taylor-Green's own
+    # defaults replace the schema's grid and horizon
+    fixes = {"barenblatt-accuracy-study": {"cells": "2048,4096"}}
     for kind in EXPERIMENT_KINDS:
         cfg = parse_config(f"experiment = {kind}\n", fixes.get(kind, {}))
-        assert set(SCHEMA) >= set(cfg.values)
+        assert set(cfg.values) == {"experiment", *KIND_KEYS[kind]}
+        with pytest.raises(KeyError):
+            cfg["no_such_key"]
+    tg = parse_config("experiment = fluid2d-taylor-green\n", {})
+    assert (tg["cells"], tg["t_end"]) == ((128,), 1.0)
+
+
+# a value of each type that parses
+_SAMPLE = {"str": "explicit", "float": "1.5", "int": "2", "bool": "true",
+           "ints": "64", "bounds": "-1:1"}
+
+
+@pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+def test_a_key_outside_the_kinds_list_is_rejected(kind):
+    # the kind reads only its own keys; another, from the file or a flag,
+    # would be echoed by the manifest and never used
+    for key in sorted(set(SCHEMA) - set(KIND_KEYS[kind]) - {"experiment"}):
+        value = _SAMPLE[SCHEMA[key][0]]
+        with pytest.raises(ConfigError) as exc:
+            parse_config(f"experiment = {kind}\n{key} = {value}\n", {})
+        ((line, msg),) = exc.value.errors
+        assert line == 2 and msg.startswith(f"{key}: not a key of experiment"), msg
+        with pytest.raises(ConfigError) as exc:
+            parse_config(f"experiment = {kind}\n", {key: value})
+        assert [line for line, _ in exc.value.errors] == [None]
 
 
 _STUDY = {"experiment": "barenblatt-accuracy-study", "cells": "64,128"}
-_FLUID = {"experiment": "fluid2d-taylor-green", "dimension": "2", "p": "2"}
+_FLUID = {"experiment": "fluid2d-taylor-green"}
 
 # the other keys a row's violation depends on: the accuracy study's
 # grids and horizon are its own, and a fluid grid is square and fixed
@@ -123,7 +148,7 @@ _RANGE_CONTEXT = {
     ("cells", "1,2048"): _STUDY,
     ("t_end", "1.0"): _STUDY,
     ("cells", "16,32"): _FLUID,
-    ("bounds", "0:1"): _FLUID,  # the fluid's box is [0, 2*pi]^2
+    ("bounds", "0:1"): _FLUID,  # the fluid's box is [0, 2*pi]^2: no bounds key
 }
 
 

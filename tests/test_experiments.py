@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from pflab import acceptance, experiments
-from pflab.config import default_config, parse_config
+from pflab.config import KIND_KEYS, default_config, parse_config
 from pflab.core import ScalarField
 from pflab.errors import BoundarySentinelError, VerificationError
 from pflab.experiments import (_flatten, _study_grid, halfspace_run,
@@ -58,7 +58,7 @@ def test_accuracy_study_rows_in_grid_order(tmp_path, monkeypatch):
     # the grids run in a worker pool, finest first; study.csv keeps the
     # configured order and the same numbers as one grid at a time
     cfg = default_config("barenblatt-accuracy-study", outdir=str(tmp_path),
-                         p=3.0, dimension=1, bounds="-8.6:8.6", t0=1.0,
+                         p=3.0, bounds="-8.6:8.6", t0=1.0,
                          t_end=1.5, cells=(256, 128, 512))
     monkeypatch.setattr(experiments, "_ORDER_MIN", -10.0)
     r = run_experiment(cfg)
@@ -126,7 +126,7 @@ def test_ledger_refinement_run_differs_only_in_cells(tmp_path, monkeypatch):
     cfg = default_config(
         "energy-ledger", outdir=str(tmp_path), p=3.0, dimension=1,
         cells=(512,), bounds="-7.8:7.5", t0=5e-8, t_end=1.0,
-        stepper="explicit", snapshots_per_decade=16, t_ref=0.2, svg=False)
+        stepper="explicit", snapshots_per_decade=16, t_ref=0.2)
     try:
         run_experiment(cfg)
     except VerificationError:
@@ -141,8 +141,7 @@ def test_taylor_green_small(tmp_path, monkeypatch):
     monkeypatch.setattr(experiments, "_KE_RATE_TOL", 0.03)
     monkeypatch.setattr(experiments, "_TG_SNAPSHOTS", 26)
     r = run_experiment(default_config(
-        "fluid2d-taylor-green", outdir=str(tmp_path), p=2.0, dimension=2,
-        cells=(48,), t_end=0.5))
+        "fluid2d-taylor-green", outdir=str(tmp_path), cells=(48,), t_end=0.5))
     assert r["passed"]
     assert (tmp_path / "kinetic_energy.csv").exists()
 
@@ -185,7 +184,7 @@ def _on_coarse_run(change):
                             t0=1.0, t_end=20.0, stepper="implicit",
                             exponent_tol=1e-9), {}, None, "fitted exponent",
      "exponent"),
-    ("fluid2d-taylor-green", dict(p=2.0, dimension=2, cells=(32,), t_end=0.1),
+    ("fluid2d-taylor-green", dict(cells=(32,), t_end=0.1),
      {"_KE_RATE_TOL": 1e-9}, None, "Taylor-Green", "decay_rate"),
     ("exponent-identities", {}, {"_IDENTITY_TOL": -1.0}, None,
      "identity residual", "identities"),
@@ -229,13 +228,14 @@ def test_gate_failure_raises_with_report(tmp_path, monkeypatch, kind, overrides,
         assert "t,front" in (tmp_path / "trace.csv").read_text().splitlines()
 
 
-def _small_pinned(**overrides):
+def _small_pinned(refine_check: str, **overrides):
     """A stand-in for ``acceptance._load_cfg``: the pinned config with
-    ``overrides`` (raw strings) set."""
+    ``overrides`` (raw strings) set, and the ledger's ``refine_check``."""
     def load(name, outdir):
         text = resources.files("pflab.configs.accept").joinpath(name).read_text()
+        ledger = {"refine_check": refine_check} if name.startswith("c11") else {}
         return parse_config(text, {"outdir": os.path.join(outdir, name[:3]),
-                                   **overrides})
+                                   **overrides, **ledger})
 
     return load
 
@@ -266,8 +266,7 @@ def test_shared_halfspace_numerical_failure_fails_its_criteria(tmp_path,
 
 def test_shared_runs_go_through_the_dispatcher(tmp_path, monkeypatch):
     monkeypatch.setattr(acceptance, "_load_cfg", _small_pinned(
-        cells="1024", t_end="3.0", snapshots_per_decade="48",
-        refine_check="false"))
+        "false", cells="1024", t_end="3.0", snapshots_per_decade="48"))
     _small_ledger(monkeypatch)
     results = acceptance.run_acceptance(str(tmp_path), only="4,11")
     assert all(r.passed for r in results)
@@ -283,7 +282,7 @@ def test_decay_refinement_failure_fails_criteria_11_and_12(tmp_path,
     # both criteria on the ledger's hypotheses; the ledger's own report
     # says which gate failed
     monkeypatch.setattr(acceptance, "_load_cfg",
-                        _small_pinned(refine_check="true", **_SMALL_PINNED))
+                        _small_pinned("true", **_SMALL_PINNED))
     _small_ledger(monkeypatch)
     _on_coarse_run(_shrunk)(None, monkeypatch)
     results = {r.number: r for r in acceptance.run_acceptance(
@@ -305,7 +304,7 @@ def test_a_planted_failure_fails_exactly_the_criteria_owning_its_gate(
     # not rest on it and passes, while 5 (the L1 envelope) and 11 and 12
     # (the ledger) do and fail on the same half-space run
     monkeypatch.setattr(acceptance, "_load_cfg",
-                        _small_pinned(refine_check="false", **_SMALL_PINNED))
+                        _small_pinned("false", **_SMALL_PINNED))
     monkeypatch.setattr(acceptance, "halfspace_run",
                         lambda cfg: _grown_l1(halfspace_run(cfg), monkeypatch))
     _small_ledger(monkeypatch)
@@ -338,7 +337,7 @@ def test_every_owned_gate_is_a_gate_its_runner_returns(tmp_path, monkeypatch):
     for kind, runner in list(experiments._RUNNERS.items()):
         monkeypatch.setitem(experiments._RUNNERS, kind, recording(runner))
     monkeypatch.setattr(acceptance, "_load_cfg",
-                        _small_pinned(refine_check="true", **_SMALL_PINNED))
+                        _small_pinned("true", **_SMALL_PINNED))
     _small_ledger(monkeypatch)
     owners = {n: row for n, row in acceptance.CRITERIA.items()
               if row[3] is not None}
@@ -349,8 +348,9 @@ def test_every_owned_gate_is_a_gate_its_runner_returns(tmp_path, monkeypatch):
         assert owned <= returned[kind], (number, owned - returned[kind])
 
 
-@pytest.mark.parametrize("kind,overrides", [
-    ("fluid2d-taylor-green", dict(p=2.0, dimension=2, cells=(48,), t_end=0.5)),
+# a small passing run of every kind, under small_constants
+SMALL_RUNS = [
+    ("fluid2d-taylor-green", dict(cells=(48,), t_end=0.5)),
     ("energy-ledger", dict(p=3.0, dimension=1, cells=(1024,), bounds="-7.8:7.5",
                            t0=5e-8, t_end=3.0, stepper="explicit",
                            snapshots_per_decade=48, refine_check=False)),
@@ -361,18 +361,37 @@ def test_every_owned_gate_is_a_gate_its_runner_returns(tmp_path, monkeypatch):
                             height_c=0.5, exponent_tol=0.08)),
     ("barenblatt-accuracy-study", dict(bounds="-8.6:8.6", t0=1.0, t_end=1.5,
                                        cells=(128, 256))),
-    ("weak-residual-study", dict(p=2.0, dimension=2, cells=(16,), t_end=0.05)),
-])
-def test_rerun_artifacts_byte_identical(tmp_path, monkeypatch, kind, overrides):
-    # the small runs' rate tolerance, snapshots and ledger size, as in the
-    # tests above
+    ("weak-residual-study", dict(p=2.0, cells=(16,), t_end=0.05)),
+    ("halfspace-fsp", _SMALL_HALFSPACE),
+    ("stampacchia-suite", dict(seed=5)),
+    ("interpolation-suite", dict(seed=11)),
+    ("exponent-identities", {}),
+]
+
+
+def small_constants(monkeypatch):
+    """The small runs' rate tolerance, snapshots, ledger size and suite
+    sample counts, as in the tests above."""
     monkeypatch.setattr(experiments, "_KE_RATE_TOL", 0.03)
     monkeypatch.setattr(experiments, "_TG_SNAPSHOTS", 26)
+    monkeypatch.setattr(experiments, "_A1_CASES", 25)
+    monkeypatch.setattr(experiments, "_BUMP_COUNT", 12)
+    monkeypatch.setattr(experiments, "_GN_CELLS", 96)
     _small_ledger(monkeypatch)
+
+
+@pytest.mark.parametrize("kind,overrides", SMALL_RUNS)
+def test_rerun_artifacts_byte_identical(tmp_path, monkeypatch, kind, overrides):
+    # the manifest echoes the config: the kind's keys and nothing else
+    small_constants(monkeypatch)
     outs = [tmp_path / "r1", tmp_path / "r2"]
     for out in outs:
         cfg = default_config(kind, outdir=str(out), **overrides)
         assert run_experiment(cfg)["kind"] == cfg.kind
+        keys = [line.split(" = ")[0] for line in
+                (out / "manifest.txt").read_text().splitlines()
+                if not line.startswith(("version.", "status ", "run_stamp "))]
+        assert keys == sorted(("experiment",) + KIND_KEYS[kind])
     names = sorted(f.name for f in outs[0].iterdir()
                    if f.name == "report.txt" or f.suffix == ".csv")
     assert "report.txt" in names and len(names) >= 2
