@@ -44,17 +44,21 @@ _KIND_COMMANDS = {
 
 def _add_config_flags(parser: argparse.ArgumentParser, kinds: tuple) -> None:
     """``--config`` and a flag for each key every kind of ``kinds`` reads,
-    or for every key when ``kinds`` is empty; the help shows the default
-    of a lone kind."""
+    or for every key when ``kinds`` is empty.  The help shows the default
+    of a lone kind, else the schema's, and names each kind the parser
+    runs whose own default (``KIND_DEFAULTS``) differs from it."""
     parser.add_argument("--config", help="key = value config file")
     keys = [key for key in SCHEMA if all(key in KIND_KEYS[k] for k in kinds)]
     defaults = KIND_DEFAULTS.get(kinds[0], {}) if len(kinds) == 1 else {}
     for key in keys:
         _typ, default, help_ = SCHEMA[key]
+        shown = defaults.get(key, default)
+        own = "".join(f"; {kind} {KIND_DEFAULTS[kind][key]!r}"
+                      for kind in kinds or KIND_KEYS
+                      if KIND_DEFAULTS.get(kind, {}).get(key, shown) != shown)
         parser.add_argument(f"--{key.replace('_', '-')}", dest=f"opt_{key}",
                             metavar="V", default=None,
-                            help=f"{help_} (default "
-                                 f"{defaults.get(key, default)!r})")
+                            help=f"{help_} (default {shown!r}{own})")
 
 
 def _collect_overrides(args, forced: dict) -> dict:

@@ -39,8 +39,9 @@ KIND_KEYS = {
     "exponent-identities": ("outdir",),
 }
 # a kind's defaults where the schema's would not end: 4096^2 cells to
-# t = 100 for a fluid
-KIND_DEFAULTS = {"fluid2d-taylor-green": {"cells": (128,), "t_end": 1.0}}
+# t = 100 for a fluid; the weak study's are criterion 7's
+KIND_DEFAULTS = {"fluid2d-taylor-green": {"cells": (128,), "t_end": 1.0},
+                 "weak-residual-study": {"cells": (64,), "t_end": 1.0}}
 EXPERIMENT_KINDS = tuple(KIND_KEYS)
 # kinds that start from the Barenblatt closed form at t0
 _BARENBLATT_KINDS = ("barenblatt-fit", "barenblatt-accuracy-study")

@@ -140,13 +140,33 @@ def _sl(ndim: int, axis: int, sl) -> tuple:
     return tuple(idx)
 
 
-def _face_diff(v: np.ndarray, axis: int, h: float, periodic: bool) -> np.ndarray:
+def _face_diff(v: np.ndarray, axis: int, h: float, periodic: bool,
+               out=None) -> np.ndarray:
+    """Normal difference at the faces along ``axis``; a dirichlet one
+    writes into ``out`` (fresh when None)."""
     if periodic:
         out = _periodic_stencil(np.subtract, axis, (v, 1), (v, 0))
         out /= h
         return out
     nd = v.ndim
-    return (v[_sl(nd, axis, slice(1, None))] - v[_sl(nd, axis, slice(None, -1))]) / h
+    out = np.subtract(v[_sl(nd, axis, slice(1, None))],
+                      v[_sl(nd, axis, slice(None, -1))], out=out)
+    out /= h
+    return out
+
+
+def _spread(first, a: np.ndarray, out: np.ndarray, axis: int, k: int = 1):
+    """Scatter the faces ``a`` to the nodes ``out`` along ``axis``, in one
+    pass with no zero fill: node i gets ``first(0.0, a[i])`` (0.0 past the
+    end of ``a``), then ``+ a[i-k]``.  Node by node this is the arithmetic
+    of a zero array that takes ``first`` of ``a`` at offset 0 and then
+    ``+=`` of it at offset k, so the bits, signed zeros included, are
+    those of that slice form.  Returns ``out``."""
+    nd = out.ndim
+    first(0.0, a, out=out[_sl(nd, axis, slice(None, -k))])
+    out[_sl(nd, axis, slice(-k, None))] = 0.0
+    out[_sl(nd, axis, slice(k, None))] += a
+    return out
 
 
 def _face_diff_adj(w: np.ndarray, node_shape: tuple, axis: int, h: float,
@@ -155,55 +175,60 @@ def _face_diff_adj(w: np.ndarray, node_shape: tuple, axis: int, h: float,
         out = _periodic_stencil(np.subtract, axis, (w, -1), (w, 0))
         out /= h
         return out
-    out = np.zeros(node_shape)
-    nd = out.ndim
-    out[_sl(nd, axis, slice(None, -1))] -= w / h
-    out[_sl(nd, axis, slice(1, None))] += w / h
-    return out
+    return _spread(np.subtract, w / h, np.empty(node_shape), axis)
 
 
-def _face_avg(z: np.ndarray, axis: int, periodic: bool) -> np.ndarray:
+def _face_avg(z: np.ndarray, axis: int, periodic: bool, out=None) -> np.ndarray:
+    """Mean of the two nodes of each face along ``axis``; a dirichlet one
+    writes into ``out`` (fresh when None)."""
     if periodic:
         out = _periodic_stencil(np.add, axis, (z, 0), (z, 1))
         out *= 0.5
         return out
     nd = z.ndim
-    return 0.5 * (z[_sl(nd, axis, slice(None, -1))] + z[_sl(nd, axis, slice(1, None))])
-
-
-def _face_avg_adj(w: np.ndarray, node_shape: tuple, axis: int) -> np.ndarray:
-    out = np.zeros(node_shape)
-    nd = out.ndim
-    out[_sl(nd, axis, slice(None, -1))] += 0.5 * w
-    out[_sl(nd, axis, slice(1, None))] += 0.5 * w
+    out = np.add(z[_sl(nd, axis, slice(None, -1))],
+                 z[_sl(nd, axis, slice(1, None))], out=out)
+    out *= 0.5
     return out
 
 
-def _trans_deriv(v: np.ndarray, axis: int, h: float, periodic: bool) -> np.ndarray:
+def _face_avg_adj(w: np.ndarray, node_shape: tuple, axis: int) -> np.ndarray:
+    return _spread(np.add, 0.5 * w, np.empty(node_shape), axis)
+
+
+def _trans_deriv(v: np.ndarray, axis: int, h: float, periodic: bool,
+                 out=None) -> np.ndarray:
     """Node-centered derivative along ``axis``: centered inside, 2-point
     one-sided at dirichlet ends (kept first order there so the exact
-    adjoint stays a short slice expression)."""
+    adjoint stays short); a dirichlet one writes into ``out`` (fresh when
+    None)."""
     if periodic:
         return _axis_derivative(v, axis, h, True)
     nd = v.ndim
-    out = np.empty_like(v)
-    out[_sl(nd, axis, slice(1, -1))] = (
-        v[_sl(nd, axis, slice(2, None))] - v[_sl(nd, axis, slice(None, -2))]
-    ) / (2.0 * h)
+    out = np.empty_like(v) if out is None else out
+    mid = out[_sl(nd, axis, slice(1, -1))]
+    np.subtract(v[_sl(nd, axis, slice(2, None))],
+                v[_sl(nd, axis, slice(None, -2))], out=mid)
+    mid /= 2.0 * h
     out[_sl(nd, axis, 0)] = (v[_sl(nd, axis, 1)] - v[_sl(nd, axis, 0)]) / h
     out[_sl(nd, axis, -1)] = (v[_sl(nd, axis, -1)] - v[_sl(nd, axis, -2)]) / h
     return out
 
 
-def _trans_deriv_adj(w: np.ndarray, axis: int, h: float) -> np.ndarray:
-    nd = w.ndim
-    out = np.zeros_like(w)
-    out[_sl(nd, axis, slice(None, -2))] -= w[_sl(nd, axis, slice(1, -1))] / (2.0 * h)
-    out[_sl(nd, axis, slice(2, None))] += w[_sl(nd, axis, slice(1, -1))] / (2.0 * h)
-    out[_sl(nd, axis, 0)] -= w[_sl(nd, axis, 0)] / h
-    out[_sl(nd, axis, 1)] += w[_sl(nd, axis, 0)] / h
-    out[_sl(nd, axis, -2)] -= w[_sl(nd, axis, -1)] / h
-    out[_sl(nd, axis, -1)] += w[_sl(nd, axis, -1)] / h
+def _trans_deriv_adj(z: np.ndarray, axis: int, h: float, out=None) -> np.ndarray:
+    """Adjoint of the dirichlet :func:`_trans_deriv`, into ``out`` (fresh
+    when None); ``z`` is overwritten.  The centred rows spread
+    ``z[1:-1]/(2h)`` two nodes apart, then the one-sided rows add
+    ``-+z[0]/h`` and ``-+z[-1]/h`` at the two end nodes of each side."""
+    nd = z.ndim
+    out = np.empty_like(z) if out is None else out
+    ends = [z[_sl(nd, axis, end)] / h for end in (0, -1)]
+    mid = z[_sl(nd, axis, slice(1, -1))]
+    mid /= 2.0 * h
+    _spread(np.subtract, mid, out, axis, 2)
+    for (lo, hi), e in zip(((0, 1), (-2, -1)), ends):
+        out[_sl(nd, axis, lo)] -= e
+        out[_sl(nd, axis, hi)] += e
     return out
 
 
@@ -381,13 +406,21 @@ def _energy(faces: list, grid: GridSpec, cfg: SolverConfig) -> float:
     return (mu1 / p) * _face_weight(grid) * total
 
 
-def _face_gradients_adj(tn, tt, grid: GridSpec, axis: int) -> np.ndarray:
-    """Adjoint of :func:`_face_gradients`: the node array ``G^T (tn, tt)``."""
-    out = _face_diff_adj(tn, grid.shape, axis, grid.spacing[axis], False)
-    if tt is not None:
+def _face_gradients_adj(tn, tt, grid: GridSpec, axis: int, out=None,
+                        work=None) -> np.ndarray:
+    """Adjoint of :func:`_face_gradients`: the node array ``G^T (tn, tt)``,
+    into ``out`` (fresh when None).  ``tn`` and ``tt`` are overwritten;
+    ``work`` is a node buffer for the transverse part (fresh when None)."""
+    out = np.empty(grid.shape) if out is None else out
+    if tt is not None:  # out holds the face sums of tt until the last spread
         other = 1 - axis
-        out += _trans_deriv_adj(_face_avg_adj(tt, grid.shape, axis), other,
-                                grid.spacing[other])
+        tt *= 0.5
+        work = _trans_deriv_adj(_spread(np.add, tt, out, axis), other,
+                                grid.spacing[other], out=work)
+    tn /= grid.spacing[axis]
+    _spread(np.subtract, tn, out, axis)
+    if tt is not None:
+        out += work
     return out
 
 
@@ -409,6 +442,7 @@ class _ProxProblem:
         self.vol = grid.volumes()
         self.w = _face_weight(grid)
         self._k = None  # per-axis (k_nn, k_nt, k_tt) at the last grad point
+        self._work = None  # hess_vec's buffers, made at its first call per _k
 
     def _quad(self, v: np.ndarray) -> float:
         return 0.5 / self.dt * float(np.sum((v - self.u) ** 2 * self.vol))
@@ -420,9 +454,10 @@ class _ProxProblem:
     def value_and_grad(self, v: np.ndarray):
         p, mu1 = self.cfg.params.p, self.cfg.params.mu1
         grid = self.grid
+        # the old tensor and hess_vec's buffers go before the new faces come
+        self._k, self._work = [], None
         faces = _face_fields(v, grid)
         adj = np.zeros(grid.shape)
-        self._k = []
         for axis, (gn, gt, a2) in enumerate(faces):
             D = _diffusivity_of_a2(a2, p, mu1)
             adj += _face_gradients_adj(D * gn, None if gt is None else D * gt,
@@ -439,16 +474,46 @@ class _ProxProblem:
         return self._quad(v) + _energy(faces, grid, self.cfg), g
 
     def hess_vec(self, dv: np.ndarray) -> np.ndarray:
-        """Exact Hessian action at the last gradient point."""
-        adj = np.zeros(self.grid.shape)
+        """Exact Hessian action at the last gradient point, as a fresh
+        array.  Each axis is one pass of in-place ufuncs over five work
+        buffers, made at the first call after each linearization, with the
+        arithmetic of the slice forms (``tests/oracles.py``) node by node."""
+        grid = self.grid
+        if self._work is None:
+            self._work = [np.empty(dv.size) for _ in range(5)]
+        # flat buffers, viewed as node arrays or as the axis's face arrays;
+        # one takes its next role once its last is read: sums holds the
+        # transverse derivative, then tmp, then the second axis's part, and
+        # trans holds gn until the transverse adjoint needs it
+        b0, b1, b2, b3, b4 = self._work
+        adj, sums, trans = (b.reshape(grid.shape) for b in (b0, b1, b2))
         for axis, (knn, knt, ktt) in enumerate(self._k):
-            dgn, dgt = _face_gradients(dv, self.grid, axis)
-            if dgt is None:
-                adj += _face_gradients_adj(knn * dgn, None, self.grid, axis)
-            else:
-                adj += _face_gradients_adj(knn * dgn + knt * dgt,
-                                           knt * dgn + ktt * dgt, self.grid, axis)
-        return self.vol * dv / self.dt + self.w * adj
+            gn, tmp, gt, tn = (b[:knn.size].reshape(knn.shape)
+                               for b in (b2, b1, b3, b4))
+            _face_diff(dv, axis, grid.spacing[axis], False, out=gn)
+            np.multiply(knn, gn, out=tn)
+            if ktt is None:
+                gt = None
+            else:  # tn = knn gn + knt gt, and gt becomes knt gn + ktt gt
+                other = 1 - axis
+                _face_avg(_trans_deriv(dv, other, grid.spacing[other], False,
+                                       out=sums), axis, False, out=gt)
+                tn += np.multiply(knt, gt, out=tmp)
+                gt *= ktt
+                gn *= knt
+                np.add(gn, gt, out=gt)
+            # every node of an axis's sum starts at 0.0 - a or 0.0 + a, so
+            # it is never -0, and the first axis writes adj itself: the
+            # zero array's 0.0 + it would change no bit
+            _face_gradients_adj(tn, gt, grid, axis, adj if axis == 0 else sums,
+                                trans)
+            if axis:
+                adj += sums
+        out = np.multiply(self.vol, dv)
+        out /= self.dt
+        adj *= self.w
+        out += adj
+        return out
 
     def hess_diag(self) -> np.ndarray:
         """Exact Hessian diagonal, the Jacobi preconditioner: ``K`` weighted

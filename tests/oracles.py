@@ -3,7 +3,9 @@
 None of these runs in an experiment.  They are written from their
 definitions (closed forms, quadrature, finite differences and a root
 solve), so that a slip in the package's own arithmetic shows up as a
-disagreement rather than being copied into the check.
+disagreement rather than being copied into the check.  The proximal
+derivatives are kept in the slice forms the package's buffered passes
+replace, which they must match bit for bit.
 """
 
 import numpy as np
@@ -159,3 +161,136 @@ def calibrate_profile_constant(p: float, dim: int, C: float = 1.0,
 
     k = optimize.brentq(obj, 0.25 * k_hint, 4.0 * k_hint, xtol=1e-14, rtol=1e-13)
     return float(k)
+
+
+# ---------------------------------------------------------------------------
+# the proximal objective's derivatives on a dirichlet grid in slice form:
+# each adjoint adds shifted copies into a zero array, each derivative
+# forms every product afresh.  The package writes the same arithmetic in
+# one buffered pass per axis; the tests compare the two bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def _sl(ndim, axis, sl):
+    idx = [slice(None)] * ndim
+    idx[axis] = sl
+    return tuple(idx)
+
+
+def face_diff(v, axis, h):
+    nd = v.ndim
+    return (v[_sl(nd, axis, slice(1, None))] - v[_sl(nd, axis, slice(None, -1))]) / h
+
+
+def face_avg(z, axis):
+    nd = z.ndim
+    return 0.5 * (z[_sl(nd, axis, slice(None, -1))] + z[_sl(nd, axis, slice(1, None))])
+
+
+def trans_deriv(v, axis, h):
+    nd = v.ndim
+    out = np.empty_like(v)
+    out[_sl(nd, axis, slice(1, -1))] = (
+        v[_sl(nd, axis, slice(2, None))] - v[_sl(nd, axis, slice(None, -2))]
+    ) / (2.0 * h)
+    out[_sl(nd, axis, 0)] = (v[_sl(nd, axis, 1)] - v[_sl(nd, axis, 0)]) / h
+    out[_sl(nd, axis, -1)] = (v[_sl(nd, axis, -1)] - v[_sl(nd, axis, -2)]) / h
+    return out
+
+
+def face_diff_adj(w, node_shape, axis, h):
+    out = np.zeros(node_shape)
+    nd = out.ndim
+    out[_sl(nd, axis, slice(None, -1))] -= w / h
+    out[_sl(nd, axis, slice(1, None))] += w / h
+    return out
+
+
+def face_avg_adj(w, node_shape, axis):
+    out = np.zeros(node_shape)
+    nd = out.ndim
+    out[_sl(nd, axis, slice(None, -1))] += 0.5 * w
+    out[_sl(nd, axis, slice(1, None))] += 0.5 * w
+    return out
+
+
+def trans_deriv_adj(w, axis, h):
+    nd = w.ndim
+    out = np.zeros_like(w)
+    out[_sl(nd, axis, slice(None, -2))] -= w[_sl(nd, axis, slice(1, -1))] / (2.0 * h)
+    out[_sl(nd, axis, slice(2, None))] += w[_sl(nd, axis, slice(1, -1))] / (2.0 * h)
+    out[_sl(nd, axis, 0)] -= w[_sl(nd, axis, 0)] / h
+    out[_sl(nd, axis, 1)] += w[_sl(nd, axis, 0)] / h
+    out[_sl(nd, axis, -2)] -= w[_sl(nd, axis, -1)] / h
+    out[_sl(nd, axis, -1)] += w[_sl(nd, axis, -1)] / h
+    return out
+
+
+def _face_gradients(v, grid, axis):
+    gn = face_diff(v, axis, grid.spacing[axis])
+    if grid.dim == 1:
+        return gn, None
+    other = 1 - axis
+    return gn, face_avg(trans_deriv(v, other, grid.spacing[other]), axis)
+
+
+def _face_gradients_adj(tn, tt, grid, axis):
+    out = face_diff_adj(tn, grid.shape, axis, grid.spacing[axis])
+    if tt is not None:
+        other = 1 - axis
+        out += trans_deriv_adj(face_avg_adj(tt, grid.shape, axis), other,
+                               grid.spacing[other])
+    return out
+
+
+def prox_gradient(prob, v):
+    """The gradient of ``prob``'s objective at ``v``; the diffusivity is
+    the package's (``plaplace._diffusivity_of_a2``)."""
+    from pflab.plaplace import _diffusivity_of_a2
+
+    grid, params = prob.grid, prob.cfg.params
+    adj = np.zeros(grid.shape)
+    for axis in range(grid.dim):
+        gn, gt = _face_gradients(v, grid, axis)
+        a2 = gn * gn if gt is None else gn * gn + gt * gt
+        D = _diffusivity_of_a2(a2, params.p, params.mu1)
+        adj += _face_gradients_adj(D * gn, None if gt is None else D * gt,
+                                   grid, axis)
+    return prob.vol * (v - prob.u) / prob.dt + prob.w * adj
+
+
+def prox_hess_vec(prob, dv):
+    """The Hessian action of ``prob`` at its last gradient point."""
+    grid = prob.grid
+    adj = np.zeros(grid.shape)
+    for axis, (knn, knt, ktt) in enumerate(prob._k):
+        dgn, dgt = _face_gradients(dv, grid, axis)
+        if dgt is None:
+            adj += _face_gradients_adj(knn * dgn, None, grid, axis)
+        else:
+            adj += _face_gradients_adj(knn * dgn + knt * dgt,
+                                       knt * dgn + ktt * dgt, grid, axis)
+    return prob.vol * dv / prob.dt + prob.w * adj
+
+
+def prox_hess_diag(prob):
+    """The Hessian diagonal of ``prob`` at its last gradient point."""
+    grid = prob.grid
+    nd = grid.dim
+    diag = np.zeros(grid.shape)
+    for axis, (knn, knt, ktt) in enumerate(prob._k):
+        h = grid.spacing[axis]
+        diag += (2.0 / h**2) * face_avg_adj(knn, grid.shape, axis)
+        if ktt is None:
+            continue
+        other = 1 - axis
+        ho = grid.spacing[other]
+        z = face_avg_adj(ktt, grid.shape, axis) / (8.0 * ho**2)
+        x = face_diff_adj(knt, grid.shape, axis, h) / ho
+        for end, sign in ((0, -1.0), (-1, 1.0)):
+            e = _sl(nd, other, end)
+            z[e] *= 4.0
+            diag[e] += z[e] + sign * x[e]
+        diag[_sl(nd, other, slice(1, None))] += z[_sl(nd, other, slice(None, -1))]
+        diag[_sl(nd, other, slice(None, -1))] += z[_sl(nd, other, slice(1, None))]
+    return prob.vol / prob.dt + prob.w * diag

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from pflab.cli import main
-from pflab.config import KIND_KEYS, SCHEMA, default_config, parse_config
+from pflab.config import (KIND_DEFAULTS, KIND_KEYS, SCHEMA, default_config,
+                          parse_config)
 from pflab.errors import ConfigError, NumericalError
 from pflab.experiments import run_experiment
 from pflab.svgplot import emit_plot
@@ -192,6 +193,31 @@ def test_a_subcommands_flags_are_its_kinds_keys(capsys, command, kinds):
         assert len(keys) == 19
     if command == "verify-lemmas":
         assert keys == {"outdir"}
+
+
+@pytest.mark.parametrize("command,kinds", [
+    ("simulate", tuple(KIND_KEYS)),
+    ("fluid2d", ("fluid2d-taylor-green",)),
+])
+def test_help_names_each_kind_whose_default_differs(capsys, monkeypatch,
+                                                    command, kinds):
+    # simulate shows the schema's default of a key and then each kind
+    # that runs another; a lone kind's subcommand shows the kind's own
+    monkeypatch.setenv("COLUMNS", "400")  # one line per flag
+    with pytest.raises(SystemExit):
+        run_cli(command, "--help")
+    lines = capsys.readouterr().out.splitlines()
+    for key in {key for own in KIND_DEFAULTS.values() for key in own}:
+        flag = f"--{key.replace('_', '-')} V"
+        (line,) = [ln for ln in lines if ln.strip().startswith(flag)]
+        shown = (KIND_DEFAULTS[kinds[0]][key] if len(kinds) == 1
+                 else SCHEMA[key][1])
+        named = [f"{kind} {own[key]!r}" for kind, own in KIND_DEFAULTS.items()
+                 if kind in kinds and own.get(key, shown) != shown]
+        assert line.endswith(f"(default {shown!r}"
+                             + "".join(f"; {n}" for n in named) + ")"), line
+        if command == "simulate":
+            assert len(named) == 2
 
 
 _FLOAT_KEYS = [k for k, (typ, _, _) in SCHEMA.items() if typ in ("float", "bounds")]

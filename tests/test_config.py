@@ -118,6 +118,17 @@ def test_schema_defaults_are_valid():
     assert (tg["cells"], tg["t_end"]) == ((128,), 1.0)
 
 
+def test_weak_residual_study_defaults_are_criterion_7s():
+    # the schema's 4096 cells to t = 100 would run the fluid at 4096^2
+    # and 8192^2; the study's own defaults are c07's grid and horizon,
+    # and the file and flags still win
+    weak = parse_config("experiment = weak-residual-study\n", {})
+    assert (weak["cells"], weak["t_end"]) == ((64,), 1.0)
+    set_ = parse_config("experiment = weak-residual-study\ncells = 32\n",
+                        {"t_end": "0.5"})
+    assert (set_["cells"], set_["t_end"]) == ((32,), 0.5)
+
+
 # a value of each type that parses
 _SAMPLE = {"str": "explicit", "float": "1.5", "int": "2", "bool": "true",
            "ints": "64", "bounds": "-1:1"}

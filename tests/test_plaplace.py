@@ -12,6 +12,7 @@ from pflab.plaplace import (SolverConfig, Trajectory, _check_finite,
                             cfl_dt, normalize_schedule, simulate,
                             step_explicit, step_implicit_proximal)
 
+import oracles
 from oracles import integral
 
 
@@ -172,6 +173,9 @@ def test_scalar_entry_points_reject_a_periodic_axis(entry, bc):
 _PROX_GRIDS = {
     "1d-dirichlet": GridSpec.line(0.0, 1.0, 9),
     "2d-dir-dir": GridSpec.box(0.0, (1.0, 1.3), (7, 6)),
+    # 3 nodes on the second axis: both one-sided rows of the transverse
+    # derivative meet the one centred row
+    "2d-three-nodes": GridSpec.box(0.0, (1.0, 1.3), (6, 2)),
 }
 
 
@@ -220,6 +224,98 @@ def test_prox_hessian_symmetric_with_exact_jacobi_diagonal(name, p):
         ab = prob.banded_hessian()
         banded = np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[2, :-1], -1)
         assert np.max(np.abs(banded - H)) <= 1e-13 * np.max(np.abs(H))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def _with_signed_zeros(rng, shape):
+    """Normal draws with +0.0, -0.0 and denormals planted."""
+    x = rng.standard_normal(shape)
+    pick = rng.random(shape)
+    x[pick < 0.15] = 0.0
+    x[(pick >= 0.15) & (pick < 0.3)] = -0.0
+    tiny = (pick >= 0.3) & (pick < 0.4)
+    x[tiny] = 5e-324 * rng.integers(-3, 4, size=np.count_nonzero(tiny))
+    return x
+
+
+# node shapes of the bitwise checks: 1-D, and 2-D with 2, 3 or 4 nodes on
+# an axis, where the one-sided rows of the transverse derivative meet or
+# overlap the centred ones
+_BITWISE_SHAPES = [(2,), (5,), (10,), (2, 5), (3, 6), (7, 3), (4, 4), (4, 9),
+                   (8, 7)]
+
+
+@pytest.mark.parametrize("shape", _BITWISE_SHAPES, ids=str)
+def test_dirichlet_face_stencils_match_the_slice_forms_bitwise(shape):
+    # signed zeros included: a -0 the slice form would not make would
+    # print as -0 in a CSV
+    rng = np.random.default_rng(sum(shape) + 10 * len(shape))
+    h = 0.29
+    for axis in range(len(shape)):
+        face_shape = tuple(n - (a == axis) for a, n in enumerate(shape))
+        w = _with_signed_zeros(rng, face_shape)
+        z = _with_signed_zeros(rng, shape)
+        pairs = [
+            (plaplace._face_diff(z, axis, h, False), oracles.face_diff(z, axis, h)),
+            (plaplace._face_avg(z, axis, False), oracles.face_avg(z, axis)),
+            (plaplace._trans_deriv(z, axis, h, False),
+             oracles.trans_deriv(z, axis, h)),
+            (plaplace._face_diff_adj(w, shape, axis, h, False),
+             oracles.face_diff_adj(w, shape, axis, h)),
+            (plaplace._face_avg_adj(w, shape, axis),
+             oracles.face_avg_adj(w, shape, axis)),
+            (plaplace._trans_deriv_adj(z.copy(), axis, h),
+             oracles.trans_deriv_adj(z, axis, h)),
+        ]
+        for got, want in pairs:
+            assert np.array_equal(_bits(got), _bits(want))
+
+
+def _prox_with_signed_zeros(shape, p, seed):
+    """A proximal problem on a grid of ``shape`` linearized at a point
+    that vanishes on a third of the nodes, so that K holds zeros, and a
+    direction with +0, -0 and denormals."""
+    grid = (GridSpec.line(0.0, 1.0, shape[0] - 1) if len(shape) == 1 else
+            GridSpec.box(0.0, (1.0, 1.3), tuple(n - 1 for n in shape)))
+    rng = np.random.default_rng(seed)
+    cfg = SolverConfig(ModelParams(p, 1.0), stepper="implicit")
+    prob = plaplace._ProxProblem(rng.standard_normal(shape), grid, cfg, 0.1)
+    v = _with_signed_zeros(rng, shape)
+    v[rng.random(shape) < 0.33] = 0.0
+    return prob, v, _with_signed_zeros(rng, shape)
+
+
+@pytest.mark.parametrize("p", [2.5, 3.0])
+@pytest.mark.parametrize("shape", _BITWISE_SHAPES, ids=str)
+def test_prox_derivatives_match_the_slice_forms_bitwise(shape, p):
+    prob, v, dv = _prox_with_signed_zeros(shape, p, len(shape) + sum(shape))
+    _, g = prob.value_and_grad(v)
+    assert np.array_equal(_bits(g), _bits(oracles.prox_gradient(prob, v)))
+    assert np.array_equal(_bits(prob.hess_vec(dv)),
+                          _bits(oracles.prox_hess_vec(prob, dv)))
+    assert np.array_equal(_bits(prob.hess_diag()),
+                          _bits(oracles.prox_hess_diag(prob)))
+
+
+@pytest.mark.parametrize("shape", [(9,), (3, 6), (8, 7)], ids=str)
+def test_hess_vec_results_survive_later_calls_and_relinearization(shape):
+    # hess_vec keeps work buffers: each result must be a fresh array, and
+    # a problem moved by value_and_grad must act as one built there
+    prob, v, dv = _prox_with_signed_zeros(shape, 3.0, 5)
+    prob.value_and_grad(v)
+    first = prob.hess_vec(dv)
+    kept = first.copy()
+    second = prob.hess_vec(dv[::-1].copy())
+    assert not np.shares_memory(first, second)
+    assert np.array_equal(_bits(first), _bits(kept))
+    moved = 0.5 * v + 0.1
+    prob.value_and_grad(moved)
+    fresh = plaplace._ProxProblem(prob.u, prob.grid, prob.cfg, prob.dt)
+    fresh.value_and_grad(moved)
+    assert np.array_equal(_bits(prob.hess_vec(dv)), _bits(fresh.hess_vec(dv)))
 
 
 @pytest.mark.parametrize("dim", [1, 2])
