@@ -16,23 +16,22 @@ import math
 from .errors import ConfigError
 
 # the keys a front run reads to build its trajectory: the model, the box,
-# the closed-form data, the snapshot schedule and the stepper
+# the closed-form data and the snapshot schedule
 _FRONT_RUN = ("p", "mu1", "dimension", "cells", "bounds", "t0", "t_end",
-              "snapshots_per_decade", "stepper", "tol_inner", "height_c")
-# ... and the half-space run's, whose first snapshot follows t_ref
-HALFSPACE_KEYS = _FRONT_RUN + ("t_ref",)
+              "snapshots_per_decade", "height_c")
 
-# kind -> the keys its run reads besides ``experiment``; the accuracy
-# study runs explicit 1-D grids, the fluids the 2-D periodic box, and
-# Taylor-Green the linear stress p = 2
+# kind -> the keys its run reads besides ``experiment``; the fit runs the
+# proximal stepper to its tolerance, the half-space kinds and the accuracy
+# study the explicit one, the accuracy study on 1-D grids, the fluids on
+# the 2-D periodic box, and Taylor-Green the linear stress p = 2
 KIND_KEYS = {
-    "barenblatt-fit": ("outdir",) + _FRONT_RUN + ("exponent_tol", "svg",
+    "barenblatt-fit": ("outdir",) + _FRONT_RUN + ("tol_inner", "exponent_tol",
                                                   "export_trajectory"),
     "barenblatt-accuracy-study": ("outdir", "p", "mu1", "height_c", "cells",
                                   "bounds", "t0", "t_end"),
-    "halfspace-fsp": ("outdir",) + HALFSPACE_KEYS + ("svg", "export_trajectory"),
-    "energy-ledger": ("outdir",) + HALFSPACE_KEYS + ("refine_check",),
-    "fluid2d-taylor-green": ("outdir", "mu1", "cells", "t_end", "svg"),
+    "halfspace-fsp": ("outdir",) + _FRONT_RUN + ("export_trajectory",),
+    "energy-ledger": ("outdir",) + _FRONT_RUN + ("refine_check",),
+    "fluid2d-taylor-green": ("outdir", "mu1", "cells", "t_end"),
     "weak-residual-study": ("outdir", "p", "mu1", "cells", "t_end", "seed"),
     "stampacchia-suite": ("outdir", "seed"),
     "interpolation-suite": ("outdir", "seed"),
@@ -92,7 +91,6 @@ SCHEMA: dict[str, tuple[str, object, str]] = {
     "experiment": ("str", None, "experiment kind (required)"),
     "outdir": ("str", "out", "output directory"),
     "seed": ("int", 0, "random seed for seeded suites"),
-    "svg": ("bool", True, "emit SVG plots"),
     # model
     "p": ("float", 3.0, "stress growth exponent"),
     "mu1": ("float", 1.0, "viscosity coefficient, > 0"),
@@ -105,10 +103,8 @@ SCHEMA: dict[str, tuple[str, object, str]] = {
     "t_end": ("float", 100.0, "final absolute time"),
     "snapshots_per_decade": ("int", 32, "log-schedule snapshot density"),
     # solver
-    "stepper": ("str", "implicit", "explicit or implicit"),
     "tol_inner": ("float", 1e-10, "proximal optimality tolerance"),
     # fronts
-    "t_ref": ("float", 0.1, "envelope calibration time"),
     "height_c": ("float", 1.0, "profile height constant"),
     "exponent_tol": ("float", 0.05, "relative tolerance on the fitted exponent"),
     # energetics
@@ -143,8 +139,6 @@ def _validate(kind: str, values: dict, lines: dict) -> list:
                 "snapshots_per_decade"):
         need(lambda v: v > 0, key, "must be > 0")
     need(lambda v: v in (1, 2), "dimension", "must be 1 or 2")
-    need(lambda v: v in ("explicit", "implicit"), "stepper",
-         "must be 'explicit' or 'implicit'")
     need(lambda v: all(hi > lo for lo, hi in v), "bounds",
          "upper must exceed lower")
     p = values.get("p")
@@ -163,7 +157,10 @@ def _validate(kind: str, values: dict, lines: dict) -> list:
              "the accuracy study needs at least two grids, of at least 2 "
              "cells each")
     else:
-        need(lambda c: all(n >= 1 for n in c), "cells", "must be positive")
+        # the fluid's centred stencils span two nodes per axis
+        least = 2 if kind in _FLUID_KINDS else 1
+        need(lambda c: all(n >= least for n in c), "cells",
+             f"must be at least {least}")
         need(lambda c: len(c) in (1, dim), "cells",
              f"need 1 or {dim} entries for dimension {dim}")
     if kind in _FLUID_KINDS:

@@ -92,10 +92,6 @@ class GridSpec:
     def shape(self) -> tuple[int, ...]:
         return tuple(self.node_count(a) for a in range(self.dim))
 
-    @property
-    def total_nodes(self) -> int:
-        return int(np.prod(self.shape))
-
     def coords(self, axis: int) -> np.ndarray:
         h = self.spacing[axis]
         n = self.node_count(axis)
@@ -197,7 +193,7 @@ class ModelParams:
     """
 
     p: float
-    mu1: float = 1.0
+    mu1: float
 
     def __post_init__(self):
         if not self.mu1 > 0:

@@ -33,8 +33,8 @@ class BarenblattParams:
 
     p: float
     dim: int
-    C: float = 1.0
-    mu1: float = 1.0
+    C: float
+    mu1: float
 
     def __post_init__(self):
         if not self.p > 2:

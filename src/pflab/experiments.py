@@ -6,7 +6,7 @@ hands its run to another, and every report's ``kind`` is its config's
 ``experiment``.  Each runner reads a validated
 :class:`~pflab.config.ExperimentConfig` holding the keys its kind reads
 and no other (``config.KIND_KEYS``), so that ``manifest.txt`` echoes
-just those; writes only its own data files (CSV, optional SVG) into the
+just those; writes only its own data files (CSV and SVG) into the
 output directory; and returns
 ``(report, gates)``: the report as a dict, and each gate's name mapped
 to ``(ok, message)``.  :func:`run_experiment` dispatches on the kind
@@ -34,7 +34,7 @@ from . import __version__, energetics, fronts
 from .config import ExperimentConfig, default_config
 from .core import (DIRICHLET, PERIODIC, GridSpec, ModelParams, ScalarField,
                    divergence, lp_norm, save_field)
-from .errors import VerificationError
+from .errors import ConfigError, VerificationError
 from .exact import (BarenblattParams, barenblatt_field, halfspace_initial_data,
                     taylor_green_field)
 from .fluid2d import (kinetic_energy, random_stream_coeffs, simulate_fluid,
@@ -46,8 +46,10 @@ from .svgplot import emit_heatmap, emit_plot
 
 # the front threshold of the scalar runs, over max|u0|
 _THRESHOLD_FRAC = 1e-6
-# the relative excess of a front over its calibrated envelope allowed
+# the relative excess of a front over its calibrated envelope allowed,
+# and the time the half-space run calibrates its envelopes at
 _TOL_ENV = 0.02
+_T_REF = 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -75,8 +77,14 @@ def _model(cfg: ExperimentConfig) -> ModelParams:
     return ModelParams(cfg["p"], cfg["mu1"])
 
 
-def _solver(cfg: ExperimentConfig) -> SolverConfig:
-    return SolverConfig(_model(cfg), stepper=cfg["stepper"], tol=cfg["tol_inner"])
+def _require_data(u0: ScalarField) -> ScalarField:
+    """``u0``, unless it vanishes on every node: then the box misses the
+    data or the grid is too coarse to see it, and no front exists."""
+    if not np.any(u0.values):
+        raise ConfigError([(None, "cells, bounds: the initial data vanish on "
+                                  "every node of the grid; widen the box "
+                                  "over the data or refine the grid")])
+    return u0
 
 
 def _log_times(t_start: float, t_end: float, per_decade: int) -> np.ndarray:
@@ -155,7 +163,7 @@ def _study_grid(cfg: ExperimentConfig, cells: int) -> tuple:
     bounds = cfg["bounds"][0]
     grid = GridSpec.line(bounds[0], bounds[1], cells)
     u0 = barenblatt_field(bp, grid, t0)
-    scfg = SolverConfig(_model(cfg), stepper="explicit", audit_locality=False)
+    scfg = SolverConfig(_model(cfg), "explicit", audit_locality=False)
     traj = simulate(u0, scfg, t1 - t0, [0.0, t1 - t0])
     exact = barenblatt_field(bp, grid, t1)
     err = float(np.sum(np.abs(traj.fields[-1].values - exact.values))
@@ -205,13 +213,15 @@ def _barenblatt_accuracy_study(cfg: ExperimentConfig, outdir: str):
 
 
 def _barenblatt_fit(cfg: ExperimentConfig, outdir: str):
+    """The front exponent over a long horizon: the proximal stepper, which
+    has no CFL limit."""
     p, n, mu1 = cfg["p"], cfg["dimension"], cfg["mu1"]
     bp = BarenblattParams(p, n, cfg["height_c"], mu1)
-    grid = _grid(cfg)
     t0, t_end = cfg["t0"], cfg["t_end"]
-    u0 = barenblatt_field(bp, grid, t0)
+    u0 = _require_data(barenblatt_field(bp, _grid(cfg), t0))
     schedule = _log_times(t0, t_end, cfg["snapshots_per_decade"]) - t0
-    traj = simulate(u0, _solver(cfg), t_end - t0, schedule)
+    scfg = SolverConfig(_model(cfg), "implicit", tol=cfg["tol_inner"])
+    traj = simulate(u0, scfg, t_end - t0, schedule)
     scale = float(np.max(np.abs(u0.values)))
     tau = _THRESHOLD_FRAC * scale
     trace = fronts.trace_support(traj, tau, "radial", t_offset=t0)
@@ -231,19 +241,18 @@ def _barenblatt_fit(cfg: ExperimentConfig, outdir: str):
         except ValueError as exc:  # outside the envelope's validity range
             env_reports[env] = {"skipped": str(exc)}
     fronts.save_trace(trace, os.path.join(outdir, "trace.csv"))
-    if cfg["svg"]:
-        ok = trace.present & (trace.fronts > 0)
-        ts = trace.times[ok]
-        line_y = np.exp(fit.intercept) * ts**fit.slope
-        curves = []
-        for env, rep in env_reports.items():
-            if "c" in rep:
-                fn = fronts.support_envelope_l1 if env == "l1" else fronts.support_envelope_l2
-                curves.append((env, ts, fn(p, n, ts, rep["c"])))
-        emit_plot((ts, trace.fronts[ok]), curves,
-                  os.path.join(outdir, "fit.svg"), logx=True, logy=True,
-                  fit=(ts, line_y), title="support front",
-                  xlabel="t", ylabel="front")
+    ok = trace.present & (trace.fronts > 0)
+    ts = trace.times[ok]
+    line_y = np.exp(fit.intercept) * ts**fit.slope
+    curves = []
+    for env, rep in env_reports.items():
+        if "c" in rep:
+            fn = fronts.support_envelope_l1 if env == "l1" else fronts.support_envelope_l2
+            curves.append((env, ts, fn(p, n, ts, rep["c"])))
+    emit_plot((ts, trace.fronts[ok]), curves,
+              os.path.join(outdir, "fit.svg"), logx=True, logy=True,
+              fit=(ts, line_y), title="support front",
+              xlabel="t", ylabel="front")
     err_rel = abs(fit.slope - expected) / expected
     report = {
         "kind": "barenblatt-fit",
@@ -273,16 +282,17 @@ def _barenblatt_fit(cfg: ExperimentConfig, outdir: str):
 
 def halfspace_run(cfg: ExperimentConfig):
     """Build and run the half-space supported data; returns
-    (trajectory, tau, L1 series)."""
+    (trajectory, tau, L1 series).  A sharp-front study: the explicit
+    stepper keeps exact zeros and grows the support by at most one cell
+    a step."""
     p, n, mu1 = cfg["p"], cfg["dimension"], cfg["mu1"]
     bp = BarenblattParams(p, n, cfg["height_c"], mu1)
-    grid = _grid(cfg)
-    u0 = halfspace_initial_data(bp, grid, cfg["t0"])
+    u0 = _require_data(halfspace_initial_data(bp, _grid(cfg), cfg["t0"]))
     t_end = cfg["t_end"]
-    t_first = min(cfg["t_ref"] / 4.0, t_end / 100.0)
+    t_first = min(_T_REF / 4.0, t_end / 100.0)
     schedule = np.concatenate([[0.0], _log_times(t_first, t_end,
                                                  cfg["snapshots_per_decade"])])
-    traj = simulate(u0, _solver(cfg), t_end, schedule)
+    traj = simulate(u0, SolverConfig(_model(cfg), "explicit"), t_end, schedule)
     tau = _THRESHOLD_FRAC * float(np.max(np.abs(u0.values)))
     l1 = np.array([lp_norm(f, 1.0) for f in traj.fields])
     return traj, tau, l1
@@ -310,7 +320,7 @@ def _halfspace_fsp(cfg: ExperimentConfig, outdir: str, prebuilt=None):
     report = {
         "kind": "halfspace-fsp",
         "p": p, "dimension": n, "tau": tau,
-        "t_ref": cfg["t_ref"], "tol_env": _TOL_ENV,
+        "t_ref": _T_REF, "tol_env": _TOL_ENV,
         "l1_max_over_initial": l1_ratio,
         "l1_hypothesis_ok": l1_ok,
     }
@@ -323,7 +333,7 @@ def _halfspace_fsp(cfg: ExperimentConfig, outdir: str, prebuilt=None):
     for env in ("l2", "l1"):
         if env == "l1" and not l1_ok:
             return report, gates
-        rep = fronts.check_envelope(trace, env, p, n, cfg["t_ref"], _TOL_ENV)
+        rep = fronts.check_envelope(trace, env, p, n, _T_REF, _TOL_ENV)
         summary = {"c": rep.c, "violations": len(rep.violations),
                    "max_ratio": rep.max_ratio, "passed": rep.passed}
         report[f"envelope_{env}"] = summary
@@ -337,7 +347,7 @@ def _halfspace_fsp(cfg: ExperimentConfig, outdir: str, prebuilt=None):
         report["fitted_slope"] = fit.slope
     except ValueError:
         pass
-    if cfg["svg"] and len(ts):
+    if len(ts):  # emit_plot rejects an empty series
         emit_plot((ts, trace.fronts[ok]), curves,
                   os.path.join(outdir, "envelopes.svg"), logx=True, logy=True,
                   title="half-space front vs envelopes",
@@ -426,14 +436,13 @@ def _fluid_taylor_green(cfg: ExperimentConfig, outdir: str):
         fh.write("t,ke\n")
         for t, e in zip(traj.times, ke):
             fh.write(f"{t:.17g},{e:.17g}\n")
-    if cfg["svg"]:
-        fit_y = ke[0] * np.exp(-rate * traj.times)
-        emit_plot((traj.times, ke), [], os.path.join(outdir, "ke.svg"),
-                  logy=True, fit=(traj.times, fit_y),
-                  title="kinetic energy decay", xlabel="t", ylabel="KE")
-        emit_heatmap(traj.fields[-1].magnitude(),
-                     os.path.join(outdir, "speed_final.svg"),
-                     title=f"|u| at t = {traj.times[-1]:.3g}")
+    fit_y = ke[0] * np.exp(-rate * traj.times)
+    emit_plot((traj.times, ke), [], os.path.join(outdir, "ke.svg"),
+              logy=True, fit=(traj.times, fit_y),
+              title="kinetic energy decay", xlabel="t", ylabel="KE")
+    emit_heatmap(traj.fields[-1].magnitude(),
+                 os.path.join(outdir, "speed_final.svg"),
+                 title=f"|u| at t = {traj.times[-1]:.3g}")
     report = {
         "kind": "fluid2d-taylor-green",
         "cells": cells, "mu1": mu1, "p": model.p,

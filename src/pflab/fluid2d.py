@@ -127,8 +127,6 @@ def _advection_tendency(v: VectorField) -> list[np.ndarray]:
 def _speed_max(v: VectorField) -> float:
     """``max |u|``, as ``sqrt(max |u|^2)``: sqrt is monotone and correctly
     rounded, so this is ``max(sqrt(|u|^2))`` exactly, one pass fewer."""
-    if not v.grid.total_nodes:
-        return 0.0
     u0, u1 = v.components
     return float(np.sqrt(np.max(u0 * u0 + u1 * u1)))
 
@@ -216,7 +214,7 @@ def viscous_cfl_dt(v: VectorField, params: ModelParams) -> float:
         for axis in range(2):
             d00, d01, d11 = _face_deformation(v, axis)
             mag2 = d00 * d00 + 2.0 * d01 * d01 + d11 * d11
-            m = float(mag2.max()) if mag2.size else 0.0
+            m = float(mag2.max())
             dmax = max(dmax, mu1 * m ** ((p - 2.0) / 2.0))
         if dmax == 0.0:
             return _DT_MAX

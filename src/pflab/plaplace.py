@@ -72,6 +72,7 @@ _SENTINEL_TAU_FRAC = 1e-8
 class SolverConfig:
     """Knobs of the scalar solver of the degenerate equation, ``p > 2``.
 
+    ``stepper`` is ``explicit`` or ``implicit`` (see the module docstring).
     ``tol`` is the inner first-order optimality tolerance of the proximal
     step, measured as the grid-L2 norm of the objective gradient.  Its
     Newton iteration cap, and the explicit stepper's CFL safety factor
@@ -80,7 +81,7 @@ class SolverConfig:
     """
 
     params: ModelParams
-    stepper: str = "explicit"
+    stepper: str
     tol: float = 1e-10
     audit_locality: bool = True
 
@@ -266,10 +267,6 @@ def _diffusivity_of_a2(a2, p: float, mu1: float, out=None):
 # ---------------------------------------------------------------------------
 
 
-def _a2_max(a2: np.ndarray) -> float:
-    return a2.max() if a2.size else 0.0
-
-
 def _rhs_work(v: np.ndarray, grid: GridSpec):
     """Fresh work buffers ``(gn, a2, out)`` of the 1-D
     :func:`_diffusion_rhs` on ``v`` of ``grid``, and the spacing ``h`` as
@@ -298,7 +295,7 @@ def _diffusion_rhs(v: np.ndarray, grid: GridSpec, cfg: SolverConfig,
         gn /= h
         np.multiply(gn, gn, out=a2)
         if a2_max is not None:
-            a2_max.append(_a2_max(a2))
+            a2_max.append(a2.max())
         flux = _diffusivity_of_a2(a2, p, mu1, out=a2)
         flux *= gn
         out[0] = flux[0]
@@ -312,7 +309,7 @@ def _diffusion_rhs(v: np.ndarray, grid: GridSpec, cfg: SolverConfig,
         gn, gt = _face_gradients(v, grid, axis)
         a2 = _face_a2(gn, gt)
         if a2_max is not None:
-            a2_max.append(_a2_max(a2))
+            a2_max.append(a2.max())
         flux = _diffusivity_of_a2(a2, p, mu1) * gn
         out += np.diff(flux, axis=axis, prepend=0.0, append=0.0) / h
     return out
@@ -375,7 +372,7 @@ def cfl_dt(u: ScalarField, cfg: SolverConfig) -> float:
     an all-zero diffusivity yields ``_DT_MAX``."""
     _require_dirichlet(u.grid)
     _check_finite(u.values, "cfl_dt input")
-    a2_max = [_a2_max(_face_a2(*_face_gradients(u.values, u.grid, axis)))
+    a2_max = [_face_a2(*_face_gradients(u.values, u.grid, axis)).max()
               for axis in range(u.grid.dim)]
     return _cfl_dt(a2_max, u.grid, cfg)
 
@@ -406,12 +403,11 @@ def _energy(faces: list, grid: GridSpec, cfg: SolverConfig) -> float:
     return (mu1 / p) * _face_weight(grid) * total
 
 
-def _face_gradients_adj(tn, tt, grid: GridSpec, axis: int, out=None,
+def _face_gradients_adj(tn, tt, grid: GridSpec, axis: int, out: np.ndarray,
                         work=None) -> np.ndarray:
     """Adjoint of :func:`_face_gradients`: the node array ``G^T (tn, tt)``,
-    into ``out`` (fresh when None).  ``tn`` and ``tt`` are overwritten;
-    ``work`` is a node buffer for the transverse part (fresh when None)."""
-    out = np.empty(grid.shape) if out is None else out
+    into ``out``.  ``tn`` and ``tt`` are overwritten; ``work`` is a node
+    buffer for the transverse part (fresh when None)."""
     if tt is not None:  # out holds the face sums of tt until the last spread
         other = 1 - axis
         tt *= 0.5
@@ -427,6 +423,10 @@ def _face_gradients_adj(tn, tt, grid: GridSpec, axis: int, out=None,
 class _ProxProblem:
     """Objective ``J(v) = |v - u|^2/(2 dt) + E(v)`` and its derivatives.
 
+    ``u`` holds the nodes of a window of ``grid`` (all of them, or a box),
+    and ``vol`` their node weights in ``grid``; the spacing is the grid's,
+    and every shape is that of ``u``.
+
     :meth:`value_and_grad` also linearizes: per axis it stores the face
     tensor ``K = D (I + (p-2) m m^T)``, with ``m`` the face gradient over
     its magnitude (0 where that vanishes), as ``(k_nn, k_nt, k_tt)``.  The
@@ -434,12 +434,13 @@ class _ProxProblem:
     gradients of :func:`_face_gradients`.
     """
 
-    def __init__(self, u: np.ndarray, grid: GridSpec, cfg: SolverConfig, dt: float):
+    def __init__(self, u: np.ndarray, vol: np.ndarray, grid: GridSpec,
+                 cfg: SolverConfig, dt: float):
         self.u = u
+        self.vol = vol
         self.grid = grid
         self.cfg = cfg
         self.dt = dt
-        self.vol = grid.volumes()
         self.w = _face_weight(grid)
         self._k = None  # per-axis (k_nn, k_nt, k_tt) at the last grad point
         self._work = None  # hess_vec's buffers, made at its first call per _k
@@ -457,11 +458,11 @@ class _ProxProblem:
         # the old tensor and hess_vec's buffers go before the new faces come
         self._k, self._work = [], None
         faces = _face_fields(v, grid)
-        adj = np.zeros(grid.shape)
+        adj = np.zeros(v.shape)
         for axis, (gn, gt, a2) in enumerate(faces):
             D = _diffusivity_of_a2(a2, p, mu1)
             adj += _face_gradients_adj(D * gn, None if gt is None else D * gt,
-                                       grid, axis)
+                                       grid, axis, np.empty(v.shape))
             c = (p - 2.0) * D
             sq = np.sqrt(a2)
             mn = np.divide(gn, sq, out=np.zeros_like(gn), where=a2 > 0)
@@ -486,7 +487,7 @@ class _ProxProblem:
         # transverse derivative, then tmp, then the second axis's part, and
         # trans holds gn until the transverse adjoint needs it
         b0, b1, b2, b3, b4 = self._work
-        adj, sums, trans = (b.reshape(grid.shape) for b in (b0, b1, b2))
+        adj, sums, trans = (b.reshape(dv.shape) for b in (b0, b1, b2))
         for axis, (knn, knt, ktt) in enumerate(self._k):
             gn, tmp, gt, tn = (b[:knn.size].reshape(knn.shape)
                                for b in (b2, b1, b3, b4))
@@ -520,20 +521,20 @@ class _ProxProblem:
         by the squared stencil coefficients of the face gradients.  The
         cross term ``k_nt`` enters where a one-sided dirichlet end puts a
         node in both the normal and the transverse stencil of a face."""
-        grid = self.grid
+        grid, shape = self.grid, self.u.shape
         nd = grid.dim
-        diag = np.zeros(grid.shape)
+        diag = np.zeros(shape)
         for axis, (knn, knt, ktt) in enumerate(self._k):
             h = grid.spacing[axis]
-            diag += (2.0 / h**2) * _face_avg_adj(knn, grid.shape, axis)
+            diag += (2.0 / h**2) * _face_avg_adj(knn, shape, axis)
             if ktt is None:
                 continue
             other = 1 - axis
             ho = grid.spacing[other]
             # k_tt / 4 at both nodes of a face, times the squared transverse
             # coefficient of each node row: 1/(2 ho) centred, 1/ho one-sided
-            z = _face_avg_adj(ktt, grid.shape, axis) / (8.0 * ho**2)
-            x = _face_diff_adj(knt, grid.shape, axis, h, False) / ho
+            z = _face_avg_adj(ktt, shape, axis) / (8.0 * ho**2)
+            x = _face_diff_adj(knt, shape, axis, h, False) / ho
             for end, sign in ((0, -1.0), (-1, 1.0)):  # one-sided rows
                 e = _sl(nd, other, end)
                 z[e] *= 4.0
@@ -545,7 +546,7 @@ class _ProxProblem:
     def banded_hessian(self) -> np.ndarray:
         """Tridiagonal Hessian in solve_banded layout (1-D only)."""
         coef = self.w * self._k[0][0] / self.grid.spacing[0] ** 2
-        ab = np.zeros((3, self.grid.shape[0]))
+        ab = np.zeros((3, self.u.shape[0]))
         ab[1, :] = self.vol / self.dt
         ab[1, :-1] += coef
         ab[1, 1:] += coef
@@ -591,24 +592,6 @@ def _grad_residual(g: np.ndarray, vol: np.ndarray) -> float:
     return float(np.sqrt(np.sum(g * g / vol)))
 
 
-def _sub_grid(grid: GridSpec, win: tuple) -> GridSpec:
-    """The nodes ``win`` of ``grid`` as a grid of their own, with the
-    parent's ``spacing`` tuple (not recomputed from the bounds, so every
-    face operator does the same arithmetic) and the parent's node weights
-    in :meth:`~GridSpec.volumes` (a window edge is no trapezoid end)."""
-    if all(s.stop - s.start == n for s, n in zip(win, grid.shape)):
-        return grid
-    h = grid.spacing
-    lower = tuple(lo + s.start * ha for lo, s, ha in zip(grid.lower, win, h))
-    cells = tuple(s.stop - s.start - 1 for s in win)
-    sub = GridSpec(lower, tuple(lo + c * ha for lo, c, ha in zip(lower, cells, h)),
-                   cells, grid.bc)
-    # both are cached properties, whose values live in the instance dict
-    sub.__dict__["spacing"] = h
-    sub.__dict__["_volumes"] = np.ascontiguousarray(grid.volumes()[win])
-    return sub
-
-
 def _outer_rings(win: tuple, shape: tuple) -> list:
     """Indices, into the window ``win`` of a node array of ``shape``, of
     the two outermost node layers of each window side inside the array."""
@@ -621,13 +604,13 @@ def _outer_rings(win: tuple, shape: tuple) -> list:
     return rings
 
 
-def _proximal_newton(u: np.ndarray, v: np.ndarray, grid: GridSpec,
-                     cfg: SolverConfig, dt: float, rings: list):
-    """The proximal step of ``u`` on ``grid`` by damped Newton from ``v``,
-    or None as soon as a Newton direction is nonzero on one of ``rings``
-    (the start is zero there, so the result is too when every direction
-    is)."""
-    prob = _ProxProblem(u, grid, cfg, dt)
+def _proximal_newton(u: np.ndarray, v: np.ndarray, vol: np.ndarray,
+                     grid: GridSpec, cfg: SolverConfig, dt: float, rings: list):
+    """The proximal step of ``u``, a window of ``grid`` with node weights
+    ``vol``, by damped Newton from ``v``, or None as soon as a Newton
+    direction is nonzero on one of ``rings`` (the start is zero there, so
+    the result is too when every direction is)."""
+    prob = _ProxProblem(u, vol, grid, cfg, dt)
     j_u = prob.value(u)
     j, g = prob.value_and_grad(v)
     if j > j_u:  # extrapolated warm start went uphill; fall back
@@ -683,12 +666,13 @@ def step_implicit_proximal(u: ScalarField, cfg: SolverConfig, dt: float,
 
     The step is solved on a window: the bounding box of
     ``supp(u) | supp(v0)`` plus a halo of ``_WINDOW_HALO`` nodes on each
-    axis, as a grid of its own with the parent's spacing and node
-    weights.  Where the iterate vanishes two nodes deep, the face tensor
-    ``K`` vanishes, so the whole-grid Hessian there is ``vol/dt``, the
-    gradient is 0, and every Krylov vector, Newton direction and line
-    search point keeps those nodes exactly 0: the solve on the window is
-    the whole-grid solve, up to the order of its sums.  A guard keeps it so:
+    axis, with the grid's spacing and the window's node weights in the
+    grid (a window edge is no trapezoid end).  Where the iterate vanishes
+    two nodes deep, the face tensor ``K`` vanishes, so the whole-grid
+    Hessian there is ``vol/dt``, the gradient is 0, and every Krylov
+    vector, Newton direction and line search point keeps those nodes
+    exactly 0: the solve on the window is the whole-grid solve, up to the
+    order of its sums.  A guard keeps it so:
     when a Newton direction is nonzero on the outer two nodes of a window
     side inside the grid, the step is redone from its start with twice
     the halo.  A window that reaches the grid edge on every side is the
@@ -702,9 +686,9 @@ def step_implicit_proximal(u: ScalarField, cfg: SolverConfig, dt: float,
     halo = _WINDOW_HALO
     while True:
         win = _support_window(bounds, grid, whole, halo)
-        v = _proximal_newton(np.ascontiguousarray(u.values[win]),
-                             np.ascontiguousarray(v0[win]), _sub_grid(grid, win),
-                             cfg, dt, _outer_rings(win, grid.shape))
+        v = _proximal_newton(*(np.ascontiguousarray(a[win]) for a in
+                               (u.values, v0, grid.volumes())),
+                             grid, cfg, dt, _outer_rings(win, grid.shape))
         if v is not None:
             break
         halo *= 2

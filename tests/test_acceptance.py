@@ -10,7 +10,7 @@ import os
 import pytest
 
 from pflab import acceptance
-from pflab.config import HALFSPACE_KEYS
+from pflab.config import _FRONT_RUN
 
 
 @pytest.fixture(scope="session")
@@ -74,8 +74,8 @@ def test_criterion_12_iteration_mechanism(ctx):
     _check(acceptance.criterion(ctx, 12))
 
 
-# every key that halfspace_run, _grid and _solver read
-_TRAJECTORY_KEYS = HALFSPACE_KEYS
+# every key that halfspace_run and _grid read
+_TRAJECTORY_KEYS = _FRONT_RUN
 
 
 def test_criteria_11_12_run_on_the_data_their_config_describes(tmp_path):

@@ -193,19 +193,18 @@ def _defaulted_fields(cls: ast.ClassDef) -> list:
 
 
 def _public_callables():
-    """``(qualified name, called name, defaulted parameters, whether they
-    are dataclass fields)`` of every public function and public method in
-    the package, and of every public dataclass; a class's ``__init__``
-    and a dataclass's fields are called through the class name."""
+    """``(qualified name, called name, defaulted parameters)`` of every
+    public function and public method in the package, and of every public
+    dataclass; a class's ``__init__`` and a dataclass's fields are called
+    through the class name."""
     for module, tree in _modules().items():
         for top in tree.body:
             if isinstance(top, ast.FunctionDef) and not top.name.startswith("_"):
-                yield f"{module}.{top.name}", top.name, _defaulted(top, 0), False
+                yield f"{module}.{top.name}", top.name, _defaulted(top, 0)
             if not isinstance(top, ast.ClassDef) or top.name.startswith("_"):
                 continue
             if _is_dataclass(top):
-                yield (f"{module}.{top.name}", top.name, _defaulted_fields(top),
-                       True)
+                yield f"{module}.{top.name}", top.name, _defaulted_fields(top)
             for fn in top.body:
                 if not isinstance(fn, ast.FunctionDef):
                     continue
@@ -213,10 +212,10 @@ def _public_callables():
                              for d in fn.decorator_list)
                 if fn.name == "__init__":
                     yield (f"{module}.{top.name}.__init__", top.name,
-                           _defaulted(fn, 1), False)
+                           _defaulted(fn, 1))
                 elif not fn.name.startswith("_"):
                     yield (f"{module}.{top.name}.{fn.name}", fn.name,
-                           _defaulted(fn, 0 if static else 1), False)
+                           _defaulted(fn, 0 if static else 1))
 
 
 def _console_entry_points() -> set:
@@ -229,11 +228,11 @@ def _console_entry_points() -> set:
             re.findall(r'^\s*[\w-]+\s*=\s*"([\w.]+):(\w+)"', section, re.M)}
 
 
-def _defaults_and_their_calls(fields: bool):
+def _defaults_and_their_calls():
     """``(qualified name, parameter, whether each package or harness call
     of the callable passes it)`` for each keyword default of a public
-    callable, the console entry point's left out; with ``fields``, the
-    defaulted fields of public dataclasses too."""
+    callable, the console entry point's left out, and each defaulted field
+    of a public dataclass."""
     calls = collections.defaultdict(list)
     for tree in list(_modules().values()) + _harness_trees():
         for node in ast.walk(tree):
@@ -251,8 +250,8 @@ def _defaults_and_their_calls(fields: bool):
 
     entry = _console_entry_points()
     assert entry  # the exemption is read from pyproject.toml, not listed
-    for qual, called, defaulted, is_field in _public_callables():
-        if qual not in entry and (fields or not is_field):
+    for qual, called, defaulted in _public_callables():
+        if qual not in entry:
             for name, index in defaulted:
                 yield qual, name, [overridden(call, name, index)
                                    for call in calls[called]]
@@ -263,14 +262,15 @@ def test_every_keyword_default_is_overridden_by_a_caller():
     # a setting only tests change: it belongs in the code, not the
     # signature, and a dataclass field's default is one of its signature's
     assert [f"{qual}({name}=)" for qual, name, passed
-            in _defaults_and_their_calls(fields=True) if not any(passed)] == []
+            in _defaults_and_their_calls() if not any(passed)] == []
 
 
 def test_every_keyword_default_is_left_unset_by_a_caller():
     # a default that every caller in the package or the harness overrides
-    # is a default only tests use: the parameter should be required
+    # is a default only tests use: the parameter, or the dataclass field,
+    # should be required
     assert [f"{qual}({name}=)" for qual, name, passed
-            in _defaults_and_their_calls(fields=False) if all(passed)] == []
+            in _defaults_and_their_calls() if all(passed)] == []
 
 
 def test_each_kind_reads_exactly_its_keys(tmp_path, monkeypatch):
@@ -345,8 +345,8 @@ from pflab.exact import BarenblattParams, barenblatt_field
 from pflab.plaplace import SolverConfig, step_implicit_proximal
 
 grid = GridSpec.line(-4.0, 4.0, 64)
-u = barenblatt_field(BarenblattParams(3.0, 1), grid, 1.0)
-step_implicit_proximal(u, SolverConfig(ModelParams(p=3.0), stepper="implicit"), 0.1,
+u = barenblatt_field(BarenblattParams(3.0, 1, C=1.0, mu1=1.0), grid, 1.0)
+step_implicit_proximal(u, SolverConfig(ModelParams(3.0, 1.0), stepper="implicit"), 0.1,
                        None)
 print(json.dumps([at_import, loaded()]))
 """

@@ -85,14 +85,12 @@ _STUDY = ("simulate", "--experiment", "barenblatt-accuracy-study", "--cells",
     (_TG + ("--p", "3"), "p: not a key of experiment 'fluid2d-taylor-green'"),
     (_STUDY + ("--dimension", "2"),
      "dimension: not a key of experiment 'barenblatt-accuracy-study'"),
-    (_STUDY + ("--stepper", "implicit"),
-     "stepper: not a key of experiment 'barenblatt-accuracy-study'"),
-], ids=["fluid-bounds", "taylor-green-p3", "study-2d", "study-implicit"])
+], ids=["fluid-bounds", "taylor-green-p3", "study-2d"])
 def test_a_key_the_kind_cannot_run_is_a_configuration_error(tmp_path, capsys,
                                                             argv, message):
     # the fluid's box is [0, 2*pi]^2, Taylor-Green's closed-form rate holds
-    # at p = 2 alone, and the accuracy study steps explicitly in 1-D: the
-    # kinds take no key for them
+    # at p = 2 alone, and the accuracy study runs 1-D grids: the kinds take
+    # no key for them
     out = tmp_path / "out"
     assert run_cli(*argv, "--outdir", str(out)) == 1
     err = capsys.readouterr().err
@@ -104,7 +102,7 @@ def test_a_key_the_kind_cannot_run_is_a_configuration_error(tmp_path, capsys,
 def test_exit_code_invalid_flag_value(tmp_path, capsys):
     # a zero Newton tolerance is a configuration error, not a numerical one
     code = run_cli("barenblatt", "--tol-inner", "0",
-                   "--outdir", str(tmp_path / "out"), "--svg", "false")
+                   "--outdir", str(tmp_path / "out"))
     assert code == 1
     assert "tol_inner" in capsys.readouterr().err
 
@@ -115,8 +113,7 @@ def test_exit_code_line_search_stall(tmp_path, capsys, monkeypatch):
     # a descent direction so long that every halving still overshoots
     monkeypatch.setattr(plaplace, "solve_banded", lambda lu, ab, b: 1e30 * b)
     code = run_cli("barenblatt", "--cells", "256", "--bounds=-6:6",
-                   "--t-end", "2", "--outdir", str(tmp_path / "out"),
-                   "--svg", "false")
+                   "--t-end", "2", "--outdir", str(tmp_path / "out"))
     assert code == 2
     assert "line search stalled" in capsys.readouterr().err
     # the same from CG in 2-D, solved on a window of the 97^2 grid
@@ -129,7 +126,7 @@ def test_exit_code_line_search_stall(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(plaplace, "_pcg", overlong)
     code = run_cli("barenblatt", "--dimension", "2", "--cells", "96",
                    "--bounds=-4:4", "--height-c", "0.5", "--t-end", "2",
-                   "--outdir", str(tmp_path / "out2"), "--svg", "false")
+                   "--outdir", str(tmp_path / "out2"))
     assert code == 2
     assert "line search stalled" in capsys.readouterr().err
     assert shapes and all(a < 97 for shape in shapes for a in shape)
@@ -141,6 +138,9 @@ def test_exit_code_usage_error(tmp_path, capsys):
     assert run_cli("barenblatt", "--bounds", "-6:6") == 1
     assert "expected one argument" in capsys.readouterr().err
     assert run_cli("barenblatt", "--no-such-flag", "1") == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    # the kind fixes its stepper: the fit runs the proximal one
+    assert run_cli("barenblatt", "--stepper", "explicit") == 1
     assert "unrecognized arguments" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
         run_cli("--help")
@@ -190,7 +190,7 @@ def test_a_subcommands_flags_are_its_kinds_keys(capsys, command, kinds):
     assert flags - {"--help", "--config"} == {f"--{k.replace('_', '-')}"
                                               for k in keys}
     if command == "simulate":
-        assert len(keys) == 19
+        assert len(keys) == 16
     if command == "verify-lemmas":
         assert keys == {"outdir"}
 
@@ -260,14 +260,17 @@ def test_a_subcommand_has_no_flag_for_its_forced_kind(tmp_path, capsys, command)
     ("identity_tol", "1e-12"), ("eps_iter", "0.5"), ("weak_fields", "0"),
     ("s_count", "1"), ("delta_count", "0"), ("a1_cases", "0"),
     ("bump_count", "0"), ("gn_cells", "1"), ("gn_p", "3"),
-    ("lambda_set", "0.25,4"), ("snapshot_count", "101")])
+    ("lambda_set", "0.25,4"), ("snapshot_count", "101"),
+    ("stepper", "implicit"), ("t_ref", "0.1"), ("svg", "false")])
 def test_deleted_solver_keys_are_rejected(tmp_path, capsys, key, value):
     # the solvers have no regularization, one advection scheme, an
     # always-on sentinel and dirichlet-zero scalar boxes, the CFL
     # factors, step cap, Newton cap, front threshold and ledger constant
     # are module constants, the half-space run checks both envelopes, and
     # every gate tolerance and check sample count is a constant beside
-    # its gate: the keys are unknown in a file and as flags
+    # its gate; each kind fixes its stepper and the half-space envelopes'
+    # calibration time, and every run writes its SVGs: the keys are
+    # unknown in a file and as flags
     text = f"experiment = fluid2d-taylor-green\n{key} = {value}\n"
     with pytest.raises(ConfigError) as exc:
         parse_config(text, {})
@@ -282,7 +285,7 @@ def test_deleted_solver_keys_are_rejected(tmp_path, capsys, key, value):
 def test_bounds_equals_form_runs(tmp_path):
     out = tmp_path / "out"
     code = run_cli("barenblatt", "--bounds=-6:6", "--cells", "128",
-                   "--t-end", "2", "--outdir", str(out), "--svg", "false")
+                   "--t-end", "2", "--outdir", str(out))
     assert code == 0
     assert "bounds = -6:6" in (out / "manifest.txt").read_text()
 
@@ -296,7 +299,7 @@ def test_exit_code_projection_residual(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(fluid2d, "_modified_wavenumbers",
                         lambda grid: tuple(0.0 * s for s in orig(grid)))
     code = run_cli("fluid2d", "--cells", "32", "--t-end", "0.05",
-                   "--outdir", str(tmp_path / "out"), "--svg", "false")
+                   "--outdir", str(tmp_path / "out"))
     assert code == 2
     assert "projection left divergence residual" in capsys.readouterr().err
 
@@ -307,8 +310,8 @@ def test_exit_code_sentinel(tmp_path, capsys):
     cfg.write_text(
         "experiment = barenblatt-fit\n"
         "p = 3\ndimension = 1\ncells = 256\nbounds = -4:4\n"
-        "t0 = 1.0\nt_end = 30.0\nstepper = implicit\n"
-        f"outdir = {tmp_path / 'out'}\nsvg = false\n")
+        "t0 = 1.0\nt_end = 30.0\n"
+        f"outdir = {tmp_path / 'out'}\n")
     code = run_cli("simulate", "--config", str(cfg))
     assert code == 2
     assert "numerical failure" in capsys.readouterr().err
@@ -319,9 +322,9 @@ def test_exit_code_verification_failure(tmp_path, capsys):
     cfg.write_text(
         "experiment = barenblatt-fit\n"
         "p = 3\ndimension = 1\ncells = 512\nbounds = -12:12\n"
-        "t0 = 1.0\nt_end = 20.0\nstepper = implicit\n"
+        "t0 = 1.0\nt_end = 20.0\n"
         "exponent_tol = 1e-6\n"  # unreachably tight
-        f"outdir = {tmp_path / 'out'}\nsvg = false\n")
+        f"outdir = {tmp_path / 'out'}\n")
     code = run_cli("simulate", "--config", str(cfg))
     assert code == 3
     assert "verification failure" in capsys.readouterr().err
@@ -405,10 +408,43 @@ def test_unusable_times_are_a_configuration_error(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ("barenblatt", "--bounds=5:8", "--cells", "64", "--t-end", "1.5"),
+    ("barenblatt", "--cells", "1", "--t-end", "1.5"),
+    ("energy", "--cells", "1", "--t-end", "0.5"),
+    ("simulate", "--experiment", "halfspace-fsp", "--cells", "1", "--t-end",
+     "0.5"),
+], ids=["box-misses-data", "fit-one-cell", "energy-one-cell",
+        "halfspace-one-cell"])
+def test_initial_data_the_grid_misses_is_a_configuration_error(tmp_path,
+                                                               capsys, argv):
+    # data that vanish on every node have no front to trace: the box or
+    # the grid is at fault, not the numerics
+    assert run_cli(*argv, "--outdir", str(tmp_path / "out")) == 1
+    err = capsys.readouterr().err
+    assert "configuration error:" in err and "cells, bounds:" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["fluid2d-taylor-green", "weak-residual-study"])
+def test_a_fluid_grid_of_one_cell_is_a_configuration_error(tmp_path, capsys,
+                                                           kind):
+    # the fluid's centred stencils need two nodes per axis
+    cfg = tmp_path / "fluid.cfg"
+    cfg.write_text(f"experiment = {kind}\ncells = 1\n")
+    out = tmp_path / "out"
+    assert run_cli("simulate", "--config", str(cfg), "--t-end", "0.01",
+                   "--outdir", str(out)) == 1
+    err = capsys.readouterr().err
+    assert "configuration error:" in err
+    assert "line 2: cells: must be at least 2" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_barenblatt_smoke_and_determinism(tmp_path):
     base = dict(p=3.0, dimension=1, cells=(768,), bounds="-12:12", t0=1.0,
-                t_end=20.0, stepper="implicit", snapshots_per_decade=32,
-                svg=True)
+                t_end=20.0, snapshots_per_decade=32)
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
     run_experiment(default_config("barenblatt-fit", outdir=str(out1), **base))
     run_experiment(default_config("barenblatt-fit", outdir=str(out2), **base))
@@ -428,8 +464,7 @@ def test_track_support_and_fit_pipeline(tmp_path, capsys):
     rundir = tmp_path / "traj"
     code = run_cli("barenblatt", "--p", "3", "--cells", "768", "--bounds=-12:12",
                    "--t0", "1", "--t-end", "20", "--snapshots-per-decade", "16",
-                   "--export-trajectory", "true", "--svg", "false",
-                   "--outdir", str(rundir))
+                   "--export-trajectory", "true", "--outdir", str(rundir))
     assert code == 0
     assert (rundir / "index.csv").exists()
     capsys.readouterr()

@@ -10,7 +10,7 @@ def test_minimal_config_fills_defaults():
     assert cfg.kind == "barenblatt-fit"
     assert cfg["p"] == 3.0
     assert cfg["mu1"] == 1.0
-    assert cfg["stepper"] == "implicit"
+    assert cfg["tol_inner"] == 1e-10
 
 
 def test_comments_and_blank_lines():
@@ -59,10 +59,10 @@ def test_type_coercions():
         "p = 3\n"
         "cells = 64,32\n"
         "bounds = 0:6.28,0:3.14\n"
-        "svg = false\n", {})
+        "export_trajectory = true\n", {})
     assert cfg["cells"] == (64, 32)
     assert cfg["bounds"] == ((0.0, 6.28), (0.0, 3.14))
-    assert cfg["svg"] is False
+    assert cfg["export_trajectory"] is True
 
 
 def test_flag_overrides_win():
@@ -99,8 +99,8 @@ def test_bad_syntax_line_number():
 
 
 def test_default_config_helper():
-    cfg = default_config("halfspace-fsp", t_ref=0.5, bounds=((-2.0, 3.0),))
-    assert cfg["t_ref"] == 0.5 and cfg["bounds"] == ((-2.0, 3.0),)
+    cfg = default_config("halfspace-fsp", height_c=0.5, bounds=((-2.0, 3.0),))
+    assert cfg["height_c"] == 0.5 and cfg["bounds"] == ((-2.0, 3.0),)
     assert default_config("stampacchia-suite", seed=3)["seed"] == 3
 
 
@@ -130,7 +130,7 @@ def test_weak_residual_study_defaults_are_criterion_7s():
 
 
 # a value of each type that parses
-_SAMPLE = {"str": "explicit", "float": "1.5", "int": "2", "bool": "true",
+_SAMPLE = {"str": "out", "float": "1.5", "int": "2", "bool": "true",
            "ints": "64", "bounds": "-1:1"}
 
 

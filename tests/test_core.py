@@ -23,7 +23,6 @@ def test_grid_spacing_and_nodes():
     assert g.shape == (101,)
     gp = periodic_line(64)
     assert gp.shape == (64,)
-    assert gp.total_nodes == 64
 
 
 def test_grid_invalid():
@@ -225,7 +224,7 @@ def test_model_params_ranges():
     # both solvers take p >= 2 only
     for p in (1.5, 1.999, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="p must be"):
-            ModelParams(p)
+            ModelParams(p, 1.0)
 
 
 def test_field_csv_roundtrip(tmp_path):

@@ -15,7 +15,7 @@ from oracles import restrict_integral
 @pytest.fixture(scope="module")
 def halfspace_traj():
     """Small half-space run shared by the energetics tests."""
-    bp = BarenblattParams(3.0, 1, C=1.0)
+    bp = BarenblattParams(3.0, 1, C=1.0, mu1=1.0)
     grid = GridSpec.line(-8.0, 5.0, 1024)
     u0 = halfspace_initial_data(bp, grid, t0=0.05)
     cfg = SolverConfig(ModelParams(3.0, 1.0), stepper="explicit")
@@ -237,10 +237,10 @@ def test_check_decay_on_run_and_refinement(halfspace_traj):
     rep = check_decay(TrajectoryTails(halfspace_traj), 3.0, 3.0, 1, s)
     assert np.isfinite(rep.ctilde) and rep.ctilde > 0
     # a same-physics coarser run gives a nearby constant
-    bp = BarenblattParams(3.0, 1, C=1.0)
+    bp = BarenblattParams(3.0, 1, C=1.0, mu1=1.0)
     grid = GridSpec.line(-8.0, 5.0, 512)
     u0 = halfspace_initial_data(bp, grid, t0=0.05)
-    coarse = simulate(u0, SolverConfig(ModelParams(3.0, 1.0)), 3.0,
+    coarse = simulate(u0, SolverConfig(ModelParams(3.0, 1.0), "explicit"), 3.0,
                       np.concatenate([[0.0], np.logspace(-3, np.log10(3.0), 120)]))
     rep_c = check_decay(TrajectoryTails(coarse), 3.0, 3.0, 1, s)
     assert _stable_under_refinement(rep.ctilde, rep_c.ctilde)

@@ -11,10 +11,10 @@ from oracles import (barenblatt_mass, barenblatt_value,
 
 
 def test_exponents():
-    bp = BarenblattParams(3.0, 1)
+    bp = BarenblattParams(3.0, 1, C=1.0, mu1=1.0)
     assert bp.beta == pytest.approx(0.25, abs=1e-15)
     assert bp.alpha == pytest.approx(bp.dim * bp.beta, abs=1e-15)
-    bp2 = BarenblattParams(3.0, 2)
+    bp2 = BarenblattParams(3.0, 2, C=1.0, mu1=1.0)
     assert bp2.beta == pytest.approx(0.2, abs=1e-15)
 
 
@@ -39,7 +39,7 @@ def test_profile_constant_residual_oracle():
 
 
 def test_value_outside_front_is_zero():
-    bp = BarenblattParams(3.0, 1)
+    bp = BarenblattParams(3.0, 1, C=1.0, mu1=1.0)
     r = barenblatt_front_radius(bp, 2.0)
     assert barenblatt_value(bp, r * 1.01, 2.0) == 0.0
     assert barenblatt_value(bp, -r * 1.5, 2.0) == 0.0
@@ -48,12 +48,12 @@ def test_value_outside_front_is_zero():
 def test_on_axis_value():
     # residual oracle (above) certifies the profile; on-axis is then
     # direct substitution: value(0, 1) = C^((p-1)/(p-2)) = 1 for C = 1
-    bp = BarenblattParams(3.0, 1, C=1.0)
+    bp = BarenblattParams(3.0, 1, C=1.0, mu1=1.0)
     assert barenblatt_value(bp, 0.0, 1.0) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_self_similarity_identity():
-    bp = BarenblattParams(3.5, 2, C=0.8)
+    bp = BarenblattParams(3.5, 2, C=0.8, mu1=1.0)
     rng = np.random.default_rng(42)
     for _ in range(100):
         t = float(rng.uniform(0.2, 5.0))
@@ -65,7 +65,7 @@ def test_self_similarity_identity():
 
 
 def test_front_radius_scaling():
-    bp = BarenblattParams(3.0, 1)
+    bp = BarenblattParams(3.0, 1, C=1.0, mu1=1.0)
     assert barenblatt_front_radius(bp, 1.0) == pytest.approx(
         (bp.C / bp.k) ** ((bp.p - 1) / bp.p), rel=1e-14)
     # beta = 1/4 so a factor 16 in time doubles the radius
@@ -78,7 +78,7 @@ def test_front_radius_scaling():
 
 
 def test_front_sign_change_on_ray():
-    bp = BarenblattParams(3.0, 1)
+    bp = BarenblattParams(3.0, 1, C=1.0, mu1=1.0)
     t = 2.5
     r = barenblatt_front_radius(bp, t)
     xs = np.linspace(0.0, 1.5 * r, 2000)
@@ -88,7 +88,7 @@ def test_front_sign_change_on_ray():
 
 
 def test_front_radius_increasing_concave():
-    bp = BarenblattParams(3.0, 2)
+    bp = BarenblattParams(3.0, 2, C=1.0, mu1=1.0)
     t = np.linspace(0.5, 20.0, 200)
     r = np.array([barenblatt_front_radius(bp, ti) for ti in t])
     assert np.all(np.diff(r) > 0)
@@ -96,7 +96,7 @@ def test_front_radius_increasing_concave():
 
 
 def test_mass_time_invariant_on_grid():
-    bp = BarenblattParams(3.0, 1, C=1.0)
+    bp = BarenblattParams(3.0, 1, C=1.0, mu1=1.0)
     g = GridSpec.line(-8.0, 8.0, 4096)
     masses = [lp_norm(barenblatt_field(bp, g, t), 1.0) for t in (1.0, 2.0, 5.0)]
     ref = barenblatt_mass(bp)
@@ -140,7 +140,7 @@ def test_taylor_green_momentum_balance():
 
 
 def test_halfspace_data_edge_at_zero():
-    bp = BarenblattParams(3.0, 1, C=1.0)
+    bp = BarenblattParams(3.0, 1, C=1.0, mu1=1.0)
     g = GridSpec.line(-6.0, 3.0, 1024)
     u0 = halfspace_initial_data(bp, g, t0=0.25)
     x = g.coords(0)

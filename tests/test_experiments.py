@@ -73,7 +73,7 @@ def test_barenblatt_fit_small(tmp_path):
     r = run_experiment(default_config(
         "barenblatt-fit", outdir=str(tmp_path), p=3.0, dimension=1,
         cells=(1024,), bounds="-13:13", t0=1.0, t_end=60.0,
-        stepper="implicit", snapshots_per_decade=48, tol_inner=1e-9))
+        snapshots_per_decade=48, tol_inner=1e-9))
     assert r["passed"]
     assert abs(r["fitted_slope"] - 0.25) / 0.25 <= 0.05
     assert (tmp_path / "fit.svg").exists()
@@ -86,8 +86,8 @@ def test_barenblatt_2d_small(tmp_path):
     r = run_experiment(default_config(
         "barenblatt-fit", outdir=str(tmp_path), p=3.0, dimension=2,
         cells=(128,), bounds="-5.5:5.5", t0=1.0, t_end=12.0,
-        stepper="implicit", snapshots_per_decade=16, tol_inner=1e-8,
-        height_c=0.5, exponent_tol=0.08))
+        snapshots_per_decade=16, tol_inner=1e-8, height_c=0.5,
+        exponent_tol=0.08))
     assert r["passed"]
 
 
@@ -95,7 +95,7 @@ def test_halfspace_small(tmp_path):
     r = run_experiment(default_config(
         "halfspace-fsp", outdir=str(tmp_path), p=3.0, dimension=1,
         cells=(1536,), bounds="-7.8:7.5", t0=5e-8, t_end=3.0,
-        stepper="explicit", snapshots_per_decade=48, t_ref=0.1))
+        snapshots_per_decade=48))
     assert r["envelope_l2"]["violations"] == 0
     assert r["envelope_l1"]["max_ratio"] <= 1.02
     assert r["l1_max_over_initial"] <= 1 + 1e-6
@@ -106,7 +106,7 @@ def test_energy_ledger_small(tmp_path, monkeypatch):
     r = run_experiment(default_config(
         "energy-ledger", outdir=str(tmp_path), p=3.0, dimension=1,
         cells=(1024,), bounds="-7.8:7.5", t0=5e-8, t_end=3.0,
-        stepper="explicit", snapshots_per_decade=48, refine_check=False))
+        snapshots_per_decade=48, refine_check=False))
     assert r["passed"]
     assert r["tail_beyond_front_A"] == 0.0
     assert r["iteration_covers_front"]
@@ -116,7 +116,7 @@ def test_energy_ledger_small(tmp_path, monkeypatch):
 
 def test_ledger_refinement_run_differs_only_in_cells(tmp_path, monkeypatch):
     # the coarse run of the refinement check is the fine run's config with
-    # the grid halved; t_ref places the first snapshot of both
+    # the grid halved; the snapshot density of both is the fine run's
     seen = []
     real = experiments.halfspace_run
     monkeypatch.setattr(experiments, "halfspace_run",
@@ -126,7 +126,7 @@ def test_ledger_refinement_run_differs_only_in_cells(tmp_path, monkeypatch):
     cfg = default_config(
         "energy-ledger", outdir=str(tmp_path), p=3.0, dimension=1,
         cells=(512,), bounds="-7.8:7.5", t0=5e-8, t_end=1.0,
-        stepper="explicit", snapshots_per_decade=16, t_ref=0.2)
+        snapshots_per_decade=16)
     try:
         run_experiment(cfg)
     except VerificationError:
@@ -134,7 +134,7 @@ def test_ledger_refinement_run_differs_only_in_cells(tmp_path, monkeypatch):
     fine, coarse = seen
     assert fine is cfg and coarse.kind == cfg.kind
     assert {k for k in fine.values if coarse[k] != fine[k]} == {"cells"}
-    assert coarse["cells"] == (256,) and coarse["t_ref"] == 0.2
+    assert coarse["cells"] == (256,) and coarse["snapshots_per_decade"] == 16
 
 
 def test_taylor_green_small(tmp_path, monkeypatch):
@@ -147,8 +147,7 @@ def test_taylor_green_small(tmp_path, monkeypatch):
 
 
 _SMALL_HALFSPACE = dict(p=3.0, dimension=1, cells=(512,), bounds="-7.8:7.5",
-                       t0=5e-8, t_end=1.0, stepper="explicit",
-                       snapshots_per_decade=24, t_ref=0.1)
+                       t0=5e-8, t_end=1.0, snapshots_per_decade=24)
 
 
 def _grown_l1(run, monkeypatch):
@@ -181,9 +180,8 @@ def _on_coarse_run(change):
 
 @pytest.mark.parametrize("kind,overrides,constants,prebuilt,message,gate", [
     ("barenblatt-fit", dict(p=3.0, dimension=1, cells=(512,), bounds="-12:12",
-                            t0=1.0, t_end=20.0, stepper="implicit",
-                            exponent_tol=1e-9), {}, None, "fitted exponent",
-     "exponent"),
+                            t0=1.0, t_end=20.0, exponent_tol=1e-9), {}, None,
+     "fitted exponent", "exponent"),
     ("fluid2d-taylor-green", dict(cells=(32,), t_end=0.1),
      {"_KE_RATE_TOL": 1e-9}, None, "Taylor-Green", "decay_rate"),
     ("exponent-identities", {}, {"_IDENTITY_TOL": -1.0}, None,
@@ -352,13 +350,12 @@ def test_every_owned_gate_is_a_gate_its_runner_returns(tmp_path, monkeypatch):
 SMALL_RUNS = [
     ("fluid2d-taylor-green", dict(cells=(48,), t_end=0.5)),
     ("energy-ledger", dict(p=3.0, dimension=1, cells=(1024,), bounds="-7.8:7.5",
-                           t0=5e-8, t_end=3.0, stepper="explicit",
-                           snapshots_per_decade=48, refine_check=False)),
+                           t0=5e-8, t_end=3.0, snapshots_per_decade=48,
+                           refine_check=False)),
     # implicit 2-D: the early proximal steps are solved on a window of the grid
     ("barenblatt-fit", dict(p=3.0, dimension=2, cells=(128,), bounds="-5.5:5.5",
-                            t0=1.0, t_end=12.0, stepper="implicit",
-                            snapshots_per_decade=16, tol_inner=1e-8,
-                            height_c=0.5, exponent_tol=0.08)),
+                            t0=1.0, t_end=12.0, snapshots_per_decade=16,
+                            tol_inner=1e-8, height_c=0.5, exponent_tol=0.08)),
     ("barenblatt-accuracy-study", dict(bounds="-8.6:8.6", t0=1.0, t_end=1.5,
                                        cells=(128, 256))),
     ("weak-residual-study", dict(p=2.0, cells=(16,), t_end=0.05)),

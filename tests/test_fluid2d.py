@@ -207,7 +207,7 @@ def test_shear_flow_is_the_scalar_equation(p):
     model = params(p, mu1)
     v = VectorField(g, (np.tile(f, (n, 1)), np.zeros(g.shape)))
     dt = 0.5 * viscous_cfl_dt(v, model)
-    scfg = SolverConfig(ModelParams(p, mu1 * 2.0 ** (-p / 2.0)))
+    scfg = SolverConfig(ModelParams(p, mu1 * 2.0 ** (-p / 2.0)), "explicit")
     u = ScalarField(line, np.append(f, 0.0))
     for _ in range(steps):
         v = fluid_step(v, model, dt, None)

@@ -28,7 +28,7 @@ def test_support_front_halfspace_indicator():
 
 
 def test_support_front_monotone_in_tau():
-    bp = BarenblattParams(3.0, 1)
+    bp = BarenblattParams(3.0, 1, C=1.0, mu1=1.0)
     g = GridSpec.line(-6.0, 6.0, 1024)
     f = barenblatt_field(bp, g, 1.0)
     taus = np.logspace(-8, -1, 12)
@@ -39,7 +39,7 @@ def test_support_front_monotone_in_tau():
 def test_support_front_offset_vanishes_with_tau():
     # closed-form inversion oracle: the tau-front approaches the true
     # front radius from below as tau -> 0
-    bp = BarenblattParams(3.0, 1)
+    bp = BarenblattParams(3.0, 1, C=1.0, mu1=1.0)
     g = GridSpec.line(-6.0, 6.0, 4096)
     t = 1.7
     f = barenblatt_field(bp, g, t)
@@ -53,7 +53,7 @@ def test_support_front_offset_vanishes_with_tau():
 
 
 def test_support_front_2d_radial():
-    bp = BarenblattParams(3.0, 2, C=0.5)
+    bp = BarenblattParams(3.0, 2, C=0.5, mu1=1.0)
     g = GridSpec.box(-4.0, 4.0, 256)
     f = barenblatt_field(bp, g, 1.0)
     exact = barenblatt_front_radius(bp, 1.0)
@@ -68,7 +68,7 @@ def test_trace_support_zero_and_exact_fields():
     tr = trace_support(traj, 1e-6, "halfspace")
     assert np.all(np.isnan(tr.fronts))
     # exact-solution snapshots give strictly increasing radial fronts
-    bp = BarenblattParams(3.0, 1)
+    bp = BarenblattParams(3.0, 1, C=1.0, mu1=1.0)
     times = np.linspace(1.0, 5.0, 9)
     fields = [barenblatt_field(bp, g, t) for t in times]
     traj = Trajectory(times - 1.0, fields)
@@ -100,7 +100,7 @@ def test_envelope_validity_ranges():
 def test_envelope_small_time_exponent_is_barenblatt():
     for p in (2.5, 3.0, 4.0):
         for n in (1, 2):
-            bp = BarenblattParams(p, n)
+            bp = BarenblattParams(p, n, C=1.0, mu1=1.0)
             assert envelope_exponents_l1(p, n)[0] == pytest.approx(bp.beta, abs=1e-15)
 
 
@@ -172,7 +172,7 @@ def test_check_envelope_self_consistent():
 def test_check_envelope_exact_solution_under_both():
     # Barenblatt snapshots stay below both calibrated envelopes: the
     # small-time L1 exponent matches, the L2 one dominates it
-    bp = BarenblattParams(3.0, 1)
+    bp = BarenblattParams(3.0, 1, C=1.0, mu1=1.0)
     g = GridSpec.line(-9.0, 9.0, 2048)
     times = np.logspace(0.0, np.log10(40.0), 40)
     fields = [barenblatt_field(bp, g, t) for t in times]

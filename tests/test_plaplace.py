@@ -16,12 +16,12 @@ import oracles
 from oracles import integral
 
 
-def cfg_1d(p=3.0, **kw):
-    return SolverConfig(ModelParams(p, 1.0), **kw)
+def cfg_1d(stepper, p=3.0, **kw):
+    return SolverConfig(ModelParams(p, 1.0), stepper, **kw)
 
 
 def barenblatt_setup(cells=1024, box=7.0, t0=1.0, p=3.0):
-    bp = BarenblattParams(p, 1, C=1.0)
+    bp = BarenblattParams(p, 1, C=1.0, mu1=1.0)
     grid = GridSpec.line(-box, box, cells)
     return bp, grid, barenblatt_field(bp, grid, t0)
 
@@ -52,7 +52,7 @@ def test_flux_diffusivity_degenerate():
 def test_step_explicit_constant_unchanged():
     g = GridSpec.line(0.0, 1.0, 64)
     u = ScalarField(g, np.full(g.shape, 2.5))
-    out = step_explicit(u, cfg_1d(), 1e-3)
+    out = step_explicit(u, cfg_1d("explicit"), 1e-3)
     assert np.array_equal(out.values, u.values)
 
 
@@ -60,7 +60,7 @@ def test_step_explicit_one_step_accuracy():
     # exact-solution oracle: the one-step L1 error obeys O(dt^2 + dt h);
     # the normalized constant err/(dt (dt+h)) measures ~0.057 and stays
     # flat over a 16x span of (dt, h)
-    cfg = cfg_1d()
+    cfg = cfg_1d("explicit")
     consts = []
     for cells in (1024, 2048):
         bp, grid, u0 = barenblatt_setup(cells=cells)
@@ -77,8 +77,8 @@ def test_step_explicit_one_step_accuracy():
 def test_explicit_positivity_and_max_principle():
     # monotone scheme: bounded by max u0 and nonnegative for 1e4 steps
     g = GridSpec.line(-4.0, 4.0, 256)
-    u = barenblatt_field(BarenblattParams(3.0, 1, C=1.0), g, 0.5)
-    cfg = cfg_1d()
+    u = barenblatt_field(BarenblattParams(3.0, 1, C=1.0, mu1=1.0), g, 0.5)
+    cfg = cfg_1d("explicit")
     peak = u.values.max()
     dt = cfl_dt(u, cfg)
     for k in range(10_000):
@@ -90,7 +90,7 @@ def test_explicit_positivity_and_max_principle():
 
 
 def test_cfl_dt_zero_field_and_scaling():
-    cfg = cfg_1d()
+    cfg = cfg_1d("explicit")
     g = GridSpec.line(0.0, 1.0, 128)
     assert cfl_dt(ScalarField.zeros(g), cfg) == plaplace._DT_MAX
     u = ScalarField(g, np.sin(2 * np.pi * g.coords(0)))
@@ -112,7 +112,8 @@ def test_implicit_energy_inequality_and_descent():
     grid_2d = GridSpec((-4.0, -4.0), (4.0, 4.0), (48, 48),
                        (DIRICHLET, DIRICHLET))
     for u0 in (barenblatt_setup(cells=512)[2],
-               barenblatt_field(BarenblattParams(3.0, 2, C=0.5), grid_2d, 1.0)):
+               barenblatt_field(BarenblattParams(3.0, 2, C=0.5, mu1=1.0),
+                                grid_2d, 1.0)):
         grid = u0.grid
         cfg = SolverConfig(ModelParams(3.0, 1.0), stepper="implicit")
         dt = 0.05
@@ -163,7 +164,7 @@ def test_scalar_entry_points_reject_a_periodic_axis(entry, bc):
     dim = len(bc)
     grid = GridSpec((0.0,) * dim, (1.0,) * dim, (8,) * dim, bc)
     u = ScalarField(grid, np.ones(grid.shape))
-    cfg = SolverConfig(ModelParams(3.0, 1.0))
+    cfg = SolverConfig(ModelParams(3.0, 1.0), "explicit")
     with pytest.raises(ValueError, match="dirichlet-zero"):
         _SCALAR_ENTRY_POINTS[entry](u, cfg)
 
@@ -187,7 +188,8 @@ def _prox_at_random_point(name, p):
     grid = _PROX_GRIDS[name]
     rng = np.random.default_rng(7)
     cfg = SolverConfig(ModelParams(p, 1.0), stepper="implicit")
-    prob = plaplace._ProxProblem(rng.standard_normal(grid.shape), grid, cfg, 0.1)
+    prob = plaplace._ProxProblem(rng.standard_normal(grid.shape), grid.volumes(),
+                                 grid, cfg, 0.1)
     return prob, rng.standard_normal(grid.shape), rng.standard_normal(grid.shape)
 
 
@@ -282,7 +284,8 @@ def _prox_with_signed_zeros(shape, p, seed):
             GridSpec.box(0.0, (1.0, 1.3), tuple(n - 1 for n in shape)))
     rng = np.random.default_rng(seed)
     cfg = SolverConfig(ModelParams(p, 1.0), stepper="implicit")
-    prob = plaplace._ProxProblem(rng.standard_normal(shape), grid, cfg, 0.1)
+    prob = plaplace._ProxProblem(rng.standard_normal(shape), grid.volumes(), grid,
+                                 cfg, 0.1)
     v = _with_signed_zeros(rng, shape)
     v[rng.random(shape) < 0.33] = 0.0
     return prob, v, _with_signed_zeros(rng, shape)
@@ -313,7 +316,8 @@ def test_hess_vec_results_survive_later_calls_and_relinearization(shape):
     assert np.array_equal(_bits(first), _bits(kept))
     moved = 0.5 * v + 0.1
     prob.value_and_grad(moved)
-    fresh = plaplace._ProxProblem(prob.u, prob.grid, prob.cfg, prob.dt)
+    fresh = plaplace._ProxProblem(prob.u, prob.vol, prob.grid, prob.cfg,
+                                  prob.dt)
     fresh.value_and_grad(moved)
     assert np.array_equal(_bits(prob.hess_vec(dv)), _bits(fresh.hess_vec(dv)))
 
@@ -328,7 +332,7 @@ def test_implicit_non_descent_solve_falls_back_to_steepest_descent(
     else:  # the spacing of 24 cells on [-3, 3], with room for a window
         grid = GridSpec((-8.0, -8.0), (8.0, 8.0), (64, 64),
                         (DIRICHLET, DIRICHLET))
-        u = barenblatt_field(BarenblattParams(3.0, 2, C=0.5), grid, 1.0)
+        u = barenblatt_field(BarenblattParams(3.0, 2, C=0.5, mu1=1.0), grid, 1.0)
     cfg = SolverConfig(ModelParams(3.0, 1.0), stepper="implicit")
     dt = 1e-3
     newton = step_implicit_proximal(u, cfg, dt, None)
@@ -360,7 +364,8 @@ def test_implicit_line_search_stall_raises(monkeypatch):
     for u0, solver, overlong in (
             (barenblatt_setup(cells=256)[2], "solve_banded",
              lambda lu, ab, b: 1e30 * b),
-            (barenblatt_field(BarenblattParams(3.0, 2, C=0.5), grid_2d, 1.0),
+            (barenblatt_field(BarenblattParams(3.0, 2, C=0.5, mu1=1.0),
+                              grid_2d, 1.0),
              "_pcg", lambda h, b, *a, **k: 1e30 * b)):
         cfg = SolverConfig(ModelParams(3.0, 1.0), stepper="implicit")
         with monkeypatch.context() as m:
@@ -377,7 +382,7 @@ def test_implicit_line_search_stall_raises(monkeypatch):
 def _whole_grid_proximal(u, cfg, dt, v0=None):
     """Oracle: the proximal step by damped Newton on every node of the
     grid, as it was solved before the support window."""
-    prob = plaplace._ProxProblem(u.values, u.grid, cfg, dt)
+    prob = plaplace._ProxProblem(u.values, u.grid.volumes(), u.grid, cfg, dt)
     v = u.values.copy() if v0 is None else np.asarray(v0, dtype=float).copy()
     j_u = prob.value(u.values)
     j, g = prob.value_and_grad(v)
@@ -438,7 +443,7 @@ def _assert_windowed(windows, grid):
 def _assert_matches_oracle(v, u, cfg, dt, v0, windows):
     """The step ``v``: a minimizer on the whole grid, zero outside the last
     window, and the oracle's result to 1e-12 relative."""
-    prob = plaplace._ProxProblem(u.values, u.grid, cfg, dt)
+    prob = plaplace._ProxProblem(u.values, u.grid.volumes(), u.grid, cfg, dt)
     assert plaplace._grad_residual(prob.value_and_grad(v.values)[1],
                                    prob.vol) <= cfg.tol
     outside = np.ones(u.grid.shape, dtype=bool)
@@ -462,7 +467,7 @@ _WINDOW_CASES = {
 @pytest.mark.parametrize("name", sorted(_WINDOW_CASES))
 def test_windowed_proximal_step_is_the_whole_grid_step(monkeypatch, name):
     grid, c, t0, dt = _WINDOW_CASES[name]
-    u0 = barenblatt_field(BarenblattParams(3.0, grid.dim, C=c), grid, t0)
+    u0 = barenblatt_field(BarenblattParams(3.0, grid.dim, C=c, mu1=1.0), grid, t0)
     cfg = SolverConfig(ModelParams(3.0, 1.0), stepper="implicit")
     windows = _record_windows(monkeypatch)
     u1 = step_implicit_proximal(u0, cfg, dt, None)
@@ -485,7 +490,7 @@ def test_guard_widens_the_window_when_newton_outruns_the_halo(
     # a narrow support and a long step: Newton carries the support past
     # the halo in one step; the step is redone with a doubled halo until
     # it stays inside, and the last window is still smaller than the grid
-    u0 = barenblatt_field(BarenblattParams(3.0, grid.dim, C=1.0 / grid.dim),
+    u0 = barenblatt_field(BarenblattParams(3.0, grid.dim, C=1.0 / grid.dim, mu1=1.0),
                           grid, t0)
     cfg = SolverConfig(ModelParams(3.0, 1.0), stepper="implicit")
     windows = _record_windows(monkeypatch)
@@ -502,7 +507,7 @@ def test_guard_widens_the_window_when_newton_outruns_the_halo(
     (GridSpec.line(-3.0, 3.0, 128), 1.0),
     (GridSpec((-2.5, -2.5), (2.5, 2.5), (48, 48), (DIRICHLET, DIRICHLET)), 0.5)])
 def test_support_near_the_grid_edge_runs_on_the_whole_grid(monkeypatch, grid, c):
-    u0 = barenblatt_field(BarenblattParams(3.0, grid.dim, C=c), grid, 1.0)
+    u0 = barenblatt_field(BarenblattParams(3.0, grid.dim, C=c, mu1=1.0), grid, 1.0)
     cfg = SolverConfig(ModelParams(3.0, 1.0), stepper="implicit")
     windows = _record_windows(monkeypatch)
     v = step_implicit_proximal(u0, cfg, 0.1, None)
@@ -524,7 +529,7 @@ def test_cross_scheme_agreement():
 
 def test_simulate_zero_data():
     g = GridSpec.line(-1.0, 1.0, 64)
-    traj = simulate(ScalarField.zeros(g), cfg_1d(), 1.0, [0.0, 0.5, 1.0])
+    traj = simulate(ScalarField.zeros(g), cfg_1d("explicit"), 1.0, [0.0, 0.5, 1.0])
     assert all(np.all(f.values == 0.0) for f in traj.fields)
 
 
@@ -604,7 +609,7 @@ def test_implicit_simulate_bit_identical_to_a_chain_of_steps(name):
     # the banded solve in 1-D, PCG in 2-D; unequal intervals, so that the
     # warm start extrapolates over a step of another length
     grid, c, t0, dt = _WINDOW_CASES[name]
-    u0 = barenblatt_field(BarenblattParams(3.0, grid.dim, C=c), grid, t0)
+    u0 = barenblatt_field(BarenblattParams(3.0, grid.dim, C=c, mu1=1.0), grid, t0)
     cfg = SolverConfig(ModelParams(3.0, 1.0), stepper="implicit")
     T = 3 * dt
     traj = simulate(u0, cfg, T, [0.0, dt, 2.5 * dt, T])
@@ -648,11 +653,11 @@ def test_windowed_simulate_bit_identical_to_full_grid_1d(monkeypatch, audit):
 @pytest.mark.parametrize("bc0", [DIRICHLET])
 def test_windowed_simulate_bit_identical_to_full_grid_2d(monkeypatch, bc0,
                                                         audit):
-    bp = BarenblattParams(3.0, 2, C=0.3)
+    bp = BarenblattParams(3.0, 2, C=0.3, mu1=1.0)
     grid = GridSpec((-6.0, -6.0), (6.0, 6.0), (96, 96), (bc0, DIRICHLET))
     u0 = barenblatt_field(bp, grid, 0.05, center=(0.3, -0.2))
     T = 2.0  # about 130 steps
-    cfg = SolverConfig(ModelParams(3.0, 1.0), audit_locality=audit)
+    cfg = SolverConfig(ModelParams(3.0, 1.0), "explicit", audit_locality=audit)
     for cfl_stride in (1, 8):  # the CFL bound from the step's faces, as in 1-D
         monkeypatch.setattr(plaplace, "_CFL_STRIDE", cfl_stride)
         traj = simulate(u0, cfg, T, [0.0, 0.01, 0.5, T])
@@ -677,7 +682,7 @@ def test_tight_window_keeps_a_steep_front_bit_identical(monkeypatch, dim):
         x, y = grid.mesh()
         u0 = ScalarField(grid, ((np.abs(x) < 0.5)
                                 & (np.abs(y - 0.3) < 0.4)).astype(float))
-    cfg = SolverConfig(ModelParams(3.0, 1.0))
+    cfg = SolverConfig(ModelParams(3.0, 1.0), "explicit")
     dt = cfl_dt(u0, cfg)
     first = simulate(u0, cfg, 6 * dt, [0.0, 6 * dt])
 
@@ -733,9 +738,9 @@ def _locality_case(dim, bc0):
         u0 = barenblatt_setup(cells=512, box=10.0)[2]
     else:
         grid = GridSpec((-6.0, -6.0), (6.0, 6.0), (64, 64), (bc0, DIRICHLET))
-        u0 = barenblatt_field(BarenblattParams(3.0, 2, C=0.3), grid, 0.05,
+        u0 = barenblatt_field(BarenblattParams(3.0, 2, C=0.3, mu1=1.0), grid, 0.05,
                               center=(0.3, -0.2))
-    return u0, SolverConfig(ModelParams(3.0, 1.0))
+    return u0, SolverConfig(ModelParams(3.0, 1.0), "explicit")
 
 
 @pytest.mark.parametrize("plant_at", [3, 40])  # before and after rescans
@@ -852,7 +857,8 @@ def test_a_replay_resumes_from_the_snapshot_time(monkeypatch, audit):
     # 1 ulp longer: not the planted step, so the run would not raise.
     assert 4e-5 + (1.1e-4 - 4e-5) != 1.1e-4
     assert 2.1e-4 - (4e-5 + (1.1e-4 - 4e-5)) != 2.1e-4 - 1.1e-4
-    assert 1.1e-4 < cfl_dt(barenblatt_setup(cells=512, box=4.3)[2], cfg_1d())
+    u = barenblatt_setup(cells=512, box=4.3)[2]
+    assert 1.1e-4 < cfl_dt(u, cfg_1d("explicit"))
     _assert_raises_as_a_per_step_check_would(
         monkeypatch, [0.0, 4e-5, 1.1e-4, 2.1e-4], audit, 256, 3, np.nan)
 
@@ -937,7 +943,7 @@ def test_check_finite_overflowing_sum_and_bad_nodes():
 
 @pytest.mark.parametrize("stepper", ["explicit", "implicit"])
 def test_boundary_sentinel_triggers(stepper):
-    bp = BarenblattParams(3.0, 1, C=1.0)
+    bp = BarenblattParams(3.0, 1, C=1.0, mu1=1.0)
     grid = GridSpec.line(-4.2, 4.2, 512)  # too small for the spread
     u0 = barenblatt_field(bp, grid, 1.0)
     # explicit: one interval, so the check between snapshots must fire;
@@ -962,8 +968,8 @@ def test_barenblatt_residual_order_in_h():
     against the exact time derivative drops at order >= 1 in the L1 norm
     over the front-excluded region (pointwise it concentrates at the
     origin where the profile is only C^1,1)."""
-    bp = BarenblattParams(3.0, 1, C=1.0)
-    cfg = cfg_1d()
+    bp = BarenblattParams(3.0, 1, C=1.0, mu1=1.0)
+    cfg = cfg_1d("explicit")
     eps_t = 1e-7
     l1 = []
     for cells in (1024, 2048):
