@@ -18,9 +18,18 @@ Advection is the skew-symmetric average of the divergence and advective
 forms with centered differences: second order, exactly energy-neutral
 under summation by parts (it adds no numerical dissipation to the
 energy balance), momentum-exact once ``div u = 0``.
+
+The time loop is :func:`fluid_snapshots`, a stream of ``(t, field)``
+pairs at the schedule's times: the experiments read it once, in time
+order, and :func:`weak_residual` holds three snapshots of it at a time.
+:func:`simulate_fluid` collects the same stream into a
+:class:`~pflab.plaplace.Trajectory`.
 """
 
 from __future__ import annotations
+
+import array
+import itertools
 
 import numpy as np
 
@@ -241,19 +250,26 @@ def fluid_step(v: VectorField, params: ModelParams, dt: float,
     return project(v)
 
 
-def simulate_fluid(v0: VectorField, params: ModelParams, T: float,
-                   snapshot_times, dt_fixed: float | None = None) -> Trajectory:
-    """Run the fluid from ``v0`` (projected first) to horizon ``T``.
+def fluid_snapshots(v0: VectorField, params: ModelParams, T: float,
+                    snapshot_times, dt_fixed: float | None = None):
+    """Run the fluid from ``v0`` (projected first) to horizon ``T``,
+    yielding ``(t, field)`` at each time of the normalized schedule.
 
     ``dt_fixed`` pins the step (reproducible refinement studies);
     otherwise the step adapts to the advective and viscous CFL bounds.
+    The arguments are checked at the call; the steps are taken as the
+    snapshots are read.  Every field yielded is a fresh array that no
+    later step writes, so a reader may keep it or drop it.
     """
     if not T > 0:
         raise ValueError("horizon T must be positive")
     sched = normalize_schedule(snapshot_times, T)
+    return _stepped(project(v0), params, sched, dt_fixed)
 
-    v = project(v0)
-    fields = [v.copy()]
+
+def _stepped(v: VectorField, params: ModelParams, sched: np.ndarray,
+             dt_fixed: float | None):
+    yield sched[0], v
     t = 0.0
     for t_next in sched[1:]:
         while t < t_next - 1e-13 * max(1.0, t_next):
@@ -266,9 +282,15 @@ def simulate_fluid(v0: VectorField, params: ModelParams, T: float,
                 vmax, dt = None, min(dt_fixed, t_next - t)
             v = fluid_step(v, params, dt, vmax)
             t += dt
-        fields.append(v.copy())
+        yield t_next, v
         t = t_next
-    return Trajectory(sched, fields)
+
+
+def simulate_fluid(*args, **kwargs) -> Trajectory:
+    """:func:`fluid_snapshots`, same arguments, collected into a
+    :class:`~pflab.plaplace.Trajectory`."""
+    times, fields = zip(*fluid_snapshots(*args, **kwargs))
+    return Trajectory(times, list(fields))
 
 
 # ---------------------------------------------------------------------------
@@ -288,34 +310,45 @@ def _check_test_field(phi: VectorField):
         raise ValueError(f"test field is not divergence-free (max div {div_phi:.3e})")
 
 
-def weak_residual(traj: Trajectory, phis, params: ModelParams) -> np.ndarray:
+def weak_residual(snapshots, phis, params: ModelParams) -> np.ndarray:
     """Time-integrated residuals of the weak form, one per fixed
-    divergence-free test field in ``phis``.
+    divergence-free test field in ``phis``, over ``snapshots``: ``(t,
+    field)`` pairs in time order, such as a :class:`Trajectory` or a
+    :func:`fluid_snapshots` stream.
 
     Computes ``| sum_t w_t ( <u_t, phi> + <(u.grad)u, phi>
     + mu1 <|Du|^(p-2) Du, D phi> ) |`` for each ``phi``, with
     snapshot-centered time differencing for ``u_t`` and trapezoid weights
     over the interior snapshots.  The pressure drops because
-    ``div phi = 0``.  One pass over the trajectory serves every field:
-    ``u_t``, the advective term and ``Du`` are formed once per snapshot,
-    and the diffusivity of ``|Du|^2`` is the one the step reads.
+    ``div phi = 0``.  One pass over the snapshots serves every field, and
+    it holds three of them at a time: ``u_t``, the advective term and
+    ``Du`` are formed once per snapshot, and the diffusivity of
+    ``|Du|^2`` is the one the step reads.
     """
-    _require_periodic(traj.grid)
+    snapshots = iter(snapshots)
+    head = list(itertools.islice(snapshots, 1))
+    for _, u in head:
+        _require_periodic(u.grid)
     phis = list(phis)
     for phi in phis:
         _check_test_field(phi)
-    if len(traj) < 3:
-        raise ValueError("need at least 3 snapshots for centered time differencing")
-
-    grid = traj.grid
-    hx, hy = grid.spacing
     dphis = [deformation_tensor(phi) for phi in phis]
     p, mu1 = params.p, params.mu1
-    times = traj.times
-    totals = [[] for _ in phis]
-    for k in range(1, len(traj) - 1):
-        u_prev, u_now, u_next = traj.fields[k - 1], traj.fields[k], traj.fields[k + 1]
-        dt2 = times[k + 1] - times[k - 1]
+    # 8 bytes a snapshot per series, so a long stream adds next to nothing
+    times = array.array("d")
+    totals = [array.array("d") for _ in phis]
+    window = []
+    for t, u_next in itertools.chain(head, snapshots):
+        if times and not t > times[-1]:
+            raise ValueError("snapshot times must be strictly increasing")
+        times.append(t)
+        window = window[-2:] + [u_next]
+        if len(window) < 3:
+            continue
+        u_prev, u_now = window[:2]
+        grid = u_now.grid
+        hx, hy = grid.spacing
+        dt2 = times[-1] - times[-3]
         ut = VectorField(grid, tuple(
             (cn - cp) / dt2 for cn, cp in zip(u_next.components, u_prev.components)))
         u0, u1 = u_now.components
@@ -329,6 +362,8 @@ def weak_residual(traj: Trajectory, phis, params: ModelParams) -> np.ndarray:
             pairing = np.einsum("ij...,ij...->...", du, dphi)
             term3 = float(np.sum(diffusivity * pairing * grid.volumes()))
             tot.append(_inner(ut, phi) + _inner(adv, phi) + term3)
+    if len(times) < 3:
+        raise ValueError("need at least 3 snapshots for centered time differencing")
     ts = times[1:-1]
     if len(ts) == 1:
         return np.array([abs(tot[0] * (times[-1] - times[0])) for tot in totals])

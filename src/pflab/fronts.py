@@ -180,6 +180,9 @@ def support_envelope_l1(p: float, n: int, t, c: float):
 
 _ENVELOPES = {"l2": support_envelope_l2, "l1": support_envelope_l1}
 
+# the fewest usable samples a power-law fit takes
+MIN_FIT_SAMPLES = 8
+
 
 # ---------------------------------------------------------------------------
 # fitting and envelope verification
@@ -190,18 +193,19 @@ def fit_exponent(trace: SupportTrace, drop_frac: float = 0.1) -> ExponentFit:
     """Least-squares line in (log t, log front).
 
     The fit window drops the first and last ``drop_frac`` of the usable
-    samples (initial transients, boundary proximity).  Requires >= 8
-    usable samples.
+    samples (initial transients, boundary proximity).  Requires
+    ``MIN_FIT_SAMPLES`` usable samples.
     """
     ok = trace.present & (trace.times > 0) & (trace.fronts > 0)
     t = trace.times[ok]
     f = trace.fronts[ok]
-    if len(t) >= 8 and drop_frac > 0:
+    if len(t) >= MIN_FIT_SAMPLES and drop_frac > 0:
         k = int(math.floor(drop_frac * len(t)))
         if k:
             t, f = t[k:-k], f[k:-k]
-    if len(t) < 8:
-        raise ValueError(f"need >= 8 usable samples in the fit window, have {len(t)}")
+    if len(t) < MIN_FIT_SAMPLES:
+        raise ValueError(f"need >= {MIN_FIT_SAMPLES} usable samples in the fit "
+                         f"window, have {len(t)}")
     lt, lf = np.log(t), np.log(f)
     slope, intercept = np.polyfit(lt, lf, 1)
     resid = lf - (slope * lt + intercept)

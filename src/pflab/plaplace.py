@@ -116,6 +116,10 @@ class Trajectory:
     def __len__(self):
         return len(self.fields)
 
+    def __iter__(self):
+        """The snapshots as ``(t, field)`` pairs, in time order."""
+        return zip(self.times, self.fields)
+
     @property
     def grid(self) -> GridSpec:
         return self.fields[0].grid

@@ -257,6 +257,37 @@ def _defaults_and_their_calls():
                                    for call in calls[called]]
 
 
+def _benchmark_layers() -> dict:
+    """``LAYERS`` of the benchmark's span list, read from its file."""
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(
+        "bench_trace", ROOT / "perfbench" / "bench_trace.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.LAYERS
+
+
+def test_every_benchmark_span_resolves_to_a_package_function():
+    # a traced benchmark pass looks each name up as its spans do: a
+    # function as an attribute of its module, a method in its class's own
+    # __dict__; a renamed function would crash that pass before it ran
+    import importlib
+
+    missing = []
+    for modname, names in _benchmark_layers().items():
+        module = importlib.import_module(f"pflab.{modname}")
+        for name in names:
+            if "." in name:
+                cls_name, meth = name.split(".")
+                found = meth in getattr(module, cls_name, object).__dict__
+            else:
+                found = callable(getattr(module, name, None))
+            if not found:
+                missing.append(f"{modname}.{name}")
+    assert missing == []
+
+
 def test_every_keyword_default_is_overridden_by_a_caller():
     # a default that no caller in the package or the harness overrides is
     # a setting only tests change: it belongs in the code, not the

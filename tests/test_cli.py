@@ -132,6 +132,59 @@ def test_exit_code_line_search_stall(tmp_path, capsys, monkeypatch):
     assert shapes and all(a < 97 for shape in shapes for a in shape)
 
 
+def test_a_schedule_too_sparse_for_the_front_fit_is_a_configuration_error(
+        tmp_path, monkeypatch):
+    # from t0 = 1 to t_end = 2 at one snapshot a decade the log schedule
+    # takes 2 snapshots and the fit needs 8: the config is rejected before
+    # any step, as the command line shows it
+    import os
+    import subprocess
+    import sys
+
+    from pflab import experiments
+
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [os.path.abspath(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pflab.cli", "barenblatt",
+         "--snapshots-per-decade", "1", "--t-end", "2", "--cells", "256"],
+        cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("configuration error:")
+    assert "t0, t_end, snapshots_per_decade:" in proc.stderr
+    monkeypatch.setattr(experiments, "simulate", lambda *a, **kw: 1 / 0)
+    with pytest.raises(ConfigError, match="takes 2 snapshots, and the front "
+                       "fit needs 8"):
+        run_experiment(default_config(
+            "barenblatt-fit", outdir=str(tmp_path / "out"),
+            snapshots_per_decade=1, t_end=2.0, cells=(256,)))
+
+
+def test_a_front_fit_short_of_samples_is_a_configuration_error(tmp_path,
+                                                              monkeypatch):
+    # a schedule long enough on paper whose fronts go missing after the
+    # fifth snapshot: the fit's own shortfall is reported the same way
+    from pflab import fronts
+
+    trace_support = fronts.trace_support
+
+    def five_fronts(*args, **kw):
+        tr = trace_support(*args, **kw)
+        kept = np.where(np.arange(len(tr.times)) < 5, tr.fronts, np.nan)
+        return fronts.SupportTrace(tr.tau, tr.times, kept)
+
+    monkeypatch.setattr(fronts, "trace_support", five_fronts)
+    cfg = default_config("barenblatt-fit", outdir=str(tmp_path), p=3.0,
+                         dimension=1, cells=(256,), bounds="-8:8", t0=1.0,
+                         t_end=2.0, snapshots_per_decade=24)
+    with pytest.raises(ConfigError, match="t0, t_end, snapshots_per_decade: "
+                       ".*fit failed: need >= 8 usable samples in the fit "
+                       "window, have 5"):
+        run_experiment(cfg)
+
+
 def test_exit_code_usage_error(tmp_path, capsys):
     # argparse reads "-6:6" as a flag; a usage error is a configuration
     # error (1), not a numerical failure (2)

@@ -1,16 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from pflab import fluid2d
+from pflab import experiments, fluid2d
+from pflab.config import default_config
 from pflab.core import (DIRICHLET, GridSpec, ModelParams, PERIODIC, ScalarField,
                         VectorField, deformation_tensor, divergence, lp_norm)
 from pflab.errors import NumericalError
 from pflab.exact import taylor_green_field
 from pflab.fluid2d import (_advection_tendency, _face_deformation, advect,
-                           advective_cfl_dt, fluid_step, kinetic_energy,
-                           project, random_stream_coeffs, simulate_fluid,
-                           stream_field, viscous_cfl_dt, viscous_term,
-                           weak_residual)
+                           advective_cfl_dt, fluid_snapshots, fluid_step,
+                           kinetic_energy, project, random_stream_coeffs,
+                           simulate_fluid, stream_field, viscous_cfl_dt,
+                           viscous_term, weak_residual)
 from pflab.plaplace import (SolverConfig, Trajectory, _face_avg, _face_diff,
                             _face_diff_adj, _trans_deriv, step_explicit)
 
@@ -422,18 +425,143 @@ def _one_field_weak_residual(traj, phi, params):
 
 @pytest.mark.parametrize("p", [2.0, 2.5, 3.0])
 def test_weak_residual_many_fields_match_one_at_a_time(p):
+    # on a Trajectory and on the stream of the same run alike
     g = tg_grid(32)
     rng = np.random.default_rng(7)
     v0 = stream_field(g, random_stream_coeffs(rng))
-    traj = simulate_fluid(v0, params(p), 0.05, np.linspace(0, 0.05, 7))
+    run = (v0, params(p), 0.05, np.linspace(0, 0.05, 7))
+    traj = simulate_fluid(*run)
     phis = [stream_field(g, random_stream_coeffs(rng)) for _ in range(4)]
     got = weak_residual(traj, phis, params(p))
-    assert got.shape == (4,)
-    for r, phi in zip(got, phis):
-        assert r == _one_field_weak_residual(traj, phi, params(p))
+    streamed = weak_residual(fluid_snapshots(*run), phis, params(p))
+    assert got.shape == streamed.shape == (4,)
+    for r, s, phi in zip(got, streamed, phis):
+        ref = _one_field_weak_residual(traj, phi, params(p))
+        assert r == ref and s == ref
     short = Trajectory(traj.times[:3], traj.fields[:3])  # one interior snapshot
-    for r, phi in zip(weak_residual(short, phis, params(p)), phis):
-        assert r == _one_field_weak_residual(short, phi, params(p))
+    streamed = weak_residual(iter(short), phis, params(p))
+    for r, s, phi in zip(weak_residual(short, phis, params(p)), streamed, phis):
+        ref = _one_field_weak_residual(short, phi, params(p))
+        assert r == ref and s == ref
+
+
+def test_weak_residual_checks_a_stream_as_it_checks_a_trajectory():
+    # the grid first, then the test fields, then the snapshot count
+    g = tg_grid(32)
+    walled = GridSpec.box(-3.0, 3.0, 32, bc=DIRICHLET)
+    xx, _ = g.mesh()
+    bad = VectorField(g, (np.sin(xx), np.zeros(g.shape)))
+    good = stream_field(g, random_stream_coeffs(np.random.default_rng(1)))
+
+    def two(grid):
+        return iter([(0.0, zero_field(grid)), (0.1, zero_field(grid))])
+
+    with pytest.raises(ValueError, match="periodic"):
+        weak_residual(two(walled), [bad], params())
+    with pytest.raises(ValueError, match="divergence-free"):
+        weak_residual(two(g), [bad], params())
+    for snapshots in (two(g), iter([]),
+                      Trajectory([0.0, 0.1], [zero_field(g), zero_field(g)])):
+        with pytest.raises(ValueError, match="need at least 3 snapshots"):
+            weak_residual(snapshots, [good], params())
+    backwards = [(t, zero_field(g)) for t in (0.0, 0.2, 0.1)]
+    with pytest.raises(ValueError, match="strictly increasing"):
+        weak_residual(iter(backwards), [good], params())
+
+
+def _reference_snapshots(v0, model, T, schedule, dt_fixed):
+    """The stepping loop as it stood before the run became a stream: every
+    snapshot copied into a list."""
+    sched = fluid2d.normalize_schedule(schedule, T)
+    v = project(v0)
+    fields, t = [v.copy()], 0.0
+    for t_next in sched[1:]:
+        while t < t_next - 1e-13 * max(1.0, t_next):
+            if dt_fixed is None:
+                vmax = fluid2d._speed_max(v)
+                dt = min(advective_cfl_dt(v, vmax), viscous_cfl_dt(v, model),
+                         t_next - t)
+            else:
+                vmax, dt = None, min(dt_fixed, t_next - t)
+            v = fluid_step(v, model, dt, vmax)
+            t += dt
+        fields.append(v.copy())
+        t = t_next
+    return sched, fields
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("dt_fixed", [None, 4e-3])
+def test_the_snapshot_stream_and_the_collector_give_the_same_bits(dt_fixed):
+    g = tg_grid(32)
+    model = params(3.0, 0.7)
+    v0 = stream_field(g, random_stream_coeffs(np.random.default_rng(9)))
+    run = (v0, model, 0.05, np.linspace(0.0, 0.05, 6))
+    traj = simulate_fluid(*run, dt_fixed=dt_fixed)
+    stream = list(fluid_snapshots(*run, dt_fixed=dt_fixed))
+    sched, fields = _reference_snapshots(*run, dt_fixed)
+    assert len(traj) == len(stream) == len(sched) == 6
+    assert np.array_equal(_bits(traj.times), _bits([t for t, _ in stream]))
+    assert np.array_equal(_bits(traj.times), _bits(sched))
+    for got, (_, streamed), ref in zip(traj.fields, stream, fields):
+        for a, b, c in zip(got.components, streamed.components, ref.components):
+            assert np.array_equal(_bits(a), _bits(c))
+            assert np.array_equal(_bits(b), _bits(c))
+    # no two snapshots share a buffer, so a reader may keep any of them
+    comps = [c for _, f in stream for c in f.components]
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(comps)
+                   for b in comps[i + 1:])
+    # the arguments are checked at the call, before any snapshot is read
+    with pytest.raises(ValueError, match="horizon T must be positive"):
+        fluid_snapshots(v0, model, 0.0, [0.0])
+
+
+def _traced_peak(fn) -> int:
+    """Peak bytes that ``fn()`` allocates, numpy buffers included, above
+    what was allocated when it was called."""
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_weak_residual_of_a_stream_holds_a_window_not_the_run():
+    g = tg_grid(16)
+    model = params(2.0, 1.0)
+    v0 = taylor_green_field(g, 1.0, 0.0)
+    phis = [stream_field(g, random_stream_coeffs(np.random.default_rng(3)))]
+    snapshot = 2 * v0.components[0].nbytes
+    T, dt = 0.16, 0.08 * g.spacing[0] ** 2
+    peaks = {}
+    for n in (21, 161, 21, 161):  # the first two warm the caches up
+        sched = np.linspace(0.0, T, n)
+        peaks[n] = _traced_peak(lambda: weak_residual(
+            fluid_snapshots(v0, model, T, sched, dt_fixed=dt), phis, model))
+    assert abs(peaks[161] - peaks[21]) <= 2 * snapshot
+    # the measure sees the snapshots: the collected run holds all of them
+    sched = np.linspace(0.0, T, 161)
+    held = _traced_peak(lambda: weak_residual(
+        simulate_fluid(v0, model, T, sched, dt_fixed=dt), phis, model))
+    assert held - peaks[161] >= 100 * snapshot
+
+
+def test_taylor_green_holds_a_window_not_the_run(tmp_path, monkeypatch):
+    monkeypatch.setattr(experiments, "_KE_RATE_TOL", 0.03)
+    cells = 32
+    snapshot = 2 * cells * cells * 8
+    peaks = {}
+    for n in (21, 161, 21, 161):  # the first two warm the caches up
+        monkeypatch.setattr(experiments, "_TG_SNAPSHOTS", n)
+        cfg = default_config("fluid2d-taylor-green", outdir=str(tmp_path),
+                             cells=(cells,), t_end=0.25)
+        peaks[n] = _traced_peak(lambda: experiments.run_experiment(cfg))
+    assert abs(peaks[161] - peaks[21]) <= 2 * snapshot
 
 
 def _complex_fft_project(v):
