@@ -41,7 +41,7 @@ from .fluid2d import (fluid_snapshots, kinetic_energy, random_stream_coeffs,
                       stream_field, weak_residual)
 from .inequalities import (check_stampacchia_relation, concave_majorant_family,
                            gn_ratio, stampacchia_vanishing_point)
-from .plaplace import SolverConfig, Trajectory, simulate
+from .plaplace import SolverConfig, simulate, snapshots
 from .svgplot import emit_heatmap, emit_plot
 
 # the front threshold of the scalar runs, over max|u0|
@@ -136,13 +136,16 @@ def _fmt_value(v) -> str:
     return str(v)
 
 
-def export_trajectory(traj: Trajectory, outdir: str) -> None:
-    """One CSV per snapshot plus an index CSV ``t,filename``."""
+def _exported(stream, outdir: str):
+    """Pass ``stream``, ``(t, field)`` pairs, through, writing one CSV per
+    snapshot as it goes by and an index CSV ``t,filename`` after the last
+    one."""
     rows = []
-    for i, (t, f) in enumerate(zip(traj.times, traj.fields)):
+    for i, (t, f) in enumerate(stream):
         name = f"snapshot_{i:05d}.csv"
         save_field(f, os.path.join(outdir, name))
         rows.append((t, name))
+        yield t, f
     with open(os.path.join(outdir, "index.csv"), "w") as fh:
         fh.write("t,filename\n")
         for t, name in rows:
@@ -228,15 +231,19 @@ def _barenblatt_fit(cfg: ExperimentConfig, outdir: str):
         raise ConfigError([(None, f"{sparse} needs {fronts.MIN_FIT_SAMPLES}; "
                                   "raise snapshots_per_decade or t_end")])
     scfg = SolverConfig(_model(cfg), "implicit", tol=cfg["tol_inner"])
-    traj = simulate(u0, scfg, t_end - t0, schedule)
+    stream = snapshots(u0, scfg, t_end - t0, schedule)
+    if cfg["export_trajectory"]:
+        stream = _exported(stream, outdir)
     scale = float(np.max(np.abs(u0.values)))
     tau = _THRESHOLD_FRAC * scale
-    trace = fronts.trace_support(traj, tau, "radial", t_offset=t0)
+    fracs = (1e-8, 1e-4)  # the thresholds the slope's sensitivity is read at
+    trace, *others = fronts.trace_support(
+        stream, (tau,) + tuple(frac * scale for frac in fracs), "radial",
+        t_offset=t0)
     try:  # fails when too few snapshots hold a front
         fit = fronts.fit_exponent(trace)
         sensitivity = {}
-        for frac in (1e-8, 1e-4):
-            tr = fronts.trace_support(traj, frac * scale, "radial", t_offset=t0)
+        for frac, tr in zip(fracs, others):
             sensitivity[f"slope_at_frac_{frac:g}"] = fronts.fit_exponent(tr).slope
     except ValueError as exc:
         raise ConfigError([(None, f"{sparse} failed: {exc}")]) from exc
@@ -277,8 +284,6 @@ def _barenblatt_fit(cfg: ExperimentConfig, outdir: str):
         "threshold_sensitivity": sensitivity,
         "envelopes": env_reports,
     }
-    if cfg["export_trajectory"]:
-        export_trajectory(traj, outdir)
     return report, {"exponent": (err_rel <= cfg["exponent_tol"],
                                  f"fitted exponent {fit.slope:.5f} deviates "
                                  f"from {expected:.5f} by {err_rel:.2%} > "
@@ -324,7 +329,9 @@ def _stable_under_refinement(fine: float, coarse: float) -> bool:
 def _halfspace_fsp(cfg: ExperimentConfig, outdir: str, prebuilt=None):
     p, n = cfg["p"], cfg["dimension"]
     traj, tau, l1 = prebuilt if prebuilt is not None else halfspace_run(cfg)
-    trace = fronts.trace_support(traj, tau, "halfspace")
+    (trace,) = fronts.trace_support(
+        _exported(traj, outdir) if cfg["export_trajectory"] else traj,
+        (tau,), "halfspace")
     fronts.save_trace(trace, os.path.join(outdir, "trace.csv"))
     l1_ratio, l1_ok = _l1_audit(l1)
     report = {
@@ -362,8 +369,6 @@ def _halfspace_fsp(cfg: ExperimentConfig, outdir: str, prebuilt=None):
                   os.path.join(outdir, "envelopes.svg"), logx=True, logy=True,
                   title="half-space front vs envelopes",
                   xlabel="t", ylabel="front")
-    if cfg["export_trajectory"]:
-        export_trajectory(traj, outdir)
     return report, gates
 
 

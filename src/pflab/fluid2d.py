@@ -184,7 +184,7 @@ def project(v: VectorField) -> VectorField:
     Subtracts ``s (s . v_hat) / |s|^2`` from every real-FFT mode, with
     ``s`` the modified wavenumbers, and returns the projected field;
     idempotent.  Raises :class:`NumericalError` when the measured
-    divergence afterwards is not at roundoff.
+    divergence afterwards is not at roundoff, or not finite.
     """
     grid = v.grid
     _require_periodic(grid)
@@ -199,8 +199,12 @@ def project(v: VectorField) -> VectorField:
     out = VectorField(grid, (v0_new, v1_new))
     scale = max(1.0, float(np.max(np.abs(v0_new))), float(np.max(np.abs(v1_new))))
     resid = float(np.max(np.abs(divergence(out).values)))
-    if resid > 1e-10 * scale:
-        raise NumericalError(f"projection left divergence residual {resid:.3e}")
+    # no comparison with a NaN holds, and a NaN or Inf in the field makes
+    # the residual NaN (the builtin max() then skips it in the scale)
+    if not resid <= 1e-10 * scale:
+        raise NumericalError(f"projection left divergence residual {resid:.3e}"
+                             + ("" if np.isfinite(resid) else
+                                ": the field holds a NaN or Inf"))
     return out
 
 

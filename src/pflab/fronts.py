@@ -23,7 +23,6 @@ import math
 import numpy as np
 
 from .core import _value_magnitude
-from .plaplace import Trajectory
 
 
 @dataclasses.dataclass
@@ -85,6 +84,44 @@ def _interp_crossing(x: np.ndarray, m: np.ndarray, tau: float):
     return float(x[j] + frac * (x[j + 1] - x[j]))
 
 
+def _fronts(grid, mag: np.ndarray, taus, mode: str, radii=None) -> list:
+    """The :func:`support_front` of ``mag``, a magnitude on ``grid``, at
+    each threshold of ``taus``; ``radii`` holds the node radii of a
+    radial 2-D grid, formed here when None."""
+    if mode == "halfspace":
+        x = grid.coords(grid.dim - 1)
+        profile = mag.max(axis=0) if grid.dim == 2 else mag
+        return [_interp_crossing(x, profile, tau) for tau in taus]
+    if grid.dim == 1:
+        x = grid.coords(0)
+        out = []
+        for tau in taus:
+            right = _interp_crossing(x, mag, tau)
+            left = _interp_crossing(-x[::-1], mag[::-1], tau)
+            cands = [abs(c) for c in (right, left) if c is not None]
+            out.append(max(cands) if cands else None)
+        return out
+    if radii is None:
+        radii = _node_radii(grid)
+    out = []
+    for tau in taus:
+        mask = mag > tau
+        out.append(float(radii[mask].max()) if mask.any() else None)
+    return out
+
+
+def _node_radii(grid) -> np.ndarray:
+    xx, yy = grid.mesh()
+    return np.sqrt(xx ** 2 + yy ** 2)
+
+
+def _check_thresholds(taus, mode: str) -> None:
+    if not all(tau > 0 for tau in taus):
+        raise ValueError("threshold tau must be positive")
+    if mode not in ("halfspace", "radial"):
+        raise ValueError(f"unknown front mode {mode!r}")
+
+
 def support_front(f, tau: float, mode: str):
     """Largest coordinate where the field exceeds ``tau``; None if nowhere.
 
@@ -93,47 +130,38 @@ def support_front(f, tau: float, mode: str):
     ``sup{|x| : |u| > tau}`` from the origin, where every radial run is
     centred (interpolated in 1-D, node-accurate in 2-D).
     """
-    if not tau > 0:
-        raise ValueError("threshold tau must be positive")
+    _check_thresholds((tau,), mode)
     grid, mag = _value_magnitude(f)
-
-    if mode == "halfspace":
-        axis = grid.dim - 1
-        if grid.dim == 2:
-            profile = mag.max(axis=0)
-        else:
-            profile = mag
-        return _interp_crossing(grid.coords(axis), profile, tau)
-
-    if mode == "radial":
-        if grid.dim == 1:
-            x = grid.coords(0)
-            right = _interp_crossing(x, mag, tau)
-            left = _interp_crossing(-x[::-1], mag[::-1], tau)
-            cands = [abs(c) for c in (right, left) if c is not None]
-            return max(cands) if cands else None
-        xx, yy = grid.mesh()
-        r = np.sqrt(xx ** 2 + yy ** 2)
-        mask = mag > tau
-        if not mask.any():
-            return None
-        return float(r[mask].max())
-
-    raise ValueError(f"unknown front mode {mode!r}")
+    return _fronts(grid, mag, (tau,), mode)[0]
 
 
-def trace_support(traj: Trajectory, tau: float, mode: str,
-                  t_offset: float = 0.0) -> SupportTrace:
-    """Apply :func:`support_front` to every snapshot.
+def trace_support(snapshots, taus: tuple, mode: str,
+                  t_offset: float = 0.0) -> tuple:
+    """One :class:`SupportTrace` per threshold of ``taus``: the
+    :func:`support_front` of every snapshot, read in one pass.
 
+    ``snapshots`` is any iterable of ``(t, field)`` in time order: a
+    :class:`~pflab.plaplace.Trajectory`, or a solver's stream, whose
+    fields the trace drops as it goes.  ``|u|`` is formed once a
+    snapshot, and a radial 2-D grid's node radii once a grid.
     ``t_offset`` shifts the recorded times (useful when the data is a
     profile born at some t0 > 0 and fits should use absolute time).
     """
-    if len(traj) == 0:
+    _check_thresholds(taus, mode)
+    times, rows = [], []
+    radii = radii_grid = None
+    for t, f in snapshots:
+        if mode == "radial" and f.grid.dim == 2 and f.grid is not radii_grid:
+            radii, radii_grid = _node_radii(f.grid), f.grid
+        times.append(t)
+        # |u| is a temporary: it is gone before the next snapshot is made
+        rows.append(_fronts(*_value_magnitude(f), taus, mode, radii))
+    if not times:
         raise ValueError("empty trajectory")
-    fronts = [support_front(f, tau, mode) for f in traj.fields]
-    fronts = np.array([np.nan if v is None else v for v in fronts])
-    return SupportTrace(tau, traj.times + t_offset, fronts)
+    times = np.asarray(times, dtype=float) + t_offset
+    return tuple(SupportTrace(tau, times, [np.nan if row[k] is None else row[k]
+                                           for row in rows])
+                 for k, tau in enumerate(taus))
 
 
 # ---------------------------------------------------------------------------

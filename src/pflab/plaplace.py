@@ -17,7 +17,8 @@ diffusivities built from the full gradient magnitude):
   the exact Hessian diagonal).  Each Newton iteration
   linearizes once, into a per-face tensor that the Hessian action, the
   diagonal and the band all read.  No CFL limit, so it is the stepper
-  for long-horizon exponent fits.
+  for long-horizon exponent fits; a snapshot interval on which Newton
+  reaches its iteration cap is taken in halves.
 
 The equation is degenerate (``p > 2``) and unregularized, so both
 steppers propagate exact zeros: fluxes vanish where the solution
@@ -32,6 +33,11 @@ The support's bounds, which the locality audit checks after every step
 and the window follows, come from an edge scan seeded by the previous
 bounds (:func:`_edge_bounds`), so that bookkeeping costs what the front
 costs, not what the window costs.
+
+A run is a stream: :func:`snapshots` yields ``(t, field)`` as it steps,
+so a reader that folds each snapshot as it arrives holds a few fields,
+not the run; :func:`simulate` collects the same stream into a
+:class:`Trajectory`.
 """
 
 from __future__ import annotations
@@ -57,10 +63,13 @@ _WINDOW_HALO = _WINDOW_RESCAN + 2
 # _SENTINEL_STRIDE steps.  The sentinel raises when the support, the
 # nodes above _SENTINEL_TAU_FRAC * max|u0|, comes within _SENTINEL_MARGIN
 # of the box's width of its edge.  The proximal stepper's damped Newton
-# iteration gives up after _MAX_INNER iterations.
+# iteration gives up after _MAX_INNER iterations; a run then takes that
+# snapshot interval as two halves, each split again on the same failure,
+# at most _MAX_HALVINGS deep (2^_MAX_HALVINGS sub-steps).
 _CFL_STRIDE = 8
 _CFL_SAFETY = 0.9
 _MAX_INNER = 60
+_MAX_HALVINGS = 4
 _DT_MIN = 1e-14
 _DT_MAX = 1.0
 _SENTINEL_STRIDE = 100
@@ -127,6 +136,11 @@ class Trajectory:
     @property
     def end_time(self) -> float:
         return float(self.times[-1])
+
+
+class _NewtonCapError(NumericalError):
+    """Damped Newton reached ``_MAX_INNER`` iterations: the one proximal
+    failure that a shorter step can cure."""
 
 
 def _require_dirichlet(grid: GridSpec):
@@ -655,7 +669,7 @@ def _proximal_newton(u: np.ndarray, v: np.ndarray, vol: np.ndarray,
                     f"proximal line search stalled at residual {res:.3e}")
         v = v + step * delta
         j, g = prob.value_and_grad(v)
-    raise NumericalError(
+    raise _NewtonCapError(
         f"proximal step: {_MAX_INNER} Newton iterations exhausted, "
         f"residual {_grad_residual(g, prob.vol):.3e} > tol {cfg.tol:.3e}")
 
@@ -840,16 +854,19 @@ def _support_window(bounds, grid: GridSpec, win: tuple, halo: int) -> tuple:
                  for (lo, hi), n in zip(bounds, grid.shape))
 
 
-def simulate(u0: ScalarField, cfg: SolverConfig, T: float,
-             snapshot_times) -> Trajectory:
-    """Advance ``u0`` to time ``T`` recording snapshots.
+def snapshots(u0: ScalarField, cfg: SolverConfig, T: float, snapshot_times):
+    """Advance ``u0`` to time ``T``, yielding ``(t, field)`` at each time
+    of the schedule, the initial data first.
 
     ``snapshot_times`` is an increasing sequence of times in ``[0, T]``
-    (0 and T are added when missing).
-    The trajectory's times are the schedule :func:`normalize_schedule`
-    makes of it.  The boundary-proximity sentinel checks the initial data
-    and every snapshot.  ``cfg.stepper`` picks the driver:
-    :func:`_simulate_explicit` or :func:`_simulate_implicit`.
+    (0 and T are added when missing); the times yielded are the schedule
+    :func:`normalize_schedule` makes of it.  ``T``, the grid, the initial
+    data's finiteness and the boundary sentinel on it are checked at the
+    call; the steps are taken as the snapshots are read, and the sentinel
+    checks every snapshot.  ``cfg.stepper`` picks the stepping loop:
+    :func:`_simulate_explicit` or :func:`_simulate_implicit`.  Every field
+    yielded is a fresh array that no later step writes, so a reader may
+    keep it or drop it.
     """
     if not T > 0:
         raise ValueError("horizon T must be positive")
@@ -860,12 +877,19 @@ def simulate(u0: ScalarField, cfg: SolverConfig, T: float,
     tau = _SENTINEL_TAU_FRAC * float(np.max(np.abs(u0.values)))
     _check_sentinel(u0.values, u0.grid, tau, 0.0)
     drive = _simulate_explicit if cfg.stepper == "explicit" else _simulate_implicit
-    return Trajectory(sched, [u0.copy()] + drive(u0, cfg, sched, tau))
+    return drive(u0, cfg, sched, tau)
+
+
+def simulate(*args, **kwargs) -> Trajectory:
+    """:func:`snapshots`, same arguments, collected into a
+    :class:`Trajectory`."""
+    times, fields = zip(*snapshots(*args, **kwargs))
+    return Trajectory(times, list(fields))
 
 
 def _simulate_explicit(u0: ScalarField, cfg: SolverConfig, sched: np.ndarray,
-                       tau: float) -> list:
-    """The snapshots at ``sched[1:]`` of the explicit stepper.
+                       tau: float):
+    """The snapshots at ``sched`` of the explicit stepper.
 
     Each step acts only on the support's bounding window plus a halo of
     ``_WINDOW_HALO`` nodes, rescanned every ``_WINDOW_RESCAN`` steps; the
@@ -881,7 +905,8 @@ def _simulate_explicit(u0: ScalarField, cfg: SolverConfig, sched: np.ndarray,
     read from the ``|face grad|^2`` the step itself forms.  The sentinel
     also runs every ``_SENTINEL_STRIDE`` steps.  A 1-D step writes into
     work buffers that live as long as the window's length, so it
-    allocates nothing.
+    allocates nothing.  The field is stepped in place and each snapshot
+    is a copy of it.
 
     The window is checked for NaN/Inf every ``_CFL_STRIDE`` steps (before
     the CFL bound, which a NaN would silently turn into a jump to the
@@ -895,6 +920,7 @@ def _simulate_explicit(u0: ScalarField, cfg: SolverConfig, sched: np.ndarray,
     grid = u0.grid
     audit = cfg.audit_locality
     u = u0.copy()
+    yield sched[0], u.copy()
     values = u.values  # stepped in place
     win = _whole(values)
     bounds = _support_bounds(values, 0.0) if audit else None
@@ -903,7 +929,6 @@ def _simulate_explicit(u0: ScalarField, cfg: SolverConfig, sched: np.ndarray,
     t = 0.0
     dt_cfl = saved = None
     every = _CFL_STRIDE  # steps between finiteness checks; 1 in a replay
-    fields = []
 
     def window_seed():  # every node of the window may be nonzero
         return [(s.start + 1, s.stop - 2) for s in win]
@@ -970,29 +995,51 @@ def _simulate_explicit(u0: ScalarField, cfg: SolverConfig, sched: np.ndarray,
                     continue
                 _check_sentinel(values, grid, tau, t)
         _check_sentinel(values, grid, tau, t)
-        fields.append(u.copy())
+        yield t_next, u.copy()
         t = t_next
         save()  # a replay never goes back past a snapshot
-    return fields
+
+
+def _proximal_interval(u: ScalarField, cfg: SolverConfig, dt: float,
+                       v0: np.ndarray | None, depth: int = 0) -> ScalarField:
+    """:func:`step_implicit_proximal` of ``u`` over ``dt`` from ``v0``, or,
+    when its Newton iteration reaches the cap, two cold-started halves of
+    ``dt`` taken the same way, at most ``_MAX_HALVINGS`` halvings deep.
+
+    The step minimizes a strictly convex functional for every ``dt``, but
+    a Newton direction reaches at most one node past the iterate's
+    support, so the iterations a step needs grow with how far it moves
+    the front.  Every other failure raises at once.
+    """
+    try:
+        return step_implicit_proximal(u, cfg, dt, v0=v0)
+    except _NewtonCapError as exc:
+        if depth == _MAX_HALVINGS:
+            raise NumericalError(f"{exc}, on an interval halved {depth} "
+                                 f"times, the most allowed") from exc
+    half = _proximal_interval(u, cfg, 0.5 * dt, None, depth + 1)
+    return _proximal_interval(half, cfg, 0.5 * dt, None, depth + 1)
 
 
 def _simulate_implicit(u0: ScalarField, cfg: SolverConfig, sched: np.ndarray,
-                       tau: float) -> list:
-    """The snapshots at ``sched[1:]`` of the proximal stepper.
+                       tau: float):
+    """The snapshots at ``sched`` of the proximal stepper.
 
     Each snapshot interval is one :func:`step_implicit_proximal`,
-    warm-started by linear extrapolation of the last two fields.  Each step
+    warm-started by linear extrapolation of the last two fields, or, when
+    Newton reaches its iteration cap, a chain of sub-steps
+    (:func:`_proximal_interval`).  Each step
     is solved on the window of the support of its data and warm start and
     is the whole-grid step up to the order of its sums: outside the
     support's ring the Newton system decouples to ``vol/dt`` with a zero
     right-hand side, and the window guard redoes the step on a wider
     window whenever a Newton direction reaches the window's edge.
     """
-    u, v_prev, fields = u0, None, []
+    yield sched[0], u0.copy()
+    u, v_prev = u0, None
     for t, t_next in zip(sched[:-1], sched[1:]):
         guess = None if v_prev is None else u.values + (u.values - v_prev)
         v_prev = u.values
-        u = step_implicit_proximal(u, cfg, t_next - t, v0=guess)
+        u = _proximal_interval(u, cfg, t_next - t, guess)
         _check_sentinel(u.values, u.grid, tau, t_next)
-        fields.append(u)
-    return fields
+        yield t_next, u

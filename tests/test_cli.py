@@ -154,7 +154,8 @@ def test_a_schedule_too_sparse_for_the_front_fit_is_a_configuration_error(
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("configuration error:")
     assert "t0, t_end, snapshots_per_decade:" in proc.stderr
-    monkeypatch.setattr(experiments, "simulate", lambda *a, **kw: 1 / 0)
+    for name in ("simulate", "snapshots"):
+        monkeypatch.setattr(experiments, name, lambda *a, **kw: 1 / 0)
     with pytest.raises(ConfigError, match="takes 2 snapshots, and the front "
                        "fit needs 8"):
         run_experiment(default_config(
@@ -171,9 +172,10 @@ def test_a_front_fit_short_of_samples_is_a_configuration_error(tmp_path,
     trace_support = fronts.trace_support
 
     def five_fronts(*args, **kw):
-        tr = trace_support(*args, **kw)
-        kept = np.where(np.arange(len(tr.times)) < 5, tr.fronts, np.nan)
-        return fronts.SupportTrace(tr.tau, tr.times, kept)
+        return tuple(fronts.SupportTrace(
+            tr.tau, tr.times,
+            np.where(np.arange(len(tr.times)) < 5, tr.fronts, np.nan))
+            for tr in trace_support(*args, **kw))
 
     monkeypatch.setattr(fronts, "trace_support", five_fronts)
     cfg = default_config("barenblatt-fit", outdir=str(tmp_path), p=3.0,

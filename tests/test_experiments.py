@@ -12,11 +12,14 @@ import pytest
 
 from pflab import acceptance, experiments
 from pflab.config import KIND_KEYS, default_config, parse_config
-from pflab.core import ScalarField
+from pflab.core import ModelParams, ScalarField, save_field
 from pflab.errors import BoundarySentinelError, VerificationError
+from pflab.exact import BarenblattParams, barenblatt_field
 from pflab.experiments import (_flatten, _study_grid, halfspace_run,
                                run_experiment)
-from pflab.plaplace import Trajectory
+from pflab.plaplace import SolverConfig, Trajectory
+
+from test_fluid2d import _traced_peak
 
 
 def test_exponent_identities(tmp_path):
@@ -89,6 +92,48 @@ def test_barenblatt_2d_small(tmp_path):
         snapshots_per_decade=16, tol_inner=1e-8, height_c=0.5,
         exponent_tol=0.08))
     assert r["passed"]
+
+
+def test_the_front_fit_holds_a_window_not_the_run(tmp_path, monkeypatch):
+    cells = 64
+    snapshot = (cells + 1) ** 2 * 8
+
+    def peak(per_decade):  # 13 or 65 snapshots
+        cfg = default_config(
+            "barenblatt-fit", outdir=str(tmp_path), p=3.0, dimension=2,
+            cells=(cells,), bounds="-5.5:5.5", t0=1.0, t_end=10.0,
+            snapshots_per_decade=per_decade, tol_inner=1e-8, height_c=0.5,
+            exponent_tol=1.0)
+        return _traced_peak(lambda: run_experiment(cfg))
+
+    peak(12)  # warms the caches up
+    peaks = {n: peak(n) for n in (12, 64)}
+    assert abs(peaks[64] - peaks[12]) <= 2 * snapshot
+    # the measure sees the snapshots: the collected run holds all of them
+    monkeypatch.setattr(experiments, "snapshots",
+                        lambda *args: iter(experiments.simulate(*args)))
+    assert peak(64) - peaks[64] >= 40 * snapshot
+
+
+def test_an_exported_stream_writes_the_collected_run(tmp_path):
+    cfg = default_config(
+        "barenblatt-fit", outdir=str(tmp_path), p=3.0, dimension=1,
+        cells=(256,), bounds="-8:8", t0=1.0, t_end=3.0,
+        snapshots_per_decade=24, export_trajectory=True)
+    run_experiment(cfg)
+    traj = experiments.simulate(
+        barenblatt_field(BarenblattParams(3.0, 1, cfg["height_c"], cfg["mu1"]),
+                         experiments._grid(cfg), 1.0),
+        SolverConfig(ModelParams(3.0, 1.0), "implicit", tol=cfg["tol_inner"]),
+        2.0, experiments._log_times(1.0, 3.0, 24) - 1.0)
+    index = ["t,filename"]
+    for i, (t, f) in enumerate(traj):
+        name = f"snapshot_{i:05d}.csv"
+        save_field(f, str(tmp_path / "want.csv"))
+        assert (tmp_path / name).read_bytes() == (tmp_path / "want.csv").read_bytes()
+        index.append(f"{t:.17g},{name}")
+    assert (tmp_path / "index.csv").read_text() == "\n".join(index) + "\n"
+    assert not (tmp_path / f"snapshot_{len(traj):05d}.csv").exists()
 
 
 def test_halfspace_small(tmp_path):

@@ -608,6 +608,24 @@ def test_project_residual_raises(monkeypatch):
         project(v)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_project_raises_on_a_nan_or_inf(bad):
+    # every mode of the transform turns NaN, and a NaN residual fails no
+    # ordered comparison: the check must fail unless the residual passes
+    g = tg_grid(16)
+    v = taylor_green_field(g, 1.0, 0.0)
+    planted = v.components[0].copy()
+    planted[3, 5] = bad
+    v = VectorField(g, (planted, v.components[1]))
+    match = "divergence residual nan: the field holds a NaN or Inf"
+    with pytest.raises(NumericalError, match=match):
+        project(v)
+    # the stream projects its initial data at the call, so it yields none
+    with pytest.raises(NumericalError, match=match):
+        fluid_snapshots(v, params(2.0, 1.0), 0.1, [0.0, 0.1])
+
+
 
 @pytest.mark.parametrize("mode", [(8, 0), (0, 8), (8, 8)])
 def test_project_leaves_checkerboard_modes_alone(mode):

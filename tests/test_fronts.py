@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pflab.core import GridSpec, ScalarField
+from pflab.core import DIRICHLET, GridSpec, ScalarField
 from pflab.exact import BarenblattParams, barenblatt_field, barenblatt_front_radius
 from pflab.fronts import (SupportTrace, check_envelope, envelope_exponents_l1,
                           envelope_exponents_l2, fit_exponent, support_envelope_l1,
@@ -65,15 +65,68 @@ def test_trace_support_zero_and_exact_fields():
     g = GridSpec.line(-8.0, 8.0, 1024)
     zero = ScalarField.zeros(g)
     traj = Trajectory(np.array([0.0, 1.0]), [zero, zero.copy()])
-    tr = trace_support(traj, 1e-6, "halfspace")
+    (tr,) = trace_support(traj, (1e-6,), "halfspace")
     assert np.all(np.isnan(tr.fronts))
     # exact-solution snapshots give strictly increasing radial fronts
     bp = BarenblattParams(3.0, 1, C=1.0, mu1=1.0)
     times = np.linspace(1.0, 5.0, 9)
     fields = [barenblatt_field(bp, g, t) for t in times]
     traj = Trajectory(times - 1.0, fields)
-    tr = trace_support(traj, 1e-7, "radial", t_offset=1.0)
+    (tr,) = trace_support(traj, (1e-7,), "radial", t_offset=1.0)
     assert np.all(np.diff(tr.fronts) > 0)
+
+
+def _barenblatt_run(dim):
+    """A zero field, then Barenblatt snapshots off the origin, from t = 0."""
+    bp = BarenblattParams(3.0, dim, C=0.5, mu1=1.0)
+    if dim == 1:
+        g = GridSpec.line(-6.0, 6.0, 256)
+    else:
+        g = GridSpec((-6.0, -6.0), (6.0, 6.0), (64, 48), (DIRICHLET,) * 2)
+    times = np.linspace(1.0, 3.0, 5)
+    fields = [ScalarField.zeros(g)] + [
+        barenblatt_field(bp, g, t, center=(0.3,) * dim) for t in times[1:]]
+    return Trajectory(times - 1.0, fields)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("mode", ["halfspace", "radial"])
+def test_the_one_pass_trace_equals_one_trace_per_threshold(monkeypatch, mode,
+                                                           dim):
+    traj = _barenblatt_run(dim)
+    taus = (1e-8, 1e-3, 1e3)  # no snapshot exceeds the last
+    wants = []
+    for tau in taus:
+        fronts = [support_front(f, tau, mode) for f in traj.fields]
+        wants.append(np.array([np.nan if v is None else v for v in fronts]))
+    mesh, calls = GridSpec.mesh, []
+    monkeypatch.setattr(GridSpec, "mesh",
+                        lambda grid: calls.append(grid) or mesh(grid))
+    for run in (traj, iter(traj)):  # a trajectory, and a stream
+        calls.clear()
+        traces = trace_support(run, taus, mode, t_offset=1.0)
+        assert [tr.tau for tr in traces] == list(taus)
+        for tr, want in zip(traces, wants):
+            assert tr.fronts.view(np.int64).tolist() == want.view(np.int64).tolist()
+            assert tr.times.tobytes() == (traj.times + 1.0).tobytes()
+        assert np.isnan(traces[-1].fronts).all()
+        assert np.isnan(traces[0].fronts[0])  # the zero field has no front
+        assert not np.isnan(traces[0].fronts[1:]).any()
+        # the node radii are formed once for the run, not per snapshot
+        assert len(calls) == (1 if (mode, dim) == ("radial", 2) else 0)
+
+
+def test_a_trace_checks_its_thresholds_before_it_reads_a_snapshot():
+    def unread():
+        raise AssertionError("a snapshot was read")
+        yield
+
+    with pytest.raises(ValueError, match="tau must be positive"):
+        trace_support(unread(), (1e-6, 0.0), "radial")
+    with pytest.raises(ValueError, match="unknown front mode"):
+        trace_support(unread(), (1e-6,), "polar")
+    with pytest.raises(ValueError, match="empty trajectory"):
+        trace_support(iter(()), (1e-6,), "radial")
 
 
 def test_envelope_values():
@@ -177,7 +230,7 @@ def test_check_envelope_exact_solution_under_both():
     times = np.logspace(0.0, np.log10(40.0), 40)
     fields = [barenblatt_field(bp, g, t) for t in times]
     traj = Trajectory(times - times[0], fields)
-    tr = trace_support(traj, 1e-8, "radial", t_offset=times[0])
+    (tr,) = trace_support(traj, (1e-8,), "radial", t_offset=times[0])
     for env in ("l1", "l2"):
         rep = check_envelope(tr, env, 3.0, 1, t_ref=1.0, tol_env=0.02)
         assert rep.passed, (env, rep.violations[:3])

@@ -9,7 +9,7 @@ from pflab.exact import BarenblattParams, barenblatt_field
 from pflab import plaplace
 from pflab.plaplace import (SolverConfig, Trajectory, _check_finite,
                             _diffusion_rhs, _diffusivity_of_a2, _face_a2,
-                            cfl_dt, normalize_schedule, simulate,
+                            cfl_dt, normalize_schedule, simulate, snapshots,
                             step_explicit, step_implicit_proximal)
 
 import oracles
@@ -616,6 +616,110 @@ def test_implicit_simulate_bit_identical_to_a_chain_of_steps(name):
     times = normalize_schedule([dt, 2.5 * dt], T)
     assert traj.times.tobytes() == times.tobytes()
     _assert_bit_identical(traj, _implicit_chain(u0, cfg, times))
+
+
+# each stepper in 1-D and 2-D: (stepper, grid, Barenblatt C, t0, dt)
+_STREAM_CASES = {
+    "explicit-1d": ("explicit", GridSpec.line(-7.0, 7.0, 256), 1.0, 1.0, 0.1),
+    "explicit-2d": ("explicit", GridSpec((-6.0, -6.0), (6.0, 6.0), (48, 48),
+                                         (DIRICHLET, DIRICHLET)), 0.3, 1.0, 0.1),
+    "implicit-1d": ("implicit",) + _WINDOW_CASES["1d-dirichlet"],
+    "implicit-2d": ("implicit",) + _WINDOW_CASES["2d-dir-dir"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_STREAM_CASES))
+def test_the_scalar_stream_and_the_collector_give_the_same_bits(name):
+    stepper, grid, c, t0, dt = _STREAM_CASES[name]
+    u0 = barenblatt_field(BarenblattParams(3.0, grid.dim, C=c, mu1=1.0), grid, t0)
+    cfg = SolverConfig(ModelParams(3.0, 1.0), stepper)
+    run = (u0, cfg, 3 * dt, [0.0, dt, 2.5 * dt])
+    stream = list(snapshots(*run))
+    traj = simulate(*run)
+    times = normalize_schedule(run[3], run[2])
+    chain = _implicit_chain if stepper == "implicit" else _full_grid_snapshots
+    assert len(stream) == len(traj) == len(times) == 4
+    assert _bits(np.array([t for t, _ in stream])).tolist() \
+        == _bits(traj.times).tolist() == _bits(times).tolist()
+    for (_, streamed), got, ref in zip(stream, traj.fields, chain(u0, cfg, times)):
+        assert _bits(streamed.values).tolist() == _bits(ref).tolist()
+        assert _bits(got.values).tolist() == _bits(ref).tolist()
+    # no two snapshots share a buffer, nor one with the data, so a reader
+    # may keep any of them
+    arrays = [u0.values] + [f.values for _, f in stream]
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays)
+                   for b in arrays[i + 1:])
+
+
+@pytest.mark.parametrize("stepper", ["explicit", "implicit"])
+def test_the_scalar_stream_checks_its_arguments_at_the_call(stepper):
+    # each error is raised by the call itself, before a snapshot is read
+    # and so before any step
+    cfg = cfg_1d(stepper)
+    grid = GridSpec.line(-7.0, 7.0, 256)
+    u0 = barenblatt_field(BarenblattParams(3.0, 1, C=1.0, mu1=1.0), grid, 1.0)
+    with pytest.raises(ValueError, match="horizon T must be positive"):
+        snapshots(u0, cfg, 0.0, [0.0])
+    with pytest.raises(ValueError, match=r"lie in \[0, T\]"):
+        snapshots(u0, cfg, 1.0, [0.0, 2.0])
+    periodic = GridSpec((-7.0,), (7.0,), (256,), (PERIODIC,))
+    with pytest.raises(ValueError, match="dirichlet-zero"):
+        snapshots(ScalarField(periodic, u0.values[:-1]), cfg, 1.0, [0.0, 1.0])
+    bad = u0.values.copy()
+    bad[100] = np.nan
+    with pytest.raises(NumericalError, match="initial data"):
+        snapshots(ScalarField(grid, bad), cfg, 1.0, [0.0, 1.0])
+    wide = ScalarField(grid, np.ones(grid.shape))  # support at the box's edge
+    with pytest.raises(BoundarySentinelError, match="at t = 0 "):
+        snapshots(wide, cfg, 1.0, [0.0, 1.0])
+
+
+# Newton failures of the proximal step on 1-D Barenblatt data (p = 3, 1000
+# cells on [-10, 10], tol 1e-10): (t0, interval, the sub-steps that
+# succeed once the interval is halved where Newton reaches its cap)
+_HALVING_CASES = {
+    "one-halving": (0.1, 0.5, [0.25, 0.25]),
+    "four-halvings": (0.01, 1.0, [1 / 16, 1 / 16, 1 / 8, 1 / 4, 1 / 2]),
+}
+
+
+def _halving_setup(t0):
+    grid = GridSpec.line(-10.0, 10.0, 1000)
+    u0 = barenblatt_field(BarenblattParams(3.0, 1, C=1.0, mu1=1.0), grid, t0)
+    return u0, cfg_1d("implicit", tol=1e-10)
+
+
+@pytest.mark.parametrize("name", sorted(_HALVING_CASES))
+def test_a_newton_failure_halves_the_interval(name):
+    t0, dt, sub_steps = _HALVING_CASES[name]
+    u0, cfg = _halving_setup(t0)
+    with pytest.raises(NumericalError, match="Newton iterations exhausted"):
+        step_implicit_proximal(u0, cfg, dt, None)
+    u = u0
+    for h in sub_steps:  # cold-started, as a halved interval is
+        u = step_implicit_proximal(u, cfg, h, None)
+    traj = simulate(u0, cfg, dt, [0.0, dt])
+    assert traj.fields[-1].values.tobytes() == u.values.tobytes()
+
+
+def test_a_newton_failure_past_the_halving_cap_raises():
+    u0, cfg = _halving_setup(0.001)
+    with pytest.raises(NumericalError, match=f"residual .*, on an interval "
+                       f"halved {plaplace._MAX_HALVINGS} times"):
+        simulate(u0, cfg, 1.0, [0.0, 1.0])
+
+
+def test_only_the_iteration_cap_halves_the_interval(monkeypatch):
+    # a stalled line search raises from the first step, unhalved
+    u0, cfg = _halving_setup(0.1)
+    steps = []
+    step = plaplace.step_implicit_proximal
+    monkeypatch.setattr(plaplace, "step_implicit_proximal",
+                        lambda u, cfg, dt, v0: steps.append(dt) or step(u, cfg, dt, v0))
+    monkeypatch.setattr(plaplace, "solve_banded", lambda lu, ab, b: 1e30 * b)
+    with pytest.raises(NumericalError, match="line search stalled"):
+        simulate(u0, cfg, 0.5, [0.0, 0.5])
+    assert steps == [0.5]
 
 
 def test_schedule_starts_at_zero_and_ends_at_the_horizon():
