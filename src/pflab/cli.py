@@ -20,8 +20,6 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from .config import KIND_DEFAULTS, KIND_KEYS, SCHEMA, parse_config
 from .errors import ConfigError, NumericalError, VerificationError
 
@@ -76,20 +74,6 @@ def _read_text(path: str, what: str) -> str:
                                   f"{reason}")]) from exc
 
 
-def _csv_rows(path: str, lines: list, first: int, convert):
-    """``(line number, t, convert(rest))`` for each line from index
-    ``first`` on, split at its first comma; a line that does not parse is
-    a configuration error naming its number."""
-    for num, line in enumerate(lines[first:], first + 1):
-        t_str, comma, rest = line.strip().partition(",")
-        try:
-            if not comma:
-                raise ValueError("expected two comma-separated columns")
-            yield num, float(t_str), convert(rest)
-        except ValueError as exc:
-            raise ConfigError([(num, f"{path}: {exc}")]) from exc
-
-
 def _run(args, forced: dict | None = None, subdir: str | None = None) -> int:
     from .experiments import run_experiment
 
@@ -119,77 +103,6 @@ def _cmd_kinds(args) -> int:
         except (NumericalError, VerificationError) as exc:
             code = max(code, _failure_code(exc))
     return code
-
-
-def _cmd_track_support(args) -> int:
-    from .core import load_field
-    from .fronts import save_trace, support_front, SupportTrace
-
-    if not args.tau > 0:
-        raise ConfigError([(None, f"--tau must be positive, got {args.tau!r}")])
-    index = args.index
-    lines = _read_text(index, "trajectory index").splitlines()
-    if not lines or not lines[0].strip().startswith("t,"):
-        raise ConfigError([(1, f"{index}: expected 't,filename' header")])
-    base = os.path.dirname(os.path.abspath(index))
-    times, fronts_out = [], []
-    for num, t, name in _csv_rows(index, lines, 1, str):
-        try:
-            field = load_field(os.path.join(base, name))
-        except (OSError, ValueError) as exc:
-            raise ConfigError([(num, f"{index}: cannot load {name!r}: "
-                                     f"{exc}")]) from exc
-        front = support_front(field, args.tau, args.mode)
-        times.append(t)
-        fronts_out.append(np.nan if front is None else front)
-    try:
-        trace = SupportTrace(args.tau, np.asarray(times), np.asarray(fronts_out))
-    except ValueError as exc:
-        raise ConfigError([(None, f"{index}: {exc}")]) from exc
-    try:
-        save_trace(trace, args.out)
-    except OSError as exc:
-        raise ConfigError([(None, f"cannot write trace file {args.out!r}: "
-                                  f"{exc.strerror or exc}")]) from exc
-    if _verbose():
-        print(f"trace with {len(times)} samples written to {args.out}")
-    return 0
-
-
-def _cmd_fit_exponent(args) -> int:
-    from .fronts import SupportTrace, fit_exponent
-
-    try:
-        drop_frac = float(args.drop_frac)
-    except ValueError:
-        drop_frac = None
-    if drop_frac is None or not 0 <= drop_frac < 0.5:
-        raise ConfigError([(None, f"--drop-frac must be a number in [0, 0.5), "
-                                  f"got {args.drop_frac!r}")])
-    path = args.trace
-    lines = _read_text(path, "trace file").splitlines()
-    tau, first = 0.0, 1  # line 1 is the column header ...
-    if lines and lines[0].startswith("# tau="):
-        first = 2  # ... or the tau line, and the header follows it
-        try:
-            tau = float(lines[0].split("=", 1)[1])
-        except ValueError as exc:
-            raise ConfigError([(1, f"{path}: {exc}")]) from exc
-    times, fronts_in = [], []
-    for _, t, front in _csv_rows(path, lines, first,
-                                 lambda f_str: float(f_str) if f_str else np.nan):
-        times.append(t)
-        fronts_in.append(front)
-    try:
-        trace = SupportTrace(tau or 1.0, np.asarray(times), np.asarray(fronts_in))
-        fit = fit_exponent(trace, drop_frac=drop_frac)
-    except ValueError as exc:
-        raise ConfigError([(None, f"{path}: {exc}")]) from exc
-    print(f"slope = {fit.slope:.17g}")
-    print(f"intercept = {fit.intercept:.17g}")
-    print(f"window = {fit.window[0]:.17g}..{fit.window[1]:.17g}")
-    print(f"residual_rms = {fit.residual_rms:.17g}")
-    return 0
 
 
 def _cmd_accept(args) -> int:
@@ -223,17 +136,6 @@ def main(argv=None) -> int:
     for command, (help_, kinds) in _KIND_COMMANDS.items():
         _add_config_flags(sub.add_parser(command, help=help_), kinds)
 
-    pt = sub.add_parser("track-support", help="extract a front trace from an "
-                                              "exported trajectory")
-    pt.add_argument("--index", required=True, help="trajectory index CSV")
-    pt.add_argument("--tau", required=True, type=float)
-    pt.add_argument("--mode", choices=("halfspace", "radial"), default="halfspace")
-    pt.add_argument("--out", default="trace.csv")
-
-    pe = sub.add_parser("fit-exponent", help="fit a power law to a trace CSV")
-    pe.add_argument("--trace", required=True)
-    pe.add_argument("--drop-frac", default="0.1")
-
     pa = sub.add_parser("accept", help="run the full acceptance suite")
     pa.add_argument("--outdir", default="accept-out",
                     help="output directory (default accept-out)")
@@ -250,8 +152,6 @@ def main(argv=None) -> int:
     handlers = {
         "simulate": _run,
         **dict.fromkeys(_KIND_COMMANDS, _cmd_kinds),
-        "track-support": _cmd_track_support,
-        "fit-exponent": _cmd_fit_exponent,
         "accept": _cmd_accept,
     }
     try:

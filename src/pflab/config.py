@@ -25,11 +25,10 @@ _FRONT_RUN = ("p", "mu1", "dimension", "cells", "bounds", "t0", "t_end",
 # study the explicit one, the accuracy study on 1-D grids, the fluids on
 # the 2-D periodic box, and Taylor-Green the linear stress p = 2
 KIND_KEYS = {
-    "barenblatt-fit": ("outdir",) + _FRONT_RUN + ("tol_inner", "exponent_tol",
-                                                  "export_trajectory"),
+    "barenblatt-fit": ("outdir",) + _FRONT_RUN + ("tol_inner", "exponent_tol"),
     "barenblatt-accuracy-study": ("outdir", "p", "mu1", "height_c", "cells",
                                   "bounds", "t0", "t_end"),
-    "halfspace-fsp": ("outdir",) + _FRONT_RUN + ("export_trajectory",),
+    "halfspace-fsp": ("outdir",) + _FRONT_RUN,
     "energy-ledger": ("outdir",) + _FRONT_RUN + ("refine_check",),
     "fluid2d-taylor-green": ("outdir", "mu1", "cells", "t_end"),
     "weak-residual-study": ("outdir", "p", "mu1", "cells", "t_end", "seed"),
@@ -109,8 +108,6 @@ SCHEMA: dict[str, tuple[str, object, str]] = {
     "exponent_tol": ("float", 0.05, "relative tolerance on the fitted exponent"),
     # energetics
     "refine_check": ("bool", True, "repeat on a coarser grid for stability"),
-    # suites
-    "export_trajectory": ("bool", False, "write one CSV per snapshot plus index"),
 }
 
 
@@ -139,6 +136,7 @@ def _validate(kind: str, values: dict, lines: dict) -> list:
                 "snapshots_per_decade"):
         need(lambda v: v > 0, key, "must be > 0")
     need(lambda v: v in (1, 2), "dimension", "must be 1 or 2")
+    need(lambda v: v >= 0, "seed", "must be >= 0")
     need(lambda v: all(hi > lo for lo, hi in v), "bounds",
          "upper must exceed lower")
     p = values.get("p")
@@ -157,8 +155,10 @@ def _validate(kind: str, values: dict, lines: dict) -> list:
              "the accuracy study needs at least two grids, of at least 2 "
              "cells each")
     else:
-        # the fluid's centred stencils span two nodes per axis
-        least = 2 if kind in _FLUID_KINDS else 1
+        # the fluid's centred stencils span two nodes per axis, and on two
+        # every node sits at 0 or pi, where the Taylor-Green data both fluid
+        # kinds start from vanish
+        least = 3 if kind in _FLUID_KINDS else 1
         need(lambda c: all(n >= least for n in c), "cells",
              f"must be at least {least}")
         need(lambda c: len(c) in (1, dim), "cells",

@@ -345,58 +345,3 @@ def tail_profile(f, q: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     else:
         density = np.sum(mag**q * grid.quad_weights(0)[:, None], axis=0)
     return lo, hi, density
-
-
-# ---------------------------------------------------------------------------
-# CSV serialization
-# ---------------------------------------------------------------------------
-
-_FMT = "%.17g"  # 17 significant digits: lossless for IEEE doubles
-
-
-def save_field(f, path) -> None:
-    """Write a field as CSV: a grid header line, then one row per node
-    ``x1[,x2],value[,value2]`` in C order."""
-    grid, _ = _value_magnitude(f)
-    cols = grid.mesh()
-    if isinstance(f, ScalarField):
-        vals = [f.values]
-        kind = "scalar"
-    else:
-        vals = list(f.components)
-        kind = "vector"
-    data = np.column_stack([c.ravel() for c in cols] + [v.ravel() for v in vals])
-    header = (
-        f"# grid: N={grid.dim}"
-        f" cells={','.join(str(c) for c in grid.cells)}"
-        f" bounds={','.join(_FMT % lo + ':' + _FMT % hi for lo, hi in zip(grid.lower, grid.upper))}"
-        f" bc={','.join(grid.bc)}"
-        f" kind={kind}"
-    )
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        np.savetxt(fh, data, fmt=_FMT, delimiter=",")
-
-
-def load_field(path):
-    """Inverse of :func:`save_field`; bit-exact round trip."""
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if not header.startswith("# grid:"):
-            raise ValueError(f"{path}: missing grid header")
-        meta = dict(tok.split("=", 1) for tok in header[len("# grid:"):].split())
-        missing = sorted({"cells", "bounds", "bc"} - meta.keys())
-        if missing:
-            raise ValueError(f"{path}: grid header lacks {', '.join(missing)}")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    cells = tuple(int(c) for c in meta["cells"].split(","))
-    bounds = [b.split(":") for b in meta["bounds"].split(",")]
-    lower = tuple(float(b[0]) for b in bounds)
-    upper = tuple(float(b[1]) for b in bounds)
-    bc = tuple(meta["bc"].split(","))
-    grid = GridSpec(lower, upper, cells, bc)
-    ncoord = grid.dim
-    vals = [data[:, ncoord + k].reshape(grid.shape) for k in range(data.shape[1] - ncoord)]
-    if meta.get("kind", "scalar") == "scalar":
-        return ScalarField(grid, vals[0])
-    return VectorField(grid, tuple(vals))

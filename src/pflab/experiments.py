@@ -33,7 +33,7 @@ import scipy  # the bare package, for the manifest's version line
 from . import __version__, energetics, fronts
 from .config import ExperimentConfig, default_config
 from .core import (DIRICHLET, PERIODIC, GridSpec, ModelParams, ScalarField,
-                   divergence, lp_norm, save_field)
+                   divergence, lp_norm)
 from .errors import ConfigError, VerificationError
 from .exact import (BarenblattParams, barenblatt_field, halfspace_initial_data,
                     taylor_green_field)
@@ -136,22 +136,6 @@ def _fmt_value(v) -> str:
     return str(v)
 
 
-def _exported(stream, outdir: str):
-    """Pass ``stream``, ``(t, field)`` pairs, through, writing one CSV per
-    snapshot as it goes by and an index CSV ``t,filename`` after the last
-    one."""
-    rows = []
-    for i, (t, f) in enumerate(stream):
-        name = f"snapshot_{i:05d}.csv"
-        save_field(f, os.path.join(outdir, name))
-        rows.append((t, name))
-        yield t, f
-    with open(os.path.join(outdir, "index.csv"), "w") as fh:
-        fh.write("t,filename\n")
-        for t, name in rows:
-            fh.write(f"{t:.17g},{name}\n")
-
-
 # ---------------------------------------------------------------------------
 # barenblatt-fit and barenblatt-accuracy-study
 # ---------------------------------------------------------------------------
@@ -232,8 +216,6 @@ def _barenblatt_fit(cfg: ExperimentConfig, outdir: str):
                                   "raise snapshots_per_decade or t_end")])
     scfg = SolverConfig(_model(cfg), "implicit", tol=cfg["tol_inner"])
     stream = snapshots(u0, scfg, t_end - t0, schedule)
-    if cfg["export_trajectory"]:
-        stream = _exported(stream, outdir)
     scale = float(np.max(np.abs(u0.values)))
     tau = _THRESHOLD_FRAC * scale
     fracs = (1e-8, 1e-4)  # the thresholds the slope's sensitivity is read at
@@ -329,9 +311,7 @@ def _stable_under_refinement(fine: float, coarse: float) -> bool:
 def _halfspace_fsp(cfg: ExperimentConfig, outdir: str, prebuilt=None):
     p, n = cfg["p"], cfg["dimension"]
     traj, tau, l1 = prebuilt if prebuilt is not None else halfspace_run(cfg)
-    (trace,) = fronts.trace_support(
-        _exported(traj, outdir) if cfg["export_trajectory"] else traj,
-        (tau,), "halfspace")
+    (trace,) = fronts.trace_support(traj, (tau,), "halfspace")
     fronts.save_trace(trace, os.path.join(outdir, "trace.csv"))
     l1_ratio, l1_ok = _l1_audit(l1)
     report = {

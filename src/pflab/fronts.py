@@ -208,8 +208,10 @@ def support_envelope_l1(p: float, n: int, t, c: float):
 
 _ENVELOPES = {"l2": support_envelope_l2, "l1": support_envelope_l1}
 
-# the fewest usable samples a power-law fit takes
+# the fewest usable samples a power-law fit takes, and the share of them
+# dropped at each end of its window
 MIN_FIT_SAMPLES = 8
+_DROP_FRAC = 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -217,18 +219,18 @@ MIN_FIT_SAMPLES = 8
 # ---------------------------------------------------------------------------
 
 
-def fit_exponent(trace: SupportTrace, drop_frac: float = 0.1) -> ExponentFit:
+def fit_exponent(trace: SupportTrace) -> ExponentFit:
     """Least-squares line in (log t, log front).
 
-    The fit window drops the first and last ``drop_frac`` of the usable
+    The fit window drops the first and last ``_DROP_FRAC`` of the usable
     samples (initial transients, boundary proximity).  Requires
     ``MIN_FIT_SAMPLES`` usable samples.
     """
     ok = trace.present & (trace.times > 0) & (trace.fronts > 0)
     t = trace.times[ok]
     f = trace.fronts[ok]
-    if len(t) >= MIN_FIT_SAMPLES and drop_frac > 0:
-        k = int(math.floor(drop_frac * len(t)))
+    if len(t) >= MIN_FIT_SAMPLES:
+        k = int(math.floor(_DROP_FRAC * len(t)))
         if k:
             t, f = t[k:-k], f[k:-k]
     if len(t) < MIN_FIT_SAMPLES:

@@ -1,4 +1,6 @@
+import pathlib
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -245,7 +247,7 @@ def test_a_subcommands_flags_are_its_kinds_keys(capsys, command, kinds):
     assert flags - {"--help", "--config"} == {f"--{k.replace('_', '-')}"
                                               for k in keys}
     if command == "simulate":
-        assert len(keys) == 16
+        assert len(keys) == 15
     if command == "verify-lemmas":
         assert keys == {"outdir"}
 
@@ -335,6 +337,84 @@ def test_deleted_solver_keys_are_rejected(tmp_path, capsys, key, value):
                    "--outdir", str(out)) == 1
     assert "unrecognized arguments" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_the_trajectory_export_and_its_pipeline_are_gone(tmp_path, capsys):
+    # the front runs write trace.csv and fitted_slope, and nothing writes
+    # per-snapshot fields: the pipeline commands and the key are unknown
+    out = tmp_path / "out"
+    for argv in (("track-support", "--index", "index.csv", "--tau", "1e-6"),
+                 ("fit-exponent", "--trace", "trace.csv")):
+        assert run_cli(*argv) == 1
+        assert "invalid choice" in capsys.readouterr().err
+    for argv in (("barenblatt",),
+                 ("simulate", "--experiment", "barenblatt-fit")):
+        assert run_cli(*argv, "--export-trajectory", "true",
+                       "--outdir", str(out)) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+    for kind in ("barenblatt-fit", "halfspace-fsp"):
+        cfg = tmp_path / f"{kind}.cfg"
+        cfg.write_text(f"experiment = {kind}\nexport_trajectory = true\n")
+        assert run_cli("simulate", "--config", str(cfg),
+                       "--outdir", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "configuration error:" in err
+        assert "line 2: unknown key 'export_trajectory'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["stampacchia-suite", "interpolation-suite",
+                                  "weak-residual-study"])
+def test_a_negative_seed_is_a_configuration_error(tmp_path, capsys, kind):
+    # numpy's SeedSequence takes no negative seed
+    out = tmp_path / "out"
+    assert run_cli("simulate", "--experiment", kind, "--seed", "-1",
+                   "--outdir", str(out)) == 1
+    err = capsys.readouterr().err
+    assert "configuration error:" in err and "seed: must be >= 0" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("fluid2d",), ("simulate", "--experiment", "weak-residual-study")],
+    ids=["taylor-green", "weak-residual-study"])
+def test_a_fluid_grid_of_two_cells_is_a_configuration_error(tmp_path, capsys,
+                                                            argv):
+    # every node of a 2-cell grid sits at 0 or pi, where the Taylor-Green
+    # data vanish: the run would start from zero
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(*argv, "--cells", "2", "--t-end", "0.01",
+                       "--outdir", str(out)) == 1
+    err = capsys.readouterr().err
+    assert "configuration error:" in err and "cells: must be at least 3" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def _readme_commands() -> set:
+    """The subcommands README's fenced command block names."""
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```\n(.*?)^```", readme, re.M | re.S)
+    (block,) = [b for b in blocks if b.startswith("pflab ")]
+    return {line.split()[1] for line in block.splitlines()
+            if line.startswith("pflab ")}
+
+
+def test_the_readme_names_every_subcommand_and_no_other(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("--help")
+    assert exc.value.code == 0
+    # argparse's usage line lists the subparsers as {a,b,...}
+    choices = re.search(r"\{([a-z0-9,-]+)\}", capsys.readouterr().out)[1]
+    commands = _readme_commands()
+    assert commands == set(choices.split(","))
+    for command in commands:
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, "--help")
+        assert exc.value.code == 0
 
 
 def test_bounds_equals_form_runs(tmp_path):
@@ -484,7 +564,8 @@ def test_initial_data_the_grid_misses_is_a_configuration_error(tmp_path,
 @pytest.mark.parametrize("kind", ["fluid2d-taylor-green", "weak-residual-study"])
 def test_a_fluid_grid_of_one_cell_is_a_configuration_error(tmp_path, capsys,
                                                            kind):
-    # the fluid's centred stencils need two nodes per axis
+    # the fluid's centred stencils need two nodes per axis, and on two
+    # the data vanish (see the two-cell case)
     cfg = tmp_path / "fluid.cfg"
     cfg.write_text(f"experiment = {kind}\ncells = 1\n")
     out = tmp_path / "out"
@@ -492,7 +573,7 @@ def test_a_fluid_grid_of_one_cell_is_a_configuration_error(tmp_path, capsys,
                    "--outdir", str(out)) == 1
     err = capsys.readouterr().err
     assert "configuration error:" in err
-    assert "line 2: cells: must be at least 2" in err
+    assert "line 2: cells: must be at least 3" in err
     assert "Traceback" not in err
     assert not out.exists()
 
@@ -513,98 +594,6 @@ def test_barenblatt_smoke_and_determinism(tmp_path):
     # the two runs point at different outdirs by construction; apart from
     # that config echo only the isolated run-stamp line may vary
     assert all(m1[i].startswith(("run_stamp", "outdir")) for i in diff)
-
-
-def test_track_support_and_fit_pipeline(tmp_path, capsys):
-    rundir = tmp_path / "traj"
-    code = run_cli("barenblatt", "--p", "3", "--cells", "768", "--bounds=-12:12",
-                   "--t0", "1", "--t-end", "20", "--snapshots-per-decade", "16",
-                   "--export-trajectory", "true", "--outdir", str(rundir))
-    assert code == 0
-    assert (rundir / "index.csv").exists()
-    capsys.readouterr()
-    trace_path = tmp_path / "trace.csv"
-    code = run_cli("track-support", "--index", str(rundir / "index.csv"),
-                   "--tau", "1e-7", "--mode", "radial", "--out", str(trace_path))
-    assert code == 0
-    code = run_cli("fit-exponent", "--trace", str(trace_path))
-    assert code == 0
-    out = capsys.readouterr().out
-    slope = float([ln for ln in out.splitlines() if ln.startswith("slope")][0]
-                  .split("=")[1])
-    # times in the exported trajectory are relative (start at 0), so the
-    # fitted slope against t, not t + t0, is biased away from the 1/4 law
-    # (0.18 here); it still lands in a sane band
-    assert 0.1 < slope < 0.45
-
-
-def _trace_inputs(tmp_path, index_rows=("0.5,u.csv",), trace_rows=None):
-    """A trajectory index over one snapshot ``u.csv`` and a trace file,
-    by default of 12 samples of ``t^(1/4)``."""
-    from pflab.core import DIRICHLET, GridSpec, ScalarField, save_field
-
-    grid = GridSpec((-1.0,), (1.0,), (8,), (DIRICHLET,))
-    save_field(ScalarField(grid, np.maximum(1.0 - grid.coords(0) ** 2, 0.0)),
-               tmp_path / "u.csv")
-    index = tmp_path / "index.csv"
-    index.write_text("t,filename\n" + "".join(r + "\n" for r in index_rows))
-    if trace_rows is None:
-        trace_rows = [f"{t!r},{t ** 0.25!r}" for t in range(1, 13)]
-    trace = tmp_path / "trace.csv"
-    trace.write_text("# tau=1e-06\nt,front\n"
-                     + "".join(r + "\n" for r in trace_rows))
-    return str(index), str(trace)
-
-
-def test_track_support_and_fit_accept_the_inputs(tmp_path, capsys):
-    # the good inputs the bad-input cases below are cut from
-    index, trace = _trace_inputs(tmp_path)
-    assert run_cli("track-support", "--index", index, "--tau", "0.5",
-                   "--out", str(tmp_path / "out.csv")) == 0
-    assert run_cli("fit-exponent", "--trace", trace) == 0
-    out = capsys.readouterr().out
-    slope = float([ln for ln in out.splitlines() if ln.startswith("slope")][0]
-                  .split("=")[1])
-    assert slope == pytest.approx(0.25, abs=1e-12)
-
-
-# each case overrides one flag of a good run (a later flag wins) or
-# replaces the index or trace rows
-@pytest.mark.parametrize("rows,argv,message", [
-    (None, ["--index", "{d}/missing.csv"], "missing.csv"),
-    (["0.5,u.csv", "", "1.0,u.csv"], [], "line 3:"),
-    (["0.5 u.csv"], [], "line 2:"),
-    (["0.5,trace.csv"], [], "cannot load 'trace.csv'"),
-    (None, ["--tau", "0"], "--tau must be positive"),
-    (None, ["--out", "{d}/no-dir/out.csv"], "cannot write"),
-], ids=["missing-index", "blank-line", "malformed-line", "not-a-snapshot",
-        "tau-zero", "unwritable-out"])
-def test_track_support_bad_input_is_a_configuration_error(tmp_path, capsys,
-                                                          rows, argv, message):
-    index, _ = _trace_inputs(tmp_path, index_rows=rows or ("0.5,u.csv",))
-    argv = [a.format(d=tmp_path) for a in argv]
-    code = run_cli("track-support", "--index", index, "--tau", "0.5",
-                   "--out", str(tmp_path / "out.csv"), *argv)
-    assert code == 1
-    err = capsys.readouterr().err
-    assert "configuration error:" in err and message in err
-    assert not (tmp_path / "out.csv").exists()
-
-
-@pytest.mark.parametrize("rows,argv,message", [
-    (None, ["--trace", "{d}/missing.csv"], "missing.csv"),
-    (["1.0,1.0", "2.0;1.2"], [], "line 4:"),
-    (None, ["--drop-frac", "abc"], "--drop-frac must be a number"),
-    (["1.0,1.0", "2.0,1.2", "3.0,1.3"], [], "need >= 8 usable samples"),
-], ids=["missing-trace", "malformed-line", "drop-frac-abc", "short-trace"])
-def test_fit_exponent_bad_input_is_a_configuration_error(tmp_path, capsys,
-                                                         rows, argv, message):
-    _, trace = _trace_inputs(tmp_path, trace_rows=rows)
-    argv = [a.format(d=tmp_path) for a in argv]
-    assert run_cli("fit-exponent", "--trace", trace, *argv) == 1
-    captured = capsys.readouterr()
-    assert "configuration error:" in captured.err and message in captured.err
-    assert "slope" not in captured.out
 
 
 _LABELS = dict(title="", xlabel="t", ylabel="value")

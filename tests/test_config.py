@@ -54,15 +54,15 @@ def test_all_errors_collected():
 
 def test_type_coercions():
     cfg = parse_config(
-        "experiment = barenblatt-fit\n"
+        "experiment = energy-ledger\n"
         "dimension = 2\n"
         "p = 3\n"
         "cells = 64,32\n"
         "bounds = 0:6.28,0:3.14\n"
-        "export_trajectory = true\n", {})
+        "refine_check = false\n", {})
     assert cfg["cells"] == (64, 32)
     assert cfg["bounds"] == ((0.0, 6.28), (0.0, 3.14))
-    assert cfg["export_trajectory"] is True
+    assert cfg["refine_check"] is False
 
 
 def test_flag_overrides_win():

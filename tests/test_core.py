@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from pflab.core import (DIRICHLET, PERIODIC, GridSpec, ModelParams,
                         ScalarField, VectorField, _axis_derivative,
                         _periodic_stencil, deformation_tensor, divergence,
-                        gradient, load_field, lp_norm, save_field)
+                        gradient, lp_norm)
 from pflab.energetics import TrajectoryTails
 from pflab.fronts import support_envelope_l1, support_envelope_l2
 from pflab.plaplace import Trajectory
@@ -225,28 +225,6 @@ def test_model_params_ranges():
     for p in (1.5, 1.999, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="p must be"):
             ModelParams(p, 1.0)
-
-
-def test_field_csv_roundtrip(tmp_path):
-    g = GridSpec.box((-1.0, 0.0), (1.0, 2.0), (8, 6), (DIRICHLET, PERIODIC))
-    rng = np.random.default_rng(11)
-    f = ScalarField(g, rng.normal(size=g.shape) * np.pi)
-    path = tmp_path / "f.csv"
-    save_field(f, path)
-    f2 = load_field(path)
-    assert f2.grid == g
-    assert np.array_equal(f.values, f2.values)  # bit exact
-    v = VectorField(g, (rng.normal(size=g.shape), rng.normal(size=g.shape)))
-    save_field(v, tmp_path / "v.csv")
-    v2 = load_field(tmp_path / "v.csv")
-    assert all(np.array_equal(a, b) for a, b in zip(v.components, v2.components))
-
-
-def test_load_field_rejects_a_grid_header_without_its_keys(tmp_path):
-    path = tmp_path / "f.csv"
-    path.write_text("# grid: kind=scalar cells=4\n0.0,1.0\n")
-    with pytest.raises(ValueError, match="lacks bc, bounds"):
-        load_field(path)
 
 
 def test_integral_signed():

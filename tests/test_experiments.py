@@ -12,12 +12,11 @@ import pytest
 
 from pflab import acceptance, experiments
 from pflab.config import KIND_KEYS, default_config, parse_config
-from pflab.core import ModelParams, ScalarField, save_field
+from pflab.core import ScalarField
 from pflab.errors import BoundarySentinelError, VerificationError
-from pflab.exact import BarenblattParams, barenblatt_field
 from pflab.experiments import (_flatten, _study_grid, halfspace_run,
                                run_experiment)
-from pflab.plaplace import SolverConfig, Trajectory
+from pflab.plaplace import Trajectory
 
 from test_fluid2d import _traced_peak
 
@@ -113,27 +112,6 @@ def test_the_front_fit_holds_a_window_not_the_run(tmp_path, monkeypatch):
     monkeypatch.setattr(experiments, "snapshots",
                         lambda *args: iter(experiments.simulate(*args)))
     assert peak(64) - peaks[64] >= 40 * snapshot
-
-
-def test_an_exported_stream_writes_the_collected_run(tmp_path):
-    cfg = default_config(
-        "barenblatt-fit", outdir=str(tmp_path), p=3.0, dimension=1,
-        cells=(256,), bounds="-8:8", t0=1.0, t_end=3.0,
-        snapshots_per_decade=24, export_trajectory=True)
-    run_experiment(cfg)
-    traj = experiments.simulate(
-        barenblatt_field(BarenblattParams(3.0, 1, cfg["height_c"], cfg["mu1"]),
-                         experiments._grid(cfg), 1.0),
-        SolverConfig(ModelParams(3.0, 1.0), "implicit", tol=cfg["tol_inner"]),
-        2.0, experiments._log_times(1.0, 3.0, 24) - 1.0)
-    index = ["t,filename"]
-    for i, (t, f) in enumerate(traj):
-        name = f"snapshot_{i:05d}.csv"
-        save_field(f, str(tmp_path / "want.csv"))
-        assert (tmp_path / name).read_bytes() == (tmp_path / "want.csv").read_bytes()
-        index.append(f"{t:.17g},{name}")
-    assert (tmp_path / "index.csv").read_text() == "\n".join(index) + "\n"
-    assert not (tmp_path / f"snapshot_{len(traj):05d}.csv").exists()
 
 
 def test_halfspace_small(tmp_path):
