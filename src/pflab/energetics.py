@@ -111,16 +111,14 @@ class TrajectoryTails:
     def _rows(self, q: float, kind: str) -> np.ndarray:
         key = (q, kind)
         if key not in self._profiles:
-            rows = []
-            for f in self.traj.fields:
-                if kind == "value":
-                    src = f
-                elif kind == "gradient":
-                    src = ScalarField(f.grid, gradient(f).magnitude())
-                else:
-                    raise ValueError(f"unknown tail kind {kind!r}")
-                rows.append(tail_profile(src, q)[2])
-            self._profiles[key] = np.vstack(rows)
+            if kind not in ("value", "gradient"):
+                raise ValueError(f"unknown tail kind {kind!r}")
+            rows = np.empty((len(self.traj.fields), self.cell_lo.size))
+            for row, f in zip(rows, self.traj.fields):
+                if kind == "gradient":
+                    f = ScalarField(f.grid, gradient(f).magnitude())
+                row[:] = tail_profile(f, q)[2]
+            self._profiles[key] = rows
         return self._profiles[key]
 
     def _time_weights(self, T: float) -> np.ndarray:

@@ -10,7 +10,7 @@ replace, which they must match bit for bit.
 
 import numpy as np
 
-from pflab.core import ScalarField
+from pflab.core import ScalarField, deformation_tensor
 from pflab.exact import BarenblattParams, barenblatt_profile
 
 
@@ -294,3 +294,53 @@ def prox_hess_diag(prob):
         diag[_sl(nd, other, slice(1, None))] += z[_sl(nd, other, slice(None, -1))]
         diag[_sl(nd, other, slice(None, -1))] += z[_sl(nd, other, slice(1, None))]
     return prob.vol / prob.dt + prob.w * diag
+
+
+# ---------------------------------------------------------------------------
+# the fluid's weak form, one test field and one snapshot at a time, with
+# np.roll for the periodic centered difference
+# ---------------------------------------------------------------------------
+
+
+def roll_centered(v, axis, h):
+    return (np.roll(v, -1, axis) - np.roll(v, 1, axis)) / (2.0 * h)
+
+
+def one_field_weak_residual(traj, phi, params):
+    """The weak-form residual of one test field ``phi`` over ``traj``,
+    snapshot by snapshot: each interior snapshot's three inner products
+    with ``phi``, then the trapezoid weights over the interior times (or
+    the whole run's length for a single interior snapshot)."""
+    grid = phi.grid
+    hx, hy = grid.spacing
+    dphi = deformation_tensor(phi)
+    p, mu1 = params.p, params.mu1
+    times = traj.times
+    vol = grid.volumes()
+
+    def inner(a, b):
+        return float(sum(np.sum(ca * cb * vol) for ca, cb in zip(a, b)))
+
+    totals = []
+    for k in range(1, len(traj) - 1):
+        u_prev, u_now, u_next = traj.fields[k - 1], traj.fields[k], traj.fields[k + 1]
+        dt2 = times[k + 1] - times[k - 1]
+        ut = [(cn - cp) / dt2 for cn, cp in zip(u_next.components, u_prev.components)]
+        term1 = inner(ut, phi.components)
+        u0, u1 = u_now.components
+        adv = [u0 * roll_centered(q, 0, hx) + u1 * roll_centered(q, 1, hy)
+               for q in u_now.components]
+        term2 = inner(adv, phi.components)
+        du = deformation_tensor(u_now)
+        mag2 = np.einsum("ij...,ij...->...", du, du)
+        dreg = mu1 * mag2 ** ((p - 2.0) / 2.0) if p != 2.0 else mu1
+        pairing = np.einsum("ij...,ij...->...", du, dphi)
+        term3 = float(np.sum(dreg * pairing * vol))
+        totals.append(term1 + term2 + term3)
+    ts = times[1:-1]
+    if len(totals) == 1:
+        return abs(totals[0] * (times[-1] - times[0]))
+    w = np.zeros(len(ts))
+    w[1:] += 0.5 * np.diff(ts)
+    w[:-1] += 0.5 * np.diff(ts)
+    return float(abs(np.dot(w, np.asarray(totals))))

@@ -6,7 +6,7 @@ import pytest
 from pflab import experiments, fluid2d
 from pflab.config import default_config
 from pflab.core import (DIRICHLET, GridSpec, ModelParams, PERIODIC, ScalarField,
-                        VectorField, deformation_tensor, divergence, lp_norm)
+                        VectorField, divergence, lp_norm)
 from pflab.errors import NumericalError
 from pflab.exact import taylor_green_field
 from pflab.fluid2d import (_advection_tendency, _face_deformation, advect,
@@ -17,7 +17,7 @@ from pflab.fluid2d import (_advection_tendency, _face_deformation, advect,
 from pflab.plaplace import (SolverConfig, Trajectory, _face_avg, _face_diff,
                             _face_diff_adj, _trans_deriv, step_explicit)
 
-from oracles import integral
+from oracles import integral, one_field_weak_residual, roll_centered
 
 
 def tg_grid(n=64):
@@ -264,10 +264,6 @@ def test_a_compact_vortex_at_p3_keeps_a_front_above_a_floor_that_falls_like_h2()
 SIZES = (2, 3, 7, 8)
 
 
-def _roll_centered(v, axis, h):
-    return (np.roll(v, -1, axis) - np.roll(v, 1, axis)) / (2.0 * h)
-
-
 @pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("m", SIZES)
 def test_periodic_face_stencils_match_roll_bitwise(n, m):
@@ -279,7 +275,7 @@ def test_periodic_face_stencils_match_roll_bitwise(n, m):
             (_face_diff(v, axis, h, True), (np.roll(v, -1, axis) - v) / h),
             (_face_diff_adj(v, v.shape, axis, h, True), (np.roll(v, 1, axis) - v) / h),
             (_face_avg(v, axis, True), 0.5 * (v + np.roll(v, -1, axis))),
-            (_trans_deriv(v, axis, h, True), _roll_centered(v, axis, h)),
+            (_trans_deriv(v, axis, h, True), roll_centered(v, axis, h)),
         ]
         for got, ref in pairs:
             assert np.array_equal(got, ref)
@@ -304,8 +300,8 @@ def _roll_advection_tendency(v):
     u0, u1 = v.components
     tendency = []
     for q in (u0, u1):
-        div_form = _roll_centered(u0 * q, 0, hx) + _roll_centered(u1 * q, 1, hy)
-        adv_form = u0 * _roll_centered(q, 0, hx) + u1 * _roll_centered(q, 1, hy)
+        div_form = roll_centered(u0 * q, 0, hx) + roll_centered(u1 * q, 1, hy)
+        adv_form = u0 * roll_centered(q, 0, hx) + u1 * roll_centered(q, 1, hy)
         tendency.append(-0.5 * (div_form + adv_form))
     return tendency
 
@@ -386,46 +382,11 @@ def test_adaptive_taylor_green_matches_the_general_step():
         assert np.array_equal(got, ref)
 
 
-def _one_field_weak_residual(traj, phi, params):
-    """The one-field-at-a-time loop the multi-field residual replaced."""
-    grid = phi.grid
-    hx, hy = grid.spacing
-    dphi = deformation_tensor(phi)
-    p, mu1 = params.p, params.mu1
-    times = traj.times
-    vol = grid.volumes()
-
-    def inner(a, b):
-        return float(sum(np.sum(ca * cb * vol) for ca, cb in zip(a, b)))
-
-    totals = []
-    for k in range(1, len(traj) - 1):
-        u_prev, u_now, u_next = traj.fields[k - 1], traj.fields[k], traj.fields[k + 1]
-        dt2 = times[k + 1] - times[k - 1]
-        ut = [(cn - cp) / dt2 for cn, cp in zip(u_next.components, u_prev.components)]
-        term1 = inner(ut, phi.components)
-        u0, u1 = u_now.components
-        adv = [u0 * _roll_centered(q, 0, hx) + u1 * _roll_centered(q, 1, hy)
-               for q in u_now.components]
-        term2 = inner(adv, phi.components)
-        du = deformation_tensor(u_now)
-        mag2 = np.einsum("ij...,ij...->...", du, du)
-        dreg = mu1 * mag2 ** ((p - 2.0) / 2.0) if p != 2.0 else mu1
-        pairing = np.einsum("ij...,ij...->...", du, dphi)
-        term3 = float(np.sum(dreg * pairing * vol))
-        totals.append(term1 + term2 + term3)
-    ts = times[1:-1]
-    if len(totals) == 1:
-        return abs(totals[0] * (times[-1] - times[0]))
-    w = np.zeros(len(ts))
-    w[1:] += 0.5 * np.diff(ts)
-    w[:-1] += 0.5 * np.diff(ts)
-    return float(abs(np.dot(w, np.asarray(totals))))
-
-
 @pytest.mark.parametrize("p", [2.0, 2.5, 3.0])
 def test_weak_residual_many_fields_match_one_at_a_time(p):
-    # on a Trajectory and on the stream of the same run alike
+    # on a Trajectory and on the stream of the same run alike, to the same
+    # bits; the residual sums over time before it meets a field, so it
+    # matches the per-snapshot oracle to roundoff (measured below 1e-14)
     g = tg_grid(32)
     rng = np.random.default_rng(7)
     v0 = stream_field(g, random_stream_coeffs(rng))
@@ -436,17 +397,18 @@ def test_weak_residual_many_fields_match_one_at_a_time(p):
     streamed = weak_residual(fluid_snapshots(*run), phis, params(p))
     assert got.shape == streamed.shape == (4,)
     for r, s, phi in zip(got, streamed, phis):
-        ref = _one_field_weak_residual(traj, phi, params(p))
-        assert r == ref and s == ref
+        ref = one_field_weak_residual(traj, phi, params(p))
+        assert r == s and abs(r - ref) <= 1e-12 * ref
     short = Trajectory(traj.times[:3], traj.fields[:3])  # one interior snapshot
     streamed = weak_residual(iter(short), phis, params(p))
     for r, s, phi in zip(weak_residual(short, phis, params(p)), streamed, phis):
-        ref = _one_field_weak_residual(short, phi, params(p))
-        assert r == ref and s == ref
+        ref = one_field_weak_residual(short, phi, params(p))
+        assert r == s and abs(r - ref) <= 1e-12 * ref
 
 
 def test_weak_residual_checks_a_stream_as_it_checks_a_trajectory():
-    # the grid first, then the test fields, then the snapshot count
+    # the grid first, then the test fields, then the snapshot count, then
+    # the times
     g = tg_grid(32)
     walled = GridSpec.box(-3.0, 3.0, 32, bc=DIRICHLET)
     xx, _ = g.mesh()
@@ -460,6 +422,15 @@ def test_weak_residual_checks_a_stream_as_it_checks_a_trajectory():
         weak_residual(two(walled), [bad], params())
     with pytest.raises(ValueError, match="divergence-free"):
         weak_residual(two(g), [bad], params())
+    # a test field or a later snapshot on another grid: another cell
+    # count, or the same count on another box
+    for other in (tg_grid(16), GridSpec.box(0.0, np.pi, 32, bc=PERIODIC)):
+        moved = stream_field(other, random_stream_coeffs(np.random.default_rng(1)))
+        with pytest.raises(ValueError, match="differs from the first snapshot's"):
+            weak_residual(two(g), [moved], params())
+        mixed = [(0.0, zero_field(g)), (0.1, zero_field(g)), (0.2, zero_field(other))]
+        with pytest.raises(ValueError, match="differs from the first snapshot's"):
+            weak_residual(iter(mixed), [good], params())
     for snapshots in (two(g), iter([]),
                       Trajectory([0.0, 0.1], [zero_field(g), zero_field(g)])):
         with pytest.raises(ValueError, match="need at least 3 snapshots"):
@@ -549,6 +520,23 @@ def test_the_weak_residual_of_a_stream_holds_a_window_not_the_run():
     held = _traced_peak(lambda: weak_residual(
         simulate_fluid(v0, model, T, sched, dt_fixed=dt), phis, model))
     assert held - peaks[161] >= 100 * snapshot
+
+
+def test_the_weak_residual_holds_no_tensor_per_test_field():
+    # the run meets the fields after its time sums, so 16 fields cost their
+    # own arrays and one D phi at a time over 1 field, not 16 D phi
+    g = tg_grid(32)
+    model = params(2.5, 1.0)
+    v0 = taylor_green_field(g, 1.0, 0.0)
+    coeffs = [random_stream_coeffs(np.random.default_rng(s)) for s in range(16)]
+    node = v0.components[0].nbytes
+    T = 0.02
+    peaks = {}
+    for n in (1, 16, 1, 16):  # the first two warm the caches up
+        peaks[n] = _traced_peak(lambda: weak_residual(
+            fluid_snapshots(v0, model, T, np.linspace(0.0, T, 5)),
+            (stream_field(g, c) for c in coeffs[:n]), model))
+    assert peaks[16] - peaks[1] <= 15 * 2 * node + 4 * node
 
 
 def test_taylor_green_holds_a_window_not_the_run(tmp_path, monkeypatch):
