@@ -98,7 +98,8 @@ class ScalingExponents:
 class TrajectoryTails:
     """Cached per-snapshot tail profiles so many cut positions are cheap.
 
-    ``kind`` is 'value' for |u|^q or 'gradient' for |grad u|^q.
+    ``kind`` is 'value' for |u|^q or 'gradient' for |grad u|^q.  The
+    time integrals run over the whole run, to its last snapshot ``T``.
     """
 
     def __init__(self, traj: Trajectory):
@@ -107,6 +108,11 @@ class TrajectoryTails:
         f0 = traj.fields[0]
         lo, hi, _ = tail_profile(f0, 1.0)
         self.cell_lo, self.cell_hi = lo, hi
+        self.T = traj.end_time
+        dt = np.diff(traj.times)
+        self._weights = np.zeros(len(traj.times))
+        self._weights[1:] += 0.5 * dt
+        self._weights[:-1] += 0.5 * dt
 
     def _rows(self, q: float, kind: str) -> np.ndarray:
         key = (q, kind)
@@ -121,19 +127,6 @@ class TrajectoryTails:
             self._profiles[key] = rows
         return self._profiles[key]
 
-    def _time_weights(self, T: float) -> np.ndarray:
-        t = self.traj.times
-        if T > t[-1] + 1e-9 * max(1.0, t[-1]):
-            raise ValueError(f"T = {T} beyond trajectory end {t[-1]}")
-        if not T > 0:
-            raise ValueError("T must be positive")
-        tc = np.minimum(t, T)
-        w = np.zeros(len(t))
-        dt = np.diff(tc)
-        w[1:] += 0.5 * dt
-        w[:-1] += 0.5 * dt
-        return w
-
     def space_tail(self, q: float, kind: str, s) -> np.ndarray:
         """Per-snapshot tail integrals at cut(s) s: shape (n_snap,) or
         (n_s, n_snap)."""
@@ -144,19 +137,30 @@ class TrajectoryTails:
         out = w @ rows.T
         return out[0] if np.ndim(s) == 0 else out
 
-    def time_integral(self, q: float, kind: str, s, T: float):
-        """Space-time tail integral up to time T (trapezoid over snapshots)."""
-        vals = self.space_tail(q, kind, s)
-        w = self._time_weights(T)
-        out = np.atleast_2d(vals) @ w
+    def time_integral(self, q: float, kind: str, s):
+        """Space-time tail integral over the run (trapezoid over snapshots)."""
+        out = np.atleast_2d(self.space_tail(q, kind, s)) @ self._weights
         return float(out[0]) if np.ndim(s) == 0 else out
 
-    def sup_space(self, q: float, kind: str, s, T: float):
-        """max over snapshots t <= T of the space tail."""
-        vals = np.atleast_2d(self.space_tail(q, kind, s))
-        sel = self.traj.times <= T + 1e-12 * max(1.0, T)
-        out = vals[:, sel].max(axis=1)
+    def sup_space(self, q: float, kind: str, s):
+        """max over the snapshots of the space tail."""
+        out = np.atleast_2d(self.space_tail(q, kind, s)).max(axis=1)
         return float(out[0]) if np.ndim(s) == 0 else out
+
+
+def _tail_energies(tails: TrajectoryTails, p: float, s):
+    """``A_T`` and ``B_T`` at the cut(s) ``s``."""
+    return (tails.time_integral(p, "value", s),
+            tails.time_integral(3.0, "value", s))
+
+
+def _local_energy(tails: TrajectoryTails, p: float, mu1: float, s):
+    """The local-energy left side ``L`` at the cut(s) ``s``: the sup over
+    time of the tail of |u|^2, plus its space-time tail over ``T``, plus
+    ``mu1`` times the space-time tail of |grad u|^p."""
+    return (tails.sup_space(2.0, "value", s)
+            + tails.time_integral(2.0, "value", s) / tails.T
+            + mu1 * tails.time_integral(p, "gradient", s))
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +170,7 @@ class TrajectoryTails:
 
 @dataclasses.dataclass
 class EnergyLedger:
-    """Sampled tail energies over an s-grid at horizon T.
+    """Sampled tail energies over an s-grid, over the whole run (0, T).
 
     ``L`` is the local-energy left side at each s with unit constant in
     front of the dissipation term (the source estimate leaves that
@@ -204,22 +208,18 @@ class EnergyLedger:
                 fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
-def build_ledger(tails: TrajectoryTails, p: float, T: float, s_grid,
+def build_ledger(tails: TrajectoryTails, p: float, s_grid,
                  mu1: float) -> EnergyLedger:
     """Fill A, B, C, L and J over ``s_grid``, J with its constant ``ctilde``
     in the factor ``2 ctilde F(T)`` at 1; :meth:`EnergyLedger.with_ctilde`
     rebuilds J for another value."""
-    n = tails.traj.grid.dim
+    n, T = tails.traj.grid.dim, tails.T
     ex = ScalingExponents(p, n)
     s = np.asarray(s_grid, dtype=float)
-    a = tails.time_integral(p, "value", s, T)
-    b = tails.time_integral(3.0, "value", s, T)
+    a, b = _tail_energies(tails, p, s)
     c = a ** (1.0 + ex.beta2) + b ** (1.0 + ex.beta1)
-    sup2 = tails.sup_space(2.0, "value", s, T)
-    l2t = tails.time_integral(2.0, "value", s, T)
-    dis = tails.time_integral(p, "gradient", s, T)
-    ell = sup2 + l2t / T + mu1 * dis
-    return EnergyLedger(T, p, n, s, a, b, c, _jump(c, p, n, T, 1.0), 1.0, ell)
+    return EnergyLedger(T, p, n, s, a, b, c, _jump(c, p, n, T, 1.0), 1.0,
+                        _local_energy(tails, p, mu1, s))
 
 
 def _jump(c: np.ndarray, p: float, n: int, T: float, ctilde: float) -> np.ndarray:
@@ -236,40 +236,24 @@ def _jump(c: np.ndarray, p: float, n: int, T: float, ctilde: float) -> np.ndarra
 # ---------------------------------------------------------------------------
 
 
-@dataclasses.dataclass
-class LocalEnergyReport:
-    s: float
-    delta: float
-    T: float
-    lhs: float
-    rhs: float
-    ratio: float
-
-
-def local_energy_ratio(tails: TrajectoryTails, s: float, delta: float, T: float,
-                       mu1: float, p: float) -> LocalEnergyReport:
-    """Measured constant of the local energy estimate.
-
-    lhs = sup_t tail of |u|^2 at s+delta + (1/T) space-time tail of |u|^2
-          + mu1 * space-time tail of |grad u|^p,
-    rhs = delta^-p * A_T(s) + delta^-1 * B_T(s).
+def local_energy_ratio(tails: TrajectoryTails, s: float, delta: float,
+                       mu1: float, p: float) -> tuple[float, float, float]:
+    """Measured constant of the local energy estimate: ``(lhs, rhs, ratio)``
+    with lhs = L(s + delta) and rhs = delta^-p * A_T(s) + delta^-1 * B_T(s).
 
     Ratio conventions: 0 when both sides vanish, inf when only the right
     side does.
     """
     if not delta > 0:
         raise ValueError("delta must be positive")
-    sd = s + delta
-    lhs = (tails.sup_space(2.0, "value", sd, T)
-           + tails.time_integral(2.0, "value", sd, T) / T
-           + mu1 * tails.time_integral(p, "gradient", sd, T))
-    rhs = (tails.time_integral(p, "value", s, T) / delta**p
-           + tails.time_integral(3.0, "value", s, T) / delta)
+    lhs = _local_energy(tails, p, mu1, s + delta)
+    a, b = _tail_energies(tails, p, s)
+    rhs = a / delta**p + b / delta
     if rhs == 0.0:
         ratio = 0.0 if lhs == 0.0 else float("inf")
     else:
         ratio = lhs / rhs
-    return LocalEnergyReport(s, delta, T, float(lhs), float(rhs), float(ratio))
+    return float(lhs), float(rhs), float(ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -279,13 +263,10 @@ def local_energy_ratio(tails: TrajectoryTails, s: float, delta: float, T: float,
 
 @dataclasses.dataclass
 class IterationReport:
-    eps: float
-    s: np.ndarray
     holds: np.ndarray
     s0: float | None
     predicted_vanishing: float | None
     vanished_beyond: bool
-    max_j_beyond: float
     tightest_point: float | None = None  # min over admissible onsets
 
     @property
@@ -314,16 +295,15 @@ def check_iteration(ledger: EnergyLedger, eps: float) -> IterationReport:
     else:
         i0 = None
     if i0 is None:
-        return IterationReport(eps, s, holds, None, None, False,
-                               float(j.max()) if len(j) else 0.0)
+        return IterationReport(holds, None, None, False)
     s0 = float(s[i0])
     predicted = s0 + float(j[i0]) / (1.0 - eps)
     tightest = float(np.min(s[i0:] + j[i0:] / (1.0 - eps)))
     vanish_tol = 1e-12 * max(1.0, float(j.max()))
     beyond = j[s >= predicted]
     max_beyond = float(beyond.max()) if len(beyond) else float(j_at(predicted))
-    return IterationReport(eps, s, holds, s0, predicted,
-                           bool(max_beyond <= vanish_tol), max_beyond, tightest)
+    return IterationReport(holds, s0, predicted,
+                           bool(max_beyond <= vanish_tol), tightest)
 
 
 # ---------------------------------------------------------------------------
@@ -345,34 +325,20 @@ def decay_bound(s, T: float, p: float, n: int):
     return float(out) if out.ndim == 0 else out
 
 
-@dataclasses.dataclass
-class DecayReport:
-    """The measured decay constant: ``tail_sum`` is ``A_T + B_T`` at each
-    cut ``s`` and ``ctilde`` its largest ratio to the unit-constant bound.
-    It holds numbers only; whether they satisfy the estimate's hypotheses
-    or stay stable under refinement is for the caller to judge."""
+def check_decay(tails: TrajectoryTails, p: float, s_grid) -> float:
+    """Measure the decay-bound constant on a trajectory: the maximal ratio
+    of the measured ``A_T + B_T`` to the unit-constant bound over the
+    s-grid.
 
-    T: float
-    s: np.ndarray
-    tail_sum: np.ndarray
-    ctilde: float
-
-
-def check_decay(tails: TrajectoryTails, T: float, p: float, n: int,
-                s_grid) -> DecayReport:
-    """Measure the decay-bound constant on a trajectory.
-
-    The constant is the maximal ratio of the measured ``A_T + B_T`` to the
-    unit-constant bound over the s-grid.  It measures and never judges:
-    the estimate presumes an L1 norm that does not grow, and the caller
-    audits that hypothesis and the constant's stability under refinement.
+    It measures and never judges: the estimate presumes an L1 norm that
+    does not grow, and the caller audits that hypothesis and the
+    constant's stability under refinement.
     """
     s = np.asarray(s_grid, dtype=float)
     if np.any(s <= 0):
         raise ValueError("decay check needs s > 0")
-    total = (tails.time_integral(p, "value", s, T)
-             + tails.time_integral(3.0, "value", s, T))
-    unit = decay_bound(s, T, p, n)
-    ctilde = float(np.max(np.divide(total, unit, out=np.zeros_like(total),
-                                    where=unit > 0)))
-    return DecayReport(T, s, total, ctilde)
+    a, b = _tail_energies(tails, p, s)
+    total = a + b
+    unit = decay_bound(s, tails.T, p, tails.traj.grid.dim)
+    return float(np.max(np.divide(total, unit, out=np.zeros_like(total),
+                                  where=unit > 0)))

@@ -41,7 +41,7 @@ from .fluid2d import (fluid_snapshots, kinetic_energy, random_stream_coeffs,
                       stream_field, weak_residual)
 from .inequalities import (check_stampacchia_relation, concave_majorant_family,
                            gn_ratio, stampacchia_vanishing_point)
-from .plaplace import SolverConfig, simulate, snapshots
+from .plaplace import SolverConfig, normalize_schedule, simulate, snapshots
 from .svgplot import emit_heatmap, emit_plot
 
 # the front threshold of the scalar runs, over max|u0|
@@ -330,7 +330,13 @@ def _halfspace_fsp(cfg: ExperimentConfig, outdir: str, prebuilt=None):
     for env in ("l2", "l1"):
         if env == "l1" and not l1_ok:
             return report, gates
-        rep = fronts.check_envelope(trace, env, p, n, _T_REF, _TOL_ENV)
+        try:  # fails when no snapshot lies near t_ref
+            rep = fronts.check_envelope(trace, env, p, n, _T_REF, _TOL_ENV)
+        except ValueError as exc:
+            raise ConfigError([(None, (
+                f"t_end, snapshots_per_decade: the {env} envelope calibration "
+                f"on the log schedule to t_end = {cfg['t_end']:g} at "
+                f"{cfg['snapshots_per_decade']} a decade failed: {exc}"))]) from exc
         summary = {"c": rep.c, "violations": len(rep.violations),
                    "max_ratio": rep.max_ratio, "passed": rep.passed}
         report[f"envelope_{env}"] = summary
@@ -381,8 +387,14 @@ def _weak_residual_study(cfg: ExperimentConfig, outdir: str):
         phis = [stream_field(grid, coeffs) for coeffs in coeff_sets]
         v0 = taylor_green_field(grid, mu1, 0.0)
         n_snap = 40 * (level + 1) + 1
-        snapshots = fluid_snapshots(v0, _model(cfg), t_end,
-                                    np.linspace(0.0, t_end, n_snap), dt_fixed=dt)
+        times = np.linspace(0.0, t_end, n_snap)
+        merged = len(normalize_schedule(times, t_end))
+        if merged < 3:  # the base level, with the fewest times, stops first
+            raise ConfigError([(None, f"t_end: the weak residual's {n_snap} "
+                                      f"times to t_end = {t_end:g} merge to "
+                                      f"{merged}, and its centered time "
+                                      "differences need 3")])
+        snapshots = fluid_snapshots(v0, _model(cfg), t_end, times, dt_fixed=dt)
         resids.append(weak_residual(snapshots, phis, _model(cfg)))
     orders = np.log2(resids[0] / resids[1])
     with open(os.path.join(outdir, "residuals.csv"), "w") as fh:
@@ -468,16 +480,15 @@ def _fluid_taylor_green(cfg: ExperimentConfig, outdir: str):
 # ---------------------------------------------------------------------------
 
 
-def _local_energy_scan(tails, s_grid, deltas, T, mu1, p) -> list:
-    """``(s, delta, lhs, rhs, ratio)`` of the local energy estimate at
-    every eighth ``s`` of ``s_grid`` and every ``delta``."""
-    rows = []
-    for s in s_grid[:: max(1, len(s_grid) // 8)]:
-        for delta in deltas:
-            rep = energetics.local_energy_ratio(tails, float(s), float(delta),
-                                                T, mu1, p)
-            rows.append((float(s), float(delta), rep.lhs, rep.rhs, rep.ratio))
-    return rows
+def _run_constants(tails, p, mu1, s_grid, deltas, s_decay):
+    """One run's decay constant over ``s_decay``; the rows ``(s, delta,
+    lhs, rhs, ratio)`` of the local energy estimate at every eighth ``s``
+    of ``s_grid`` and every ``delta``; and their largest finite ratio."""
+    rows = [(float(s), float(delta), *energetics.local_energy_ratio(
+                tails, float(s), float(delta), mu1, p))
+            for s in s_grid[:: max(1, len(s_grid) // 8)] for delta in deltas]
+    local_max = max((r[4] for r in rows if np.isfinite(r[4])), default=0.0)
+    return energetics.check_decay(tails, p, s_decay), rows, local_max
 
 
 # the ledger's s-grid size, its number of local-energy deltas, and the
@@ -492,7 +503,6 @@ def _energy_ledger(cfg: ExperimentConfig, outdir: str, prebuilt=None):
     traj, tau, l1 = prebuilt if prebuilt is not None else halfspace_run(cfg)
     grid = traj.grid
     h = grid.spacing[-1]
-    T = float(traj.end_time)
     tails = energetics.TrajectoryTails(traj)
     front_T = fronts.support_front(traj.fields[-1], tau, "halfspace")
     gates = {"support": (front_T is not None,
@@ -511,7 +521,7 @@ def _energy_ledger(cfg: ExperimentConfig, outdir: str, prebuilt=None):
 
     # the tails A, B, C and L over the s-grid, summed once; the
     # calibrations below only rescale J by a constant
-    ledger = energetics.build_ledger(tails, p, T, s_grid, mu1)
+    ledger = energetics.build_ledger(tails, p, s_grid, mu1)
 
     # calibrate the constant of the combined-energy relation; pairs with
     # C below a relative floor are edge dust (both sides vanish at
@@ -519,7 +529,7 @@ def _energy_ledger(cfg: ExperimentConfig, outdir: str, prebuilt=None):
     ex = energetics.ScalingExponents(p, n)
     c_vals = ledger.C
     c_interp = lambda x: np.interp(x, s_grid, c_vals)
-    f_t = ex.F(T)
+    f_t = ex.F(tails.T)
     c_floor = 1e-10 * float(c_vals.max())
     ctilde_cal = 0.0
     for delta in deltas:
@@ -558,9 +568,11 @@ def _energy_ledger(cfg: ExperimentConfig, outdir: str, prebuilt=None):
     ledger = ledger.with_ctilde(ctilde_iter)
     ledger.save_csv(os.path.join(outdir, "ledger.csv"))
 
-    # local energy estimate: measured constant over the (s, delta) grid
-    ratios = _local_energy_scan(tails, s_grid, deltas, T, mu1, p)
-    finite = [r[4] for r in ratios if np.isfinite(r[4])]
+    # local energy estimate: measured constant over the (s, delta) grid,
+    # and the decay constant
+    s_decay = s_grid[s_grid > 2 * h]
+    decay, ratios, local_max = _run_constants(tails, p, mu1, s_grid, deltas,
+                                              s_decay)
     any_inf = any(not np.isfinite(r[4]) for r in ratios)
     with open(os.path.join(outdir, "local_energy.csv"), "w") as fh:
         fh.write("s,delta,lhs,rhs,ratio\n")
@@ -570,15 +582,11 @@ def _energy_ledger(cfg: ExperimentConfig, outdir: str, prebuilt=None):
     # support-zero audit beyond the *exact* numerical support edge (the
     # threshold front has a sub-threshold skirt; the explicit scheme keeps
     # exact zeros outside the true support)
-    s_beyond = front_exact + 2 * h
-    a_beyond = float(tails.time_integral(p, "value", s_beyond, T))
-    b_beyond = float(tails.time_integral(3.0, "value", s_beyond, T))
+    a_beyond, b_beyond = energetics._tail_energies(tails, p,
+                                                   front_exact + 2 * h)
 
     it_rep = energetics.check_iteration(ledger, _EPS_ITER)
-    s_decay = s_grid[s_grid > 2 * h]
-    decay = energetics.check_decay(tails, T, p, n, s_decay)
     l1_ratio, l1_ok = _l1_audit(l1)
-    local_max = max(finite) if finite else 0.0
 
     refinement = {}
     if cfg["refine_check"]:
@@ -587,25 +595,21 @@ def _energy_ledger(cfg: ExperimentConfig, outdir: str, prebuilt=None):
         ccfg = default_config(cfg.kind, **{**cfg.values, "cells": cells})
         ctraj, _, cl1 = halfspace_run(ccfg)
         l1_ok = l1_ok and _l1_audit(cl1)[1]  # the coarse run rests on it too
-        ctails = energetics.TrajectoryTails(ctraj)
-        cdecay = energetics.check_decay(ctails, T, p, n, s_decay)
-        # local-energy constant stability under the same refinement
-        cfinite = [r[4] for r in _local_energy_scan(ctails, s_grid, deltas,
-                                                    T, mu1, p)
-                   if np.isfinite(r[4])]
-        local_coarse = max(cfinite) if cfinite else 0.0
+        # the decay and local-energy constants' stability under it
+        cdecay, _, local_coarse = _run_constants(
+            energetics.TrajectoryTails(ctraj), p, mu1, s_grid, deltas, s_decay)
         refinement = {
-            "decay_ctilde_coarse": cdecay.ctilde,
-            "decay_ctilde_fine": decay.ctilde,
+            "decay_ctilde_coarse": cdecay,
+            "decay_ctilde_fine": decay,
             "local_ratio_coarse": local_coarse,
             "local_ratio_fine": local_max,
-            "decay_ok": _stable_under_refinement(decay.ctilde, cdecay.ctilde),
+            "decay_ok": _stable_under_refinement(decay, cdecay),
             "local_ok": _stable_under_refinement(local_max, local_coarse),
         }
 
     report = {
         "kind": "energy-ledger",
-        "T": T, "p": p, "dimension": n,
+        "T": tails.T, "p": p, "dimension": n,
         "front_at_T": front_T,
         "front_exact_support": front_exact,
         "ctilde_relation": ctilde,
@@ -622,7 +626,7 @@ def _energy_ledger(cfg: ExperimentConfig, outdir: str, prebuilt=None):
         "iteration_covers_front": bool(
             it_rep.predicted_vanishing is not None
             and it_rep.predicted_vanishing >= front_T),
-        "decay_ctilde": decay.ctilde,
+        "decay_ctilde": decay,
         "decay_l1_max_ratio": l1_ratio,
         "l1_hypothesis_ok": l1_ok,
         "refinement": refinement,

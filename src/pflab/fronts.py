@@ -60,10 +60,8 @@ class ExponentFit:
 class EnvelopeReport:
     """Result of calibrating an envelope and checking a trace against it."""
 
-    envelope: str
     c: float
     t_ref: float
-    tol: float
     violations: list
     max_ratio: float
 
@@ -270,8 +268,8 @@ def check_envelope(trace: SupportTrace, envelope: str, p: float, n: int,
     bad = ratio > 1.0 + tol_env
     violations = [(float(tv), float(fv), float(bv))
                   for tv, fv, bv in zip(t[sel][bad], f[sel][bad], bound[bad])]
-    return EnvelopeReport(envelope, float(c), float(t[i_ref]), tol_env,
-                          violations, float(ratio.max()))
+    return EnvelopeReport(float(c), float(t[i_ref]), violations,
+                          float(ratio.max()))
 
 
 def save_trace(trace: SupportTrace, path) -> None:

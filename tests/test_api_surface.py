@@ -9,7 +9,9 @@ top-level function and class has a caller in the package or the
 benchmark harness, and every keyword default of a public function or
 method is overridden by one of those callers and left unset by another,
 save the console entry point's; every defaulted field of a public
-dataclass is overridden by one of them.  Each experiment kind's run
+dataclass is overridden by one of them, and every field of a package
+dataclass is read, by name, somewhere in the package or the harness.
+Each experiment kind's run
 reads exactly the config keys ``KIND_KEYS`` lists for it, every key is
 read by some kind, and every key is set by a pinned acceptance config
 or by a test that builds a config or drives the CLI.
@@ -216,6 +218,22 @@ def _public_callables():
                 elif not fn.name.startswith("_"):
                     yield (f"{module}.{top.name}.{fn.name}", fn.name,
                            _defaulted(fn, 0 if static else 1))
+
+
+def test_every_dataclass_field_is_read():
+    """A field that nothing reads is a result no caller wants, so the
+    measurement should not return it.  The check goes by name: a field
+    that shares its name with an attribute read anywhere in the package
+    or the harness passes, whichever object that read is on."""
+    read = {node.attr for tree in list(_modules().values()) + _harness_trees()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    fields = [f"{module}.{top.name}.{stmt.target.id}"
+              for module, tree in _modules().items() for top in tree.body
+              if isinstance(top, ast.ClassDef) and _is_dataclass(top)
+              for stmt in top.body
+              if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+    assert [f for f in fields if f.rsplit(".", 1)[1] not in read] == []
 
 
 def _console_entry_points() -> set:

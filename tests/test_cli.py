@@ -189,6 +189,40 @@ def test_a_front_fit_short_of_samples_is_a_configuration_error(tmp_path,
         run_experiment(cfg)
 
 
+@pytest.mark.parametrize("schedule", [("--t-end", "0.01"),
+                                      ("--t-end", "0.2",
+                                       "--snapshots-per-decade", "1")])
+def test_a_halfspace_schedule_that_misses_t_ref_is_a_configuration_error(
+        tmp_path, capsys, schedule):
+    # no snapshot lies within 25% of t_ref = 0.1, where the envelopes are
+    # calibrated
+    code = run_cli("simulate", "--experiment", "halfspace-fsp", "--cells",
+                   "1024", "--t0", "5e-8", "--bounds=-7.8:7.5", *schedule,
+                   "--outdir", str(tmp_path))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("configuration error:")
+    assert "t_end, snapshots_per_decade: the l2 envelope calibration" in err
+    assert "no sample near t_ref = 0.1" in err
+
+
+def test_a_weak_residual_schedule_that_merges_is_a_configuration_error(
+        tmp_path, capsys, monkeypatch):
+    # the 41 times to t_end = 1e-13 lie within the schedule's merge
+    # distance: the config is rejected before any step
+    from pflab import experiments
+
+    monkeypatch.setattr(experiments, "fluid_snapshots",
+                        lambda *a, **kw: 1 / 0)
+    code = run_cli("simulate", "--experiment", "weak-residual-study",
+                   "--cells", "16", "--t-end", "1e-13", "--outdir",
+                   str(tmp_path))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("configuration error:")
+    assert "t_end: the weak residual's 41 times" in err
+
+
 def test_exit_code_usage_error(tmp_path, capsys):
     # argparse reads "-6:6" as a flag; a usage error is a configuration
     # error (1), not a numerical failure (2)

@@ -60,7 +60,7 @@ def test_tail_energy_zero_trajectory():
     g = GridSpec.line(-1.0, 1.0, 64)
     zero = ScalarField.zeros(g)
     traj = Trajectory(np.array([0.0, 1.0]), [zero, zero.copy()])
-    assert TrajectoryTails(traj).time_integral(3.0, "value", 0.0, 1.0) == 0.0
+    assert TrajectoryTails(traj).time_integral(3.0, "value", 0.0) == 0.0
 
 
 def test_tail_energy_time_constant_field():
@@ -73,34 +73,24 @@ def test_tail_energy_time_constant_field():
     want = np.array([restrict_integral(f, 3.0, s) for s in cuts])
     assert np.allclose(tails.space_tail(3.0, "value", cuts),
                        want[:, None], rtol=1e-12, atol=0.0)
-    assert np.allclose(tails.time_integral(3.0, "value", cuts, 2.0),
+    assert np.allclose(tails.time_integral(3.0, "value", cuts),
                        2.0 * want, rtol=1e-12, atol=0.0)
     for s, w in zip(cuts, want):
-        assert tails.time_integral(3.0, "value", s, 2.0) == pytest.approx(
+        assert tails.time_integral(3.0, "value", s) == pytest.approx(
             2.0 * w, rel=1e-12)
 
 
-def test_tail_energy_t_beyond_trajectory():
-    g = GridSpec.line(-1.0, 1.0, 32)
-    zero = ScalarField.zeros(g)
-    traj = Trajectory(np.array([0.0, 1.0]), [zero, zero.copy()])
-    with pytest.raises(ValueError, match="beyond"):
-        TrajectoryTails(traj).time_integral(3.0, "value", 0.0, 2.0)
-
-
-def test_tails_monotone_in_s_and_T(halfspace_traj):
+def test_tails_monotone_in_s(halfspace_traj):
     tails = TrajectoryTails(halfspace_traj)
-    s = np.linspace(-2.0, 3.0, 24)
-    a1 = tails.time_integral(3.0, "value", s, 1.5)
-    a2 = tails.time_integral(3.0, "value", s, 3.0)
-    assert np.all(np.diff(a1) <= 1e-12)
-    assert np.all(a2 >= a1 - 1e-15)
+    assert tails.T == 3.0
+    a = tails.time_integral(3.0, "value", np.linspace(-2.0, 3.0, 24))
+    assert np.all(np.diff(a) <= 1e-12)
 
 
 def test_ledger_definitions_and_monotonicity(halfspace_traj):
     traj = halfspace_traj
     s_grid = np.linspace(0.0, 3.0, 25)
-    led = build_ledger(TrajectoryTails(traj), 3.0, 3.0, s_grid, 1.0)
+    led = build_ledger(TrajectoryTails(traj), 3.0, s_grid, 1.0)
     ex = ScalingExponents(3.0, 1)
     # C is its definition, recomputed independently
     c2 = led.A ** (1 + ex.beta2) + led.B ** (1 + ex.beta1)
@@ -115,7 +105,7 @@ def test_ledger_with_ctilde_equals_a_ledger_built_with_it(halfspace_traj,
                                                           ctilde):
     # the bisection over the constant rescales J and sums no tails again
     s_grid = np.linspace(0.0, 3.0, 25)
-    led = build_ledger(TrajectoryTails(halfspace_traj), 3.0, 3.0, s_grid, 1.0)
+    led = build_ledger(TrajectoryTails(halfspace_traj), 3.0, s_grid, 1.0)
     assert led.ctilde == 1.0
     assert led.J.tobytes() == _jump(led.C, 3.0, 1, 3.0, 1.0).tobytes()
     scaled = led.with_ctilde(ctilde)
@@ -129,13 +119,13 @@ def test_ledger_zero_trajectory():
     g = GridSpec.line(-1.0, 1.0, 64)
     zero = ScalarField.zeros(g)
     traj = Trajectory(np.array([0.0, 1.0]), [zero, zero.copy()])
-    led = build_ledger(TrajectoryTails(traj), 3.0, 1.0, np.linspace(-1, 1, 9), 1.0)
+    led = build_ledger(TrajectoryTails(traj), 3.0, np.linspace(-1, 1, 9), 1.0)
     assert np.all(led.A == 0) and np.all(led.B == 0) and np.all(led.J == 0)
     assert np.all(led.L == 0)
 
 
 def test_ledger_csv(tmp_path, halfspace_traj):
-    led = build_ledger(TrajectoryTails(halfspace_traj), 3.0, 3.0,
+    led = build_ledger(TrajectoryTails(halfspace_traj), 3.0,
                        np.linspace(0, 3, 9), 1.0)
     path = tmp_path / "ledger.csv"
     led.save_csv(path)
@@ -148,18 +138,17 @@ def test_local_energy_zero_and_beyond_front(halfspace_traj):
     g = GridSpec.line(-1.0, 1.0, 64)
     zero = ScalarField.zeros(g)
     ztraj = Trajectory(np.array([0.0, 1.0]), [zero, zero.copy()])
-    rep = local_energy_ratio(TrajectoryTails(ztraj), 0.0, 0.1, 1.0, 1.0, 3.0)
-    assert rep.lhs == rep.rhs == rep.ratio == 0.0
+    assert local_energy_ratio(TrajectoryTails(ztraj), 0.0, 0.1, 1.0,
+                              3.0) == (0.0, 0.0, 0.0)
     # beyond the support everything is empty: both sides zero
-    rep2 = local_energy_ratio(TrajectoryTails(halfspace_traj), 4.2, 0.1, 3.0,
-                              1.0, 3.0)
-    assert rep2.rhs == 0.0 and rep2.lhs == 0.0 and rep2.ratio == 0.0
+    assert local_energy_ratio(TrajectoryTails(halfspace_traj), 4.2, 0.1, 1.0,
+                              3.0) == (0.0, 0.0, 0.0)
 
 
 def test_local_energy_finite_and_translation_invariant(halfspace_traj):
-    rep = local_energy_ratio(TrajectoryTails(halfspace_traj), 0.3, 0.4, 3.0,
-                             1.0, 3.0)
-    assert np.isfinite(rep.ratio) and rep.ratio > 0
+    ratio = local_energy_ratio(TrajectoryTails(halfspace_traj), 0.3, 0.4,
+                               1.0, 3.0)[2]
+    assert np.isfinite(ratio) and ratio > 0
     # translating the whole experiment in x moves s along with it
     traj = halfspace_traj
     grid = traj.grid
@@ -168,15 +157,29 @@ def test_local_energy_finite_and_translation_invariant(halfspace_traj):
                        grid.cells[0])
     traj2 = Trajectory(traj.times.copy(),
                        [ScalarField(g2, f.values.copy()) for f in traj.fields])
-    rep2 = local_energy_ratio(TrajectoryTails(traj2), 0.3 + shift, 0.4, 3.0,
-                              1.0, 3.0)
-    assert rep2.ratio == pytest.approx(rep.ratio, rel=1e-12)
+    ratio2 = local_energy_ratio(TrajectoryTails(traj2), 0.3 + shift, 0.4,
+                                1.0, 3.0)[2]
+    assert ratio2 == pytest.approx(ratio, rel=1e-12)
+
+
+@pytest.mark.parametrize("s,delta", [(0.3, 0.4), (1.1, 0.05), (1.5, 0.8)])
+def test_local_energy_ratio_reads_the_ledgers_tails(halfspace_traj, s, delta):
+    # one definition of A, B and L: the ratio at (s, delta) is
+    # L(s + delta) / (A(s) delta^-p + B(s) / delta) of a ledger on those cuts
+    tails = TrajectoryTails(halfspace_traj)
+    led = build_ledger(tails, 3.0, [s, s + delta], 0.7)
+    lhs, rhs, ratio = local_energy_ratio(tails, s, delta, 0.7, 3.0)
+    want_rhs = led.A[0] / delta**3.0 + led.B[0] / delta
+    assert lhs == pytest.approx(led.L[1], rel=1e-12, abs=0.0)
+    assert rhs == pytest.approx(want_rhs, rel=1e-12, abs=0.0)
+    assert ratio == pytest.approx(led.L[1] / want_rhs, rel=1e-12, abs=0.0)
+    assert ratio > 0
 
 
 def test_local_energy_delta_validation(halfspace_traj):
     with pytest.raises(ValueError):
         local_energy_ratio(TrajectoryTails(halfspace_traj), 0.0, 0.0, 1.0,
-                           1.0, 3.0)
+                           3.0)
 
 
 def test_check_iteration_zero_ledger():
@@ -228,23 +231,22 @@ def test_check_decay_zero_trajectory():
     g = GridSpec.line(-1.0, 1.0, 64)
     zero = ScalarField.zeros(g)
     traj = Trajectory(np.array([0.0, 1.0]), [zero, zero.copy()])
-    rep = check_decay(TrajectoryTails(traj), 1.0, 3.0, 1, np.linspace(0.1, 1.0, 5))
-    assert rep.ctilde == 0.0
+    assert check_decay(TrajectoryTails(traj), 3.0, np.linspace(0.1, 1.0, 5)) == 0.0
 
 
 def test_check_decay_on_run_and_refinement(halfspace_traj):
     s = np.linspace(0.2, 3.5, 12)
-    rep = check_decay(TrajectoryTails(halfspace_traj), 3.0, 3.0, 1, s)
-    assert np.isfinite(rep.ctilde) and rep.ctilde > 0
+    ctilde = check_decay(TrajectoryTails(halfspace_traj), 3.0, s)
+    assert np.isfinite(ctilde) and ctilde > 0
     # a same-physics coarser run gives a nearby constant
     bp = BarenblattParams(3.0, 1, C=1.0, mu1=1.0)
     grid = GridSpec.line(-8.0, 5.0, 512)
     u0 = halfspace_initial_data(bp, grid, t0=0.05)
     coarse = simulate(u0, SolverConfig(ModelParams(3.0, 1.0), "explicit"), 3.0,
                       np.concatenate([[0.0], np.logspace(-3, np.log10(3.0), 120)]))
-    rep_c = check_decay(TrajectoryTails(coarse), 3.0, 3.0, 1, s)
-    assert _stable_under_refinement(rep.ctilde, rep_c.ctilde)
-    assert not _stable_under_refinement(rep.ctilde, 0.1 * rep_c.ctilde)
+    ctilde_c = check_decay(TrajectoryTails(coarse), 3.0, s)
+    assert _stable_under_refinement(ctilde, ctilde_c)
+    assert not _stable_under_refinement(ctilde, 0.1 * ctilde_c)
 
 
 def test_l1_audit_flags_growth_that_check_decay_only_measures():
@@ -252,8 +254,8 @@ def test_l1_audit_flags_growth_that_check_decay_only_measures():
     a = ScalarField(g, np.ones(g.shape))
     b = ScalarField(g, 1.1 * np.ones(g.shape))
     traj = Trajectory(np.array([0.0, 1.0]), [a, b])
-    rep = check_decay(TrajectoryTails(traj), 1.0, 3.0, 1, np.linspace(0.1, 1, 5))
-    assert np.isfinite(rep.ctilde) and rep.ctilde > 0
+    ctilde = check_decay(TrajectoryTails(traj), 3.0, np.linspace(0.1, 1, 5))
+    assert np.isfinite(ctilde) and ctilde > 0
     ratio, ok = _l1_audit(np.array([lp_norm(f, 1.0) for f in traj.fields]))
     assert ratio == pytest.approx(1.1, rel=1e-14) and not ok
     assert _l1_audit(np.array([2.0, 2.0 * (1 + 1e-7), 1.0])) == (1 + 1e-7, True)

@@ -946,6 +946,9 @@ def _assert_raises_as_a_per_step_check_would(monkeypatch, times, audit, node,
     + [(audit, node, step) for audit in (True, False)
        for node, step in ((475, 18), (37, 23))])
 @pytest.mark.parametrize("value", [np.nan, np.inf])
+# a planted Inf row makes the explicit update add inf and -inf, as intended
+@pytest.mark.filterwarnings(
+    "ignore:invalid value encountered in add:RuntimeWarning")
 def test_a_planted_nan_or_inf_raises_as_a_per_step_check_would(
         monkeypatch, audit, node, plant_at, value):
     _assert_raises_as_a_per_step_check_would(monkeypatch, [0.0, 0.01, 0.02],
