@@ -69,7 +69,6 @@ class AcceptanceContext:
 
     def __init__(self, outdir: str):
         self.outdir = outdir
-        os.makedirs(outdir, exist_ok=True)
         self._trajectory = None  # or the NumericalError of its build
         self._runs = {}
 

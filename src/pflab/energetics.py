@@ -193,20 +193,6 @@ class EnergyLedger:
         return dataclasses.replace(
             self, J=_jump(self.C, self.p, self.n, self.T, ctilde), ctilde=ctilde)
 
-    def save_csv(self, path) -> None:
-        ex = ScalingExponents(self.p, self.n)
-        with open(path, "w") as fh:
-            fh.write(f"# T={self.T:.17g} p={self.p:.17g} N={self.n} "
-                     f"ctilde={self.ctilde:.17g}\n")
-            fh.write(f"# alpha1={ex.alpha1:.17g} beta1={ex.beta1:.17g} "
-                     f"alpha2={ex.alpha2:.17g} beta2={ex.beta2:.17g} "
-                     f"beta={ex.beta:.17g}\n")
-            fh.write("s,A,B,C,J,L\n")
-            for i in range(len(self.s)):
-                row = [self.s[i], self.A[i], self.B[i], self.C[i], self.J[i],
-                       self.L[i]]
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-
 
 def build_ledger(tails: TrajectoryTails, p: float, s_grid,
                  mu1: float) -> EnergyLedger:

@@ -6,17 +6,18 @@ hands its run to another, and every report's ``kind`` is its config's
 ``experiment``.  Each runner reads a validated
 :class:`~pflab.config.ExperimentConfig` holding the keys its kind reads
 and no other (``config.KIND_KEYS``), so that ``manifest.txt`` echoes
-just those; writes only its own data files (CSV and SVG) into the
-output directory; and returns
-``(report, gates)``: the report as a dict, and each gate's name mapped
-to ``(ok, message)``.  :func:`run_experiment` dispatches on the kind
-and owns everything else: it judges the gates, appends the verdict
-``passed`` to the report, writes ``report.txt`` and ``manifest.txt``
-(status ``ok`` or ``failed``) and raises
-:class:`~pflab.errors.VerificationError` carrying the report and the
-failed gates' names when a gate failed.  Numerical failures (NaN,
-blow-up, boundary sentinel) raise
-:class:`~pflab.errors.NumericalError` from the runner.  Runs are
+just those; writes nothing; and returns ``(report, gates, files)``: the
+report as a dict, each gate's name mapped to ``(ok, message)``, and each
+data file's name (CSV or SVG) mapped to its text.  :func:`run_experiment`
+dispatches on the kind and owns everything else: it judges the gates,
+appends the verdict ``passed`` to the report, makes the output
+directory, writes the data files, ``report.txt`` and ``manifest.txt``
+(status ``ok`` or ``failed``) into it through one writer, which no
+other code has, and raises :class:`~pflab.errors.VerificationError`
+carrying the report and the failed gates' names when a gate failed.  A
+runner that raises (a :class:`~pflab.errors.ConfigError`, or a
+:class:`~pflab.errors.NumericalError` on NaN, blow-up or the boundary
+sentinel) leaves the ``failed`` manifest and no data file.  Runs are
 deterministic for a fixed config and seed; only the ``run_stamp``
 manifest line varies.
 """
@@ -94,10 +95,39 @@ def _log_times(t_start: float, t_end: float, per_decade: int) -> np.ndarray:
     return np.logspace(np.log10(t_start), np.log10(t_end), n)
 
 
-def _write_report(path, mapping: dict) -> None:
-    with open(path, "w") as fh:
-        for key, val in mapping.items():
-            fh.write(f"{key} = {val}\n")
+def _write_files(outdir: str, files: dict) -> None:
+    """The one writer: each file of ``files``, name to text, into
+    ``outdir``."""
+    for name, text in files.items():
+        with open(os.path.join(outdir, name), "w") as fh:
+            fh.write(text)
+
+
+def _csv(header: str, rows) -> str:
+    """CSV text: the ``header`` line(s), then one line per row, a float
+    cell to 17 significant digits and any other cell as it prints."""
+    lines = [header] + [",".join(format(v, ".17g") if isinstance(v, float)
+                                 else str(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _trace_csv(trace: fronts.SupportTrace) -> str:
+    """A front trace, an empty support as an empty cell."""
+    return _csv(f"# tau={trace.tau:.17g}\nt,front",
+                ((t, "" if np.isnan(f) else f)
+                 for t, f in zip(trace.times, trace.fronts)))
+
+
+def _ledger_csv(ledger: energetics.EnergyLedger) -> str:
+    """A tail-energy ledger, headed by its horizon, constant and
+    exponents."""
+    ex = energetics.ScalingExponents(ledger.p, ledger.n)
+    return _csv(f"# T={ledger.T:.17g} p={ledger.p:.17g} N={ledger.n} "
+                f"ctilde={ledger.ctilde:.17g}\n"
+                f"# alpha1={ex.alpha1:.17g} beta1={ex.beta1:.17g} "
+                f"alpha2={ex.alpha2:.17g} beta2={ex.beta2:.17g} "
+                f"beta={ex.beta:.17g}\ns,A,B,C,J,L",
+                zip(ledger.s, ledger.A, ledger.B, ledger.C, ledger.J, ledger.L))
 
 
 def _flatten(report: dict, prefix: str = "") -> dict:
@@ -122,8 +152,7 @@ def write_manifest(outdir: str, cfg: ExperimentConfig, elapsed: float,
     lines.append(f"status = {status}")
     stamp = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
     lines.append(f"run_stamp = {stamp} wall_seconds={elapsed:.3f}")
-    with open(os.path.join(outdir, "manifest.txt"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_files(outdir, {"manifest.txt": "\n".join(lines) + "\n"})
 
 
 def _fmt_value(v) -> str:
@@ -162,7 +191,7 @@ def _study_grid(cfg: ExperimentConfig, cells: int) -> tuple:
 _ORDER_MIN = 0.8
 
 
-def _barenblatt_accuracy_study(cfg: ExperimentConfig, outdir: str):
+def _barenblatt_accuracy_study(cfg: ExperimentConfig):
     """Explicit-solver accuracy study against the closed form, on the 1-D
     grids of ``cells`` from ``t0`` to ``t_end``.
 
@@ -182,10 +211,6 @@ def _barenblatt_accuracy_study(cfg: ExperimentConfig, outdir: str):
         errs = [futures[cells].result() for cells in cells_list]
     orders = [float(np.log2(errs[i][3] / errs[i + 1][3]))
               for i in range(len(errs) - 1)]
-    with open(os.path.join(outdir, "study.csv"), "w") as fh:
-        fh.write("cells,h,l1_err,rel_l1_err\n")
-        for cells, h, err, rel in errs:
-            fh.write(f"{cells},{h:.17g},{err:.17g},{rel:.17g}\n")
     report = {
         "kind": "barenblatt-accuracy-study",
         "t0": t0,
@@ -196,10 +221,11 @@ def _barenblatt_accuracy_study(cfg: ExperimentConfig, outdir: str):
     }
     return report, {"order": (all(o >= _ORDER_MIN for o in orders),
                               f"empirical order(s) {orders} below required "
-                              f"{_ORDER_MIN}")}
+                              f"{_ORDER_MIN}")}, {
+        "study.csv": _csv("cells,h,l1_err,rel_l1_err", errs)}
 
 
-def _barenblatt_fit(cfg: ExperimentConfig, outdir: str):
+def _barenblatt_fit(cfg: ExperimentConfig):
     """The front exponent over a long horizon: the proximal stepper, which
     has no CFL limit."""
     p, n, mu1 = cfg["p"], cfg["dimension"], cfg["mu1"]
@@ -239,7 +265,6 @@ def _barenblatt_fit(cfg: ExperimentConfig, outdir: str):
                                 "max_ratio": rep.max_ratio}
         except ValueError as exc:  # outside the envelope's validity range
             env_reports[env] = {"skipped": str(exc)}
-    fronts.save_trace(trace, os.path.join(outdir, "trace.csv"))
     ok = trace.present & (trace.fronts > 0)
     ts = trace.times[ok]
     line_y = np.exp(fit.intercept) * ts**fit.slope
@@ -248,10 +273,11 @@ def _barenblatt_fit(cfg: ExperimentConfig, outdir: str):
         if "c" in rep:
             fn = fronts.support_envelope_l1 if env == "l1" else fronts.support_envelope_l2
             curves.append((env, ts, fn(p, n, ts, rep["c"])))
-    emit_plot((ts, trace.fronts[ok]), curves,
-              os.path.join(outdir, "fit.svg"), logx=True, logy=True,
-              fit=(ts, line_y), title="support front",
-              xlabel="t", ylabel="front")
+    files = {"trace.csv": _trace_csv(trace),
+             "fit.svg": emit_plot((ts, trace.fronts[ok]), curves, logx=True,
+                                  logy=True, fit=(ts, line_y),
+                                  title="support front", xlabel="t",
+                                  ylabel="front")}
     err_rel = abs(fit.slope - expected) / expected
     report = {
         "kind": "barenblatt-fit",
@@ -269,7 +295,7 @@ def _barenblatt_fit(cfg: ExperimentConfig, outdir: str):
     return report, {"exponent": (err_rel <= cfg["exponent_tol"],
                                  f"fitted exponent {fit.slope:.5f} deviates "
                                  f"from {expected:.5f} by {err_rel:.2%} > "
-                                 f"{cfg['exponent_tol']:.2%}")}
+                                 f"{cfg['exponent_tol']:.2%}")}, files
 
 
 # ---------------------------------------------------------------------------
@@ -308,11 +334,11 @@ def _stable_under_refinement(fine: float, coarse: float) -> bool:
     return bool(fine <= max(1.5 * coarse, 1e-300))
 
 
-def _halfspace_fsp(cfg: ExperimentConfig, outdir: str, prebuilt=None):
+def _halfspace_fsp(cfg: ExperimentConfig, prebuilt=None):
     p, n = cfg["p"], cfg["dimension"]
     traj, tau, l1 = prebuilt if prebuilt is not None else halfspace_run(cfg)
     (trace,) = fronts.trace_support(traj, (tau,), "halfspace")
-    fronts.save_trace(trace, os.path.join(outdir, "trace.csv"))
+    files = {"trace.csv": _trace_csv(trace)}
     l1_ratio, l1_ok = _l1_audit(l1)
     report = {
         "kind": "halfspace-fsp",
@@ -329,7 +355,7 @@ def _halfspace_fsp(cfg: ExperimentConfig, outdir: str, prebuilt=None):
     ts = trace.times[ok]
     for env in ("l2", "l1"):
         if env == "l1" and not l1_ok:
-            return report, gates
+            return report, gates, files
         try:  # fails when no snapshot lies near t_ref
             rep = fronts.check_envelope(trace, env, p, n, _T_REF, _TOL_ENV)
         except ValueError as exc:
@@ -351,11 +377,10 @@ def _halfspace_fsp(cfg: ExperimentConfig, outdir: str, prebuilt=None):
     except ValueError:
         pass
     if len(ts):  # emit_plot rejects an empty series
-        emit_plot((ts, trace.fronts[ok]), curves,
-                  os.path.join(outdir, "envelopes.svg"), logx=True, logy=True,
-                  title="half-space front vs envelopes",
-                  xlabel="t", ylabel="front")
-    return report, gates
+        files["envelopes.svg"] = emit_plot(
+            (ts, trace.fronts[ok]), curves, logx=True, logy=True,
+            title="half-space front vs envelopes", xlabel="t", ylabel="front")
+    return report, gates, files
 
 
 def run_halfspace_fsp(cfg: ExperimentConfig, outdir: str, prebuilt) -> dict:
@@ -372,7 +397,7 @@ def run_halfspace_fsp(cfg: ExperimentConfig, outdir: str, prebuilt) -> dict:
 _WEAK_FIELDS = 20
 
 
-def _weak_residual_study(cfg: ExperimentConfig, outdir: str):
+def _weak_residual_study(cfg: ExperimentConfig):
     mu1 = cfg["mu1"]
     base_cells = cfg["cells"][0]
     t_end = cfg["t_end"]
@@ -397,10 +422,6 @@ def _weak_residual_study(cfg: ExperimentConfig, outdir: str):
         snapshots = fluid_snapshots(v0, _model(cfg), t_end, times, dt_fixed=dt)
         resids.append(weak_residual(snapshots, phis, _model(cfg)))
     orders = np.log2(resids[0] / resids[1])
-    with open(os.path.join(outdir, "residuals.csv"), "w") as fh:
-        fh.write("field_id,residual_base,residual_refined,order\n")
-        for i, (rb, rf, o) in enumerate(zip(resids[0], resids[1], orders)):
-            fh.write(f"{i},{rb:.17g},{rf:.17g},{o:.17g}\n")
     report = {
         "kind": "weak-residual-study",
         "fields": _WEAK_FIELDS,
@@ -411,7 +432,9 @@ def _weak_residual_study(cfg: ExperimentConfig, outdir: str):
     return report, {"order": (
         report["median_order"] >= 1.0 and report["all_decreased"],
         f"weak-form residual refinement order {report['median_order']:.3f} < 1 "
-        "or residuals did not all decrease")}
+        "or residuals did not all decrease")}, {
+        "residuals.csv": _csv("field_id,residual_base,residual_refined,order",
+                              zip(range(len(orders)), *resids, orders))}
 
 
 # the Taylor-Green gates: the relative error of the fitted kinetic-energy
@@ -422,7 +445,7 @@ _DIV_TOL = 1e-10
 _TG_SNAPSHOTS = 101
 
 
-def _fluid_taylor_green(cfg: ExperimentConfig, outdir: str):
+def _fluid_taylor_green(cfg: ExperimentConfig):
     mu1 = cfg["mu1"]
     # the linear stress: the closed-form decay rate 2*mu1 holds at p = 2 alone
     model = ModelParams(2.0, mu1)
@@ -443,16 +466,15 @@ def _fluid_taylor_green(cfg: ExperimentConfig, outdir: str):
     expected = 2.0 * mu1
     err_rel = abs(rate - expected) / expected
     ke_monotone = bool(np.all(np.diff(ke) <= 1e-8 * ke[:-1]))
-    with open(os.path.join(outdir, "kinetic_energy.csv"), "w") as fh:
-        fh.write("t,ke\n")
-        for t, e in zip(times, ke):
-            fh.write(f"{t:.17g},{e:.17g}\n")
-    fit_y = ke[0] * np.exp(-rate * times)
-    emit_plot((times, ke), [], os.path.join(outdir, "ke.svg"),
-              logy=True, fit=(times, fit_y),
-              title="kinetic energy decay", xlabel="t", ylabel="KE")
-    emit_heatmap(final.magnitude(), os.path.join(outdir, "speed_final.svg"),
-                 title=f"|u| at t = {times[-1]:.3g}")
+    files = {
+        "kinetic_energy.csv": _csv("t,ke", zip(times, ke)),
+        "ke.svg": emit_plot((times, ke), [], logy=True,
+                            fit=(times, ke[0] * np.exp(-rate * times)),
+                            title="kinetic energy decay", xlabel="t",
+                            ylabel="KE"),
+        "speed_final.svg": emit_heatmap(final.magnitude(),
+                                        title=f"|u| at t = {times[-1]:.3g}"),
+    }
     report = {
         "kind": "fluid2d-taylor-green",
         "cells": cells, "mu1": mu1, "p": model.p,
@@ -472,7 +494,7 @@ def _fluid_taylor_green(cfg: ExperimentConfig, outdir: str):
                        f"Taylor-Green max div {div_max:.2e} "
                        f"(tol {_DIV_TOL:.1e})"),
         "ke_monotone": (ke_monotone, "Taylor-Green KE not monotone"),
-    }
+    }, files
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +520,7 @@ _DELTA_COUNT = 8
 _EPS_ITER = 0.5
 
 
-def _energy_ledger(cfg: ExperimentConfig, outdir: str, prebuilt=None):
+def _energy_ledger(cfg: ExperimentConfig, prebuilt=None):
     p, n, mu1 = cfg["p"], cfg["dimension"], cfg["mu1"]
     traj, tau, l1 = prebuilt if prebuilt is not None else halfspace_run(cfg)
     grid = traj.grid
@@ -508,7 +530,7 @@ def _energy_ledger(cfg: ExperimentConfig, outdir: str, prebuilt=None):
     gates = {"support": (front_T is not None,
                          "final snapshot has empty support")}
     if front_T is None:
-        return {"kind": "energy-ledger"}, gates
+        return {"kind": "energy-ledger"}, gates, {}
     # true nonzero-support edge (denormal dust counts; a thresholded front
     # has a skirt below it), never empty since |u| > tau > 0 somewhere
     from .plaplace import _support_bounds
@@ -566,7 +588,6 @@ def _energy_ledger(cfg: ExperimentConfig, outdir: str, prebuilt=None):
     ctilde_iter = ct_hi
 
     ledger = ledger.with_ctilde(ctilde_iter)
-    ledger.save_csv(os.path.join(outdir, "ledger.csv"))
 
     # local energy estimate: measured constant over the (s, delta) grid,
     # and the decay constant
@@ -574,10 +595,6 @@ def _energy_ledger(cfg: ExperimentConfig, outdir: str, prebuilt=None):
     decay, ratios, local_max = _run_constants(tails, p, mu1, s_grid, deltas,
                                               s_decay)
     any_inf = any(not np.isfinite(r[4]) for r in ratios)
-    with open(os.path.join(outdir, "local_energy.csv"), "w") as fh:
-        fh.write("s,delta,lhs,rhs,ratio\n")
-        for row in ratios:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
     # support-zero audit beyond the *exact* numerical support edge (the
     # threshold front has a sub-threshold skirt; the explicit scheme keeps
@@ -644,7 +661,9 @@ def _energy_ledger(cfg: ExperimentConfig, outdir: str, prebuilt=None):
         "local_energy_stable": (refinement.get("local_ok", True),
                                 "local-energy constant grew under refinement"),
     })
-    return report, gates
+    return report, gates, {"ledger.csv": _ledger_csv(ledger),
+                           "local_energy.csv": _csv("s,delta,lhs,rhs,ratio",
+                                                    ratios)}
 
 
 def run_energy_ledger(cfg: ExperimentConfig, outdir: str, prebuilt) -> dict:
@@ -661,7 +680,7 @@ def run_energy_ledger(cfg: ExperimentConfig, outdir: str, prebuilt) -> dict:
 _A1_CASES = 200
 
 
-def _stampacchia_suite(cfg: ExperimentConfig, outdir: str):
+def _stampacchia_suite(cfg: ExperimentConfig):
     rng = np.random.default_rng(cfg["seed"])
     rows = []
     for case in range(_A1_CASES):
@@ -679,17 +698,14 @@ def _stampacchia_suite(cfg: ExperimentConfig, outdir: str):
             detail = f"eps={eps:.3f} point={point:.4f}"
         except ValueError as exc:
             ok, detail = False, f"eps={eps:.3f} error={exc}"
-        rows.append((case, ok, detail))
-    with open(os.path.join(outdir, "cases.csv"), "w") as fh:
-        fh.write("case_id,passed,detail\n")
-        for case, ok, detail in rows:
-            fh.write(f"{case},{int(ok)},{detail}\n")
+        rows.append((case, int(ok), detail))
     n_pass = sum(ok for _, ok, _ in rows)
     report = {"kind": "stampacchia-suite", "cases": _A1_CASES,
               "passed_cases": n_pass}
     return report, {"cases": (n_pass == _A1_CASES,
                               f"{_A1_CASES - n_pass} iteration-lemma cases "
-                              "failed")}
+                              "failed")}, {
+        "cases.csv": _csv("case_id,passed,detail", rows)}
 
 
 def _gaussian_field(grid: GridSpec, center, width) -> ScalarField:
@@ -715,7 +731,7 @@ _GN_CELLS = 192
 _LAMBDA_SET = (0.25, 4.0)
 
 
-def _interpolation_suite(cfg: ExperimentConfig, outdir: str):
+def _interpolation_suite(cfg: ExperimentConfig):
     rng = np.random.default_rng(cfg["seed"])
     a, b, d = _GN_P, 1.0, _GN_P
     rows = []
@@ -744,22 +760,20 @@ def _interpolation_suite(cfg: ExperimentConfig, outdir: str):
             ok = dev <= 0.01
             rows.append((f"dilation_n{n}_a{a:g}_lam{lam:g}", ok,
                          f"ratio={val:.8g} ref={ref:.8g} dev={dev:.2e}"))
-    with open(os.path.join(outdir, "cases.csv"), "w") as fh:
-        fh.write("case_id,passed,detail\n")
-        for cid, ok, detail in rows:
-            fh.write(f"{cid},{int(ok)},{detail}\n")
     bad = [r for r in rows if not r[1]]
     report = {"kind": "interpolation-suite", "cases": len(rows),
               "passed_cases": len(rows) - len(bad)}
     return report, {"cases": (not bad,
-                              f"interpolation suite failures: {bad[:4]}")}
+                              f"interpolation suite failures: {bad[:4]}")}, {
+        "cases.csv": _csv("case_id,passed,detail",
+                          ((c, int(ok), d) for c, ok, d in rows))}
 
 
 # the largest residual of an exponent identity the identity suite accepts
 _IDENTITY_TOL = 1e-12
 
 
-def _exponent_identities(cfg: ExperimentConfig, outdir: str):
+def _exponent_identities(cfg: ExperimentConfig):
     rows = []
     for p in (2.1, 2.5, 3.0, 3.5, 4.0):
         for n in (1, 2):
@@ -773,17 +787,16 @@ def _exponent_identities(cfg: ExperimentConfig, outdir: str):
             # the two-branch time factor is continuous across T = 1
             f_cont = abs(ex.F(1.0 + 1e-9) - ex.F(1.0 - 1e-9)) <= 1e-6
             ok = worst <= _IDENTITY_TOL and order_ok and f_cont
-            rows.append((p, n, worst, order_ok, f_cont, ok, res))
-    with open(os.path.join(outdir, "identities.csv"), "w") as fh:
-        fh.write("p,N,max_residual,exponent_order_ok,F_continuous,passed\n")
-        for p, n, worst, order_ok, f_cont, ok, _ in rows:
-            fh.write(f"{p},{n},{worst:.17g},{int(order_ok)},{int(f_cont)},{int(ok)}\n")
+            # p as written, the checks as 1 or 0
+            rows.append((str(p), n, worst, int(order_ok), int(f_cont), int(ok)))
     report = {"kind": "exponent-identities", "tolerance": _IDENTITY_TOL,
               "max_residual": max(r[2] for r in rows)}
     return report, {"identities": (all(r[5] for r in rows),
                                    f"identity residual "
                                    f"{report['max_residual']:.3e} exceeds "
-                                   f"{_IDENTITY_TOL:.1e}")}
+                                   f"{_IDENTITY_TOL:.1e}")}, {
+        "identities.csv": _csv(
+            "p,N,max_residual,exponent_order_ok,F_continuous,passed", rows)}
 
 
 # ---------------------------------------------------------------------------
@@ -808,27 +821,29 @@ def run_experiment(cfg: ExperimentConfig, outdir: str | None = None,
     """Run one experiment and return its report.
 
     Judges the runner's gates once: the report gains ``passed`` as its
-    last key, true when no gate failed.  Writes ``report.txt`` and
-    ``manifest.txt`` beside the runner's data files, and raises
+    last key, true when no gate failed.  Writes the runner's data files,
+    then ``report.txt``, then ``manifest.txt``, and raises
     :class:`VerificationError` with the report and the failed gates'
     names, its message their messages joined by ``; ``, when a gate
     failed.  ``prebuilt`` hands the half-space kinds the
-    :func:`halfspace_run` result to run on.  A numerical failure leaves a
-    ``failed`` manifest and propagates.
+    :func:`halfspace_run` result to run on.  A runner that raises leaves
+    a ``failed`` manifest and no data file, and its error propagates.
     """
     outdir = outdir or cfg["outdir"]
     os.makedirs(outdir, exist_ok=True)
     runner = _RUNNERS[cfg.kind]
     start = time.time()
     try:
-        report, gates = (runner(cfg, outdir) if prebuilt is None
-                         else runner(cfg, outdir, prebuilt))
+        report, gates, files = (runner(cfg) if prebuilt is None
+                                else runner(cfg, prebuilt))
     except Exception:
         write_manifest(outdir, cfg, time.time() - start, status="failed")
         raise
     failed = tuple(name for name, (ok, _) in gates.items() if not ok)
     report["passed"] = not failed
-    _write_report(os.path.join(outdir, "report.txt"), _flatten(report))
+    files["report.txt"] = "".join(f"{key} = {val}\n"
+                                  for key, val in _flatten(report).items())
+    _write_files(outdir, files)
     write_manifest(outdir, cfg, time.time() - start,
                    status="failed" if failed else "ok")
     if failed:

@@ -270,11 +270,3 @@ def check_envelope(trace: SupportTrace, envelope: str, p: float, n: int,
                   for tv, fv, bv in zip(t[sel][bad], f[sel][bad], bound[bad])]
     return EnvelopeReport(float(c), float(t[i_ref]), violations,
                           float(ratio.max()))
-
-
-def save_trace(trace: SupportTrace, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"# tau={trace.tau:.17g}\n")
-        fh.write("t,front\n")
-        for t, f in zip(trace.times, trace.fronts):
-            fh.write(f"{t:.17g},{'' if np.isnan(f) else format(f, '.17g')}\n")

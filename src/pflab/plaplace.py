@@ -122,9 +122,6 @@ class Trajectory:
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("snapshot times must be strictly increasing")
 
-    def __len__(self):
-        return len(self.fields)
-
     def __iter__(self):
         """The snapshots as ``(t, field)`` pairs, in time order."""
         return zip(self.times, self.fields)
@@ -754,13 +751,15 @@ def _check_sentinel(values: np.ndarray, grid: GridSpec, tau: float, t: float):
 def normalize_schedule(snapshot_times, T: float) -> np.ndarray:
     """Sorted snapshot times covering [0, T]: 0 and T added when missing,
     near-duplicates from schedule arithmetic merged, endpoints snapped to
-    exactly 0 and T."""
+    exactly 0 and T, which are kept for every T > 0."""
     sched = np.asarray(sorted(set(float(t) for t in snapshot_times)))
     tiny = 1e-12 * max(T, 1.0)
     if len(sched) == 0 or sched[0] > tiny:
         sched = np.concatenate([[0.0], sched])
     if sched[0] < -tiny or sched[-1] > T + tiny:
         raise ValueError("snapshot times must lie in [0, T]")
+    if 0.0 < T <= tiny:  # every time merges into an endpoint
+        return np.array([0.0, T])
     sched[0] = 0.0
     if abs(sched[-1] - T) <= tiny:
         sched[-1] = T

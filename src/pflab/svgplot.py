@@ -1,7 +1,8 @@
 """Minimal standalone SVG plots: data markers, one fitted line, envelope
-curves.  No external assets, so emitted files are self-contained and easy
-to check structurally (one ``class="fit"`` path, one ``class="envelope"``
-path per envelope curve).
+curves.  Each emitter returns the SVG text and writes nothing.  No
+external assets, so the text is self-contained and easy to check
+structurally (one ``class="fit"`` path, one ``class="envelope"`` path per
+envelope curve).
 """
 
 from __future__ import annotations
@@ -38,9 +39,9 @@ def _check_positive(name: str, vals: np.ndarray):
             f"is {np.asarray(vals)[i]!r}")
 
 
-def emit_plot(series, envelopes, path, *, logy: bool, title: str,
-              xlabel: str, ylabel: str, logx: bool = False, fit=None) -> None:
-    """Write a standalone SVG.
+def emit_plot(series, envelopes, *, logy: bool, title: str,
+              xlabel: str, ylabel: str, logx: bool = False, fit=None) -> str:
+    """A standalone SVG.
 
     ``series``: (t, y) arrays drawn as circle markers.
     ``envelopes``: iterable of (label, t, y) drawn as dashed paths.
@@ -137,12 +138,11 @@ def emit_plot(series, envelopes, path, *, logy: bool, title: str,
         parts.append(f'<circle class="data" cx="{a:.2f}" cy="{b:.2f}" r="2.5" '
                      'fill="black"/>')
     parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts) + "\n")
+    return "\n".join(parts) + "\n"
 
 
-def emit_heatmap(values: np.ndarray, path, title: str) -> None:
-    """Standalone SVG heat map of a 2-D array (block-averaged down to at
+def emit_heatmap(values: np.ndarray, title: str) -> str:
+    """A standalone SVG heat map of a 2-D array (block-averaged down to at
     most ``_HEAT_CELLS`` per axis)."""
     vals = np.asarray(values, dtype=float)
     if vals.ndim != 2:
@@ -174,5 +174,4 @@ def emit_heatmap(values: np.ndarray, path, title: str) -> None:
                 f'width="{w + 0.5:.2f}" height="{h + 0.5:.2f}" '
                 f'fill="rgb({r},{g},{b})"/>')
     parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts) + "\n")
+    return "\n".join(parts) + "\n"

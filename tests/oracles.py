@@ -322,7 +322,7 @@ def one_field_weak_residual(traj, phi, params):
         return float(sum(np.sum(ca * cb * vol) for ca, cb in zip(a, b)))
 
     totals = []
-    for k in range(1, len(traj) - 1):
+    for k in range(1, len(times) - 1):
         u_prev, u_now, u_next = traj.fields[k - 1], traj.fields[k], traj.fields[k + 1]
         dt2 = times[k + 1] - times[k - 1]
         ut = [(cn - cp) / dt2 for cn, cp in zip(u_next.components, u_prev.components)]

@@ -4,7 +4,9 @@
 check it against live in ``tests/oracles.py``.  One dispatcher raises on
 a failed gate, so ``raise VerificationError`` appears in
 :func:`pflab.experiments.run_experiment` and nowhere else, and it alone
-writes a report's verdict ``passed``.  Every public
+writes a report's verdict ``passed``.  Runners return their files'
+text, and only the dispatcher makes an output folder and, through its
+one writer, opens a file to write.  Every public
 top-level function and class has a caller in the package or the
 benchmark harness, and every keyword default of a public function or
 method is overridden by one of those callers and left unset by another,
@@ -66,6 +68,42 @@ def test_only_the_dispatcher_raises_verification_error():
             if isinstance(exc, ast.Name) and exc.id == "VerificationError":
                 sites.add((module, owner.get(node)))
     assert sites == {("experiments", "run_experiment")}
+
+
+# methods that make a folder or write a file without ``open``
+_WRITING_METHODS = {"makedirs", "mkdir", "write_text", "write_bytes", "save",
+                    "savez", "savetxt", "tofile"}
+
+
+def _opens_to_write(call) -> bool:
+    """Whether a call of ``open`` may write: its mode, positional or
+    keyword, is not a constant free of ``w``, ``a``, ``x`` and ``+``."""
+    mode = call.args[1] if len(call.args) > 1 else next(
+        (kw.value for kw in call.keywords if kw.arg == "mode"), None)
+    return mode is not None and not (isinstance(mode, ast.Constant)
+                                     and not set(mode.value) & set("wax+"))
+
+
+def test_only_the_dispatcher_writes_files():
+    # a runner returns its files' text and run_experiment writes them, so
+    # a run that raises leaves no half of its output behind: the
+    # dispatcher makes the output folder, and its one writer, which the
+    # manifest goes through too, is the only code that opens a file to
+    # write
+    sites = set()
+    for module, tree in _modules().items():
+        owner = _enclosing_functions(tree)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Attribute) and func.attr in _WRITING_METHODS:
+                sites.add((module, owner.get(node), func.attr))
+            elif (isinstance(func, ast.Name) and func.id == "open"
+                  and _opens_to_write(node)):
+                sites.add((module, owner.get(node), "open"))
+    assert sites == {("experiments", "run_experiment", "makedirs"),
+                     ("experiments", "_write_files", "open")}
 
 
 def _report_kinds(fn) -> set:

@@ -223,6 +223,31 @@ def test_a_weak_residual_schedule_that_merges_is_a_configuration_error(
     assert "t_end: the weak residual's 41 times" in err
 
 
+@pytest.mark.parametrize("kind,code", [("energy-ledger", 0),
+                                       ("halfspace-fsp", 1)])
+def test_a_horizon_within_the_merge_distance_runs_from_zero(tmp_path, capsys,
+                                                            kind, code):
+    # every time to t_end = 1e-13 merges into an endpoint, and both
+    # endpoints are kept: the ledger runs on the two snapshots, and the
+    # half-space envelopes find no snapshot near t_ref
+    assert run_cli("simulate", "--experiment", kind, "--cells", "256",
+                   "--t0", "5e-8", "--bounds=-7.8:7.5", "--t-end", "1e-13",
+                   "--outdir", str(tmp_path)) == code
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_a_run_that_raises_leaves_only_its_failed_manifest(tmp_path, capsys):
+    # the half-space runner raises after it has traced the front: the
+    # dispatcher writes the failed manifest and none of the run's files
+    out = tmp_path / "out"
+    assert run_cli("simulate", "--experiment", "halfspace-fsp", "--cells",
+                   "1024", "--t0", "5e-8", "--bounds=-7.8:7.5", "--t-end",
+                   "0.01", "--outdir", str(out)) == 1
+    assert "configuration error:" in capsys.readouterr().err
+    assert [f.name for f in out.iterdir()] == ["manifest.txt"]
+    assert "status = failed" in (out / "manifest.txt").read_text().splitlines()
+
+
 def test_exit_code_usage_error(tmp_path, capsys):
     # argparse reads "-6:6" as a flag; a usage error is a configuration
     # error (1), not a numerical failure (2)
@@ -515,11 +540,11 @@ def test_identities_via_cli(tmp_path, capsys, monkeypatch):
     assert code == 0
 
 
-def _failing_gate(cfg, outdir):
-    return {"kind": cfg.kind}, {"patched": (False, "patched gate failure")}
+def _failing_gate(cfg):
+    return {"kind": cfg.kind}, {"patched": (False, "patched gate failure")}, {}
 
 
-def _numerical_failure(cfg, outdir):
+def _numerical_failure(cfg):
     raise NumericalError("patched numerical failure")
 
 
@@ -633,33 +658,29 @@ def test_barenblatt_smoke_and_determinism(tmp_path):
 _LABELS = dict(title="", xlabel="t", ylabel="value")
 
 
-def test_emit_plot_structure(tmp_path):
+def test_emit_plot_structure():
     t = np.linspace(1.0, 10.0, 12)
     y = 2.0 * t**0.25
-    path = tmp_path / "plot.svg"
-    emit_plot((t, y), [("bound", t, 3.0 * t**0.25)], path, logx=True,
-              logy=True, fit=(t, y), **_LABELS)
-    text = path.read_text()
+    text = emit_plot((t, y), [("bound", t, 3.0 * t**0.25)], logx=True,
+                     logy=True, fit=(t, y), **_LABELS)
     assert text.count('class="fit"') == 1
     assert text.count('class="envelope"') == 1
     assert text.count('class="data"') == len(t)
-    assert text.startswith("<svg")
+    assert text.startswith("<svg") and text.endswith("</svg>\n")
 
 
-def test_emit_plot_single_point_linear(tmp_path):
-    path = tmp_path / "one.svg"
-    emit_plot((np.array([1.0]), np.array([2.0])), [], path, logy=False,
-              **_LABELS)
-    assert path.read_text().count('class="data"') == 1
+def test_emit_plot_single_point_linear():
+    text = emit_plot((np.array([1.0]), np.array([2.0])), [], logy=False,
+                     **_LABELS)
+    assert text.count('class="data"') == 1
 
 
-def test_emit_plot_log_rejects_nonpositive(tmp_path):
+def test_emit_plot_log_rejects_nonpositive():
     with pytest.raises(ValueError, match="sample 1"):
         emit_plot((np.array([1.0, -2.0]), np.array([1.0, 1.0])), [],
-                  tmp_path / "x.svg", logx=True, logy=False, **_LABELS)
+                  logx=True, logy=False, **_LABELS)
 
 
-def test_emit_plot_empty_series(tmp_path):
+def test_emit_plot_empty_series():
     with pytest.raises(ValueError, match="empty"):
-        emit_plot((np.array([]), np.array([])), [], tmp_path / "x.svg",
-                  logy=False, **_LABELS)
+        emit_plot((np.array([]), np.array([])), [], logy=False, **_LABELS)

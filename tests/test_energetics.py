@@ -6,7 +6,7 @@ from pflab.energetics import (EnergyLedger, ScalingExponents, TrajectoryTails,
                               _jump, build_ledger, check_decay,
                               check_iteration, decay_bound, local_energy_ratio)
 from pflab.exact import BarenblattParams, barenblatt_field, halfspace_initial_data
-from pflab.experiments import _l1_audit, _stable_under_refinement
+from pflab.experiments import _l1_audit, _ledger_csv, _stable_under_refinement
 from pflab.plaplace import SolverConfig, Trajectory, simulate
 
 from oracles import restrict_integral
@@ -124,14 +124,16 @@ def test_ledger_zero_trajectory():
     assert np.all(led.L == 0)
 
 
-def test_ledger_csv(tmp_path, halfspace_traj):
+def test_ledger_csv(halfspace_traj):
     led = build_ledger(TrajectoryTails(halfspace_traj), 3.0,
                        np.linspace(0, 3, 9), 1.0)
-    path = tmp_path / "ledger.csv"
-    led.save_csv(path)
-    text = path.read_text().splitlines()
+    text = _ledger_csv(led).splitlines()
+    assert text[0].startswith(f"# T={led.T:.17g} p=3 N=1 ctilde=")
     assert text[2] == "s,A,B,C,J,L"
     assert len(text) == 3 + 9
+    # every value at 17 significant digits, so the file holds the bits
+    row = (led.s[4], led.A[4], led.B[4], led.C[4], led.J[4], led.L[4])
+    assert [float(v) for v in text[3 + 4].split(",")] == [float(v) for v in row]
 
 
 def test_local_energy_zero_and_beyond_front(halfspace_traj):

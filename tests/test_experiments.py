@@ -348,10 +348,10 @@ def test_every_owned_gate_is_a_gate_its_runner_returns(tmp_path, monkeypatch):
     returned = {}
 
     def recording(runner):
-        def run(cfg, outdir, *prebuilt):
-            report, gates = runner(cfg, outdir, *prebuilt)
+        def run(cfg, *prebuilt):
+            report, gates, files = runner(cfg, *prebuilt)
             returned.setdefault(cfg.kind, set()).update(gates)
-            return report, gates
+            return report, gates, files
 
         return run
 
@@ -388,6 +388,19 @@ SMALL_RUNS = [
     ("exponent-identities", {}),
 ]
 
+# the data files each small run writes beside report.txt and manifest.txt
+SMALL_RUN_FILES = {
+    "fluid2d-taylor-green": {"kinetic_energy.csv", "ke.svg", "speed_final.svg"},
+    "energy-ledger": {"ledger.csv", "local_energy.csv"},
+    "barenblatt-fit": {"trace.csv", "fit.svg"},
+    "barenblatt-accuracy-study": {"study.csv"},
+    "weak-residual-study": {"residuals.csv"},
+    "halfspace-fsp": {"trace.csv", "envelopes.svg"},
+    "stampacchia-suite": {"cases.csv"},
+    "interpolation-suite": {"cases.csv"},
+    "exponent-identities": {"identities.csv"},
+}
+
 
 def small_constants(monkeypatch):
     """The small runs' rate tolerance, snapshots, ledger size and suite
@@ -402,7 +415,9 @@ def small_constants(monkeypatch):
 
 @pytest.mark.parametrize("kind,overrides", SMALL_RUNS)
 def test_rerun_artifacts_byte_identical(tmp_path, monkeypatch, kind, overrides):
-    # the manifest echoes the config: the kind's keys and nothing else
+    # the manifest echoes the config: the kind's keys and nothing else;
+    # each run writes its kind's files, and all but the manifest are the
+    # same bytes on a rerun
     small_constants(monkeypatch)
     outs = [tmp_path / "r1", tmp_path / "r2"]
     for out in outs:
@@ -412,10 +427,8 @@ def test_rerun_artifacts_byte_identical(tmp_path, monkeypatch, kind, overrides):
                 (out / "manifest.txt").read_text().splitlines()
                 if not line.startswith(("version.", "status ", "run_stamp "))]
         assert keys == sorted(("experiment",) + KIND_KEYS[kind])
-    names = sorted(f.name for f in outs[0].iterdir()
-                   if f.name == "report.txt" or f.suffix == ".csv")
-    assert "report.txt" in names and len(names) >= 2
-    assert names == sorted(f.name for f in outs[1].iterdir()
-                           if f.name == "report.txt" or f.suffix == ".csv")
-    for name in names:
+    names = SMALL_RUN_FILES[kind] | {"report.txt"}
+    for out in outs:
+        assert {f.name for f in out.iterdir()} == names | {"manifest.txt"}
+    for name in sorted(names):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name

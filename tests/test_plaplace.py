@@ -638,7 +638,7 @@ def test_the_scalar_stream_and_the_collector_give_the_same_bits(name):
     traj = simulate(*run)
     times = normalize_schedule(run[3], run[2])
     chain = _implicit_chain if stepper == "implicit" else _full_grid_snapshots
-    assert len(stream) == len(traj) == len(times) == 4
+    assert len(stream) == len(traj.fields) == len(times) == 4
     assert _bits(np.array([t for t, _ in stream])).tolist() \
         == _bits(traj.times).tolist() == _bits(times).tolist()
     for (_, streamed), got, ref in zip(stream, traj.fields, chain(u0, cfg, times)):
@@ -731,6 +731,13 @@ def test_schedule_starts_at_zero_and_ends_at_the_horizon():
     for bad in ([-0.1, 0.5], [0.5, 1.1]):
         with pytest.raises(ValueError, match=r"lie in \[0, T\]"):
             normalize_schedule(bad, 1.0)
+
+
+@pytest.mark.parametrize("times", [[0.0, 1e-13], [1e-13], [0.0], []])
+def test_a_horizon_within_the_merge_distance_keeps_both_endpoints(times):
+    # every time of T = 1e-13 lies within the merge distance of 0: the
+    # schedule is still a run, from exactly 0 to exactly T
+    assert normalize_schedule(times, 1e-13).tolist() == [0.0, 1e-13]
 
 
 @pytest.mark.parametrize("audit", [True, False])
