@@ -522,6 +522,11 @@ _EPS_ITER = 0.5
 
 def _energy_ledger(cfg: ExperimentConfig, prebuilt=None):
     p, n, mu1 = cfg["p"], cfg["dimension"], cfg["mu1"]
+    if cfg["t_end"] < _T_REF:  # as halfspace-fsp, whose envelopes start there
+        raise ConfigError([(None, (
+            f"t_end: the energy ledger needs a run to t_ref = {_T_REF:g} at "
+            f"least; a horizon of {cfg['t_end']:g} leaves the initial data "
+            "as they were and tests nothing"))])
     traj, tau, l1 = prebuilt if prebuilt is not None else halfspace_run(cfg)
     grid = traj.grid
     h = grid.spacing[-1]

@@ -270,7 +270,8 @@ def _face_a2(gn, gt):
 
 def _diffusivity_of_a2(a2, p: float, mu1: float, out=None):
     e = (p - 2.0) / 2.0
-    # p = 3: sqrt beats pow
+    # p = 3: sqrt beats pow (the 2-D step, the proximal step and the fluid;
+    # the 1-D explicit step forms |g| directly, see _diffusion_rhs)
     d = np.sqrt(a2, out=out) if e == 0.5 else np.power(a2, e, out=out)
     if mu1 != 1.0:  # a product with 1 is exact, so that pass is skipped
         d *= mu1
@@ -301,17 +302,32 @@ def _diffusion_rhs(v: np.ndarray, grid: GridSpec, cfg: SolverConfig,
     a list ``a2_max``, the largest ``|face grad|^2`` of each axis is
     appended to it for :func:`_cfl_dt`.  A 1-D ``v`` writes every pass
     into ``work``, the :func:`_rhs_work` of its length (fresh when None),
-    and returns its ``out``."""
+    and returns its ``out``.  At p = 3 its flux is ``mu1 |g| g``, which
+    has the bits of the square-root form ``mu1 sqrt(g*g) g`` unless g*g
+    is subnormal (at most one subnormal ulp apart) or, for mu1 < 1,
+    overflows (the square-root form is then infinite)."""
     p, mu1 = cfg.params.p, cfg.params.mu1
     if v.ndim == 1:
         # hot path of the 1-D sharp-front studies: no temporaries
         gn, a2, out, h = _rhs_work(v, grid) if work is None else work
         np.subtract(v[1:], v[:-1], out=gn)
         gn /= h
-        np.multiply(gn, gn, out=a2)
-        if a2_max is not None:
-            a2_max.append(a2.max())
-        flux = _diffusivity_of_a2(a2, p, mu1, out=a2)
+        if p == 3.0:
+            # sqrt(fl(g*g)) == |g| in binary64 unless g*g underflows or
+            # overflows (Boldo, ENTCS 317, 2015), so |g| replaces the square
+            # and its root; rounding is monotone, so fl(max|g|)^2 is the
+            # largest fl(g*g)
+            flux = np.abs(gn, out=a2)
+            if a2_max is not None:
+                m = flux.max()
+                a2_max.append(m * m)
+            if mu1 != 1.0:
+                flux *= mu1
+        else:
+            np.multiply(gn, gn, out=a2)
+            if a2_max is not None:
+                a2_max.append(a2.max())
+            flux = _diffusivity_of_a2(a2, p, mu1, out=a2)
         flux *= gn
         out[0] = flux[0]
         out[-1] = -flux[-1]
@@ -805,8 +821,10 @@ def _edge_bounds(values: np.ndarray, win: tuple, seed, t: float):
         (lo, hi), s = seed[0], win[0]
         lo = lo - 1 if lo > s.start else s.start  # cheaper than max(), min()
         hi = hi + 1 if hi < s.stop - 1 else s.stop - 1
-        if (np.count_nonzero(values[s.start:lo])
-                or np.count_nonzero(values[hi + 1:s.stop])):
+        # len(nonzero()[0]): np.count_nonzero's count without its Python
+        # wrapper and array-function dispatch, on two short bands a step
+        if (len(values[s.start:lo].nonzero()[0])
+                or len(values[hi + 1:s.stop].nonzero()[0])):
             raise _grew_error(0, t)
         while lo <= hi and values[lo] == 0.0:
             lo += 1

@@ -5,7 +5,8 @@ definitions (closed forms, quadrature, finite differences and a root
 solve), so that a slip in the package's own arithmetic shows up as a
 disagreement rather than being copied into the check.  The proximal
 derivatives are kept in the slice forms the package's buffered passes
-replace, which they must match bit for bit.
+replace, which they must match bit for bit, and the 1-D explicit flux
+at p = 3 in the square-root form it had before ``|g|*g``.
 """
 
 import numpy as np
@@ -161,6 +162,35 @@ def calibrate_profile_constant(p: float, dim: int, C: float = 1.0,
 
     k = optimize.brentq(obj, 0.25 * k_hint, 4.0 * k_hint, xtol=1e-14, rtol=1e-13)
     return float(k)
+
+
+# ---------------------------------------------------------------------------
+# the 1-D explicit rhs at p = 3 in the square-root form the package's
+# |g|*g replaced: the face gradient squared, its root, the product with
+# mu1 and then with the gradient again.  The two agree bit for bit unless
+# g*g underflows or overflows.
+# ---------------------------------------------------------------------------
+
+
+def sqrt_form_rhs_1d(v, h, mu1):
+    """``(flux, rhs, a2_max)`` of the p = 3 face-flux divergence on the
+    1-D node array ``v`` of spacing ``h``, in the square-root form."""
+    gn = (v[1:] - v[:-1]) / h
+    a2 = gn * gn
+    flux = np.sqrt(a2)
+    if mu1 != 1.0:  # as the package: a product with 1 is skipped
+        flux = flux * mu1
+    flux = flux * gn
+    return flux, flux_divergence_1d(flux, h), a2.max()
+
+
+def flux_divergence_1d(flux, h):
+    """Node divergence of 1-D face fluxes, with no flux past either end."""
+    out = np.empty(flux.size + 1)
+    out[0] = flux[0]
+    out[-1] = -flux[-1]
+    out[1:-1] = flux[1:] - flux[:-1]
+    return out / h
 
 
 # ---------------------------------------------------------------------------

@@ -223,17 +223,31 @@ def test_a_weak_residual_schedule_that_merges_is_a_configuration_error(
     assert "t_end: the weak residual's 41 times" in err
 
 
-@pytest.mark.parametrize("kind,code", [("energy-ledger", 0),
-                                       ("halfspace-fsp", 1)])
+@pytest.mark.parametrize("kind,code", [("halfspace-fsp", 1)])
 def test_a_horizon_within_the_merge_distance_runs_from_zero(tmp_path, capsys,
                                                             kind, code):
     # every time to t_end = 1e-13 merges into an endpoint, and both
-    # endpoints are kept: the ledger runs on the two snapshots, and the
-    # half-space envelopes find no snapshot near t_ref
+    # endpoints are kept: the half-space envelopes run on the two
+    # snapshots and find none near t_ref
     assert run_cli("simulate", "--experiment", kind, "--cells", "256",
                    "--t0", "5e-8", "--bounds=-7.8:7.5", "--t-end", "1e-13",
                    "--outdir", str(tmp_path)) == code
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_a_ledger_horizon_short_of_t_ref_is_a_configuration_error(tmp_path,
+                                                                  capsys):
+    # a run of 1e-13 leaves the data as they were, and every ledger gate
+    # would pass on it: the ledger, like its half-space twin, needs t_ref
+    out = tmp_path / "out"
+    assert run_cli("simulate", "--experiment", "energy-ledger", "--cells",
+                   "256", "--t0", "5e-8", "--bounds=-7.8:7.5", "--t-end",
+                   "1e-13", "--outdir", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert "t_end: the energy ledger needs a run to t_ref = 0.1" in err
+    assert "Traceback" not in err
+    assert [f.name for f in out.iterdir()] == ["manifest.txt"]
 
 
 def test_a_run_that_raises_leaves_only_its_failed_manifest(tmp_path, capsys):

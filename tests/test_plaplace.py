@@ -31,8 +31,8 @@ def _stored_energy(u, cfg):
     return plaplace._energy(plaplace._face_fields(u.values, u.grid), u.grid, cfg)
 
 
-# pow at p = 2.5, the sqrt path at p = 3; the product with mu1 = 1 is
-# skipped
+# pow at p = 2.5, the sqrt path at p = 3 (|g| in the 1-D explicit step);
+# the product with mu1 = 1 is skipped
 _DIFFUSIVITY_CASES = [(p, mu1) for p in (2.5, 3.0) for mu1 in (1.0, 0.7)]
 
 
@@ -47,6 +47,99 @@ def test_flux_diffusivity_degenerate():
         assert d[0] == 0.0
         a2 = _face_a2(np.linspace(0.0, 5.0, 100), None)
         assert np.all(np.diff(_diffusivity_of_a2(a2, p, mu1)) >= 0)
+
+
+# sqrt(fl(g*g)) == |g| in binary64 but where g*g is subnormal or 0 (|g|
+# below sqrt of the smallest normal, 1.49e-154) or overflows (|g| above
+# 1.34e154); the p = 3 flux |g|*g of the 1-D explicit step is checked
+# against the square-root form there and on ordinary data
+_SUBNORMAL_ULP = 2.0 ** -1074
+_NODES_AT_THE_EDGES = {  # node values on a grid of spacing 1: each face
+    # gradient is one difference of neighbours
+    "signed-zeros": [0.0, -0.0, 0.0, 0.0, -0.0, -0.0, 1.0, -0.0],
+    "denormal-nodes": [0.0, 5e-324, -5e-324, 1e-310, 0.0, 2.2e-308, -0.0,
+                       -1e-315, 0.0],
+    "subnormal-squares": np.ravel(np.column_stack((
+        np.zeros(40), np.geomspace(1e-170, 1.5e-154, 40)
+        * np.resize([1.0, -1.0], 40)))),
+    "overflowing-squares": [0.0, 1.35e154, 0.0, -1.5e154, 0.0, 1.6e154,
+                            -1e155, 0.0, 1.34e154, -0.0],
+    "nan-inf": [0.0, np.nan, 1.0, np.inf, 0.0, -np.inf, -np.inf, 2.0, 0.0],
+}
+
+
+def _same_bits(a, b):
+    """Per element: the same bits, or both NaN (np.abs clears a NaN's sign
+    bit, which carries nothing)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return (a.view(np.int64) == b.view(np.int64)) | (np.isnan(a) & np.isnan(b))
+
+
+def _assert_p3_flux_is_the_sqrt_form(v, grid, mu1):
+    """``_diffusion_rhs`` at p = 3 on the 1-D ``v`` against the square-root
+    form (``oracles.sqrt_form_rhs_1d``), with and without ``a2_max``;
+    returns the faces whose fluxes differ.  Those are faces where g*g is
+    subnormal, one subnormal ulp apart at most, and, for mu1 < 1, faces
+    where g*g overflows: the square-root form is then +-inf, while
+    mu1*|g|*g may be finite."""
+    h = grid.spacing[0]
+    cfg = SolverConfig(ModelParams(3.0, mu1), "explicit")
+    with np.errstate(all="ignore"):
+        want, want_rhs, want_max = oracles.sqrt_form_rhs_1d(v, h, mu1)
+        g = (v[1:] - v[:-1]) / h
+        subnormal = g * g < np.finfo(float).tiny
+        overflow = np.isinf(g * g) & np.isfinite(g)
+        for a2_max in (None, []):
+            work = plaplace._rhs_work(v, grid)
+            rhs = _diffusion_rhs(v, grid, cfg, a2_max, work)
+            flux = work[1]  # formed in the buffer of a2
+            if a2_max is not None:
+                assert _same_bits(a2_max, [want_max]).all()
+            same = _same_bits(flux, want)
+            assert np.all(np.abs(flux - want)[~same & subnormal]
+                          <= _SUBNORMAL_ULP)
+            if mu1 < 1.0:
+                assert np.isinf(want[~same & overflow]).all()
+                assert (same | subnormal | overflow).all()
+            else:
+                assert (same | subnormal).all()
+            assert _same_bits(rhs, oracles.flux_divergence_1d(flux, h)).all()
+            if same.all():
+                assert _same_bits(rhs, want_rhs).all()
+    return np.flatnonzero(~same)
+
+
+@pytest.mark.parametrize("mu1", [1.0, 0.7])
+def test_the_p3_flux_has_the_bits_of_the_sqrt_form_on_ordinary_data(mu1):
+    bp, grid, u0 = barenblatt_setup(cells=512, box=4.3)
+    v = u0.values.copy()
+    v[200:260] *= np.geomspace(1.0, 1e-140, 60)  # a tail down to 1e-140
+    assert _assert_p3_flux_is_the_sqrt_form(v, grid, mu1).size == 0
+
+
+@pytest.mark.parametrize("mu1", [1.0, 0.7])
+@pytest.mark.parametrize("name", sorted(_NODES_AT_THE_EDGES))
+def test_the_p3_flux_differs_from_the_sqrt_form_only_where_stated(name, mu1):
+    v = np.asarray(_NODES_AT_THE_EDGES[name], dtype=float)
+    grid = GridSpec.line(0.0, float(v.size - 1), v.size - 1)
+    differ = _assert_p3_flux_is_the_sqrt_form(v, grid, mu1)
+    if name in ("signed-zeros", "denormal-nodes", "nan-inf"):
+        assert differ.size == 0
+    if name == "overflowing-squares":  # finite against +-inf at mu1 < 1
+        assert (differ.size > 0) == (mu1 < 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(v=st.lists(st.one_of(
+    st.floats(), st.floats(1e-170, 1.5e-154), st.floats(-1.5e-154, -1e-170),
+    st.floats(1.34e154, 1.7e154), st.floats(-1.7e154, -1.34e154),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308])),
+    min_size=2, max_size=40),
+    h=st.sampled_from([1.0, 0.5, 0.0075]), mu1=st.sampled_from([1.0, 0.7]))
+def test_the_p3_flux_on_random_windows_at_the_edges(v, h, mu1):
+    v = np.array(v)
+    grid = GridSpec.line(0.0, h * (v.size - 1), v.size - 1)
+    _assert_p3_flux_is_the_sqrt_form(v, grid, mu1)
 
 
 def test_step_explicit_constant_unchanged():
@@ -740,11 +833,14 @@ def test_a_horizon_within_the_merge_distance_keeps_both_endpoints(times):
     assert normalize_schedule(times, 1e-13).tolist() == [0.0, 1e-13]
 
 
+@pytest.mark.parametrize("p,mu1", _DIFFUSIVITY_CASES)
 @pytest.mark.parametrize("audit", [True, False])
-def test_windowed_simulate_bit_identical_to_full_grid_1d(monkeypatch, audit):
-    bp, grid, u0 = barenblatt_setup(cells=512, box=10.0)
+def test_windowed_simulate_bit_identical_to_full_grid_1d(monkeypatch, audit,
+                                                        p, mu1):
+    # |g|*g at p = 3, pow at p = 2.5; the product with mu1 = 0.7
+    bp, grid, u0 = barenblatt_setup(cells=512, box=10.0, p=p)
     T = 1.0
-    cfg = cfg_1d(stepper="explicit", audit_locality=audit)
+    cfg = SolverConfig(ModelParams(p, mu1), "explicit", audit_locality=audit)
     # the CFL bound is read from the step's own faces: on every step, on
     # every eighth (the default), and on every third, where the CFL and
     # finiteness checks fall out of line with the rescans (every 16th
