@@ -154,6 +154,9 @@ def _validate(kind: str, values: dict, lines: dict) -> list:
         need(lambda c: len(c) >= 2 and all(n >= 2 for n in c), "cells",
              "the accuracy study needs at least two grids, of at least 2 "
              "cells each")
+        need(lambda c: len(set(c)) == len(c), "cells",
+             "the accuracy study's grids must differ: no order exists "
+             "between a grid and itself")
     else:
         # the fluid's centred stencils span two nodes per axis, and on two
         # every node sits at 0 or pi, where the Taylor-Green data both fluid

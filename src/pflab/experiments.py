@@ -170,47 +170,57 @@ def _fmt_value(v) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _study_data(cfg: ExperimentConfig, cells: int) -> tuple:
+    """The closed form's parameters and its data at ``t0`` on the study's
+    grid of ``cells`` cells."""
+    bp = BarenblattParams(cfg["p"], 1, cfg["height_c"], cfg["mu1"])
+    lo, hi = cfg["bounds"][0]
+    return bp, barenblatt_field(bp, GridSpec.line(lo, hi, cells), cfg["t0"])
+
+
 def _study_grid(cfg: ExperimentConfig, cells: int) -> tuple:
     """One grid of the accuracy study: ``(cells, h, L1 error, relative
-    L1 error)`` of the explicit solution at ``t_end``.  The verdict is
-    the closed-form error, so the grid runs without the locality audit."""
-    bp = BarenblattParams(cfg["p"], 1, cfg["height_c"], cfg["mu1"])
-    t0, t1 = cfg["t0"], cfg["t_end"]
-    bounds = cfg["bounds"][0]
-    grid = GridSpec.line(bounds[0], bounds[1], cells)
-    u0 = barenblatt_field(bp, grid, t0)
-    scfg = SolverConfig(_model(cfg), "explicit", audit_locality=False)
-    traj = simulate(u0, scfg, t1 - t0, [0.0, t1 - t0])
+    L1 error)`` of the explicit solution at ``t_end``."""
+    bp, u0 = _study_data(cfg, cells)
+    grid, t0, t1 = u0.grid, cfg["t0"], cfg["t_end"]
+    traj = simulate(u0, SolverConfig(_model(cfg), "explicit"), t1 - t0,
+                    [0.0, t1 - t0])
     exact = barenblatt_field(bp, grid, t1)
     err = float(np.sum(np.abs(traj.fields[-1].values - exact.values))
                 * grid.spacing[0])
     return cells, grid.spacing[0], err, err / lp_norm(exact, 1.0)
 
 
-# the least empirical L1-error order between successive grids of the study
+# the least empirical L1-error order, per halving of h, between successive
+# grids of the study
 _ORDER_MIN = 0.8
 
 
 def _barenblatt_accuracy_study(cfg: ExperimentConfig):
     """Explicit-solver accuracy study against the closed form, on the 1-D
-    grids of ``cells`` from ``t0`` to ``t_end``.
+    grids of ``cells`` from ``t0`` to ``t_end``; each order is per halving
+    of h, so the grids may come in any order.
 
-    The grids are independent, so they run side by side in up to two
-    worker processes, the finest first; results are read in grid order.
-    Workers are spawned, not forked: the caller may hold BLAS threads.
+    Each grid's data is checked here: a worker's :class:`ConfigError`
+    would not survive the pickling back.  The grids are independent, so
+    they run side by side in up to two worker processes, the finest
+    first; results are read in grid order.  Workers are spawned, not
+    forked: the caller may hold BLAS threads.
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     t0, t1 = cfg["t0"], cfg["t_end"]
     cells_list = cfg["cells"]
+    for cells in cells_list:
+        _require_data(_study_data(cfg, cells)[1])
     spawn = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(min(2, os.cpu_count() or 1), mp_context=spawn) as pool:
         futures = {cells: pool.submit(_study_grid, cfg, cells)
-                   for cells in sorted(set(cells_list), reverse=True)}
+                   for cells in sorted(cells_list, reverse=True)}
         errs = [futures[cells].result() for cells in cells_list]
-    orders = [float(np.log2(errs[i][3] / errs[i + 1][3]))
-              for i in range(len(errs) - 1)]
+    orders = [float(np.log2(e[3] / f[3]) / np.log2(f[0] / e[0]))
+              for e, f in zip(errs, errs[1:])]
     report = {
         "kind": "barenblatt-accuracy-study",
         "t0": t0,

@@ -86,13 +86,13 @@ class SolverConfig:
     step, measured as the grid-L2 norm of the objective gradient.  Its
     Newton iteration cap, and the explicit stepper's CFL safety factor
     and step cap, are the module constants ``_MAX_INNER``,
-    ``_CFL_SAFETY`` and ``_DT_MAX``.
+    ``_CFL_SAFETY`` and ``_DT_MAX``.  Every explicit run audits its
+    support after each step (:func:`_simulate_explicit`).
     """
 
     params: ModelParams
     stepper: str
     tol: float = 1e-10
-    audit_locality: bool = True
 
     def __post_init__(self):
         if not self.params.degenerate:
@@ -809,13 +809,13 @@ def _edge_bounds(values: np.ndarray, win: tuple, seed, t: float):
 
     ``seed`` holds per-axis bounds that the nonzero nodes pass by at most
     one node a side: the previous step's support, or ``win`` shrunk by one
-    node a side for a plain rescan.  On each axis the bands between the
-    window's edges and ``seed`` ± 1 must be zero, else the support grew more
-    than one cell in one step and :class:`NumericalError` names ``t``.  The
-    bounds are found by reading slabs (one node in 1-D, one row or column
-    in 2-D) inward from ``seed`` ± 1, past any whose nodes underflowed to
-    exact zero.  Later axes read only the support's extent on the axes
-    before them.
+    node a side after a step from a field with no support.  On each axis
+    the bands between the window's edges and ``seed`` ± 1 must be zero,
+    else the support grew more than one cell in one step and
+    :class:`NumericalError` names ``t``.  The bounds are found by reading
+    slabs (one node in 1-D, one row or column in 2-D) inward from
+    ``seed`` ± 1, past any whose nodes underflowed to exact zero.  Later
+    axes read only the support's extent on the axes before them.
     """
     if values.ndim == 1:  # the 1-D audit: one count per band, scalar reads
         (lo, hi), s = seed[0], win[0]
@@ -913,13 +913,12 @@ def _simulate_explicit(u0: ScalarField, cfg: SolverConfig, sched: np.ndarray,
     CFL bound, the finiteness check and the locality audit read the same
     window.  The nodes outside it hold exact zeros that a whole-grid step
     would leave unchanged, so the trajectory is bit-identical to repeated
-    :func:`cfl_dt` / :func:`step_explicit` calls.  The audit
-    (``cfg.audit_locality``) checks after every step that the support grew
-    by at most one cell a side.  The audit and the rescan cost O(front),
-    not O(window): the audit's edge scan starts from the last step's
-    bounds, the rescan reuses them (or, without the audit, scans in from
-    the window's edges), and every ``_CFL_STRIDE`` steps the CFL bound is
-    read from the ``|face grad|^2`` the step itself forms.  The sentinel
+    :func:`cfl_dt` / :func:`step_explicit` calls.  The audit checks after
+    every step of every run that the support grew by at most one cell a
+    side.  The audit and the rescan cost O(front), not O(window): the
+    audit's edge scan starts from the last step's bounds, the rescan
+    reuses them, and every ``_CFL_STRIDE`` steps the CFL bound is read
+    from the ``|face grad|^2`` the step itself forms.  The sentinel
     also runs every ``_SENTINEL_STRIDE`` steps.  A 1-D step writes into
     work buffers that live as long as the window's length, so it
     allocates nothing.  The field is stepped in place and each snapshot
@@ -935,19 +934,18 @@ def _simulate_explicit(u0: ScalarField, cfg: SolverConfig, sched: np.ndarray,
     after the same step.
     """
     grid = u0.grid
-    audit = cfg.audit_locality
     u = u0.copy()
     yield sched[0], u.copy()
     values = u.values  # stepped in place
     win = _whole(values)
-    bounds = _support_bounds(values, 0.0) if audit else None
+    bounds = _support_bounds(values, 0.0)
     work = _rhs_work(values, grid)
     steps = 0
     t = 0.0
     dt_cfl = saved = None
     every = _CFL_STRIDE  # steps between finiteness checks; 1 in a replay
 
-    def window_seed():  # every node of the window may be nonzero
+    def window_seed():  # a field with no support: no band to fail
         return [(s.start + 1, s.stop - 2) for s in win]
 
     def save():
@@ -980,8 +978,6 @@ def _simulate_explicit(u0: ScalarField, cfg: SolverConfig, sched: np.ndarray,
             if at_snapshot:
                 break
             if steps % _WINDOW_RESCAN == 0:
-                if not audit:  # a seed that spans the window: no band to fail
-                    bounds = _edge_bounds(values, win, window_seed(), t)
                 win = _support_window(bounds, grid, win, _WINDOW_HALO)
                 n = win[0].stop - win[0].start
                 if work is not None and len(work[2]) != n:
@@ -999,14 +995,13 @@ def _simulate_explicit(u0: ScalarField, cfg: SolverConfig, sched: np.ndarray,
             _explicit_step(sub, rhs, dt, win)
             t += dt
             steps += 1
-            if audit:
-                try:
-                    bounds = _edge_bounds(
-                        values, win, window_seed() if bounds is None else bounds, t)
-                except NumericalError:  # a NaN/Inf in the window is named first
-                    if finite():
-                        raise
-                    continue
+            try:
+                bounds = _edge_bounds(
+                    values, win, window_seed() if bounds is None else bounds, t)
+            except NumericalError:  # a NaN/Inf in the window is named first
+                if finite():
+                    raise
+                continue
             if steps % _SENTINEL_STRIDE == 0:
                 if not finite():
                     continue

@@ -1,6 +1,8 @@
+import ast
 import pathlib
 import re
 import warnings
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -616,18 +618,58 @@ def test_unusable_times_are_a_configuration_error(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+_C03 = str(resources.files("pflab") / "configs" / "accept"
+           / "c03_solver_accuracy.cfg")
+
+
+@pytest.mark.parametrize("cells", ["256,512,1024", "256,1024", "1024,512,256"])
+def test_the_accuracy_study_order_is_per_halving_of_h(tmp_path, capsys, cells):
+    # c03's model on coarse grids: second order, whether the grids double,
+    # quadruple or halve
+    out = tmp_path / "out"
+    assert run_cli("simulate", "--config", _C03, "--cells", cells,
+                   "--outdir", str(out)) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    rows = [row.split(",") for row in
+            (out / "study.csv").read_text().splitlines()[1:]]
+    assert [row[0] for row in rows] == cells.split(",")
+    h, rel = (np.array([float(row[i]) for row in rows]) for i in (1, 3))
+    orders = np.log(rel[:-1] / rel[1:]) / np.log(h[:-1] / h[1:])
+    assert np.all((orders > 1.9) & (orders < 2.1))
+    report = dict(line.split(" = ", 1) for line in
+                  (out / "report.txt").read_text().splitlines())
+    assert ast.literal_eval(report["orders"]) == pytest.approx(orders,
+                                                               rel=1e-12)
+
+
+def test_a_repeated_accuracy_grid_is_a_configuration_error(tmp_path, capsys):
+    # no order exists between a grid and itself
+    out = tmp_path / "out"
+    assert run_cli("simulate", "--config", _C03, "--cells", "256,512,256",
+                   "--outdir", str(out)) == 1
+    err = capsys.readouterr().err
+    assert "configuration error:" in err
+    assert "cells: the accuracy study's grids must differ" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ("barenblatt", "--bounds=5:8", "--cells", "64", "--t-end", "1.5"),
     ("barenblatt", "--cells", "1", "--t-end", "1.5"),
     ("energy", "--cells", "1", "--t-end", "0.5"),
     ("simulate", "--experiment", "halfspace-fsp", "--cells", "1", "--t-end",
      "0.5"),
+    ("simulate", "--config", _C03, "--cells", "3,5", "--bounds=-100:100",
+     "--t-end", "1.5"),
 ], ids=["box-misses-data", "fit-one-cell", "energy-one-cell",
-        "halfspace-one-cell"])
+        "halfspace-one-cell", "study-misses-data"])
 def test_initial_data_the_grid_misses_is_a_configuration_error(tmp_path,
                                                                capsys, argv):
     # data that vanish on every node have no front to trace: the box or
-    # the grid is at fault, not the numerics
+    # the grid is at fault, not the numerics.  The accuracy study checks
+    # its grids before its workers start, since a worker's ConfigError
+    # would not survive the pickling back
     assert run_cli(*argv, "--outdir", str(tmp_path / "out")) == 1
     err = capsys.readouterr().err
     assert "configuration error:" in err and "cells, bounds:" in err

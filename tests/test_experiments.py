@@ -5,20 +5,23 @@ exercise the plumbing, artifact writing and gate logic quickly.
 """
 
 import os
+import pickle
 from importlib import resources
 
 import numpy as np
 import pytest
 
-from pflab import acceptance, experiments
+from pflab import acceptance, experiments, plaplace
 from pflab.config import KIND_KEYS, default_config, parse_config
 from pflab.core import ScalarField
-from pflab.errors import BoundarySentinelError, VerificationError
+from pflab.errors import (BoundarySentinelError, NumericalError,
+                          VerificationError)
 from pflab.experiments import (_flatten, _study_grid, halfspace_run,
                                run_experiment)
 from pflab.plaplace import Trajectory
 
 from test_fluid2d import _traced_peak
+from test_plaplace import _plant_past_the_front
 
 
 def test_exponent_identities(tmp_path):
@@ -56,19 +59,41 @@ def test_interpolation_suite_small(tmp_path, monkeypatch):
     assert len(ids) == r["cases"] == len(set(ids))
 
 
-def test_accuracy_study_rows_in_grid_order(tmp_path, monkeypatch):
+def test_accuracy_study_rows_in_grid_order(tmp_path):
     # the grids run in a worker pool, finest first; study.csv keeps the
     # configured order and the same numbers as one grid at a time
     cfg = default_config("barenblatt-accuracy-study", outdir=str(tmp_path),
                          p=3.0, bounds="-8.6:8.6", t0=1.0,
                          t_end=1.5, cells=(256, 128, 512))
-    monkeypatch.setattr(experiments, "_ORDER_MIN", -10.0)
     r = run_experiment(cfg)
     rows = (tmp_path / "study.csv").read_text().splitlines()
     expected = [f"{c},{h:.17g},{e:.17g},{q:.17g}"
                 for c, h, e, q in (_study_grid(cfg, n) for n in (256, 128, 512))]
     assert rows == ["cells,h,l1_err,rel_l1_err"] + expected
     assert len(r["orders"]) == 2
+
+
+def test_the_accuracy_study_grids_are_audited(monkeypatch):
+    # a node planted two cells past the front in a grid of the study is
+    # the audit's error, which pickles, so the pool hands it to the
+    # dispatcher as it is
+    cfg = default_config("barenblatt-accuracy-study", p=3.0,
+                         bounds="-8.6:8.6", t0=1.0, t_end=1.5,
+                         cells=(64, 128))
+    step, calls = plaplace._explicit_step, []
+
+    def planted(sub, rhs, dt, win):
+        step(sub, rhs, dt, win)
+        calls.append(win)
+        if len(calls) == 3:
+            _plant_past_the_front(sub, 0, 1)
+
+    monkeypatch.setattr(plaplace, "_explicit_step", planted)
+    with pytest.raises(NumericalError,
+                       match="support grew more than one cell") as exc:
+        _study_grid(cfg, 64)
+    assert len(calls) == 3
+    assert str(pickle.loads(pickle.dumps(exc.value))) == str(exc.value)
 
 
 def test_barenblatt_fit_small(tmp_path):

@@ -656,7 +656,7 @@ def test_support_locality_audit_runs():
     # explicit: the audit itself asserts <= 1 cell per step;
     # reaching the end without NumericalError is the test
     bp, grid, u0 = barenblatt_setup(cells=512)
-    cfg = cfg_1d(stepper="explicit", audit_locality=True)
+    cfg = cfg_1d(stepper="explicit")
     simulate(u0, cfg, 0.5, [0.0, 0.5])
 
 
@@ -834,13 +834,11 @@ def test_a_horizon_within_the_merge_distance_keeps_both_endpoints(times):
 
 
 @pytest.mark.parametrize("p,mu1", _DIFFUSIVITY_CASES)
-@pytest.mark.parametrize("audit", [True, False])
-def test_windowed_simulate_bit_identical_to_full_grid_1d(monkeypatch, audit,
-                                                        p, mu1):
+def test_windowed_simulate_bit_identical_to_full_grid_1d(monkeypatch, p, mu1):
     # |g|*g at p = 3, pow at p = 2.5; the product with mu1 = 0.7
     bp, grid, u0 = barenblatt_setup(cells=512, box=10.0, p=p)
     T = 1.0
-    cfg = SolverConfig(ModelParams(p, mu1), "explicit", audit_locality=audit)
+    cfg = SolverConfig(ModelParams(p, mu1), "explicit")
     # the CFL bound is read from the step's own faces: on every step, on
     # every eighth (the default), and on every third, where the CFL and
     # finiteness checks fall out of line with the rescans (every 16th
@@ -856,15 +854,13 @@ def test_windowed_simulate_bit_identical_to_full_grid_1d(monkeypatch, audit,
             u0, cfg, normalize_schedule([0.05, 0.3], T)))
 
 
-@pytest.mark.parametrize("audit", [True, False])
 @pytest.mark.parametrize("bc0", [DIRICHLET])
-def test_windowed_simulate_bit_identical_to_full_grid_2d(monkeypatch, bc0,
-                                                        audit):
+def test_windowed_simulate_bit_identical_to_full_grid_2d(monkeypatch, bc0):
     bp = BarenblattParams(3.0, 2, C=0.3, mu1=1.0)
     grid = GridSpec((-6.0, -6.0), (6.0, 6.0), (96, 96), (bc0, DIRICHLET))
     u0 = barenblatt_field(bp, grid, 0.05, center=(0.3, -0.2))
     T = 2.0  # about 130 steps
-    cfg = SolverConfig(ModelParams(3.0, 1.0), "explicit", audit_locality=audit)
+    cfg = SolverConfig(ModelParams(3.0, 1.0), "explicit")
     for cfl_stride in (1, 8):  # the CFL bound from the step's faces, as in 1-D
         monkeypatch.setattr(plaplace, "_CFL_STRIDE", cfl_stride)
         traj = simulate(u0, cfg, T, [0.0, 0.01, 0.5, T])
@@ -1015,10 +1011,10 @@ def _per_step_reference(u0, cfg, times):
     raise AssertionError("the planted value was never checked")
 
 
-def _assert_raises_as_a_per_step_check_would(monkeypatch, times, audit, node,
+def _assert_raises_as_a_per_step_check_would(monkeypatch, times, node,
                                               plant_at, value):
     bp, grid, u0 = barenblatt_setup(cells=512, box=4.3)
-    cfg = cfg_1d(stepper="explicit", audit_locality=audit)
+    cfg = cfg_1d(stepper="explicit")
     _plant_through_the_seam(monkeypatch, plant_at, node, value)
     with pytest.raises(NumericalError) as want:
         _per_step_reference(u0, cfg, times)
@@ -1036,30 +1032,27 @@ def _assert_raises_as_a_per_step_check_would(monkeypatch, times, audit, node,
 # sentinel's margin (from node 461; the support spans nodes 53-459 by
 # step 68), after step 67 or 99: a value planted there spreads over the
 # next step, and a sentinel that read the Inf before the finiteness check
-# would raise BoundarySentinelError.  That node is planted without the
-# audit, which would see a node so far past the front first.  And node
-# 475 or 37 after step 18 or 23: the rescan at step 16 widens the window
-# from nodes 42-470 to 35-477 (the check before it saved the narrower
-# one), so the check at step 24 restores a window that leaves the planted
-# node out.  A restore that left the node as it was, not zero, would step
+# would raise BoundarySentinelError.  The audit sees a node so far past
+# the front first, and its error path must raise the per-step check's
+# error too.  And node 475 or 37 after step 18 or 23: the rescan at step
+# 16 widens the window from nodes 42-470 to 35-477 (the check before it
+# saved the narrower one), so the check at step 24 restores a window that
+# leaves the planted node out.  A restore that left the node as it was, not zero, would step
 # it into the replay's widened window and name another node.
-@pytest.mark.parametrize("audit,node,plant_at", [
-    (audit, 256, step) for audit in (True, False) for step in (11, 68, 99, 100)]
-    + [(False, 470, 67), (False, 470, 99)]
-    + [(audit, node, step) for audit in (True, False)
-       for node, step in ((475, 18), (37, 23))])
+@pytest.mark.parametrize("node,plant_at", [
+    (256, 11), (256, 68), (256, 99), (256, 100), (470, 67), (470, 99),
+    (475, 18), (37, 23)])
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 # a planted Inf row makes the explicit update add inf and -inf, as intended
 @pytest.mark.filterwarnings(
     "ignore:invalid value encountered in add:RuntimeWarning")
 def test_a_planted_nan_or_inf_raises_as_a_per_step_check_would(
-        monkeypatch, audit, node, plant_at, value):
+        monkeypatch, node, plant_at, value):
     _assert_raises_as_a_per_step_check_would(monkeypatch, [0.0, 0.01, 0.02],
-                                              audit, node, plant_at, value)
+                                              node, plant_at, value)
 
 
-@pytest.mark.parametrize("audit", [True, False])
-def test_a_replay_resumes_from_the_snapshot_time(monkeypatch, audit):
+def test_a_replay_resumes_from_the_snapshot_time(monkeypatch):
     # one step a snapshot interval (dt_cfl is 1.48e-4).  The step ending
     # at 1.1e-4 sums to 4e-5 + (1.1e-4 - 4e-5), 1 ulp short of it, and the
     # check at 2.1e-4 replays the planted step after it.  A replay that
@@ -1070,7 +1063,7 @@ def test_a_replay_resumes_from_the_snapshot_time(monkeypatch, audit):
     u = barenblatt_setup(cells=512, box=4.3)[2]
     assert 1.1e-4 < cfl_dt(u, cfg_1d("explicit"))
     _assert_raises_as_a_per_step_check_would(
-        monkeypatch, [0.0, 4e-5, 1.1e-4, 2.1e-4], audit, 256, 3, np.nan)
+        monkeypatch, [0.0, 4e-5, 1.1e-4, 2.1e-4], 256, 3, np.nan)
 
 
 def test_a_non_finite_node_past_the_front_is_named_before_the_audit_sees_it(
