@@ -11,6 +11,12 @@ jump function ``J_T(s) = max((2c F(T) C_T^beta1)^(1/(p beta)),
 ``J(s + J(s)) <= eps J(s)`` drives the support bound via the iteration
 argument of :mod:`pflab.inequalities`.
 
+The time integrals never need a snapshot's profile apart from the
+others, so :class:`TrajectoryTails` folds them over time once and keeps
+one profile per tail kind: its memory is O(cells), whatever the number
+of snapshots.  Every sum is a numpy reduction in a fixed order, never a
+matrix product, so the numbers do not depend on the BLAS threads.
+
 The unspecified constants of the underlying estimates are treated as
 calibration outputs (measured maximal ratios), never as inputs.  This
 module measures and never judges: it returns numbers and raises only on
@@ -21,6 +27,7 @@ experiment that asked for it (:mod:`pflab.experiments`).
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -95,11 +102,23 @@ class ScalingExponents:
 # ---------------------------------------------------------------------------
 
 
+# cuts per product with one snapshot's profile
+_CUT_BLOCK = 16
+
+
 class TrajectoryTails:
-    """Cached per-snapshot tail profiles so many cut positions are cheap.
+    """Time-weighted tail profiles of a trajectory, so many cut positions
+    are cheap and memory stays O(cells) per tail kind.
 
     ``kind`` is 'value' for |u|^q or 'gradient' for |grad u|^q.  The
-    time integrals run over the whole run, to its last snapshot ``T``.
+    time integrals run over the whole run, to its last snapshot ``T``,
+    by the trapezoid rule over the snapshots.  For each ``(q, kind)`` a
+    time integral folds the snapshots' profiles once, in time order, into
+    one profile ``sum_t w_t d_t``; a cut then weights that profile's
+    cells.  Per-snapshot tails (:meth:`space_tail`, :meth:`sup_space`)
+    stream over the snapshots again.  Every sum over cells is a numpy
+    reduction along the cell axis, so its order is fixed and the result
+    does not depend on the BLAS build or its threads.
     """
 
     def __init__(self, traj: Trajectory):
@@ -114,37 +133,59 @@ class TrajectoryTails:
         self._weights[1:] += 0.5 * dt
         self._weights[:-1] += 0.5 * dt
 
-    def _rows(self, q: float, kind: str) -> np.ndarray:
+    def _densities(self, q: float, kind: str):
+        """Each snapshot's tail profile of ``|u|^q`` or ``|grad u|^q``, in
+        time order."""
+        if kind not in ("value", "gradient"):
+            raise ValueError(f"unknown tail kind {kind!r}")
+        for f in self.traj.fields:
+            if kind == "gradient":
+                f = ScalarField(f.grid, gradient(f).magnitude())
+            yield tail_profile(f, q)[2]
+
+    def _time_profile(self, q: float, kind: str) -> np.ndarray:
+        """The trapezoid-weighted sum of the snapshots' profiles."""
         key = (q, kind)
         if key not in self._profiles:
-            if kind not in ("value", "gradient"):
-                raise ValueError(f"unknown tail kind {kind!r}")
-            rows = np.empty((len(self.traj.fields), self.cell_lo.size))
-            for row, f in zip(rows, self.traj.fields):
-                if kind == "gradient":
-                    f = ScalarField(f.grid, gradient(f).magnitude())
-                row[:] = tail_profile(f, q)[2]
-            self._profiles[key] = rows
+            acc = np.zeros(self.cell_lo.size)
+            for w, d in zip(self._weights, self._densities(q, kind)):
+                acc += w * d
+            self._profiles[key] = acc
         return self._profiles[key]
+
+    def _cut_weights(self, s) -> np.ndarray:
+        """Each cell's covered length above each cut: shape (n_s, n_cells)."""
+        s_arr = np.atleast_1d(np.asarray(s, dtype=float))
+        w = np.maximum(self.cell_lo, s_arr[:, None])
+        np.subtract(self.cell_hi, w, out=w)
+        return np.clip(w, 0.0, None, out=w)
+
+    def _snapshot_tails(self, q: float, kind: str, s):
+        """Each snapshot's tail integrals at the cuts ``s``, in time order,
+        ``_CUT_BLOCK`` cuts at a time, so that a block's products stay in
+        cache; each cut's sum is the same, blocked or not."""
+        w = self._cut_weights(s)
+        blocks = [w[i:i + _CUT_BLOCK] for i in range(0, len(w), _CUT_BLOCK)]
+        buf = np.empty_like(blocks[0])
+        for d in self._densities(q, kind):
+            yield np.concatenate([np.multiply(b, d, out=buf[:len(b)]).sum(axis=1)
+                                  for b in blocks])
 
     def space_tail(self, q: float, kind: str, s) -> np.ndarray:
         """Per-snapshot tail integrals at cut(s) s: shape (n_snap,) or
         (n_s, n_snap)."""
-        rows = self._rows(q, kind)
-        s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-        w = np.clip(self.cell_hi[None, :] - np.maximum(self.cell_lo[None, :],
-                                                       s_arr[:, None]), 0.0, None)
-        out = w @ rows.T
+        out = np.stack(list(self._snapshot_tails(q, kind, s)), axis=1)
         return out[0] if np.ndim(s) == 0 else out
 
     def time_integral(self, q: float, kind: str, s):
         """Space-time tail integral over the run (trapezoid over snapshots)."""
-        out = np.atleast_2d(self.space_tail(q, kind, s)) @ self._weights
+        w = self._cut_weights(s)
+        out = np.multiply(w, self._time_profile(q, kind), out=w).sum(axis=1)
         return float(out[0]) if np.ndim(s) == 0 else out
 
     def sup_space(self, q: float, kind: str, s):
         """max over the snapshots of the space tail."""
-        out = np.atleast_2d(self.space_tail(q, kind, s)).max(axis=1)
+        out = functools.reduce(np.maximum, self._snapshot_tails(q, kind, s))
         return float(out[0]) if np.ndim(s) == 0 else out
 
 
@@ -222,24 +263,30 @@ def _jump(c: np.ndarray, p: float, n: int, T: float, ctilde: float) -> np.ndarra
 # ---------------------------------------------------------------------------
 
 
-def local_energy_ratio(tails: TrajectoryTails, s: float, delta: float,
-                       mu1: float, p: float) -> tuple[float, float, float]:
+def local_energy_ratio(tails: TrajectoryTails, s, delta, mu1: float,
+                       p: float) -> tuple:
     """Measured constant of the local energy estimate: ``(lhs, rhs, ratio)``
     with lhs = L(s + delta) and rhs = delta^-p * A_T(s) + delta^-1 * B_T(s).
 
+    ``s`` and ``delta`` broadcast against each other.  Scalars give three
+    floats; arrays give three arrays, each element the value the scalar
+    form gives at that pair, all pairs summed in one pass over the tails.
     Ratio conventions: 0 when both sides vanish, inf when only the right
     side does.
     """
-    if not delta > 0:
+    s_arr, d_arr = np.broadcast_arrays(np.asarray(s, dtype=float),
+                                       np.asarray(delta, dtype=float))
+    if not np.all(d_arr > 0):
         raise ValueError("delta must be positive")
-    lhs = _local_energy(tails, p, mu1, s + delta)
-    a, b = _tail_energies(tails, p, s)
-    rhs = a / delta**p + b / delta
-    if rhs == 0.0:
-        ratio = 0.0 if lhs == 0.0 else float("inf")
-    else:
-        ratio = lhs / rhs
-    return float(lhs), float(rhs), float(ratio)
+    cuts, deltas = s_arr.ravel(), d_arr.ravel()
+    lhs = _local_energy(tails, p, mu1, cuts + deltas)
+    a, b = _tail_energies(tails, p, cuts)
+    rhs = a / deltas**p + b / deltas
+    ratio = np.divide(lhs, rhs, out=np.where(lhs == 0.0, 0.0, np.inf),
+                      where=rhs != 0.0)
+    if s_arr.ndim == 0:
+        return float(lhs[0]), float(rhs[0]), float(ratio[0])
+    return tuple(x.reshape(s_arr.shape) for x in (lhs, rhs, ratio))
 
 
 # ---------------------------------------------------------------------------

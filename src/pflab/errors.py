@@ -25,6 +25,11 @@ class VerificationError(RuntimeError):
         self.report = report
         self.failed = tuple(failed)
 
+    def __reduce__(self):
+        # unpickling calls the class with these, so the error crosses a
+        # process boundary whole
+        return type(self), (self.args[0], self.report, self.failed)
+
 
 class ConfigError(ValueError):
     """One or more configuration errors; ``errors`` lists (line, message)."""
@@ -33,3 +38,6 @@ class ConfigError(ValueError):
         self.errors = list(errors)
         lines = "; ".join(f"line {ln}: {msg}" if ln else msg for ln, msg in self.errors)
         super().__init__(lines)
+
+    def __reduce__(self):
+        return type(self), (self.errors,)

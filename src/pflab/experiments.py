@@ -201,11 +201,10 @@ def _barenblatt_accuracy_study(cfg: ExperimentConfig):
     grids of ``cells`` from ``t0`` to ``t_end``; each order is per halving
     of h, so the grids may come in any order.
 
-    Each grid's data is checked here: a worker's :class:`ConfigError`
-    would not survive the pickling back.  The grids are independent, so
-    they run side by side in up to two worker processes, the finest
-    first; results are read in grid order.  Workers are spawned, not
-    forked: the caller may hold BLAS threads.
+    Each grid's data is checked here, before any worker starts.  The
+    grids are independent, so they run side by side in up to two worker
+    processes, the finest first; results are read in grid order.
+    Workers are spawned, not forked: the caller may hold BLAS threads.
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -516,9 +515,10 @@ def _run_constants(tails, p, mu1, s_grid, deltas, s_decay):
     """One run's decay constant over ``s_decay``; the rows ``(s, delta,
     lhs, rhs, ratio)`` of the local energy estimate at every eighth ``s``
     of ``s_grid`` and every ``delta``; and their largest finite ratio."""
-    rows = [(float(s), float(delta), *energetics.local_energy_ratio(
-                tails, float(s), float(delta), mu1, p))
-            for s in s_grid[:: max(1, len(s_grid) // 8)] for delta in deltas]
+    cuts, dels = (x.ravel() for x in np.meshgrid(
+        s_grid[:: max(1, len(s_grid) // 8)], deltas, indexing="ij"))
+    lhs, rhs, ratio = energetics.local_energy_ratio(tails, cuts, dels, mu1, p)
+    rows = [tuple(map(float, r)) for r in zip(cuts, dels, lhs, rhs, ratio)]
     local_max = max((r[4] for r in rows if np.isfinite(r[4])), default=0.0)
     return energetics.check_decay(tails, p, s_decay), rows, local_max
 

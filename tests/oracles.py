@@ -5,13 +5,15 @@ definitions (closed forms, quadrature, finite differences and a root
 solve), so that a slip in the package's own arithmetic shows up as a
 disagreement rather than being copied into the check.  The proximal
 derivatives are kept in the slice forms the package's buffered passes
-replace, which they must match bit for bit, and the 1-D explicit flux
-at p = 3 in the square-root form it had before ``|g|*g``.
+replace, which they must match bit for bit, the 1-D explicit flux
+at p = 3 in the square-root form it had before ``|g|*g``, and the
+energy ledger's tails in the row form that kept every snapshot's
+profile.
 """
 
 import numpy as np
 
-from pflab.core import ScalarField, deformation_tensor
+from pflab.core import ScalarField, deformation_tensor, gradient, tail_profile
 from pflab.exact import BarenblattParams, barenblatt_profile
 
 
@@ -374,3 +376,45 @@ def one_field_weak_residual(traj, phi, params):
     w[1:] += 0.5 * np.diff(ts)
     w[:-1] += 0.5 * np.diff(ts)
     return float(abs(np.dot(w, np.asarray(totals))))
+
+
+# ---------------------------------------------------------------------------
+# the energy ledger's tails in row form: one profile row per snapshot,
+# read by matrix products.  The package folds the rows over time first and
+# never keeps them; the tests compare the two to a stated tolerance.
+# ---------------------------------------------------------------------------
+
+
+class RowTails:
+    """Tail integrals of a trajectory from its per-snapshot profile rows:
+    ``space_tail`` is (cut weights) @ rows.T, ``time_integral`` that
+    times the trapezoid weights, ``sup_space`` its max over snapshots."""
+
+    def __init__(self, traj):
+        self.traj = traj
+        lo, hi, _ = tail_profile(traj.fields[0], 1.0)
+        self.cell_lo, self.cell_hi = lo, hi
+        dt = np.diff(traj.times)
+        self.weights = np.zeros(len(traj.times))
+        self.weights[1:] += 0.5 * dt
+        self.weights[:-1] += 0.5 * dt
+
+    def rows(self, q, kind):
+        out = []
+        for f in self.traj.fields:
+            if kind == "gradient":
+                f = ScalarField(f.grid, gradient(f).magnitude())
+            out.append(tail_profile(f, q)[2])
+        return np.array(out)
+
+    def space_tail(self, q, kind, s):
+        s = np.atleast_1d(np.asarray(s, dtype=float))
+        w = np.clip(self.cell_hi[None, :]
+                    - np.maximum(self.cell_lo[None, :], s[:, None]), 0.0, None)
+        return w @ self.rows(q, kind).T
+
+    def time_integral(self, q, kind, s):
+        return self.space_tail(q, kind, s) @ self.weights
+
+    def sup_space(self, q, kind, s):
+        return self.space_tail(q, kind, s).max(axis=1)

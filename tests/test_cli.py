@@ -668,8 +668,7 @@ def test_initial_data_the_grid_misses_is_a_configuration_error(tmp_path,
                                                                capsys, argv):
     # data that vanish on every node have no front to trace: the box or
     # the grid is at fault, not the numerics.  The accuracy study checks
-    # its grids before its workers start, since a worker's ConfigError
-    # would not survive the pickling back
+    # its grids before its workers start
     assert run_cli(*argv, "--outdir", str(tmp_path / "out")) == 1
     err = capsys.readouterr().err
     assert "configuration error:" in err and "cells, bounds:" in err

@@ -1,15 +1,21 @@
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 
+from pflab import energetics
 from pflab.core import GridSpec, ModelParams, ScalarField, lp_norm
 from pflab.energetics import (EnergyLedger, ScalingExponents, TrajectoryTails,
                               _jump, build_ledger, check_decay,
                               check_iteration, decay_bound, local_energy_ratio)
 from pflab.exact import BarenblattParams, barenblatt_field, halfspace_initial_data
-from pflab.experiments import _l1_audit, _ledger_csv, _stable_under_refinement
+from pflab.experiments import (_l1_audit, _ledger_csv, _run_constants,
+                               _stable_under_refinement)
 from pflab.plaplace import SolverConfig, Trajectory, simulate
 
-from oracles import restrict_integral
+from oracles import RowTails, restrict_integral
+from test_fluid2d import _traced_peak
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +91,85 @@ def test_tails_monotone_in_s(halfspace_traj):
     assert tails.T == 3.0
     a = tails.time_integral(3.0, "value", np.linspace(-2.0, 3.0, 24))
     assert np.all(np.diff(a) <= 1e-12)
+
+
+# the time-first fold sums each cut's tail in another order than the row
+# form's matrix products; they agree to this relative tolerance
+_ROW_FORM_RTOL = 1e-14
+
+
+@pytest.mark.parametrize("q,kind", [(3.0, "value"), (2.0, "value"),
+                                    (3.0, "gradient")])
+def test_tails_match_the_row_form(halfspace_traj, q, kind):
+    # the ledger's three tail kinds at p = 3, on cuts that run past the
+    # support (near 4.2 at T = 3) to beyond the box: every value within
+    # the tolerance of the row form, and every exact zero exact
+    tails, rows = TrajectoryTails(halfspace_traj), RowTails(halfspace_traj)
+    cuts = np.linspace(-2.0, 5.5, 61)
+    for name in ("time_integral", "sup_space", "space_tail"):
+        got = getattr(tails, name)(q, kind, cuts)
+        want = getattr(rows, name)(q, kind, cuts)
+        assert got.shape == want.shape
+        assert np.array_equal(got == 0.0, want == 0.0), name
+        nz = want != 0.0
+        assert nz.any() and not nz.all()
+        rel = np.abs(got[nz] - want[nz]) / np.abs(want[nz])
+        assert rel.max() <= _ROW_FORM_RTOL, (name, rel.max())
+    # each cut's sums keep their bits in a batch of any size, blocked or not
+    for name in ("time_integral", "sup_space"):
+        alone = [getattr(tails, name)(q, kind, float(c)) for c in cuts]
+        assert (getattr(tails, name)(q, kind, cuts).tobytes()
+                == np.array(alone).tobytes()), name
+
+
+def test_energetics_sums_without_matrix_products():
+    # a BLAS product sums in an order set by the library and its threads,
+    # so its bits may change with the thread count; the ledger's sums are
+    # numpy reductions along the cell axis, whose order is fixed
+    tree = ast.parse(pathlib.Path(energetics.__file__).read_text())
+    nodes = list(ast.walk(tree))
+    assert not any(isinstance(n, ast.MatMult) for n in nodes)
+    names = ({n.attr for n in nodes if isinstance(n, ast.Attribute)}
+             | {n.id for n in nodes if isinstance(n, ast.Name)})
+    assert not names & {"dot", "vdot", "matmul", "inner", "tensordot",
+                        "einsum"}
+
+
+def _bump_run(n_snap: int, cells: int) -> Trajectory:
+    """A bump that grows in time and vanishes for |x| >= 1 + t."""
+    g = GridSpec.line(-4.0, 4.0, cells)
+    x = g.coords(0)
+    times = np.linspace(0.0, 1.0, n_snap)
+    return Trajectory(times, [ScalarField(g, np.clip((1.0 + t) ** 2 - x * x,
+                                                     0.0, None))
+                              for t in times])
+
+
+def test_the_ledgers_memory_does_not_grow_with_the_snapshot_count():
+    # the tails keep one time-weighted profile per tail kind, never a row
+    # per snapshot: the ledger and the run's constants, as the energy
+    # ledger asks for them, peak at the same few cell arrays for 64
+    # snapshots as for 128 (the row form held three rows per snapshot)
+    cells = 2048
+    s_grid = np.linspace(0.0, 3.0, 33)
+    deltas = np.linspace(0.1, 1.0, 8)
+
+    def ledger(traj):
+        tails = TrajectoryTails(traj)
+        build_ledger(tails, 3.0, s_grid, 1.0)
+        _run_constants(tails, 3.0, 1.0, s_grid, deltas, s_grid[1:])
+
+    runs = {n: _bump_run(n, cells) for n in (64, 128)}
+    peaks = {}
+    for n in (64, 128, 64, 128):  # the first two warm the caches up
+        peaks[n] = _traced_peak(lambda: ledger(runs[n]))
+    assert peaks[128] - peaks[64] <= 4 * cells * 8
+    # the measure sees rows: holding the row form's three kinds grows
+    held = _traced_peak(lambda: [RowTails(runs[128]).rows(q, kind)
+                                 for q, kind in ((3.0, "value"),
+                                                 (2.0, "value"),
+                                                 (3.0, "gradient"))])
+    assert held >= 3 * 128 * cells * 8
 
 
 def test_ledger_definitions_and_monotonicity(halfspace_traj):
@@ -176,6 +261,34 @@ def test_local_energy_ratio_reads_the_ledgers_tails(halfspace_traj, s, delta):
     assert rhs == pytest.approx(want_rhs, rel=1e-12, abs=0.0)
     assert ratio == pytest.approx(led.L[1] / want_rhs, rel=1e-12, abs=0.0)
     assert ratio > 0
+
+
+def test_local_energy_ratio_array_form_is_the_scalar_form_bit_for_bit():
+    # every (s, delta) of a batch, down to the bit, as asked for alone,
+    # including both ratio conventions: past the bump both sides vanish
+    # (0/0 -> 0), and just past the cut where |u| ends only the gradient
+    # of the left side is left (x/0 -> inf)
+    traj = _bump_run(3, 64)
+    tails = TrajectoryTails(traj)
+    h = traj.grid.spacing[0]
+    edge = float(tails.cell_hi[np.flatnonzero(traj.fields[-1].values)[-1]])
+    s = np.array([-0.5, 0.0, 0.3, edge, 3.5])
+    delta = np.array([0.05, h / 4, 0.3])
+    got = local_energy_ratio(tails, s[:, None], delta[None, :], 0.7, 3.0)
+    assert [x.shape for x in got] == [(5, 3)] * 3
+    for i, j in np.ndindex(5, 3):
+        want = local_energy_ratio(tails, float(s[i]), float(delta[j]), 0.7,
+                                  3.0)
+        assert all(type(w) is float for w in want)
+        assert (np.array([x[i, j] for x in got]).tobytes()
+                == np.array(want).tobytes()), (s[i], delta[j])
+    lhs, rhs, ratio = got
+    assert rhs[3, 1] == 0.0 < lhs[3, 1] and ratio[3, 1] == np.inf
+    assert lhs[4, 0] == rhs[4, 0] == ratio[4, 0] == 0.0
+    assert np.isfinite(ratio[:3]).all() and (ratio[:3] > 0).all()
+    with pytest.raises(ValueError):
+        local_energy_ratio(tails, s, np.array([0.1, 0.0, 0.1, 0.1, 0.1]),
+                           0.7, 3.0)
 
 
 def test_local_energy_delta_validation(halfspace_traj):

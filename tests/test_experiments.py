@@ -457,3 +457,30 @@ def test_rerun_artifacts_byte_identical(tmp_path, monkeypatch, kind, overrides):
         assert {f.name for f in out.iterdir()} == names | {"manifest.txt"}
     for name in sorted(names):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+def test_ledger_files_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # byte-identical reruns hold whatever the BLAS threading: the ledger
+    # sums its tails by numpy reductions in a fixed order, where matrix
+    # products summed in an order set by the BLAS threads.  Criterion 11's
+    # config, scaled down, through the command line in two fresh processes
+    import subprocess
+    import sys
+
+    cfg = resources.files("pflab").joinpath(
+        "configs/accept/c11_energy_ledger.cfg")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [
+                       os.path.abspath(src), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pflab.cli", "simulate", "--config",
+             str(cfg), "--cells", "512", "--t-end", "1", "--outdir", str(out)],
+            env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(out)
+    for name in ("ledger.csv", "local_energy.csv", "report.txt"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
