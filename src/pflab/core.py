@@ -279,11 +279,13 @@ def divergence(v: VectorField) -> ScalarField:
     return ScalarField(g, out)
 
 
-def deformation_tensor(v: VectorField) -> np.ndarray:
+def deformation_tensor(v: VectorField, out: np.ndarray | None = None) -> np.ndarray:
     """Symmetrized velocity gradient, shape ``(2, 2) + grid.shape``.
 
-    Built so the off-diagonal entries are the *same* computed array,
-    hence bitwise symmetric.  Rigid rotations map to zero.
+    Built so the off-diagonal entries are the *same* computed values,
+    hence bitwise symmetric.  Rigid rotations map to zero.  ``out``, a
+    float array of that shape, receives the tensor in place of a new
+    array and is returned; its bits are those of the new array.
     """
     g = v.grid
     if g.dim != 2:
@@ -295,12 +297,13 @@ def deformation_tensor(v: VectorField) -> np.ndarray:
     du0_dy = _axis_derivative(v.components[0], 1, hy, py)
     du1_dx = _axis_derivative(v.components[1], 0, hx, px)
     du1_dy = _axis_derivative(v.components[1], 1, hy, py)
-    off = 0.5 * (du0_dy + du1_dx)
-    out = np.empty((2, 2) + g.shape)
+    if out is None:
+        out = np.empty((2, 2) + g.shape)
     out[0, 0] = du0_dx
     out[1, 1] = du1_dy
-    out[0, 1] = off
-    out[1, 0] = off
+    np.add(du0_dy, du1_dx, out=out[0, 1])
+    out[0, 1] *= 0.5
+    out[1, 0] = out[0, 1]
     return out
 
 
@@ -337,11 +340,16 @@ def tail_profile(f, q: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ``sum(density * clip(cell_hi - max(cell_lo, s), 0))``: a cell straddling
     the cut counts its covered fraction, and many cuts cost one profile.
     """
-    grid, mag = _value_magnitude(f)
-    axis = grid.dim - 1
-    lo, hi = grid.cell_bounds(axis)
-    if grid.dim == 1:
-        density = mag**q
-    else:
-        density = np.sum(mag**q * grid.quad_weights(0)[:, None], axis=0)
+    density = tail_density(f, q)
+    lo, hi = f.grid.cell_bounds(f.grid.dim - 1)
     return lo, hi, density
+
+
+def tail_density(f, q: float) -> np.ndarray:
+    """The ``density`` of :func:`tail_profile` alone, without its cell
+    bounds: for a reader that takes the bounds once for many fields on
+    one grid."""
+    grid, mag = _value_magnitude(f)
+    if grid.dim == 1:
+        return mag**q
+    return np.sum(mag**q * grid.quad_weights(0)[:, None], axis=0)

@@ -31,7 +31,7 @@ import functools
 
 import numpy as np
 
-from .core import ScalarField, gradient, tail_profile
+from .core import ScalarField, gradient, tail_density, tail_profile
 from .inequalities import gn_theta
 from .plaplace import Trajectory
 
@@ -141,7 +141,7 @@ class TrajectoryTails:
         for f in self.traj.fields:
             if kind == "gradient":
                 f = ScalarField(f.grid, gradient(f).magnitude())
-            yield tail_profile(f, q)[2]
+            yield tail_density(f, q)
 
     def _time_profile(self, q: float, kind: str) -> np.ndarray:
         """The trapezoid-weighted sum of the snapshots' profiles."""

@@ -143,12 +143,14 @@ def emit_plot(series, envelopes, *, logy: bool, title: str,
 
 def emit_heatmap(values: np.ndarray, title: str) -> str:
     """A standalone SVG heat map of a 2-D array (block-averaged down to at
-    most ``_HEAT_CELLS`` per axis)."""
+    most ``_HEAT_CELLS`` per axis; trailing nodes that fill no block are
+    dropped).  The text is built a row of cells at a time."""
     vals = np.asarray(values, dtype=float)
     if vals.ndim != 2:
         raise ValueError("heat map needs a 2-D array")
-    sx = max(1, vals.shape[0] // _HEAT_CELLS)
-    sy = max(1, vals.shape[1] // _HEAT_CELLS)
+    # the smallest block that leaves at most _HEAT_CELLS blocks per axis
+    sx = max(1, -(-vals.shape[0] // _HEAT_CELLS))
+    sy = max(1, -(-vals.shape[1] // _HEAT_CELLS))
     nx, ny = vals.shape[0] // sx, vals.shape[1] // sy
     block = vals[: nx * sx, : ny * sy].reshape(nx, sx, ny, sy).mean(axis=(1, 3))
     lo, hi = float(block.min()), float(block.max())
@@ -164,14 +166,16 @@ def emit_heatmap(values: np.ndarray, title: str) -> str:
         parts.append(f'<text x="{side/2:.0f}" y="18" text-anchor="middle" '
                      f'font-size="13">{title}</text>')
     for i in range(nx):
+        row = []
         for j in range(ny):
             z = (block[i, j] - lo) / span
             r = int(255 * z)
             b = int(255 * (1.0 - z))
             g = int(90 + 80 * z * (1 - z) * 4)
-            parts.append(
+            row.append(
                 f'<rect class="cell" x="{i*w:.2f}" y="{28 + side - (j+1)*h:.2f}" '
                 f'width="{w + 0.5:.2f}" height="{h + 0.5:.2f}" '
                 f'fill="rgb({r},{g},{b})"/>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        parts.append("\n".join(row))
+    parts += ["</svg>", ""]
+    return "\n".join(parts)

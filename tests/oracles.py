@@ -8,7 +8,8 @@ derivatives are kept in the slice forms the package's buffered passes
 replace, which they must match bit for bit, the 1-D explicit flux
 at p = 3 in the square-root form it had before ``|g|*g``, and the
 energy ledger's tails in the row form that kept every snapshot's
-profile.
+profile, and the heat map's text in the one-string-per-cell loop it was
+built with before it was built a row at a time.
 """
 
 import numpy as np
@@ -418,3 +419,42 @@ class RowTails:
 
     def sup_space(self, q, kind, s):
         return self.space_tail(q, kind, s).max(axis=1)
+
+
+# ---------------------------------------------------------------------------
+# the heat map's SVG text, one string per cell, joined once at the end
+# ---------------------------------------------------------------------------
+
+
+def heatmap_per_cell(values, title):
+    """The heat map's text from its per-cell loop: block-averaged down to
+    at most 96 cells per axis (ceiling division), one string per cell."""
+    vals = np.asarray(values, dtype=float)
+    sx = max(1, -(-vals.shape[0] // 96))
+    sy = max(1, -(-vals.shape[1] // 96))
+    nx, ny = vals.shape[0] // sx, vals.shape[1] // sy
+    block = vals[: nx * sx, : ny * sy].reshape(nx, sx, ny, sy).mean(axis=(1, 3))
+    lo, hi = float(block.min()), float(block.max())
+    span = hi - lo if hi > lo else 1.0
+    side = 480
+    w, h = side / nx, side / ny
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{side}" '
+        f'height="{side + 28}" viewBox="0 0 {side} {side + 28}">',
+        f'<rect width="{side}" height="{side + 28}" fill="white"/>',
+    ]
+    if title:
+        parts.append(f'<text x="{side/2:.0f}" y="18" text-anchor="middle" '
+                     f'font-size="13">{title}</text>')
+    for i in range(nx):
+        for j in range(ny):
+            z = (block[i, j] - lo) / span
+            r = int(255 * z)
+            b = int(255 * (1.0 - z))
+            g = int(90 + 80 * z * (1 - z) * 4)
+            parts.append(
+                f'<rect class="cell" x="{i*w:.2f}" y="{28 + side - (j+1)*h:.2f}" '
+                f'width="{w + 0.5:.2f}" height="{h + 0.5:.2f}" '
+                f'fill="rgb({r},{g},{b})"/>')
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"

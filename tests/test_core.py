@@ -127,6 +127,28 @@ def test_deformation_bitwise_symmetric():
     assert np.array_equal(t[0, 1], t[1, 0])
 
 
+@pytest.mark.parametrize("bc", [PERIODIC, DIRICHLET])
+def test_deformation_into_out_has_the_bits_of_the_separate_array(bc):
+    # written into rows of a larger buffer, as the weak residual does, and
+    # against the form that built the off-diagonal as 0.5 * (a + b)
+    g = GridSpec.box((0.0, 0.0), (2 * np.pi, 3.0), (24, 17), bc)
+    xx, yy = g.mesh()
+    v = VectorField(g, (np.sin(xx) * np.cos(yy) + 0.3 * yy**2,
+                        np.cos(2 * xx) * np.sin(yy) - xx * yy))
+    fresh = deformation_tensor(v)
+    buf = np.full((6,) + g.shape, np.nan)
+    out = buf[2:].reshape((2, 2) + g.shape)
+    assert deformation_tensor(v, out=out) is out
+    assert np.array_equal(out.view(np.int64), fresh.view(np.int64))
+    assert np.array_equal(out[0, 1].view(np.int64), out[1, 0].view(np.int64))
+    assert np.isnan(buf[:2]).all()
+    hx, hy = g.spacing
+    du0_dy = _axis_derivative(v.components[0], 1, hy, g.is_periodic(1))
+    du1_dx = _axis_derivative(v.components[1], 0, hx, g.is_periodic(0))
+    assert np.array_equal(fresh[0, 1].view(np.int64),
+                          (0.5 * (du0_dy + du1_dx)).view(np.int64))
+
+
 def test_deformation_taylor_green_magnitude():
     # |Du| = sqrt(2)|cos x cos y| for the vortex; symbolic-derivative oracle
     errs = []

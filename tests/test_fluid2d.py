@@ -407,8 +407,8 @@ def test_weak_residual_many_fields_match_one_at_a_time(p):
 
 
 def test_weak_residual_checks_a_stream_as_it_checks_a_trajectory():
-    # the grid first, then the test fields, then the snapshot count, then
-    # the times
+    # the grid first, then each snapshot's grid and time as it arrives,
+    # then the snapshot count, then the test fields, read after the run
     g = tg_grid(32)
     walled = GridSpec.box(-3.0, 3.0, 32, bc=DIRICHLET)
     xx, _ = g.mesh()
@@ -418,16 +418,21 @@ def test_weak_residual_checks_a_stream_as_it_checks_a_trajectory():
     def two(grid):
         return iter([(0.0, zero_field(grid)), (0.1, zero_field(grid))])
 
+    def three(grid):
+        return iter([(t, zero_field(grid)) for t in (0.0, 0.1, 0.2)])
+
     with pytest.raises(ValueError, match="periodic"):
         weak_residual(two(walled), [bad], params())
-    with pytest.raises(ValueError, match="divergence-free"):
+    with pytest.raises(ValueError, match="need at least 3 snapshots"):
         weak_residual(two(g), [bad], params())
+    with pytest.raises(ValueError, match="divergence-free"):
+        weak_residual(three(g), [good, bad], params())
     # a test field or a later snapshot on another grid: another cell
     # count, or the same count on another box
     for other in (tg_grid(16), GridSpec.box(0.0, np.pi, 32, bc=PERIODIC)):
         moved = stream_field(other, random_stream_coeffs(np.random.default_rng(1)))
         with pytest.raises(ValueError, match="differs from the first snapshot's"):
-            weak_residual(two(g), [moved], params())
+            weak_residual(three(g), [good, moved], params())
         mixed = [(0.0, zero_field(g)), (0.1, zero_field(g)), (0.2, zero_field(other))]
         with pytest.raises(ValueError, match="differs from the first snapshot's"):
             weak_residual(iter(mixed), [good], params())
@@ -523,8 +528,9 @@ def test_the_weak_residual_of_a_stream_holds_a_window_not_the_run():
 
 
 def test_the_weak_residual_holds_no_tensor_per_test_field():
-    # the run meets the fields after its time sums, so 16 fields cost their
-    # own arrays and one D phi at a time over 1 field, not 16 D phi
+    # the run meets the fields after its time sums, one at a time as a
+    # generator yields them, so 16 fields cost what 1 does, give or take
+    # the last field, still bound while the next is built
     g = tg_grid(32)
     model = params(2.5, 1.0)
     v0 = taylor_green_field(g, 1.0, 0.0)
@@ -536,7 +542,47 @@ def test_the_weak_residual_holds_no_tensor_per_test_field():
         peaks[n] = _traced_peak(lambda: weak_residual(
             fluid_snapshots(v0, model, T, np.linspace(0.0, T, 5)),
             (stream_field(g, c) for c in coeffs[:n]), model))
-    assert peaks[16] - peaks[1] <= 15 * 2 * node + 4 * node
+    assert peaks[16] - peaks[1] <= 2 * node + node // 2
+
+
+def test_the_weak_residual_reads_its_test_fields_after_the_last_snapshot():
+    g = tg_grid(16)
+    model = params(3.0, 1.0)
+    v0 = taylor_green_field(g, 1.0, 0.0)
+    T, n_snap = 0.02, 6
+    yielded = []
+
+    def snapshots():
+        for pair in fluid_snapshots(v0, model, T, np.linspace(0.0, T, n_snap)):
+            yielded.append(pair[0])
+            yield pair
+
+    seen = []
+
+    def phis():
+        seen.append(len(yielded))  # runs when the generator is first advanced
+        for seed in range(3):
+            yield stream_field(g, random_stream_coeffs(np.random.default_rng(seed)))
+
+    got = weak_residual(snapshots(), phis(), model)
+    assert seen == [n_snap] and got.shape == (3,)
+    traj = simulate_fluid(v0, model, T, np.linspace(0.0, T, n_snap))
+    want = weak_residual(traj, list(phis()), model)
+    assert np.array_equal(_bits(got), _bits(want))
+
+
+def test_the_weak_residual_study_holds_one_test_field_at_a_time(tmp_path, monkeypatch):
+    # 20 test fields cost what 2 do: the study hands weak_residual a
+    # generator, read one field at a time after each level's run
+    cells = 16
+    field = 2 * (2 * cells) ** 2 * 8  # one refined-level test field
+    peaks = {}
+    for n in (2, 20, 2, 20):  # the first two warm the caches up
+        monkeypatch.setattr(experiments, "_WEAK_FIELDS", n)
+        cfg = default_config("weak-residual-study", outdir=str(tmp_path),
+                             p=2.0, cells=(cells,), t_end=0.05)
+        peaks[n] = _traced_peak(lambda: experiments.run_experiment(cfg))
+    assert abs(peaks[20] - peaks[2]) < 2 * field
 
 
 def test_taylor_green_holds_a_window_not_the_run(tmp_path, monkeypatch):
