@@ -75,6 +75,10 @@ _DT_MAX = 1.0
 _SENTINEL_STRIDE = 100
 _SENTINEL_MARGIN = 0.1
 _SENTINEL_TAU_FRAC = 1e-8
+# Each proximal Newton system is solved on the active box of its
+# linearization: the bounding box of the support of the step's data and of
+# the iterate, _BOX_MARGIN nodes wider on each side (see _ProxProblem).
+_BOX_MARGIN = 4
 
 
 @dataclasses.dataclass
@@ -455,14 +459,35 @@ class _ProxProblem:
     """Objective ``J(v) = |v - u|^2/(2 dt) + E(v)`` and its derivatives.
 
     ``u`` holds the nodes of a window of ``grid`` (all of them, or a box),
-    and ``vol`` their node weights in ``grid``; the spacing is the grid's,
-    and every shape is that of ``u``.
+    and ``vol`` their node weights in ``grid``; the spacing is the grid's.
+    :meth:`value`, :meth:`value_and_grad` and :meth:`hess_diag` act on
+    arrays of the window's shape.
 
-    :meth:`value_and_grad` also linearizes: per axis it stores the face
-    tensor ``K = D (I + (p-2) m m^T)``, with ``m`` the face gradient over
-    its magnitude (0 where that vanishes), as ``(k_nn, k_nt, k_tt)``.  The
-    Hessian there is ``vol/dt + w * sum_axes G^T K G``, with ``G`` the face
-    gradients of :func:`_face_gradients`.
+    :meth:`value_and_grad` also linearizes at ``v``: it takes the active
+    ``box`` (a tuple of slices into the window) and, per axis, stores the
+    face tensor ``K = D (I + (p-2) m m^T)`` on the box's faces alone, with
+    ``m`` the face gradient over its magnitude (0 where that vanishes), as
+    ``(k_nn, k_nt, k_tt)``.  The Hessian there is
+    ``vol/dt + w * sum_axes G^T K G``, with ``G`` the face gradients of
+    :func:`_face_gradients`; :meth:`hess_vec` and :meth:`dot` act on
+    arrays of the box's shape.
+
+    The box is the bounding box of ``S = supp(u) | supp(v)`` grown by
+    ``_BOX_MARGIN`` nodes a side and clipped to the window.  ``K``
+    vanishes where ``|face grad v|`` does (p > 2), so on every face
+    whose stencil misses ``S``: its nonzero faces lie within one node of
+    ``S``'s box.  So the gradient ``g``, and the right-hand side ``-g``
+    of the Newton system, vanish outside ``S``'s box grown by two nodes
+    (``G^T`` reaches one node past a face along it and two across it),
+    and ``H`` maps every vector on that set into it.  Every Krylov vector
+    of the system, and every nonzero ``K`` face, stays at least two nodes
+    inside the box's edge.  The box's one-sided transverse rows at its
+    ends and the faces it leaves out then read exact zeros, just as the
+    window's would, and on the box each node of a Hessian action or a
+    Jacobi diagonal does the window's arithmetic on the window's operands
+    up to the sign of zeros.  Such signs change no nonzero result, and
+    a CG iterate that starts at +0 never holds -0, so the Newton direction
+    from the box is the window's bit for bit.
     """
 
     def __init__(self, u: np.ndarray, vol: np.ndarray, grid: GridSpec,
@@ -473,8 +498,11 @@ class _ProxProblem:
         self.cfg = cfg
         self.dt = dt
         self.w = _face_weight(grid)
-        self._k = None  # per-axis (k_nn, k_nt, k_tt) at the last grad point
+        self._u_bounds = _support_bounds(u, 0.0)
+        self.box = None  # the active box at the last grad point
+        self._k = None  # per-axis (k_nn, k_nt, k_tt) on the box's faces
         self._work = None  # hess_vec's buffers, made at its first call per _k
+        self._prods = None  # dot's window buffer, made at its first call per _k
 
     def _quad(self, v: np.ndarray) -> float:
         return 0.5 / self.dt * float(np.sum((v - self.u) ** 2 * self.vol))
@@ -483,33 +511,53 @@ class _ProxProblem:
         faces = _face_fields(v, self.grid)
         return self._quad(v) + _energy(faces, self.grid, self.cfg)
 
+    def _active_box(self, v: np.ndarray) -> tuple:
+        """The box of ``supp(u) | supp(v)`` grown by ``_BOX_MARGIN`` nodes
+        a side within the window; the whole window when both vanish."""
+        bounds = [b for b in (self._u_bounds, _support_bounds(v, 0.0))
+                  if b is not None]
+        if not bounds:
+            return _whole(v)
+        m = _BOX_MARGIN
+        return tuple(slice(max(min(lo for lo, _ in axis) - m, 0),
+                           min(max(hi for _, hi in axis) + m + 1, n))
+                     for axis, n in zip(zip(*bounds), v.shape))
+
     def value_and_grad(self, v: np.ndarray):
         p, mu1 = self.cfg.params.p, self.cfg.params.mu1
         grid = self.grid
-        # the old tensor and hess_vec's buffers go before the new faces come
-        self._k, self._work = [], None
+        # the old tensor and the buffers go before the new faces come
+        self._k, self._work, self._prods = [], None, None
+        box = self.box = self._active_box(v)
+        self._vol_box = np.ascontiguousarray(self.vol[box])
         faces = _face_fields(v, grid)
         adj = np.zeros(v.shape)
         for axis, (gn, gt, a2) in enumerate(faces):
             D = _diffusivity_of_a2(a2, p, mu1)
             adj += _face_gradients_adj(D * gn, None if gt is None else D * gt,
                                        grid, axis, np.empty(v.shape))
+            # the faces between the box's nodes along axis
+            fb = tuple(slice(s.start, s.stop - (a == axis))
+                       for a, s in enumerate(box))
+            D, gn, a2 = D[fb], gn[fb], a2[fb]
             c = (p - 2.0) * D
             sq = np.sqrt(a2)
             mn = np.divide(gn, sq, out=np.zeros_like(gn), where=a2 > 0)
             if gt is None:
                 self._k.append((D + c * mn * mn, None, None))
             else:
+                gt = gt[fb]
                 mt = np.divide(gt, sq, out=np.zeros_like(gt), where=a2 > 0)
                 self._k.append((D + c * mn * mn, c * mn * mt, D + c * mt * mt))
         g = self.vol * (v - self.u) / self.dt + self.w * adj
         return self._quad(v) + _energy(faces, grid, self.cfg), g
 
     def hess_vec(self, dv: np.ndarray) -> np.ndarray:
-        """Exact Hessian action at the last gradient point, as a fresh
-        array.  Each axis is one pass of in-place ufuncs over five work
-        buffers, made at the first call after each linearization, with the
-        arithmetic of the slice forms (``tests/oracles.py``) node by node."""
+        """Exact Hessian action at the last gradient point on an array of
+        the box's shape, as a fresh array.  Each axis is one pass of
+        in-place ufuncs over five work buffers, made at the first call
+        after each linearization, with the arithmetic of the slice forms
+        (``tests/oracles.py``) node by node."""
         grid = self.grid
         if self._work is None:
             self._work = [np.empty(dv.size) for _ in range(5)]
@@ -541,18 +589,31 @@ class _ProxProblem:
                                 trans)
             if axis:
                 adj += sums
-        out = np.multiply(self.vol, dv)
+        out = np.multiply(self._vol_box, dv)
         out /= self.dt
         adj *= self.w
         out += adj
         return out
 
+    def dot(self, a: np.ndarray, b: np.ndarray) -> float:
+        """``sum(a * b)`` of two arrays of the box's shape, summed over a
+        window buffer that holds 0.0 outside the box: the products, their
+        order and so the bits of the same sum over the window."""
+        if self._prods is None:
+            self._prods = np.zeros(self.u.shape)
+            self._prods_box = self._prods[self.box]
+        np.multiply(a, b, out=self._prods_box)
+        return float(np.sum(self._prods))
+
     def hess_diag(self) -> np.ndarray:
-        """Exact Hessian diagonal, the Jacobi preconditioner: ``K`` weighted
-        by the squared stencil coefficients of the face gradients.  The
-        cross term ``k_nt`` enters where a one-sided dirichlet end puts a
-        node in both the normal and the transverse stencil of a face."""
-        grid, shape = self.grid, self.u.shape
+        """Exact Hessian diagonal on the window, the Jacobi
+        preconditioner: ``vol/dt`` outside the box, and inside it ``K``
+        weighted by the squared stencil coefficients of the face
+        gradients.  The cross term ``k_nt`` enters where a one-sided
+        dirichlet end puts a node in both the normal and the transverse
+        stencil of a face."""
+        grid, box = self.grid, self.box
+        shape = tuple(s.stop - s.start for s in box)
         nd = grid.dim
         diag = np.zeros(shape)
         for axis, (knn, knt, ktt) in enumerate(self._k):
@@ -572,11 +633,16 @@ class _ProxProblem:
                 diag[e] += z[e] + sign * x[e]
             diag[_sl(nd, other, slice(1, None))] += z[_sl(nd, other, slice(None, -1))]
             diag[_sl(nd, other, slice(None, -1))] += z[_sl(nd, other, slice(1, None))]
-        return self.vol / self.dt + self.w * diag
+        out = self.vol / self.dt
+        out[box] += self.w * diag
+        return out
 
     def banded_hessian(self) -> np.ndarray:
-        """Tridiagonal Hessian in solve_banded layout (1-D only)."""
-        coef = self.w * self._k[0][0] / self.grid.spacing[0] ** 2
+        """Tridiagonal Hessian on the window in solve_banded layout (1-D
+        only); the faces outside the box carry 0."""
+        (s,) = self.box
+        coef = np.zeros(self.u.shape[0] - 1)
+        coef[s.start:s.stop - 1] = self.w * self._k[0][0] / self.grid.spacing[0] ** 2
         ab = np.zeros((3, self.u.shape[0]))
         ab[1, :] = self.vol / self.dt
         ab[1, :-1] += coef
@@ -596,24 +662,30 @@ def solve_banded(l_and_u, ab: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _pcg(apply_h, b: np.ndarray, inv_diag: np.ndarray, rtol: float,
-         maxiter: int) -> np.ndarray:
-    """Jacobi-preconditioned conjugate gradients, deterministic."""
+         maxiter: int, dot) -> np.ndarray:
+    """Jacobi-preconditioned conjugate gradients, deterministic, on arrays
+    of ``b``'s shape: the active box of the proximal problem, whose
+    :meth:`_ProxProblem.dot` is ``dot``.  The updates are in place, and
+    each keeps the operands of ``x += alpha p``, ``r -= alpha H p`` and
+    ``p = z + beta p``."""
     x = np.zeros_like(b)
     r = b.copy()
     z = inv_diag * r
     p = z.copy()
-    rz = float(np.sum(r * z))
-    b_norm = float(np.sqrt(np.sum(b * b))) or 1.0
+    tmp = np.empty_like(b)
+    rz = dot(r, z)
+    b_norm = float(np.sqrt(dot(b, b))) or 1.0
     for _ in range(maxiter):
         hp = apply_h(p)
-        alpha = rz / float(np.sum(p * hp))
-        x += alpha * p
-        r -= alpha * hp
-        if np.sqrt(np.sum(r * r)) <= rtol * b_norm:
+        alpha = rz / dot(p, hp)
+        x += np.multiply(alpha, p, out=tmp)
+        r -= np.multiply(alpha, hp, out=tmp)
+        if np.sqrt(dot(r, r)) <= rtol * b_norm:
             break
-        z = inv_diag * r
-        rz_new = float(np.sum(r * z))
-        p = z + (rz_new / rz) * p
+        np.multiply(inv_diag, r, out=z)
+        rz_new = dot(r, z)
+        p *= rz_new / rz
+        p += z
         rz = rz_new
     return x
 
@@ -648,9 +720,8 @@ def _proximal_newton(u: np.ndarray, v: np.ndarray, vol: np.ndarray,
         v = u
         j, g = prob.value_and_grad(v)
     banded = grid.dim == 1
-    res0 = _grad_residual(g, prob.vol)
+    res = res0 = _grad_residual(g, prob.vol)
     for _ in range(_MAX_INNER):
-        res = _grad_residual(g, prob.vol)
         if res <= cfg.tol:
             return v
         if banded:
@@ -660,8 +731,11 @@ def _proximal_newton(u: np.ndarray, v: np.ndarray, vol: np.ndarray,
         else:
             diag = prob.hess_diag()
             rtol = min(0.1, np.sqrt(res / res0)) if res0 > 0 else 0.1
-            delta = _pcg(prob.hess_vec, -g, 1.0 / diag,
-                         rtol=max(rtol, 1e-12), maxiter=600)
+            box = prob.box
+            delta = np.zeros(g.shape)  # the direction vanishes off the box
+            delta[box] = _pcg(prob.hess_vec, -g[box], 1.0 / diag[box],
+                              rtol=max(rtol, 1e-12), maxiter=600,
+                              dot=prob.dot)
         slope = float(np.sum(g * delta))
         if slope >= 0:  # the solve returned a non-descent direction
             delta = -g / diag
@@ -682,9 +756,10 @@ def _proximal_newton(u: np.ndarray, v: np.ndarray, vol: np.ndarray,
                     f"proximal line search stalled at residual {res:.3e}")
         v = v + step * delta
         j, g = prob.value_and_grad(v)
+        res = _grad_residual(g, prob.vol)
     raise _NewtonCapError(
         f"proximal step: {_MAX_INNER} Newton iterations exhausted, "
-        f"residual {_grad_residual(g, prob.vol):.3e} > tol {cfg.tol:.3e}")
+        f"residual {res:.3e} > tol {cfg.tol:.3e}")
 
 
 def step_implicit_proximal(u: ScalarField, cfg: SolverConfig, dt: float,
@@ -708,6 +783,13 @@ def step_implicit_proximal(u: ScalarField, cfg: SolverConfig, dt: float,
     side inside the grid, the step is redone from its start with twice
     the halo.  A window that reaches the grid edge on every side is the
     whole grid.
+
+    Each Newton linear system is solved on a smaller box still: the
+    active box of its linearization, the support of ``u`` and of the
+    iterate grown by ``_BOX_MARGIN`` nodes (:class:`_ProxProblem`).  The
+    system's right-hand side vanishes off it and its Hessian keeps
+    vectors on it, so CG there gives the window CG's direction bit for
+    bit.
     """
     grid = u.grid
     _require_dirichlet(grid)

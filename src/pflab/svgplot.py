@@ -141,18 +141,33 @@ def emit_plot(series, envelopes, *, logy: bool, title: str,
     return "\n".join(parts) + "\n"
 
 
+def _block_segments(n: int, s: int) -> list:
+    """``(start, stop, size)`` of the runs of whole blocks of ``s`` nodes
+    along an axis of ``n``: the full blocks, then one shorter block of
+    the nodes left over, if any."""
+    full = n // s * s
+    return [(0, full, s)] + ([(full, n, n - full)] if n > full else [])
+
+
 def emit_heatmap(values: np.ndarray, title: str) -> str:
-    """A standalone SVG heat map of a 2-D array (block-averaged down to at
-    most ``_HEAT_CELLS`` per axis; trailing nodes that fill no block are
-    dropped).  The text is built a row of cells at a time."""
+    """A standalone SVG heat map of a 2-D array, block-averaged down to at
+    most ``_HEAT_CELLS`` per axis.  Each axis takes the smallest block that
+    allows; when that block does not divide the axis, the nodes left over
+    form a shorter last block, averaged over its own nodes, so every node
+    is shown.  The text is built a row of cells at a time."""
     vals = np.asarray(values, dtype=float)
     if vals.ndim != 2:
         raise ValueError("heat map needs a 2-D array")
     # the smallest block that leaves at most _HEAT_CELLS blocks per axis
     sx = max(1, -(-vals.shape[0] // _HEAT_CELLS))
     sy = max(1, -(-vals.shape[1] // _HEAT_CELLS))
-    nx, ny = vals.shape[0] // sx, vals.shape[1] // sy
-    block = vals[: nx * sx, : ny * sy].reshape(nx, sx, ny, sy).mean(axis=(1, 3))
+    nx, ny = -(-vals.shape[0] // sx), -(-vals.shape[1] // sy)
+    block = np.empty((nx, ny))
+    for i0, i1, bx in _block_segments(vals.shape[0], sx):
+        for j0, j1, by in _block_segments(vals.shape[1], sy):
+            part = vals[i0:i1, j0:j1]
+            block[i0 // sx:-(-i1 // sx), j0 // sy:-(-j1 // sy)] = part.reshape(
+                part.shape[0] // bx, bx, part.shape[1] // by, by).mean(axis=(1, 3))
     lo, hi = float(block.min()), float(block.max())
     span = hi - lo if hi > lo else 1.0
     side = 480

@@ -3,13 +3,17 @@
 None of these runs in an experiment.  They are written from their
 definitions (closed forms, quadrature, finite differences and a root
 solve), so that a slip in the package's own arithmetic shows up as a
-disagreement rather than being copied into the check.  The proximal
-derivatives are kept in the slice forms the package's buffered passes
-replace, which they must match bit for bit, the 1-D explicit flux
-at p = 3 in the square-root form it had before ``|g|*g``, and the
-energy ledger's tails in the row form that kept every snapshot's
-profile, and the heat map's text in the one-string-per-cell loop it was
-built with before it was built a row at a time.
+disagreement rather than being copied into the check.  Some keep the
+form a faster package pass replaced:
+- the proximal derivatives in slice form, and conjugate gradients on the
+  whole window, which the package's solve on the active box replaced;
+  the package must match both bit for bit;
+- the 1-D explicit flux at p = 3 in the square-root form it had before
+  ``|g|*g``;
+- the energy ledger's tails in the row form that kept every snapshot's
+  profile;
+- the heat map's text in the one-string-per-cell loop it was built with
+  before it was built a row at a time.
 """
 
 import numpy as np
@@ -267,11 +271,11 @@ def _face_gradients(v, grid, axis):
     return gn, face_avg(trans_deriv(v, other, grid.spacing[other]), axis)
 
 
-def _face_gradients_adj(tn, tt, grid, axis):
-    out = face_diff_adj(tn, grid.shape, axis, grid.spacing[axis])
+def _face_gradients_adj(tn, tt, grid, axis, shape):
+    out = face_diff_adj(tn, shape, axis, grid.spacing[axis])
     if tt is not None:
         other = 1 - axis
-        out += trans_deriv_adj(face_avg_adj(tt, grid.shape, axis), other,
+        out += trans_deriv_adj(face_avg_adj(tt, shape, axis), other,
                                grid.spacing[other])
     return out
 
@@ -282,44 +286,67 @@ def prox_gradient(prob, v):
     from pflab.plaplace import _diffusivity_of_a2
 
     grid, params = prob.grid, prob.cfg.params
-    adj = np.zeros(grid.shape)
+    adj = np.zeros(prob.u.shape)
     for axis in range(grid.dim):
         gn, gt = _face_gradients(v, grid, axis)
         a2 = gn * gn if gt is None else gn * gn + gt * gt
         D = _diffusivity_of_a2(a2, params.p, params.mu1)
         adj += _face_gradients_adj(D * gn, None if gt is None else D * gt,
-                                   grid, axis)
+                                   grid, axis, v.shape)
     return prob.vol * (v - prob.u) / prob.dt + prob.w * adj
 
 
+def window_tensor(prob):
+    """``prob``'s face tensor at its last gradient point on every face of
+    the window: the tensor it keeps on its box's faces, and 0 on the rest
+    (where ``|face grad|`` vanishes)."""
+    out = []
+    for axis, ks in enumerate(prob._k):
+        shape = tuple(n - (a == axis) for a, n in enumerate(prob.u.shape))
+        box = tuple(slice(s.start, s.stop - (a == axis))
+                    for a, s in enumerate(prob.box))
+        whole = []
+        for k in ks:
+            if k is not None:
+                full = np.zeros(shape)
+                full[box] = k
+                k = full
+            whole.append(k)
+        out.append(tuple(whole))
+    return out
+
+
 def prox_hess_vec(prob, dv):
-    """The Hessian action of ``prob`` at its last gradient point."""
+    """The Hessian action of ``prob`` at its last gradient point, on the
+    window."""
     grid = prob.grid
-    adj = np.zeros(grid.shape)
-    for axis, (knn, knt, ktt) in enumerate(prob._k):
+    adj = np.zeros(prob.u.shape)
+    for axis, (knn, knt, ktt) in enumerate(window_tensor(prob)):
         dgn, dgt = _face_gradients(dv, grid, axis)
         if dgt is None:
-            adj += _face_gradients_adj(knn * dgn, None, grid, axis)
+            adj += _face_gradients_adj(knn * dgn, None, grid, axis, dv.shape)
         else:
             adj += _face_gradients_adj(knn * dgn + knt * dgt,
-                                       knt * dgn + ktt * dgt, grid, axis)
+                                       knt * dgn + ktt * dgt, grid, axis,
+                                       dv.shape)
     return prob.vol * dv / prob.dt + prob.w * adj
 
 
 def prox_hess_diag(prob):
-    """The Hessian diagonal of ``prob`` at its last gradient point."""
-    grid = prob.grid
+    """The Hessian diagonal of ``prob`` at its last gradient point, on the
+    window."""
+    grid, shape = prob.grid, prob.u.shape
     nd = grid.dim
-    diag = np.zeros(grid.shape)
-    for axis, (knn, knt, ktt) in enumerate(prob._k):
+    diag = np.zeros(shape)
+    for axis, (knn, knt, ktt) in enumerate(window_tensor(prob)):
         h = grid.spacing[axis]
-        diag += (2.0 / h**2) * face_avg_adj(knn, grid.shape, axis)
+        diag += (2.0 / h**2) * face_avg_adj(knn, shape, axis)
         if ktt is None:
             continue
         other = 1 - axis
         ho = grid.spacing[other]
-        z = face_avg_adj(ktt, grid.shape, axis) / (8.0 * ho**2)
-        x = face_diff_adj(knt, grid.shape, axis, h) / ho
+        z = face_avg_adj(ktt, shape, axis) / (8.0 * ho**2)
+        x = face_diff_adj(knt, shape, axis, h) / ho
         for end, sign in ((0, -1.0), (-1, 1.0)):
             e = _sl(nd, other, end)
             z[e] *= 4.0
@@ -327,6 +354,30 @@ def prox_hess_diag(prob):
         diag[_sl(nd, other, slice(1, None))] += z[_sl(nd, other, slice(None, -1))]
         diag[_sl(nd, other, slice(None, -1))] += z[_sl(nd, other, slice(1, None))]
     return prob.vol / prob.dt + prob.w * diag
+
+
+def whole_window_pcg(apply_h, b, inv_diag, rtol, maxiter):
+    """Jacobi-preconditioned conjugate gradients on the whole window, with
+    a fresh array for every product: the solve the package ran before it
+    solved on the linearization's active box."""
+    x = np.zeros_like(b)
+    r = b.copy()
+    z = inv_diag * r
+    p = z.copy()
+    rz = float(np.sum(r * z))
+    b_norm = float(np.sqrt(np.sum(b * b))) or 1.0
+    for _ in range(maxiter):
+        hp = apply_h(p)
+        alpha = rz / float(np.sum(p * hp))
+        x += alpha * p
+        r -= alpha * hp
+        if np.sqrt(np.sum(r * r)) <= rtol * b_norm:
+            break
+        z = inv_diag * r
+        rz_new = float(np.sum(r * z))
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -428,12 +479,17 @@ class RowTails:
 
 def heatmap_per_cell(values, title):
     """The heat map's text from its per-cell loop: block-averaged down to
-    at most 96 cells per axis (ceiling division), one string per cell."""
+    at most 96 cells per axis (ceiling division), the last block of an
+    axis holding the nodes left over, each cell's mean taken by itself,
+    one string per cell.  A mean may differ from the package's in its
+    last bits (the sums run in another order); the colours, truncated to
+    integers, do not."""
     vals = np.asarray(values, dtype=float)
     sx = max(1, -(-vals.shape[0] // 96))
     sy = max(1, -(-vals.shape[1] // 96))
-    nx, ny = vals.shape[0] // sx, vals.shape[1] // sy
-    block = vals[: nx * sx, : ny * sy].reshape(nx, sx, ny, sy).mean(axis=(1, 3))
+    nx, ny = -(-vals.shape[0] // sx), -(-vals.shape[1] // sy)
+    block = np.array([[vals[i * sx:(i + 1) * sx, j * sy:(j + 1) * sy].mean()
+                       for j in range(ny)] for i in range(nx)])
     lo, hi = float(block.min()), float(block.max())
     span = hi - lo if hi > lo else 1.0
     side = 480

@@ -2,11 +2,18 @@
 and tolerance, printing one pass/fail line.  Shared runs follow the
 criteria's own phrasing (4/5 share the half-space run; 11/12 its ledger).
 
-Run just this module with ``pytest tests/test_acceptance.py -s``.
+Run just this module with ``pytest tests/test_acceptance.py -s``.  Its
+last test checks every artifact the session's criteria wrote against
+``acceptance_digests.txt``; after a change that moves bits on purpose,
+rewrite that file with ``PYTHONPATH=src python tests/test_acceptance.py``.
 """
 
+import hashlib
 import os
+import sys
+import tempfile
 
+import numpy as np
 import pytest
 
 from pflab import acceptance
@@ -87,3 +94,85 @@ def test_criteria_11_12_run_on_the_data_their_config_describes(tmp_path):
     c11 = acceptance._load_cfg("c11_energy_ledger.cfg", str(tmp_path))
     assert ({k: c04[k] for k in _TRAJECTORY_KEYS}
             == {k: c11[k] for k in _TRAJECTORY_KEYS})
+
+
+# ---------------------------------------------------------------------------
+# every artifact pinned by digest
+# ---------------------------------------------------------------------------
+
+DIGESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       "acceptance_digests.txt")
+
+
+def _environment() -> list:
+    """The header lines naming numpy's version and its CPU dispatch: the
+    baseline and the dispatched targets this machine enables, which pick
+    the kernels of ``power``, ``exp`` and ``log`` and so move bits."""
+    from numpy._core import _multiarray_umath as umath
+
+    enabled = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
+    return [f"# numpy {np.__version__}",
+            f"# cpu baseline {' '.join(umath.__cpu_baseline__)}",
+            f"# cpu dispatch {' '.join(enabled)}"]
+
+
+def _artifact_digests(outdir: str) -> dict:
+    """``cNN/<file>`` -> sha256 of every file under ``outdir`` but the
+    manifests, whose run stamp and output path change with every run."""
+    out = {}
+    for crit in sorted(os.listdir(outdir)):
+        for name in sorted(os.listdir(os.path.join(outdir, crit))):
+            if name != "manifest.txt":
+                with open(os.path.join(outdir, crit, name), "rb") as f:
+                    out[f"{crit}/{name}"] = hashlib.sha256(f.read()).hexdigest()
+    return out
+
+
+def _read_digests():
+    with open(DIGESTS) as f:
+        lines = f.read().splitlines()
+    header = [ln for ln in lines if ln.startswith("# ") and ln[2:].split()[0]
+              in ("numpy", "cpu")]
+    pinned = dict(ln.split() for ln in lines if ln and not ln.startswith("#"))
+    return header, pinned
+
+
+def write_digests(outdir: str):
+    """Write the digest file from the artifacts of a full acceptance run
+    under ``outdir``."""
+    lines = ["# sha256 of every file `pflab accept` writes but the manifests,",
+             "# one `cNN/<file> <sha256>` line each; rewrite with",
+             "#     PYTHONPATH=src python tests/test_acceptance.py",
+             "# the bits move with numpy's version and CPU dispatch:",
+             *_environment()]
+    lines += [f"{k} {v}" for k, v in _artifact_digests(outdir).items()]
+    with open(DIGESTS, "w") as f:
+        f.write("\n".join(lines) + "\n")
+
+
+def test_every_artifact_has_its_pinned_digest(ctx):
+    # last in the module: the criteria that ran in this session wrote
+    # their files under ctx.outdir; each must be byte for byte the pinned
+    # one, and each criterion that ran must write every pinned file
+    got = _artifact_digests(ctx.outdir)
+    if not got:
+        pytest.skip("no criterion ran in this session")
+    header, pinned = _read_digests()
+    ran = {k.split("/")[0] for k in got}
+    pinned = {k: v for k, v in pinned.items() if k.split("/")[0] in ran}
+    changed = sorted(k for k in pinned.keys() | got.keys()
+                     if pinned.get(k) != got.get(k))
+    assert not changed, (
+        "artifacts that differ from acceptance_digests.txt (missing, new or "
+        "changed): " + ", ".join(changed) + "\nrecorded with:\n  "
+        + "\n  ".join(header) + "\nrun with:\n  " + "\n  ".join(_environment()))
+
+
+if __name__ == "__main__":
+    from pflab.acceptance import run_acceptance
+
+    with tempfile.TemporaryDirectory() as tmp:
+        results = run_acceptance(tmp, None)
+        if not all(r.passed for r in results):
+            sys.exit("a criterion failed; the digest file is left as it was")
+        write_digests(tmp)

@@ -464,7 +464,7 @@ def test_implicit_line_search_stall_raises(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(plaplace, solver, overlong)
             with pytest.raises(NumericalError) as want:
-                _whole_grid_proximal(u0, cfg, 0.1)
+                _whole_grid_proximal(u0, cfg, 0.1, pcg=overlong)
             windows = _record_windows(m)
             with pytest.raises(NumericalError, match="line search stalled") as got:
                 step_implicit_proximal(u0, cfg, 0.1, None)
@@ -472,9 +472,10 @@ def test_implicit_line_search_stall_raises(monkeypatch):
         _assert_windowed(windows, u0.grid)
 
 
-def _whole_grid_proximal(u, cfg, dt, v0=None):
+def _whole_grid_proximal(u, cfg, dt, v0=None, pcg=oracles.whole_window_pcg):
     """Oracle: the proximal step by damped Newton on every node of the
-    grid, as it was solved before the support window."""
+    grid, as it was solved before the support window, with ``pcg`` for
+    its linear solves (CG on the whole grid)."""
     prob = plaplace._ProxProblem(u.values, u.grid.volumes(), u.grid, cfg, dt)
     v = u.values.copy() if v0 is None else np.asarray(v0, dtype=float).copy()
     j_u = prob.value(u.values)
@@ -493,10 +494,10 @@ def _whole_grid_proximal(u, cfg, dt, v0=None):
             diag = ab[1]
             delta = plaplace.solve_banded((1, 1), ab, -g)
         else:
-            diag = prob.hess_diag()
+            diag = oracles.prox_hess_diag(prob)
             rtol = min(0.1, np.sqrt(res / res0)) if res0 > 0 else 0.1
-            delta = plaplace._pcg(prob.hess_vec, -g, 1.0 / diag,
-                                  rtol=max(rtol, 1e-12), maxiter=600)
+            delta = pcg(lambda d: oracles.prox_hess_vec(prob, d), -g,
+                        1.0 / diag, max(rtol, 1e-12), 600)
         slope = float(np.sum(g * delta))
         if slope >= 0:
             delta = -g / diag
@@ -606,6 +607,101 @@ def test_support_near_the_grid_edge_runs_on_the_whole_grid(monkeypatch, grid, c)
     v = step_implicit_proximal(u0, cfg, 0.1, None)
     assert windows == [plaplace._whole(u0.values)]
     assert v.values.tobytes() == _whole_grid_proximal(u0, cfg, 0.1).tobytes()
+
+
+# the box solve's cases: (grid, C, t0, dt) of a cold step and then a
+# step warm-started as simulate does
+_BOX_CASES = {
+    "96x96": _WINDOW_CASES["2d-dir-dir"],
+    "48x48": (GridSpec((-6.0, -6.0), (6.0, 6.0), (48, 48),
+                       (DIRICHLET, DIRICHLET)), 0.3, 1.0, 0.2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BOX_CASES))
+def test_the_box_solve_gives_the_whole_window_cg_direction_bitwise(
+        monkeypatch, name):
+    # every Newton direction of two steps, scattered into the window, has
+    # the bits of CG on the whole window (oracles.whole_window_pcg with
+    # the slice-form Hessian), signed zeros included; -g vanishes off the
+    # box, and the box leaves out part of the window
+    value_and_grad, pcg = plaplace._ProxProblem.value_and_grad, plaplace._pcg
+    boxes = []
+
+    def keep_grad(prob, v):
+        j, g = value_and_grad(prob, v)
+        prob.test_grad = g
+        return j, g
+
+    def checked(apply_h, b, inv_diag, rtol, maxiter, dot):
+        prob = apply_h.__self__
+        g, box = prob.test_grad, prob.box
+        off_box = np.ones(g.shape, dtype=bool)
+        off_box[box] = False
+        assert not np.any(g[off_box])
+        assert np.array_equal(_bits(b), _bits(-g[box]))
+        x = pcg(apply_h, b, inv_diag, rtol, maxiter, dot)
+        got = np.zeros(g.shape)
+        got[box] = x
+        want = oracles.whole_window_pcg(
+            lambda d: oracles.prox_hess_vec(prob, d), -g,
+            1.0 / oracles.prox_hess_diag(prob), rtol, maxiter)
+        assert np.array_equal(_bits(got), _bits(want))
+        boxes.append(np.prod(x.shape) / g.size)
+        return x
+
+    monkeypatch.setattr(plaplace._ProxProblem, "value_and_grad", keep_grad)
+    monkeypatch.setattr(plaplace, "_pcg", checked)
+    grid, c, t0, dt = _BOX_CASES[name]
+    u0 = barenblatt_field(BarenblattParams(3.0, 2, C=c, mu1=1.0), grid, t0)
+    cfg = SolverConfig(ModelParams(3.0, 1.0), stepper="implicit")
+    u1 = step_implicit_proximal(u0, cfg, dt, None)
+    step_implicit_proximal(u1, cfg, dt, v0=u1.values + (u1.values - u0.values))
+    assert boxes and max(boxes) < 1.0
+
+
+def _count_proximal_work(monkeypatch):
+    """Counts of the proximal solver's work: linearizations, Hessian
+    actions, Jacobi diagonals, objective values (the line search's and
+    each step's J(u)) and window redos."""
+    counts = dict.fromkeys(("linearizations", "hess_vecs", "diagonals",
+                            "values", "redos"), 0)
+    for name, key in (("value_and_grad", "linearizations"),
+                      ("hess_vec", "hess_vecs"), ("hess_diag", "diagonals"),
+                      ("value", "values")):
+        def counted(self, *args, _f=getattr(plaplace._ProxProblem, name),
+                    _key=key):
+            counts[_key] += 1
+            return _f(self, *args)
+
+        monkeypatch.setattr(plaplace._ProxProblem, name, counted)
+    newton = plaplace._proximal_newton
+
+    def newton_counted(*args):
+        v = newton(*args)
+        counts["redos"] += v is None
+        return v
+
+    monkeypatch.setattr(plaplace, "_proximal_newton", newton_counted)
+    return counts
+
+
+def test_the_proximal_work_counts_are_pinned(monkeypatch):
+    # a 48^2 run of five warm-started steps, and a 128^2 step whose Newton
+    # outruns the halo once: the counts of the whole-window solve
+    counts = _count_proximal_work(monkeypatch)
+    grid, c, t0, _ = _BOX_CASES["48x48"]
+    u0 = barenblatt_field(BarenblattParams(3.0, 2, C=c, mu1=1.0), grid, t0)
+    cfg = SolverConfig(ModelParams(3.0, 1.0), stepper="implicit")
+    simulate(u0, cfg, 1.0, np.linspace(0.0, 1.0, 6))
+    assert counts == dict(linearizations=30, hess_vecs=62, diagonals=25,
+                          values=30, redos=0)
+    counts.update(dict.fromkeys(counts, 0))
+    grid = GridSpec((-4.0, -4.0), (4.0, 4.0), (128, 128), (DIRICHLET, DIRICHLET))
+    u0 = barenblatt_field(BarenblattParams(3.0, 2, C=0.5, mu1=1.0), grid, 0.02)
+    step_implicit_proximal(u0, cfg, 0.5, None)
+    assert counts == dict(linearizations=22, hess_vecs=315, diagonals=21,
+                          values=22, redos=1)
 
 
 def test_cross_scheme_agreement():

@@ -47,6 +47,19 @@ def test_the_heat_map_keeps_at_most_its_cap_of_cells_per_axis():
     assert _cell_columns(emit_heatmap(_field((128, 128)), "")) == (64, 64)
 
 
+def test_the_heat_map_shows_every_node():
+    # 200 x 97 takes 3 x 2 blocks: 66 full ones and a last one of 2 rows,
+    # 48 full ones and a last one of 1 column; a spike on the last node
+    # colours its own cell alone, at full scale
+    values = np.zeros((200, 97))
+    values[-1, -1] = 1.0
+    text = emit_heatmap(values, "")
+    assert _cell_columns(text) == (67, 49)
+    assert text.count("rgb(255,") == 1
+    assert re.search(r'x="(\S+)" y="28.00" \S+ \S+ fill="rgb\(255,', text)[1] == \
+        f"{66 * 480 / 67:.2f}"
+
+
 def test_the_heat_map_needs_a_2d_array():
     with pytest.raises(ValueError, match="2-D"):
         emit_heatmap(np.zeros(5), "")
